@@ -87,9 +87,14 @@ class FreezeManifest:
             raise FreezeMismatch("policy config hash does not match the freeze manifest")
         if world.spec.world_hash() != self.world_hash:
             raise FreezeMismatch("world hash does not match the freeze manifest")
+        missing = sorted(set(self.bank_hashes) - set(snapshots))
+        extra = sorted(set(snapshots) - set(self.bank_hashes))
+        if missing or extra:
+            raise FreezeMismatch(
+                f"bank kinds do not match the freeze manifest: missing {missing}, extra {extra}"
+            )
         for kind, snap in snapshots.items():
-            want = self.bank_hashes.get(kind)
-            if want != snap.content_hash:
+            if self.bank_hashes[kind] != snap.content_hash:
                 raise FreezeMismatch(f"{kind} bank content hash does not match the freeze manifest")
 
 

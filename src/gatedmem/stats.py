@@ -20,6 +20,9 @@ from .errors import SignalUndefined
 from .util import derive_seed
 
 NLL_CLAMP = 1e-12
+# resample rows x distinct values drawn at once: about 16 MB of counts and
+# products, which bounds memory when the values are all distinct
+RESAMPLE_CHUNK_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -90,6 +93,30 @@ def mcnemar_exact(helps: int, hurts: int) -> float:
     return float(min(Fraction(1), 2 * Fraction(tail, 2**n)))
 
 
+def _weighted_sums(counts: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Per-row sum of counts * u: each row is summed on its own, so its rounding
+    does not depend on how many rows are drawn at once."""
+    return (counts * u).sum(axis=1)
+
+
+def _resample_means(values: np.ndarray, n_resamples: int, seed: int) -> np.ndarray:
+    """Bootstrap means of values, drawn as multinomial counts of its distinct values.
+
+    A resample's mean depends only on how many times each distinct value is
+    drawn, and those counts are Multinomial(n, empirical frequencies), so no
+    (n_resamples x n) index matrix is built.
+    """
+    u, c = np.unique(values, return_counts=True)
+    n = values.size
+    rng = np.random.default_rng(derive_seed("bootstrap", seed))
+    means = np.empty(n_resamples)
+    rows = max(1, RESAMPLE_CHUNK_CELLS // u.size)
+    for start in range(0, n_resamples, rows):
+        stop = min(start + rows, n_resamples)
+        means[start:stop] = _weighted_sums(rng.multinomial(n, c / n, size=stop - start), u) / n
+    return means
+
+
 def bootstrap_ci(
     diffs, n_resamples: int = 10000, alpha: float = 0.05, seed: int = 0
 ) -> tuple[float, float]:
@@ -99,9 +126,7 @@ def bootstrap_ci(
         raise ValueError("empty diffs")
     if n_resamples < 1000:
         raise ValueError(f"n_resamples must be >= 1000, got {n_resamples}")
-    rng = np.random.default_rng(derive_seed("bootstrap", seed))
-    idx = rng.integers(0, values.size, size=(n_resamples, values.size))
-    means = kernels.resample_means(values, idx)
+    means = _resample_means(values, n_resamples, seed)
     lo, hi = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
     return float(lo), float(hi)
 
@@ -217,7 +242,10 @@ def randomization_interaction_test(
     """One-sided label-randomization p for mean(hit) - mean(non_hit).
 
     Group labels are permuted uniformly; p is the plus-one-smoothed fraction
-    of permutations whose statistic is >= the observed one.
+    of permutations whose statistic is >= the observed one. A permutation is
+    drawn as the hit group's counts of each distinct pooled value, which are
+    multivariate hypergeometric; the observed statistic goes through the same
+    count formula, so ties at the observed value count exactly.
     """
     hit = np.asarray(hit_diffs, np.float64)
     non = np.asarray(non_hit_diffs, np.float64)
@@ -225,11 +253,21 @@ def randomization_interaction_test(
         raise ValueError("both groups must be nonempty")
     if n_permutations < 1:
         raise ValueError("n_permutations must be >= 1")
-    observed = hit.mean() - non.mean()
-    pool = np.concatenate([hit, non])
+    u, inverse, c = np.unique(
+        np.concatenate([hit, non]), return_inverse=True, return_counts=True
+    )
+    total = float(c @ u)
+
+    def statistic(counts: np.ndarray) -> np.ndarray:
+        s = _weighted_sums(counts, u)
+        return s / hit.size - (total - s) / non.size
+
+    observed = statistic(np.bincount(inverse[: hit.size], minlength=u.size)[None, :])[0]
     rng = np.random.default_rng(derive_seed("interaction", seed))
-    u = rng.random((n_permutations, pool.size))
-    sel = np.argpartition(u, hit.size - 1, axis=1)[:, : hit.size]
-    stats = kernels.group_stats(pool, sel)
-    exceed = int(np.sum(stats >= observed))
+    exceed = 0
+    rows = max(1, RESAMPLE_CHUNK_CELLS // u.size)
+    for start in range(0, n_permutations, rows):
+        stop = min(start + rows, n_permutations)
+        counts = rng.multivariate_hypergeometric(c, hit.size, size=stop - start)
+        exceed += int(np.sum(statistic(counts) >= observed))
     return (1 + exceed) / (n_permutations + 1)

@@ -1,6 +1,7 @@
 """Protocol: freeze manifests, stage separation, governance, counterfactuals."""
 
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -147,6 +148,19 @@ def test_tampered_bank_hash_mismatch():
     world.banks["rule"].entry("R000").payload = "tampered"
     with pytest.raises(FreezeMismatch):
         run_test_stage(world, manifest, policy, world.snapshots())
+
+
+def test_bank_kind_set_mismatch():
+    world, manifest, policy, snaps = fitted_world(seed=8)
+    assert set(snaps) == {"rule", "exemplar"}
+    cases = [
+        ({"rule": snaps["rule"]}, "missing ['exemplar'], extra []"),
+        ({}, "missing ['exemplar', 'rule'], extra []"),
+        ({**snaps, "extra": snaps["rule"]}, "missing [], extra ['extra']"),
+    ]
+    for partial, named in cases:
+        with pytest.raises(FreezeMismatch, match=re.escape(named)):
+            manifest.validate(world, policy, partial)
 
 
 def test_wrong_world_hash_mismatch():

@@ -2,10 +2,13 @@
 
 import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from gatedmem import stats
 from gatedmem.errors import SignalUndefined
 from gatedmem.stats import (
     CalibrationSet,
@@ -95,6 +98,70 @@ def test_bootstrap_deterministic_and_validated():
         bootstrap_ci(np.array([]))
     with pytest.raises(ValueError):
         bootstrap_ci(diffs, n_resamples=100)
+
+
+def bootstrap_mean_distribution(values):
+    """Oracle: exact law of the bootstrap mean, by enumerating every composition
+    of n draws over the distinct values with its multinomial probability."""
+    n = len(values)
+    distinct = sorted(set(values))
+    freqs = [Fraction(values.count(v), n) for v in distinct]
+    law = {}
+    for counts in itertools.product(range(n + 1), repeat=len(distinct)):
+        if sum(counts) != n:
+            continue
+        prob = Fraction(math.factorial(n))
+        for k, f in zip(counts, freqs):
+            prob *= f**k / math.factorial(k)
+        mean = sum(k * Fraction(v) for k, v in zip(counts, distinct)) / n
+        law[mean] = law.get(mean, 0) + prob
+    return sorted(law.items())
+
+
+def test_bootstrap_matches_exact_distribution_small():
+    cases = [
+        [1.0, 1.0, 0.0, -1.0, 0.0],
+        [1.0, 0.0, 0.0, 0.0, 0.0, -1.0, -1.0, 0.0],
+        [0.5, 0.5, 2.0, 0.5, 2.0, 0.5],
+        [-1.0, 1.0, 1.0, 1.0],
+    ]
+    for seed, values in enumerate(cases):
+        means = stats._resample_means(np.array(values), 10000, seed)
+        assert bootstrap_ci(values, seed=seed) == tuple(np.quantile(means, [0.025, 0.975]))
+        cdf = Fraction(0)
+        for atom, prob in bootstrap_mean_distribution(values):
+            cdf += prob
+            mc = np.mean(means <= float(atom) + 1e-12)
+            assert abs(mc - float(cdf)) <= 0.02, (values, atom)
+
+
+def test_resampling_memory_bounded():
+    rng = np.random.default_rng(12)
+    hit = np.array([1.0] * 14 + [-1.0] * 8 + [0.0] * 83)
+    non_hit = rng.integers(-1, 2, 695).astype(float)
+    calls = [
+        (bootstrap_ci, (rng.integers(-1, 2, 6000).astype(float),)),
+        (bootstrap_ci, (rng.normal(size=6000),)),  # all distinct: chunked draws
+        (randomization_interaction_test, (hit, non_hit)),
+    ]
+    for fn, args in calls:
+        tracemalloc.start()
+        try:
+            fn(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20, (fn.__name__, peak)
+
+
+def test_resampling_independent_of_chunk_size(monkeypatch):
+    rng = np.random.default_rng(13)
+    values = rng.normal(size=300)
+    boot = stats._resample_means(values, 2000, 4)
+    p = randomization_interaction_test(values[:40], values[40:90], n_permutations=2000, seed=4)
+    monkeypatch.setattr(stats, "RESAMPLE_CHUNK_CELLS", 7)
+    assert np.array_equal(stats._resample_means(values, 2000, 4), boot)
+    assert randomization_interaction_test(values[:40], values[40:90], n_permutations=2000, seed=4) == p
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +350,16 @@ def test_interaction_matches_exhaustive_small():
         exact = interaction_exhaustive(hit, non_hit)
         mc = randomization_interaction_test(hit, non_hit, n_permutations=40000, seed=2)
         assert abs(mc - exact) < 0.02
+
+
+def test_interaction_constant_groups_tie_exactly():
+    # every permutation ties the observed statistic, so p is exactly 1
+    for value in (0.1, 1 / 3, 0.7):
+        for n_hit, n_non in ((2, 9), (3, 7), (5, 11)):
+            p = randomization_interaction_test(
+                np.full(n_hit, value), np.full(n_non, value), n_permutations=2000, seed=0
+            )
+            assert p == 1.0, (value, n_hit, n_non)
 
 
 def test_interaction_empty_group_errors():
