@@ -30,7 +30,6 @@ from .retrieval import (
     ContentEdit,
     Query,
     RetrievalResult,
-    apply_edits,
     freeze_identities,
     retrieve,
     target_hit_partition,

@@ -6,18 +6,15 @@ only. An entry is retired when the Hoeffding upper confidence bound on its
 mean utility drops below zero. Retirement is permanent: active -> retired,
 never back, and never during the test stage.
 
-On-disk formats:
-  bank file       one json object per line: {id, bank_kind, payload,
-                  embedding (fixed-width decimals), status}
-  snapshot manifest  {"bank_kind": ..., "active_entry_ids": [...],
-                      "content_hash": ...}
+On-disk format (bank file): one json object per line, {id, bank_kind,
+payload, embedding (fixed-width decimals), status}.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -103,28 +100,6 @@ class BankSnapshot:
         emb.setflags(write=False)
         return BankSnapshot(bank_kind, ids, payloads, emb, _hash_lines(entries))
 
-    def index_of(self, entry_id: str) -> int:
-        try:
-            return self.entry_ids.index(entry_id)
-        except ValueError:
-            raise KeyError(f"entry {entry_id!r} not in snapshot") from None
-
-    def manifest(self) -> dict:
-        return {
-            "bank_kind": self.bank_kind,
-            "active_entry_ids": list(self.entry_ids),
-            "content_hash": self.content_hash,
-        }
-
-    def with_payloads(self, payloads: tuple[str, ...]) -> "BankSnapshot":
-        rows = [
-            MemoryEntry(i, self.bank_kind, p, self.embeddings[k])
-            for k, (i, p) in enumerate(zip(self.entry_ids, payloads))
-        ]
-        return BankSnapshot(
-            self.bank_kind, self.entry_ids, payloads, self.embeddings, _hash_lines(rows)
-        )
-
 
 class MemoryBank:
     """Mutable (fit-stage) collection of entries of one kind."""
@@ -205,6 +180,24 @@ class MemoryBank:
                 retired.append(entry.id)
         return retired
 
+    def retain(self, entry_ids) -> None:
+        """Retire every active entry not named; the named ones must be active."""
+        self._check_fit_stage("retain")
+        keep = set(entry_ids)
+        for entry_id in sorted(keep):
+            if self.entry(entry_id).status != "active":
+                raise ValueError(f"entry {entry_id!r} is retired and cannot be retained")
+        for entry in self.active_entries():
+            if entry.id not in keep:
+                entry.status = "retired"
+
+    def copy(self) -> "MemoryBank":
+        """Independent copy: same entries and stage, unshared status and evidence."""
+        clone = MemoryBank(self.bank_kind)
+        clone._entries = {k: replace(e, evidence=list(e.evidence)) for k, e in self._entries.items()}
+        clone.stage = self.stage
+        return clone
+
     def freeze(self) -> BankSnapshot:
         return BankSnapshot.build(self.bank_kind, self.active_entries())
 
@@ -253,9 +246,3 @@ class MemoryBank:
             # load() reconstructs retired entries too; bypass add-time status checks
             bank._entries[e.id] = e
         return bank
-
-
-def save_snapshot_manifest(snapshot: BankSnapshot, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(snapshot.manifest(), fh, sort_keys=True, indent=2)
-        fh.write("\n")

@@ -84,6 +84,9 @@ class PolicyConfig:
 
     @staticmethod
     def from_flat(flat: dict[str, str]) -> "PolicyConfig":
+        unknown = sorted(set(flat) - set(PolicyConfig().to_flat()))
+        if unknown:
+            raise ValueError(f"unknown policy config keys: {unknown}")
         kw = {}
         if "tau" in flat:
             kw["tau"] = float(flat["tau"])
@@ -264,7 +267,7 @@ def _merge_results(qid: int, results: list[RetrievalResult]) -> RetrievalResult 
 class SecondPassContext:
     """Content version and replay mode for the second pass."""
 
-    version: str = "original"  # original | repair | corrupt
+    version: str = "original"  # original | repair | corrupt | none (no memory: retry)
     edited_ids: tuple[str, ...] = ()
     frozen_map: dict | None = None  # fixed-retrieval replay when set
 
@@ -279,20 +282,16 @@ def run_step(
     policy: PolicyConfig,
     snapshots: dict,
     budget_state: BudgetState,
-    force_route: bool = False,
-    force_accept: bool = False,
-    no_injection: bool = False,
     context: SecondPassContext = DEFAULT_CONTEXT,
 ) -> StepRecord:
     """One pass of the decision loop; returns the full step record.
 
-    force_route / force_accept / no_injection are evaluation-harness knobs for
-    the comparator policies (always-retrieve, fixed-budget, retry); the gated
-    policy runs with all three false.
+    Comparators are this same loop under another policy or context (see
+    protocol.evaluate_policy); version "none" runs the second pass without
+    memory, so it repeats the baseline decode at the cost of a routed step.
     """
     action, conf = solver.decode_baseline(example_id, policy.confidence_signal)
-    wants = force_route or route_decision(conf, policy.tau)
-    routed = wants and budget_state.can_route()
+    routed = route_decision(conf, policy.tau) and budget_state.can_route()
     budget_state.step_end(routed)
 
     if not routed:
@@ -314,6 +313,7 @@ def run_step(
     guard_results = solver.guard_results(example_id)
     attempts: list[AttemptRecord] = []
     decisive: AttemptRecord | None = None
+    no_memory = context.version == "none"
 
     if context.frozen_map is not None:
         # Fixed-retrieval replay: identity is frozen, only content re-decodes.
@@ -326,7 +326,7 @@ def run_step(
         plan = compose_bank_policy(policy)
 
     for banks, bypass_margin in plan:
-        if no_injection:
+        if no_memory:
             result, ids = None, ()
         elif injected is not None:
             result = RetrievalResult(example_id, tuple(injected), ())
@@ -339,7 +339,7 @@ def run_step(
             result = _merge_results(example_id, per_bank)
             ids = result.retrieved_ids if result is not None else ()
 
-        if not ids and not no_injection:
+        if not ids and not no_memory:
             attempt = AttemptRecord(banks, result, None, None, False)
             attempts.append(attempt)
             decisive = attempt
@@ -348,11 +348,8 @@ def run_step(
         a2, c2 = solver.decode_second(
             example_id, ids, context.version, context.edited_ids, policy.confidence_signal
         )
-        if force_accept:
-            ok = bool(ids)
-        else:
-            margin = float("-inf") if bypass_margin else policy.margin_m
-            ok = accept_decision(conf, c2, margin, guard_results, policy.guards_enabled)
+        margin = float("-inf") if bypass_margin else policy.margin_m
+        ok = accept_decision(conf, c2, margin, guard_results, policy.guards_enabled)
         attempt = AttemptRecord(banks, result, a2, c2, ok)
         attempts.append(attempt)
         decisive = attempt
@@ -384,18 +381,11 @@ def run_episode(
     example_ids,
     policy: PolicyConfig,
     snapshots: dict,
-    force_route: bool = False,
-    force_accept: bool = False,
-    no_injection: bool = False,
     context: SecondPassContext = DEFAULT_CONTEXT,
 ) -> EpisodeTrace:
     budget = BudgetState(policy.budget_B, policy.cooldown)
     steps = [
-        run_step(
-            solver, ex, i, policy, snapshots, budget,
-            force_route=force_route, force_accept=force_accept,
-            no_injection=no_injection, context=context,
-        )
+        run_step(solver, ex, i, policy, snapshots, budget, context=context)
         for i, ex in enumerate(example_ids)
     ]
     utility = sum(solver.action_utility(s.example_id, s.final_action) for s in steps) / len(steps)

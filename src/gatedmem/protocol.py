@@ -13,14 +13,14 @@ row by row at zero tolerance.
 
 from __future__ import annotations
 
-import copy
 import json
+import math
 import os
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bank import EvidenceRecord, MemoryBank, STAGE_FIT, STAGE_TEST
+from .bank import EvidenceRecord, STAGE_FIT, STAGE_TEST
 from .controller import (
     MULTIBANK_FAMILY,
     PolicyConfig,
@@ -37,6 +37,10 @@ from .worldsim import World
 
 COMPARATORS = ("retry", "always_retrieve", "fixed_budget")
 FIXED_BUDGET_K = 2  # comparator retrieves up to k=2 per episode, no guards, no rollback
+# Confidences lie in [0, 1], so tau = inf routes every step; margin -inf with
+# no guards accepts every second pass whose retrieval is non-empty.
+ROUTE_AND_ACCEPT_ALL = dict(tau=math.inf, margin_m=-math.inf, guards_enabled=frozenset())
+NO_MEMORY = SecondPassContext(version="none")  # retry: a second pass without memory
 
 
 # ---------------------------------------------------------------------------
@@ -146,15 +150,12 @@ def evaluate_policy(
     """Run one policy (or a comparator variant of it) over the given examples."""
     if len(example_ids) == 0:
         raise ValueError("no examples to evaluate")
-    force_route = force_accept = no_injection = False
     if comparator == "retry":
-        no_injection = True
+        context = NO_MEMORY
     elif comparator == "always_retrieve":
-        force_route = force_accept = True
-        policy = replace(policy, budget_B=None, cooldown=0)
+        policy = replace(policy, **ROUTE_AND_ACCEPT_ALL, budget_B=None, cooldown=0)
     elif comparator == "fixed_budget":
-        force_route = force_accept = True
-        policy = replace(policy, budget_B=FIXED_BUDGET_K, cooldown=0)
+        policy = replace(policy, **ROUTE_AND_ACCEPT_ALL, budget_B=FIXED_BUDGET_K, cooldown=0)
     elif comparator == "baseline":
         policy = replace(policy, budget_B=0)
     elif comparator is not None:
@@ -164,11 +165,7 @@ def evaluate_policy(
     outcome_by_example = {}
     n_steps = routed = accepted = calls = 0
     for eid, members in _episodes_for(world, example_ids):
-        trace = run_episode(
-            world, eid, members, policy, snapshots,
-            force_route=force_route, force_accept=force_accept,
-            no_injection=no_injection, context=context,
-        )
+        trace = run_episode(world, eid, members, policy, snapshots, context=context)
         traces.append(trace)
         for step in trace.steps:
             outcome_by_example[step.example_id] = world.action_utility(
@@ -222,17 +219,6 @@ def _fit_score(policy: PolicyConfig, dacc: float, mean_calls: float) -> float:
     return dacc - policy.lambda_cost * mean_calls
 
 
-def _copy_banks(banks: dict) -> dict:
-    out = {}
-    for kind, bank in banks.items():
-        clone = MemoryBank(kind)
-        for entry in bank.entries():
-            clone._entries[entry.id] = copy.copy(entry)
-            clone._entries[entry.id].evidence = list(entry.evidence)
-        out[kind] = clone
-    return out
-
-
 def attach_evidence(world: World, banks: dict, traces, iteration: int = 0) -> int:
     """Attribute each routed intervention's paired utility to every retrieved entry."""
     appended = 0
@@ -273,23 +259,21 @@ class GovernanceReport:
         return self.rounds[self.selected_iteration].snapshots
 
 
-def run_governance_loop(
-    world: World, policy: PolicyConfig, rounds: int, fit_ids, delta: float | None = None
-) -> GovernanceReport:
+def run_governance_loop(world: World, policy: PolicyConfig, rounds: int, fit_ids) -> GovernanceReport:
     """Evaluate / attach evidence / retire, for a fixed number of rounds.
 
     Round i's accuracy is measured with the bank state entering that round;
     the sweep after round i shapes round i+1. Gap-close is the fraction of
     the baseline-to-oracle gap recovered, absent when oracle equals baseline.
-    Works on bank copies; the caller applies the selected round's membership.
+    Retirement uses policy.delta. Works on bank copies; the caller applies
+    the selected round's membership.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     for bank in world.banks.values():
         if bank.stage != STAGE_FIT:
             raise ProtocolViolation("governance is a fit-stage operation")
-    delta = policy.delta if delta is None else delta
-    working = _copy_banks(world.banks)
+    working = {kind: bank.copy() for kind, bank in world.banks.items()}
     base_run = evaluate_policy(
         world, policy, world.snapshots(), fit_ids, "baseline", comparator="baseline"
     )
@@ -306,7 +290,7 @@ def run_governance_loop(
         attach_evidence(world, working, run.traces, iteration=it)
         retired = []
         for bank in working.values():
-            retired.extend(bank.retirement_sweep(delta))
+            retired.extend(bank.retirement_sweep(policy.delta))
         report_rounds.append(
             GovernanceRound(
                 index=it,
@@ -325,17 +309,6 @@ def run_governance_loop(
         baseline_accuracy=acc_base,
         oracle_accuracy=acc_oracle,
     )
-
-
-def apply_governance_selection(world: World, report: GovernanceReport) -> None:
-    """Retire, in the world's banks, everything absent from the selected round."""
-    selected = report.selected_snapshots()
-    for kind, bank in world.banks.items():
-        keep = set(selected[kind].entry_ids)
-        for entry in bank.active_entries():
-            if entry.id not in keep:
-                bank._check_fit_stage("apply_governance_selection")
-                entry.status = "retired"
 
 
 def run_fit_stage(
@@ -383,7 +356,8 @@ def run_fit_stage(
     governance_iteration = None
     if governance_rounds >= 1:
         report = run_governance_loop(world, policy, governance_rounds, fit_ids)
-        apply_governance_selection(world, report)
+        for kind, snap in report.selected_snapshots().items():
+            world.banks[kind].retain(snap.entry_ids)
         governance_iteration = report.selected_iteration
         snapshots = world.snapshots()
 
@@ -482,7 +456,6 @@ def run_test_stage(
     manifest: FreezeManifest,
     policy: PolicyConfig,
     snapshots: dict,
-    out_dir: str | None = None,
 ) -> tuple[list, dict]:
     """Frozen paired evaluation on the test split; returns (rows, runs by name)."""
     manifest.validate(world, policy, snapshots)
@@ -502,18 +475,18 @@ def run_test_stage(
         make_ledger_row(f"{name} vs baseline", runs["baseline"], runs[name], seed=world.seed)
         for name in ("policy", "retry", "always_retrieve", "fixed_budget", "oracle")
     ]
-    if out_dir is not None:
-        write_ledger(rows, os.path.join(out_dir, "ledger.csv"))
-        write_traces(runs["policy"].traces, os.path.join(out_dir, "traces.jsonl"))
-        write_conf_bins(world, runs, os.path.join(out_dir, "conf_bins.csv"), policy.confidence_signal)
     return rows, runs
 
 
 def _recover_split(record: dict, n: int):
     fit_ids = [int(i) for i in record["fit_ids"]]
     test_ids = [int(i) for i in record["test_ids"]]
+    if len(set(fit_ids)) != len(fit_ids) or len(set(test_ids)) != len(test_ids):
+        raise FreezeMismatch("manifest split has duplicate example ids")
     if set(fit_ids) & set(test_ids):
         raise FreezeMismatch("manifest records overlapping fit/test splits")
+    if min(fit_ids + test_ids, default=0) < 0:
+        raise FreezeMismatch("manifest split has negative example ids")
     if max(fit_ids + test_ids, default=-1) >= n:
         raise FreezeMismatch("manifest split indexes past the world size")
     if indices_digest(fit_ids) != record["fit_digest"] or indices_digest(test_ids) != record["test_digest"]:
@@ -527,14 +500,10 @@ def apply_recorded_membership(world: World, manifest: FreezeManifest) -> None:
     Entry ids are deterministic across worlds of the same shape, so a
     governed manifest's pruned membership transfers to sibling-seed worlds.
     """
+    recorded = manifest.selection_record.get("active_ids", {})
     for kind, bank in world.banks.items():
-        ids = manifest.selection_record.get("active_ids", {}).get(kind)
-        if ids is None:
-            continue
-        keep = set(ids)
-        for entry in bank.active_entries():
-            if entry.id not in keep:
-                entry.status = "retired"
+        if kind in recorded:
+            bank.retain(recorded[kind])
 
 
 def _pool_runs(runs: list) -> EvalRun:
@@ -561,9 +530,9 @@ def run_pooled_test(
     """Frozen test evaluation pooled over sibling-seed worlds.
 
     The given manifest is validated against the base world; sibling worlds
-    reuse the frozen policy and recorded bank membership (no fit-stage
-    operation runs on them) and get mechanical manifests over their own bank
-    and world hashes. Paired outcome vectors are concatenated in seed order
+    reuse the frozen policy and recorded bank membership (no selection,
+    evidence or retirement sweep runs on them) and get mechanical manifests
+    over their own bank and world hashes. Paired outcome vectors are concatenated in seed order
     and the statistics recomputed on the pool.
     """
     if n_seeds < 1:

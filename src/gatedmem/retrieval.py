@@ -1,4 +1,4 @@
-"""Deterministic similarity retrieval, frozen-identity replay, and content edits.
+"""Deterministic similarity retrieval, frozen identities, and content-edit files.
 
 Retrieval is a pure function of (query, snapshot, threshold, k_max): cosine
 similarity over the snapshot's active entries, strictly above the threshold,
@@ -27,7 +27,6 @@ EDIT_KINDS = ("repair", "corrupt")
 class Query:
     id: int
     embedding: np.ndarray
-    text: str | None = None
 
 
 @dataclass(frozen=True)
@@ -107,21 +106,6 @@ def freeze_identities(traces) -> dict[int, tuple[str, ...]]:
     return frozen
 
 
-def lookup_frozen(frozen_map: dict[int, tuple[str, ...]], query_id: int) -> tuple[str, ...]:
-    try:
-        return frozen_map[query_id]
-    except KeyError:
-        raise KeyError(f"query {query_id} was not routed in the original run") from None
-
-
-def apply_edits(snapshot: BankSnapshot, edits: list[ContentEdit]) -> BankSnapshot:
-    """Replace payloads in place; membership, ids, and embeddings unchanged."""
-    payloads = list(snapshot.payloads)
-    for edit in edits:
-        payloads[snapshot.index_of(edit.entry_id)] = edit.new_payload
-    return snapshot.with_payloads(tuple(payloads))
-
-
 def target_hit_partition(
     frozen_map: dict[int, tuple[str, ...]], edited_ids
 ) -> tuple[list[int], list[int]]:
@@ -136,18 +120,6 @@ def target_hit_partition(
 
 
 # -- file formats -----------------------------------------------------------
-
-def save_frozen_map(frozen_map: dict[int, tuple[str, ...]], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump({str(k): list(v) for k, v in sorted(frozen_map.items())}, fh, indent=2)
-        fh.write("\n")
-
-
-def load_frozen_map(path: str) -> dict[int, tuple[str, ...]]:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
-    return {int(k): tuple(v) for k, v in raw.items()}
-
 
 def save_edits(edits: list[ContentEdit], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:

@@ -38,7 +38,8 @@ def format_float(x: float, places: int = 8) -> str:
 def parse_kv_file(path: str) -> dict[str, str]:
     """Parse a flat key-value config file.
 
-    One `key = value` per line; blank lines and `#` comments ignored.
+    One `key = value` per line; blank lines and `#` comments ignored; a
+    repeated key is an error.
     Keys may be dotted (e.g. applicability_rate.rule) to express flat maps.
     """
     out: dict[str, str] = {}
@@ -49,8 +50,10 @@ def parse_kv_file(path: str) -> dict[str, str]:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
+            key, value = (t.strip() for t in line.split("=", 1))
+            if key in out:
+                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+            out[key] = value
     return out
 
 
@@ -58,15 +61,6 @@ def write_kv_file(path: str, items: Mapping[str, Any]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for key in sorted(items):
             fh.write(f"{key} = {items[key]}\n")
-
-
-def parse_bool(s: str) -> bool:
-    v = s.strip().lower()
-    if v in ("1", "true", "yes", "on"):
-        return True
-    if v in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {s!r}")
 
 
 def parse_opt_int(s: str) -> int | None:
@@ -82,12 +76,6 @@ def split_csv(s: str) -> list[str]:
 
 def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def dotted_to_nested(flat: Mapping[str, str], prefix: str) -> dict[str, str]:
-    """Collect `prefix.X = v` entries into {X: v}."""
-    head = prefix + "."
-    return {k[len(head):]: v for k, v in flat.items() if k.startswith(head)}
 
 
 def indices_digest(indices: Iterable[int]) -> str:

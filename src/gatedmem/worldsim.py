@@ -23,8 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bank import BankSnapshot, MemoryBank, MemoryEntry
-from .controller import OracleStep
+from .bank import BANK_KINDS, BankSnapshot, MemoryBank, MemoryEntry
+from .controller import GUARD_NAMES, OracleStep
 from .retrieval import ContentEdit, Query, embed_key, retrieve
 from .util import canonical_json, derive_seed, stable_digest
 
@@ -89,6 +89,12 @@ class WorldSpec:
         ]:
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
+        kinds = sorted(f"applicability_rate.{k}" for k in set(probs) ^ set(BANK_KINDS))
+        if kinds:
+            raise ValueError(f"applicability_rate must name rule and exemplar; missing or unknown: {kinds}")
+        bad = sorted(f"guard_pass_rate.{g}" for g, _ in self.guard_pass_rate if g not in GUARD_NAMES)
+        if bad:
+            raise ValueError(f"unknown guards {bad}; guards are {', '.join(GUARD_NAMES)}")
         if self.n_examples < 1 or self.topic_count < 1 or self.steps_per_episode < 1:
             raise ValueError("n_examples, topic_count, steps_per_episode must be >= 1")
 
@@ -131,6 +137,14 @@ class WorldSpec:
 
     @staticmethod
     def from_flat(flat: dict[str, str]) -> "WorldSpec":
+        known = WorldSpec().to_flat()
+        unknown = sorted(
+            k for k in flat
+            if k not in known and not k.startswith(("applicability_rate.", "guard_pass_rate."))
+        )
+        if unknown:
+            raise ValueError(f"unknown world config keys: {unknown}")
+
         def fget(key, conv, default):
             return conv(flat[key]) if key in flat else default
 
@@ -356,7 +370,7 @@ class World:
 
     def guard_results(self, idx: int) -> dict[str, bool]:
         out = {}
-        for guard in ("format", "valid", "progress", "contract"):
+        for guard in GUARD_NAMES:
             rate = self.spec.guard_rate(guard)
             if rate >= 1.0:
                 out[guard] = True

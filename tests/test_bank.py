@@ -1,6 +1,7 @@
 """Memory bank: evidence, Hoeffding retirement, freezing, persistence."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,6 @@ from gatedmem.bank import (
     MemoryEntry,
     STAGE_TEST,
     hoeffding_ucb,
-    save_snapshot_manifest,
 )
 from gatedmem.errors import ProtocolViolation
 
@@ -130,6 +130,30 @@ def test_sweep_boundary_matches_ucb():
     assert bank.retirement_sweep(delta=0.05) == ["R002"]
 
 
+def test_retain_retires_the_rest_and_only_shrinks():
+    bank = make_bank()
+    bank.retain(["R001", "R003"])
+    assert [e.id for e in bank.active_entries()] == ["R001", "R003"]
+    with pytest.raises(ValueError):
+        bank.retain(["R000"])  # retired stays retired
+    with pytest.raises(KeyError):
+        bank.retain(["R999"])
+    bank.stage = STAGE_TEST
+    with pytest.raises(ProtocolViolation):
+        bank.retain(["R001"])
+
+
+def test_copy_shares_no_status_or_evidence():
+    bank = make_bank()
+    bank.append_evidence("R000", EvidenceRecord(0, 0.5))
+    clone = bank.copy()
+    clone.append_evidence("R000", EvidenceRecord(1, -0.5))
+    clone.retain(["R000"])
+    assert bank.entry("R000").evidence_count == 1
+    assert len(bank.active_entries()) == 4
+    assert clone.freeze().entry_ids == ("R000",)
+
+
 def test_sweep_empty_bank():
     bank = MemoryBank("rule")
     assert bank.retirement_sweep() == []
@@ -184,21 +208,12 @@ def test_freeze_hash_ignores_evidence():
 def test_freeze_hash_sensitive_to_payload_and_embedding():
     bank = make_bank()
     base = bank.freeze()
-    edited = base.with_payloads(("changed",) + base.payloads[1:])
+    entries = bank.active_entries()
+    edited = BankSnapshot.build("rule", [replace(entries[0], payload="changed"), *entries[1:]])
     assert edited.content_hash != base.content_hash
     assert edited.entry_ids == base.entry_ids
-
-
-def test_snapshot_manifest_roundtrip(tmp_path):
-    snap = make_bank().freeze()
-    path = tmp_path / "manifest.json"
-    save_snapshot_manifest(snap, str(path))
-    import json
-
-    raw = json.loads(path.read_text())
-    assert raw["bank_kind"] == "rule"
-    assert raw["active_entry_ids"] == list(snap.entry_ids)
-    assert raw["content_hash"] == snap.content_hash
+    moved = BankSnapshot.build("rule", [replace(entries[0], embedding=-entries[0].embedding), *entries[1:]])
+    assert moved.content_hash not in (base.content_hash, edited.content_hash)
 
 
 def test_snapshot_ids_sorted_ascending():

@@ -130,6 +130,36 @@ def test_malformed_config(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "extra_world, named",
+    [
+        ("n_examples = 300\n", "n_examples"),  # repeated key
+        ("n_exmaples = 300\n", "n_exmaples"),
+        ("applicability_rate.rule = 0.4\n", "applicability_rate.exemplar"),
+        ("guard_pass_rate.fromat = 0.5\n", "guard_pass_rate.fromat"),
+    ],
+)
+def test_malformed_world_config_names_the_key(tmp_path, world_config, grid_config, capsys, extra_world, named):
+    with open(world_config, "a") as fh:
+        fh.write(extra_world)
+    out = str(tmp_path / "o")
+    for argv in (
+        ["gen-world", "--config", world_config, "--out", out],
+        ["fit", "--config", world_config, "--grid", grid_config, "--out", out],
+    ):
+        assert main(argv) == 1
+        assert named in capsys.readouterr().err
+
+
+def test_unknown_grid_key_names_the_key(tmp_path, world_config, capsys):
+    grid = tmp_path / "grid.kv"
+    grid.write_text("budgetB = 2\n")
+    code = main(["fit", "--config", world_config, "--grid", str(grid), "--out", str(tmp_path / "fit")])
+    assert code == 1
+    assert "budgetB" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "fit")
+
+
 def test_seed_override(tmp_path, world_config, capsys):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     main(["gen-world", "--config", world_config, "--out", out1, "--seed", "77"])

@@ -22,6 +22,7 @@ from gatedmem.protocol import (
     run_test_stage,
     split_indices,
 )
+from gatedmem.util import indices_digest
 from gatedmem.worldsim import WorldSpec, generate_world
 
 
@@ -204,8 +205,8 @@ def test_fit_test_byte_identical_ledgers(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     for out in (out1, out2):
         os.makedirs(out)
-        world, manifest, policy, snaps = fitted_world(seed=14)
-        run_test_stage(world, manifest, policy, snaps, out_dir=out)
+        world, manifest, policy, _ = fitted_world(seed=14)
+        run_pooled_test(world, manifest, policy, n_seeds=1, out_dir=out)
     for name in ("ledger.csv", "traces.jsonl", "conf_bins.csv"):
         with open(os.path.join(out1, name), "rb") as f1, open(os.path.join(out2, name), "rb") as f2:
             assert f1.read() == f2.read(), name
@@ -213,8 +214,8 @@ def test_fit_test_byte_identical_ledgers(tmp_path):
 
 def test_output_files_written(tmp_path):
     out = str(tmp_path)
-    world, manifest, policy, snaps = fitted_world(seed=15)
-    run_test_stage(world, manifest, policy, snaps, out_dir=out)
+    world, manifest, policy, _ = fitted_world(seed=15)
+    run_pooled_test(world, manifest, policy, n_seeds=1, out_dir=out)
     assert os.path.exists(os.path.join(out, "ledger.csv"))
     assert os.path.exists(os.path.join(out, "traces.jsonl"))
     assert os.path.exists(os.path.join(out, "conf_bins.csv"))
@@ -241,6 +242,89 @@ def test_pooled_test_concatenates_seeds(tmp_path):
     for seed in per_seed:
         assert os.path.exists(os.path.join(str(tmp_path), f"ledger_seed{seed}.csv"))
     assert os.path.exists(os.path.join(str(tmp_path), "traces.jsonl"))
+
+
+def _tampered_split(manifest, test_ids):
+    record = dict(manifest.selection_record, test_ids=test_ids, test_digest=indices_digest(test_ids))
+    return replace(manifest, selection_record=record)
+
+
+def test_split_with_duplicate_ids_rejected():
+    world, manifest, policy, snaps = fitted_world(seed=16, n=100)
+    test_ids = manifest.selection_record["test_ids"]
+    tampered = _tampered_split(manifest, test_ids + test_ids[:20])
+    with pytest.raises(FreezeMismatch, match="duplicate"):
+        run_test_stage(world, tampered, policy, snaps)
+
+
+def test_split_with_negative_id_rejected():
+    world, manifest, policy, snaps = fitted_world(seed=16, n=100)
+    tampered = _tampered_split(manifest, [-1] + manifest.selection_record["test_ids"][1:])
+    with pytest.raises(FreezeMismatch, match="negative"):
+        run_test_stage(world, tampered, policy, snaps)
+
+
+# ---------------------------------------------------------------------------
+# comparators: each is the gated controller under another policy or context
+# ---------------------------------------------------------------------------
+
+def comparator_setup():
+    # 8 entries per bank over 12 topics: queries of topics 8..11 retrieve
+    # nothing; the format guard rejects some steps; the budget and cooldown bind
+    spec = WorldSpec(
+        n_examples=240,
+        seed=17,
+        steps_per_episode=6,
+        topic_count=12,
+        n_rule_entries=8,
+        n_exemplar_entries=8,
+        guard_pass_rate=(("format", 0.6),),
+    )
+    world = generate_world(spec)
+    _, test_ids = split_indices(240, 0.5, 0)
+    policy = PolicyConfig(
+        tau=0.6, margin_m=0.05, bank_policy="cascade_rule_then_exemplar", budget_B=2, cooldown=1
+    )
+    return world, policy, world.snapshots(), test_ids
+
+
+def _steps(run):
+    return [s for t in run.traces for s in t.steps]
+
+
+def test_always_retrieve_routes_every_step_and_accepts_nonempty_retrievals():
+    world, policy, snaps, ids = comparator_setup()
+    run = evaluate_policy(world, policy, snaps, ids, comparator="always_retrieve")
+    steps = _steps(run)
+    nonempty = [s.retrieved is not None and bool(s.retrieved.retrieved_ids) for s in steps]
+    assert all(s.routed for s in steps)
+    assert [s.accepted for s in steps] == nonempty
+    assert any(nonempty) and not all(nonempty)
+    assert run.routed_frac == 1.0 and run.mean_calls == 2.0
+
+
+def test_fixed_budget_routes_two_steps_per_episode():
+    world, policy, snaps, ids = comparator_setup()
+    run = evaluate_policy(world, policy, snaps, ids, comparator="fixed_budget")
+    lengths = {len(t.steps) for t in run.traces}
+    assert 1 in lengths and max(lengths) > 2
+    for trace in run.traces:
+        assert trace.routed_count == min(2, len(trace.steps))
+        assert [s.routed for s in trace.steps] == [i < 2 for i in range(len(trace.steps))]
+        for s in trace.steps:
+            assert s.accepted == (s.routed and s.retrieved is not None and bool(s.retrieved.retrieved_ids))
+
+
+def test_retry_keeps_baseline_outcomes_at_the_gated_policy_cost():
+    world, policy, snaps, ids = comparator_setup()
+    base = evaluate_policy(world, policy, snaps, ids, comparator="baseline")
+    gated = evaluate_policy(world, policy, snaps, ids)
+    retry = evaluate_policy(world, policy, snaps, ids, comparator="retry")
+    assert np.array_equal(retry.outcomes, base.outcomes)
+    assert [s.routed for s in _steps(retry)] == [s.routed for s in _steps(gated)]
+    assert retry.mean_calls == gated.mean_calls > base.mean_calls
+    assert all(s.retrieved is None for s in _steps(retry))
+    assert not np.array_equal(gated.outcomes, base.outcomes)
 
 
 def test_pooled_test_single_seed_matches_plain(tmp_path):

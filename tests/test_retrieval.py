@@ -9,15 +9,11 @@ from gatedmem.retrieval import (
     ContentEdit,
     Query,
     RetrievalResult,
-    apply_edits,
     embed_key,
     freeze_identities,
     load_edits,
-    load_frozen_map,
-    lookup_frozen,
     retrieve,
     save_edits,
-    save_frozen_map,
     target_hit_partition,
 )
 
@@ -148,56 +144,6 @@ def test_freeze_identities_conflict():
     t2 = _trace_with([(0, ("R002",))], episode_id=1)
     with pytest.raises(ValueError):
         freeze_identities([t1, t2])
-
-
-def test_lookup_frozen_missing_query():
-    frozen = freeze_identities([_trace_with([(0, ("R001",))])])
-    assert lookup_frozen(frozen, 0) == ("R001",)
-    with pytest.raises(KeyError):
-        lookup_frozen(frozen, 99)
-
-
-def test_frozen_map_roundtrip(tmp_path):
-    frozen = {3: ("R001", "R002"), 1: ("E000",)}
-    path = tmp_path / "frozen.json"
-    save_frozen_map(frozen, str(path))
-    assert load_frozen_map(str(path)) == frozen
-
-
-# ---------------------------------------------------------------------------
-# apply_edits
-# ---------------------------------------------------------------------------
-
-def test_apply_edits_empty_is_identity():
-    snap = toy_snapshot()
-    assert apply_edits(snap, []).content_hash == snap.content_hash
-
-
-def test_apply_edits_changes_hash_not_membership():
-    snap = toy_snapshot()
-    edited = apply_edits(snap, [ContentEdit("R001", "fixed text", "repair")])
-    assert edited.content_hash != snap.content_hash
-    assert edited.entry_ids == snap.entry_ids
-    assert np.array_equal(edited.embeddings, snap.embeddings)
-    assert edited.payloads[1] == "fixed text"
-
-
-def test_apply_edits_four_entry_pattern():
-    # repair and corrupt versions of the same 4 entries differ only there
-    snap = snap_from([[1, 0]] * 8)
-    targets = ["R001", "R003", "R004", "R007"]
-    repair = apply_edits(snap, [ContentEdit(t, f"repair {t}", "repair") for t in targets])
-    corrupt = apply_edits(snap, [ContentEdit(t, f"corrupt {t}", "corrupt") for t in targets])
-    for i, eid in enumerate(snap.entry_ids):
-        if eid in targets:
-            assert repair.payloads[i] != corrupt.payloads[i]
-        else:
-            assert repair.payloads[i] == corrupt.payloads[i] == snap.payloads[i]
-
-
-def test_apply_edits_unknown_entry():
-    with pytest.raises(KeyError):
-        apply_edits(toy_snapshot(), [ContentEdit("R999", "x", "repair")])
 
 
 def test_edit_kind_validated():

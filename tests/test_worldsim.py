@@ -283,5 +283,5 @@ def test_drifted_snapshot_changes_only_edited_embeddings():
         assert same == (eid not in ("E001", "E005"))
     # drift depends on the edit kind
     drifted_repair = world.drifted_snapshot("exemplar", world.default_edits(["E001"], "repair"))
-    i = snap.index_of("E001")
+    i = snap.entry_ids.index("E001")
     assert not np.allclose(drifted_repair.embeddings[i], drifted.embeddings[i])
