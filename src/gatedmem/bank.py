@@ -219,30 +219,3 @@ class MemoryBank:
                     )
                     + "\n"
                 )
-
-    @staticmethod
-    def load(path: str) -> "MemoryBank":
-        entries = []
-        kind = None
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if not line.strip():
-                    continue
-                rec = json.loads(line)
-                kind = rec["bank_kind"]
-                entries.append(
-                    MemoryEntry(
-                        id=rec["id"],
-                        bank_kind=rec["bank_kind"],
-                        payload=rec["payload"],
-                        embedding=np.array([float(x) for x in rec["embedding"]]),
-                        status=rec.get("status", "active"),
-                    )
-                )
-        if kind is None:
-            raise ValueError(f"empty bank file: {path}")
-        bank = MemoryBank(kind)
-        for e in entries:
-            # load() reconstructs retired entries too; bypass add-time status checks
-            bank._entries[e.id] = e
-        return bank

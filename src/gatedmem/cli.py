@@ -35,7 +35,7 @@ from .protocol import (
     write_counterfactual_rows,
 )
 from .retrieval import load_edits
-from .util import parse_kv_file, write_kv_file
+from .util import parse_kv_file, parse_value, write_kv_file
 from .worldsim import WorldSpec, generate_world
 
 GRID_SEP = "|"  # alternatives within one grid value; commas stay inside values
@@ -67,7 +67,8 @@ def _resolve_candidates(world, fit_ids, combos) -> list[PolicyConfig]:
         pct = combo.pop("tau_percentile", None)
         policy = PolicyConfig.from_flat(combo)
         if pct is not None:
-            tau = resolve_tau_percentile(world, fit_ids, float(pct), policy.confidence_signal)
+            pct = parse_value("tau_percentile", float, pct)
+            tau = resolve_tau_percentile(world, fit_ids, pct, policy.confidence_signal)
             policy = replace(policy, tau=tau)
         out.append(policy)
     return out

@@ -16,10 +16,10 @@ cost when routed on the same steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .retrieval import RetrievalResult, retrieve
-from .util import canonical_json, parse_opt_int, split_csv, stable_digest
+from .util import canonical_json, from_flat, stable_digest, to_flat
 
 GUARD_NAMES = ("format", "valid", "progress", "contract")
 BANK_POLICIES = (
@@ -40,12 +40,12 @@ class PolicyConfig:
 
     tau: float = 0.5
     margin_m: float = 0.0
-    guards_enabled: frozenset = frozenset({"format", "valid"})
+    guards_enabled: frozenset[str] = frozenset({"format", "valid"})
     bank_policy: str = "choose"
     primary_bank: str = "rule"
     budget_B: int | None = None  # None = unlimited
     cooldown: int = 0
-    lambda_cost: float = 0.0  # config key "lambda"
+    lambda_cost: float = field(default=0.0, metadata={"key": "lambda"})
     delta: float = 0.05
     confidence_signal: str = "mean_logprob"
     multibank_member: str | None = None  # resolved choice when bank_policy=multibank_best
@@ -59,7 +59,7 @@ class PolicyConfig:
             raise ValueError(f"unknown confidence_signal {self.confidence_signal!r}")
         bad = set(self.guards_enabled) - set(GUARD_NAMES)
         if bad:
-            raise ValueError(f"unknown guards: {sorted(bad)}")
+            raise ValueError(f"guards_enabled names unknown guards {sorted(bad)}")
         if self.budget_B is not None and self.budget_B < 0:
             raise ValueError("budget_B must be None or >= 0")
         if self.cooldown < 0 or self.lambda_cost < 0:
@@ -68,50 +68,11 @@ class PolicyConfig:
             raise ValueError(f"multibank_member must be one of {MULTIBANK_FAMILY}")
 
     def to_flat(self) -> dict[str, str]:
-        return {
-            "tau": repr(self.tau),
-            "margin_m": repr(self.margin_m),
-            "guards_enabled": ",".join(sorted(self.guards_enabled)),
-            "bank_policy": self.bank_policy,
-            "primary_bank": self.primary_bank,
-            "budget_B": "none" if self.budget_B is None else str(self.budget_B),
-            "cooldown": str(self.cooldown),
-            "lambda": repr(self.lambda_cost),
-            "delta": repr(self.delta),
-            "confidence_signal": self.confidence_signal,
-            "multibank_member": self.multibank_member or "none",
-        }
+        return to_flat(self)
 
     @staticmethod
     def from_flat(flat: dict[str, str]) -> "PolicyConfig":
-        unknown = sorted(set(flat) - set(PolicyConfig().to_flat()))
-        if unknown:
-            raise ValueError(f"unknown policy config keys: {unknown}")
-        kw = {}
-        if "tau" in flat:
-            kw["tau"] = float(flat["tau"])
-        if "margin_m" in flat:
-            kw["margin_m"] = float(flat["margin_m"])
-        if "guards_enabled" in flat:
-            kw["guards_enabled"] = frozenset(split_csv(flat["guards_enabled"]))
-        if "bank_policy" in flat:
-            kw["bank_policy"] = flat["bank_policy"]
-        if "primary_bank" in flat:
-            kw["primary_bank"] = flat["primary_bank"]
-        if "budget_B" in flat:
-            kw["budget_B"] = parse_opt_int(flat["budget_B"])
-        if "cooldown" in flat:
-            kw["cooldown"] = int(flat["cooldown"])
-        if "lambda" in flat:
-            kw["lambda_cost"] = float(flat["lambda"])
-        if "delta" in flat:
-            kw["delta"] = float(flat["delta"])
-        if "confidence_signal" in flat:
-            kw["confidence_signal"] = flat["confidence_signal"]
-        if "multibank_member" in flat:
-            v = flat["multibank_member"]
-            kw["multibank_member"] = None if v == "none" else v
-        return PolicyConfig(**kw)
+        return from_flat(PolicyConfig, flat)
 
     def config_hash(self) -> str:
         return stable_digest(canonical_json(self.to_flat()))

@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -41,6 +42,10 @@ FIXED_BUDGET_K = 2  # comparator retrieves up to k=2 per episode, no guards, no 
 # no guards accepts every second pass whose retrieval is non-empty.
 ROUTE_AND_ACCEPT_ALL = dict(tau=math.inf, margin_m=-math.inf, guards_enabled=frozenset())
 NO_MEMORY = SecondPassContext(version="none")  # retry: a second pass without memory
+# selection_record entries that the test stage reads back, with their JSON types
+RECORD_TYPES = {
+    "policy": dict, "fit_ids": list, "test_ids": list, "fit_digest": str, "test_digest": str, "active_ids": dict,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -55,26 +60,27 @@ class FreezeManifest:
     selection_record: dict
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "policy_hash": self.policy_hash,
-                "bank_hashes": self.bank_hashes,
-                "world_hash": self.world_hash,
-                "selection_record": self.selection_record,
-            },
-            sort_keys=True,
-            indent=2,
-        )
+        return json.dumps(asdict(self), sort_keys=True, indent=2)
 
     @staticmethod
     def from_json(text: str) -> "FreezeManifest":
-        raw = json.loads(text)
-        return FreezeManifest(
-            policy_hash=raw["policy_hash"],
-            bank_hashes=raw["bank_hashes"],
-            world_hash=raw["world_hash"],
-            selection_record=raw["selection_record"],
-        )
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise FreezeMismatch(f"manifest is not valid JSON: {exc}") from None
+        if not isinstance(raw, dict):
+            raise FreezeMismatch(f"manifest must be a JSON object, got {type(raw).__name__}")
+        types = get_type_hints(FreezeManifest)
+        missing, extra = sorted(types.keys() - raw.keys()), sorted(raw.keys() - types.keys())
+        if missing or extra:
+            raise FreezeMismatch(f"manifest fields do not match: missing {missing}, extra {extra}")
+        bad = sorted(k for k, tp in types.items() if not isinstance(raw[k], tp))
+        if not bad:
+            record = raw["selection_record"]
+            bad = sorted(f"selection_record.{k}" for k, tp in RECORD_TYPES.items() if not isinstance(record.get(k), tp))
+        if bad:
+            raise FreezeMismatch(f"manifest fields missing or of the wrong JSON type: {bad}")
+        return FreezeManifest(**raw)
 
     def save(self, path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -328,6 +334,8 @@ def run_fit_stage(
         raise ProtocolViolation("fit and test splits overlap")
     if not candidates:
         raise ValueError("empty candidate grid")
+    if governance_rounds < 0:
+        raise ValueError(f"governance_rounds must be >= 0, got {governance_rounds}")
 
     expanded: list[tuple[int, PolicyConfig]] = []
     for gi, cand in enumerate(candidates):
@@ -479,8 +487,11 @@ def run_test_stage(
 
 
 def _recover_split(record: dict, n: int):
-    fit_ids = [int(i) for i in record["fit_ids"]]
-    test_ids = [int(i) for i in record["test_ids"]]
+    try:
+        fit_ids = [int(i) for i in record["fit_ids"]]
+        test_ids = [int(i) for i in record["test_ids"]]
+    except (TypeError, ValueError) as exc:
+        raise FreezeMismatch(f"manifest fit_ids and test_ids must be lists of example ids ({exc!r})") from None
     if len(set(fit_ids)) != len(fit_ids) or len(set(test_ids)) != len(test_ids):
         raise FreezeMismatch("manifest split has duplicate example ids")
     if set(fit_ids) & set(test_ids):
@@ -500,7 +511,7 @@ def apply_recorded_membership(world: World, manifest: FreezeManifest) -> None:
     Entry ids are deterministic across worlds of the same shape, so a
     governed manifest's pruned membership transfers to sibling-seed worlds.
     """
-    recorded = manifest.selection_record.get("active_ids", {})
+    recorded = manifest.selection_record["active_ids"]
     for kind, bank in world.banks.items():
         if kind in recorded:
             bank.retain(recorded[kind])
@@ -817,23 +828,7 @@ def _audit_fixed_replay(modes: dict, frozen: dict, hit_set: set, rows) -> None:
 def write_counterfactual_rows(rows, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for r in rows:
-            fh.write(
-                json.dumps(
-                    {
-                        "query_id": r.query_id,
-                        "routed": r.routed,
-                        "frozen_identity": list(r.frozen_identity),
-                        "outcome_original": r.outcome_original,
-                        "outcome_repair_free": r.outcome_repair_free,
-                        "outcome_corrupt_free": r.outcome_corrupt_free,
-                        "outcome_repair_fixed": r.outcome_repair_fixed,
-                        "outcome_corrupt_fixed": r.outcome_corrupt_fixed,
-                        "target_hit": r.target_hit,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ high cosine) without any learned model.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -124,21 +124,25 @@ def target_hit_partition(
 def save_edits(edits: list[ContentEdit], path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for e in edits:
-            fh.write(
-                json.dumps(
-                    {"entry_id": e.entry_id, "edit_kind": e.edit_kind, "new_payload": e.new_payload},
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(asdict(e), sort_keys=True) + "\n")
 
 
 def load_edits(path: str) -> list[ContentEdit]:
+    """One JSON object per line; a bad line is a ValueError naming the file and line."""
+    names = [f.name for f in fields(ContentEdit)]
     edits = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            rec = json.loads(line)
-            edits.append(ContentEdit(rec["entry_id"], rec["new_payload"], rec["edit_kind"]))
+            try:
+                rec = json.loads(line)
+                if not isinstance(rec, dict):
+                    raise ValueError(f"expected a JSON object with fields {names}, got {line.strip()!r}")
+                missing = [k for k in names if k not in rec]
+                if missing:
+                    raise ValueError(f"missing field {', '.join(missing)}")
+                edits.append(ContentEdit(**{k: rec[k] for k in names}))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
     return edits

@@ -26,7 +26,7 @@ import numpy as np
 from .bank import BANK_KINDS, BankSnapshot, MemoryBank, MemoryEntry
 from .controller import GUARD_NAMES, OracleStep
 from .retrieval import ContentEdit, Query, embed_key, retrieve
-from .util import canonical_json, derive_seed, stable_digest
+from .util import canonical_json, derive_seed, from_flat, stable_digest, to_flat
 
 CONTENT_VERSIONS = ("original", "repair", "corrupt")
 ORACLE_CONTEXTS = ("rule", "exemplar", "dual")
@@ -50,7 +50,7 @@ class ConfidenceModel:
 class WorldSpec:
     n_examples: int = 600
     base_accuracy: float = 0.74
-    applicability_rate: tuple = (("rule", 0.5), ("exemplar", 0.5))
+    applicability_rate: tuple[tuple[str, float], ...] = (("rule", 0.5), ("exemplar", 0.5))
     help_prob_given_applicable: float = 0.6
     hurt_prob_given_inapplicable: float = 0.5
     confidence_model: ConfidenceModel = field(default_factory=ConfidenceModel)
@@ -61,7 +61,7 @@ class WorldSpec:
     embedding_dim: int = 64
     topic_weight: float = 0.9
     steps_per_episode: int = 1
-    guard_pass_rate: tuple = ()  # (guard, rate) overrides; default 1.0
+    guard_pass_rate: tuple[tuple[str, float], ...] = ()  # (guard, rate) overrides; default 1.0
     toxic_entry_rate: float = 0.0
     toxic_applicability: float = 0.05
     toxic_hurt_prob: float = 0.9
@@ -105,88 +105,11 @@ class WorldSpec:
         return dict(self.guard_pass_rate).get(guard, 1.0)
 
     def to_flat(self) -> dict[str, str]:
-        flat = {
-            "n_examples": str(self.n_examples),
-            "base_accuracy": repr(self.base_accuracy),
-            "help_prob_given_applicable": repr(self.help_prob_given_applicable),
-            "hurt_prob_given_inapplicable": repr(self.hurt_prob_given_inapplicable),
-            "topic_count": str(self.topic_count),
-            "seed": str(self.seed),
-            "n_rule_entries": str(self.n_rule_entries),
-            "n_exemplar_entries": str(self.n_exemplar_entries),
-            "embedding_dim": str(self.embedding_dim),
-            "topic_weight": repr(self.topic_weight),
-            "steps_per_episode": str(self.steps_per_episode),
-            "toxic_entry_rate": repr(self.toxic_entry_rate),
-            "toxic_applicability": repr(self.toxic_applicability),
-            "toxic_hurt_prob": repr(self.toxic_hurt_prob),
-            "edit_sensitive_rate": repr(self.edit_sensitive_rate),
-            "repair_better_prob": repr(self.repair_better_prob),
-            "retrieval_threshold": repr(self.retrieval_threshold),
-            "k_max": str(self.k_max),
-            "confidence_model.baseline_auc": repr(self.confidence_model.baseline_auc),
-            "confidence_model.second_auc_rule": repr(self.confidence_model.second_auc_rule),
-            "confidence_model.second_auc_exemplar": repr(self.confidence_model.second_auc_exemplar),
-            "confidence_model.kappa": repr(self.confidence_model.kappa),
-        }
-        for kind, rate in self.applicability_rate:
-            flat[f"applicability_rate.{kind}"] = repr(rate)
-        for guard, rate in self.guard_pass_rate:
-            flat[f"guard_pass_rate.{guard}"] = repr(rate)
-        return flat
+        return to_flat(self)
 
     @staticmethod
     def from_flat(flat: dict[str, str]) -> "WorldSpec":
-        known = WorldSpec().to_flat()
-        unknown = sorted(
-            k for k in flat
-            if k not in known and not k.startswith(("applicability_rate.", "guard_pass_rate."))
-        )
-        if unknown:
-            raise ValueError(f"unknown world config keys: {unknown}")
-
-        def fget(key, conv, default):
-            return conv(flat[key]) if key in flat else default
-
-        cm = ConfidenceModel(
-            baseline_auc=fget("confidence_model.baseline_auc", float, 0.75),
-            second_auc_rule=fget("confidence_model.second_auc_rule", float, 0.80),
-            second_auc_exemplar=fget("confidence_model.second_auc_exemplar", float, 0.80),
-            kappa=fget("confidence_model.kappa", float, 10.0),
-        )
-        app = tuple(
-            (k.split(".", 1)[1], float(v))
-            for k, v in sorted(flat.items())
-            if k.startswith("applicability_rate.")
-        ) or (("rule", 0.5), ("exemplar", 0.5))
-        guards = tuple(
-            (k.split(".", 1)[1], float(v))
-            for k, v in sorted(flat.items())
-            if k.startswith("guard_pass_rate.")
-        )
-        return WorldSpec(
-            n_examples=fget("n_examples", int, 600),
-            base_accuracy=fget("base_accuracy", float, 0.74),
-            applicability_rate=app,
-            help_prob_given_applicable=fget("help_prob_given_applicable", float, 0.6),
-            hurt_prob_given_inapplicable=fget("hurt_prob_given_inapplicable", float, 0.5),
-            confidence_model=cm,
-            topic_count=fget("topic_count", int, 12),
-            seed=fget("seed", int, 0),
-            n_rule_entries=fget("n_rule_entries", int, 50),
-            n_exemplar_entries=fget("n_exemplar_entries", int, 100),
-            embedding_dim=fget("embedding_dim", int, 64),
-            topic_weight=fget("topic_weight", float, 0.9),
-            steps_per_episode=fget("steps_per_episode", int, 1),
-            guard_pass_rate=guards,
-            toxic_entry_rate=fget("toxic_entry_rate", float, 0.0),
-            toxic_applicability=fget("toxic_applicability", float, 0.05),
-            toxic_hurt_prob=fget("toxic_hurt_prob", float, 0.9),
-            edit_sensitive_rate=fget("edit_sensitive_rate", float, 0.3),
-            repair_better_prob=fget("repair_better_prob", float, 0.85),
-            retrieval_threshold=fget("retrieval_threshold", float, 0.6),
-            k_max=fget("k_max", int, 2),
-        )
+        return from_flat(WorldSpec, flat)
 
     def world_hash(self) -> str:
         return stable_digest(canonical_json(self.to_flat()))

@@ -1,6 +1,8 @@
 """Memory bank: evidence, Hoeffding retirement, freezing, persistence."""
 
+import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -238,13 +240,18 @@ def test_duplicate_and_dimension_checks():
         bank.add_entry(MemoryEntry("X001", "exemplar", "wrong kind", np.zeros(6)))
 
 
-def test_bank_file_roundtrip(tmp_path):
+def test_bank_file_format(tmp_path):
     bank = make_bank(n=5)
     bank.entry("R004").status = "retired"
     path = tmp_path / "bank_rule.jsonl"
     bank.save(str(path))
-    loaded = MemoryBank.load(str(path))
-    assert len(loaded) == 5
-    assert loaded.entry("R004").status == "retired"
-    # fixed-width float serialization keeps the content hash stable
-    assert loaded.freeze().content_hash == bank.freeze().content_hash
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [r["id"] for r in records] == [f"R{i:03d}" for i in range(5)]
+    assert [r["status"] for r in records] == ["active"] * 4 + ["retired"]
+    for r in records:
+        assert set(r) == {"id", "bank_kind", "payload", "embedding", "status"}
+        assert r["bank_kind"] == "rule"
+        assert r["payload"] == bank.entry(r["id"]).payload
+        # fixed-width decimal strings, so the file is byte-stable across platforms
+        assert all(re.fullmatch(r"-?\d+\.\d{8}", x) for x in r["embedding"])
+        np.testing.assert_allclose([float(x) for x in r["embedding"]], bank.entry(r["id"]).embedding, atol=5e-9)

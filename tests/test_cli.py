@@ -137,6 +137,12 @@ def test_malformed_config(tmp_path, capsys):
         ("n_exmaples = 300\n", "n_exmaples"),
         ("applicability_rate.rule = 0.4\n", "applicability_rate.exemplar"),
         ("guard_pass_rate.fromat = 0.5\n", "guard_pass_rate.fromat"),
+        ("k_max = two\n", "k_max"),  # int
+        ("topic_weight = heavy\n", "topic_weight"),  # float
+        ("confidence_model.kappa = 1e\n", "confidence_model.kappa"),
+        ("confidence_model.kapa = 10\n", "confidence_model.kapa"),
+        ("applicability_rate.rule = often\napplicability_rate.exemplar = 0.5\n", "applicability_rate.rule"),
+        ("guard_pass_rate.valid = 0.5x\n", "guard_pass_rate.valid"),
     ],
 )
 def test_malformed_world_config_names_the_key(tmp_path, world_config, grid_config, capsys, extra_world, named):
@@ -151,13 +157,102 @@ def test_malformed_world_config_names_the_key(tmp_path, world_config, grid_confi
         assert named in capsys.readouterr().err
 
 
-def test_unknown_grid_key_names_the_key(tmp_path, world_config, capsys):
+@pytest.mark.parametrize(
+    "grid_text, named",
+    [
+        pytest.param("budgetB = 2\n", "budgetB", id="unknown-key"),
+        pytest.param("tau_percentile = abc\n", "tau_percentile", id="bad-tau_percentile"),
+    ],
+)
+def test_unknown_grid_key_names_the_key(tmp_path, world_config, capsys, grid_text, named):
     grid = tmp_path / "grid.kv"
-    grid.write_text("budgetB = 2\n")
+    grid.write_text(grid_text)
     code = main(["fit", "--config", world_config, "--grid", str(grid), "--out", str(tmp_path / "fit")])
     assert code == 1
-    assert "budgetB" in capsys.readouterr().err
+    assert named in capsys.readouterr().err
     assert not os.path.exists(tmp_path / "fit")
+
+
+@pytest.mark.parametrize(
+    "policy_text, named",
+    [
+        ("tau = high\n", "tau"),  # float
+        ("lambda = 0.1.2\n", "lambda"),  # float under its metadata key
+        ("cooldown = 1.5\n", "cooldown"),  # int
+        ("budget_B = unlimited\n", "budget_B"),  # optional int
+        ("guards_enabled = format,fromat\n", "guards_enabled"),  # guard CSV
+        ("multibank_member = triple\n", "multibank_member"),  # optional str
+        ("lambda_cost = 0.1\n", "lambda_cost"),  # the attribute name is not a key
+    ],
+)
+def test_bad_policy_value_names_the_key(tmp_path, world_config, capsys, policy_text, named):
+    policy = tmp_path / "policy.kv"
+    policy.write_text(policy_text)
+    out = tmp_path / "gov"
+    code = main(["governance", "--config", world_config, "--policy", str(policy), "--rounds", "1", "--out", str(out)])
+    assert code == 1
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_negative_governance_rounds_rejected(tmp_path, world_config, grid_config, capsys):
+    out = tmp_path / "fit"
+    code = main(["fit", "--config", world_config, "--grid", grid_config, "--governance-rounds", "-2", "--out", str(out)])
+    assert code == 1
+    assert "governance_rounds" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.fixture()
+def fitted(tmp_path, world_config, grid_config):
+    fit_out = tmp_path / "fit"
+    assert main(["fit", "--config", world_config, "--grid", grid_config, "--out", str(fit_out)]) == 0
+    return fit_out / "manifest.json"
+
+
+@pytest.mark.parametrize(
+    "tamper, named",
+    [
+        (lambda raw: ["not", "an", "object"], "JSON object"),
+        (lambda raw: {"policy_hash": "x"}, "missing ['bank_hashes', 'selection_record', 'world_hash']"),
+        (lambda raw: dict(raw, notes="extra"), "extra ['notes']"),
+        (lambda raw: dict(raw, bank_hashes=5), "bank_hashes"),
+        (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], fit_ids=5)), "selection_record.fit_ids"),
+        (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], fit_ids=["x"])), "fit_ids"),
+        (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], policy=5)), "selection_record.policy"),
+        (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], active_ids=5)), "selection_record.active_ids"),
+    ],
+    ids=["not-object", "missing-field", "extra-field", "wrong-type", "split-not-list", "split-not-ids", "policy-not-object", "active-ids-not-object"],
+)
+def test_malformed_manifest_names_the_field(tmp_path, world_config, fitted, capsys, tamper, named):
+    raw = json.loads(fitted.read_text())
+    fitted.write_text(json.dumps(tamper(raw)))
+    capsys.readouterr()
+    code = main(["test", "--config", world_config, "--manifest", str(fitted), "--out", str(tmp_path / "t")])
+    assert code == 1
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, named",
+    [
+        ('["R000"]', "JSON object"),
+        ('{"entry_id": "E000", "edit_kind": "repair"}', "new_payload"),
+        ('{"entry_id": "E000", "new_payload": "x", "edit_kind": "rewrite"}', "edit_kind"),
+        ('{"entry_id": "E000",', "Expecting"),  # the JSON decoder's message
+    ],
+    ids=["not-object", "missing-field", "bad-kind", "bad-json"],
+)
+def test_malformed_edits_name_the_file_line_and_field(tmp_path, world_config, fitted, capsys, line, named):
+    edits = tmp_path / "edits.jsonl"
+    edits.write_text('{"entry_id": "E001", "edit_kind": "repair", "new_payload": "ok"}\n' + line + "\n")
+    capsys.readouterr()
+    code = main(
+        ["counterfactual", "--config", world_config, "--manifest", str(fitted), "--edits", str(edits), "--out", str(tmp_path / "cf")]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"{edits}:2" in err and named in err
 
 
 def test_seed_override(tmp_path, world_config, capsys):

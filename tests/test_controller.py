@@ -308,6 +308,40 @@ def test_policy_flat_roundtrip():
     assert again.config_hash() == policy.config_hash()
 
 
+def test_policy_flat_form_and_hash_pinned():
+    # The freeze manifest locks on this hash of the flat form, so any change
+    # to a key, a default or a value format shows up here.
+    assert PolicyConfig().config_hash() == "357d52bb7aead827c91e5c87fc62bedc0a34ead383adc95bd03162646bc4761d"
+    assert PolicyConfig().to_flat()["budget_B"] == "none"
+    policy = PolicyConfig(
+        tau=0.25,
+        margin_m=0.05,
+        guards_enabled=frozenset({"progress", "contract"}),
+        bank_policy="multibank_best",
+        primary_bank="exemplar",
+        budget_B=3,
+        cooldown=2,
+        lambda_cost=0.01,
+        delta=0.1,
+        confidence_signal="first_token",
+        multibank_member="dual",
+    )
+    assert policy.to_flat() == {
+        "tau": "0.25",
+        "margin_m": "0.05",
+        "guards_enabled": "contract,progress",
+        "bank_policy": "multibank_best",
+        "primary_bank": "exemplar",
+        "budget_B": "3",
+        "cooldown": "2",
+        "lambda": "0.01",
+        "delta": "0.1",
+        "confidence_signal": "first_token",
+        "multibank_member": "dual",
+    }
+    assert policy.config_hash() == "59bf43b1ff44058c7b0bc47684183639edccd1cd67fc818debe0cf6abaf99baf"
+
+
 def test_policy_hash_covers_every_field():
     base = PolicyConfig()
     variants = [

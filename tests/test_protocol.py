@@ -137,6 +137,12 @@ def test_manifest_roundtrip(tmp_path):
     assert FreezeManifest.load(path) == manifest
 
 
+@pytest.mark.parametrize("text", ["{", "[1, 2]", '{"policy_hash": "x"}'])
+def test_malformed_manifest_is_a_freeze_mismatch(text):
+    with pytest.raises(FreezeMismatch, match="manifest"):
+        FreezeManifest.from_json(text)
+
+
 def test_tampered_tau_hash_mismatch():
     world, manifest, policy, snaps = fitted_world(seed=7)
     tampered = replace(policy, tau=policy.tau + 0.05)

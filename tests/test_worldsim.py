@@ -1,5 +1,7 @@
 """World generator: determinism, outcome structure, confidence model."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from conftest import arith_shape_spec
 from gatedmem.controller import PolicyConfig
 from gatedmem.protocol import evaluate_oracle, evaluate_policy
 from gatedmem.stats import roc_auc
+from gatedmem.util import parse_kv_file
 from gatedmem.worldsim import (
     ConfidenceModel,
     WorldSpec,
@@ -49,6 +52,21 @@ def test_spec_flat_roundtrip_and_hash():
     assert again == spec
     assert again.world_hash() == spec.world_hash()
     assert WorldSpec(seed=1).world_hash() != WorldSpec(seed=2).world_hash()
+
+
+def test_world_hash_pinned():
+    # The freeze manifest locks on this hash of the flat form, so any change
+    # to a key, a default or a value format shows up here.
+    shipped = WorldSpec.from_flat(parse_kv_file(str(Path(__file__).parents[1] / "configs" / "world.kv")))
+    assert shipped.world_hash() == "5198279b6b669d9cc096459bf76b5ea47fa9f99eeac17196fd989b6d03f9eb03"
+    spec = WorldSpec(
+        guard_pass_rate=(("valid", 0.8), ("format", 0.9)),
+        confidence_model=ConfidenceModel(baseline_auc=0.7, kappa=5.0),
+        steps_per_episode=4,
+        k_max=3,
+        toxic_entry_rate=0.1,
+    )
+    assert spec.world_hash() == "30e04daa1b7a29b903a463b998579edaf43d4ab081ce290a78c0d5f04d432a37"
 
 
 # ---------------------------------------------------------------------------
