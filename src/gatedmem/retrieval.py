@@ -3,7 +3,9 @@
 Retrieval is a pure function of (query, snapshot, threshold, k_max): cosine
 similarity over the snapshot's active entries, strictly above the threshold,
 sorted by descending similarity with ties broken by ascending entry id. The
-tie-break makes replay exact.
+tie-break makes replay exact. Since it is pure, a world ranks all of its
+queries against a snapshot once (retrieval_table) and serves every later
+retrieval on that snapshot from the table.
 
 Embeddings come from a hash-seeded stub: a per-key unit vector blended with a
 per-topic unit vector, so similarity structure is scriptable (same topic =>
@@ -53,39 +55,89 @@ def unit_vector(key, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def embed_key(key, dim: int, topic: int | None = None, topic_weight: float = 0.9) -> np.ndarray:
-    """Hash-seeded unit embedding with an optional shared topic component."""
+def topic_vector(topic: int, dim: int) -> np.ndarray:
+    """The unit vector that every embedding of one topic shares."""
+    return unit_vector(("topic", topic), dim)
+
+
+def embed_key(key, dim: int, topic_vec: np.ndarray | None = None, topic_weight: float = 0.9) -> np.ndarray:
+    """Hash-seeded unit embedding, blended with a topic_vector when one is given."""
     base = unit_vector(key, dim)
-    if topic is None:
+    if topic_vec is None:
         return base
-    tvec = unit_vector(("topic", topic), dim)
-    v = (1.0 - topic_weight) * base + topic_weight * tvec
+    v = (1.0 - topic_weight) * base + topic_weight * topic_vec
     return v / np.linalg.norm(v)
+
+
+# queries x entries ranked per block: 64 KB of similarities and as much of
+# sort indices, however many queries a table holds. With 0.5 MB blocks the
+# peak RSS of a 2000-query, 8-step fit rose from 44.0 to 48.7 MB; with these
+# it is 45.7 MB.
+TABLE_BLOCK_CELLS = 1 << 13
+
+
+@dataclass(frozen=True)
+class RetrievalTable:
+    """retrieve() for every row of a query matrix against one snapshot."""
+
+    entry_ids: tuple[str, ...]
+    ranked: np.ndarray  # (n_queries, min(k_max, n_entries)) snapshot rows, best first
+    similarities: np.ndarray  # cosine of each ranked entry
+    counts: np.ndarray  # (n_queries,) leading ranked entries strictly above the threshold
+
+    def result(self, row: int, query_id: int) -> RetrievalResult:
+        n = self.counts[row]
+        return RetrievalResult(
+            query_id,
+            tuple(self.entry_ids[i] for i in self.ranked[row, :n].tolist()),
+            tuple(self.similarities[row, :n].tolist()),
+        )
+
+
+def retrieval_table(
+    queries: np.ndarray, snapshot: BankSnapshot, threshold: float, k_max: int
+) -> RetrievalTable:
+    """Rank every query row against the snapshot, one matmul per row block.
+
+    Entries are ordered by descending cosine; the sort is stable and snapshot
+    rows are sorted by entry id, so ties go to the ascending id.
+    """
+    if k_max < 1:
+        raise ValueError(f"k_max must be >= 1, got {k_max}")
+    queries = np.asarray(queries, np.float64)
+    n, m = len(queries), len(snapshot.entry_ids)
+    k = min(k_max, m)
+    ranked = np.zeros((n, k), np.intp)
+    sims = np.zeros((n, k))
+    counts = np.zeros(n, np.intp)
+    if m:
+        emb = snapshot.embeddings
+        if queries.shape[1] != emb.shape[1]:
+            raise ValueError(f"query dimension {queries.shape[1]} != bank dimension {emb.shape[1]}")
+        en = np.linalg.norm(emb, axis=1)
+        qn = np.linalg.norm(queries, axis=1)
+        rows = max(1, TABLE_BLOCK_CELLS // m)
+        for start in range(0, n, rows):
+            stop = min(start + rows, n)
+            block = queries[start:stop] @ emb.T
+            block /= qn[start:stop, None] * en
+            order = np.argsort(-block, axis=1, kind="stable")[:, :k]
+            top = np.take_along_axis(block, order, axis=1)
+            ranked[start:stop], sims[start:stop] = order, top
+            counts[start:stop] = np.count_nonzero(top > threshold, axis=1)
+    return RetrievalTable(snapshot.entry_ids, ranked, sims, counts)
 
 
 def retrieve(
     query: Query, snapshot: BankSnapshot, threshold: float = 0.6, k_max: int = 2
 ) -> RetrievalResult:
-    """Up to k_max entries with cosine similarity strictly above threshold."""
-    if k_max < 1:
-        raise ValueError(f"k_max must be >= 1, got {k_max}")
-    if len(snapshot.entry_ids) == 0:
-        return RetrievalResult(query.id, (), ())
-    q = np.asarray(query.embedding, np.float64)
-    if q.shape[0] != snapshot.embeddings.shape[1]:
-        raise ValueError(
-            f"query dimension {q.shape[0]} != bank dimension {snapshot.embeddings.shape[1]}"
-        )
-    qn = np.linalg.norm(q)
-    en = np.linalg.norm(snapshot.embeddings, axis=1)
-    sims = snapshot.embeddings @ q / (en * qn)
-    above = np.flatnonzero(sims > threshold)
-    ranked = sorted(above, key=lambda i: (-sims[i], snapshot.entry_ids[i]))[:k_max]
-    return RetrievalResult(
-        query.id,
-        tuple(snapshot.entry_ids[i] for i in ranked),
-        tuple(float(sims[i]) for i in ranked),
-    )
+    """Up to k_max entries with cosine similarity strictly above threshold.
+
+    The one-row case of retrieval_table; a World serves its own queries from
+    a table per snapshot (World.retrieve).
+    """
+    queries = np.asarray(query.embedding, np.float64)[None, :]
+    return retrieval_table(queries, snapshot, threshold, k_max).result(0, query.id)
 
 
 def freeze_identities(traces) -> dict[int, tuple[str, ...]]:

@@ -19,13 +19,15 @@ noise (mean < sum < first_token).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bank import BANK_KINDS, BankSnapshot, MemoryBank, MemoryEntry
 from .controller import GUARD_NAMES, OracleStep
-from .retrieval import ContentEdit, Query, embed_key, retrieve
+from .retrieval import ContentEdit, RetrievalResult, embed_key, retrieval_table, topic_vector
+from .retrieval import retrieve  # unused; perfbench/test_tracer.py asserts every module's retrieve is one function
 from .util import canonical_json, derive_seed, from_flat, stable_digest, to_flat
 
 CONTENT_VERSIONS = ("original", "repair", "corrupt")
@@ -75,8 +77,13 @@ class WorldSpec:
         object.__setattr__(self, "applicability_rate", tuple(sorted(self.applicability_rate)))
         object.__setattr__(self, "guard_pass_rate", tuple(sorted(self.guard_pass_rate)))
         probs = dict(self.applicability_rate)
+        cm = self.confidence_model
         for name, v in [
             ("base_accuracy", self.base_accuracy),
+            ("topic_weight", self.topic_weight),
+            ("confidence_model.baseline_auc", cm.baseline_auc),
+            ("confidence_model.second_auc_rule", cm.second_auc_rule),
+            ("confidence_model.second_auc_exemplar", cm.second_auc_exemplar),
             ("help_prob_given_applicable", self.help_prob_given_applicable),
             ("hurt_prob_given_inapplicable", self.hurt_prob_given_inapplicable),
             ("toxic_entry_rate", self.toxic_entry_rate),
@@ -95,8 +102,19 @@ class WorldSpec:
         bad = sorted(f"guard_pass_rate.{g}" for g, _ in self.guard_pass_rate if g not in GUARD_NAMES)
         if bad:
             raise ValueError(f"unknown guards {bad}; guards are {', '.join(GUARD_NAMES)}")
-        if self.n_examples < 1 or self.topic_count < 1 or self.steps_per_episode < 1:
-            raise ValueError("n_examples, topic_count, steps_per_episode must be >= 1")
+        for name, v, least in [
+            ("n_examples", self.n_examples, 1),
+            ("topic_count", self.topic_count, 1),
+            ("steps_per_episode", self.steps_per_episode, 1),
+            ("embedding_dim", self.embedding_dim, 1),
+            ("k_max", self.k_max, 1),
+            ("n_rule_entries", self.n_rule_entries, 0),
+            ("n_exemplar_entries", self.n_exemplar_entries, 0),
+        ]:
+            if v < least:
+                raise ValueError(f"{name} must be >= {least}, got {v}")
+        if not 0 < cm.kappa < math.inf:
+            raise ValueError(f"confidence_model.kappa must be finite and > 0, got {cm.kappa}")
 
     def rate_for(self, bank_kind: str) -> float:
         return dict(self.applicability_rate)[bank_kind]
@@ -165,7 +183,7 @@ class Example:
     idx: int
     topic: int
     baseline_correct: bool
-    embedding: np.ndarray
+    embedding: np.ndarray  # a row of World.query_embeddings
 
 
 @dataclass(frozen=True)
@@ -191,6 +209,7 @@ class World:
         self.spec = spec
         self.seed = spec.seed
         rng = np.random.default_rng(derive_seed(spec.seed, "world"))
+        self._topics: dict[int, np.ndarray] = {}  # topic -> topic_vector, drawn on first use
 
         self.banks: dict[str, MemoryBank] = {}
         self.toxic_ids: set[str] = set()
@@ -210,29 +229,32 @@ class World:
                         bank_kind=kind,
                         payload=f"{kind} {eid}: guidance for topic {topic}",
                         embedding=embed_key(
-                            (spec.seed, "entry", eid), spec.embedding_dim, topic, spec.topic_weight
+                            (spec.seed, "entry", eid), spec.embedding_dim, self._topic(topic), spec.topic_weight
                         ),
                     )
                 )
             self.banks[kind] = bank
 
+        # one row per example: retrieval tables rank them a block at a time
+        self.query_embeddings = np.empty((spec.n_examples, spec.embedding_dim))
         self.examples: list[Example] = []
         for i in range(spec.n_examples):
             topic = int(rng.integers(spec.topic_count))
+            self.query_embeddings[i] = embed_key(
+                (spec.seed, "query", i), spec.embedding_dim, self._topic(topic), spec.topic_weight
+            )
             self.examples.append(
                 Example(
                     idx=i,
                     topic=topic,
                     baseline_correct=bool(rng.random() < spec.base_accuracy),
-                    embedding=embed_key(
-                        (spec.seed, "query", i), spec.embedding_dim, topic, spec.topic_weight
-                    ),
+                    embedding=self.query_embeddings[i],
                 )
             )
 
-        self.retrieval_threshold = spec.retrieval_threshold
-        self.k_max = spec.k_max
+        self._tables: dict = {}  # snapshot content_hash -> RetrievalTable
         self._pair_cache: dict = {}
+        self._guard_cache: dict = {}
         self._conf_cache: dict = {}
 
     # -- structure ----------------------------------------------------------
@@ -240,12 +262,22 @@ class World:
     def entry_bank(self, entry_id: str) -> str:
         return "rule" if entry_id.startswith("R") else "exemplar"
 
+    def _topic(self, topic: int) -> np.ndarray:
+        vec = self._topics.get(topic)
+        if vec is None:
+            vec = self._topics[topic] = topic_vector(topic, self.spec.embedding_dim)
+        return vec
+
     def snapshots(self) -> dict[str, BankSnapshot]:
         return {k: b.freeze() for k, b in self.banks.items()}
 
-    def query(self, idx: int) -> Query:
-        ex = self.examples[idx]
-        return Query(id=idx, embedding=ex.embedding)
+    def retrieve(self, idx: int, snapshot: BankSnapshot) -> RetrievalResult:
+        """retrieve() for example idx, served from the snapshot's table (built on first use)."""
+        table = self._tables.get(snapshot.content_hash)
+        if table is None:
+            table = retrieval_table(self.query_embeddings, snapshot, self.spec.retrieval_threshold, self.spec.k_max)
+            self._tables[snapshot.content_hash] = table
+        return table.result(idx, idx)
 
     def episodes(self) -> list[tuple[int, list[int]]]:
         spe = self.spec.steps_per_episode
@@ -292,6 +324,9 @@ class World:
         return draws
 
     def guard_results(self, idx: int) -> dict[str, bool]:
+        hit = self._guard_cache.get(idx)
+        if hit is not None:
+            return hit
         out = {}
         for guard in GUARD_NAMES:
             rate = self.spec.guard_rate(guard)
@@ -300,6 +335,7 @@ class World:
             else:
                 rng = np.random.default_rng(derive_seed(self.seed, "guard", idx, guard))
                 out[guard] = bool(rng.random() < rate)
+        self._guard_cache[idx] = out
         return out
 
     def _confidence(self, cache_key, target_auc: float, correct: bool, signal: str) -> float:
@@ -380,15 +416,12 @@ class World:
         """Retrieved ids a given bank-policy context would inject."""
         if context == "none":
             return ()
-        q = self.query(idx)
         if context == "dual":
             ids: list[str] = []
             for kind in ("rule", "exemplar"):
-                r = retrieve(q, snapshots[kind], self.retrieval_threshold, self.k_max)
-                ids.extend(r.retrieved_ids)
+                ids.extend(self.retrieve(idx, snapshots[kind]).retrieved_ids)
             return tuple(ids)
-        r = retrieve(q, snapshots[context], self.retrieval_threshold, self.k_max)
-        return r.retrieved_ids
+        return self.retrieve(idx, snapshots[context]).retrieved_ids
 
     def outcome_table(self, idx: int, snapshots: dict | None = None) -> ExampleOutcomeTable:
         snaps = snapshots or self.snapshots()
@@ -471,7 +504,7 @@ class World:
                     embedding=embed_key(
                         (self.seed, "entry", entry.id, "drift", edit.edit_kind),
                         spec.embedding_dim,
-                        topic,
+                        self._topic(topic),
                         spec.topic_weight,
                     ),
                 )

@@ -1,6 +1,25 @@
-"""Shared world shapes for the test suite."""
+"""Shared world shapes and the per-query retrieval reference for the test suite."""
 
+import numpy as np
+
+from gatedmem.retrieval import RetrievalResult
 from gatedmem.worldsim import ConfidenceModel, WorldSpec
+
+
+def reference_retrieve(query, snapshot, threshold, k_max) -> RetrievalResult:
+    """Brute-force retrieve for one query: a matvec and a sort by (-sim, id)."""
+    if len(snapshot.entry_ids) == 0:
+        return RetrievalResult(query.id, (), ())
+    q = np.asarray(query.embedding, np.float64)
+    en = np.linalg.norm(snapshot.embeddings, axis=1)
+    sims = snapshot.embeddings @ q / (en * np.linalg.norm(q))
+    above = np.flatnonzero(sims > threshold)
+    ranked = sorted(above, key=lambda i: (-sims[i], snapshot.entry_ids[i]))[:k_max]
+    return RetrievalResult(
+        query.id,
+        tuple(snapshot.entry_ids[i] for i in ranked),
+        tuple(float(sims[i]) for i in ranked),
+    )
 
 
 def arith_shape_spec(seed: int = 0, n: int = 600) -> WorldSpec:

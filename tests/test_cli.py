@@ -1,7 +1,9 @@
 """CLI subcommands drive the full protocol through files."""
 
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -143,6 +145,20 @@ def test_malformed_config(tmp_path, capsys):
         ("confidence_model.kapa = 10\n", "confidence_model.kapa"),
         ("applicability_rate.rule = often\napplicability_rate.exemplar = 0.5\n", "applicability_rate.rule"),
         ("guard_pass_rate.valid = 0.5x\n", "guard_pass_rate.valid"),
+        # values that parse but are out of range
+        ("embedding_dim = -3\n", "embedding_dim"),
+        ("embedding_dim = 0\n", "embedding_dim"),
+        ("k_max = 0\n", "k_max"),
+        ("n_rule_entries = -1\n", "n_rule_entries"),
+        ("n_exemplar_entries = -1\n", "n_exemplar_entries"),
+        ("topic_weight = 1.5\n", "topic_weight"),
+        ("topic_weight = -0.1\n", "topic_weight"),
+        ("confidence_model.kappa = -1\n", "confidence_model.kappa"),
+        ("confidence_model.kappa = 0\n", "confidence_model.kappa"),
+        ("confidence_model.kappa = inf\n", "confidence_model.kappa"),  # NaN confidences
+        ("confidence_model.baseline_auc = 2\n", "confidence_model.baseline_auc"),
+        ("confidence_model.second_auc_rule = -0.5\n", "confidence_model.second_auc_rule"),
+        ("confidence_model.second_auc_exemplar = nan\n", "confidence_model.second_auc_exemplar"),
     ],
 )
 def test_malformed_world_config_names_the_key(tmp_path, world_config, grid_config, capsys, extra_world, named):
@@ -221,8 +237,13 @@ def fitted(tmp_path, world_config, grid_config):
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], fit_ids=["x"])), "fit_ids"),
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], policy=5)), "selection_record.policy"),
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], active_ids=5)), "selection_record.active_ids"),
+        (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], active_ids={"rule": 5, "exemplar": []})), "selection_record.active_ids.rule"),
+        (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], active_ids={"rule": [], "exemplar": [7]})), "selection_record.active_ids.exemplar"),
     ],
-    ids=["not-object", "missing-field", "extra-field", "wrong-type", "split-not-list", "split-not-ids", "policy-not-object", "active-ids-not-object"],
+    ids=[
+        "not-object", "missing-field", "extra-field", "wrong-type", "split-not-list", "split-not-ids",
+        "policy-not-object", "active-ids-not-object", "active-ids-not-list", "active-ids-not-strings",
+    ],
 )
 def test_malformed_manifest_names_the_field(tmp_path, world_config, fitted, capsys, tamper, named):
     raw = json.loads(fitted.read_text())
@@ -262,3 +283,48 @@ def test_seed_override(tmp_path, world_config, capsys):
     h1 = open(os.path.join(out1, "bank_rule.jsonl")).read()
     h2 = open(os.path.join(out2, "bank_rule.jsonl")).read()
     assert h1 != h2
+
+
+# sha256 of every file the README quickstart writes on the shipped configs.
+# A change to a random stream or an output format must update these on purpose.
+QUICKSTART_DIGESTS = {
+    "cf/audit.json": "09862a6c10b7d02fe25bbeb762b5f5884e341751cde9e6fc7a955cc7e8b6b9e8",
+    "cf/counterfactual_rows.jsonl": "1eed5bd4440e41d11531dd60f8540d1c0af17fa3f2c7c9f157ed99644c0b4611",
+    "fit/bank_exemplar.jsonl": "6770b2237f0ab04eb36d282f4b7e21826a136ff96c04e9c3ffc40bba98708bfc",
+    "fit/bank_rule.jsonl": "72254f8b1a3a185bd1fac677c23c97350ab058473f0234d3b89a2d87e6fb7c4c",
+    "fit/manifest.json": "97ce4c69b5876a261632458575ea95beadf1577c5ca99d57e93f8f8423b92e34",
+    "fit/policy.kv": "a8a1a870a4ecc959d46ce41440e6d7309e7e30f5a3da2c0b78b94c191812b062",
+    "gov/governance.json": "1e0c811f3005e4002e55102604ed970ed0d656cb24c6d6545fda6bd9a44b896b",
+    "test/conf_bins.csv": "9f2fd7744ec70c9e27826b4158e226eb6855eeb20648f09cc12c99500a7a8698",
+    "test/ledger.csv": "9c8c824ac93e9c99792da6a6d969b9ab648d6c9ee8859e4e437ec9d16efc32bb",
+    "test/ledger_seed0.csv": "6777e3550e55b9a4ad088af156c9cf7533e6a09047365bf5b9cae74cf97fa712",
+    "test/ledger_seed1.csv": "3d77c40df12d0ac5b9708773f0a51726f806cb2f23bd0c93706460d27f528121",
+    "test/ledger_seed2.csv": "041d9de7cbbd6a0867647f871e4cf08d3a1d025fb41ee8253d310f574392dc0b",
+    "test/traces.jsonl": "e5e99bf45d06f40a5250d001d31d96e3c83dd7fa3295994fab2c2b9bbe7cc5f1",
+    "world/bank_exemplar.jsonl": "6770b2237f0ab04eb36d282f4b7e21826a136ff96c04e9c3ffc40bba98708bfc",
+    "world/bank_rule.jsonl": "72254f8b1a3a185bd1fac677c23c97350ab058473f0234d3b89a2d87e6fb7c4c",
+    "world/outcome_table.json": "03796e95260571de80f0dae2f8cced4f3a9c7c855c041b0a454c377cf399aa83",
+    "world/world.kv": "276c9935b226bdad76147864f33848fcbfc888da227e92cc5be6daa542d0c53a",
+}
+
+
+def test_quickstart_output_bytes_pinned(tmp_path, capsys):
+    configs = Path(__file__).parents[1] / "configs"
+    world, grid = str(configs / "world.kv"), str(configs / "grid.kv")
+    manifest = str(tmp_path / "fit" / "manifest.json")
+    edits = tmp_path / "edits.jsonl"
+    edits.write_text('{"entry_id": "E000", "edit_kind": "repair", "new_payload": "repaired E000"}\n')
+    for argv in (
+        ["gen-world", "--config", world, "--out", str(tmp_path / "world")],
+        ["fit", "--config", world, "--grid", grid, "--out", str(tmp_path / "fit")],
+        ["test", "--config", world, "--manifest", manifest, "--out", str(tmp_path / "test")],
+        ["counterfactual", "--config", world, "--manifest", manifest, "--edits", str(edits), "--out", str(tmp_path / "cf")],
+        ["governance", "--config", world, "--rounds", "5", "--out", str(tmp_path / "gov")],
+    ):
+        assert main(argv) == 0, argv
+    digests = {
+        p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+        for p in tmp_path.rglob("*")
+        if p.is_file() and p != edits
+    }
+    assert digests == QUICKSTART_DIGESTS

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from conftest import reference_retrieve
+from gatedmem import retrieval
 from gatedmem.bank import BankSnapshot, MemoryEntry
 from gatedmem.controller import EpisodeTrace, StepRecord
 from gatedmem.retrieval import (
@@ -12,9 +14,11 @@ from gatedmem.retrieval import (
     embed_key,
     freeze_identities,
     load_edits,
+    retrieval_table,
     retrieve,
     save_edits,
     target_hit_partition,
+    topic_vector,
 )
 
 
@@ -75,8 +79,8 @@ def test_dimension_mismatch():
 
 
 def test_retrieve_deterministic():
-    snap = snap_from([embed_key(("e", i), 16, topic=i % 3) for i in range(9)])
-    q = Query(5, embed_key("q", 16, topic=2))
+    snap = snap_from([embed_key(("e", i), 16, topic_vector(i % 3, 16)) for i in range(9)])
+    q = Query(5, embed_key("q", 16, topic_vector(2, 16)))
     r1 = retrieve(q, snap, 0.5, 3)
     r2 = retrieve(q, snap, 0.5, 3)
     assert r1 == r2
@@ -87,21 +91,54 @@ def test_empty_snapshot():
     assert retrieve(Query(0, np.array([1.0])), snap).retrieved_ids == ()
 
 
+def assert_same_result(got, want):
+    # ids exactly; cosines to float64 rounding of a dot product in <= 64 dims
+    assert got.query_id == want.query_id
+    assert got.retrieved_ids == want.retrieved_ids
+    assert got.similarities == pytest.approx(want.similarities, rel=0, abs=1e-12)
+
+
+def test_table_matches_reference_on_ties_and_threshold_across_blocks(monkeypatch):
+    # integer vectors give exact cosines: against (1, 0) the entries score
+    # 1.0, 0.8, 0.8, 0.6, 0.0 -- a tie at 0.8 and a score equal to 0.6
+    snap = snap_from([[5, 0], [4, 3], [4, 3], [3, 4], [0, 5]])
+    pattern = [[1, 0], [2, 0], [0, 1], [3, 4], [4, 3], [0, 7]]
+    # three query rows per block, so each pattern row falls on both sides of
+    # a block boundary and at every offset within a block
+    monkeypatch.setattr(retrieval, "TABLE_BLOCK_CELLS", 3 * len(snap.entry_ids))
+    queries = np.array(pattern * 4, float)
+    for threshold in (-1.0, 0.0, 0.6, 0.8, 1.0):
+        for k_max in range(1, 8):  # up to larger than the bank
+            table = retrieval_table(queries, snap, threshold, k_max)
+            for i, q in enumerate(queries):
+                want = reference_retrieve(Query(i, q), snap, threshold, k_max)
+                assert_same_result(table.result(i, i), want)
+                assert_same_result(retrieve(Query(i, q), snap, threshold, k_max), want)
+    probe = retrieval_table(queries, snap, 0.6, 3)
+    assert probe.result(0, 0).retrieved_ids == ("R000", "R001", "R002")
+    assert probe.result(3, 3).retrieved_ids == probe.result(9, 9).retrieved_ids == ("R003", "R001", "R002")
+
+
+def test_k_max_must_be_positive():
+    with pytest.raises(ValueError, match="k_max"):
+        retrieve(Query(0, np.array([1.0, 0.0])), toy_snapshot(), 0.6, 0)
+
+
 # ---------------------------------------------------------------------------
 # embedding stub
 # ---------------------------------------------------------------------------
 
 def test_embed_key_unit_norm_and_deterministic():
-    v1 = embed_key("abc", 32, topic=3)
-    v2 = embed_key("abc", 32, topic=3)
+    v1 = embed_key("abc", 32, topic_vector(3, 32))
+    v2 = embed_key("abc", 32, topic_vector(3, 32))
     assert np.allclose(v1, v2)
     assert np.linalg.norm(v1) == pytest.approx(1.0)
 
 
 def test_embed_topic_structure():
-    a = embed_key("x1", 64, topic=0)
-    b = embed_key("x2", 64, topic=0)
-    c = embed_key("x3", 64, topic=1)
+    a = embed_key("x1", 64, topic_vector(0, 64))
+    b = embed_key("x2", 64, topic_vector(0, 64))
+    c = embed_key("x3", 64, topic_vector(1, 64))
     assert float(a @ b) > 0.6  # same topic: high cosine
     assert float(a @ c) < 0.6  # cross topic: low cosine
 

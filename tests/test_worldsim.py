@@ -5,11 +5,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import arith_shape_spec
-from gatedmem.controller import PolicyConfig
+from conftest import arith_shape_spec, reference_retrieve
+from gatedmem.controller import GUARD_NAMES, PolicyConfig
 from gatedmem.protocol import evaluate_oracle, evaluate_policy
+from gatedmem.retrieval import Query
 from gatedmem.stats import roc_auc
-from gatedmem.util import parse_kv_file
+from gatedmem.util import derive_seed, parse_kv_file
 from gatedmem.worldsim import (
     ConfidenceModel,
     WorldSpec,
@@ -303,3 +304,62 @@ def test_drifted_snapshot_changes_only_edited_embeddings():
     drifted_repair = world.drifted_snapshot("exemplar", world.default_edits(["E001"], "repair"))
     i = snap.entry_ids.index("E001")
     assert not np.allclose(drifted_repair.embeddings[i], drifted.embeddings[i])
+
+
+# ---------------------------------------------------------------------------
+# retrieval tables and memoized draws
+# ---------------------------------------------------------------------------
+
+def _multi_step_spec(seed):
+    return WorldSpec(
+        n_examples=400,
+        steps_per_episode=8,
+        toxic_entry_rate=0.2,
+        guard_pass_rate=(("format", 0.8), ("progress", 0.9)),
+        seed=seed,
+    )
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        *[arith_shape_spec(seed=s) for s in (0, 1, 2)],
+        *[_multi_step_spec(s) for s in (3, 4)],
+        # k_max larger than the bank, every entry above the threshold, an empty bank
+        WorldSpec(n_examples=100, n_rule_entries=3, n_exemplar_entries=0, k_max=5, retrieval_threshold=-1.0),
+    ],
+    ids=["shipped-0", "shipped-1", "shipped-2", "multi-step-3", "multi-step-4", "small-banks"],
+)
+def test_world_retrieve_matches_per_query_reference(spec):
+    world = generate_world(spec)
+    snapshots = list(world.snapshots().values())
+    for kind, bank in world.banks.items():
+        ids = [e.id for e in bank.active_entries()]
+        snapshots.append(world.drifted_snapshot(kind, world.default_edits(ids[::3], "repair")))
+        governed = bank.copy()
+        governed.retain(ids[::2])
+        snapshots.append(governed.freeze())
+    for snap in snapshots:
+        for _ in range(2):  # the second pass reads the table built by the first
+            for idx, ex in enumerate(world.examples):
+                want = reference_retrieve(Query(idx, ex.embedding), snap, spec.retrieval_threshold, spec.k_max)
+                got = world.retrieve(idx, snap)
+                assert got.retrieved_ids == want.retrieved_ids, (idx, snap.content_hash)
+                assert got.similarities == pytest.approx(want.similarities, rel=0, abs=1e-12)
+    assert world.retrieve(0, world.banks["rule"].freeze()).retrieved_ids  # not vacuous
+
+
+def test_memoized_guard_results_equal_fresh_draws():
+    spec = WorldSpec(n_examples=200, seed=4, guard_pass_rate=(("format", 0.6), ("progress", 0.9)))
+    world = generate_world(spec)
+
+    def fresh(idx):
+        return {
+            g: spec.guard_rate(g) >= 1.0
+            or bool(np.random.default_rng(derive_seed(spec.seed, "guard", idx, g)).random() < spec.guard_rate(g))
+            for g in GUARD_NAMES
+        }
+
+    for _ in range(2):  # the second pass is served from the memo
+        assert [world.guard_results(i) for i in range(spec.n_examples)] == [fresh(i) for i in range(spec.n_examples)]
+    assert 0 < sum(not all(world.guard_results(i).values()) for i in range(spec.n_examples)) < spec.n_examples
