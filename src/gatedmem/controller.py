@@ -63,8 +63,13 @@ class PolicyConfig:
             raise ValueError(f"guards_enabled names unknown guards {sorted(bad)}")
         if self.budget_B is not None and self.budget_B < 0:
             raise ValueError("budget_B must be None or >= 0")
-        if self.cooldown < 0 or self.lambda_cost < 0:
-            raise ValueError("cooldown and lambda must be >= 0")
+        if self.cooldown < 0 or not self.lambda_cost >= 0:
+            raise ValueError(f"cooldown and lambda must be >= 0, got {self.cooldown} and {self.lambda_cost}")
+        for key, value in (("tau", self.tau), ("margin_m", self.margin_m)):
+            if math.isnan(value):
+                raise ValueError(f"{key} must be a number, got nan")
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.multibank_member is not None and self.multibank_member not in MULTIBANK_FAMILY:
             raise ValueError(f"multibank_member must be one of {MULTIBANK_FAMILY}")
 

@@ -7,9 +7,11 @@ tie-break makes replay exact. Since it is pure, a world ranks all of its
 queries against a snapshot once (retrieval_table) and serves every later
 retrieval on that snapshot from the table.
 
-Embeddings come from a hash-seeded stub: a per-key unit vector blended with a
+Embeddings come from a seeded stub: a random unit vector blended with a
 per-topic unit vector, so similarity structure is scriptable (same topic =>
-high cosine) without any learned model.
+high cosine) without any learned model. A world draws its query and entry
+embeddings as matrices (embed_rows); topic vectors and drifted entries are
+keyed one at a time (embed_key).
 """
 
 from __future__ import annotations
@@ -49,23 +51,9 @@ class ContentEdit:
             raise ValueError(f"edit_kind must be one of {EDIT_KINDS}, got {self.edit_kind!r}")
 
 
-def unit_vector(key, dim: int) -> np.ndarray:
-    rng = np.random.default_rng(derive_seed("embed", key))
-    v = rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
 def topic_vector(topic: int, dim: int) -> np.ndarray:
     """The unit vector that every embedding of one topic shares."""
-    return unit_vector(("topic", topic), dim)
-
-
-def embed_key(key, dim: int, topic_vec: np.ndarray | None = None, topic_weight: float = 0.9) -> np.ndarray:
-    """Hash-seeded unit embedding, blended with a topic_vector when one is given."""
-    base = unit_vector(key, dim)
-    if topic_vec is None:
-        return base
-    v = (1.0 - topic_weight) * base + topic_weight * topic_vec
+    v = np.random.default_rng(derive_seed("embed", ("topic", topic))).standard_normal(dim)
     return v / np.linalg.norm(v)
 
 
@@ -74,6 +62,30 @@ def embed_key(key, dim: int, topic_vec: np.ndarray | None = None, topic_weight: 
 # peak RSS of a 2000-query, 8-step fit rose from 44.0 to 48.7 MB; with these
 # it is 45.7 MB.
 TABLE_BLOCK_CELLS = 1 << 13
+
+
+def embed_rows(rng: np.random.Generator, topics: np.ndarray, topic_vecs: np.ndarray, topic_weight: float) -> np.ndarray:
+    """One unit embedding per entry of `topics`.
+
+    Row i blends a standard-normal unit vector from rng, weight
+    1 - topic_weight, with topic_vecs[topics[i]], weight topic_weight, and
+    is normalised again; the blend runs in place a row block at a time.
+    """
+    out = rng.standard_normal((len(topics), topic_vecs.shape[1]))
+    scaled = topic_weight * topic_vecs
+    rows = max(1, TABLE_BLOCK_CELLS // max(1, out.shape[1]))
+    for start in range(0, len(out), rows):
+        v = out[start:start + rows]
+        v *= (1.0 - topic_weight) / np.linalg.norm(v, axis=1, keepdims=True)
+        v += scaled[topics[start:start + rows]]
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return out
+
+
+def embed_key(key, dim: int, topic_vec: np.ndarray, topic_weight: float = 0.9) -> np.ndarray:
+    """Hash-seeded unit embedding blended with topic_vec: the one-row case of embed_rows."""
+    rng = np.random.default_rng(derive_seed("embed", key))
+    return embed_rows(rng, np.zeros(1, np.intp), np.reshape(topic_vec, (1, dim)), topic_weight)[0]
 
 
 @dataclass(frozen=True)

@@ -10,15 +10,20 @@ deterministic function of (spec, seed), which makes free-rerun versus
 fixed-retrieval contrasts exactly decomposable and lets an oracle read off
 ground-truth utilities for every candidate intervention.
 
+All of a world's randomness is drawn when it is built, as dense arrays, each
+purpose (pair latents, guards, confidence latents and noise, topics, baseline
+correctness, query and entry embeddings) from its own keyed Philox stream.
+
 Confidences come from a two-Beta model: correct decodes draw from
 Beta(mu_hi*kappa, ...), incorrect from the mirrored low component, with the
-separation solved numerically to hit a target AUC. The three confidence
-signals are monotone transforms of the same latent value with increasing
-noise (mean < sum < first_token).
+separation solved exactly (a series for P(hi > lo), then bisection) to hit
+a target AUC. The three confidence signals are monotone transforms of the
+same latent value with increasing noise (mean < sum < first_token).
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,7 +31,15 @@ import numpy as np
 
 from .bank import BANK_KINDS, BankSnapshot, MemoryBank, MemoryEntry
 from .controller import GUARD_NAMES, OracleStep
-from .retrieval import ContentEdit, RetrievalResult, embed_key, retrieval_table, topic_vector
+from .retrieval import (
+    TABLE_BLOCK_CELLS,
+    ContentEdit,
+    RetrievalResult,
+    embed_key,
+    embed_rows,
+    retrieval_table,
+    topic_vector,
+)
 from .retrieval import retrieve  # unused; perfbench/test_tracer.py asserts every module's retrieve is one function
 from .util import canonical_json, derive_seed, from_flat, stable_digest, to_flat
 
@@ -115,6 +128,8 @@ class WorldSpec:
                 raise ValueError(f"{name} must be >= {least}, got {v}")
         if not 0 < cm.kappa < math.inf:
             raise ValueError(f"confidence_model.kappa must be finite and > 0, got {cm.kappa}")
+        if math.isnan(self.retrieval_threshold):
+            raise ValueError("retrieval_threshold must be a number, got nan")
 
     def rate_for(self, bank_kind: str) -> float:
         return dict(self.applicability_rate)[bank_kind]
@@ -137,34 +152,98 @@ class WorldSpec:
 # Beta confidence model, separation solved for a target AUC
 # ---------------------------------------------------------------------------
 
-_SEPARATION_CACHE: dict = {}
+def _log_beta(a: float, b: float) -> float:
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
-def _mc_auc(d: float, kappa: float, rng: np.random.Generator) -> float:
-    mu_hi = min(max(0.5 + d, 0.01), 0.99)
-    mu_lo = min(max(0.5 - d, 0.01), 0.99)
-    hi = rng.beta(mu_hi * kappa, (1 - mu_hi) * kappa, 30000)
-    lo = rng.beta(mu_lo * kappa, (1 - mu_lo) * kappa, 30000)
-    return float(np.mean(hi > lo) + 0.5 * np.mean(hi == lo))
+def _series_length(kappa: float) -> int:
+    # terms of the 2F1 series at x <= 1/2 shrink by at most ~3/4 past n = kappa
+    return int(2 * kappa) + 100
+
+
+def _hyp_terms(kappa: float, a: float, x: float) -> np.ndarray:
+    """Terms c_n x^n of 2F1(kappa, 1; a + 1; x), c_n = (kappa)_n / (a + 1)_n; all positive."""
+    n = np.arange(_series_length(kappa) - 1)
+    return np.concatenate(([1.0], np.cumprod((kappa + n) / (a + 1.0 + n) * x)))
+
+
+def _betainc(a: float, b: float, x: float) -> float:
+    """Regularized incomplete beta I_x(a, b).
+
+    I_x(a, b) = x^a (1-x)^b / (a B(a, b)) * 2F1(a + b, 1; a + 1; x), summed on
+    the side x <= 1/2 (I_x(a, b) = 1 - I_{1-x}(b, a)), where the series has
+    positive terms and converges at least like 2^-n.
+    """
+    if x > 0.5:
+        return 1.0 - _betainc(b, a, 1.0 - x)
+    if x <= 0.0:
+        return 0.0
+    log_front = a * math.log(x) + b * math.log1p(-x) - math.log(a) - _log_beta(a, b)
+    return math.exp(log_front) * float(_hyp_terms(a + b, a, x).sum())
+
+
+@functools.cache
+def _half_moments(kappa: float) -> np.ndarray:
+    """mu_n = 2^(2 kappa + n) B_{1/2}(kappa + n, kappa), n < _series_length(kappa).
+
+    By B_x(p, q) = ((p + q) B_x(p + 1, q) + x^p (1 - x)^q) / p, run downwards
+    from mu = 0 past the last term: the start's error shrinks by about
+    (2 kappa + n) / (2 kappa + 2 n) a step, so it is gone long before n = 0.
+    """
+    count = _series_length(kappa)
+    mu = np.empty(count)
+    m = 0.0
+    for n in range(count + 60, -1, -1):
+        m = ((2.0 * kappa + n) * m / 2.0 + 1.0) / (kappa + n)
+        if n < count:
+            mu[n] = m
+    return mu
+
+
+def _auc(d: float, kappa: float) -> float:
+    """P(hi > lo) for hi ~ Beta((1/2 + d) kappa, (1/2 - d) kappa) and lo its mirror image.
+
+    With a >= b (d >= 0), lo = 1 - hi' for an independent copy hi' of hi, so
+    the AUC is P(hi + hi' > 1). Split at 1/2: both above is p^2, both below
+    never, and one of each is 2 (q p - J), so AUC = 1 - q^2 - 2 J with
+    q = I_{1/2}(a, b) and
+      J = int_0^{1/2} f(1 - y) I_y(a, b) dy
+        = 2^(-2 kappa) / (a B(a, b)^2) sum_n c_n 2^-n mu_n,
+    c_n the 2F1(kappa, 1; a + 1; .) coefficients: positive terms throughout.
+    """
+    if d < 0:
+        return 1.0 - _auc(-d, kappa)
+    a, b = (0.5 + d) * kappa, (0.5 - d) * kappa
+    total = float(_hyp_terms(kappa, a, 0.5) @ _half_moments(kappa))
+    j = math.exp(-2.0 * kappa * math.log(2.0) - math.log(a) - 2.0 * _log_beta(a, b)) * total
+    q = _betainc(a, b, 0.5)
+    return 1.0 - q * q - 2.0 * j
+
+
+@functools.cache
+def _separation(target: float, kappa: float) -> float:
+    # AUC is increasing in d; 50 halvings of [0, 0.49] leave < 1e-15
+    lo, hi = 0.0, 0.49
+    for _ in range(50):
+        mid = (lo + hi) / 2.0
+        if _auc(mid, kappa) < target:
+            lo = mid
+        else:
+            hi = mid
+    return (lo + hi) / 2.0
 
 
 def beta_separation_for_auc(target_auc: float, kappa: float) -> float:
-    """Bisect the mean separation d so that P(hi > lo) hits target_auc."""
-    key = (round(target_auc, 4), round(kappa, 4))
-    if key in _SEPARATION_CACHE:
-        return _SEPARATION_CACHE[key]
-    target = min(max(target_auc, 0.02), 0.98)
-    lo_d, hi_d = -0.49, 0.49
-    for i in range(30):
-        mid = (lo_d + hi_d) / 2.0
-        rng = np.random.default_rng(derive_seed("auc-solve", key, i))
-        if _mc_auc(mid, kappa, rng) < target:
-            lo_d = mid
-        else:
-            hi_d = mid
-    d = (lo_d + hi_d) / 2.0
-    _SEPARATION_CACHE[key] = d
-    return d
+    """Mean separation d with P(hi > lo) = target_auc, solved exactly.
+
+    hi ~ Beta((1/2 + d) kappa, (1/2 - d) kappa) and lo is its mirror image.
+    Targets are clamped to [0.02, 0.98]. AUC(-d) = 1 - AUC(d), so a target
+    below 1/2 is solved as its complement and d(1 - t) = -d(t) holds exactly.
+    """
+    t = min(max(target_auc, 0.02), 0.98)
+    if t < 0.5:
+        return -_separation(1.0 - t, kappa)
+    return 0.0 if t == 0.5 else _separation(t, kappa)
 
 
 def _beta_params(target_auc: float, kappa: float, correct: bool) -> tuple[float, float]:
@@ -178,12 +257,11 @@ def _beta_params(target_auc: float, kappa: float, correct: bool) -> tuple[float,
 # the world
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class Example:
     idx: int
     topic: int
-    baseline_correct: bool
-    embedding: np.ndarray  # a row of World.query_embeddings
+    baseline_correct: bool  # its embedding is row idx of World.query_embeddings
 
 
 @dataclass(frozen=True)
@@ -202,60 +280,134 @@ class ExampleOutcomeTable:
     confidences: dict  # context -> float
 
 
+# bits of a pair-latent byte; sensitivity takes two: repair_better, corrupt_better, or neither
+PAIR_APPLICABLE, PAIR_HELP, PAIR_HURT, PAIR_REPAIR_BETTER, PAIR_CORRUPT_BETTER = 1, 2, 4, 8, 16
+
+
+def _stream(key: int, counter: int = 0) -> np.random.Generator:
+    """Generator on the Philox stream `key`, `counter` blocks of four 64-bit draws in.
+
+    Keyed counter-based streams (Salmon et al., SC'11): each purpose has its
+    own key, and a row of a table can start at a fixed counter offset.
+    """
+    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
 class World:
-    """Deterministic world: banks, examples, and outcome/confidence lookups."""
+    """Deterministic world: banks, examples, and outcome/confidence lookups.
+
+    Every random value is drawn here, as arrays, each purpose from its own
+    keyed stream derive_seed(seed, purpose); draws depend on the spec and the
+    world's shape only, never on snapshots, retirement, drift or call order.
+    Decoding indexes these arrays.
+    """
 
     def __init__(self, spec: WorldSpec):
         self.spec = spec
         self.seed = spec.seed
-        rng = np.random.default_rng(derive_seed(spec.seed, "world"))
+        n = spec.n_examples
         self._topics: dict[int, np.ndarray] = {}  # topic -> topic_vector, drawn on first use
 
-        self.banks: dict[str, MemoryBank] = {}
-        self.toxic_ids: set[str] = set()
-        for kind, count, prefix in (
-            ("rule", spec.n_rule_entries, "R"),
-            ("exemplar", spec.n_exemplar_entries, "E"),
-        ):
-            bank = MemoryBank(kind)
-            for i in range(count):
-                eid = f"{prefix}{i:03d}"
-                topic = i % spec.topic_count
-                if spec.toxic_entry_rate > 0 and rng.random() < spec.toxic_entry_rate:
-                    self.toxic_ids.add(eid)
-                bank.add_entry(
-                    MemoryEntry(
-                        id=eid,
-                        bank_kind=kind,
-                        payload=f"{kind} {eid}: guidance for topic {topic}",
-                        embedding=embed_key(
-                            (spec.seed, "entry", eid), spec.embedding_dim, self._topic(topic), spec.topic_weight
-                        ),
-                    )
-                )
-            self.banks[kind] = bank
-
-        # one row per example: retrieval tables rank them a block at a time
-        self.query_embeddings = np.empty((spec.n_examples, spec.embedding_dim))
-        self.examples: list[Example] = []
-        for i in range(spec.n_examples):
-            topic = int(rng.integers(spec.topic_count))
-            self.query_embeddings[i] = embed_key(
-                (spec.seed, "query", i), spec.embedding_dim, self._topic(topic), spec.topic_weight
-            )
-            self.examples.append(
-                Example(
-                    idx=i,
-                    topic=topic,
-                    baseline_correct=bool(rng.random() < spec.base_accuracy),
-                    embedding=self.query_embeddings[i],
+        # entries: rule ids then exemplar ids, the columns of the pair table
+        kinds = [("rule", spec.n_rule_entries, "R"), ("exemplar", spec.n_exemplar_entries, "E")]
+        entry_ids = [f"{prefix}{i:03d}" for _, count, prefix in kinds for i in range(count)]
+        entry_kinds = [kind for kind, count, _ in kinds for _ in range(count)]
+        entry_topics = [i % spec.topic_count for _, count, _ in kinds for i in range(count)]
+        self._column = {eid: j for j, eid in enumerate(entry_ids)}
+        toxic = self._rng("toxic").random(len(entry_ids)) < spec.toxic_entry_rate
+        self.toxic_ids = {eid for eid, t in zip(entry_ids, toxic.tolist()) if t}
+        topic_rows = np.array(entry_topics, np.intp)
+        embeddings = embed_rows(
+            self._rng("entry-embedding"), topic_rows, self._topic_matrix(topic_rows), spec.topic_weight
+        )
+        self.banks: dict[str, MemoryBank] = {kind: MemoryBank(kind) for kind, _, _ in kinds}
+        for j, (eid, kind) in enumerate(zip(entry_ids, entry_kinds)):
+            self.banks[kind].add_entry(
+                MemoryEntry(
+                    id=eid,
+                    bank_kind=kind,
+                    payload=f"{kind} {eid}: guidance for topic {entry_topics[j]}",
+                    embedding=embeddings[j],
                 )
             )
 
+        # examples: one row per example; retrieval tables rank them a block at a time
+        topics = self._rng("topic").integers(spec.topic_count, size=n)
+        baseline = self._rng("baseline").random(n) < spec.base_accuracy
+        self.query_embeddings = embed_rows(
+            self._rng("query-embedding"), topics, self._topic_matrix(topics), spec.topic_weight
+        )
+        self.examples = [
+            Example(idx=i, topic=t, baseline_correct=c)
+            for i, (t, c) in enumerate(zip(topics.tolist(), baseline.tolist()))
+        ]
+
+        rate = np.where(toxic, spec.toxic_applicability, [spec.rate_for(k) for k in entry_kinds])
+        hurt = np.where(toxic, spec.toxic_hurt_prob, spec.hurt_prob_given_inapplicable)
+        self._pairs = self._draw_pairs(rate, hurt)
+        rates = np.array([spec.guard_rate(g) for g in GUARD_NAMES])
+        self._guards = self._rng("guard").random((n, len(GUARD_NAMES))) < rates
+        self._conf = self._draw_confidences(baseline)
         self._tables: dict = {}  # snapshot content_hash -> RetrievalTable
-        self._pair_cache: dict = {}
-        self._guard_cache: dict = {}
-        self._conf_cache: dict = {}
+
+    def _rng(self, purpose: str) -> np.random.Generator:
+        return _stream(derive_seed(self.seed, purpose))
+
+    def _draw_pairs(self, rate: np.ndarray, hurt: np.ndarray) -> np.ndarray:
+        """Packed pair latents, (n_examples, n_entries) uint8.
+
+        Each pair takes four uniforms: applicable, help, hurt, sensitivity.
+        A row takes one Philox counter block per entry, so a row block starts
+        at a fixed counter and the values do not depend on the block size.
+        Blocks hold about TABLE_BLOCK_CELLS pairs.
+        """
+        spec = self.spec
+        n, m = spec.n_examples, len(rate)
+        key = derive_seed(self.seed, "pair")
+        sens_repair = spec.edit_sensitive_rate * spec.repair_better_prob
+        out = np.zeros((n, m), np.uint8)
+        rows = max(1, TABLE_BLOCK_CELLS // max(1, m))
+        for start in range(0, n, rows):
+            u = _stream(key, start * m).random((min(rows, n - start), m, 4))
+            block = out[start:start + rows]
+            block |= (u[..., 0] < rate) * np.uint8(PAIR_APPLICABLE)
+            block |= (u[..., 1] < spec.help_prob_given_applicable) * np.uint8(PAIR_HELP)
+            block |= (u[..., 2] < hurt) * np.uint8(PAIR_HURT)
+            block |= (u[..., 3] < sens_repair) * np.uint8(PAIR_REPAIR_BETTER)
+            block |= ((u[..., 3] >= sens_repair) & (u[..., 3] < spec.edit_sensitive_rate)) * np.uint8(
+                PAIR_CORRUPT_BETTER
+            )
+        return out
+
+    def _draw_confidences(self, baseline: np.ndarray) -> dict[str, np.ndarray]:
+        """signal -> (n_examples, 5) confidences.
+
+        Column 0 is the baseline decode; column 1 + 2 * bank + correct the
+        second pass decided by that bank (BANK_KINDS order) with that outcome.
+        Every signal shares one Beta latent per cell; the noisier signals mix
+        in their own uniform noise. Each target AUC has its own stream, since
+        Beta draws take a variable number of uniforms: a bank's confidences
+        do not move when another target changes.
+        """
+        cm = self.spec.confidence_model
+        n = self.spec.n_examples
+        latent = np.empty((n, 5))
+        a, b = np.array([_beta_params(cm.baseline_auc, cm.kappa, c) for c in (False, True)]).T
+        correct = baseline.astype(np.intp)
+        latent[:, 0] = self._rng("confidence-baseline").beta(a[correct], b[correct])
+        for k, kind in enumerate(BANK_KINDS):
+            a, b = np.array([_beta_params(cm.second_auc(kind), cm.kappa, c) for c in (False, True)]).T
+            latent[:, 1 + 2 * k:3 + 2 * k] = self._rng(f"confidence-{kind}").beta(a, b, size=(n, 2))
+        out = {}
+        for signal, w in SIGNAL_LATENT_WEIGHT.items():
+            if w >= 1.0:
+                out[signal] = latent
+            else:
+                conf = self._rng(f"noise-{signal}").random((n, 5))
+                conf *= 1.0 - w
+                conf += w * latent
+                out[signal] = np.clip(conf, 0.0, 1.0, out=conf)
+        return out
 
     # -- structure ----------------------------------------------------------
 
@@ -267,6 +419,13 @@ class World:
         if vec is None:
             vec = self._topics[topic] = topic_vector(topic, self.spec.embedding_dim)
         return vec
+
+    def _topic_matrix(self, topics: np.ndarray) -> np.ndarray:
+        """Rows 0..max(topics) of the topic vectors; rows no topic uses stay zero."""
+        mat = np.zeros((int(topics.max(initial=0)) + 1, self.spec.embedding_dim))
+        for t in set(topics.tolist()):  # np.unique would import numpy.ma, 1.4 MB
+            mat[t] = self._topic(t)
+        return mat
 
     def snapshots(self) -> dict[str, BankSnapshot]:
         return {k: b.freeze() for k, b in self.banks.items()}
@@ -295,100 +454,55 @@ class World:
     # -- pre-drawn randomness -------------------------------------------------
 
     def pair_draws(self, idx: int, entry_id: str) -> PairDraws:
-        key = (idx, entry_id)
-        hit = self._pair_cache.get(key)
-        if hit is not None:
-            return hit
-        spec = self.spec
-        rng = np.random.default_rng(derive_seed(self.seed, "pair", idx, entry_id))
-        u = rng.random(4)
-        if entry_id in self.toxic_ids:
-            rate, hurt_p = spec.toxic_applicability, spec.toxic_hurt_prob
-        else:
-            rate, hurt_p = spec.rate_for(self.entry_bank(entry_id)), spec.hurt_prob_given_inapplicable
-        sens_total = spec.edit_sensitive_rate
-        sens_repair = sens_total * spec.repair_better_prob
-        if u[3] < sens_repair:
+        bits = self._pairs.item(idx, self._column[entry_id])
+        if bits & PAIR_REPAIR_BETTER:
             sensitivity = "repair_better"
-        elif u[3] < sens_total:
+        elif bits & PAIR_CORRUPT_BETTER:
             sensitivity = "corrupt_better"
         else:
             sensitivity = "none"
-        draws = PairDraws(
-            applicable=bool(u[0] < rate),
-            help=bool(u[1] < spec.help_prob_given_applicable),
-            hurt=bool(u[2] < hurt_p),
+        return PairDraws(
+            applicable=bool(bits & PAIR_APPLICABLE),
+            help=bool(bits & PAIR_HELP),
+            hurt=bool(bits & PAIR_HURT),
             sensitivity=sensitivity,
         )
-        self._pair_cache[key] = draws
-        return draws
 
     def guard_results(self, idx: int) -> dict[str, bool]:
-        hit = self._guard_cache.get(idx)
-        if hit is not None:
-            return hit
-        out = {}
-        for guard in GUARD_NAMES:
-            rate = self.spec.guard_rate(guard)
-            if rate >= 1.0:
-                out[guard] = True
-            else:
-                rng = np.random.default_rng(derive_seed(self.seed, "guard", idx, guard))
-                out[guard] = bool(rng.random() < rate)
-        self._guard_cache[idx] = out
-        return out
-
-    def _confidence(self, cache_key, target_auc: float, correct: bool, signal: str) -> float:
-        full_key = (cache_key, signal)
-        hit = self._conf_cache.get(full_key)
-        if hit is not None:
-            return hit
-        a, b = _beta_params(target_auc, self.spec.confidence_model.kappa, correct)
-        rng = np.random.default_rng(derive_seed(self.seed, "conf", cache_key))
-        latent = float(rng.beta(a, b))
-        w = SIGNAL_LATENT_WEIGHT[signal]
-        if w >= 1.0:
-            value = latent
-        else:
-            noise_rng = np.random.default_rng(derive_seed(self.seed, "signal", cache_key, signal))
-            value = float(np.clip(w * latent + (1.0 - w) * noise_rng.random(), 0.0, 1.0))
-        self._conf_cache[full_key] = value
-        return value
+        return dict(zip(GUARD_NAMES, self._guards[idx].tolist()))
 
     # -- decoding -------------------------------------------------------------
 
     def decode_baseline(self, idx: int, signal: str = "mean_logprob"):
-        ex = self.examples[idx]
-        action = self.true_action(idx) if ex.baseline_correct else f"alt{idx}.b"
-        conf = self._confidence(
-            ("b", idx), self.spec.confidence_model.baseline_auc, ex.baseline_correct, signal
-        )
-        return action, conf
+        correct = self.examples[idx].baseline_correct
+        action = self.true_action(idx) if correct else f"alt{idx}.b"
+        return action, self._conf[signal].item(idx, 0)
+
+    def _second(self, idx: int, injected: tuple, version: str, edited_ids) -> tuple[bool, int]:
+        """(correct, confidence column) of a second pass injecting a non-empty tuple of ids."""
+        bits = [self._pairs.item(idx, self._column[e]) for e in injected]
+        base = self.examples[idx].baseline_correct
+        applicable = [k for k, b in enumerate(bits) if b & PAIR_APPLICABLE]
+        if applicable:
+            correct = base or bool(bits[applicable[0]] & PAIR_HELP)
+        else:
+            correct = base and not bits[0] & PAIR_HURT
+        if version in ("repair", "corrupt") and edited_ids:
+            edited = set(edited_ids)
+            hit = next((b for e, b in zip(injected, bits) if e in edited), 0)
+            if hit & PAIR_REPAIR_BETTER:
+                correct = version == "repair"
+            elif hit & PAIR_CORRUPT_BETTER:
+                correct = version == "corrupt"
+        deciding = injected[applicable[0] if applicable else 0]
+        return correct, 1 + 2 * BANK_KINDS.index(self.entry_bank(deciding)) + correct
 
     def second_correct(self, idx: int, injected_ids, version: str = "original", edited_ids=()) -> bool:
         """Outcome of a memory-conditioned pass injecting the given entries."""
         injected = tuple(injected_ids)
         if not injected:
             return self.examples[idx].baseline_correct
-        base = self.examples[idx].baseline_correct
-        applicable = [e for e in injected if self.pair_draws(idx, e).applicable]
-        if applicable:
-            correct = base or self.pair_draws(idx, applicable[0]).help
-        else:
-            correct = base and not self.pair_draws(idx, injected[0]).hurt
-        if version in ("repair", "corrupt") and edited_ids:
-            edited_hit = [e for e in injected if e in set(edited_ids)]
-            if edited_hit:
-                sens = self.pair_draws(idx, edited_hit[0]).sensitivity
-                if sens == "repair_better":
-                    correct = version == "repair"
-                elif sens == "corrupt_better":
-                    correct = version == "corrupt"
-        return correct
-
-    def _deciding_bank(self, idx: int, injected) -> str:
-        applicable = [e for e in injected if self.pair_draws(idx, e).applicable]
-        return self.entry_bank(applicable[0] if applicable else injected[0])
+        return self._second(idx, injected, version, edited_ids)[0]
 
     def decode_second(
         self,
@@ -402,13 +516,9 @@ class World:
         if not injected:
             # compute-matched retry: deterministic decode repeats the baseline
             return self.decode_baseline(idx, signal)
-        correct = self.second_correct(idx, injected, version, edited_ids)
-        bank = self._deciding_bank(idx, injected)
+        correct, column = self._second(idx, injected, version, edited_ids)
         action = self.true_action(idx) if correct else f"alt{idx}.m"
-        conf = self._confidence(
-            ("s", idx, bank, correct), self.spec.confidence_model.second_auc(bank), correct, signal
-        )
-        return action, conf
+        return action, self._conf[signal].item(idx, column)
 
     # -- canonical outcome tables and oracle ground truth ---------------------
 

@@ -159,6 +159,7 @@ def test_malformed_config(tmp_path, capsys):
         ("confidence_model.baseline_auc = 2\n", "confidence_model.baseline_auc"),
         ("confidence_model.second_auc_rule = -0.5\n", "confidence_model.second_auc_rule"),
         ("confidence_model.second_auc_exemplar = nan\n", "confidence_model.second_auc_exemplar"),
+        ("retrieval_threshold = nan\n", "retrieval_threshold"),  # retrieves nothing
     ],
 )
 def test_malformed_world_config_names_the_key(tmp_path, world_config, grid_config, capsys, extra_world, named):
@@ -199,6 +200,14 @@ def test_unknown_grid_key_names_the_key(tmp_path, world_config, capsys, grid_tex
         ("guards_enabled = format,fromat\n", "guards_enabled"),  # guard CSV
         ("multibank_member = triple\n", "multibank_member"),  # optional str
         ("lambda_cost = 0.1\n", "lambda_cost"),  # the attribute name is not a key
+        # values that parse but are out of range
+        ("tau = nan\n", "tau"),  # routes nothing
+        ("margin_m = nan\n", "margin_m"),
+        ("lambda = nan\n", "lambda"),
+        ("delta = 0\n", "delta"),
+        ("delta = 1\n", "delta"),
+        ("delta = 2\n", "delta"),
+        ("delta = nan\n", "delta"),
     ],
 )
 def test_bad_policy_value_names_the_key(tmp_path, world_config, capsys, policy_text, named):
@@ -288,22 +297,22 @@ def test_seed_override(tmp_path, world_config, capsys):
 # sha256 of every file the README quickstart writes on the shipped configs.
 # A change to a random stream or an output format must update these on purpose.
 QUICKSTART_DIGESTS = {
-    "cf/audit.json": "09862a6c10b7d02fe25bbeb762b5f5884e341751cde9e6fc7a955cc7e8b6b9e8",
-    "cf/counterfactual_rows.jsonl": "1eed5bd4440e41d11531dd60f8540d1c0af17fa3f2c7c9f157ed99644c0b4611",
-    "fit/bank_exemplar.jsonl": "6770b2237f0ab04eb36d282f4b7e21826a136ff96c04e9c3ffc40bba98708bfc",
-    "fit/bank_rule.jsonl": "72254f8b1a3a185bd1fac677c23c97350ab058473f0234d3b89a2d87e6fb7c4c",
-    "fit/manifest.json": "97ce4c69b5876a261632458575ea95beadf1577c5ca99d57e93f8f8423b92e34",
-    "fit/policy.kv": "a8a1a870a4ecc959d46ce41440e6d7309e7e30f5a3da2c0b78b94c191812b062",
-    "gov/governance.json": "1e0c811f3005e4002e55102604ed970ed0d656cb24c6d6545fda6bd9a44b896b",
-    "test/conf_bins.csv": "9f2fd7744ec70c9e27826b4158e226eb6855eeb20648f09cc12c99500a7a8698",
-    "test/ledger.csv": "9c8c824ac93e9c99792da6a6d969b9ab648d6c9ee8859e4e437ec9d16efc32bb",
-    "test/ledger_seed0.csv": "6777e3550e55b9a4ad088af156c9cf7533e6a09047365bf5b9cae74cf97fa712",
-    "test/ledger_seed1.csv": "3d77c40df12d0ac5b9708773f0a51726f806cb2f23bd0c93706460d27f528121",
-    "test/ledger_seed2.csv": "041d9de7cbbd6a0867647f871e4cf08d3a1d025fb41ee8253d310f574392dc0b",
-    "test/traces.jsonl": "e5e99bf45d06f40a5250d001d31d96e3c83dd7fa3295994fab2c2b9bbe7cc5f1",
-    "world/bank_exemplar.jsonl": "6770b2237f0ab04eb36d282f4b7e21826a136ff96c04e9c3ffc40bba98708bfc",
-    "world/bank_rule.jsonl": "72254f8b1a3a185bd1fac677c23c97350ab058473f0234d3b89a2d87e6fb7c4c",
-    "world/outcome_table.json": "03796e95260571de80f0dae2f8cced4f3a9c7c855c041b0a454c377cf399aa83",
+    "cf/audit.json": "f141d0fee225f9c6dd102540d95647fa59cc8171c96e15ca09db2ef2afe21d8d",
+    "cf/counterfactual_rows.jsonl": "dda32e90ee911dbf4dc63ab510f02427341530e5bf55c5c764e975ac55bb6d43",
+    "fit/bank_exemplar.jsonl": "2275c77c4133ba68bd1654c9b6e1e11db36ad1ce6072b1154e628fc4401fb6ed",
+    "fit/bank_rule.jsonl": "d58830eb2fd1f5252399a12eb6b0183ae81c4383ba0649872770f40929115744",
+    "fit/manifest.json": "54d028568b8f10cc9240d821231c8d9617a9accf89b1ae1ca893f0aa35dd63fa",
+    "fit/policy.kv": "72d38bc9c7e60d1b55cefc5110078d161558671a86a958d9034fcf068de6649e",
+    "gov/governance.json": "e686c48e1c107da01000a36784af76bec5d214c7dbcbc7f5c3f3a608cf542b49",
+    "test/conf_bins.csv": "5986e6a5a51f555a5ec89e2595e206608ce24d86813a81ad3e2481a44d4a46c0",
+    "test/ledger.csv": "7b43fa686738efd18d831130cc68ea07694fb0e11383984992d243f3ac0abb88",
+    "test/ledger_seed0.csv": "d90a95b741dee03e676df888b5931ded89b073472cf220d1827e7bdbb9aa3d7f",
+    "test/ledger_seed1.csv": "6cfe44d166fa19298cdca4bb7533d5ede1ee75e97a43694ee9b90f4532d07c09",
+    "test/ledger_seed2.csv": "0837c346b075dbf08ac85e7ba56d95828e302254773df7f29d7d5cd374856db3",
+    "test/traces.jsonl": "6d280d56908e0c012a5c3010d58d0b268af96c0bde5db65261a20ec19b49a7d8",
+    "world/bank_exemplar.jsonl": "2275c77c4133ba68bd1654c9b6e1e11db36ad1ce6072b1154e628fc4401fb6ed",
+    "world/bank_rule.jsonl": "d58830eb2fd1f5252399a12eb6b0183ae81c4383ba0649872770f40929115744",
+    "world/outcome_table.json": "42ceec91d1d6ddabca5dd01e586eb4f635a2e3cf5e510c883146f0435f64b22f",
     "world/world.kv": "276c9935b226bdad76147864f33848fcbfc888da227e92cc5be6daa542d0c53a",
 }
 

@@ -1,19 +1,24 @@
 """World generator: determinism, outcome structure, confidence model."""
 
+import math
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import arith_shape_spec, reference_retrieve
-from gatedmem.controller import GUARD_NAMES, PolicyConfig
+from gatedmem import retrieval, worldsim
+from gatedmem.controller import CONFIDENCE_SIGNALS, GUARD_NAMES, PolicyConfig
 from gatedmem.protocol import evaluate_oracle, evaluate_policy
 from gatedmem.retrieval import Query
 from gatedmem.stats import roc_auc
-from gatedmem.util import derive_seed, parse_kv_file
+from gatedmem.util import parse_kv_file
 from gatedmem.worldsim import (
     ConfidenceModel,
     WorldSpec,
+    _auc,
+    _betainc,
     beta_separation_for_auc,
     generate_world,
 )
@@ -206,6 +211,66 @@ def test_beta_separation_solver_monotone():
     assert beta_separation_for_auc(0.4, 10.0) < 0  # anti-informative targets supported
 
 
+# every tolerance below was fixed before the first run
+SOLVE_TARGETS = [round(0.02 + 0.02 * k, 2) for k in range(49)]  # 0.02 .. 0.98
+SOLVE_KAPPAS = (0.5, 1.0, 2.0, 5.0, 10.0, 50.0)
+
+
+@pytest.mark.parametrize("kappa", SOLVE_KAPPAS)
+def test_beta_separation_hits_target_auc(kappa):
+    for t in SOLVE_TARGETS:
+        d = beta_separation_for_auc(t, kappa)
+        assert -0.49 <= d <= 0.49
+        assert abs(_auc(d, kappa) - t) <= 1e-9, (t, d)
+
+
+@pytest.mark.parametrize("kappa", SOLVE_KAPPAS)
+def test_beta_separation_antisymmetric(kappa):
+    for t in SOLVE_TARGETS:
+        assert beta_separation_for_auc(1.0 - t, kappa) == -beta_separation_for_auc(t, kappa)
+    assert beta_separation_for_auc(0.5, kappa) == 0.0
+
+
+def _binomial_tail(n, x, k):
+    return sum(math.comb(n, j) * x**j * (1 - x) ** (n - j) for j in range(k, n + 1))
+
+
+def test_betainc_integer_identity():
+    # I_x(a, b) = P(Binomial(a + b - 1, x) >= a) for integer a, b
+    for a in (1, 2, 3, 7, 20):
+        for b in (1, 2, 5, 13, 30):
+            for x in (1e-3, 0.1, 0.3, 0.5, 0.62, 0.9, 0.999):
+                assert abs(_betainc(a, b, x) - _binomial_tail(a + b - 1, x, a)) <= 1e-12, (a, b, x)
+
+
+def test_auc_integer_identity():
+    # with integer a, b: P(hi > lo) = E_hi[P(Binomial(kappa - 1, hi) >= b)]
+    # = sum_j C(kappa-1, j) B(a + j, kappa - 1 - j + b) / B(a, b), exactly in rationals
+    def beta_fn(p, q):
+        return Fraction(math.factorial(p - 1) * math.factorial(q - 1), math.factorial(p + q - 1))
+
+    for kappa in (2, 5, 10, 50):
+        for a in sorted({1, kappa // 2, kappa - 1, (3 * kappa) // 4} - {0, kappa}):
+            b = kappa - a
+            exact = sum(
+                math.comb(kappa - 1, j) * beta_fn(a + j, kappa - 1 - j + b) for j in range(b, kappa)
+            ) / beta_fn(a, b)
+            assert abs(_auc(a / kappa - 0.5, kappa) - float(exact)) <= 1e-12, (kappa, a)
+
+
+@pytest.mark.parametrize("t, kappa", [(0.75, 10.0), (0.3, 2.0), (0.9, 0.5)])
+def test_beta_separation_monte_carlo(t, kappa):
+    # 4M pairs: the realized AUC is within 5 binomial sigma (<= 1.25e-3) of the target
+    d = beta_separation_for_auc(t, kappa)
+    rng = np.random.default_rng(2026)
+    n, chunk, wins = 4_000_000, 1_000_000, 0.0
+    for _ in range(n // chunk):
+        hi = rng.beta((0.5 + d) * kappa, (0.5 - d) * kappa, chunk)
+        lo = rng.beta((0.5 - d) * kappa, (0.5 + d) * kappa, chunk)
+        wins += np.count_nonzero(hi > lo) + 0.5 * np.count_nonzero(hi == lo)
+    assert abs(wins / n - t) <= 5 * math.sqrt(t * (1 - t) / n)
+
+
 def test_realized_help_hurt_auc_in_band():
     # target AUC 0.8: realized help-vs-hurt separation within [0.75, 0.85]
     spec = WorldSpec(
@@ -307,7 +372,7 @@ def test_drifted_snapshot_changes_only_edited_embeddings():
 
 
 # ---------------------------------------------------------------------------
-# retrieval tables and memoized draws
+# retrieval tables
 # ---------------------------------------------------------------------------
 
 def _multi_step_spec(seed):
@@ -341,25 +406,100 @@ def test_world_retrieve_matches_per_query_reference(spec):
         snapshots.append(governed.freeze())
     for snap in snapshots:
         for _ in range(2):  # the second pass reads the table built by the first
-            for idx, ex in enumerate(world.examples):
-                want = reference_retrieve(Query(idx, ex.embedding), snap, spec.retrieval_threshold, spec.k_max)
+            for idx, embedding in enumerate(world.query_embeddings):
+                want = reference_retrieve(Query(idx, embedding), snap, spec.retrieval_threshold, spec.k_max)
                 got = world.retrieve(idx, snap)
                 assert got.retrieved_ids == want.retrieved_ids, (idx, snap.content_hash)
                 assert got.similarities == pytest.approx(want.similarities, rel=0, abs=1e-12)
     assert world.retrieve(0, world.banks["rule"].freeze()).retrieved_ids  # not vacuous
 
 
-def test_memoized_guard_results_equal_fresh_draws():
-    spec = WorldSpec(n_examples=200, seed=4, guard_pass_rate=(("format", 0.6), ("progress", 0.9)))
+# ---------------------------------------------------------------------------
+# dense draws: invariance and realized rates
+# ---------------------------------------------------------------------------
+
+def _entry_ids(spec):
+    return [f"R{i:03d}" for i in range(spec.n_rule_entries)] + [f"E{i:03d}" for i in range(spec.n_exemplar_entries)]
+
+
+def _all_draws(world, order):
+    """Every draw a world exposes, read in the given example order."""
+    entry_ids = _entry_ids(world.spec)
+    return {
+        idx: (
+            [world.pair_draws(idx, e) for e in entry_ids],
+            world.guard_results(idx),
+            [world.decode_baseline(idx, s) for s in CONFIDENCE_SIGNALS],
+            [
+                world.decode_second(idx, ids, "original", (), s)
+                for ids in (("R000",), ("E001", "R002"))
+                for s in CONFIDENCE_SIGNALS
+            ],
+        )
+        for idx in order
+    }
+
+
+def test_draws_do_not_depend_on_block_size(monkeypatch):
+    spec = _multi_step_spec(5)
+    default = generate_world(spec)
+    monkeypatch.setattr(worldsim, "TABLE_BLOCK_CELLS", 7 * (spec.n_rule_entries + spec.n_exemplar_entries) + 3)
+    monkeypatch.setattr(retrieval, "TABLE_BLOCK_CELLS", 5 * spec.embedding_dim + 1)
+    small_blocks = generate_world(spec)
+    order = range(spec.n_examples)
+    assert _all_draws(small_blocks, order) == _all_draws(default, order)
+    assert np.array_equal(small_blocks.query_embeddings, default.query_embeddings)
+
+
+def test_draws_do_not_depend_on_retirement_drift_or_order():
+    spec = _multi_step_spec(6)
+    reference = _all_draws(generate_world(spec), range(spec.n_examples))
+    world = generate_world(spec)
+    for kind, bank in world.banks.items():
+        ids = [e.id for e in bank.active_entries()]
+        world.drifted_snapshot(kind, world.default_edits(ids[::4], "corrupt"))
+        bank.retain(ids[::3])
+    assert _all_draws(world, reversed(range(spec.n_examples))) == reference
+
+
+def test_realized_rates_within_binomial_bands():
+    # every band is 5 binomial standard deviations, fixed before the first run
+    spec = WorldSpec(
+        n_examples=2000,
+        seed=17,
+        toxic_entry_rate=0.2,
+        applicability_rate=(("rule", 0.3), ("exemplar", 0.6)),
+        guard_pass_rate=(("format", 0.6), ("progress", 0.9)),
+    )
     world = generate_world(spec)
 
-    def fresh(idx):
-        return {
-            g: spec.guard_rate(g) >= 1.0
-            or bool(np.random.default_rng(derive_seed(spec.seed, "guard", idx, g)).random() < spec.guard_rate(g))
-            for g in GUARD_NAMES
-        }
+    def within_band(flags, p):
+        flags = np.asarray(flags, bool)
+        band = 5 * np.sqrt(p * (1 - p) / flags.size)
+        assert abs(flags.mean() - p) <= band, (flags.mean(), p, band)
 
-    for _ in range(2):  # the second pass is served from the memo
-        assert [world.guard_results(i) for i in range(spec.n_examples)] == [fresh(i) for i in range(spec.n_examples)]
-    assert 0 < sum(not all(world.guard_results(i).values()) for i in range(spec.n_examples)) < spec.n_examples
+    entry_ids = _entry_ids(spec)
+    within_band([e in world.toxic_ids for e in entry_ids], spec.toxic_entry_rate)
+    draws = {e: [world.pair_draws(i, e) for i in range(spec.n_examples)] for e in entry_ids}
+    groups = {
+        "rule": [e for e in entry_ids if e.startswith("R") and e not in world.toxic_ids],
+        "exemplar": [e for e in entry_ids if e.startswith("E") and e not in world.toxic_ids],
+        "toxic": sorted(world.toxic_ids),
+    }
+    for group, ids in groups.items():
+        pairs = [d for e in ids for d in draws[e]]
+        applicable = spec.toxic_applicability if group == "toxic" else spec.rate_for(group)
+        hurt = spec.toxic_hurt_prob if group == "toxic" else spec.hurt_prob_given_inapplicable
+        within_band([d.applicable for d in pairs], applicable)
+        within_band([d.hurt for d in pairs], hurt)
+    pairs = [d for e in entry_ids for d in draws[e]]
+    within_band([d.help for d in pairs], spec.help_prob_given_applicable)
+    repair = spec.edit_sensitive_rate * spec.repair_better_prob
+    within_band([d.sensitivity == "repair_better" for d in pairs], repair)
+    within_band([d.sensitivity == "corrupt_better" for d in pairs], spec.edit_sensitive_rate - repair)
+    for guard in GUARD_NAMES:
+        passed = [world.guard_results(i)[guard] for i in range(spec.n_examples)]
+        if spec.guard_rate(guard) == 1.0:
+            assert all(passed)
+        else:
+            within_band(passed, spec.guard_rate(guard))
