@@ -6,12 +6,8 @@ from .controller import (
     EpisodeTrace,
     PolicyConfig,
     StepRecord,
-    accept_decision,
     compose_bank_policy,
     oracle_policy,
-    route_decision,
-    run_episode,
-    run_step,
     select_threshold_percentile,
 )
 from .errors import FreezeMismatch, ProtocolViolation, SignalUndefined

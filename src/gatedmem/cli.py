@@ -80,20 +80,18 @@ def cmd_gen_world(args) -> int:
     write_kv_file(os.path.join(args.out, "world.kv"), world.spec.to_flat())
     for kind, bank in world.banks.items():
         bank.save(os.path.join(args.out, f"bank_{kind}.jsonl"))
-    snaps = world.snapshots()
-    tables = []
-    for i in range(world.spec.n_examples):
-        t = world.outcome_table(i, snaps)
-        tables.append(
-            {
-                "example_id": t.example_id,
-                "baseline_correct": t.baseline_correct,
-                "second_correct_by_context": {
-                    f"{ctx}/{ver}": v for (ctx, ver), v in sorted(t.second_correct_by_context.items())
-                },
-                "confidences": {k: round(v, 10) for k, v in sorted(t.confidences.items())},
-            }
-        )
+    table = world.outcome_table(world.snapshots())
+    correct = {f"{ctx}/{ver}": v.tolist() for (ctx, ver), v in table.second_correct.items()}
+    confs = {ctx: v.tolist() for ctx, v in table.confidences.items()}
+    tables = [
+        {
+            "example_id": i,
+            "baseline_correct": base,
+            "second_correct_by_context": {k: v[i] for k, v in correct.items()},
+            "confidences": {k: round(v[i], 10) for k, v in confs.items()},
+        }
+        for i, base in enumerate(table.baseline_correct.tolist())
+    ]
     with open(os.path.join(args.out, "outcome_table.json"), "w", encoding="utf-8") as fh:
         json.dump(tables, fh, sort_keys=True)
         fh.write("\n")

@@ -1,4 +1,4 @@
-"""Per-step control loop: route, second pass, guarded acceptance, rollback.
+"""The control loop: route, second pass, guarded acceptance, rollback.
 
 One step runs as: decode the baseline action and its confidence; route to
 memory only if confidence is strictly below tau and the episode budget and
@@ -6,6 +6,11 @@ cooldown allow it; retrieve and decode a memory-conditioned second pass per
 the bank policy; accept the second answer only if it clears the confidence
 margin and every enabled structural guard, otherwise roll back to the
 baseline action.
+
+run_steps runs every episode of a run at once: only routing depends on
+earlier steps, so it loops over step position, and every other decision is
+a mask over the world's arrays. Step records are built from its StepTable
+only when asked for (StepTable.traces).
 
 Call accounting is compute-matched: a routed step costs exactly one extra
 call (k_t = 2) regardless of bank-policy internals, so total_calls is always
@@ -17,6 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .retrieval import RetrievalResult
 from .retrieval import retrieve  # unused; perfbench/test_tracer.py asserts every module's retrieve is one function
@@ -127,44 +134,6 @@ class EpisodeTrace:
     accepted_count: int
     total_calls: int
 
-    @staticmethod
-    def from_steps(episode_id: int, steps: list[StepRecord], outcome_utility: float):
-        return EpisodeTrace(
-            episode_id=episode_id,
-            steps=steps,
-            outcome_utility=outcome_utility,
-            routed_count=sum(1 for s in steps if s.routed),
-            accepted_count=sum(1 for s in steps if s.accepted),
-            total_calls=sum(s.calls_used for s in steps),
-        )
-
-
-class BudgetState:
-    """Per-episode routed-count cap and post-route cooldown."""
-
-    def __init__(self, budget_B: int | None, cooldown: int):
-        self.budget_B = budget_B
-        self.cooldown = cooldown
-        self.routed_count = 0
-        self.cooldown_remaining = 0
-
-    def can_route(self) -> bool:
-        if self.cooldown_remaining > 0:
-            return False
-        return self.budget_B is None or self.routed_count < self.budget_B
-
-    def step_end(self, routed: bool) -> None:
-        if routed:
-            self.routed_count += 1
-            self.cooldown_remaining = self.cooldown
-        elif self.cooldown_remaining > 0:
-            self.cooldown_remaining -= 1
-
-
-def route_decision(c_t: float, tau: float) -> bool:
-    """Route iff baseline confidence is strictly below tau."""
-    return c_t < tau
-
 
 def select_threshold_percentile(fit_confidences, p: float) -> float:
     """Nearest-rank percentile of fit confidences; routed fraction ~= p/100."""
@@ -177,24 +146,6 @@ def select_threshold_percentile(fit_confidences, p: float) -> float:
         return ordered[0]
     rank = math.ceil(p / 100.0 * len(ordered))
     return ordered[rank - 1]
-
-
-def accept_decision(
-    c_t: float,
-    c2_t: float,
-    margin_m: float,
-    guard_results: dict,
-    guards_enabled,
-) -> bool:
-    """Margin check and guard conjunction; disabled/absent guards count as pass."""
-    if c2_t is None:
-        raise ValueError("second-pass confidence is missing")
-    if c2_t < c_t + margin_m:
-        return False
-    for guard in guards_enabled:
-        if not guard_results.get(guard, True):
-            return False
-    return True
 
 
 def compose_bank_policy(policy: PolicyConfig) -> list[tuple[tuple[str, ...], bool]]:
@@ -218,18 +169,6 @@ def compose_bank_policy(policy: PolicyConfig) -> list[tuple[tuple[str, ...], boo
     raise ValueError(f"unresolved bank policy {kind!r}")
 
 
-def _merge_results(qid: int, results: list[RetrievalResult]) -> RetrievalResult | None:
-    parts = [r for r in results if r is not None and r.retrieved_ids]
-    if not parts:
-        return None
-    ids: list[str] = []
-    sims: list[float] = []
-    for r in parts:
-        ids.extend(r.retrieved_ids)
-        sims.extend(r.similarities)
-    return RetrievalResult(qid, tuple(ids), tuple(sims))
-
-
 @dataclass(frozen=True)
 class SecondPassContext:
     """Content version and replay mode for the second pass."""
@@ -242,118 +181,238 @@ class SecondPassContext:
 DEFAULT_CONTEXT = SecondPassContext()
 
 
-def run_step(
-    solver,
-    example_id: int,
-    step_index: int,
-    policy: PolicyConfig,
-    snapshots: dict,
-    budget_state: BudgetState,
-    context: SecondPassContext = DEFAULT_CONTEXT,
-) -> StepRecord:
-    """One pass of the decision loop; returns the full step record.
+@dataclass
+class StepTable:
+    """A batched run: one row per step, in episode then step order.
 
-    Comparators are this same loop under another policy or context (see
-    protocol.evaluate_policy); version "none" runs the second pass without
-    memory, so it repeats the baseline decode at the cost of a routed step.
+    Attempt a of a routed step is entry a of its bank plan. Per attempt,
+    columns/similarities/filled give what it injects (see World.injected);
+    a step tries attempt a + 1 only if attempt a was rejected.
     """
-    action, conf = solver.decode_baseline(example_id, policy.confidence_signal)
-    routed = route_decision(conf, policy.tau) and budget_state.can_route()
-    budget_state.step_end(routed)
 
-    if not routed:
-        return StepRecord(
-            step_index=step_index,
-            example_id=example_id,
-            baseline_action=action,
-            baseline_confidence=conf,
-            routed=False,
-            retrieved=None,
-            second_action=None,
-            second_confidence=None,
-            guard_results={},
-            accepted=False,
-            final_action=action,
-            calls_used=1,
+    world: object
+    context: SecondPassContext
+    plan: tuple  # ((banks, bypass_margin), ...)
+    episode_ids: np.ndarray
+    example_ids: np.ndarray
+    step_index: np.ndarray
+    baseline_correct: np.ndarray
+    baseline_confidence: np.ndarray
+    routed: np.ndarray
+    tried: np.ndarray  # (steps, attempts)
+    columns: tuple  # per attempt, (steps, width)
+    similarities: tuple
+    filled: tuple
+    decoded: np.ndarray  # (steps, attempts): a second pass ran (it injected something, or used no memory)
+    second_correct: np.ndarray  # (steps, attempts)
+    second_confidence: np.ndarray  # (steps, attempts)
+    accepted_attempt: np.ndarray  # (steps, attempts)
+
+    @property
+    def accepted(self) -> np.ndarray:
+        return self.accepted_attempt.any(axis=1)
+
+    @property
+    def final_correct(self) -> np.ndarray:
+        second = (self.second_correct & self.accepted_attempt).any(axis=1)
+        return np.where(self.accepted, second, self.baseline_correct)
+
+    @property
+    def deciding(self) -> np.ndarray:
+        """Index of each step's last attempt, the one that decides it; -1 where it did not route."""
+        return self.tried.sum(axis=1) - 1
+
+    def deciding_pass(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(decoded, correct, confidence) of each routed step's deciding attempt."""
+        at = np.maximum(self.deciding, 0)[:, None]
+        return tuple(
+            np.take_along_axis(x, at, axis=1)[:, 0] for x in (self.decoded, self.second_correct, self.second_confidence)
         )
 
-    guard_results = solver.guard_results(example_id)
-    attempts: list[AttemptRecord] = []
-    decisive: AttemptRecord | None = None
-    no_memory = context.version == "none"
+    def retrieved(self, attempt: int) -> np.ndarray:
+        """Which steps' attempt carries a retrieval result (it may be empty only in fixed replay)."""
+        if self.context.version == "none":
+            return np.zeros(len(self.routed), bool)
+        if self.context.frozen_map is not None:
+            return self.tried[:, attempt]
+        return self.tried[:, attempt] & self.filled[attempt].any(axis=1)
+
+    def entry_ids(self, step: int, attempt: int) -> tuple[str, ...]:
+        cols = self.columns[attempt][step, self.filled[attempt][step]]
+        return tuple(self.world.entry_ids[c] for c in cols.tolist())
+
+    def retrievals(self) -> list[tuple[int, tuple[str, ...]]]:
+        """(example id, retrieved ids) of each routed step whose deciding attempt carries a retrieval."""
+        deciding = self.deciding
+        has = np.zeros(len(self.routed), bool)
+        for a in range(len(self.plan)):
+            has |= self.retrieved(a) & (deciding == a)
+        return [(int(self.example_ids[s]), self.entry_ids(s, deciding[s])) for s in np.flatnonzero(has).tolist()]
+
+    def traces(self) -> list[EpisodeTrace]:
+        """The run as step records, grouped by episode."""
+        world = self.world
+        frozen = self.context.frozen_map is not None
+        no_memory = self.context.version == "none"
+        final = self.final_correct.tolist()
+        steps: list[StepRecord] = []
+        for s, idx in enumerate(self.example_ids.tolist()):
+            base_action = world.answer(idx, bool(self.baseline_correct[s]), second=False)
+            attempts = []
+            for a, (banks, _) in enumerate(self.plan):
+                if not self.tried[s, a]:
+                    break
+                ids = self.entry_ids(s, a)
+                if no_memory:
+                    retrieved = None
+                elif frozen:
+                    retrieved = RetrievalResult(idx, ids, ())
+                elif ids:
+                    sims = self.similarities[a][s, self.filled[a][s]]
+                    retrieved = RetrievalResult(idx, ids, tuple(sims.tolist()))
+                else:
+                    retrieved = None
+                if no_memory:
+                    second, conf = base_action, float(self.second_confidence[s, a])
+                elif self.decoded[s, a]:
+                    second = world.answer(idx, bool(self.second_correct[s, a]), second=True)
+                    conf = float(self.second_confidence[s, a])
+                else:
+                    second, conf = None, None
+                attempts.append(AttemptRecord(banks, retrieved, second, conf, bool(self.accepted_attempt[s, a])))
+            routed = bool(self.routed[s])
+            decisive = attempts[-1] if attempts else None
+            accepted = decisive is not None and decisive.accepted
+            steps.append(
+                StepRecord(
+                    step_index=int(self.step_index[s]),
+                    example_id=idx,
+                    baseline_action=base_action,
+                    baseline_confidence=float(self.baseline_confidence[s]),
+                    routed=routed,
+                    retrieved=decisive.retrieved if decisive else None,
+                    second_action=decisive.second_action if decisive else None,
+                    second_confidence=decisive.second_confidence if decisive else None,
+                    guard_results=world.guard_results(idx) if routed else {},
+                    accepted=accepted,
+                    final_action=decisive.second_action if accepted else base_action,
+                    calls_used=2 if routed else 1,
+                    attempts=tuple(attempts),
+                )
+            )
+        traces = []
+        bounds = np.flatnonzero(np.diff(self.episode_ids, prepend=-1, append=-1))
+        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+            group = steps[lo:hi]
+            traces.append(
+                EpisodeTrace(
+                    episode_id=int(self.episode_ids[lo]),
+                    steps=group,
+                    outcome_utility=sum(final[lo:hi]) / len(group),
+                    routed_count=sum(1 for st in group if st.routed),
+                    accepted_count=sum(1 for st in group if st.accepted),
+                    total_calls=sum(st.calls_used for st in group),
+                )
+            )
+        return traces
+
+
+def _frozen_injection(world, frozen_map: dict, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """World.injected for fixed-retrieval replay: each example's frozen ids, or none if it has none."""
+    ids = [frozen_map.get(idx, ()) for idx in rows.tolist()]
+    width = max(map(len, ids), default=0)
+    filled = np.arange(width) < np.array([len(i) for i in ids], np.intp).reshape(-1, 1)
+    cols = np.zeros(filled.shape, np.intp)
+    cols[filled] = world.columns([e for i in ids for e in i])
+    return cols, np.zeros(filled.shape), filled
+
+
+def run_steps(
+    world, policy: PolicyConfig, snapshots: dict, example_ids, context: SecondPassContext = DEFAULT_CONTEXT
+) -> StepTable:
+    """The decision loop over every episode at once, one step position at a time.
+
+    A step routes iff its baseline confidence is strictly below tau, its
+    episode has routed fewer than budget_B steps, and no cooldown runs (a
+    routed step starts one of `cooldown` steps). A routed step tries its
+    plan's attempts in order: each retrieves and decodes a second pass, and
+    is accepted iff it injected something, its confidence is at least the
+    baseline's plus the margin (-inf for gate_only) and every enabled guard
+    passes. The first accepted attempt's answer is final; if none is, the
+    step rolls back to the baseline. Fixed replay injects the frozen ids in
+    one attempt, and the `none` version injects nothing and decodes the
+    baseline again. Steps of an episode are its examples in ascending order;
+    example_ids must be distinct and index the world's examples.
+    """
+    ex = np.sort(np.asarray(example_ids, np.intp))
+    episode = ex // world.spec.steps_per_episode
+    first = np.diff(episode, prepend=-1) != 0
+    slot = np.cumsum(first) - 1  # the episode's number among those present
+    position = np.arange(len(ex)) - np.flatnonzero(first)[slot]
+    base, conf = world.baseline_pass(ex, policy.confidence_signal)
+
+    wants = conf < policy.tau
+    routed = np.zeros(len(ex), bool)
+    count = np.zeros(slot[-1] + 1, np.intp)  # routed steps so far, per episode
+    cooling = np.zeros_like(count)  # steps of cooldown left, per episode
+    budget = math.inf if policy.budget_B is None else policy.budget_B
+    for p in range(int(position.max()) + 1):
+        at = np.flatnonzero(position == p)
+        e = slot[at]
+        go = wants[at] & (cooling[e] == 0) & (count[e] < budget)
+        routed[at] = go
+        count[e] += go
+        cooling[e] = np.where(go, policy.cooldown, np.maximum(cooling[e] - 1, 0))
 
     if context.frozen_map is not None:
-        # Fixed-retrieval replay: identity is frozen, only content re-decodes.
-        # Routed steps whose original retrieval was empty are absent from the
-        # map and replay as empty injections.
-        injected = context.frozen_map.get(example_id, ())
-        plan = [(("frozen",), policy.resolved().bank_policy == "gate_only")]
+        plan = ((("frozen",), policy.resolved().bank_policy == "gate_only"),)
     else:
-        injected = None
-        plan = compose_bank_policy(policy)
-
-    for banks, bypass_margin in plan:
-        if no_memory:
-            result, ids = None, ()
-        elif injected is not None:
-            result = RetrievalResult(example_id, tuple(injected), ())
-            ids = tuple(injected)
+        plan = tuple(compose_bank_policy(policy))
+    rows = ex[routed]
+    no_memory = context.version == "none"
+    guards = world.guards_pass(rows, policy.guards_enabled)
+    shape = (len(ex), len(plan))
+    tried, decoded, correct, accepted = (np.zeros(shape, bool) for _ in range(4))
+    confidence = np.full(shape, np.nan)
+    columns, similarities, filled = [], [], []
+    pending = np.ones(len(rows), bool)
+    for a, (banks, bypass_margin) in enumerate(plan):
+        if context.frozen_map is not None and not no_memory:
+            cols, sims, fill = _frozen_injection(world, context.frozen_map, rows)
         else:
-            per_bank = [solver.retrieve(example_id, snapshots[b]) for b in banks]
-            result = _merge_results(example_id, per_bank)
-            ids = result.retrieved_ids if result is not None else ()
-
-        if not ids and not no_memory:
-            attempt = AttemptRecord(banks, result, None, None, False)
-            attempts.append(attempt)
-            decisive = attempt
-            continue
-
-        a2, c2 = solver.decode_second(
-            example_id, ids, context.version, context.edited_ids, policy.confidence_signal
+            cols, sims, fill = world.injected(rows, snapshots, () if no_memory else banks)
+        second, conf2 = world.second_pass(
+            rows, cols, fill, context.version, context.edited_ids, policy.confidence_signal
         )
-        margin = float("-inf") if bypass_margin else policy.margin_m
-        ok = accept_decision(conf, c2, margin, guard_results, policy.guards_enabled)
-        attempt = AttemptRecord(banks, result, a2, c2, ok)
-        attempts.append(attempt)
-        decisive = attempt
-        if ok:
-            break
-
-    accepted = decisive is not None and decisive.accepted
-    final = decisive.second_action if accepted else action
-    return StepRecord(
-        step_index=step_index,
-        example_id=example_id,
-        baseline_action=action,
+        ran = pending & (fill.any(axis=1) | no_memory)
+        margin = -math.inf if bypass_margin else policy.margin_m
+        ok = ran & ~(conf2 < conf[routed] + margin) & guards
+        for store, values in ((columns, cols), (similarities, sims), (filled, fill)):
+            full = np.zeros((len(ex), values.shape[1]), values.dtype)
+            full[routed] = values
+            store.append(full)
+        tried[routed, a], decoded[routed, a], accepted[routed, a] = pending, ran, ok
+        correct[routed, a], confidence[routed, a] = second, np.where(ran, conf2, np.nan)
+        pending &= ~ok
+    return StepTable(
+        world=world,
+        context=context,
+        plan=plan,
+        episode_ids=episode,
+        example_ids=ex,
+        step_index=position,
+        baseline_correct=base,
         baseline_confidence=conf,
-        routed=True,
-        retrieved=decisive.retrieved if decisive is not None else None,
-        second_action=decisive.second_action if decisive is not None else None,
-        second_confidence=decisive.second_confidence if decisive is not None else None,
-        guard_results=guard_results,
-        accepted=accepted,
-        final_action=final,
-        calls_used=2,
-        attempts=tuple(attempts),
+        routed=routed,
+        tried=tried,
+        columns=tuple(columns),
+        similarities=tuple(similarities),
+        filled=tuple(filled),
+        decoded=decoded,
+        second_correct=correct,
+        second_confidence=confidence,
+        accepted_attempt=accepted,
     )
-
-
-def run_episode(
-    solver,
-    episode_id: int,
-    example_ids,
-    policy: PolicyConfig,
-    snapshots: dict,
-    context: SecondPassContext = DEFAULT_CONTEXT,
-) -> EpisodeTrace:
-    budget = BudgetState(policy.budget_B, policy.cooldown)
-    steps = [
-        run_step(solver, ex, i, policy, snapshots, budget, context=context)
-        for i, ex in enumerate(example_ids)
-    ]
-    utility = sum(solver.action_utility(s.example_id, s.final_action) for s in steps) / len(steps)
-    return EpisodeTrace.from_steps(episode_id, steps, utility)
 
 
 @dataclass(frozen=True)
@@ -401,4 +460,11 @@ def oracle_policy(episode_id: int, oracle_steps) -> EpisodeTrace:
             )
         )
         total_u += best_u
-    return EpisodeTrace.from_steps(episode_id, steps, total_u / max(len(steps), 1))
+    return EpisodeTrace(
+        episode_id=episode_id,
+        steps=steps,
+        outcome_utility=total_u / max(len(steps), 1),
+        routed_count=sum(1 for s in steps if s.routed),
+        accepted_count=sum(1 for s in steps if s.accepted),
+        total_calls=sum(s.calls_used for s in steps),
+    )

@@ -13,11 +13,12 @@ row by row at zero tolerance.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
-from typing import get_type_hints
+from dataclasses import asdict, dataclass, field, replace
+from typing import Callable, get_type_hints
 
 import numpy as np
 
@@ -26,8 +27,9 @@ from .controller import (
     MULTIBANK_FAMILY,
     PolicyConfig,
     SecondPassContext,
+    StepTable,
     oracle_policy,
-    run_episode,
+    run_steps,
     select_threshold_percentile,
 )
 from .errors import FreezeMismatch, ProtocolViolation
@@ -132,22 +134,32 @@ def split_indices(n: int, fit_fraction: float = 0.5, split_seed: int = 0):
 @dataclass
 class EvalRun:
     name: str
-    traces: list
     example_ids: list
     outcomes: np.ndarray  # per example, index-aligned with example_ids
     routed_frac: float
     accepted_frac: float
     mean_calls: float
+    steps: StepTable | None = None  # the controller's per-step arrays; None for the oracle and pooled runs
+    build_traces: Callable[[], list] = field(default=list, repr=False)
+
+    @functools.cached_property
+    def traces(self) -> list:
+        """EpisodeTrace records of the run, built on first use."""
+        return self.build_traces()
 
 
-def _episodes_for(world: World, example_ids) -> list[tuple[int, list[int]]]:
-    wanted = set(example_ids)
-    out = []
-    for eid, members in world.episodes():
-        kept = [i for i in members if i in wanted]
-        if kept:
-            out.append((eid, kept))
-    return out
+def _check_example_ids(example_ids: np.ndarray, n: int) -> None:
+    """ValueError naming the first duplicate, negative or out-of-range example id."""
+    if example_ids.size == 0:
+        raise ValueError("no examples to evaluate")
+    order = np.argsort(example_ids, kind="stable")
+    repeat = np.zeros(len(example_ids), bool)
+    repeat[order[1:]] = example_ids[order[1:]] == example_ids[order[:-1]]
+    bad = np.flatnonzero(repeat | (example_ids < 0) | (example_ids >= n))
+    if bad.size:
+        i = int(example_ids[bad[0]])
+        why = "is repeated" if repeat[bad[0]] else f"is outside the world's examples 0..{n - 1}"
+        raise ValueError(f"example id {i} {why}")
 
 
 def evaluate_policy(
@@ -160,8 +172,8 @@ def evaluate_policy(
     context: SecondPassContext = SecondPassContext(),
 ) -> EvalRun:
     """Run one policy (or a comparator variant of it) over the given examples."""
-    if len(example_ids) == 0:
-        raise ValueError("no examples to evaluate")
+    ids = np.asarray(example_ids, np.intp)
+    _check_example_ids(ids, world.spec.n_examples)
     if comparator == "retry":
         context = NO_MEMORY
     elif comparator == "always_retrieve":
@@ -173,48 +185,37 @@ def evaluate_policy(
     elif comparator is not None:
         raise ValueError(f"unknown comparator {comparator!r}")
 
-    traces = []
-    outcome_by_example = {}
-    n_steps = routed = accepted = calls = 0
-    for eid, members in _episodes_for(world, example_ids):
-        trace = run_episode(world, eid, members, policy, snapshots, context=context)
-        traces.append(trace)
-        for step in trace.steps:
-            outcome_by_example[step.example_id] = world.action_utility(
-                step.example_id, step.final_action
-            )
-        n_steps += len(trace.steps)
-        routed += trace.routed_count
-        accepted += trace.accepted_count
-        calls += trace.total_calls
-
-    outcomes = np.array([outcome_by_example[i] for i in example_ids], np.float64)
+    steps = run_steps(world, policy, snapshots, ids, context)
+    n = len(ids)
+    routed = int(steps.routed.sum())
     return EvalRun(
         name=name,
-        traces=traces,
         example_ids=list(example_ids),
-        outcomes=outcomes,
-        routed_frac=routed / n_steps,
-        accepted_frac=accepted / n_steps,
-        mean_calls=calls / n_steps,
+        outcomes=steps.final_correct[np.searchsorted(steps.example_ids, ids)].astype(np.float64),
+        routed_frac=routed / n,
+        accepted_frac=int(steps.accepted.sum()) / n,
+        mean_calls=(n + routed) / n,
+        steps=steps,
+        build_traces=steps.traces,
     )
 
 
 def evaluate_oracle(world: World, snapshots: dict, example_ids, signal: str = "mean_logprob") -> EvalRun:
-    osteps = world.oracle_steps(example_ids, snapshots, signal=signal)
-    trace = oracle_policy(0, osteps)
-    outcomes = np.array(
-        [world.action_utility(s.example_id, s.final_action) for s in trace.steps], np.float64
-    )
-    n = len(trace.steps)
+    """The paired upper bound: commit a candidate second pass only where it beats the baseline."""
+    rows = np.asarray(example_ids, np.intp)
+    base, _ = world.baseline_pass(rows, signal)
+    present, correct = world.oracle_candidates(rows, snapshots)
+    routed = int(present.any(axis=1).sum())
+    accepted = ~base & (present & correct).any(axis=1)
+    n = len(rows)
     return EvalRun(
         name="oracle",
-        traces=[trace],
         example_ids=list(example_ids),
-        outcomes=outcomes,
-        routed_frac=trace.routed_count / n,
-        accepted_frac=trace.accepted_count / n,
-        mean_calls=trace.total_calls / n,
+        outcomes=(base | accepted).astype(np.float64),
+        routed_frac=routed / n,
+        accepted_frac=int(accepted.sum()) / n,
+        mean_calls=(n + routed) / n,
+        build_traces=lambda: [oracle_policy(0, world.oracle_steps(example_ids, snapshots, signal=signal))],
     )
 
 
@@ -223,31 +224,29 @@ def evaluate_oracle(world: World, snapshots: dict, example_ids, signal: str = "m
 # ---------------------------------------------------------------------------
 
 def resolve_tau_percentile(world: World, fit_ids, percentile: float, signal: str) -> float:
-    confs = [world.decode_baseline(i, signal)[1] for i in fit_ids]
-    return select_threshold_percentile(confs, percentile)
+    return select_threshold_percentile(world.baseline_pass(fit_ids, signal)[1].tolist(), percentile)
 
 
 def _fit_score(policy: PolicyConfig, dacc: float, mean_calls: float) -> float:
     return dacc - policy.lambda_cost * mean_calls
 
 
-def attach_evidence(world: World, banks: dict, traces, iteration: int = 0) -> int:
-    """Attribute each routed intervention's paired utility to every retrieved entry."""
-    appended = 0
-    for trace in traces:
-        for step in trace.steps:
-            if not step.routed:
-                continue
-            base_u = world.action_utility(step.example_id, step.baseline_action)
-            for attempt in step.attempts:
-                if attempt.retrieved is None or not attempt.retrieved.retrieved_ids:
-                    continue
-                utility = world.action_utility(step.example_id, attempt.second_action) - base_u
-                record = EvidenceRecord(trace.episode_id, utility, iteration)
-                for entry_id in attempt.retrieved.retrieved_ids:
-                    banks[world.entry_bank(entry_id)].append_evidence(entry_id, record)
-                    appended += 1
-    return appended
+def attach_evidence(world: World, banks: dict, run: EvalRun, iteration: int = 0) -> int:
+    """Attribute each routed intervention's paired utility to every retrieved entry.
+
+    Records go in step, attempt and rank order; returns how many were appended.
+    """
+    steps = run.steps
+    utility = steps.second_correct.astype(np.float64) - steps.baseline_correct[:, None]
+    found = []
+    for a in range(len(steps.plan)):
+        rows, ranks = np.nonzero(steps.retrieved(a)[:, None] & steps.filled[a])
+        found += [(s, a, k) for s, k in zip(rows.tolist(), ranks.tolist())]
+    for s, a, k in sorted(found):
+        entry_id = world.entry_ids[steps.columns[a][s, k]]
+        record = EvidenceRecord(int(steps.episode_ids[s]), float(utility[s, a]), iteration)
+        banks[world.entry_bank(entry_id)].append_evidence(entry_id, record)
+    return len(found)
 
 
 @dataclass
@@ -299,7 +298,7 @@ def run_governance_loop(world: World, policy: PolicyConfig, rounds: int, fit_ids
         run = evaluate_policy(world, policy, snaps, fit_ids, "policy")
         acc = float(run.outcomes.mean())
         gap = None if acc_oracle == acc_base else (acc - acc_base) / (acc_oracle - acc_base)
-        attach_evidence(world, working, run.traces, iteration=it)
+        attach_evidence(world, working, run, iteration=it)
         retired = []
         for bank in working.values():
             retired.extend(bank.retirement_sweep(policy.delta))
@@ -416,12 +415,12 @@ class LedgerRow:
     def check_consistency(self) -> None:
         # On integer outcome vectors delta_acc * n is exactly helps - hurts.
         if abs(self.delta_acc * self.n - self.help_hurt) > 1e-9:
-            raise AssertionError(
+            raise ProtocolViolation(
                 f"ledger row {self.comparison!r}: delta_acc*n != help-hurt "
                 f"({self.delta_acc * self.n} vs {self.help_hurt})"
             )
         if not (self.ci_lo <= self.ci_hi):
-            raise AssertionError(f"ledger row {self.comparison!r}: CI bounds out of order")
+            raise ProtocolViolation(f"ledger row {self.comparison!r}: CI bounds out of order")
 
     def as_csv(self) -> str:
         return ",".join(
@@ -528,12 +527,12 @@ def _pool_runs(runs: list) -> EvalRun:
     weights = [len(r.example_ids) / total_steps for r in runs]
     return EvalRun(
         name=runs[0].name,
-        traces=[t for r in runs for t in r.traces],
         example_ids=[i for r in runs for i in r.example_ids],
         outcomes=np.concatenate([r.outcomes for r in runs]),
         routed_frac=sum(w * r.routed_frac for w, r in zip(weights, runs)),
         accepted_frac=sum(w * r.accepted_frac for w, r in zip(weights, runs)),
         mean_calls=sum(w * r.mean_calls for w, r in zip(weights, runs)),
+        build_traces=lambda: [t for r in runs for t in r.traces],
     )
 
 
@@ -638,7 +637,7 @@ def write_traces(traces, path: str) -> None:
 def write_conf_bins(world: World, runs: dict, path: str, signal: str, n_bins: int = 10) -> None:
     """Plot-ready binned accuracy: baseline vs gated policy by baseline confidence."""
     ids = runs["baseline"].example_ids
-    conf = np.array([world.decode_baseline(i, signal)[1] for i in ids])
+    conf = world.baseline_pass(ids, signal)[1]
     bins = np.minimum((conf * n_bins).astype(int), n_bins - 1)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("bin_lo,bin_hi,count,baseline_acc,policy_acc\n")
@@ -696,7 +695,7 @@ def run_counterfactual(
             raise KeyError(f"edit references unknown entry {eid!r}")
 
     original = evaluate_policy(world, policy, snapshots, example_ids, "original")
-    frozen = freeze_identities(original.traces)
+    frozen = freeze_identities(original.steps.retrievals())
     if not frozen:
         raise ProtocolViolation("no routed queries with retrieval; nothing to replay")
 
@@ -730,9 +729,7 @@ def run_counterfactual(
     }
 
     pos = {ex: k for k, ex in enumerate(example_ids)}
-    routed_ids = sorted(
-        {s.example_id for t in original.traces for s in t.steps if s.routed}
-    )
+    routed_ids = original.steps.example_ids[original.steps.routed].tolist()
     rows = []
     max_audit_error = 0.0
     for qid in routed_ids:
@@ -758,7 +755,7 @@ def run_counterfactual(
             err = abs(free_contrast - (content_term + drift_term))
             max_audit_error = max(max_audit_error, err)
             if err != 0.0:
-                raise AssertionError(
+                raise ProtocolViolation(
                     f"decomposition identity violated on query {qid} ({version}): "
                     f"free={free_contrast} content={content_term} drift={drift_term}"
                 )
@@ -797,38 +794,28 @@ def _audit_fixed_replay(modes: dict, frozen: dict, hit_set: set, rows) -> None:
     """Fixed-mode hard checks: frozen identity replayed exactly, and non-hit
     rows bitwise identical across repair/corrupt (actions, confidences,
     acceptance, not just outcomes)."""
-    steps = {}
-    for version in ("repair", "corrupt"):
-        steps[version] = {
-            s.example_id: s
-            for t in modes[(version, "fixed")].traces
-            for s in t.steps
-            if s.routed
-        }
-        for qid, step in steps[version].items():
-            replayed = step.retrieved.retrieved_ids if step.retrieved else ()
-            if tuple(replayed) != tuple(frozen.get(qid, ())):
-                raise AssertionError(
-                    f"fixed replay of query {qid} injected {replayed}, frozen was {frozen.get(qid)}"
+    tables = {version: modes[(version, "fixed")].steps for version in ("repair", "corrupt")}
+    for version, steps in tables.items():
+        for qid, replayed in steps.retrievals():
+            if replayed != frozen.get(qid, ()):
+                raise ProtocolViolation(
+                    f"fixed replay of query {qid} ({version}) injected {replayed}, frozen was {frozen.get(qid)}"
                 )
-    for row in rows:
-        if row.query_id in hit_set:
-            continue
-        a = steps["repair"].get(row.query_id)
-        b = steps["corrupt"].get(row.query_id)
-        same = (
-            (a is None) == (b is None)
-            and (a is None or (
-                a.final_action == b.final_action
-                and a.second_action == b.second_action
-                and a.second_confidence == b.second_confidence
-                and a.accepted == b.accepted
-            ))
+    a, b = tables["repair"], tables["corrupt"]
+    (ran_a, ok_a, conf_a), (ran_b, ok_b, conf_b) = a.deciding_pass(), b.deciding_pass()
+    same = (a.routed == b.routed) & (
+        ~a.routed
+        | (
+            (a.final_correct == b.final_correct)
+            & (ran_a == ran_b)
+            & (~ran_a | ((ok_a == ok_b) & (conf_a == conf_b)))
+            & (a.accepted == b.accepted)
         )
-        if not same:
-            raise AssertionError(
-                f"non-hit row {row.query_id} differs across repair/corrupt under fixed retrieval"
-            )
+    )
+    non_hit = [row.query_id for row in rows if row.query_id not in hit_set]
+    for qid, ok in zip(non_hit, same[np.searchsorted(a.example_ids, non_hit)].tolist()):
+        if not ok:
+            raise ProtocolViolation(f"non-hit row {qid} differs across repair/corrupt under fixed retrieval")
 
 
 def write_counterfactual_rows(rows, path: str) -> None:

@@ -152,21 +152,18 @@ def retrieve(
     return retrieval_table(queries, snapshot, threshold, k_max).result(0, query.id)
 
 
-def freeze_identities(traces) -> dict[int, tuple[str, ...]]:
-    """Map query_id -> retrieved_ids for every routed step of a completed run.
+def freeze_identities(retrievals) -> dict[int, tuple[str, ...]]:
+    """Map query_id -> retrieved_ids over (query id, retrieved ids) pairs.
 
-    Non-routed queries are absent. Duplicate query ids must agree.
+    The pairs are a completed run's routed steps that retrieved
+    (StepTable.retrievals); a query id given twice must name the same ids.
     """
     frozen: dict[int, tuple[str, ...]] = {}
-    for trace in traces:
-        for step in trace.steps:
-            if not step.routed or step.retrieved is None:
-                continue
-            qid = step.retrieved.query_id
-            ids = tuple(step.retrieved.retrieved_ids)
-            if qid in frozen and frozen[qid] != ids:
-                raise ValueError(f"conflicting retrieved identities for query {qid}")
-            frozen[qid] = ids
+    for qid, ids in retrievals:
+        ids = tuple(ids)
+        if qid in frozen and frozen[qid] != ids:
+            raise ValueError(f"conflicting retrieved identities for query {qid}")
+        frozen[qid] = ids
     return frozen
 
 

@@ -45,6 +45,8 @@ from .util import canonical_json, derive_seed, from_flat, stable_digest, to_flat
 
 CONTENT_VERSIONS = ("original", "repair", "corrupt")
 ORACLE_CONTEXTS = ("rule", "exemplar", "dual")
+# bank-policy context -> the banks it retrieves from, in injection order
+CONTEXT_BANKS = {"none": (), "rule": ("rule",), "exemplar": ("exemplar",), "dual": ("rule", "exemplar")}
 
 # signal -> latent weight (rest is seeded uniform noise)
 SIGNAL_LATENT_WEIGHT = {"mean_logprob": 1.0, "sum_logprob": 0.85, "first_token": 0.4}
@@ -273,11 +275,12 @@ class PairDraws:
 
 
 @dataclass
-class ExampleOutcomeTable:
-    example_id: int
-    baseline_correct: bool
-    second_correct_by_context: dict  # (context, version) -> bool
-    confidences: dict  # context -> float
+class OutcomeTable:
+    """Every example's second-pass outcome per bank-policy context and content version."""
+
+    baseline_correct: np.ndarray  # (n_examples,) bool
+    second_correct: dict  # (context, version) -> (n_examples,) bool
+    confidences: dict  # context -> (n_examples,) mean_logprob confidence of the second pass
 
 
 # bits of a pair-latent byte; sensitivity takes two: repair_better, corrupt_better, or neither
@@ -313,6 +316,7 @@ class World:
         entry_ids = [f"{prefix}{i:03d}" for _, count, prefix in kinds for i in range(count)]
         entry_kinds = [kind for kind, count, _ in kinds for _ in range(count)]
         entry_topics = [i % spec.topic_count for _, count, _ in kinds for i in range(count)]
+        self.entry_ids = tuple(entry_ids)
         self._column = {eid: j for j, eid in enumerate(entry_ids)}
         toxic = self._rng("toxic").random(len(entry_ids)) < spec.toxic_entry_rate
         self.toxic_ids = {eid for eid, t in zip(entry_ids, toxic.tolist()) if t}
@@ -334,6 +338,7 @@ class World:
         # examples: one row per example; retrieval tables rank them a block at a time
         topics = self._rng("topic").integers(spec.topic_count, size=n)
         baseline = self._rng("baseline").random(n) < spec.base_accuracy
+        self._baseline = baseline
         self.query_embeddings = embed_rows(
             self._rng("query-embedding"), topics, self._topic_matrix(topics), spec.topic_weight
         )
@@ -348,7 +353,7 @@ class World:
         rates = np.array([spec.guard_rate(g) for g in GUARD_NAMES])
         self._guards = self._rng("guard").random((n, len(GUARD_NAMES))) < rates
         self._conf = self._draw_confidences(baseline)
-        self._tables: dict = {}  # snapshot content_hash -> RetrievalTable
+        self._tables: dict = {}  # snapshot content_hash -> (RetrievalTable, its ranked entries as columns)
 
     def _rng(self, purpose: str) -> np.random.Generator:
         return _stream(derive_seed(self.seed, purpose))
@@ -430,23 +435,45 @@ class World:
     def snapshots(self) -> dict[str, BankSnapshot]:
         return {k: b.freeze() for k, b in self.banks.items()}
 
-    def retrieve(self, idx: int, snapshot: BankSnapshot) -> RetrievalResult:
-        """retrieve() for example idx, served from the snapshot's table (built on first use)."""
-        table = self._tables.get(snapshot.content_hash)
-        if table is None:
+    def _table(self, snapshot: BankSnapshot) -> tuple:
+        """The snapshot's retrieval table and its ranked entries as pair-table columns, built on first use."""
+        hit = self._tables.get(snapshot.content_hash)
+        if hit is None:
             table = retrieval_table(self.query_embeddings, snapshot, self.spec.retrieval_threshold, self.spec.k_max)
-            self._tables[snapshot.content_hash] = table
-        return table.result(idx, idx)
+            hit = self._tables[snapshot.content_hash] = (table, self.columns(snapshot.entry_ids)[table.ranked])
+        return hit
 
-    def episodes(self) -> list[tuple[int, list[int]]]:
-        spe = self.spec.steps_per_episode
-        return [
-            (eid, list(range(start, min(start + spe, len(self.examples)))))
-            for eid, start in enumerate(range(0, len(self.examples), spe))
-        ]
+    def retrieve(self, idx: int, snapshot: BankSnapshot) -> RetrievalResult:
+        """retrieve() for example idx, served from the snapshot's table."""
+        return self._table(snapshot)[0].result(idx, idx)
+
+    def columns(self, entry_ids) -> np.ndarray:
+        """Pair-table columns of entry ids: rule entries first, then exemplar entries."""
+        return np.array([self._column[e] for e in entry_ids], np.intp)
+
+    def injected(self, rows, snapshots: dict, banks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(columns, similarities, filled): what retrieving from `banks` in order injects per example.
+
+        Row r of each array belongs to example rows[r], which injects
+        columns[r][filled[r]] in that order: each bank's ranked entries whose
+        similarity is strictly above the threshold, best first.
+        """
+        rows = np.asarray(rows, np.intp)
+        parts = [self._table(snapshots[b]) for b in banks]
+        empty = np.zeros((len(rows), 0), np.intp)
+        cols = np.concatenate([empty] + [c[rows] for _, c in parts], axis=1)
+        sims = np.concatenate([empty] + [t.similarities[rows] for t, _ in parts], axis=1)
+        filled = np.concatenate(
+            [empty.astype(bool)] + [np.arange(c.shape[1]) < t.counts[rows, None] for t, c in parts], axis=1
+        )
+        return cols, sims, filled
 
     def true_action(self, idx: int) -> str:
         return f"ans{idx}"
+
+    def answer(self, idx: int, correct: bool, second: bool) -> str:
+        """The action a decode emits: the true action, or a wrong one marked by its pass."""
+        return self.true_action(idx) if correct else f"alt{idx}.{'m' if second else 'b'}"
 
     def action_utility(self, idx: int, action) -> float:
         return 1.0 if action == self.true_action(idx) else 0.0
@@ -471,38 +498,69 @@ class World:
     def guard_results(self, idx: int) -> dict[str, bool]:
         return dict(zip(GUARD_NAMES, self._guards[idx].tolist()))
 
+    def guards_pass(self, rows, guards) -> np.ndarray:
+        """Whether every named guard passes, per example of rows."""
+        cols = [GUARD_NAMES.index(g) for g in sorted(guards)]
+        return self._guards[np.ix_(np.asarray(rows, np.intp), cols)].all(axis=1)
+
     # -- decoding -------------------------------------------------------------
+
+    def baseline_pass(self, rows, signal: str = "mean_logprob") -> tuple[np.ndarray, np.ndarray]:
+        """(correct, confidence) of the baseline decode, per example of rows."""
+        rows = np.asarray(rows, np.intp)
+        return self._baseline[rows], self._conf[signal][rows, 0]
+
+    def second_pass(
+        self, rows, columns, filled, version: str = "original", edited_ids=(), signal: str = "mean_logprob"
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(correct, confidence) of a second pass per example of rows, row r injecting columns[r][filled[r]].
+
+        The first applicable injected entry decides: the pass is correct if
+        the baseline is or that entry helps. With none applicable the first
+        injected entry decides: correct if the baseline is and that entry
+        does not hurt. Under the repair or corrupt version the first injected
+        entry among edited_ids overrides this if it is edit-sensitive. The
+        confidence is column 1 + 2 * bank + correct of _conf, the bank that of
+        the deciding entry. A row injecting nothing repeats the baseline decode.
+        """
+        rows = np.asarray(rows, np.intp)
+        base, conf = self.baseline_pass(rows, signal)
+        if columns.shape[1] == 0:
+            return base, conf
+        bits = self._pairs[rows[:, None], columns]
+        applicable = filled & (bits & PAIR_APPLICABLE > 0)
+        any_applicable = applicable.any(axis=1)
+        slot = np.where(any_applicable, applicable.argmax(axis=1), filled.argmax(axis=1))[:, None]
+        deciding = np.take_along_axis(bits, slot, axis=1)[:, 0]
+        correct = np.where(any_applicable, base | (deciding & PAIR_HELP > 0), base & (deciding & PAIR_HURT == 0))
+        if version in ("repair", "corrupt") and len(edited_ids):
+            edited = np.zeros(self._pairs.shape[1], bool)
+            edited[self.columns([e for e in edited_ids if e in self._column])] = True
+            hit = filled & edited[columns]
+            hit_bits = np.take_along_axis(bits, hit.argmax(axis=1)[:, None], axis=1)[:, 0] * hit.any(axis=1)
+            correct = np.where(
+                hit_bits & PAIR_REPAIR_BETTER > 0,
+                version == "repair",
+                np.where(hit_bits & PAIR_CORRUPT_BETTER > 0, version == "corrupt", correct),
+            )
+        # columns hold rule entries first, and BANK_KINDS puts rule at 0
+        bank = np.take_along_axis(columns, slot, axis=1)[:, 0] >= self.spec.n_rule_entries
+        column = 1 + 2 * bank + correct
+        has = filled.any(axis=1)
+        return np.where(has, correct, base), np.where(has, self._conf[signal][rows, column], conf)
 
     def decode_baseline(self, idx: int, signal: str = "mean_logprob"):
         correct = self.examples[idx].baseline_correct
-        action = self.true_action(idx) if correct else f"alt{idx}.b"
-        return action, self._conf[signal].item(idx, 0)
+        return self.answer(idx, correct, second=False), self._conf[signal].item(idx, 0)
 
-    def _second(self, idx: int, injected: tuple, version: str, edited_ids) -> tuple[bool, int]:
-        """(correct, confidence column) of a second pass injecting a non-empty tuple of ids."""
-        bits = [self._pairs.item(idx, self._column[e]) for e in injected]
-        base = self.examples[idx].baseline_correct
-        applicable = [k for k, b in enumerate(bits) if b & PAIR_APPLICABLE]
-        if applicable:
-            correct = base or bool(bits[applicable[0]] & PAIR_HELP)
-        else:
-            correct = base and not bits[0] & PAIR_HURT
-        if version in ("repair", "corrupt") and edited_ids:
-            edited = set(edited_ids)
-            hit = next((b for e, b in zip(injected, bits) if e in edited), 0)
-            if hit & PAIR_REPAIR_BETTER:
-                correct = version == "repair"
-            elif hit & PAIR_CORRUPT_BETTER:
-                correct = version == "corrupt"
-        deciding = injected[applicable[0] if applicable else 0]
-        return correct, 1 + 2 * BANK_KINDS.index(self.entry_bank(deciding)) + correct
+    def _second(self, idx: int, injected: tuple, version: str, edited_ids, signal: str) -> tuple[bool, float]:
+        cols = self.columns(injected)[None, :]
+        correct, conf = self.second_pass([idx], cols, np.ones(cols.shape, bool), version, edited_ids, signal)
+        return bool(correct[0]), float(conf[0])
 
     def second_correct(self, idx: int, injected_ids, version: str = "original", edited_ids=()) -> bool:
         """Outcome of a memory-conditioned pass injecting the given entries."""
-        injected = tuple(injected_ids)
-        if not injected:
-            return self.examples[idx].baseline_correct
-        return self._second(idx, injected, version, edited_ids)[0]
+        return self._second(idx, tuple(injected_ids), version, edited_ids, "mean_logprob")[0]
 
     def decode_second(
         self,
@@ -516,39 +574,39 @@ class World:
         if not injected:
             # compute-matched retry: deterministic decode repeats the baseline
             return self.decode_baseline(idx, signal)
-        correct, column = self._second(idx, injected, version, edited_ids)
-        action = self.true_action(idx) if correct else f"alt{idx}.m"
-        return action, self._conf[signal].item(idx, column)
+        correct, conf = self._second(idx, injected, version, edited_ids, signal)
+        return self.answer(idx, correct, second=True), conf
 
     # -- canonical outcome tables and oracle ground truth ---------------------
 
     def context_injection(self, idx: int, context: str, snapshots: dict) -> tuple[str, ...]:
         """Retrieved ids a given bank-policy context would inject."""
-        if context == "none":
-            return ()
-        if context == "dual":
-            ids: list[str] = []
-            for kind in ("rule", "exemplar"):
-                ids.extend(self.retrieve(idx, snapshots[kind]).retrieved_ids)
-            return tuple(ids)
-        return self.retrieve(idx, snapshots[context]).retrieved_ids
+        cols, _, filled = self.injected([idx], snapshots, CONTEXT_BANKS[context])
+        return tuple(self.entry_ids[c] for c in cols[0, filled[0]].tolist())
 
-    def outcome_table(self, idx: int, snapshots: dict | None = None) -> ExampleOutcomeTable:
+    def outcome_table(self, snapshots: dict | None = None) -> OutcomeTable:
         snaps = snapshots or self.snapshots()
+        rows = np.arange(self.spec.n_examples)
         by_context: dict = {}
         confs: dict = {}
         for context in ("none",) + ORACLE_CONTEXTS:
-            injected = self.context_injection(idx, context, snaps)
-            for version in CONTENT_VERSIONS:
-                by_context[(context, version)] = self.second_correct(idx, injected, version)
-            _, conf = self.decode_second(idx, injected)
-            confs[context] = conf
-        return ExampleOutcomeTable(
-            example_id=idx,
-            baseline_correct=self.examples[idx].baseline_correct,
-            second_correct_by_context=by_context,
-            confidences=confs,
-        )
+            cols, _, filled = self.injected(rows, snaps, CONTEXT_BANKS[context])
+            correct, confs[context] = self.second_pass(rows, cols, filled)
+            for version in CONTENT_VERSIONS:  # with no entry edited, every version decodes alike
+                by_context[(context, version)] = correct
+        return OutcomeTable(self._baseline, by_context, confs)
+
+    def oracle_candidates(
+        self, rows, snapshots: dict, contexts=ORACLE_CONTEXTS, version: str = "original", edited_ids=()
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(present, correct), each (len(rows), len(contexts)): whether the
+        context injects anything for the example, and whether that pass is correct."""
+        present, correct = [], []
+        for context in contexts:
+            cols, _, filled = self.injected(rows, snapshots, CONTEXT_BANKS[context])
+            present.append(filled.any(axis=1))
+            correct.append(self.second_pass(rows, cols, filled, version, edited_ids)[0])
+        return np.stack(present, axis=1), np.stack(correct, axis=1)
 
     def oracle_steps(
         self,
@@ -561,25 +619,18 @@ class World:
     ) -> list[OracleStep]:
         """Ground-truth candidates per example, for the paired upper bound."""
         snaps = snapshots or self.snapshots()
+        rows = np.asarray(example_ids, np.intp)
+        base, conf = self.baseline_pass(rows, signal)
+        present, correct = self.oracle_candidates(rows, snaps, contexts, version, edited_ids)
         steps = []
-        for idx in example_ids:
-            base_action, base_conf = self.decode_baseline(idx, signal)
-            candidates = []
-            for context in contexts:
-                injected = self.context_injection(idx, context, snaps)
-                if not injected:
-                    continue
-                a2, _ = self.decode_second(idx, injected, version, edited_ids, signal)
-                candidates.append((a2, self.action_utility(idx, a2)))
-            steps.append(
-                OracleStep(
-                    example_id=idx,
-                    baseline_action=base_action,
-                    baseline_utility=self.action_utility(idx, base_action),
-                    baseline_confidence=base_conf,
-                    candidates=tuple(candidates),
-                )
+        for k, idx in enumerate(rows.tolist()):
+            b = bool(base[k])
+            candidates = tuple(
+                (self.answer(idx, ok, second=True), float(ok))
+                for p, ok in zip(present[k].tolist(), correct[k].tolist())
+                if p
             )
+            steps.append(OracleStep(idx, self.answer(idx, b, second=False), float(b), conf[k].item(), candidates))
         return steps
 
     # -- content-edit machinery ------------------------------------------------

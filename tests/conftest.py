@@ -1,9 +1,33 @@
-"""Shared world shapes and the per-query retrieval reference for the test suite."""
+"""Shared world shapes and per-query references for the test suite.
+
+reference_retrieve is retrieve() one query at a time; reference_traces is
+the control loop one step at a time, with the second pass decoded entry by
+entry. The package computes both in batches.
+"""
 
 import numpy as np
 
+from gatedmem.bank import BANK_KINDS, EvidenceRecord
+from gatedmem.controller import (
+    DEFAULT_CONTEXT,
+    AttemptRecord,
+    EpisodeTrace,
+    OracleStep,
+    StepRecord,
+    compose_bank_policy,
+)
 from gatedmem.retrieval import RetrievalResult
-from gatedmem.worldsim import ConfidenceModel, WorldSpec
+from gatedmem.worldsim import (
+    CONTENT_VERSIONS,
+    ORACLE_CONTEXTS,
+    PAIR_APPLICABLE,
+    PAIR_CORRUPT_BETTER,
+    PAIR_HELP,
+    PAIR_HURT,
+    PAIR_REPAIR_BETTER,
+    ConfidenceModel,
+    WorldSpec,
+)
 
 
 def reference_retrieve(query, snapshot, threshold, k_max) -> RetrievalResult:
@@ -54,3 +78,237 @@ def localization_shape_spec(seed: int = 0) -> WorldSpec:
         repair_better_prob=0.85,
         seed=seed,
     )
+
+
+# ---------------------------------------------------------------------------
+# the per-step control loop, as the reference for controller.run_steps
+# ---------------------------------------------------------------------------
+
+
+class BudgetState:
+    """Per-episode routed-count cap and post-route cooldown."""
+
+    def __init__(self, budget_B, cooldown):
+        self.budget_B = budget_B
+        self.cooldown = cooldown
+        self.routed_count = 0
+        self.cooldown_remaining = 0
+
+    def can_route(self) -> bool:
+        if self.cooldown_remaining > 0:
+            return False
+        return self.budget_B is None or self.routed_count < self.budget_B
+
+    def step_end(self, routed: bool) -> None:
+        if routed:
+            self.routed_count += 1
+            self.cooldown_remaining = self.cooldown
+        elif self.cooldown_remaining > 0:
+            self.cooldown_remaining -= 1
+
+
+def route_decision(c_t: float, tau: float) -> bool:
+    """Route iff baseline confidence is strictly below tau."""
+    return c_t < tau
+
+
+def accept_decision(c_t, c2_t, margin_m, guard_results, guards_enabled) -> bool:
+    """Margin check and guard conjunction; disabled/absent guards count as pass."""
+    if c2_t is None:
+        raise ValueError("second-pass confidence is missing")
+    if c2_t < c_t + margin_m:
+        return False
+    return all(guard_results.get(guard, True) for guard in guards_enabled)
+
+
+def reference_second(world, idx, injected, version="original", edited_ids=(), signal="mean_logprob"):
+    """(action, confidence) of one second pass, decoded entry by entry from the pair bits."""
+    if not injected:
+        return world.decode_baseline(idx, signal)
+    bits = [world._pairs.item(idx, world._column[e]) for e in injected]
+    base = world.examples[idx].baseline_correct
+    applicable = [k for k, b in enumerate(bits) if b & PAIR_APPLICABLE]
+    if applicable:
+        correct = base or bool(bits[applicable[0]] & PAIR_HELP)
+    else:
+        correct = base and not bits[0] & PAIR_HURT
+    if version in ("repair", "corrupt") and edited_ids:
+        edited = set(edited_ids)
+        hit = next((b for e, b in zip(injected, bits) if e in edited), 0)
+        if hit & PAIR_REPAIR_BETTER:
+            correct = version == "repair"
+        elif hit & PAIR_CORRUPT_BETTER:
+            correct = version == "corrupt"
+    deciding = injected[applicable[0] if applicable else 0]
+    column = 1 + 2 * BANK_KINDS.index(world.entry_bank(deciding)) + correct
+    action = world.true_action(idx) if correct else f"alt{idx}.m"
+    return action, world._conf[signal].item(idx, column)
+
+
+def _merge_results(qid, results):
+    parts = [r for r in results if r is not None and r.retrieved_ids]
+    if not parts:
+        return None
+    ids, sims = [], []
+    for r in parts:
+        ids.extend(r.retrieved_ids)
+        sims.extend(r.similarities)
+    return RetrievalResult(qid, tuple(ids), tuple(sims))
+
+
+def reference_step(world, example_id, step_index, policy, snapshots, budget_state, context=DEFAULT_CONTEXT):
+    """One pass of the decision loop for one step."""
+    action, conf = world.decode_baseline(example_id, policy.confidence_signal)
+    routed = route_decision(conf, policy.tau) and budget_state.can_route()
+    budget_state.step_end(routed)
+    if not routed:
+        return StepRecord(step_index, example_id, action, conf, False, None, None, None, {}, False, action, 1)
+
+    guard_results = world.guard_results(example_id)
+    attempts = []
+    decisive = None
+    no_memory = context.version == "none"
+    if context.frozen_map is not None:
+        injected = context.frozen_map.get(example_id, ())
+        plan = [(("frozen",), policy.resolved().bank_policy == "gate_only")]
+    else:
+        injected = None
+        plan = compose_bank_policy(policy)
+    for banks, bypass_margin in plan:
+        if no_memory:
+            result, ids = None, ()
+        elif injected is not None:
+            result = RetrievalResult(example_id, tuple(injected), ())
+            ids = tuple(injected)
+        else:
+            result = _merge_results(example_id, [world.retrieve(example_id, snapshots[b]) for b in banks])
+            ids = result.retrieved_ids if result is not None else ()
+        if not ids and not no_memory:
+            decisive = AttemptRecord(banks, result, None, None, False)
+            attempts.append(decisive)
+            continue
+        a2, c2 = reference_second(
+            world, example_id, ids, context.version, context.edited_ids, policy.confidence_signal
+        )
+        margin = float("-inf") if bypass_margin else policy.margin_m
+        ok = accept_decision(conf, c2, margin, guard_results, policy.guards_enabled)
+        decisive = AttemptRecord(banks, result, a2, c2, ok)
+        attempts.append(decisive)
+        if ok:
+            break
+
+    accepted = decisive.accepted
+    return StepRecord(
+        step_index=step_index,
+        example_id=example_id,
+        baseline_action=action,
+        baseline_confidence=conf,
+        routed=True,
+        retrieved=decisive.retrieved,
+        second_action=decisive.second_action,
+        second_confidence=decisive.second_confidence,
+        guard_results=guard_results,
+        accepted=accepted,
+        final_action=decisive.second_action if accepted else action,
+        calls_used=2,
+        attempts=tuple(attempts),
+    )
+
+
+def reference_episodes(world, example_ids):
+    """(episode id, members) of the world's episodes that hold any of example_ids, members ascending."""
+    spe = world.spec.steps_per_episode
+    wanted = set(example_ids)
+    out = []
+    for eid, start in enumerate(range(0, world.spec.n_examples, spe)):
+        kept = [i for i in range(start, min(start + spe, world.spec.n_examples)) if i in wanted]
+        if kept:
+            out.append((eid, kept))
+    return out
+
+
+def reference_traces(world, policy, snapshots, example_ids, context=DEFAULT_CONTEXT):
+    """EpisodeTrace records of the per-step loop over example_ids."""
+    traces = []
+    for eid, members in reference_episodes(world, example_ids):
+        budget = BudgetState(policy.budget_B, policy.cooldown)
+        steps = [reference_step(world, ex, i, policy, snapshots, budget, context) for i, ex in enumerate(members)]
+        utility = sum(world.action_utility(s.example_id, s.final_action) for s in steps) / len(steps)
+        traces.append(
+            EpisodeTrace(
+                eid,
+                steps,
+                utility,
+                sum(1 for s in steps if s.routed),
+                sum(1 for s in steps if s.accepted),
+                sum(s.calls_used for s in steps),
+            )
+        )
+    return traces
+
+
+def reference_outcome_table(world, idx, snapshots):
+    """(second correct by (context, version), confidence by context) of one example, as gen-world wrote it."""
+    by_context, confs = {}, {}
+    for context in ("none",) + ORACLE_CONTEXTS:
+        injected = reference_injection(world, idx, context, snapshots)
+        for version in CONTENT_VERSIONS:
+            action, _ = reference_second(world, idx, injected, version)
+            by_context[(context, version)] = world.action_utility(idx, action) == 1.0
+        confs[context] = reference_second(world, idx, injected)[1]
+    return by_context, confs
+
+
+def reference_injection(world, idx, context, snapshots):
+    """Retrieved ids a bank-policy context injects for one example."""
+    if context == "none":
+        return ()
+    banks = ("rule", "exemplar") if context == "dual" else (context,)
+    return tuple(e for b in banks for e in world.retrieve(idx, snapshots[b]).retrieved_ids)
+
+
+def reference_oracle_steps(world, example_ids, snapshots, contexts=ORACLE_CONTEXTS, signal="mean_logprob"):
+    """World.oracle_steps, decoded one example and context at a time."""
+    steps = []
+    for idx in example_ids:
+        base_action, base_conf = world.decode_baseline(idx, signal)
+        candidates = []
+        for context in contexts:
+            injected = reference_injection(world, idx, context, snapshots)
+            if injected:
+                a2, _ = reference_second(world, idx, injected, signal=signal)
+                candidates.append((a2, world.action_utility(idx, a2)))
+        steps.append(
+            OracleStep(idx, base_action, world.action_utility(idx, base_action), base_conf, tuple(candidates))
+        )
+    return steps
+
+
+def reference_attach_evidence(world, banks, traces, iteration=0):
+    """protocol.attach_evidence, read off step records."""
+    appended = 0
+    for trace in traces:
+        for step in trace.steps:
+            if not step.routed:
+                continue
+            base_u = world.action_utility(step.example_id, step.baseline_action)
+            for attempt in step.attempts:
+                if attempt.retrieved is None or not attempt.retrieved.retrieved_ids:
+                    continue
+                utility = world.action_utility(step.example_id, attempt.second_action) - base_u
+                for entry_id in attempt.retrieved.retrieved_ids:
+                    banks[world.entry_bank(entry_id)].append_evidence(
+                        entry_id, EvidenceRecord(trace.episode_id, utility, iteration)
+                    )
+                    appended += 1
+    return appended
+
+
+def reference_freeze_identities(traces):
+    """query id -> retrieved ids of every routed step that carries a retrieval."""
+    return {
+        s.example_id: tuple(s.retrieved.retrieved_ids)
+        for t in traces
+        for s in t.steps
+        if s.routed and s.retrieved is not None
+    }

@@ -5,10 +5,12 @@ import json
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gatedmem import controller
 from gatedmem.cli import main
-from gatedmem.retrieval import save_edits
+from gatedmem.retrieval import ContentEdit, save_edits
 from gatedmem.worldsim import WorldSpec, generate_world
 
 
@@ -96,6 +98,36 @@ def test_counterfactual_flow(tmp_path, world_config, grid_config, capsys):
     assert audit["decomposition_max_abs_error"] == 0.0
     rows = open(os.path.join(cf_out, "counterfactual_rows.jsonl")).read().splitlines()
     assert len(rows) == audit["n_rows"]
+
+
+def test_tampered_fixed_replay_exits_1_naming_the_query(tmp_path, world_config, grid_config, capsys, monkeypatch):
+    fit_out = str(tmp_path / "fit")
+    assert main(["fit", "--config", world_config, "--grid", grid_config, "--out", fit_out]) == 0
+    edits_path = str(tmp_path / "edits.jsonl")
+    save_edits([ContentEdit("E000", "repaired E000", "repair")], edits_path)
+    frozen_injection = controller._frozen_injection
+    tampered = []
+
+    def drop_one_entry(world, frozen_map, rows):
+        # the fixed replay of the first query with a frozen identity injects one entry fewer
+        cols, sims, filled = frozen_injection(world, frozen_map, rows)
+        r = int(np.flatnonzero(filled.any(axis=1))[0])
+        filled[r, np.flatnonzero(filled[r])[-1]] = False
+        tampered.append(int(rows[r]))
+        return cols, sims, filled
+
+    monkeypatch.setattr(controller, "_frozen_injection", drop_one_entry)
+    code = main(
+        [
+            "counterfactual", "--config", world_config, "--manifest", os.path.join(fit_out, "manifest.json"),
+            "--edits", edits_path, "--out", str(tmp_path / "cf"),
+        ]
+    )
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"error: fixed replay of query {tampered[0]} (repair) injected (")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "cf" / "audit.json")
 
 
 def test_governance_flow(tmp_path, world_config, capsys):

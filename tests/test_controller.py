@@ -1,22 +1,43 @@
 """Controller: routing, acceptance, budgets, bank-policy composition, oracle."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from gatedmem.controller import (
+from conftest import (
     BudgetState,
+    accept_decision,
+    reference_attach_evidence,
+    reference_freeze_identities,
+    reference_oracle_steps,
+    reference_second,
+    reference_traces,
+    route_decision,
+)
+from gatedmem.controller import (
+    BANK_POLICIES,
+    CONFIDENCE_SIGNALS,
+    DEFAULT_CONTEXT,
+    GUARD_NAMES,
+    MULTIBANK_FAMILY,
     OracleStep,
     PolicyConfig,
-    accept_decision,
+    SecondPassContext,
     compose_bank_policy,
     oracle_policy,
-    route_decision,
-    run_episode,
     select_threshold_percentile,
 )
-from gatedmem.protocol import evaluate_policy
+from gatedmem.protocol import (
+    FIXED_BUDGET_K,
+    NO_MEMORY,
+    ROUTE_AND_ACCEPT_ALL,
+    attach_evidence,
+    evaluate_oracle,
+    evaluate_policy,
+)
+from gatedmem.retrieval import freeze_identities
 from gatedmem.worldsim import WorldSpec, generate_world
 
 
@@ -370,3 +391,168 @@ def test_policy_validation():
         PolicyConfig(budget_B=-1)
     with pytest.raises(ValueError):
         PolicyConfig(confidence_signal="last_token")
+
+
+# ---------------------------------------------------------------------------
+# the batched loop against the per-step reference (conftest.reference_traces)
+# ---------------------------------------------------------------------------
+
+def _evidence(banks):
+    return {
+        e.id: [(r.episode_id, r.utility, r.iteration) for r in e.evidence]
+        for bank in banks.values()
+        for e in bank.entries()
+    }
+
+
+def _assert_matches_reference(world, policy, snaps, ids, context=DEFAULT_CONTEXT, comparator=None):
+    run = evaluate_policy(world, policy, snaps, ids, comparator=comparator, context=context)
+    if comparator is not None:
+        policy, context = _comparator_variant(policy, context, comparator)
+    want = reference_traces(world, policy, snaps, ids, context)
+    assert run.traces == want
+    steps = [s for t in want for s in t.steps]
+    utility = {s.example_id: world.action_utility(s.example_id, s.final_action) for s in steps}
+    assert run.outcomes.tolist() == [utility[i] for i in ids]
+    assert run.routed_frac == sum(t.routed_count for t in want) / len(steps)
+    assert run.accepted_frac == sum(t.accepted_count for t in want) / len(steps)
+    assert run.mean_calls == sum(t.total_calls for t in want) / len(steps)
+    batched = {k: b.copy() for k, b in world.banks.items()}
+    reference = {k: b.copy() for k, b in world.banks.items()}
+    assert attach_evidence(world, batched, run, iteration=3) == reference_attach_evidence(
+        world, reference, want, iteration=3
+    )
+    assert _evidence(batched) == _evidence(reference)
+    assert freeze_identities(run.steps.retrievals()) == reference_freeze_identities(want)
+    return run
+
+
+def _comparator_variant(policy, context, comparator):
+    if comparator == "retry":
+        return policy, NO_MEMORY
+    if comparator == "baseline":
+        return replace(policy, budget_B=0), context
+    budget = FIXED_BUDGET_K if comparator == "fixed_budget" else None
+    return replace(policy, **ROUTE_AND_ACCEPT_ALL, budget_B=budget, cooldown=0), context
+
+
+def _random_case(rng, trial):
+    spec = WorldSpec(
+        n_examples=int(rng.integers(40, 240)),
+        seed=700 + trial,
+        steps_per_episode=int(rng.integers(1, 31)),
+        n_rule_entries=int(rng.choice([0, 6, 50])),
+        n_exemplar_entries=int(rng.choice([6, 100])),
+        guard_pass_rate=(("format", float(rng.uniform(0.6, 1.0))), ("progress", float(rng.uniform(0.8, 1.0)))),
+        toxic_entry_rate=float(rng.uniform(0.0, 0.3)),
+        k_max=int(rng.integers(1, 4)),
+    )
+    # every bank policy, and multibank_best resolved to each member, in turn
+    kinds = [(k, None) for k in BANK_POLICIES if k != "multibank_best"]
+    kind, member = (kinds + [("multibank_best", m) for m in MULTIBANK_FAMILY])[trial % (len(kinds) + 3)]
+    policy = PolicyConfig(
+        tau=float(rng.uniform(0.2, 0.9)),
+        # margin 0 puts the retry context's second pass (the baseline again) on the accept boundary
+        margin_m=0.0 if rng.random() < 0.25 else float(rng.uniform(-0.1, 0.2)),
+        guards_enabled=frozenset(g for g in GUARD_NAMES if rng.random() < 0.5),
+        bank_policy=kind,
+        primary_bank=("rule", "exemplar")[int(rng.integers(2))],
+        budget_B=[None, 0, 1, 2, 5][int(rng.integers(5))],
+        cooldown=int(rng.integers(0, 4)),
+        confidence_signal=CONFIDENCE_SIGNALS[int(rng.integers(3))],
+        multibank_member=member,
+    )
+    return spec, policy
+
+
+def test_batched_loop_matches_per_step_reference():
+    rng = np.random.default_rng(2024)
+    for trial in range(32):
+        spec, policy = _random_case(rng, trial)
+        world = generate_world(spec)
+        snaps = world.snapshots()
+        ids = rng.permutation(spec.n_examples)[: int(rng.integers(1, spec.n_examples + 1))].tolist()
+        original = _assert_matches_reference(world, policy, snaps, ids)
+        edited = tuple(sorted(rng.choice(world.entry_ids, size=6, replace=False).tolist()))
+        frozen = freeze_identities(original.steps.retrievals())
+        if frozen:  # one routed query replays an explicitly empty injection
+            frozen[next(iter(frozen))] = ()
+        for version in ("repair", "corrupt"):
+            _assert_matches_reference(world, policy, snaps, ids, SecondPassContext(version, edited))
+            _assert_matches_reference(world, policy, snaps, ids, SecondPassContext(version, edited, frozen))
+        _assert_matches_reference(world, policy, snaps, ids, NO_MEMORY)
+
+
+def test_batched_comparators_match_per_step_reference():
+    rng = np.random.default_rng(7)
+    for trial in range(8):
+        spec, policy = _random_case(rng, 100 + trial)
+        world = generate_world(spec)
+        ids = rng.permutation(spec.n_examples).tolist()
+        for comparator in ("baseline", "retry", "always_retrieve", "fixed_budget"):
+            _assert_matches_reference(world, policy, world.snapshots(), ids, comparator=comparator)
+
+
+def test_batched_loop_on_governed_banks_and_empty_banks():
+    # retired entries leave holes in the snapshots; an all-retired bank retrieves nothing
+    world = generate_world(WorldSpec(n_examples=300, seed=31, steps_per_episode=5, toxic_entry_rate=0.2))
+    world.banks["rule"].retain([e.id for e in world.banks["rule"].entries() if int(e.id[1:]) % 3])
+    world.banks["exemplar"].retain([])
+    snaps = world.snapshots()
+    for kind in ("dual", "cascade_rule_then_exemplar", "cascade_exemplar_then_rule", "gate_only"):
+        policy = PolicyConfig(tau=0.8, margin_m=-0.05, bank_policy=kind, primary_bank="exemplar", cooldown=1)
+        _assert_matches_reference(world, policy, snaps, list(range(300)))
+
+
+def test_array_decode_matches_entry_by_entry_reference():
+    world = generate_world(WorldSpec(n_examples=200, seed=41, toxic_entry_rate=0.2, edit_sensitive_rate=0.6))
+    rng = np.random.default_rng(41)
+    for _ in range(400):
+        idx = int(rng.integers(200))
+        injected = tuple(rng.choice(world.entry_ids, size=int(rng.integers(0, 5)), replace=False).tolist())
+        edited = tuple(rng.choice(world.entry_ids, size=int(rng.integers(0, 40)), replace=False).tolist())
+        version = ("original", "repair", "corrupt")[int(rng.integers(3))]
+        signal = CONFIDENCE_SIGNALS[int(rng.integers(3))]
+        want = reference_second(world, idx, injected, version, edited, signal)
+        assert world.decode_second(idx, injected, version, edited, signal) == want
+
+
+def test_oracle_matches_per_example_reference():
+    for seed in range(3):
+        world = generate_world(WorldSpec(n_examples=150, seed=60 + seed, n_rule_entries=10))
+        snaps = world.snapshots()
+        ids = np.random.default_rng(seed).permutation(150)[:100].tolist()
+        want = reference_oracle_steps(world, ids, snaps)
+        assert world.oracle_steps(ids, snaps) == want
+        assert world.oracle_steps(ids, snaps, contexts=("exemplar",)) == reference_oracle_steps(
+            world, ids, snaps, contexts=("exemplar",)
+        )
+        trace = oracle_policy(0, want)
+        run = evaluate_oracle(world, snaps, ids)
+        assert run.traces == [trace]
+        assert run.outcomes.tolist() == [world.action_utility(s.example_id, s.final_action) for s in trace.steps]
+        assert run.routed_frac == trace.routed_count / 100
+        assert run.accepted_frac == trace.accepted_count / 100
+        assert run.mean_calls == trace.total_calls / 100
+
+
+# ---------------------------------------------------------------------------
+# example ids
+# ---------------------------------------------------------------------------
+
+def test_repeated_example_id_rejected():
+    world = generate_world(WorldSpec(n_examples=8, seed=1, steps_per_episode=4))
+    with pytest.raises(ValueError, match="example id 1 is repeated"):
+        evaluate_policy(world, PolicyConfig(), world.snapshots(), [1, 1, 2, 3])
+
+
+def test_out_of_range_example_id_rejected():
+    world = generate_world(WorldSpec(n_examples=50, seed=1))
+    with pytest.raises(ValueError, match="example id 60 is outside the world's examples 0..49"):
+        evaluate_policy(world, PolicyConfig(), world.snapshots(), [3, 60, 70])
+
+
+def test_negative_example_id_rejected():
+    world = generate_world(WorldSpec(n_examples=50, seed=1))
+    with pytest.raises(ValueError, match="example id -1 is outside"):
+        evaluate_policy(world, PolicyConfig(), world.snapshots(), [4, -1, 4])

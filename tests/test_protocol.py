@@ -13,6 +13,7 @@ from gatedmem.controller import PolicyConfig
 from gatedmem.errors import FreezeMismatch, ProtocolViolation
 from gatedmem.protocol import (
     FreezeManifest,
+    LedgerRow,
     evaluate_policy,
     ledger_check,
     run_counterfactual,
@@ -205,6 +206,15 @@ def test_ledger_rows_internally_consistent():
         row.check_consistency()
     # compute matching: retry call count equals the gated policy's
     assert runs["retry"].mean_calls == runs["policy"].mean_calls
+
+
+def test_inconsistent_ledger_row_is_a_protocol_violation():
+    row = LedgerRow("policy vs baseline", 100, 0.05, -0.01, 0.11, 0.2, 4, 1.0, 0.3, 0.2)
+    with pytest.raises(ProtocolViolation, match="ledger row 'policy vs baseline': delta_acc\\*n != help-hurt"):
+        row.check_consistency()
+    row = LedgerRow("retry vs baseline", 100, 0.0, 0.01, -0.01, 1.0, 0, 1.0, 0.3, 0.2)
+    with pytest.raises(ProtocolViolation, match="ledger row 'retry vs baseline': CI bounds out of order"):
+        row.check_consistency()
 
 
 def test_fit_test_byte_identical_ledgers(tmp_path):

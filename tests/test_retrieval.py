@@ -6,7 +6,8 @@ import pytest
 from conftest import reference_retrieve
 from gatedmem import retrieval
 from gatedmem.bank import BankSnapshot, MemoryEntry
-from gatedmem.controller import EpisodeTrace, StepRecord
+from gatedmem.controller import PolicyConfig
+from gatedmem.protocol import evaluate_policy
 from gatedmem.retrieval import (
     ContentEdit,
     Query,
@@ -20,6 +21,7 @@ from gatedmem.retrieval import (
     target_hit_partition,
     topic_vector,
 )
+from gatedmem.worldsim import WorldSpec, generate_world
 
 
 def snap_from(vectors, kind="rule", prefix="R"):
@@ -147,40 +149,22 @@ def test_embed_topic_structure():
 # freeze_identities
 # ---------------------------------------------------------------------------
 
-def _trace_with(qid_ids_pairs, episode_id=0):
-    steps = []
-    for i, (qid, ids) in enumerate(qid_ids_pairs):
-        routed = ids is not None
-        steps.append(
-            StepRecord(
-                step_index=i,
-                example_id=qid,
-                baseline_action="a",
-                baseline_confidence=0.4,
-                routed=routed,
-                retrieved=RetrievalResult(qid, tuple(ids), ()) if routed else None,
-                second_action="b" if routed else None,
-                second_confidence=0.5 if routed else None,
-                guard_results={},
-                accepted=False,
-                final_action="a",
-                calls_used=2 if routed else 1,
-            )
-        )
-    return EpisodeTrace.from_steps(episode_id, steps, 0.0)
-
-
 def test_freeze_identities_routed_only():
-    trace = _trace_with([(0, ("R001",)), (1, None), (2, ("R002", "R003"))])
-    frozen = freeze_identities([trace])
-    assert frozen == {0: ("R001",), 2: ("R002", "R003")}
+    # the routed steps of a run that retrieved: with 4 entries a bank over 12
+    # topics most queries retrieve nothing, and the budget blocks some steps
+    world = generate_world(WorldSpec(n_examples=60, seed=3, steps_per_episode=4, n_rule_entries=4, n_exemplar_entries=4))
+    run = evaluate_policy(world, PolicyConfig(tau=0.6, budget_B=2), world.snapshots(), list(range(60)))
+    frozen = freeze_identities(run.steps.retrievals())
+    steps = [s for t in run.traces for s in t.steps]
+    assert frozen == {s.example_id: s.retrieved.retrieved_ids for s in steps if s.routed and s.retrieved}
+    assert any(not s.routed for s in steps) and any(s.routed and not s.retrieved for s in steps)
+    assert all(frozen.values())
 
 
 def test_freeze_identities_conflict():
-    t1 = _trace_with([(0, ("R001",))], episode_id=0)
-    t2 = _trace_with([(0, ("R002",))], episode_id=1)
     with pytest.raises(ValueError):
-        freeze_identities([t1, t2])
+        freeze_identities([(0, ("R001",)), (0, ("R002",))])
+    assert freeze_identities([(0, ("R001",)), (0, ["R001"])]) == {0: ("R001",)}
 
 
 def test_edit_kind_validated():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import arith_shape_spec, reference_retrieve
+from conftest import arith_shape_spec, reference_outcome_table, reference_retrieve
 from gatedmem import retrieval, worldsim
 from gatedmem.controller import CONFIDENCE_SIGNALS, GUARD_NAMES, PolicyConfig
 from gatedmem.protocol import evaluate_oracle, evaluate_policy
@@ -129,8 +129,11 @@ def test_invalid_probability_rejected():
 
 def test_episode_chunking():
     world = generate_world(WorldSpec(n_examples=10, seed=6, steps_per_episode=4))
-    episodes = world.episodes()
-    assert [members for _, members in episodes] == [[0, 1, 2, 3], [4, 5, 6, 7], [8, 9]]
+    run = evaluate_policy(world, PolicyConfig(), world.snapshots(), [9, 0, 5, 1, 2, 3, 4, 6, 7, 8])
+    assert [(t.episode_id, [s.example_id for s in t.steps]) for t in run.traces] == [
+        (0, [0, 1, 2, 3]), (1, [4, 5, 6, 7]), (2, [8, 9])
+    ]
+    assert [s.step_index for t in run.traces for s in t.steps] == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
 
 
 # ---------------------------------------------------------------------------
@@ -188,16 +191,25 @@ def test_non_hit_rows_identical_across_versions():
 def test_outcome_table_deterministic_and_bounded():
     world = generate_world(WorldSpec(n_examples=40, seed=11))
     snaps = world.snapshots()
-    for i in (0, 13, 39):
-        t1 = world.outcome_table(i, snaps)
-        t2 = world.outcome_table(i, snaps)
-        assert t1.second_correct_by_context == t2.second_correct_by_context
-        for v in t1.second_correct_by_context.values():
-            assert isinstance(v, bool)
-        base = 1.0 if t1.baseline_correct else 0.0
-        for (ctx, ver), correct in t1.second_correct_by_context.items():
-            delta = (1.0 if correct else 0.0) - base
-            assert delta in (-1.0, 0.0, 1.0)
+    t1 = world.outcome_table(snaps)
+    t2 = world.outcome_table(snaps)
+    assert t1.second_correct.keys() == t2.second_correct.keys()
+    for key, correct in t1.second_correct.items():
+        assert correct.dtype == bool and correct.shape == (40,)
+        assert np.array_equal(correct, t2.second_correct[key])
+    assert np.array_equal(t1.second_correct[("none", "original")], t1.baseline_correct)
+
+
+def test_outcome_table_matches_per_example_reference():
+    for spec in (WorldSpec(n_examples=120, seed=21), _multi_step_spec(22)):
+        world = generate_world(spec)
+        snaps = world.snapshots()
+        table = world.outcome_table(snaps)
+        for i in range(spec.n_examples):
+            correct, confs = reference_outcome_table(world, i, snaps)
+            assert {k: bool(v[i]) for k, v in table.second_correct.items()} == correct
+            assert {k: float(v[i]) for k, v in table.confidences.items()} == confs
+            assert bool(table.baseline_correct[i]) == world.examples[i].baseline_correct
 
 
 # ---------------------------------------------------------------------------
@@ -305,11 +317,14 @@ def test_realized_help_hurt_auc_in_band():
 
 def test_signal_noise_ordering():
     # heavier-noise signals track the latent confidence less faithfully
-    world = generate_world(WorldSpec(n_examples=800, seed=13))
-    correct = np.array([e.baseline_correct for e in world.examples])
+    # The mean-sum AUC gap is about 0.011 with a paired spread of 0.0015 at
+    # this size, so the first assertion holds by about 7 spreads; at 800
+    # examples the spread was 0.006 and it failed on 3 of seeds 0-59.
+    n = 20000
+    world = generate_world(WorldSpec(n_examples=n, seed=13))
     aucs = {}
     for signal in ("mean_logprob", "sum_logprob", "first_token"):
-        confs = np.array([world.decode_baseline(i, signal)[1] for i in range(800)])
+        correct, confs = world.baseline_pass(range(n), signal)
         aucs[signal] = roc_auc(confs, correct)
     assert aucs["mean_logprob"] >= aucs["sum_logprob"] >= aucs["first_token"]
     assert aucs["first_token"] < aucs["mean_logprob"] - 0.05
