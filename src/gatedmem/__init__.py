@@ -7,7 +7,6 @@ from .controller import (
     PolicyConfig,
     StepRecord,
     compose_bank_policy,
-    oracle_policy,
     select_threshold_percentile,
 )
 from .errors import FreezeMismatch, ProtocolViolation, SignalUndefined

@@ -9,8 +9,10 @@ baseline action.
 
 run_steps runs every episode of a run at once: only routing depends on
 earlier steps, so it loops over step position, and every other decision is
-a mask over the world's arrays. Step records are built from its StepTable
-only when asked for (StepTable.traces).
+a mask over the world's arrays. A run is its StepTable; step records are
+built from it only to be written out (StepTable.traces). The paired oracle
+is not a control loop: protocol.evaluate_oracle reads it off the world's
+ground truth (World.oracle_candidates).
 
 Call accounting is compute-matched: a routed step costs exactly one extra
 call (k_t = 2) regardless of bank-policy internals, so total_calls is always
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 
 import numpy as np
 
@@ -144,7 +147,7 @@ def select_threshold_percentile(fit_confidences, p: float) -> float:
     ordered = sorted(fit_confidences)
     if p == 0.0:
         return ordered[0]
-    rank = math.ceil(p / 100.0 * len(ordered))
+    rank = math.ceil(Fraction(p) * len(ordered) / 100)  # exact: in floats 7 / 100.0 * 100 exceeds 7, giving rank 8
     return ordered[rank - 1]
 
 
@@ -412,59 +415,4 @@ def run_steps(
         second_correct=correct,
         second_confidence=confidence,
         accepted_attempt=accepted,
-    )
-
-
-@dataclass(frozen=True)
-class OracleStep:
-    """Ground-truth view of one step: baseline utility plus every candidate."""
-
-    example_id: int
-    baseline_action: object
-    baseline_utility: float
-    baseline_confidence: float
-    candidates: tuple  # of (action, utility)
-
-
-def oracle_policy(episode_id: int, oracle_steps) -> EpisodeTrace:
-    """Paired upper bound: commit a candidate only on strict utility gain.
-
-    Equal utility keeps the baseline; with ground truth this is the pointwise
-    maximizer over keep/commit per step, so no implementable policy over the
-    same candidate set can beat it.
-    """
-    steps = []
-    total_u = 0.0
-    for i, ostep in enumerate(oracle_steps):
-        best_action, best_u = None, ostep.baseline_utility
-        for action, utility in ostep.candidates:
-            if utility > best_u:
-                best_action, best_u = action, utility
-        accepted = best_action is not None
-        final = best_action if accepted else ostep.baseline_action
-        routed = len(ostep.candidates) > 0
-        steps.append(
-            StepRecord(
-                step_index=i,
-                example_id=ostep.example_id,
-                baseline_action=ostep.baseline_action,
-                baseline_confidence=ostep.baseline_confidence,
-                routed=routed,
-                retrieved=None,
-                second_action=best_action,
-                second_confidence=None,
-                guard_results={},
-                accepted=accepted,
-                final_action=final,
-                calls_used=2 if routed else 1,
-            )
-        )
-        total_u += best_u
-    return EpisodeTrace(
-        episode_id=episode_id,
-        steps=steps,
-        outcome_utility=total_u / max(len(steps), 1),
-        routed_count=sum(1 for s in steps if s.routed),
-        accepted_count=sum(1 for s in steps if s.accepted),
-        total_calls=sum(s.calls_used for s in steps),
     )

@@ -13,12 +13,11 @@ row by row at zero tolerance.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, get_type_hints
+from dataclasses import asdict, dataclass, replace
+from typing import get_type_hints
 
 import numpy as np
 
@@ -28,7 +27,6 @@ from .controller import (
     PolicyConfig,
     SecondPassContext,
     StepTable,
-    oracle_policy,
     run_steps,
     select_threshold_percentile,
 )
@@ -140,12 +138,6 @@ class EvalRun:
     accepted_frac: float
     mean_calls: float
     steps: StepTable | None = None  # the controller's per-step arrays; None for the oracle and pooled runs
-    build_traces: Callable[[], list] = field(default=list, repr=False)
-
-    @functools.cached_property
-    def traces(self) -> list:
-        """EpisodeTrace records of the run, built on first use."""
-        return self.build_traces()
 
 
 def _check_example_ids(example_ids: np.ndarray, n: int) -> None:
@@ -196,14 +188,18 @@ def evaluate_policy(
         accepted_frac=int(steps.accepted.sum()) / n,
         mean_calls=(n + routed) / n,
         steps=steps,
-        build_traces=steps.traces,
     )
 
 
-def evaluate_oracle(world: World, snapshots: dict, example_ids, signal: str = "mean_logprob") -> EvalRun:
-    """The paired upper bound: commit a candidate second pass only where it beats the baseline."""
+def evaluate_oracle(world: World, snapshots: dict, example_ids) -> EvalRun:
+    """The paired upper bound: commit a candidate second pass only where it beats the baseline.
+
+    Equal utility keeps the baseline; with ground truth this is the pointwise
+    maximizer over keep/commit per example, so no implementable policy over
+    the same candidate set can beat it.
+    """
     rows = np.asarray(example_ids, np.intp)
-    base, _ = world.baseline_pass(rows, signal)
+    base, _ = world.baseline_pass(rows)
     present, correct = world.oracle_candidates(rows, snapshots)
     routed = int(present.any(axis=1).sum())
     accepted = ~base & (present & correct).any(axis=1)
@@ -215,7 +211,6 @@ def evaluate_oracle(world: World, snapshots: dict, example_ids, signal: str = "m
         routed_frac=routed / n,
         accepted_frac=int(accepted.sum()) / n,
         mean_calls=(n + routed) / n,
-        build_traces=lambda: [oracle_policy(0, world.oracle_steps(example_ids, snapshots, signal=signal))],
     )
 
 
@@ -288,7 +283,7 @@ def run_governance_loop(world: World, policy: PolicyConfig, rounds: int, fit_ids
     base_run = evaluate_policy(
         world, policy, world.snapshots(), fit_ids, "baseline", comparator="baseline"
     )
-    oracle_run = evaluate_oracle(world, world.snapshots(), fit_ids, policy.confidence_signal)
+    oracle_run = evaluate_oracle(world, world.snapshots(), fit_ids)
     acc_base = float(base_run.outcomes.mean())
     acc_oracle = float(oracle_run.outcomes.mean())
 
@@ -482,7 +477,7 @@ def run_test_stage(
         runs[comparator] = evaluate_policy(
             world, policy, snapshots, test_ids, comparator, comparator=comparator
         )
-    runs["oracle"] = evaluate_oracle(world, snapshots, test_ids, policy.confidence_signal)
+    runs["oracle"] = evaluate_oracle(world, snapshots, test_ids)
 
     rows = [
         make_ledger_row(f"{name} vs baseline", runs["baseline"], runs[name], seed=world.seed)
@@ -532,7 +527,6 @@ def _pool_runs(runs: list) -> EvalRun:
         routed_frac=sum(w * r.routed_frac for w, r in zip(weights, runs)),
         accepted_frac=sum(w * r.accepted_frac for w, r in zip(weights, runs)),
         mean_calls=sum(w * r.mean_calls for w, r in zip(weights, runs)),
-        build_traces=lambda: [t for r in runs for t in r.traces],
     )
 
 
@@ -585,7 +579,7 @@ def run_pooled_test(
         for seed, rows in per_seed_rows.items():
             write_ledger(rows, os.path.join(out_dir, f"ledger_seed{seed}.csv"))
         base_runs = {name: rs[0] for name, rs in runs_by_name.items()}
-        write_traces(base_runs["policy"].traces, os.path.join(out_dir, "traces.jsonl"))
+        write_traces(base_runs["policy"].steps.traces(), os.path.join(out_dir, "traces.jsonl"))
         write_conf_bins(
             base_world, base_runs, os.path.join(out_dir, "conf_bins.csv"), policy.confidence_signal
         )
@@ -692,7 +686,7 @@ def run_counterfactual(
     for eid in edited_ids:
         kind = world.entry_bank(eid)
         if eid not in world.banks[kind]:
-            raise KeyError(f"edit references unknown entry {eid!r}")
+            raise ValueError(f"edit references unknown entry {eid!r}")
 
     original = evaluate_policy(world, policy, snapshots, example_ids, "original")
     frozen = freeze_identities(original.steps.retrievals())

@@ -189,9 +189,10 @@ def save_edits(edits: list[ContentEdit], path: str) -> None:
 
 
 def load_edits(path: str) -> list[ContentEdit]:
-    """One JSON object per line; a bad line is a ValueError naming the file and line."""
+    """One JSON object per line, one line per entry; a bad line is a ValueError naming the file and line."""
     names = [f.name for f in fields(ContentEdit)]
     edits = []
+    seen: dict = {}  # entry_id -> the line that edits it
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
@@ -203,7 +204,14 @@ def load_edits(path: str) -> list[ContentEdit]:
                 missing = [k for k in names if k not in rec]
                 if missing:
                     raise ValueError(f"missing field {', '.join(missing)}")
-                edits.append(ContentEdit(**{k: rec[k] for k in names}))
+                not_text = [k for k in names if not isinstance(rec[k], str)]
+                if not_text:
+                    raise ValueError(f"field {', '.join(not_text)} must be a string")
+                edit = ContentEdit(**{k: rec[k] for k in names})
+                if edit.entry_id in seen:
+                    raise ValueError(f"entry_id {edit.entry_id!r} is already edited on line {seen[edit.entry_id]}")
+                seen[edit.entry_id] = lineno
+                edits.append(edit)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return edits

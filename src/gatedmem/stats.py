@@ -9,7 +9,6 @@ seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -88,8 +87,10 @@ def mcnemar_exact(helps: int, hurts: int) -> float:
     n = helps + hurts
     if n == 0:
         return 1.0
-    m = min(helps, hurts)
-    tail = sum(math.comb(n, k) for k in range(m + 1))
+    tail = term = 1  # sum of C(n, k) for k <= min(h, u), by C(n, k + 1) = C(n, k) (n - k) / (k + 1), exact
+    for k in range(min(helps, hurts)):
+        term = term * (n - k) // (k + 1)
+        tail += term
     return float(min(Fraction(1), 2 * Fraction(tail, 2**n)))
 
 

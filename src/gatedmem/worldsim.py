@@ -3,12 +3,13 @@
 The world pre-draws, per (example, entry) pair, whether that entry is
 actually applicable to the example, whether an applicable injection helps,
 whether an inapplicable one hurts, and how the example reacts to content
-edits of that entry. Decoding is then pure lookup: the baseline answer is a
-seeded Bernoulli of base_accuracy, and the memory-conditioned second pass
-combines the pair draws of whatever entries were injected. Everything is a
-deterministic function of (spec, seed), which makes free-rerun versus
-fixed-retrieval contrasts exactly decomposable and lets an oracle read off
-ground-truth utilities for every candidate intervention.
+edits of that entry. Decoding is then indexing, many examples at a time:
+baseline_pass reads a seeded Bernoulli of base_accuracy, injected lists what
+each example retrieves from a snapshot, and second_pass combines the pair
+draws of whatever entries were injected. Everything is a deterministic
+function of (spec, seed), which makes free-rerun versus fixed-retrieval
+contrasts exactly decomposable and lets the oracle read off ground-truth
+outcomes for every candidate context (oracle_candidates).
 
 All of a world's randomness is drawn when it is built, as dense arrays, each
 purpose (pair latents, guards, confidence latents and noise, topics, baseline
@@ -30,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bank import BANK_KINDS, BankSnapshot, MemoryBank, MemoryEntry
-from .controller import GUARD_NAMES, OracleStep
+from .controller import GUARD_NAMES
 from .retrieval import (
     TABLE_BLOCK_CELLS,
     ContentEdit,
@@ -259,13 +260,6 @@ def _beta_params(target_auc: float, kappa: float, correct: bool) -> tuple[float,
 # the world
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class Example:
-    idx: int
-    topic: int
-    baseline_correct: bool  # its embedding is row idx of World.query_embeddings
-
-
 @dataclass(frozen=True)
 class PairDraws:
     applicable: bool
@@ -337,22 +331,17 @@ class World:
 
         # examples: one row per example; retrieval tables rank them a block at a time
         topics = self._rng("topic").integers(spec.topic_count, size=n)
-        baseline = self._rng("baseline").random(n) < spec.base_accuracy
-        self._baseline = baseline
+        self._baseline = self._rng("baseline").random(n) < spec.base_accuracy
         self.query_embeddings = embed_rows(
             self._rng("query-embedding"), topics, self._topic_matrix(topics), spec.topic_weight
         )
-        self.examples = [
-            Example(idx=i, topic=t, baseline_correct=c)
-            for i, (t, c) in enumerate(zip(topics.tolist(), baseline.tolist()))
-        ]
 
         rate = np.where(toxic, spec.toxic_applicability, [spec.rate_for(k) for k in entry_kinds])
         hurt = np.where(toxic, spec.toxic_hurt_prob, spec.hurt_prob_given_inapplicable)
         self._pairs = self._draw_pairs(rate, hurt)
         rates = np.array([spec.guard_rate(g) for g in GUARD_NAMES])
         self._guards = self._rng("guard").random((n, len(GUARD_NAMES))) < rates
-        self._conf = self._draw_confidences(baseline)
+        self._conf = self._draw_confidences(self._baseline)
         self._tables: dict = {}  # snapshot content_hash -> (RetrievalTable, its ranked entries as columns)
 
     def _rng(self, purpose: str) -> np.random.Generator:
@@ -549,40 +538,7 @@ class World:
         has = filled.any(axis=1)
         return np.where(has, correct, base), np.where(has, self._conf[signal][rows, column], conf)
 
-    def decode_baseline(self, idx: int, signal: str = "mean_logprob"):
-        correct = self.examples[idx].baseline_correct
-        return self.answer(idx, correct, second=False), self._conf[signal].item(idx, 0)
-
-    def _second(self, idx: int, injected: tuple, version: str, edited_ids, signal: str) -> tuple[bool, float]:
-        cols = self.columns(injected)[None, :]
-        correct, conf = self.second_pass([idx], cols, np.ones(cols.shape, bool), version, edited_ids, signal)
-        return bool(correct[0]), float(conf[0])
-
-    def second_correct(self, idx: int, injected_ids, version: str = "original", edited_ids=()) -> bool:
-        """Outcome of a memory-conditioned pass injecting the given entries."""
-        return self._second(idx, tuple(injected_ids), version, edited_ids, "mean_logprob")[0]
-
-    def decode_second(
-        self,
-        idx: int,
-        injected_ids,
-        version: str = "original",
-        edited_ids=(),
-        signal: str = "mean_logprob",
-    ):
-        injected = tuple(injected_ids)
-        if not injected:
-            # compute-matched retry: deterministic decode repeats the baseline
-            return self.decode_baseline(idx, signal)
-        correct, conf = self._second(idx, injected, version, edited_ids, signal)
-        return self.answer(idx, correct, second=True), conf
-
     # -- canonical outcome tables and oracle ground truth ---------------------
-
-    def context_injection(self, idx: int, context: str, snapshots: dict) -> tuple[str, ...]:
-        """Retrieved ids a given bank-policy context would inject."""
-        cols, _, filled = self.injected([idx], snapshots, CONTEXT_BANKS[context])
-        return tuple(self.entry_ids[c] for c in cols[0, filled[0]].tolist())
 
     def outcome_table(self, snapshots: dict | None = None) -> OutcomeTable:
         snaps = snapshots or self.snapshots()
@@ -596,42 +552,15 @@ class World:
                 by_context[(context, version)] = correct
         return OutcomeTable(self._baseline, by_context, confs)
 
-    def oracle_candidates(
-        self, rows, snapshots: dict, contexts=ORACLE_CONTEXTS, version: str = "original", edited_ids=()
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def oracle_candidates(self, rows, snapshots: dict, contexts=ORACLE_CONTEXTS) -> tuple[np.ndarray, np.ndarray]:
         """(present, correct), each (len(rows), len(contexts)): whether the
         context injects anything for the example, and whether that pass is correct."""
         present, correct = [], []
         for context in contexts:
             cols, _, filled = self.injected(rows, snapshots, CONTEXT_BANKS[context])
             present.append(filled.any(axis=1))
-            correct.append(self.second_pass(rows, cols, filled, version, edited_ids)[0])
+            correct.append(self.second_pass(rows, cols, filled)[0])
         return np.stack(present, axis=1), np.stack(correct, axis=1)
-
-    def oracle_steps(
-        self,
-        example_ids,
-        snapshots: dict | None = None,
-        contexts=ORACLE_CONTEXTS,
-        version: str = "original",
-        edited_ids=(),
-        signal: str = "mean_logprob",
-    ) -> list[OracleStep]:
-        """Ground-truth candidates per example, for the paired upper bound."""
-        snaps = snapshots or self.snapshots()
-        rows = np.asarray(example_ids, np.intp)
-        base, conf = self.baseline_pass(rows, signal)
-        present, correct = self.oracle_candidates(rows, snaps, contexts, version, edited_ids)
-        steps = []
-        for k, idx in enumerate(rows.tolist()):
-            b = bool(base[k])
-            candidates = tuple(
-                (self.answer(idx, ok, second=True), float(ok))
-                for p, ok in zip(present[k].tolist(), correct[k].tolist())
-                if p
-            )
-            steps.append(OracleStep(idx, self.answer(idx, b, second=False), float(b), conf[k].item(), candidates))
-        return steps
 
     # -- content-edit machinery ------------------------------------------------
 

@@ -2,8 +2,11 @@
 
 reference_retrieve is retrieve() one query at a time; reference_traces is
 the control loop one step at a time, with the second pass decoded entry by
-entry. The package computes both in batches.
+entry; oracle_policy is the paired oracle one step at a time. The package
+computes all three in batches.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,7 +15,6 @@ from gatedmem.controller import (
     DEFAULT_CONTEXT,
     AttemptRecord,
     EpisodeTrace,
-    OracleStep,
     StepRecord,
     compose_bank_policy,
 )
@@ -121,12 +123,17 @@ def accept_decision(c_t, c2_t, margin_m, guard_results, guards_enabled) -> bool:
     return all(guard_results.get(guard, True) for guard in guards_enabled)
 
 
+def reference_baseline(world, idx, signal="mean_logprob"):
+    """(action, confidence) of one baseline decode, read off the world's draws."""
+    return world.answer(idx, bool(world._baseline[idx]), second=False), world._conf[signal].item(idx, 0)
+
+
 def reference_second(world, idx, injected, version="original", edited_ids=(), signal="mean_logprob"):
     """(action, confidence) of one second pass, decoded entry by entry from the pair bits."""
     if not injected:
-        return world.decode_baseline(idx, signal)
+        return reference_baseline(world, idx, signal)
     bits = [world._pairs.item(idx, world._column[e]) for e in injected]
-    base = world.examples[idx].baseline_correct
+    base = bool(world._baseline[idx])
     applicable = [k for k, b in enumerate(bits) if b & PAIR_APPLICABLE]
     if applicable:
         correct = base or bool(bits[applicable[0]] & PAIR_HELP)
@@ -158,7 +165,7 @@ def _merge_results(qid, results):
 
 def reference_step(world, example_id, step_index, policy, snapshots, budget_state, context=DEFAULT_CONTEXT):
     """One pass of the decision loop for one step."""
-    action, conf = world.decode_baseline(example_id, policy.confidence_signal)
+    action, conf = reference_baseline(world, example_id, policy.confidence_signal)
     routed = route_decision(conf, policy.tau) and budget_state.can_route()
     budget_state.step_end(routed)
     if not routed:
@@ -267,11 +274,22 @@ def reference_injection(world, idx, context, snapshots):
     return tuple(e for b in banks for e in world.retrieve(idx, snapshots[b]).retrieved_ids)
 
 
+@dataclass(frozen=True)
+class OracleStep:
+    """Ground-truth view of one step: baseline utility plus every candidate."""
+
+    example_id: int
+    baseline_action: object
+    baseline_utility: float
+    baseline_confidence: float
+    candidates: tuple  # of (action, utility)
+
+
 def reference_oracle_steps(world, example_ids, snapshots, contexts=ORACLE_CONTEXTS, signal="mean_logprob"):
-    """World.oracle_steps, decoded one example and context at a time."""
+    """The oracle's candidates, decoded one example and context at a time."""
     steps = []
     for idx in example_ids:
-        base_action, base_conf = world.decode_baseline(idx, signal)
+        base_action, base_conf = reference_baseline(world, idx, signal)
         candidates = []
         for context in contexts:
             injected = reference_injection(world, idx, context, snapshots)
@@ -282,6 +300,49 @@ def reference_oracle_steps(world, example_ids, snapshots, contexts=ORACLE_CONTEX
             OracleStep(idx, base_action, world.action_utility(idx, base_action), base_conf, tuple(candidates))
         )
     return steps
+
+
+def oracle_policy(episode_id, oracle_steps) -> EpisodeTrace:
+    """Paired upper bound, one step at a time: commit a candidate only on strict utility gain.
+
+    Equal utility keeps the baseline; with ground truth this is the pointwise
+    maximizer over keep/commit per step, so no implementable policy over the
+    same candidate set can beat it.
+    """
+    steps = []
+    total_u = 0.0
+    for i, ostep in enumerate(oracle_steps):
+        best_action, best_u = None, ostep.baseline_utility
+        for action, utility in ostep.candidates:
+            if utility > best_u:
+                best_action, best_u = action, utility
+        accepted = best_action is not None
+        routed = len(ostep.candidates) > 0
+        steps.append(
+            StepRecord(
+                step_index=i,
+                example_id=ostep.example_id,
+                baseline_action=ostep.baseline_action,
+                baseline_confidence=ostep.baseline_confidence,
+                routed=routed,
+                retrieved=None,
+                second_action=best_action,
+                second_confidence=None,
+                guard_results={},
+                accepted=accepted,
+                final_action=best_action if accepted else ostep.baseline_action,
+                calls_used=2 if routed else 1,
+            )
+        )
+        total_u += best_u
+    return EpisodeTrace(
+        episode_id=episode_id,
+        steps=steps,
+        outcome_utility=total_u / max(len(steps), 1),
+        routed_count=sum(1 for s in steps if s.routed),
+        accepted_count=sum(1 for s in steps if s.accepted),
+        total_calls=sum(s.calls_used for s in steps),
+    )
 
 
 def reference_attach_evidence(world, banks, traces, iteration=0):

@@ -15,9 +15,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import arith_shape_spec, localization_shape_spec
+from conftest import arith_shape_spec, localization_shape_spec, oracle_policy, reference_oracle_steps
 from gatedmem.bank import EvidenceRecord, MemoryBank, MemoryEntry, hoeffding_ucb
-from gatedmem.controller import PolicyConfig, oracle_policy
+from gatedmem.controller import PolicyConfig
 from gatedmem.errors import FreezeMismatch, ProtocolViolation
 from gatedmem.protocol import (
     evaluate_oracle,
@@ -198,7 +198,7 @@ def test_criterion_04_oracle_dominance():
     # 2^k per-row accept decisions over the same candidate set
     for seed in range(6):
         world = generate_world(WorldSpec(n_examples=10, seed=3600 + seed))
-        osteps = world.oracle_steps(list(range(10)), world.snapshots(), contexts=("rule",))
+        osteps = reference_oracle_steps(world, list(range(10)), world.snapshots(), contexts=("rule",))
         trace = oracle_policy(0, osteps)
         oracle_acc = np.mean(
             [world.action_utility(s.example_id, s.final_action) for s in trace.steps]
@@ -363,18 +363,12 @@ def test_criterion_08_separability_gating():
         joint += ok_a and ok_b
         if seed < 5:
             # verify the premise: realized help-vs-hurt separation per bank
+            base, _ = world.baseline_pass(ids)
             for bank, store in (("rule", auc_a_values), ("exemplar", auc_b_values)):
-                scores, labels = [], []
-                for i in ids:
-                    injected = world.context_injection(i, bank, snaps)
-                    if not injected:
-                        continue
-                    base = world.examples[i].baseline_correct
-                    correct = world.second_correct(i, injected)
-                    if correct != base:
-                        scores.append(world.decode_second(i, injected)[1])
-                        labels.append(correct)
-                store.append(roc_auc(scores, labels))
+                cols, _, filled = world.injected(ids, snaps, (bank,))
+                correct, conf = world.second_pass(ids, cols, filled)
+                flipped = filled.any(axis=1) & (correct != base)
+                store.append(roc_auc(conf[flipped].tolist(), correct[flipped].tolist()))
     assert margin("mean rule help/hurt AUC", np.mean(auc_a_values), ">=", 0.8) >= 0.8
     assert margin("mean exemplar help/hurt AUC", np.mean(auc_b_values), "<=", 0.5) <= 0.5
     margin(f"gating pattern ({joint}/{seeds} seeds)", joint / seeds, ">=", 0.80)
@@ -425,7 +419,7 @@ def test_criterion_09_control_contracts():
         run_hi = evaluate_policy(world, replace(policy, tau=tau_hi), snaps, ids)
 
         for run in (run_lo, run_hi):
-            for trace in run.traces:
+            for trace in run.steps.traces():
                 assert trace.total_calls == len(trace.steps) + trace.routed_count
                 if policy.budget_B is not None:
                     assert trace.routed_count <= policy.budget_B

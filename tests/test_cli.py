@@ -302,8 +302,10 @@ def test_malformed_manifest_names_the_field(tmp_path, world_config, fitted, caps
         ('{"entry_id": "E000", "edit_kind": "repair"}', "new_payload"),
         ('{"entry_id": "E000", "new_payload": "x", "edit_kind": "rewrite"}', "edit_kind"),
         ('{"entry_id": "E000",', "Expecting"),  # the JSON decoder's message
+        ('{"entry_id": "E001", "new_payload": "again", "edit_kind": "corrupt"}', "'E001'"),
+        ('{"entry_id": 7, "new_payload": "x", "edit_kind": "repair"}', "entry_id"),
     ],
-    ids=["not-object", "missing-field", "bad-kind", "bad-json"],
+    ids=["not-object", "missing-field", "bad-kind", "bad-json", "repeated-entry", "entry-not-string"],
 )
 def test_malformed_edits_name_the_file_line_and_field(tmp_path, world_config, fitted, capsys, line, named):
     edits = tmp_path / "edits.jsonl"
@@ -315,6 +317,17 @@ def test_malformed_edits_name_the_file_line_and_field(tmp_path, world_config, fi
     assert code == 1
     err = capsys.readouterr().err
     assert f"{edits}:2" in err and named in err
+
+
+def test_unknown_edit_entry_is_a_plain_error(tmp_path, world_config, fitted, capsys):
+    edits = tmp_path / "edits.jsonl"
+    edits.write_text('{"entry_id": "E999", "edit_kind": "repair", "new_payload": "x"}\n')
+    capsys.readouterr()
+    code = main(
+        ["counterfactual", "--config", world_config, "--manifest", str(fitted), "--edits", str(edits), "--out", str(tmp_path / "cf")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == "error: edit references unknown entry 'E999'\n"
 
 
 def test_seed_override(tmp_path, world_config, capsys):

@@ -8,7 +8,9 @@ import pytest
 
 from conftest import (
     BudgetState,
+    OracleStep,
     accept_decision,
+    oracle_policy,
     reference_attach_evidence,
     reference_freeze_identities,
     reference_oracle_steps,
@@ -22,11 +24,9 @@ from gatedmem.controller import (
     DEFAULT_CONTEXT,
     GUARD_NAMES,
     MULTIBANK_FAMILY,
-    OracleStep,
     PolicyConfig,
     SecondPassContext,
     compose_bank_policy,
-    oracle_policy,
     select_threshold_percentile,
 )
 from gatedmem.protocol import (
@@ -38,7 +38,7 @@ from gatedmem.protocol import (
     evaluate_policy,
 )
 from gatedmem.retrieval import freeze_identities
-from gatedmem.worldsim import WorldSpec, generate_world
+from gatedmem.worldsim import ORACLE_CONTEXTS, WorldSpec, generate_world
 
 
 # ---------------------------------------------------------------------------
@@ -75,6 +75,16 @@ def test_percentile_p35_band():
     tau = select_threshold_percentile(confs, 35)
     frac = np.mean([route_decision(c, tau) for c in confs])
     assert 0.30 <= frac <= 0.40
+
+
+def test_percentile_rank_is_exact():
+    # in floats 7 / 100.0 * 100 is 7.000000000000001, but the nearest rank is 7
+    confs = [i / 100 for i in range(100)]
+    assert select_threshold_percentile(confs, 7) == confs[6]
+    for n in range(1, 201):
+        values = list(range(n))
+        for p in range(1, 101):
+            assert select_threshold_percentile(values, p) == -(-p * n // 100) - 1, (p, n)
 
 
 def test_percentile_validation():
@@ -184,7 +194,7 @@ def test_cascade_short_circuits():
         snaps,
         list(range(120)),
     )
-    for trace in run.traces:
+    for trace in run.steps.traces():
         for step in trace.steps:
             if step.accepted and step.attempts[0].accepted:
                 assert len(step.attempts) == 1  # second bank never queried
@@ -195,7 +205,7 @@ def test_dual_single_second_pass():
     run = evaluate_policy(
         world, PolicyConfig(tau=0.9, bank_policy="dual"), world.snapshots(), list(range(100))
     )
-    for trace in run.traces:
+    for trace in run.steps.traces():
         for step in trace.steps:
             if step.routed:
                 assert step.calls_used == 2  # one joint second pass
@@ -211,7 +221,7 @@ def test_high_confidence_step_not_routed():
     run = evaluate_policy(
         world, PolicyConfig(tau=0.0), world.snapshots(), list(range(50))
     )
-    for trace in run.traces:
+    for trace in run.steps.traces():
         for step in trace.steps:
             assert not step.routed
             assert step.calls_used == 1
@@ -223,7 +233,7 @@ def test_budget_one_blocks_second_route():
     run = evaluate_policy(
         world, PolicyConfig(tau=1.0, budget_B=1), world.snapshots(), list(range(60))
     )
-    for trace in run.traces:
+    for trace in run.steps.traces():
         assert trace.routed_count <= 1
 
 
@@ -235,7 +245,7 @@ def test_budget_zero_bitwise_baseline():
         world, PolicyConfig(tau=1.0), world.snapshots(), ids, comparator="baseline"
     )
     assert np.array_equal(zero.outcomes, base.outcomes)
-    for t1, t2 in zip(zero.traces, base.traces):
+    for t1, t2 in zip(zero.steps.traces(), base.steps.traces()):
         for s1, s2 in zip(t1.steps, t2.steps):
             assert s1.final_action == s2.final_action
             assert s1.calls_used == s2.calls_used == 1
@@ -245,7 +255,7 @@ def test_empty_retrieval_rolls_back():
     # world with retrieval threshold above any similarity: nothing to inject
     world = generate_world(WorldSpec(n_examples=40, seed=9, retrieval_threshold=0.999999))
     run = evaluate_policy(world, PolicyConfig(tau=1.0), world.snapshots(), list(range(40)))
-    for trace in run.traces:
+    for trace in run.steps.traces():
         for step in trace.steps:
             assert step.routed
             assert not step.accepted
@@ -257,7 +267,7 @@ def test_trace_counters_match_recomputation():
     run = evaluate_policy(
         world, PolicyConfig(tau=0.7, budget_B=2), world.snapshots(), list(range(90))
     )
-    for trace in run.traces:
+    for trace in run.steps.traces():
         assert trace.routed_count == sum(1 for s in trace.steps if s.routed)
         assert trace.accepted_count == sum(1 for s in trace.steps if s.accepted)
         assert trace.total_calls == sum(s.calls_used for s in trace.steps)
@@ -291,7 +301,7 @@ def test_oracle_equals_bruteforce_enumeration():
         world = generate_world(WorldSpec(n_examples=10, seed=100 + seed))
         snaps = world.snapshots()
         ids = list(range(10))
-        osteps = world.oracle_steps(ids, snaps, contexts=("exemplar",))
+        osteps = reference_oracle_steps(world, ids, snaps, contexts=("exemplar",))
         trace = oracle_policy(0, osteps)
         oracle_acc = np.mean([world.action_utility(s.example_id, s.final_action) for s in trace.steps])
 
@@ -410,7 +420,7 @@ def _assert_matches_reference(world, policy, snaps, ids, context=DEFAULT_CONTEXT
     if comparator is not None:
         policy, context = _comparator_variant(policy, context, comparator)
     want = reference_traces(world, policy, snaps, ids, context)
-    assert run.traces == want
+    assert run.steps.traces() == want
     steps = [s for t in want for s in t.steps]
     utility = {s.example_id: world.action_utility(s.example_id, s.final_action) for s in steps}
     assert run.outcomes.tolist() == [utility[i] for i in ids]
@@ -513,8 +523,10 @@ def test_array_decode_matches_entry_by_entry_reference():
         edited = tuple(rng.choice(world.entry_ids, size=int(rng.integers(0, 40)), replace=False).tolist())
         version = ("original", "repair", "corrupt")[int(rng.integers(3))]
         signal = CONFIDENCE_SIGNALS[int(rng.integers(3))]
-        want = reference_second(world, idx, injected, version, edited, signal)
-        assert world.decode_second(idx, injected, version, edited, signal) == want
+        cols = world.columns(injected)[None, :]
+        correct, conf = world.second_pass([idx], cols, np.ones(cols.shape, bool), version, edited, signal)
+        got = world.answer(idx, bool(correct[0]), second=bool(injected)), float(conf[0])
+        assert got == reference_second(world, idx, injected, version, edited, signal)
 
 
 def test_oracle_matches_per_example_reference():
@@ -522,14 +534,14 @@ def test_oracle_matches_per_example_reference():
         world = generate_world(WorldSpec(n_examples=150, seed=60 + seed, n_rule_entries=10))
         snaps = world.snapshots()
         ids = np.random.default_rng(seed).permutation(150)[:100].tolist()
-        want = reference_oracle_steps(world, ids, snaps)
-        assert world.oracle_steps(ids, snaps) == want
-        assert world.oracle_steps(ids, snaps, contexts=("exemplar",)) == reference_oracle_steps(
-            world, ids, snaps, contexts=("exemplar",)
-        )
-        trace = oracle_policy(0, want)
+        for contexts in (ORACLE_CONTEXTS, ("exemplar",)):
+            present, correct = world.oracle_candidates(ids, snaps, contexts)
+            assert [
+                tuple((world.answer(i, ok, second=True), float(ok)) for p, ok in zip(ps, oks) if p)
+                for i, ps, oks in zip(ids, present.tolist(), correct.tolist())
+            ] == [s.candidates for s in reference_oracle_steps(world, ids, snaps, contexts)]
+        trace = oracle_policy(0, reference_oracle_steps(world, ids, snaps))
         run = evaluate_oracle(world, snaps, ids)
-        assert run.traces == [trace]
         assert run.outcomes.tolist() == [world.action_utility(s.example_id, s.final_action) for s in trace.steps]
         assert run.routed_frac == trace.routed_count / 100
         assert run.accepted_frac == trace.accepted_count / 100

@@ -305,7 +305,7 @@ def comparator_setup():
 
 
 def _steps(run):
-    return [s for t in run.traces for s in t.steps]
+    return [s for t in run.steps.traces() for s in t.steps]
 
 
 def test_always_retrieve_routes_every_step_and_accepts_nonempty_retrievals():
@@ -322,9 +322,10 @@ def test_always_retrieve_routes_every_step_and_accepts_nonempty_retrievals():
 def test_fixed_budget_routes_two_steps_per_episode():
     world, policy, snaps, ids = comparator_setup()
     run = evaluate_policy(world, policy, snaps, ids, comparator="fixed_budget")
-    lengths = {len(t.steps) for t in run.traces}
+    traces = run.steps.traces()
+    lengths = {len(t.steps) for t in traces}
     assert 1 in lengths and max(lengths) > 2
-    for trace in run.traces:
+    for trace in traces:
         assert trace.routed_count == min(2, len(trace.steps))
         assert [s.routed for s in trace.steps] == [i < 2 for i in range(len(trace.steps))]
         for s in trace.steps:
@@ -451,7 +452,7 @@ def test_counterfactual_unknown_edit_rejected():
     world, manifest, policy, snaps, _ = make_counterfactual_setup(seed=20)
     from gatedmem.retrieval import ContentEdit
 
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="unknown entry 'E999'"):
         run_counterfactual(
             world, manifest, policy, snaps, [ContentEdit("E999", "x", "repair")]
         )

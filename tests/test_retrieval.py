@@ -155,7 +155,7 @@ def test_freeze_identities_routed_only():
     world = generate_world(WorldSpec(n_examples=60, seed=3, steps_per_episode=4, n_rule_entries=4, n_exemplar_entries=4))
     run = evaluate_policy(world, PolicyConfig(tau=0.6, budget_B=2), world.snapshots(), list(range(60)))
     frozen = freeze_identities(run.steps.retrievals())
-    steps = [s for t in run.traces for s in t.steps]
+    steps = [s for t in run.steps.traces() for s in t.steps]
     assert frozen == {s.example_id: s.retrieved.retrieved_ids for s in steps if s.routed and s.retrieved}
     assert any(not s.routed for s in steps) and any(s.routed and not s.retrieved for s in steps)
     assert all(frozen.values())

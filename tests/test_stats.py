@@ -37,6 +37,22 @@ def mcnemar_enumeration(h, u):
     return min(1.0, 2.0 * count / 2**n)
 
 
+def mcnemar_comb_sum(h, u):
+    """Oracle: the binomial tail as one math.comb per term, in exact rationals."""
+    n = h + u
+    if n == 0:
+        return 1.0
+    tail = sum(math.comb(n, k) for k in range(min(h, u) + 1))
+    return float(min(Fraction(1), 2 * Fraction(tail, 2**n)))
+
+
+def test_mcnemar_equals_comb_sum_exactly():
+    # the recurrence sums the same integers, so every p is the same float
+    pairs = [(h, u) for h in range(120) for u in range(120)] + [(2000, 1800), (5000, 4700)]
+    for h, u in pairs:
+        assert mcnemar_exact(h, u) == mcnemar_comb_sum(h, u), (h, u)
+
+
 def test_mcnemar_trivial_cases():
     assert mcnemar_exact(0, 0) == 1.0
     assert mcnemar_exact(1, 0) == 1.0  # single discordant pair cannot be significant

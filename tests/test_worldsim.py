@@ -28,16 +28,23 @@ from gatedmem.worldsim import (
 # determinism
 # ---------------------------------------------------------------------------
 
+def _second_pass(world, rows, injected, version="original", edited_ids=(), signal="mean_logprob"):
+    """second_pass with every row injecting the same entry ids."""
+    cols = np.tile(world.columns(injected), (len(rows), 1))
+    return world.second_pass(rows, cols, np.ones(cols.shape, bool), version, edited_ids, signal)
+
+
 def test_same_spec_same_world():
     spec = WorldSpec(n_examples=120, seed=21)
     w1, w2 = generate_world(spec), generate_world(spec)
-    assert [e.baseline_correct for e in w1.examples] == [e.baseline_correct for e in w2.examples]
-    assert [e.topic for e in w1.examples] == [e.topic for e in w2.examples]
+    assert np.array_equal(w1.query_embeddings, w2.query_embeddings)  # the examples' topics
     for kind in ("rule", "exemplar"):
         assert w1.banks[kind].freeze().content_hash == w2.banks[kind].freeze().content_hash
-    for i in (0, 7, 55):
-        assert w1.decode_baseline(i) == w2.decode_baseline(i)
-        assert w1.decode_second(i, ("R000",)) == w2.decode_second(i, ("R000",))
+
+    def decodes(world):
+        return np.stack([*world.baseline_pass(range(120)), *_second_pass(world, range(120), ("R000",))])
+
+    assert np.array_equal(decodes(w1), decodes(w2))
 
 
 def test_different_seed_different_world():
@@ -48,8 +55,10 @@ def test_different_seed_different_world():
 
 def test_decode_baseline_repeatable():
     world = generate_world(WorldSpec(n_examples=30, seed=3))
+    first = world.baseline_pass(range(30))
     for i in range(30):
-        assert world.decode_baseline(i) == world.decode_baseline(i)
+        correct, conf = world.baseline_pass([i])
+        assert (correct[0], conf[0]) == (first[0][i], first[1][i])
 
 
 def test_spec_flat_roundtrip_and_hash():
@@ -83,17 +92,17 @@ def test_base_accuracy_within_three_sigma():
     for seed in range(5):
         spec = WorldSpec(n_examples=800, base_accuracy=0.74, seed=seed)
         world = generate_world(spec)
-        realized = np.mean([e.baseline_correct for e in world.examples])
+        realized = world.baseline_pass(range(800))[0].mean()
         sigma = np.sqrt(0.74 * 0.26 / 800)
         assert abs(realized - 0.74) <= 3 * sigma
 
 
 def test_base_accuracy_one_all_correct():
     world = generate_world(WorldSpec(n_examples=100, base_accuracy=1.0, seed=4))
-    assert all(e.baseline_correct for e in world.examples)
-    for i in range(100):
-        action, _ = world.decode_baseline(i)
-        assert world.action_utility(i, action) == 1.0
+    correct, _ = world.baseline_pass(range(100))
+    assert correct.all()
+    for i, c in enumerate(correct.tolist()):
+        assert world.action_utility(i, world.answer(i, c, second=False)) == 1.0
 
 
 def test_degenerate_world_every_intervention_hurts():
@@ -109,9 +118,9 @@ def test_degenerate_world_every_intervention_hurts():
         world, PolicyConfig(tau=1.0), world.snapshots(), list(range(200)),
         comparator="always_retrieve",
     )
-    base = np.array([e.baseline_correct for e in world.examples], float)
+    base = world.baseline_pass(range(200))[0].astype(float)
     injected_rows = np.array(
-        [bool(s.retrieved) for t in run.traces for s in sorted(t.steps, key=lambda s: s.example_id)]
+        [bool(s.retrieved) for t in run.steps.traces() for s in sorted(t.steps, key=lambda s: s.example_id)]
     )
     # every injected row with a correct baseline flips to wrong: help-hurt maximally negative
     assert np.all(run.outcomes[injected_rows] == 0.0)
@@ -130,21 +139,23 @@ def test_invalid_probability_rejected():
 def test_episode_chunking():
     world = generate_world(WorldSpec(n_examples=10, seed=6, steps_per_episode=4))
     run = evaluate_policy(world, PolicyConfig(), world.snapshots(), [9, 0, 5, 1, 2, 3, 4, 6, 7, 8])
-    assert [(t.episode_id, [s.example_id for s in t.steps]) for t in run.traces] == [
+    traces = run.steps.traces()
+    assert [(t.episode_id, [s.example_id for s in t.steps]) for t in traces] == [
         (0, [0, 1, 2, 3]), (1, [4, 5, 6, 7]), (2, [8, 9])
     ]
-    assert [s.step_index for t in run.traces for s in t.steps] == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
+    assert [s.step_index for t in traces for s in t.steps] == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
 
 
 # ---------------------------------------------------------------------------
-# decode_second semantics
+# second-pass semantics
 # ---------------------------------------------------------------------------
 
 def test_retry_returns_identical_pair():
     # deterministic decode: an empty injection repeats the baseline exactly
     world = generate_world(WorldSpec(n_examples=50, seed=7))
-    for i in range(50):
-        assert world.decode_second(i, ()) == world.decode_baseline(i)
+    for signal in CONFIDENCE_SIGNALS:
+        again = _second_pass(world, range(50), (), signal=signal)
+        assert all(np.array_equal(a, b) for a, b in zip(again, world.baseline_pass(range(50), signal)))
 
 
 def test_applicable_help_event_is_correct():
@@ -157,18 +168,16 @@ def test_applicable_help_event_is_correct():
             help_prob_given_applicable=1.0,
         )
     )
-    for i in range(20):
-        action, _ = world.decode_second(i, ("R000",))
-        assert world.action_utility(i, action) == 1.0
+    assert _second_pass(world, range(20), ("R000",))[0].all()
 
 
 def test_edit_sensitive_rows_flip_between_versions():
     world = generate_world(WorldSpec(n_examples=400, seed=9, edit_sensitive_rate=1.0))
     edited = ("E000",)
     flips = 0
-    for i in range(400):
-        repair = world.second_correct(i, edited, "repair", edited)
-        corrupt = world.second_correct(i, edited, "corrupt", edited)
+    repairs = _second_pass(world, range(400), edited, "repair", edited)[0].tolist()
+    corrupts = _second_pass(world, range(400), edited, "corrupt", edited)[0].tolist()
+    for i, (repair, corrupt) in enumerate(zip(repairs, corrupts)):
         sens = world.pair_draws(i, "E000").sensitivity
         if sens == "repair_better":
             assert repair and not corrupt
@@ -181,11 +190,9 @@ def test_edit_sensitive_rows_flip_between_versions():
 def test_non_hit_rows_identical_across_versions():
     world = generate_world(WorldSpec(n_examples=200, seed=10, edit_sensitive_rate=1.0))
     edited = ("E000",)
-    for i in range(200):
-        injected = ("R001", "R002")  # does not contain the edited entry
-        assert world.second_correct(i, injected, "repair", edited) == world.second_correct(
-            i, injected, "corrupt", edited
-        )
+    injected = ("R001", "R002")  # does not contain the edited entry
+    repair = _second_pass(world, range(200), injected, "repair", edited)[0]
+    assert np.array_equal(repair, _second_pass(world, range(200), injected, "corrupt", edited)[0])
 
 
 def test_outcome_table_deterministic_and_bounded():
@@ -209,7 +216,7 @@ def test_outcome_table_matches_per_example_reference():
             correct, confs = reference_outcome_table(world, i, snaps)
             assert {k: bool(v[i]) for k, v in table.second_correct.items()} == correct
             assert {k: float(v[i]) for k, v in table.confidences.items()} == confs
-            assert bool(table.baseline_correct[i]) == world.examples[i].baseline_correct
+            assert bool(table.baseline_correct[i]) == bool(world._baseline[i])
 
 
 # ---------------------------------------------------------------------------
@@ -296,22 +303,13 @@ def test_realized_help_hurt_auc_in_band():
     )
     world = generate_world(spec)
     snaps = world.snapshots()
-    scores, labels = [], []
-    for i in range(1500):
-        injected = world.context_injection(i, "exemplar", snaps)
-        if not injected:
-            continue
-        base = world.examples[i].baseline_correct
-        _, conf = world.decode_second(i, injected)
-        correct = world.second_correct(i, injected)
-        if correct and not base:
-            scores.append(conf)
-            labels.append(1)
-        elif base and not correct:
-            scores.append(conf)
-            labels.append(0)
-    assert len(scores) >= 500
-    auc = roc_auc(scores, labels)
+    rows = range(1500)
+    base, _ = world.baseline_pass(rows)
+    cols, _, filled = world.injected(rows, snaps, ("exemplar",))
+    correct, conf = world.second_pass(rows, cols, filled)
+    flipped = filled.any(axis=1) & (correct != base)
+    assert flipped.sum() >= 500
+    auc = roc_auc(conf[flipped].tolist(), correct[flipped].tolist())
     assert 0.75 <= auc <= 0.85
 
 
@@ -444,9 +442,9 @@ def _all_draws(world, order):
         idx: (
             [world.pair_draws(idx, e) for e in entry_ids],
             world.guard_results(idx),
-            [world.decode_baseline(idx, s) for s in CONFIDENCE_SIGNALS],
+            [tuple(x.item() for x in world.baseline_pass([idx], s)) for s in CONFIDENCE_SIGNALS],
             [
-                world.decode_second(idx, ids, "original", (), s)
+                tuple(x.item() for x in _second_pass(world, [idx], ids, signal=s))
                 for ids in (("R000",), ("E001", "R002"))
                 for s in CONFIDENCE_SIGNALS
             ],
