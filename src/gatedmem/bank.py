@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ProtocolViolation
-from .util import format_float, sha256_hex
+from .util import sha256_hex
 
 BANK_KINDS = ("rule", "exemplar")
 STAGE_FIT = "fit"
@@ -68,13 +68,20 @@ def hoeffding_ucb(mean: float, n: int, delta: float) -> float:
     return mean + math.sqrt(math.log(2.0 / delta) / (2.0 * n))
 
 
+def _embedding_text(embedding) -> str:
+    """The embedding as space-separated fixed-width decimals.
+
+    One printf-style call formats every value; `%.8f` writes the same string
+    as format(x, ".8f") for every float, signed zero and subnormals included.
+    """
+    values = np.asarray(embedding, np.float64).tolist()
+    return " ".join([f"%.{EMBED_PLACES}f"] * len(values)) % tuple(values)
+
+
 def _hash_lines(entries) -> str:
     # Covers active ids, payloads, and embeddings only; evidence is excluded
     # on purpose so appending records never changes a frozen snapshot hash.
-    lines = []
-    for e in entries:
-        vec = " ".join(format_float(x, EMBED_PLACES) for x in e.embedding)
-        lines.append(f"{json.dumps(e.id)}\t{json.dumps(e.payload)}\t{vec}")
+    lines = [f"{json.dumps(e.id)}\t{json.dumps(e.payload)}\t{_embedding_text(e.embedding)}" for e in entries]
     return sha256_hex("\n".join(lines).encode("utf-8"))
 
 
@@ -212,7 +219,7 @@ class MemoryBank:
                             "id": e.id,
                             "bank_kind": e.bank_kind,
                             "payload": e.payload,
-                            "embedding": [format_float(x, EMBED_PLACES) for x in e.embedding],
+                            "embedding": _embedding_text(e.embedding).split(),
                             "status": e.status,
                         },
                         sort_keys=True,

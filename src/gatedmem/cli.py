@@ -83,18 +83,21 @@ def cmd_gen_world(args) -> int:
     table = world.outcome_table(world.snapshots())
     correct = {f"{ctx}/{ver}": v.tolist() for (ctx, ver), v in table.second_correct.items()}
     confs = {ctx: v.tolist() for ctx, v in table.confidences.items()}
-    tables = [
-        {
-            "example_id": i,
-            "baseline_correct": base,
-            "second_correct_by_context": {k: v[i] for k, v in correct.items()},
-            "confidences": {k: round(v[i], 10) for k, v in confs.items()},
-        }
-        for i, base in enumerate(table.baseline_correct.tolist())
-    ]
+    # the bytes of json.dump(rows, fh, sort_keys=True), a row per encode call:
+    # only a one-shot encode uses the C encoder, and one for the whole table
+    # would hold all of it in memory
+    encode = json.JSONEncoder(sort_keys=True).encode
     with open(os.path.join(args.out, "outcome_table.json"), "w", encoding="utf-8") as fh:
-        json.dump(tables, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write("[")
+        for i, base in enumerate(table.baseline_correct.tolist()):
+            row = {
+                "example_id": i,
+                "baseline_correct": base,
+                "second_correct_by_context": {k: v[i] for k, v in correct.items()},
+                "confidences": {k: round(v[i], 10) for k, v in confs.items()},
+            }
+            fh.write((", " if i else "") + encode(row))
+        fh.write("]\n")
     print(f"world {world.spec.world_hash()[:12]} written to {args.out}")
     return 0
 

@@ -280,10 +280,9 @@ def run_governance_loop(world: World, policy: PolicyConfig, rounds: int, fit_ids
         if bank.stage != STAGE_FIT:
             raise ProtocolViolation("governance is a fit-stage operation")
     working = {kind: bank.copy() for kind, bank in world.banks.items()}
-    base_run = evaluate_policy(
-        world, policy, world.snapshots(), fit_ids, "baseline", comparator="baseline"
-    )
-    oracle_run = evaluate_oracle(world, world.snapshots(), fit_ids)
+    snapshots = world.snapshots()
+    base_run = evaluate_policy(world, policy, snapshots, fit_ids, "baseline", comparator="baseline")
+    oracle_run = evaluate_oracle(world, snapshots, fit_ids)
     acc_base = float(base_run.outcomes.mean())
     acc_oracle = float(oracle_run.outcomes.mean())
 
@@ -553,17 +552,16 @@ def run_pooled_test(
     for k in range(n_seeds):
         if k == 0:
             world = base_world
-            seed_manifest = manifest
         else:
             world = World(replace(base_world.spec, seed=base_seed + k))
             apply_recorded_membership(world, manifest)
-            seed_manifest = FreezeManifest(
-                policy_hash=manifest.policy_hash,
-                bank_hashes={kind: s.content_hash for kind, s in world.snapshots().items()},
-                world_hash=world.spec.world_hash(),
-                selection_record=manifest.selection_record,
-            )
         snapshots = world.snapshots()
+        seed_manifest = manifest if k == 0 else FreezeManifest(
+            policy_hash=manifest.policy_hash,
+            bank_hashes={kind: s.content_hash for kind, s in snapshots.items()},
+            world_hash=world.spec.world_hash(),
+            selection_record=manifest.selection_record,
+        )
         rows, runs = run_test_stage(world, seed_manifest, policy, snapshots)
         per_seed_rows[world.spec.seed] = rows
         for name, run in runs.items():

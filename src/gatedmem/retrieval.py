@@ -2,7 +2,7 @@
 
 Retrieval is a pure function of (query, snapshot, threshold, k_max): cosine
 similarity over the snapshot's active entries, strictly above the threshold,
-sorted by descending similarity with ties broken by ascending entry id. The
+in descending similarity with ties broken by ascending entry id. The
 tie-break makes replay exact. Since it is pure, a world ranks all of its
 queries against a snapshot once (retrieval_table) and serves every later
 retrieval on that snapshot from the table.
@@ -57,11 +57,13 @@ def topic_vector(topic: int, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-# queries x entries ranked per block: 64 KB of similarities and as much of
-# sort indices, however many queries a table holds. With 0.5 MB blocks the
-# peak RSS of a 2000-query, 8-step fit rose from 44.0 to 48.7 MB; with these
-# it is 45.7 MB.
+# queries x entries ranked per block: 64 KB of similarities and as much for
+# the working copy the top k are selected from, however many queries a table
+# holds. With 0.5 MB blocks the peak RSS of a 2000-query, 8-step fit rose
+# from 44.0 to 48.7 MB; with these it is 45.7 MB.
 TABLE_BLOCK_CELLS = 1 << 13
+# a NaN cosine's value in the selection copy: below every cosine, above -inf
+_BELOW_ANY_COSINE = -np.finfo(np.float64).max
 
 
 def embed_rows(rng: np.random.Generator, topics: np.ndarray, topic_vecs: np.ndarray, topic_weight: float) -> np.ndarray:
@@ -111,8 +113,9 @@ def retrieval_table(
 ) -> RetrievalTable:
     """Rank every query row against the snapshot, one matmul per row block.
 
-    Entries are ordered by descending cosine; the sort is stable and snapshot
-    rows are sorted by entry id, so ties go to the ascending id.
+    The top min(k_max, entries) are selected in descending cosine, ties to
+    the lower snapshot row, and snapshot rows are sorted by entry id, so ties
+    go to the ascending id: the order of a stable sort, at k passes per row.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -133,9 +136,17 @@ def retrieval_table(
             stop = min(start + rows, n)
             block = queries[start:stop] @ emb.T
             block /= qn[start:stop, None] * en
-            order = np.argsort(-block, axis=1, kind="stable")[:, :k]
+            # k rounds of argmax select the top k: argmax takes the first
+            # maximum, so ties go to the lower row as in a stable sort. fmax
+            # drops NaN (a zero-norm vector), which then ranks below every
+            # cosine but above the chosen cells.
+            work = np.fmax(block, _BELOW_ANY_COSINE)
+            order = ranked[start:stop]
+            for j in range(k):
+                order[:, j] = work.argmax(axis=1)
+                work[np.arange(stop - start), order[:, j]] = -np.inf
             top = np.take_along_axis(block, order, axis=1)
-            ranked[start:stop], sims[start:stop] = order, top
+            sims[start:stop] = top
             counts[start:stop] = np.count_nonzero(top > threshold, axis=1)
     return RetrievalTable(snapshot.entry_ids, ranked, sims, counts)
 
@@ -189,7 +200,11 @@ def save_edits(edits: list[ContentEdit], path: str) -> None:
 
 
 def load_edits(path: str) -> list[ContentEdit]:
-    """One JSON object per line, one line per entry; a bad line is a ValueError naming the file and line."""
+    """One JSON object per line, one line per entry; a bad line is a ValueError naming the file and line.
+
+    A file with no edit is a ValueError too: a counterfactual over it would
+    hit nothing and test nothing.
+    """
     names = [f.name for f in fields(ContentEdit)]
     edits = []
     seen: dict = {}  # entry_id -> the line that edits it
@@ -214,4 +229,6 @@ def load_edits(path: str) -> list[ContentEdit]:
                 edits.append(edit)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+    if not edits:
+        raise ValueError(f"{path}: no edits")
     return edits

@@ -34,10 +34,6 @@ def derive_seed(*parts: Any) -> int:
     return int.from_bytes(bytes.fromhex(stable_digest(*parts)[:16]), "big")
 
 
-def format_float(x: float, places: int = 8) -> str:
-    return f"{x:.{places}f}"
-
-
 def parse_kv_file(path: str) -> dict[str, str]:
     """Parse a flat key-value config file.
 

@@ -1,5 +1,6 @@
 """Memory bank: evidence, Hoeffding retirement, freezing, persistence."""
 
+import hashlib
 import json
 import math
 import re
@@ -255,3 +256,21 @@ def test_bank_file_format(tmp_path):
         # fixed-width decimal strings, so the file is byte-stable across platforms
         assert all(re.fullmatch(r"-?\d+\.\d{8}", x) for x in r["embedding"])
         np.testing.assert_allclose([float(x) for x in r["embedding"]], bank.entry(r["id"]).embedding, atol=5e-9)
+
+
+def test_embedding_decimals_match_per_scalar_format(tmp_path):
+    # signed zeros, values either side of the 8th-place rounding boundary,
+    # a large value and the smallest subnormal
+    values = [-0.0, 4.9999999e-9, -4.9999999e-9, 5e-9, 1e15, 5e-324]
+    bank = MemoryBank("rule")
+    bank.add_entry(MemoryEntry("R000", "rule", "edge", np.array(values)))
+    bank.add_entry(MemoryEntry("R001", "rule", "reversed", np.array(values[::-1], np.float32)))
+    want = {e.id: [format(np.float64(x), ".8f") for x in e.embedding] for e in bank.entries()}
+    assert want["R000"][:4] == ["-0.00000000", "0.00000000", "-0.00000000", "0.00000001"]
+    lines = "\n".join(
+        f"{json.dumps(eid)}\t{json.dumps(bank.entry(eid).payload)}\t{' '.join(vec)}" for eid, vec in sorted(want.items())
+    )
+    assert bank.freeze().content_hash == hashlib.sha256(lines.encode("utf-8")).hexdigest()
+    path = tmp_path / "bank_rule.jsonl"
+    bank.save(str(path))
+    assert {r["id"]: r["embedding"] for r in map(json.loads, path.read_text().splitlines())} == want

@@ -319,6 +319,19 @@ def test_malformed_edits_name_the_file_line_and_field(tmp_path, world_config, fi
     assert f"{edits}:2" in err and named in err
 
 
+@pytest.mark.parametrize("text", ["", "\n  \n"], ids=["empty", "blank-lines"])
+def test_edits_file_without_edits_fails(tmp_path, world_config, fitted, capsys, text):
+    edits = tmp_path / "edits.jsonl"
+    edits.write_text(text)
+    capsys.readouterr()
+    code = main(
+        ["counterfactual", "--config", world_config, "--manifest", str(fitted), "--edits", str(edits), "--out", str(tmp_path / "cf")]
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {edits}: no edits\n"
+    assert not (tmp_path / "cf").exists()
+
+
 def test_unknown_edit_entry_is_a_plain_error(tmp_path, world_config, fitted, capsys):
     edits = tmp_path / "edits.jsonl"
     edits.write_text('{"entry_id": "E999", "edit_kind": "repair", "new_payload": "x"}\n')

@@ -100,18 +100,24 @@ def assert_same_result(got, want):
     assert got.similarities == pytest.approx(want.similarities, rel=0, abs=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_table_matches_reference_on_ties_and_threshold_across_blocks(monkeypatch):
     # integer vectors give exact cosines: against (1, 0) the entries score
-    # 1.0, 0.8, 0.8, 0.6, 0.0 -- a tie at 0.8 and a score equal to 0.6
-    snap = snap_from([[5, 0], [4, 3], [4, 3], [3, 4], [0, 5]])
+    # 1.0, 0.8, 0.8, 0.6, 0.0 -- a tie at 0.8 and a score equal to 0.6 --
+    # and the zero-norm R005 scores NaN against every query
+    snap = snap_from([[5, 0], [4, 3], [4, 3], [3, 4], [0, 5], [0, 0]])
     pattern = [[1, 0], [2, 0], [0, 1], [3, 4], [4, 3], [0, 7]]
     # three query rows per block, so each pattern row falls on both sides of
     # a block boundary and at every offset within a block
     monkeypatch.setattr(retrieval, "TABLE_BLOCK_CELLS", 3 * len(snap.entry_ids))
     queries = np.array(pattern * 4, float)
+    sims = queries @ snap.embeddings.T / np.outer(np.linalg.norm(queries, axis=1), np.linalg.norm(snap.embeddings, axis=1))
     for threshold in (-1.0, 0.0, 0.6, 0.8, 1.0):
-        for k_max in range(1, 8):  # up to larger than the bank
+        for k_max in range(1, 9):  # up to larger than the bank
             table = retrieval_table(queries, snap, threshold, k_max)
+            # every ranked row, the NaN and below-threshold tail included, is
+            # the stable sort's: distinct rows, NaN last
+            np.testing.assert_array_equal(table.ranked, np.argsort(-sims, axis=1, kind="stable")[:, :k_max])
             for i, q in enumerate(queries):
                 want = reference_retrieve(Query(i, q), snap, threshold, k_max)
                 assert_same_result(table.result(i, i), want)
