@@ -2,13 +2,7 @@
 fit/test evaluation harness over a deterministic synthetic task world."""
 
 from .bank import BankSnapshot, EvidenceRecord, MemoryBank, MemoryEntry, hoeffding_ucb
-from .controller import (
-    EpisodeTrace,
-    PolicyConfig,
-    StepRecord,
-    compose_bank_policy,
-    select_threshold_percentile,
-)
+from .controller import PolicyConfig, compose_bank_policy, select_threshold_percentile
 from .errors import FreezeMismatch, ProtocolViolation, SignalUndefined
 from .protocol import (
     CounterfactualRow,

@@ -198,15 +198,17 @@ def cmd_ledger_check(args) -> int:
             return 2
         k, v = item.split("=", 1)
         params[k.strip()] = v.strip()
-    try:
-        n = int(params["n"])
-        dacc = float(params["dacc"])
-        hh = int(params["hh"])
-        p = float(params["p"])
-    except KeyError as missing:
-        print(f"error: ledger-check needs n=, dacc=, hh=, p= (missing {missing})", file=sys.stderr)
+    types = {"n": int, "dacc": float, "hh": int, "p": float}
+    missing = sorted(types.keys() - params.keys())
+    if missing:
+        print(f"error: ledger-check needs n=, dacc=, hh=, p= (missing {', '.join(missing)})", file=sys.stderr)
         return 2
-    solution = ledger_check(n, dacc, hh, p)
+    try:
+        row = {k: parse_value(k, tp, params[k]) for k, tp in types.items()}
+        solution = ledger_check(row["n"], row["dacc"], row["hh"], row["p"])
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if solution is None:
         print("inconsistent")
         return 1

@@ -9,10 +9,10 @@ baseline action.
 
 run_steps runs every episode of a run at once: only routing depends on
 earlier steps, so it loops over step position, and every other decision is
-a mask over the world's arrays. A run is its StepTable; step records are
-built from it only to be written out (StepTable.traces). The paired oracle
-is not a control loop: protocol.evaluate_oracle reads it off the world's
-ground truth (World.oracle_candidates).
+a mask over the world's arrays. A run is its StepTable, and every reader
+(evidence, frozen identities, the replay audit, traces.jsonl) reads its
+arrays. The paired oracle is not a control loop: protocol.evaluate_oracle
+reads it off the world's ground truth (World.oracle_candidates).
 
 Call accounting is compute-matched: a routed step costs exactly one extra
 call (k_t = 2) regardless of bank-policy internals, so total_calls is always
@@ -28,7 +28,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from .retrieval import RetrievalResult
 from .retrieval import retrieve  # unused; perfbench/test_tracer.py asserts every module's retrieve is one function
 from .util import canonical_json, from_flat, stable_digest, to_flat
 
@@ -102,42 +101,6 @@ class PolicyConfig:
         return replace(self, bank_policy=self.multibank_member)
 
 
-@dataclass
-class AttemptRecord:
-    banks: tuple[str, ...]
-    retrieved: RetrievalResult | None
-    second_action: object
-    second_confidence: float | None
-    accepted: bool
-
-
-@dataclass
-class StepRecord:
-    step_index: int
-    example_id: int
-    baseline_action: object
-    baseline_confidence: float
-    routed: bool
-    retrieved: RetrievalResult | None
-    second_action: object
-    second_confidence: float | None
-    guard_results: dict
-    accepted: bool
-    final_action: object
-    calls_used: int
-    attempts: tuple[AttemptRecord, ...] = ()
-
-
-@dataclass
-class EpisodeTrace:
-    episode_id: int
-    steps: list[StepRecord]
-    outcome_utility: float
-    routed_count: int
-    accepted_count: int
-    total_calls: int
-
-
 def select_threshold_percentile(fit_confidences, p: float) -> float:
     """Nearest-rank percentile of fit confidences; routed fraction ~= p/100."""
     if len(fit_confidences) == 0:
@@ -189,7 +152,7 @@ class StepTable:
     """A batched run: one row per step, in episode then step order.
 
     Attempt a of a routed step is entry a of its bank plan. Per attempt,
-    columns/similarities/filled give what it injects (see World.injected);
+    columns/filled give what it injects (see World.injected);
     a step tries attempt a + 1 only if attempt a was rejected.
     """
 
@@ -204,7 +167,6 @@ class StepTable:
     routed: np.ndarray
     tried: np.ndarray  # (steps, attempts)
     columns: tuple  # per attempt, (steps, width)
-    similarities: tuple
     filled: tuple
     decoded: np.ndarray  # (steps, attempts): a second pass ran (it injected something, or used no memory)
     second_correct: np.ndarray  # (steps, attempts)
@@ -252,82 +214,15 @@ class StepTable:
             has |= self.retrieved(a) & (deciding == a)
         return [(int(self.example_ids[s]), self.entry_ids(s, deciding[s])) for s in np.flatnonzero(has).tolist()]
 
-    def traces(self) -> list[EpisodeTrace]:
-        """The run as step records, grouped by episode."""
-        world = self.world
-        frozen = self.context.frozen_map is not None
-        no_memory = self.context.version == "none"
-        final = self.final_correct.tolist()
-        steps: list[StepRecord] = []
-        for s, idx in enumerate(self.example_ids.tolist()):
-            base_action = world.answer(idx, bool(self.baseline_correct[s]), second=False)
-            attempts = []
-            for a, (banks, _) in enumerate(self.plan):
-                if not self.tried[s, a]:
-                    break
-                ids = self.entry_ids(s, a)
-                if no_memory:
-                    retrieved = None
-                elif frozen:
-                    retrieved = RetrievalResult(idx, ids, ())
-                elif ids:
-                    sims = self.similarities[a][s, self.filled[a][s]]
-                    retrieved = RetrievalResult(idx, ids, tuple(sims.tolist()))
-                else:
-                    retrieved = None
-                if no_memory:
-                    second, conf = base_action, float(self.second_confidence[s, a])
-                elif self.decoded[s, a]:
-                    second = world.answer(idx, bool(self.second_correct[s, a]), second=True)
-                    conf = float(self.second_confidence[s, a])
-                else:
-                    second, conf = None, None
-                attempts.append(AttemptRecord(banks, retrieved, second, conf, bool(self.accepted_attempt[s, a])))
-            routed = bool(self.routed[s])
-            decisive = attempts[-1] if attempts else None
-            accepted = decisive is not None and decisive.accepted
-            steps.append(
-                StepRecord(
-                    step_index=int(self.step_index[s]),
-                    example_id=idx,
-                    baseline_action=base_action,
-                    baseline_confidence=float(self.baseline_confidence[s]),
-                    routed=routed,
-                    retrieved=decisive.retrieved if decisive else None,
-                    second_action=decisive.second_action if decisive else None,
-                    second_confidence=decisive.second_confidence if decisive else None,
-                    guard_results=world.guard_results(idx) if routed else {},
-                    accepted=accepted,
-                    final_action=decisive.second_action if accepted else base_action,
-                    calls_used=2 if routed else 1,
-                    attempts=tuple(attempts),
-                )
-            )
-        traces = []
-        bounds = np.flatnonzero(np.diff(self.episode_ids, prepend=-1, append=-1))
-        for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
-            group = steps[lo:hi]
-            traces.append(
-                EpisodeTrace(
-                    episode_id=int(self.episode_ids[lo]),
-                    steps=group,
-                    outcome_utility=sum(final[lo:hi]) / len(group),
-                    routed_count=sum(1 for st in group if st.routed),
-                    accepted_count=sum(1 for st in group if st.accepted),
-                    total_calls=sum(st.calls_used for st in group),
-                )
-            )
-        return traces
 
-
-def _frozen_injection(world, frozen_map: dict, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _frozen_injection(world, frozen_map: dict, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """World.injected for fixed-retrieval replay: each example's frozen ids, or none if it has none."""
     ids = [frozen_map.get(idx, ()) for idx in rows.tolist()]
     width = max(map(len, ids), default=0)
     filled = np.arange(width) < np.array([len(i) for i in ids], np.intp).reshape(-1, 1)
     cols = np.zeros(filled.shape, np.intp)
     cols[filled] = world.columns([e for i in ids for e in i])
-    return cols, np.zeros(filled.shape), filled
+    return cols, filled
 
 
 def run_steps(
@@ -377,20 +272,20 @@ def run_steps(
     shape = (len(ex), len(plan))
     tried, decoded, correct, accepted = (np.zeros(shape, bool) for _ in range(4))
     confidence = np.full(shape, np.nan)
-    columns, similarities, filled = [], [], []
+    columns, filled = [], []
     pending = np.ones(len(rows), bool)
     for a, (banks, bypass_margin) in enumerate(plan):
         if context.frozen_map is not None and not no_memory:
-            cols, sims, fill = _frozen_injection(world, context.frozen_map, rows)
+            cols, fill = _frozen_injection(world, context.frozen_map, rows)
         else:
-            cols, sims, fill = world.injected(rows, snapshots, () if no_memory else banks)
+            cols, fill = world.injected(rows, snapshots, () if no_memory else banks)
         second, conf2 = world.second_pass(
             rows, cols, fill, context.version, context.edited_ids, policy.confidence_signal
         )
         ran = pending & (fill.any(axis=1) | no_memory)
         margin = -math.inf if bypass_margin else policy.margin_m
         ok = ran & ~(conf2 < conf[routed] + margin) & guards
-        for store, values in ((columns, cols), (similarities, sims), (filled, fill)):
+        for store, values in ((columns, cols), (filled, fill)):
             full = np.zeros((len(ex), values.shape[1]), values.dtype)
             full[routed] = values
             store.append(full)
@@ -409,7 +304,6 @@ def run_steps(
         routed=routed,
         tried=tried,
         columns=tuple(columns),
-        similarities=tuple(similarities),
         filled=tuple(filled),
         decoded=decoded,
         second_correct=correct,

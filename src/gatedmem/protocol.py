@@ -115,11 +115,14 @@ class FreezeManifest:
 
 
 def split_indices(n: int, fit_fraction: float = 0.5, split_seed: int = 0):
-    """Disjoint, exhaustive fit/test index lists from a seeded permutation."""
+    """Disjoint, exhaustive, non-empty fit/test index lists from a seeded permutation."""
     if not (0.0 < fit_fraction < 1.0):
         raise ValueError("fit_fraction must be in (0, 1)")
     perm = np.random.default_rng(split_seed).permutation(n)
     n_fit = max(1, int(round(n * fit_fraction)))
+    if n_fit >= n:
+        side = "fit" if n < 1 else "test"
+        raise ValueError(f"n={n} examples at fit_fraction={fit_fraction} leave the {side} split empty")
     fit = sorted(int(i) for i in perm[:n_fit])
     test = sorted(int(i) for i in perm[n_fit:])
     return fit, test
@@ -131,7 +134,6 @@ def split_indices(n: int, fit_fraction: float = 0.5, split_seed: int = 0):
 
 @dataclass
 class EvalRun:
-    name: str
     example_ids: list
     outcomes: np.ndarray  # per example, index-aligned with example_ids
     routed_frac: float
@@ -159,7 +161,6 @@ def evaluate_policy(
     policy: PolicyConfig,
     snapshots: dict,
     example_ids,
-    name: str = "policy",
     comparator: str | None = None,
     context: SecondPassContext = SecondPassContext(),
 ) -> EvalRun:
@@ -181,7 +182,6 @@ def evaluate_policy(
     n = len(ids)
     routed = int(steps.routed.sum())
     return EvalRun(
-        name=name,
         example_ids=list(example_ids),
         outcomes=steps.final_correct[np.searchsorted(steps.example_ids, ids)].astype(np.float64),
         routed_frac=routed / n,
@@ -205,7 +205,6 @@ def evaluate_oracle(world: World, snapshots: dict, example_ids) -> EvalRun:
     accepted = ~base & (present & correct).any(axis=1)
     n = len(rows)
     return EvalRun(
-        name="oracle",
         example_ids=list(example_ids),
         outcomes=(base | accepted).astype(np.float64),
         routed_frac=routed / n,
@@ -280,16 +279,17 @@ def run_governance_loop(world: World, policy: PolicyConfig, rounds: int, fit_ids
         if bank.stage != STAGE_FIT:
             raise ProtocolViolation("governance is a fit-stage operation")
     working = {kind: bank.copy() for kind, bank in world.banks.items()}
-    snapshots = world.snapshots()
-    base_run = evaluate_policy(world, policy, snapshots, fit_ids, "baseline", comparator="baseline")
-    oracle_run = evaluate_oracle(world, snapshots, fit_ids)
+    snaps = {k: b.freeze() for k, b in working.items()}  # the entering state of round 0, too
+    base_run = evaluate_policy(world, policy, snaps, fit_ids, comparator="baseline")
+    oracle_run = evaluate_oracle(world, snaps, fit_ids)
     acc_base = float(base_run.outcomes.mean())
     acc_oracle = float(oracle_run.outcomes.mean())
 
     report_rounds = []
     for it in range(rounds):
-        snaps = {k: b.freeze() for k, b in working.items()}
-        run = evaluate_policy(world, policy, snaps, fit_ids, "policy")
+        if it:
+            snaps = {k: b.freeze() for k, b in working.items()}
+        run = evaluate_policy(world, policy, snaps, fit_ids)
         acc = float(run.outcomes.mean())
         gap = None if acc_oracle == acc_base else (acc - acc_base) / (acc_oracle - acc_base)
         attach_evidence(world, working, run, iteration=it)
@@ -345,12 +345,10 @@ def run_fit_stage(
             expanded.append((gi, cand))
 
     snapshots = world.snapshots()
-    base_run = evaluate_policy(
-        world, expanded[0][1], snapshots, fit_ids, "baseline", comparator="baseline"
-    )
+    base_run = evaluate_policy(world, expanded[0][1], snapshots, fit_ids, comparator="baseline")
     scored = []
     for order, (gi, cand) in enumerate(expanded):
-        run = evaluate_policy(world, cand, snapshots, fit_ids, "policy")
+        run = evaluate_policy(world, cand, snapshots, fit_ids)
         comp = PairedComparison(base_run.outcomes.astype(bool), run.outcomes.astype(bool))
         scored.append((gi, order, cand, comp.delta_acc(), run.mean_calls))
 
@@ -470,12 +468,10 @@ def run_test_stage(
     for bank in world.banks.values():
         bank.stage = STAGE_TEST
 
-    runs = {"baseline": evaluate_policy(world, policy, snapshots, test_ids, "baseline", comparator="baseline")}
-    runs["policy"] = evaluate_policy(world, policy, snapshots, test_ids, "policy")
+    runs = {"baseline": evaluate_policy(world, policy, snapshots, test_ids, comparator="baseline")}
+    runs["policy"] = evaluate_policy(world, policy, snapshots, test_ids)
     for comparator in COMPARATORS:
-        runs[comparator] = evaluate_policy(
-            world, policy, snapshots, test_ids, comparator, comparator=comparator
-        )
+        runs[comparator] = evaluate_policy(world, policy, snapshots, test_ids, comparator=comparator)
     runs["oracle"] = evaluate_oracle(world, snapshots, test_ids)
 
     rows = [
@@ -520,7 +516,6 @@ def _pool_runs(runs: list) -> EvalRun:
     total_steps = sum(len(r.example_ids) for r in runs)
     weights = [len(r.example_ids) / total_steps for r in runs]
     return EvalRun(
-        name=runs[0].name,
         example_ids=[i for r in runs for i in r.example_ids],
         outcomes=np.concatenate([r.outcomes for r in runs]),
         routed_frac=sum(w * r.routed_frac for w, r in zip(weights, runs)),
@@ -577,7 +572,7 @@ def run_pooled_test(
         for seed, rows in per_seed_rows.items():
             write_ledger(rows, os.path.join(out_dir, f"ledger_seed{seed}.csv"))
         base_runs = {name: rs[0] for name, rs in runs_by_name.items()}
-        write_traces(base_runs["policy"].steps.traces(), os.path.join(out_dir, "traces.jsonl"))
+        write_traces(base_runs["policy"].steps, os.path.join(out_dir, "traces.jsonl"))
         write_conf_bins(
             base_world, base_runs, os.path.join(out_dir, "conf_bins.csv"), policy.confidence_signal
         )
@@ -591,39 +586,50 @@ def write_ledger(rows, path: str) -> None:
             fh.write(row.as_csv() + "\n")
 
 
-def _step_json(step) -> dict:
-    return {
-        "step_index": step.step_index,
-        "example_id": step.example_id,
-        "baseline_action": step.baseline_action,
-        "baseline_confidence": round(step.baseline_confidence, 10),
-        "routed": step.routed,
-        "retrieved_ids": list(step.retrieved.retrieved_ids) if step.retrieved else [],
-        "second_action": step.second_action,
-        "second_confidence": None if step.second_confidence is None else round(step.second_confidence, 10),
-        "accepted": step.accepted,
-        "final_action": step.final_action,
-        "calls_used": step.calls_used,
-    }
+def write_traces(steps: StepTable, path: str) -> None:
+    """One JSON line per episode of the policy run, its steps in order (format in README).
 
-
-def write_traces(traces, path: str) -> None:
+    A routed step shows its deciding attempt: the ids it injected, and its
+    second answer and confidence if a second pass ran.
+    """
+    world = steps.world
+    deciding = steps.deciding.tolist()
+    ran, correct, confidence = (x.tolist() for x in steps.deciding_pass())
+    routed, accepted = steps.routed.tolist(), steps.accepted.tolist()
+    base_conf = steps.baseline_confidence.tolist()
+    final = steps.final_correct.tolist()
+    records = []
+    for s, idx in enumerate(steps.example_ids.tolist()):
+        base = world.answer(idx, bool(steps.baseline_correct[s]), second=False)
+        second = world.answer(idx, correct[s], second=True) if ran[s] else None
+        records.append(
+            {
+                "step_index": int(steps.step_index[s]),
+                "example_id": idx,
+                "baseline_action": base,
+                "baseline_confidence": round(base_conf[s], 10),
+                "routed": routed[s],
+                "retrieved_ids": list(steps.entry_ids(s, deciding[s])) if routed[s] else [],
+                "second_action": second,
+                "second_confidence": round(confidence[s], 10) if ran[s] else None,
+                "accepted": accepted[s],
+                "final_action": second if accepted[s] else base,
+                "calls_used": 2 if routed[s] else 1,
+            }
+        )
+    bounds = np.flatnonzero(np.diff(steps.episode_ids, prepend=-1, append=-1)).tolist()
     with open(path, "w", encoding="utf-8") as fh:
-        for trace in traces:
-            fh.write(
-                json.dumps(
-                    {
-                        "episode_id": trace.episode_id,
-                        "outcome_utility": trace.outcome_utility,
-                        "routed_count": trace.routed_count,
-                        "accepted_count": trace.accepted_count,
-                        "total_calls": trace.total_calls,
-                        "steps": [_step_json(s) for s in trace.steps],
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            n_routed = sum(routed[lo:hi])
+            episode = {
+                "episode_id": int(steps.episode_ids[lo]),
+                "outcome_utility": sum(final[lo:hi]) / (hi - lo),
+                "routed_count": n_routed,
+                "accepted_count": sum(accepted[lo:hi]),
+                "total_calls": hi - lo + n_routed,
+                "steps": records[lo:hi],
+            }
+            fh.write(json.dumps(episode, sort_keys=True) + "\n")
 
 
 def write_conf_bins(world: World, runs: dict, path: str, signal: str, n_bins: int = 10) -> None:
@@ -686,7 +692,7 @@ def run_counterfactual(
         if eid not in world.banks[kind]:
             raise ValueError(f"edit references unknown entry {eid!r}")
 
-    original = evaluate_policy(world, policy, snapshots, example_ids, "original")
+    original = evaluate_policy(world, policy, snapshots, example_ids)
     frozen = freeze_identities(original.steps.retrievals())
     if not frozen:
         raise ProtocolViolation("no routed queries with retrieval; nothing to replay")
@@ -703,20 +709,16 @@ def run_counterfactual(
 
     modes = {
         ("repair", "free"): evaluate_policy(
-            world, policy, free_snaps(repair_edits), example_ids, "repair_free",
-            context=SecondPassContext("repair", edited_ids),
+            world, policy, free_snaps(repair_edits), example_ids, context=SecondPassContext("repair", edited_ids)
         ),
         ("corrupt", "free"): evaluate_policy(
-            world, policy, free_snaps(corrupt_edits), example_ids, "corrupt_free",
-            context=SecondPassContext("corrupt", edited_ids),
+            world, policy, free_snaps(corrupt_edits), example_ids, context=SecondPassContext("corrupt", edited_ids)
         ),
         ("repair", "fixed"): evaluate_policy(
-            world, policy, snapshots, example_ids, "repair_fixed",
-            context=SecondPassContext("repair", edited_ids, frozen_map=frozen),
+            world, policy, snapshots, example_ids, context=SecondPassContext("repair", edited_ids, frozen_map=frozen)
         ),
         ("corrupt", "fixed"): evaluate_policy(
-            world, policy, snapshots, example_ids, "corrupt_fixed",
-            context=SecondPassContext("corrupt", edited_ids, frozen_map=frozen),
+            world, policy, snapshots, example_ids, context=SecondPassContext("corrupt", edited_ids, frozen_map=frozen)
         ),
     }
 
@@ -827,8 +829,16 @@ def ledger_check(
 
     Requires helps - hurts = help_hurt, |delta_acc * n - (helps - hurts)| < 0.5,
     and exact McNemar p within rel_tol relative of the reported p. Returns the
-    smallest-hurts solution, or None if the row is inconsistent.
+    smallest-hurts solution, or None if the row is inconsistent. A row that
+    cannot be a ledger row (n < 1, a non-finite delta_acc, p outside [0, 1])
+    is a ValueError.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if not math.isfinite(delta_acc):
+        raise ValueError(f"dacc must be a finite number, got {delta_acc}")
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must be in [0, 1], got {p}")
     if abs(delta_acc * n - help_hurt) >= 0.5:
         return None
     u_start = max(0, -help_hurt)

@@ -4,10 +4,12 @@ The world pre-draws, per (example, entry) pair, whether that entry is
 actually applicable to the example, whether an applicable injection helps,
 whether an inapplicable one hurts, and how the example reacts to content
 edits of that entry. Decoding is then indexing, many examples at a time:
-baseline_pass reads a seeded Bernoulli of base_accuracy, injected lists what
-each example retrieves from a snapshot, and second_pass combines the pair
-draws of whatever entries were injected. Everything is a deterministic
-function of (spec, seed), which makes free-rerun versus fixed-retrieval
+baseline_pass reads a seeded Bernoulli of base_accuracy, guards_pass the
+pre-drawn guard outcomes, injected lists (as pair-table columns) what each
+example retrieves from a snapshot, and second_pass combines the pair draws
+of whatever entries were injected. A decode is a correctness flag and a
+confidence; answer names the action it stands for. Everything is a
+deterministic function of (spec, seed), which makes free-rerun versus fixed-retrieval
 contrasts exactly decomposable and lets the oracle read off ground-truth
 outcomes for every candidate context (oracle_candidates).
 
@@ -35,7 +37,6 @@ from .controller import GUARD_NAMES
 from .retrieval import (
     TABLE_BLOCK_CELLS,
     ContentEdit,
-    RetrievalResult,
     embed_key,
     embed_rows,
     retrieval_table,
@@ -432,16 +433,12 @@ class World:
             hit = self._tables[snapshot.content_hash] = (table, self.columns(snapshot.entry_ids)[table.ranked])
         return hit
 
-    def retrieve(self, idx: int, snapshot: BankSnapshot) -> RetrievalResult:
-        """retrieve() for example idx, served from the snapshot's table."""
-        return self._table(snapshot)[0].result(idx, idx)
-
     def columns(self, entry_ids) -> np.ndarray:
         """Pair-table columns of entry ids: rule entries first, then exemplar entries."""
         return np.array([self._column[e] for e in entry_ids], np.intp)
 
-    def injected(self, rows, snapshots: dict, banks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(columns, similarities, filled): what retrieving from `banks` in order injects per example.
+    def injected(self, rows, snapshots: dict, banks) -> tuple[np.ndarray, np.ndarray]:
+        """(columns, filled): what retrieving from `banks` in order injects per example.
 
         Row r of each array belongs to example rows[r], which injects
         columns[r][filled[r]] in that order: each bank's ranked entries whose
@@ -451,11 +448,10 @@ class World:
         parts = [self._table(snapshots[b]) for b in banks]
         empty = np.zeros((len(rows), 0), np.intp)
         cols = np.concatenate([empty] + [c[rows] for _, c in parts], axis=1)
-        sims = np.concatenate([empty] + [t.similarities[rows] for t, _ in parts], axis=1)
         filled = np.concatenate(
             [empty.astype(bool)] + [np.arange(c.shape[1]) < t.counts[rows, None] for t, c in parts], axis=1
         )
-        return cols, sims, filled
+        return cols, filled
 
     def true_action(self, idx: int) -> str:
         return f"ans{idx}"
@@ -463,9 +459,6 @@ class World:
     def answer(self, idx: int, correct: bool, second: bool) -> str:
         """The action a decode emits: the true action, or a wrong one marked by its pass."""
         return self.true_action(idx) if correct else f"alt{idx}.{'m' if second else 'b'}"
-
-    def action_utility(self, idx: int, action) -> float:
-        return 1.0 if action == self.true_action(idx) else 0.0
 
     # -- pre-drawn randomness -------------------------------------------------
 
@@ -483,9 +476,6 @@ class World:
             hurt=bool(bits & PAIR_HURT),
             sensitivity=sensitivity,
         )
-
-    def guard_results(self, idx: int) -> dict[str, bool]:
-        return dict(zip(GUARD_NAMES, self._guards[idx].tolist()))
 
     def guards_pass(self, rows, guards) -> np.ndarray:
         """Whether every named guard passes, per example of rows."""
@@ -546,7 +536,7 @@ class World:
         by_context: dict = {}
         confs: dict = {}
         for context in ("none",) + ORACLE_CONTEXTS:
-            cols, _, filled = self.injected(rows, snaps, CONTEXT_BANKS[context])
+            cols, filled = self.injected(rows, snaps, CONTEXT_BANKS[context])
             correct, confs[context] = self.second_pass(rows, cols, filled)
             for version in CONTENT_VERSIONS:  # with no entry edited, every version decodes alike
                 by_context[(context, version)] = correct
@@ -557,7 +547,7 @@ class World:
         context injects anything for the example, and whether that pass is correct."""
         present, correct = [], []
         for context in contexts:
-            cols, _, filled = self.injected(rows, snapshots, CONTEXT_BANKS[context])
+            cols, filled = self.injected(rows, snapshots, CONTEXT_BANKS[context])
             present.append(filled.any(axis=1))
             correct.append(self.second_pass(rows, cols, filled)[0])
         return np.stack(present, axis=1), np.stack(correct, axis=1)

@@ -2,23 +2,19 @@
 
 reference_retrieve is retrieve() one query at a time; reference_traces is
 the control loop one step at a time, with the second pass decoded entry by
-entry; oracle_policy is the paired oracle one step at a time. The package
-computes all three in batches.
+entry, as step records; oracle_policy is the paired oracle one step at a
+time. The package computes all three in batches, and keeps a run as the
+arrays of a StepTable.
 """
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from gatedmem.bank import BANK_KINDS, EvidenceRecord
-from gatedmem.controller import (
-    DEFAULT_CONTEXT,
-    AttemptRecord,
-    EpisodeTrace,
-    StepRecord,
-    compose_bank_policy,
-)
-from gatedmem.retrieval import RetrievalResult
+from gatedmem.controller import DEFAULT_CONTEXT, GUARD_NAMES, compose_bank_policy
+from gatedmem.retrieval import Query, RetrievalResult
 from gatedmem.worldsim import (
     CONTENT_VERSIONS,
     ORACLE_CONTEXTS,
@@ -46,6 +42,16 @@ def reference_retrieve(query, snapshot, threshold, k_max) -> RetrievalResult:
         tuple(snapshot.entry_ids[i] for i in ranked),
         tuple(float(sims[i]) for i in ranked),
     )
+
+
+def reference_world_retrieve(world, idx, snapshot) -> RetrievalResult:
+    """reference_retrieve for one example of a world, at the world's threshold and k_max."""
+    query = Query(idx, world.query_embeddings[idx])
+    return reference_retrieve(query, snapshot, world.spec.retrieval_threshold, world.spec.k_max)
+
+
+def utility(world, idx, action) -> float:
+    return 1.0 if action == world.true_action(idx) else 0.0
 
 
 def arith_shape_spec(seed: int = 0, n: int = 600) -> WorldSpec:
@@ -85,6 +91,42 @@ def localization_shape_spec(seed: int = 0) -> WorldSpec:
 # ---------------------------------------------------------------------------
 # the per-step control loop, as the reference for controller.run_steps
 # ---------------------------------------------------------------------------
+
+
+@dataclass
+class AttemptRecord:
+    banks: tuple[str, ...]
+    retrieved: tuple[str, ...] | None  # the injected ids, if the attempt carries a retrieval result
+    second_action: object  # None if no second pass ran
+    second_confidence: float | None
+    accepted: bool
+
+
+@dataclass
+class StepRecord:
+    step_index: int
+    example_id: int
+    baseline_action: object
+    baseline_confidence: float
+    routed: bool
+    retrieved: tuple[str, ...] | None
+    second_action: object
+    second_confidence: float | None
+    guard_results: dict
+    accepted: bool
+    final_action: object
+    calls_used: int
+    attempts: tuple[AttemptRecord, ...] = ()
+
+
+@dataclass
+class EpisodeTrace:
+    episode_id: int
+    steps: list[StepRecord]
+    outcome_utility: float
+    routed_count: int
+    accepted_count: int
+    total_calls: int
 
 
 class BudgetState:
@@ -152,17 +194,6 @@ def reference_second(world, idx, injected, version="original", edited_ids=(), si
     return action, world._conf[signal].item(idx, column)
 
 
-def _merge_results(qid, results):
-    parts = [r for r in results if r is not None and r.retrieved_ids]
-    if not parts:
-        return None
-    ids, sims = [], []
-    for r in parts:
-        ids.extend(r.retrieved_ids)
-        sims.extend(r.similarities)
-    return RetrievalResult(qid, tuple(ids), tuple(sims))
-
-
 def reference_step(world, example_id, step_index, policy, snapshots, budget_state, context=DEFAULT_CONTEXT):
     """One pass of the decision loop for one step."""
     action, conf = reference_baseline(world, example_id, policy.confidence_signal)
@@ -171,25 +202,22 @@ def reference_step(world, example_id, step_index, policy, snapshots, budget_stat
     if not routed:
         return StepRecord(step_index, example_id, action, conf, False, None, None, None, {}, False, action, 1)
 
-    guard_results = world.guard_results(example_id)
+    guard_results = dict(zip(GUARD_NAMES, world._guards[example_id].tolist()))
     attempts = []
     decisive = None
     no_memory = context.version == "none"
     if context.frozen_map is not None:
-        injected = context.frozen_map.get(example_id, ())
         plan = [(("frozen",), policy.resolved().bank_policy == "gate_only")]
     else:
-        injected = None
         plan = compose_bank_policy(policy)
     for banks, bypass_margin in plan:
         if no_memory:
-            result, ids = None, ()
-        elif injected is not None:
-            result = RetrievalResult(example_id, tuple(injected), ())
-            ids = tuple(injected)
+            ids, result = (), None
+        elif context.frozen_map is not None:  # an empty frozen injection still carries a result
+            ids = result = tuple(context.frozen_map.get(example_id, ()))
         else:
-            result = _merge_results(example_id, [world.retrieve(example_id, snapshots[b]) for b in banks])
-            ids = result.retrieved_ids if result is not None else ()
+            ids = reference_injection(world, example_id, banks, snapshots)
+            result = ids or None
         if not ids and not no_memory:
             decisive = AttemptRecord(banks, result, None, None, False)
             attempts.append(decisive)
@@ -240,12 +268,11 @@ def reference_traces(world, policy, snapshots, example_ids, context=DEFAULT_CONT
     for eid, members in reference_episodes(world, example_ids):
         budget = BudgetState(policy.budget_B, policy.cooldown)
         steps = [reference_step(world, ex, i, policy, snapshots, budget, context) for i, ex in enumerate(members)]
-        utility = sum(world.action_utility(s.example_id, s.final_action) for s in steps) / len(steps)
         traces.append(
             EpisodeTrace(
                 eid,
                 steps,
-                utility,
+                sum(utility(world, s.example_id, s.final_action) for s in steps) / len(steps),
                 sum(1 for s in steps if s.routed),
                 sum(1 for s in steps if s.accepted),
                 sum(s.calls_used for s in steps),
@@ -258,20 +285,21 @@ def reference_outcome_table(world, idx, snapshots):
     """(second correct by (context, version), confidence by context) of one example, as gen-world wrote it."""
     by_context, confs = {}, {}
     for context in ("none",) + ORACLE_CONTEXTS:
-        injected = reference_injection(world, idx, context, snapshots)
+        injected = reference_injection(world, idx, CONTEXT_BANKS[context], snapshots)
         for version in CONTENT_VERSIONS:
             action, _ = reference_second(world, idx, injected, version)
-            by_context[(context, version)] = world.action_utility(idx, action) == 1.0
+            by_context[(context, version)] = action == world.true_action(idx)
         confs[context] = reference_second(world, idx, injected)[1]
     return by_context, confs
 
 
-def reference_injection(world, idx, context, snapshots):
-    """Retrieved ids a bank-policy context injects for one example."""
-    if context == "none":
-        return ()
-    banks = ("rule", "exemplar") if context == "dual" else (context,)
-    return tuple(e for b in banks for e in world.retrieve(idx, snapshots[b]).retrieved_ids)
+# bank-policy context -> the banks it retrieves from, in injection order
+CONTEXT_BANKS = {"none": (), "rule": ("rule",), "exemplar": ("exemplar",), "dual": ("rule", "exemplar")}
+
+
+def reference_injection(world, idx, banks, snapshots):
+    """Retrieved ids that retrieving from `banks` in order injects for one example."""
+    return tuple(e for b in banks for e in reference_world_retrieve(world, idx, snapshots[b]).retrieved_ids)
 
 
 @dataclass(frozen=True)
@@ -292,13 +320,11 @@ def reference_oracle_steps(world, example_ids, snapshots, contexts=ORACLE_CONTEX
         base_action, base_conf = reference_baseline(world, idx, signal)
         candidates = []
         for context in contexts:
-            injected = reference_injection(world, idx, context, snapshots)
+            injected = reference_injection(world, idx, CONTEXT_BANKS[context], snapshots)
             if injected:
                 a2, _ = reference_second(world, idx, injected, signal=signal)
-                candidates.append((a2, world.action_utility(idx, a2)))
-        steps.append(
-            OracleStep(idx, base_action, world.action_utility(idx, base_action), base_conf, tuple(candidates))
-        )
+                candidates.append((a2, utility(world, idx, a2)))
+        steps.append(OracleStep(idx, base_action, utility(world, idx, base_action), base_conf, tuple(candidates)))
     return steps
 
 
@@ -313,9 +339,9 @@ def oracle_policy(episode_id, oracle_steps) -> EpisodeTrace:
     total_u = 0.0
     for i, ostep in enumerate(oracle_steps):
         best_action, best_u = None, ostep.baseline_utility
-        for action, utility in ostep.candidates:
-            if utility > best_u:
-                best_action, best_u = action, utility
+        for action, u in ostep.candidates:
+            if u > best_u:
+                best_action, best_u = action, u
         accepted = best_action is not None
         routed = len(ostep.candidates) > 0
         steps.append(
@@ -352,14 +378,14 @@ def reference_attach_evidence(world, banks, traces, iteration=0):
         for step in trace.steps:
             if not step.routed:
                 continue
-            base_u = world.action_utility(step.example_id, step.baseline_action)
+            base_u = utility(world, step.example_id, step.baseline_action)
             for attempt in step.attempts:
-                if attempt.retrieved is None or not attempt.retrieved.retrieved_ids:
+                if not attempt.retrieved:
                     continue
-                utility = world.action_utility(step.example_id, attempt.second_action) - base_u
-                for entry_id in attempt.retrieved.retrieved_ids:
+                gain = utility(world, step.example_id, attempt.second_action) - base_u
+                for entry_id in attempt.retrieved:
                     banks[world.entry_bank(entry_id)].append_evidence(
-                        entry_id, EvidenceRecord(trace.episode_id, utility, iteration)
+                        entry_id, EvidenceRecord(trace.episode_id, gain, iteration)
                     )
                     appended += 1
     return appended
@@ -368,8 +394,41 @@ def reference_attach_evidence(world, banks, traces, iteration=0):
 def reference_freeze_identities(traces):
     """query id -> retrieved ids of every routed step that carries a retrieval."""
     return {
-        s.example_id: tuple(s.retrieved.retrieved_ids)
+        s.example_id: s.retrieved
         for t in traces
         for s in t.steps
         if s.routed and s.retrieved is not None
     }
+
+
+def reference_trace_lines(traces) -> list[str]:
+    """traces.jsonl as README documents it, one line per episode of step records."""
+    def step_json(step):
+        return {
+            "step_index": step.step_index,
+            "example_id": step.example_id,
+            "baseline_action": step.baseline_action,
+            "baseline_confidence": round(step.baseline_confidence, 10),
+            "routed": step.routed,
+            "retrieved_ids": list(step.retrieved or ()),
+            "second_action": step.second_action,
+            "second_confidence": None if step.second_confidence is None else round(step.second_confidence, 10),
+            "accepted": step.accepted,
+            "final_action": step.final_action,
+            "calls_used": step.calls_used,
+        }
+
+    return [
+        json.dumps(
+            {
+                "episode_id": t.episode_id,
+                "outcome_utility": t.outcome_utility,
+                "routed_count": t.routed_count,
+                "accepted_count": t.accepted_count,
+                "total_calls": t.total_calls,
+                "steps": [step_json(s) for s in t.steps],
+            },
+            sort_keys=True,
+        )
+        for t in traces
+    ]

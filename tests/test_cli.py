@@ -110,11 +110,11 @@ def test_tampered_fixed_replay_exits_1_naming_the_query(tmp_path, world_config, 
 
     def drop_one_entry(world, frozen_map, rows):
         # the fixed replay of the first query with a frozen identity injects one entry fewer
-        cols, sims, filled = frozen_injection(world, frozen_map, rows)
+        cols, filled = frozen_injection(world, frozen_map, rows)
         r = int(np.flatnonzero(filled.any(axis=1))[0])
         filled[r, np.flatnonzero(filled[r])[-1]] = False
         tampered.append(int(rows[r]))
-        return cols, sims, filled
+        return cols, filled
 
     monkeypatch.setattr(controller, "_frozen_injection", drop_one_entry)
     code = main(
@@ -150,6 +150,28 @@ def test_ledger_check_inconsistent(capsys):
 
 def test_ledger_check_malformed(capsys):
     assert main(["ledger-check", "n=600"]) == 2
+
+
+@pytest.mark.parametrize(
+    "row, named",
+    [
+        (["n=600", "dacc=nan", "hh=42", "p=9.67e-7"], "dacc must be a finite number"),
+        (["n=600", "dacc=inf", "hh=42", "p=9.67e-7"], "dacc must be a finite number"),
+        (["n=-5", "dacc=0.07", "hh=42", "p=9.67e-7"], "n must be >= 1"),
+        (["n=0", "dacc=0.07", "hh=42", "p=9.67e-7"], "n must be >= 1"),
+        (["n=abc", "dacc=0.07", "hh=42", "p=9.67e-7"], "n: expected int, got 'abc'"),
+        (["n=600", "dacc=0.07", "hh=4.2", "p=9.67e-7"], "hh: expected int, got '4.2'"),
+        (["n=600", "dacc=x", "hh=42", "p=9.67e-7"], "dacc: expected float, got 'x'"),
+        (["n=600", "dacc=0.07", "hh=42", "p=1.5"], "p must be in [0, 1]"),
+        (["n=600", "dacc=0.07", "hh=42", "p=-0.1"], "p must be in [0, 1]"),
+        (["n=600", "dacc=0.07", "hh=42", "p=nan"], "p must be in [0, 1]"),
+    ],
+)
+def test_ledger_check_rejects_bad_values(capsys, row, named):
+    assert main(["ledger-check", *row]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and named in captured.err
+    assert "consistent" not in captured.out
 
 
 def test_unknown_subcommand(capsys):
@@ -249,6 +271,16 @@ def test_bad_policy_value_names_the_key(tmp_path, world_config, capsys, policy_t
     code = main(["governance", "--config", world_config, "--policy", str(policy), "--rounds", "1", "--out", str(out)])
     assert code == 1
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_fit_refuses_a_split_with_an_empty_side(tmp_path, capsys):
+    config = tmp_path / "tiny.kv"
+    config.write_text("n_examples = 3\nseed = 1\n")
+    out = tmp_path / "fit"
+    assert main(["fit", "--config", str(config), "--fit-fraction", "0.9", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "n=3" in err and "fit_fraction=0.9" in err and "test split empty" in err
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Controller: routing, acceptance, budgets, bank-policy composition, oracle."""
 
 import itertools
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -17,6 +18,7 @@ from conftest import (
     reference_second,
     reference_traces,
     route_decision,
+    utility,
 )
 from gatedmem.controller import (
     BANK_POLICIES,
@@ -36,6 +38,7 @@ from gatedmem.protocol import (
     attach_evidence,
     evaluate_oracle,
     evaluate_policy,
+    write_traces,
 )
 from gatedmem.retrieval import freeze_identities
 from gatedmem.worldsim import ORACLE_CONTEXTS, WorldSpec, generate_world
@@ -194,10 +197,9 @@ def test_cascade_short_circuits():
         snaps,
         list(range(120)),
     )
-    for trace in run.steps.traces():
-        for step in trace.steps:
-            if step.accepted and step.attempts[0].accepted:
-                assert len(step.attempts) == 1  # second bank never queried
+    steps = run.steps
+    assert steps.accepted_attempt[:, 0].any()
+    assert not (steps.accepted_attempt[:, 0] & steps.tried[:, 1]).any()  # second bank never queried
 
 
 def test_dual_single_second_pass():
@@ -205,15 +207,14 @@ def test_dual_single_second_pass():
     run = evaluate_policy(
         world, PolicyConfig(tau=0.9, bank_policy="dual"), world.snapshots(), list(range(100))
     )
-    for trace in run.steps.traces():
-        for step in trace.steps:
-            if step.routed:
-                assert step.calls_used == 2  # one joint second pass
-                assert len(step.attempts) == 1
+    steps = run.steps
+    assert steps.routed.any()
+    assert np.array_equal(steps.tried, steps.routed[:, None])  # one joint second pass
+    assert run.mean_calls == 1 + run.routed_frac
 
 
 # ---------------------------------------------------------------------------
-# run_step / run_episode contracts
+# step contracts
 # ---------------------------------------------------------------------------
 
 def test_high_confidence_step_not_routed():
@@ -221,11 +222,10 @@ def test_high_confidence_step_not_routed():
     run = evaluate_policy(
         world, PolicyConfig(tau=0.0), world.snapshots(), list(range(50))
     )
-    for trace in run.steps.traces():
-        for step in trace.steps:
-            assert not step.routed
-            assert step.calls_used == 1
-            assert step.final_action == step.baseline_action
+    steps = run.steps
+    assert not steps.routed.any() and not steps.tried.any()
+    assert run.mean_calls == 1
+    assert np.array_equal(steps.final_correct, steps.baseline_correct)
 
 
 def test_budget_one_blocks_second_route():
@@ -233,8 +233,8 @@ def test_budget_one_blocks_second_route():
     run = evaluate_policy(
         world, PolicyConfig(tau=1.0, budget_B=1), world.snapshots(), list(range(60))
     )
-    for trace in run.steps.traces():
-        assert trace.routed_count <= 1
+    per_episode = np.bincount(run.steps.episode_ids[run.steps.routed])
+    assert per_episode.max() == 1
 
 
 def test_budget_zero_bitwise_baseline():
@@ -245,33 +245,40 @@ def test_budget_zero_bitwise_baseline():
         world, PolicyConfig(tau=1.0), world.snapshots(), ids, comparator="baseline"
     )
     assert np.array_equal(zero.outcomes, base.outcomes)
-    for t1, t2 in zip(zero.steps.traces(), base.steps.traces()):
-        for s1, s2 in zip(t1.steps, t2.steps):
-            assert s1.final_action == s2.final_action
-            assert s1.calls_used == s2.calls_used == 1
+    assert np.array_equal(zero.steps.final_correct, base.steps.final_correct)
+    assert not zero.steps.routed.any() and not base.steps.routed.any()
+    assert zero.mean_calls == base.mean_calls == 1
 
 
 def test_empty_retrieval_rolls_back():
     # world with retrieval threshold above any similarity: nothing to inject
     world = generate_world(WorldSpec(n_examples=40, seed=9, retrieval_threshold=0.999999))
     run = evaluate_policy(world, PolicyConfig(tau=1.0), world.snapshots(), list(range(40)))
-    for trace in run.steps.traces():
-        for step in trace.steps:
-            assert step.routed
-            assert not step.accepted
-            assert step.final_action == step.baseline_action
+    steps = run.steps
+    assert steps.routed.all()
+    assert not steps.filled[0].any() and not steps.decoded.any() and not steps.accepted.any()
+    assert np.array_equal(steps.final_correct, steps.baseline_correct)
 
 
-def test_trace_counters_match_recomputation():
+def test_trace_counters_match_recomputation(tmp_path):
     world = generate_world(WorldSpec(n_examples=90, seed=10, steps_per_episode=3))
     run = evaluate_policy(
         world, PolicyConfig(tau=0.7, budget_B=2), world.snapshots(), list(range(90))
     )
-    for trace in run.steps.traces():
-        assert trace.routed_count == sum(1 for s in trace.steps if s.routed)
-        assert trace.accepted_count == sum(1 for s in trace.steps if s.accepted)
-        assert trace.total_calls == sum(s.calls_used for s in trace.steps)
-        assert trace.total_calls == len(trace.steps) + trace.routed_count
+    write_traces(run.steps, tmp_path / "traces.jsonl")
+    traces = [json.loads(line) for line in (tmp_path / "traces.jsonl").read_text().splitlines()]
+    assert len(traces) == 30
+    for trace in traces:
+        steps = trace["steps"]
+        assert trace["routed_count"] == sum(s["routed"] for s in steps)
+        assert trace["accepted_count"] == sum(s["accepted"] for s in steps)
+        assert trace["total_calls"] == sum(s["calls_used"] for s in steps)
+        assert trace["total_calls"] == len(steps) + trace["routed_count"]
+        assert trace["outcome_utility"] == sum(utility(world, s["example_id"], s["final_action"]) for s in steps) / len(steps)
+    steps = [s for t in traces for s in t["steps"]]
+    assert [s["example_id"] for s in steps] == run.steps.example_ids.tolist()
+    assert [s["routed"] for s in steps] == run.steps.routed.tolist()
+    assert [s["accepted"] for s in steps] == run.steps.accepted.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -303,7 +310,7 @@ def test_oracle_equals_bruteforce_enumeration():
         ids = list(range(10))
         osteps = reference_oracle_steps(world, ids, snaps, contexts=("exemplar",))
         trace = oracle_policy(0, osteps)
-        oracle_acc = np.mean([world.action_utility(s.example_id, s.final_action) for s in trace.steps])
+        oracle_acc = np.mean([utility(world, s.example_id, s.final_action) for s in trace.steps])
 
         candidates = []
         for ostep in osteps:
@@ -415,15 +422,82 @@ def _evidence(banks):
     }
 
 
+def _table_view(steps):
+    """Each step of a StepTable as (example, episode, position, baseline correct and
+    confidence, routed, accepted, final correct, attempts); each tried attempt as
+    (index, carries a retrieval, injected ids, decoded, second correct, confidence, accepted)."""
+    retrieved = [steps.retrieved(a) for a in range(len(steps.plan))]
+    final = steps.final_correct.tolist()
+    view = []
+    for s, idx in enumerate(steps.example_ids.tolist()):
+        attempts = []
+        for a in np.flatnonzero(steps.tried[s]).tolist():
+            ran = bool(steps.decoded[s, a])
+            attempts.append((
+                a,
+                bool(retrieved[a][s]),
+                steps.entry_ids(s, a),
+                ran,
+                bool(steps.second_correct[s, a]) if ran else None,
+                float(steps.second_confidence[s, a]) if ran else None,
+                bool(steps.accepted_attempt[s, a]),
+            ))
+        view.append((
+            idx,
+            int(steps.episode_ids[s]),
+            int(steps.step_index[s]),
+            bool(steps.baseline_correct[s]),
+            float(steps.baseline_confidence[s]),
+            bool(steps.routed[s]),
+            bool(steps.accepted[s]),
+            final[s],
+            tuple(attempts),
+        ))
+    return view
+
+
+def _reference_view(world, traces):
+    """_table_view's fields, read off the reference's step records."""
+    def correct(step, action):
+        return action == world.true_action(step.example_id)
+
+    return [
+        (
+            s.example_id,
+            t.episode_id,
+            s.step_index,
+            correct(s, s.baseline_action),
+            s.baseline_confidence,
+            s.routed,
+            s.accepted,
+            correct(s, s.final_action),
+            tuple(
+                (
+                    a,
+                    at.retrieved is not None,
+                    at.retrieved or (),
+                    at.second_action is not None,
+                    None if at.second_action is None else correct(s, at.second_action),
+                    at.second_confidence,
+                    at.accepted,
+                )
+                for a, at in enumerate(s.attempts)
+            ),
+        )
+        for t in traces
+        for s in t.steps
+    ]
+
+
 def _assert_matches_reference(world, policy, snaps, ids, context=DEFAULT_CONTEXT, comparator=None):
     run = evaluate_policy(world, policy, snaps, ids, comparator=comparator, context=context)
     if comparator is not None:
         policy, context = _comparator_variant(policy, context, comparator)
     want = reference_traces(world, policy, snaps, ids, context)
-    assert run.steps.traces() == want
+    assert _table_view(run.steps) == _reference_view(world, want)
     steps = [s for t in want for s in t.steps]
-    utility = {s.example_id: world.action_utility(s.example_id, s.final_action) for s in steps}
-    assert run.outcomes.tolist() == [utility[i] for i in ids]
+    outcome = {s.example_id: utility(world, s.example_id, s.final_action) for s in steps}
+    assert run.outcomes.tolist() == [outcome[i] for i in ids]
     assert run.routed_frac == sum(t.routed_count for t in want) / len(steps)
     assert run.accepted_frac == sum(t.accepted_count for t in want) / len(steps)
     assert run.mean_calls == sum(t.total_calls for t in want) / len(steps)
@@ -542,7 +616,7 @@ def test_oracle_matches_per_example_reference():
             ] == [s.candidates for s in reference_oracle_steps(world, ids, snaps, contexts)]
         trace = oracle_policy(0, reference_oracle_steps(world, ids, snaps))
         run = evaluate_oracle(world, snaps, ids)
-        assert run.outcomes.tolist() == [world.action_utility(s.example_id, s.final_action) for s in trace.steps]
+        assert run.outcomes.tolist() == [utility(world, s.example_id, s.final_action) for s in trace.steps]
         assert run.routed_frac == trace.routed_count / 100
         assert run.accepted_frac == trace.accepted_count / 100
         assert run.mean_calls == trace.total_calls / 100

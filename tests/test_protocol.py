@@ -7,9 +7,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import arith_shape_spec, localization_shape_spec
-from gatedmem.bank import EvidenceRecord
-from gatedmem.controller import PolicyConfig
+from conftest import arith_shape_spec, localization_shape_spec, reference_trace_lines, reference_traces
+from gatedmem.bank import EvidenceRecord, MemoryBank
+from gatedmem.controller import GUARD_NAMES, PolicyConfig
 from gatedmem.errors import FreezeMismatch, ProtocolViolation
 from gatedmem.protocol import (
     FreezeManifest,
@@ -22,6 +22,7 @@ from gatedmem.protocol import (
     run_pooled_test,
     run_test_stage,
     split_indices,
+    write_traces,
 )
 from gatedmem.util import indices_digest
 from gatedmem.worldsim import WorldSpec, generate_world
@@ -46,6 +47,17 @@ def test_split_disjoint_exhaustive():
     fit, test = split_indices(101, 0.5, 3)
     assert set(fit) & set(test) == set()
     assert sorted(fit + test) == list(range(101))
+
+
+@pytest.mark.parametrize("n, fit_fraction", [(3, 0.9), (1, 0.5), (2, 0.75), (0, 0.5)])
+def test_split_with_an_empty_side_rejected(n, fit_fraction):
+    with pytest.raises(ValueError, match=rf"n={n} examples at fit_fraction={fit_fraction} leave the \w+ split empty"):
+        split_indices(n, fit_fraction)
+
+
+def test_smallest_splits_have_both_sides():
+    assert sorted(sum(split_indices(2, 0.5), [])) == [0, 1]
+    assert [len(side) for side in split_indices(3, 0.65)] == [2, 1]
 
 
 def test_fit_rejects_overlapping_splits():
@@ -304,32 +316,29 @@ def comparator_setup():
     return world, policy, world.snapshots(), test_ids
 
 
-def _steps(run):
-    return [s for t in run.steps.traces() for s in t.steps]
+def _injects(steps):
+    """Whether each step's deciding attempt injected anything."""
+    return np.array([d >= 0 and bool(steps.entry_ids(s, d)) for s, d in enumerate(steps.deciding.tolist())])
 
 
 def test_always_retrieve_routes_every_step_and_accepts_nonempty_retrievals():
     world, policy, snaps, ids = comparator_setup()
     run = evaluate_policy(world, policy, snaps, ids, comparator="always_retrieve")
-    steps = _steps(run)
-    nonempty = [s.retrieved is not None and bool(s.retrieved.retrieved_ids) for s in steps]
-    assert all(s.routed for s in steps)
-    assert [s.accepted for s in steps] == nonempty
-    assert any(nonempty) and not all(nonempty)
+    nonempty = _injects(run.steps)
+    assert run.steps.routed.all()
+    assert np.array_equal(run.steps.accepted, nonempty)
+    assert nonempty.any() and not nonempty.all()
     assert run.routed_frac == 1.0 and run.mean_calls == 2.0
 
 
 def test_fixed_budget_routes_two_steps_per_episode():
     world, policy, snaps, ids = comparator_setup()
-    run = evaluate_policy(world, policy, snaps, ids, comparator="fixed_budget")
-    traces = run.steps.traces()
-    lengths = {len(t.steps) for t in traces}
-    assert 1 in lengths and max(lengths) > 2
-    for trace in traces:
-        assert trace.routed_count == min(2, len(trace.steps))
-        assert [s.routed for s in trace.steps] == [i < 2 for i in range(len(trace.steps))]
-        for s in trace.steps:
-            assert s.accepted == (s.routed and s.retrieved is not None and bool(s.retrieved.retrieved_ids))
+    steps = evaluate_policy(world, policy, snaps, ids, comparator="fixed_budget").steps
+    lengths = np.bincount(steps.episode_ids)
+    lengths = lengths[lengths > 0]
+    assert 1 in lengths and lengths.max() > 2
+    assert np.array_equal(steps.routed, steps.step_index < 2)
+    assert np.array_equal(steps.accepted, steps.routed & _injects(steps))
 
 
 def test_retry_keeps_baseline_outcomes_at_the_gated_policy_cost():
@@ -338,10 +347,51 @@ def test_retry_keeps_baseline_outcomes_at_the_gated_policy_cost():
     gated = evaluate_policy(world, policy, snaps, ids)
     retry = evaluate_policy(world, policy, snaps, ids, comparator="retry")
     assert np.array_equal(retry.outcomes, base.outcomes)
-    assert [s.routed for s in _steps(retry)] == [s.routed for s in _steps(gated)]
+    assert np.array_equal(retry.steps.routed, gated.steps.routed)
     assert retry.mean_calls == gated.mean_calls > base.mean_calls
-    assert all(s.retrieved is None for s in _steps(retry))
+    assert retry.steps.columns[0].shape[1] == 0 and not retry.steps.retrievals()
     assert not np.array_equal(gated.outcomes, base.outcomes)
+
+
+@pytest.mark.parametrize(
+    "seed, policy",
+    [
+        (61, PolicyConfig(
+            tau=0.6, margin_m=0.05, bank_policy="cascade_rule_then_exemplar", budget_B=2, cooldown=1,
+            guards_enabled=frozenset({"format", "progress"}),
+        )),
+        (62, PolicyConfig(
+            tau=0.8, margin_m=-0.05, bank_policy="cascade_exemplar_then_rule", primary_bank="exemplar",
+            budget_B=3, cooldown=2, guards_enabled=frozenset({"progress"}),
+        )),
+        (63, PolicyConfig(tau=0.7, bank_policy="dual", cooldown=1, guards_enabled=frozenset(GUARD_NAMES))),
+    ],
+    ids=["cascade-rule-first", "cascade-exemplar-first", "dual"],
+)
+def test_traces_jsonl_matches_reference_on_multi_step_episodes(tmp_path, seed, policy):
+    spec = WorldSpec(
+        n_examples=300,
+        seed=seed,
+        steps_per_episode=7,
+        n_rule_entries=12,
+        n_exemplar_entries=24,
+        toxic_entry_rate=0.2,
+        guard_pass_rate=(("format", 0.7), ("progress", 0.8)),
+    )
+    world = generate_world(spec)
+    snaps = world.snapshots()
+    _, ids = split_indices(spec.n_examples, 0.5, seed)
+    steps = evaluate_policy(world, policy, snaps, ids).steps
+    path = tmp_path / "traces.jsonl"
+    write_traces(steps, str(path))
+    assert path.read_text().splitlines() == reference_trace_lines(reference_traces(world, policy, snaps, ids))
+    # not vacuous: steps held back by the budget or a cooldown, steps a guard
+    # rejects, attempts past the first bank, and accepted and rolled-back steps
+    assert (~steps.routed & (steps.baseline_confidence < policy.tau)).any()
+    assert not world.guards_pass(steps.example_ids[steps.routed], policy.guards_enabled).all()
+    assert steps.accepted.any() and (steps.routed & ~steps.accepted).any()
+    if len(steps.plan) > 1:
+        assert steps.tried[:, 1].any()
 
 
 def test_pooled_test_single_seed_matches_plain(tmp_path):
@@ -381,6 +431,23 @@ def test_governance_gap_close_absent_when_oracle_equals_baseline():
     report = run_governance_loop(world, PolicyConfig(tau=0.9), 2, fit_ids)
     assert report.oracle_accuracy == report.baseline_accuracy
     assert all(r.gap_close is None for r in report.rounds)
+
+
+def test_governance_freezes_each_bank_state_once(monkeypatch):
+    # round 0 is evaluated on the state the baseline and oracle see, so the
+    # banks are frozen once before the loop and once per later round
+    freeze = MemoryBank.freeze
+    calls = []
+    monkeypatch.setattr(MemoryBank, "freeze", lambda bank: calls.append(bank.bank_kind) or freeze(bank))
+    spec = WorldSpec(n_examples=200, seed=18, toxic_entry_rate=0.3, toxic_hurt_prob=0.95, k_max=1)
+    world = generate_world(spec)
+    fit_ids, test_ids = split_indices(200, 0.5, 0)
+    report = run_governance_loop(world, PolicyConfig(tau=0.95, margin_m=-10.0), 2, fit_ids)
+    assert len(calls) == 4
+    assert report.rounds[0].bank_hashes == {k: s.content_hash for k, s in world.snapshots().items()}
+    calls.clear()
+    run_fit_stage(world, [PolicyConfig(tau=0.95, margin_m=-10.0)], fit_ids, test_ids, governance_rounds=2)
+    assert len(calls) == 8  # also the grid search's snapshots and the frozen result
 
 
 def test_governance_toxic_worlds_improve():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import reference_retrieve
+from conftest import reference_freeze_identities, reference_retrieve, reference_traces
 from gatedmem import retrieval
 from gatedmem.bank import BankSnapshot, MemoryEntry
 from gatedmem.controller import PolicyConfig
@@ -159,11 +159,11 @@ def test_freeze_identities_routed_only():
     # the routed steps of a run that retrieved: with 4 entries a bank over 12
     # topics most queries retrieve nothing, and the budget blocks some steps
     world = generate_world(WorldSpec(n_examples=60, seed=3, steps_per_episode=4, n_rule_entries=4, n_exemplar_entries=4))
-    run = evaluate_policy(world, PolicyConfig(tau=0.6, budget_B=2), world.snapshots(), list(range(60)))
-    frozen = freeze_identities(run.steps.retrievals())
-    steps = [s for t in run.steps.traces() for s in t.steps]
-    assert frozen == {s.example_id: s.retrieved.retrieved_ids for s in steps if s.routed and s.retrieved}
-    assert any(not s.routed for s in steps) and any(s.routed and not s.retrieved for s in steps)
+    policy, snaps, ids = PolicyConfig(tau=0.6, budget_B=2), world.snapshots(), list(range(60))
+    steps = evaluate_policy(world, policy, snaps, ids).steps
+    frozen = freeze_identities(steps.retrievals())
+    assert frozen == reference_freeze_identities(reference_traces(world, policy, snaps, ids))
+    assert (~steps.routed).any() and (steps.routed & ~steps.filled[0].any(axis=1)).any()
     assert all(frozen.values())
 
 
