@@ -41,12 +41,13 @@ from .worldsim import WorldSpec, generate_world
 GRID_SEP = "|"  # alternatives within one grid value; commas stay inside values
 
 
+def _load_spec(args) -> WorldSpec:
+    spec = WorldSpec.from_flat(parse_kv_file(args.config))
+    return spec if args.seed is None else replace(spec, seed=args.seed)
+
+
 def _load_world(args):
-    flat = parse_kv_file(args.config)
-    spec = WorldSpec.from_flat(flat)
-    if args.seed is not None:
-        spec = replace(spec, seed=args.seed)
-    return generate_world(spec)
+    return generate_world(_load_spec(args))
 
 
 def _expand_grid(flat: dict[str, str]) -> list[dict[str, str]]:
@@ -123,12 +124,11 @@ def cmd_test(args) -> int:
     if not args.manifest or not os.path.exists(args.manifest):
         print("error: test requires a fit manifest (--manifest)", file=sys.stderr)
         return 2
-    world = _load_world(args)
+    spec = _load_spec(args)
     manifest = FreezeManifest.load(args.manifest)
     policy = PolicyConfig.from_flat(manifest.selection_record["policy"])
-    apply_recorded_membership(world, manifest)
     os.makedirs(args.out, exist_ok=True)
-    rows, _ = run_pooled_test(world, manifest, policy, n_seeds=args.pool_seeds, out_dir=args.out)
+    rows, _ = run_pooled_test(spec, manifest, policy, n_seeds=args.pool_seeds, out_dir=args.out)
     for row in rows:
         print(row.as_csv())
     return 0

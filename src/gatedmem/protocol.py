@@ -34,7 +34,7 @@ from .errors import FreezeMismatch, ProtocolViolation
 from .retrieval import ContentEdit, freeze_identities, target_hit_partition
 from .stats import PairedComparison, bootstrap_ci, mcnemar_exact, randomization_interaction_test
 from .util import indices_digest
-from .worldsim import World
+from .worldsim import World, WorldSpec
 
 COMPARATORS = ("retry", "always_retrieve", "fixed_budget")
 FIXED_BUDGET_K = 2  # comparator retrieves up to k=2 per episode, no guards, no rollback
@@ -139,7 +139,7 @@ class EvalRun:
     routed_frac: float
     accepted_frac: float
     mean_calls: float
-    steps: StepTable | None = None  # the controller's per-step arrays; None for the oracle and pooled runs
+    steps: StepTable | None = None  # the controller's per-step arrays; None for the oracle and pooled test runs
 
 
 def _check_example_ids(example_ids: np.ndarray, n: int) -> None:
@@ -364,7 +364,7 @@ def run_fit_stage(
         for kind, snap in report.selected_snapshots().items():
             world.banks[kind].retain(snap.entry_ids)
         governance_iteration = report.selected_iteration
-        snapshots = world.snapshots()
+        snapshots = report.selected_snapshots()
 
     record = {
         "grid_index": grid_index,
@@ -464,6 +464,13 @@ def run_test_stage(
 ) -> tuple[list, dict]:
     """Frozen paired evaluation on the test split; returns (rows, runs by name)."""
     manifest.validate(world, policy, snapshots)
+    return _evaluate_test_split(world, manifest, policy, snapshots)
+
+
+def _evaluate_test_split(
+    world: World, manifest: FreezeManifest, policy: PolicyConfig, snapshots: dict
+) -> tuple[list, dict]:
+    """run_test_stage once the manifest has been checked against the base world."""
     fit_ids, test_ids = _recover_split(manifest.selection_record, world.spec.n_examples)
     for bank in world.banks.values():
         bank.stage = STAGE_TEST
@@ -525,7 +532,7 @@ def _pool_runs(runs: list) -> EvalRun:
 
 
 def run_pooled_test(
-    base_world: World,
+    spec: WorldSpec,
     manifest: FreezeManifest,
     policy: PolicyConfig,
     n_seeds: int = 3,
@@ -533,50 +540,56 @@ def run_pooled_test(
 ) -> tuple[list, dict]:
     """Frozen test evaluation pooled over sibling-seed worlds.
 
-    The given manifest is validated against the base world; sibling worlds
-    reuse the frozen policy and recorded bank membership (no selection,
-    evidence or retirement sweep runs on them) and get mechanical manifests
-    over their own bank and world hashes. Paired outcome vectors are concatenated in seed order
-    and the statistics recomputed on the pool.
+    Seed k's world is built from the spec at seed spec.seed + k and keeps the
+    manifest's recorded bank membership. The manifest is validated against
+    the base world (k = 0); siblings reuse the frozen policy and membership,
+    and no selection, evidence or retirement sweep runs on them. Paired
+    outcome vectors are concatenated in seed order and the statistics
+    recomputed on the pool. One world is alive at a time: each seed keeps
+    only what the ledger reads, and the base world's traces and confidence
+    bins are written before any sibling is built.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     per_seed_rows = {}
     runs_by_name: dict[str, list] = {}
-    base_seed = base_world.spec.seed
     for k in range(n_seeds):
-        if k == 0:
-            world = base_world
-        else:
-            world = World(replace(base_world.spec, seed=base_seed + k))
-            apply_recorded_membership(world, manifest)
-        snapshots = world.snapshots()
-        seed_manifest = manifest if k == 0 else FreezeManifest(
-            policy_hash=manifest.policy_hash,
-            bank_hashes={kind: s.content_hash for kind, s in snapshots.items()},
-            world_hash=world.spec.world_hash(),
-            selection_record=manifest.selection_record,
-        )
-        rows, runs = run_test_stage(world, seed_manifest, policy, snapshots)
-        per_seed_rows[world.spec.seed] = rows
+        seed_spec = replace(spec, seed=spec.seed + k)
+        rows, runs = _test_seed(seed_spec, manifest, policy, base=k == 0, out_dir=out_dir)
+        per_seed_rows[seed_spec.seed] = rows
         for name, run in runs.items():
             runs_by_name.setdefault(name, []).append(run)
 
     pooled = {name: _pool_runs(rs) for name, rs in runs_by_name.items()}
     pooled_rows = [
-        make_ledger_row(f"{name} vs baseline", pooled["baseline"], pooled[name], seed=base_seed)
+        make_ledger_row(f"{name} vs baseline", pooled["baseline"], pooled[name], seed=spec.seed)
         for name in ("policy", "retry", "always_retrieve", "fixed_budget", "oracle")
     ]
     if out_dir is not None:
         write_ledger(pooled_rows, os.path.join(out_dir, "ledger.csv"))
         for seed, rows in per_seed_rows.items():
             write_ledger(rows, os.path.join(out_dir, f"ledger_seed{seed}.csv"))
-        base_runs = {name: rs[0] for name, rs in runs_by_name.items()}
-        write_traces(base_runs["policy"].steps, os.path.join(out_dir, "traces.jsonl"))
-        write_conf_bins(
-            base_world, base_runs, os.path.join(out_dir, "conf_bins.csv"), policy.confidence_signal
-        )
     return pooled_rows, per_seed_rows
+
+
+def _test_seed(
+    spec: WorldSpec, manifest: FreezeManifest, policy: PolicyConfig, base: bool, out_dir: str | None
+) -> tuple[list, dict]:
+    """One seed's ledger rows and its runs without their step tables, which hold the world.
+
+    The base world is checked against the manifest and, given out_dir,
+    writes traces.jsonl and conf_bins.csv. The world goes when this returns.
+    """
+    world = World(spec)
+    apply_recorded_membership(world, manifest)
+    snapshots = world.snapshots()
+    if base:
+        manifest.validate(world, policy, snapshots)
+    rows, runs = _evaluate_test_split(world, manifest, policy, snapshots)
+    if base and out_dir is not None:
+        write_traces(runs["policy"].steps, os.path.join(out_dir, "traces.jsonl"))
+        write_conf_bins(world, runs, os.path.join(out_dir, "conf_bins.csv"), policy.confidence_signal)
+    return rows, {name: replace(run, steps=None) for name, run in runs.items()}
 
 
 def write_ledger(rows, path: str) -> None:

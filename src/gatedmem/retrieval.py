@@ -130,12 +130,13 @@ def retrieval_table(
         if queries.shape[1] != emb.shape[1]:
             raise ValueError(f"query dimension {queries.shape[1]} != bank dimension {emb.shape[1]}")
         en = np.linalg.norm(emb, axis=1)
-        qn = np.linalg.norm(queries, axis=1)
         rows = max(1, TABLE_BLOCK_CELLS // m)
         for start in range(0, n, rows):
             stop = min(start + rows, n)
             block = queries[start:stop] @ emb.T
-            block /= qn[start:stop, None] * en
+            # a row's norm reduces that row alone; over all rows at once
+            # norm would hold two query-sized temporaries
+            block /= np.linalg.norm(queries[start:stop], axis=1)[:, None] * en
             # k rounds of argmax select the top k: argmax takes the first
             # maximum, so ties go to the lower row as in a stable sort. fmax
             # drops NaN (a zero-norm vector), which then ranks below every

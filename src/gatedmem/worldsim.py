@@ -1,11 +1,11 @@
 """Synthetic task world standing in for the LLM.
 
-The world pre-draws, per (example, entry) pair, whether that entry is
+The world draws, per (example, entry) pair, whether that entry is
 actually applicable to the example, whether an applicable injection helps,
 whether an inapplicable one hurts, and how the example reacts to content
 edits of that entry. Decoding is then indexing, many examples at a time:
 baseline_pass reads a seeded Bernoulli of base_accuracy, guards_pass the
-pre-drawn guard outcomes, injected lists (as pair-table columns) what each
+drawn guard outcomes, injected lists (as pair-table columns) what each
 example retrieves from a snapshot, and second_pass combines the pair draws
 of whatever entries were injected. A decode is a correctness flag and a
 confidence; answer names the action it stands for. Everything is a
@@ -13,9 +13,13 @@ deterministic function of (spec, seed), which makes free-rerun versus fixed-retr
 contrasts exactly decomposable and lets the oracle read off ground-truth
 outcomes for every candidate context (oracle_candidates).
 
-All of a world's randomness is drawn when it is built, as dense arrays, each
-purpose (pair latents, guards, confidence latents and noise, topics, baseline
-correctness, query and entry embeddings) from its own keyed Philox stream.
+Each purpose (pair latents, guards, confidence latents and noise, topics,
+baseline correctness, query and entry embeddings) draws from its own keyed
+Philox stream. All but the pair latents are drawn when the world is built,
+as dense arrays. A run reads only the few pairs its examples inject, so a
+pair's latents are drawn on first read: pair (i, j) is one Philox4x64-10
+block at a fixed counter, computed directly by philox_uniforms, and the
+value is the one a dense draw of the whole table would give.
 
 Confidences come from a two-Beta model: correct decodes draw from
 Beta(mu_hi*kappa, ...), incorrect from the mirrored low component, with the
@@ -280,6 +284,7 @@ class OutcomeTable:
 
 # bits of a pair-latent byte; sensitivity takes two: repair_better, corrupt_better, or neither
 PAIR_APPLICABLE, PAIR_HELP, PAIR_HURT, PAIR_REPAIR_BETTER, PAIR_CORRUPT_BETTER = 1, 2, 4, 8, 16
+PAIR_DRAWN = 32  # set once a cell's latents are drawn; never part of what _pair_bytes returns
 
 
 def _stream(key: int, counter: int = 0) -> np.random.Generator:
@@ -289,6 +294,45 @@ def _stream(key: int, counter: int = 0) -> np.random.Generator:
     own key, and a row of a table can start at a fixed counter offset.
     """
     return np.random.Generator(np.random.Philox(key=key, counter=counter))
+
+
+# Philox4x64-10 multipliers and Weyl key increments, as in numpy's Philox
+_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+_PHILOX_ROUNDS = 10
+_U64 = (1 << 64) - 1
+# every operand is np.uint64: numpy 1.x promotes uint64 with a python int to float64
+_LO32, _32, _11 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
+
+
+def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(high, low) 64-bit words of the 128-bit products m * x, from 32-bit halves."""
+    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+    x_lo, x_hi = x & _LO32, x >> _32
+    lh, hl = m_lo * x_hi, m_hi * x_lo
+    mid = (m_lo * x_lo >> _32) + (lh & _LO32) + (hl & _LO32)
+    return m_hi * x_hi + (lh >> _32) + (hl >> _32) + (mid >> _32), np.uint64(m) * x
+
+
+def philox_uniforms(key: int, counters: np.ndarray) -> np.ndarray:
+    """(len(counters), 4) uniforms of Philox4x64-10 blocks of stream `key`.
+
+    Row r is the block at counter counters[r] (< 2**64), the four words as
+    np.random.Philox turns them into doubles: the top 53 bits times 2**-53.
+    np.random.Philox(key=key, counter=c).random(4) is the block at c + 1, so
+    a Generator's draws and these agree bit for bit, and any block of a
+    stream can be computed without the blocks before it.
+    """
+    x0 = np.asarray(counters, np.uint64)
+    x1 = x2 = x3 = np.zeros_like(x0)
+    k0, k1 = key & _U64, key >> 64 & _U64
+    for _ in range(_PHILOX_ROUNDS):
+        hi0, lo0 = _mulhilo(_PHILOX_M[0], x0)
+        hi1, lo1 = _mulhilo(_PHILOX_M[1], x2)
+        x0, x1, x2, x3 = hi1 ^ x1 ^ np.uint64(k0), lo1, hi0 ^ x3 ^ np.uint64(k1), lo0
+        k0, k1 = (k0 + _PHILOX_W[0]) & _U64, (k1 + _PHILOX_W[1]) & _U64
+    words = np.stack([x0, x1, x2, x3], axis=1) >> _11
+    return words.astype(np.float64) * 2.0**-53
 
 
 class World:
@@ -337,9 +381,10 @@ class World:
             self._rng("query-embedding"), topics, self._topic_matrix(topics), spec.topic_weight
         )
 
-        rate = np.where(toxic, spec.toxic_applicability, [spec.rate_for(k) for k in entry_kinds])
-        hurt = np.where(toxic, spec.toxic_hurt_prob, spec.hurt_prob_given_inapplicable)
-        self._pairs = self._draw_pairs(rate, hurt)
+        # pair latents, drawn a cell at a time on first read (_pair_bytes)
+        self._pair_rate = np.where(toxic, spec.toxic_applicability, [spec.rate_for(k) for k in entry_kinds])
+        self._pair_hurt = np.where(toxic, spec.toxic_hurt_prob, spec.hurt_prob_given_inapplicable)
+        self._pairs = np.zeros((n, len(entry_ids)), np.uint8)
         rates = np.array([spec.guard_rate(g) for g in GUARD_NAMES])
         self._guards = self._rng("guard").random((n, len(GUARD_NAMES))) < rates
         self._conf = self._draw_confidences(self._baseline)
@@ -348,31 +393,40 @@ class World:
     def _rng(self, purpose: str) -> np.random.Generator:
         return _stream(derive_seed(self.seed, purpose))
 
-    def _draw_pairs(self, rate: np.ndarray, hurt: np.ndarray) -> np.ndarray:
-        """Packed pair latents, (n_examples, n_entries) uint8.
+    def _pair_bytes(self, rows, columns) -> np.ndarray:
+        """Packed pair-latent bytes at (rows, columns), broadcast together.
 
-        Each pair takes four uniforms: applicable, help, hurt, sensitivity.
-        A row takes one Philox counter block per entry, so a row block starts
-        at a fixed counter and the values do not depend on the block size.
-        Blocks hold about TABLE_BLOCK_CELLS pairs.
+        Pair (i, j) takes the four uniforms of block i * n_entries + j + 1 of
+        the world's pair stream: applicable, help, hurt, sensitivity. Cells
+        not read before are drawn now, about TABLE_BLOCK_CELLS at a time, and
+        kept, so a value does not depend on which cells were read, in what
+        order or in what blocks: it is the cell of the dense row-major draw.
         """
+        m = self._pairs.shape[1]
+        cells = np.asarray(rows, np.intp) * m + np.asarray(columns, np.intp)
+        flat = self._pairs.reshape(-1)
+        bits = flat[cells]
+        missing = cells[bits & PAIR_DRAWN == 0]
+        if missing.size:
+            key = derive_seed(self.seed, "pair")
+            for start in range(0, missing.size, TABLE_BLOCK_CELLS):
+                block = missing[start:start + TABLE_BLOCK_CELLS]
+                flat[block] = self._encode_pairs(block % m, philox_uniforms(key, block + 1))
+            bits = flat[cells]
+        bits &= ~np.uint8(PAIR_DRAWN)
+        return bits
+
+    def _encode_pairs(self, columns: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Pair-latent bytes, PAIR_DRAWN set, of cells in `columns` from their (cells, 4) uniforms."""
         spec = self.spec
-        n, m = spec.n_examples, len(rate)
-        key = derive_seed(self.seed, "pair")
         sens_repair = spec.edit_sensitive_rate * spec.repair_better_prob
-        out = np.zeros((n, m), np.uint8)
-        rows = max(1, TABLE_BLOCK_CELLS // max(1, m))
-        for start in range(0, n, rows):
-            u = _stream(key, start * m).random((min(rows, n - start), m, 4))
-            block = out[start:start + rows]
-            block |= (u[..., 0] < rate) * np.uint8(PAIR_APPLICABLE)
-            block |= (u[..., 1] < spec.help_prob_given_applicable) * np.uint8(PAIR_HELP)
-            block |= (u[..., 2] < hurt) * np.uint8(PAIR_HURT)
-            block |= (u[..., 3] < sens_repair) * np.uint8(PAIR_REPAIR_BETTER)
-            block |= ((u[..., 3] >= sens_repair) & (u[..., 3] < spec.edit_sensitive_rate)) * np.uint8(
-                PAIR_CORRUPT_BETTER
-            )
-        return out
+        bits = np.full(len(columns), PAIR_DRAWN, np.uint8)
+        bits |= (u[:, 0] < self._pair_rate[columns]) * np.uint8(PAIR_APPLICABLE)
+        bits |= (u[:, 1] < spec.help_prob_given_applicable) * np.uint8(PAIR_HELP)
+        bits |= (u[:, 2] < self._pair_hurt[columns]) * np.uint8(PAIR_HURT)
+        bits |= (u[:, 3] < sens_repair) * np.uint8(PAIR_REPAIR_BETTER)
+        bits |= ((u[:, 3] >= sens_repair) & (u[:, 3] < spec.edit_sensitive_rate)) * np.uint8(PAIR_CORRUPT_BETTER)
+        return bits
 
     def _draw_confidences(self, baseline: np.ndarray) -> dict[str, np.ndarray]:
         """signal -> (n_examples, 5) confidences.
@@ -460,10 +514,10 @@ class World:
         """The action a decode emits: the true action, or a wrong one marked by its pass."""
         return self.true_action(idx) if correct else f"alt{idx}.{'m' if second else 'b'}"
 
-    # -- pre-drawn randomness -------------------------------------------------
+    # -- drawn randomness -----------------------------------------------------
 
     def pair_draws(self, idx: int, entry_id: str) -> PairDraws:
-        bits = self._pairs.item(idx, self._column[entry_id])
+        bits = self._pair_bytes(idx, self._column[entry_id]).item()
         if bits & PAIR_REPAIR_BETTER:
             sensitivity = "repair_better"
         elif bits & PAIR_CORRUPT_BETTER:
@@ -506,14 +560,15 @@ class World:
         base, conf = self.baseline_pass(rows, signal)
         if columns.shape[1] == 0:
             return base, conf
-        bits = self._pairs[rows[:, None], columns]
+        bits = np.zeros(columns.shape, np.uint8)  # an unfilled slot never decides, so it reads 0
+        bits[filled] = self._pair_bytes(np.repeat(rows, filled.sum(axis=1)), columns[filled])
         applicable = filled & (bits & PAIR_APPLICABLE > 0)
         any_applicable = applicable.any(axis=1)
         slot = np.where(any_applicable, applicable.argmax(axis=1), filled.argmax(axis=1))[:, None]
         deciding = np.take_along_axis(bits, slot, axis=1)[:, 0]
         correct = np.where(any_applicable, base | (deciding & PAIR_HELP > 0), base & (deciding & PAIR_HURT == 0))
         if version in ("repair", "corrupt") and len(edited_ids):
-            edited = np.zeros(self._pairs.shape[1], bool)
+            edited = np.zeros(len(self.entry_ids), bool)
             edited[self.columns([e for e in edited_ids if e in self._column])] = True
             hit = filled & edited[columns]
             hit_bits = np.take_along_axis(bits, hit.argmax(axis=1)[:, None], axis=1)[:, 0] * hit.any(axis=1)

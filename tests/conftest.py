@@ -4,7 +4,8 @@ reference_retrieve is retrieve() one query at a time; reference_traces is
 the control loop one step at a time, with the second pass decoded entry by
 entry, as step records; oracle_policy is the paired oracle one step at a
 time. The package computes all three in batches, and keeps a run as the
-arrays of a StepTable.
+arrays of a StepTable. reference_pair_table draws every pair latent of a
+world at once, where the world draws a cell on its first read.
 """
 
 import json
@@ -15,6 +16,7 @@ import numpy as np
 from gatedmem.bank import BANK_KINDS, EvidenceRecord
 from gatedmem.controller import DEFAULT_CONTEXT, GUARD_NAMES, compose_bank_policy
 from gatedmem.retrieval import Query, RetrievalResult
+from gatedmem.util import derive_seed
 from gatedmem.worldsim import (
     CONTENT_VERSIONS,
     ORACLE_CONTEXTS,
@@ -48,6 +50,34 @@ def reference_world_retrieve(world, idx, snapshot) -> RetrievalResult:
     """reference_retrieve for one example of a world, at the world's threshold and k_max."""
     query = Query(idx, world.query_embeddings[idx])
     return reference_retrieve(query, snapshot, world.spec.retrieval_threshold, world.spec.k_max)
+
+
+def reference_pair_table(world, block_cells=1 << 13) -> np.ndarray:
+    """Every packed pair-latent byte of a world, (n_examples, n_entries) uint8, drawn densely.
+
+    Each pair takes four uniforms from the world's pair stream: applicable,
+    help, hurt, sensitivity. A row takes one Philox counter block per entry,
+    so a block of rows starts at a fixed counter through a Generator.
+    """
+    spec = world.spec
+    toxic = np.array([e in world.toxic_ids for e in world.entry_ids], bool)
+    kinds = [world.entry_bank(e) for e in world.entry_ids]
+    rate = np.where(toxic, spec.toxic_applicability, [spec.rate_for(k) for k in kinds])
+    hurt = np.where(toxic, spec.toxic_hurt_prob, spec.hurt_prob_given_inapplicable)
+    n, m = spec.n_examples, len(world.entry_ids)
+    key = derive_seed(spec.seed, "pair")
+    sens_repair = spec.edit_sensitive_rate * spec.repair_better_prob
+    out = np.zeros((n, m), np.uint8)
+    rows = max(1, block_cells // max(1, m))
+    for start in range(0, n, rows):
+        u = np.random.Generator(np.random.Philox(key=key, counter=start * m)).random((min(rows, n - start), m, 4))
+        block = out[start:start + rows]
+        block |= (u[..., 0] < rate) * np.uint8(PAIR_APPLICABLE)
+        block |= (u[..., 1] < spec.help_prob_given_applicable) * np.uint8(PAIR_HELP)
+        block |= (u[..., 2] < hurt) * np.uint8(PAIR_HURT)
+        block |= (u[..., 3] < sens_repair) * np.uint8(PAIR_REPAIR_BETTER)
+        block |= ((u[..., 3] >= sens_repair) & (u[..., 3] < spec.edit_sensitive_rate)) * np.uint8(PAIR_CORRUPT_BETTER)
+    return out
 
 
 def utility(world, idx, action) -> float:
@@ -174,7 +204,7 @@ def reference_second(world, idx, injected, version="original", edited_ids=(), si
     """(action, confidence) of one second pass, decoded entry by entry from the pair bits."""
     if not injected:
         return reference_baseline(world, idx, signal)
-    bits = [world._pairs.item(idx, world._column[e]) for e in injected]
+    bits = world._pair_bytes(idx, world.columns(injected)).tolist()
     base = bool(world._baseline[idx])
     applicable = [k for k, b in enumerate(bits) if b & PAIR_APPLICABLE]
     if applicable:

@@ -2,12 +2,14 @@
 
 import os
 import re
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import arith_shape_spec, localization_shape_spec, reference_trace_lines, reference_traces
+from gatedmem import protocol
 from gatedmem.bank import EvidenceRecord, MemoryBank
 from gatedmem.controller import GUARD_NAMES, PolicyConfig
 from gatedmem.errors import FreezeMismatch, ProtocolViolation
@@ -25,7 +27,7 @@ from gatedmem.protocol import (
     write_traces,
 )
 from gatedmem.util import indices_digest
-from gatedmem.worldsim import WorldSpec, generate_world
+from gatedmem.worldsim import World, WorldSpec, generate_world
 
 
 def fitted_world(seed=0, n=400, grid=None, governance_rounds=0, spec=None):
@@ -234,7 +236,7 @@ def test_fit_test_byte_identical_ledgers(tmp_path):
     for out in (out1, out2):
         os.makedirs(out)
         world, manifest, policy, _ = fitted_world(seed=14)
-        run_pooled_test(world, manifest, policy, n_seeds=1, out_dir=out)
+        run_pooled_test(world.spec, manifest, policy, n_seeds=1, out_dir=out)
     for name in ("ledger.csv", "traces.jsonl", "conf_bins.csv"):
         with open(os.path.join(out1, name), "rb") as f1, open(os.path.join(out2, name), "rb") as f2:
             assert f1.read() == f2.read(), name
@@ -243,7 +245,7 @@ def test_fit_test_byte_identical_ledgers(tmp_path):
 def test_output_files_written(tmp_path):
     out = str(tmp_path)
     world, manifest, policy, _ = fitted_world(seed=15)
-    run_pooled_test(world, manifest, policy, n_seeds=1, out_dir=out)
+    run_pooled_test(world.spec, manifest, policy, n_seeds=1, out_dir=out)
     assert os.path.exists(os.path.join(out, "ledger.csv"))
     assert os.path.exists(os.path.join(out, "traces.jsonl"))
     assert os.path.exists(os.path.join(out, "conf_bins.csv"))
@@ -257,7 +259,7 @@ def test_pooled_test_concatenates_seeds(tmp_path):
     # rebuild the world: run_test_stage flipped its banks to the test stage
     world, manifest, policy, snaps = fitted_world(seed=40)
     pooled_rows, per_seed = run_pooled_test(
-        world, manifest, policy, n_seeds=3, out_dir=str(tmp_path)
+        world.spec, manifest, policy, n_seeds=3, out_dir=str(tmp_path)
     )
     assert len(per_seed) == 3
     single = {r.comparison: r for r in single_rows}
@@ -270,6 +272,24 @@ def test_pooled_test_concatenates_seeds(tmp_path):
     for seed in per_seed:
         assert os.path.exists(os.path.join(str(tmp_path), f"ledger_seed{seed}.csv"))
     assert os.path.exists(os.path.join(str(tmp_path), "traces.jsonl"))
+
+
+def test_pooled_test_holds_one_world_at_a_time(monkeypatch, tmp_path):
+    world, manifest, policy, _ = fitted_world(seed=42, governance_rounds=1)
+    spec = world.spec
+    del world
+    built = []
+
+    def build(spec):
+        assert [ref() for ref in built] == [None] * len(built), "an earlier seed's world is still alive"
+        world = World(spec)
+        built.append(weakref.ref(world))
+        return world
+
+    monkeypatch.setattr(protocol, "World", build)
+    rows, per_seed = run_pooled_test(spec, manifest, policy, n_seeds=3, out_dir=str(tmp_path))
+    assert len(built) == 3 and [ref() for ref in built] == [None] * 3
+    assert sorted(per_seed) == [42, 43, 44] and (tmp_path / "traces.jsonl").exists()
 
 
 def _tampered_split(manifest, test_ids):
@@ -398,7 +418,7 @@ def test_pooled_test_single_seed_matches_plain(tmp_path):
     world, manifest, policy, snaps = fitted_world(seed=41)
     plain_rows, _ = run_test_stage(world, manifest, policy, snaps)
     world, manifest, policy, snaps = fitted_world(seed=41)
-    pooled_rows, _ = run_pooled_test(world, manifest, policy, n_seeds=1)
+    pooled_rows, _ = run_pooled_test(world.spec, manifest, policy, n_seeds=1)
     assert [r.as_csv() for r in pooled_rows] == [r.as_csv() for r in plain_rows]
 
 
@@ -447,7 +467,7 @@ def test_governance_freezes_each_bank_state_once(monkeypatch):
     assert report.rounds[0].bank_hashes == {k: s.content_hash for k, s in world.snapshots().items()}
     calls.clear()
     run_fit_stage(world, [PolicyConfig(tau=0.95, margin_m=-10.0)], fit_ids, test_ids, governance_rounds=2)
-    assert len(calls) == 8  # also the grid search's snapshots and the frozen result
+    assert len(calls) == 6  # also the grid search's snapshots; the frozen result is the selected round's
 
 
 def test_governance_toxic_worlds_improve():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import arith_shape_spec, reference_outcome_table, reference_retrieve, utility
+from conftest import arith_shape_spec, reference_outcome_table, reference_pair_table, reference_retrieve, utility
 from gatedmem import retrieval, worldsim
 from gatedmem.controller import CONFIDENCE_SIGNALS, GUARD_NAMES, PolicyConfig
 from gatedmem.protocol import evaluate_oracle, evaluate_policy
@@ -15,12 +15,19 @@ from gatedmem.retrieval import Query
 from gatedmem.stats import roc_auc
 from gatedmem.util import parse_kv_file
 from gatedmem.worldsim import (
+    PAIR_APPLICABLE,
+    PAIR_CORRUPT_BETTER,
+    PAIR_DRAWN,
+    PAIR_HELP,
+    PAIR_HURT,
+    PAIR_REPAIR_BETTER,
     ConfidenceModel,
     WorldSpec,
     _auc,
     _betainc,
     beta_separation_for_auc,
     generate_world,
+    philox_uniforms,
 )
 
 
@@ -174,11 +181,11 @@ def test_edit_sensitive_rows_flip_between_versions():
     flips = 0
     repairs = _second_pass(world, range(400), edited, "repair", edited)[0].tolist()
     corrupts = _second_pass(world, range(400), edited, "corrupt", edited)[0].tolist()
-    for i, (repair, corrupt) in enumerate(zip(repairs, corrupts)):
-        sens = world.pair_draws(i, "E000").sensitivity
-        if sens == "repair_better":
+    bits = world._pair_bytes(np.arange(400), world.columns(edited)[0]).tolist()
+    for repair, corrupt, b in zip(repairs, corrupts, bits):
+        if b & PAIR_REPAIR_BETTER:
             assert repair and not corrupt
-        elif sens == "corrupt_better":
+        elif b & PAIR_CORRUPT_BETTER:
             assert corrupt and not repair
         flips += repair != corrupt
     assert flips == 400  # sensitivity rate 1.0: every hit row flips
@@ -437,10 +444,10 @@ def _entry_ids(spec):
 
 def _all_draws(world, order):
     """Every draw a world exposes, read in the given example order."""
-    entry_ids = _entry_ids(world.spec)
+    columns = world.columns(_entry_ids(world.spec))
     return {
         idx: (
-            [world.pair_draws(idx, e) for e in entry_ids],
+            world._pair_bytes(idx, columns).tolist(),
             [world.guards_pass([idx], {g}).item() for g in GUARD_NAMES],
             [tuple(x.item() for x in world.baseline_pass([idx], s)) for s in CONFIDENCE_SIGNALS],
             [
@@ -475,6 +482,57 @@ def test_draws_do_not_depend_on_retirement_drift_or_order():
     assert _all_draws(world, reversed(range(spec.n_examples))) == reference
 
 
+def test_philox_kernel_matches_numpy_philox():
+    rng = np.random.default_rng(31)
+    keys = [2**63, 2**64 - 1, 2**64 + 7, *rng.integers(2**63, 2**64, size=4, dtype=np.uint64).tolist()]
+    for key in keys:
+        counters = [0, 2**32 - 1, 2**63, 2**64 - 2, *rng.integers(0, 2**64 - 1, size=12, dtype=np.uint64).tolist()]
+        want = [np.random.Generator(np.random.Philox(key=key, counter=c)).random(4) for c in counters]
+        assert np.array_equal(philox_uniforms(key, np.array(counters, np.uint64) + np.uint64(1)), want), key
+        run = np.random.Generator(np.random.Philox(key=key, counter=99)).random((6, 4))
+        assert np.array_equal(philox_uniforms(key, np.arange(100, 106, dtype=np.uint64)), run), key
+
+
+def _lazy_specs():
+    return [
+        WorldSpec(n_examples=150, seed=24),
+        WorldSpec(n_examples=130, seed=25, toxic_entry_rate=0.3, edit_sensitive_rate=0.9, repair_better_prob=0.4),
+        WorldSpec(n_examples=97, seed=26, n_rule_entries=7, n_exemplar_entries=0, toxic_entry_rate=0.5),
+    ]
+
+
+@pytest.mark.parametrize("spec", _lazy_specs())
+def test_pair_bytes_equal_dense_draw_in_any_read_order(spec):
+    reference = reference_pair_table(generate_world(spec))
+    n, m = reference.shape
+    assert reference.any() and not (reference & PAIR_DRAWN).any()
+    world = generate_world(spec)  # a row at a time, rows shuffled and columns reversed
+    for idx in np.random.default_rng(spec.seed).permutation(n).tolist():
+        assert np.array_equal(world._pair_bytes(idx, np.arange(m)[::-1]), reference[idx, ::-1])
+    assert np.array_equal(world._pair_bytes(np.arange(n)[:, None], np.arange(m)), reference)
+    world = generate_world(spec)  # scattered cells first, then the whole table
+    rows, cols = np.arange(n)[::3], np.arange(n)[::3] % m
+    assert np.array_equal(world._pair_bytes(rows, cols), reference[rows, cols])
+    assert np.array_equal(world._pair_bytes(np.arange(n)[:, None], np.arange(m)), reference)
+    for idx, entry_id in [(0, world.entry_ids[0]), (n - 1, world.entry_ids[-1])]:
+        bits, draws = int(reference[idx, world.columns([entry_id])[0]]), world.pair_draws(idx, entry_id)
+        assert (draws.applicable, draws.help, draws.hurt) == (
+            bool(bits & PAIR_APPLICABLE), bool(bits & PAIR_HELP), bool(bits & PAIR_HURT)
+        )
+
+
+def test_second_pass_draws_only_the_cells_it_injects():
+    world = generate_world(WorldSpec(n_examples=300, seed=27))
+    rows = np.arange(0, 300, 2)
+    cols, filled = world.injected(rows, world.snapshots(), ("rule", "exemplar"))
+    assert not (world._pairs & PAIR_DRAWN).any()
+    world.second_pass(rows, cols, filled)
+    drawn = np.zeros(world._pairs.shape, bool)
+    drawn[np.broadcast_to(rows[:, None], cols.shape)[filled], cols[filled]] = True
+    assert 0 < drawn.sum() < drawn.size // 10
+    assert np.array_equal(world._pairs & PAIR_DRAWN > 0, drawn)
+
+
 def test_realized_rates_within_binomial_bands():
     # every band is 5 binomial standard deviations, fixed before the first run
     spec = WorldSpec(
@@ -493,23 +551,22 @@ def test_realized_rates_within_binomial_bands():
 
     entry_ids = _entry_ids(spec)
     within_band([e in world.toxic_ids for e in entry_ids], spec.toxic_entry_rate)
-    draws = {e: [world.pair_draws(i, e) for i in range(spec.n_examples)] for e in entry_ids}
+    pairs = world._pair_bytes(np.arange(spec.n_examples)[:, None], world.columns(entry_ids))
     groups = {
         "rule": [e for e in entry_ids if e.startswith("R") and e not in world.toxic_ids],
         "exemplar": [e for e in entry_ids if e.startswith("E") and e not in world.toxic_ids],
         "toxic": sorted(world.toxic_ids),
     }
     for group, ids in groups.items():
-        pairs = [d for e in ids for d in draws[e]]
+        bits = pairs[:, world.columns(ids)]
         applicable = spec.toxic_applicability if group == "toxic" else spec.rate_for(group)
         hurt = spec.toxic_hurt_prob if group == "toxic" else spec.hurt_prob_given_inapplicable
-        within_band([d.applicable for d in pairs], applicable)
-        within_band([d.hurt for d in pairs], hurt)
-    pairs = [d for e in entry_ids for d in draws[e]]
-    within_band([d.help for d in pairs], spec.help_prob_given_applicable)
+        within_band(bits & PAIR_APPLICABLE, applicable)
+        within_band(bits & PAIR_HURT, hurt)
+    within_band(pairs & PAIR_HELP, spec.help_prob_given_applicable)
     repair = spec.edit_sensitive_rate * spec.repair_better_prob
-    within_band([d.sensitivity == "repair_better" for d in pairs], repair)
-    within_band([d.sensitivity == "corrupt_better" for d in pairs], spec.edit_sensitive_rate - repair)
+    within_band(pairs & PAIR_REPAIR_BETTER, repair)
+    within_band(pairs & PAIR_CORRUPT_BETTER, spec.edit_sensitive_rate - repair)
     for guard in GUARD_NAMES:
         passed = world.guards_pass(range(spec.n_examples), {guard})
         if spec.guard_rate(guard) == 1.0:
