@@ -33,6 +33,7 @@ from .protocol import (
     run_pooled_test,
     split_indices,
     write_counterfactual_rows,
+    write_outcome_table,
 )
 from .retrieval import load_edits
 from .util import parse_kv_file, parse_value, write_kv_file
@@ -81,24 +82,7 @@ def cmd_gen_world(args) -> int:
     write_kv_file(os.path.join(args.out, "world.kv"), world.spec.to_flat())
     for kind, bank in world.banks.items():
         bank.save(os.path.join(args.out, f"bank_{kind}.jsonl"))
-    table = world.outcome_table(world.snapshots())
-    correct = {f"{ctx}/{ver}": v.tolist() for (ctx, ver), v in table.second_correct.items()}
-    confs = {ctx: v.tolist() for ctx, v in table.confidences.items()}
-    # the bytes of json.dump(rows, fh, sort_keys=True), a row per encode call:
-    # only a one-shot encode uses the C encoder, and one for the whole table
-    # would hold all of it in memory
-    encode = json.JSONEncoder(sort_keys=True).encode
-    with open(os.path.join(args.out, "outcome_table.json"), "w", encoding="utf-8") as fh:
-        fh.write("[")
-        for i, base in enumerate(table.baseline_correct.tolist()):
-            row = {
-                "example_id": i,
-                "baseline_correct": base,
-                "second_correct_by_context": {k: v[i] for k, v in correct.items()},
-                "confidences": {k: round(v[i], 10) for k, v in confs.items()},
-            }
-            fh.write((", " if i else "") + encode(row))
-        fh.write("]\n")
+    write_outcome_table(world.outcome_table(world.snapshots()), os.path.join(args.out, "outcome_table.json"))
     print(f"world {world.spec.world_hash()[:12]} written to {args.out}")
     return 0
 

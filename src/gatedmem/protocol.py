@@ -16,7 +16,8 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
+from json.encoder import encode_basestring_ascii
 from typing import get_type_hints
 
 import numpy as np
@@ -34,7 +35,7 @@ from .errors import FreezeMismatch, ProtocolViolation
 from .retrieval import ContentEdit, freeze_identities, target_hit_partition
 from .stats import PairedComparison, bootstrap_ci, mcnemar_exact, randomization_interaction_test
 from .util import indices_digest
-from .worldsim import World, WorldSpec
+from .worldsim import OutcomeTable, World, WorldSpec
 
 COMPARATORS = ("retry", "always_retrieve", "fixed_budget")
 FIXED_BUDGET_K = 2  # comparator retrieves up to k=2 per episode, no guards, no rollback
@@ -46,6 +47,8 @@ NO_MEMORY = SecondPassContext(version="none")  # retry: a second pass without me
 RECORD_TYPES = {
     "policy": dict, "fit_ids": list, "test_ids": list, "fit_digest": str, "test_digest": str, "active_ids": dict,
 }
+ROW_BLOCK = 256  # rows (traces: about this many steps) encoded per write; a block's text stays well under 1 MB
+_JSON_BOOL = ("false", "true")
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +63,7 @@ class FreezeManifest:
     selection_record: dict
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        return json.dumps(vars(self), sort_keys=True, indent=2)
 
     @staticmethod
     def from_json(text: str) -> "FreezeManifest":
@@ -289,6 +292,7 @@ def run_governance_loop(world: World, policy: PolicyConfig, rounds: int, fit_ids
     for it in range(rounds):
         if it:
             snaps = {k: b.freeze() for k, b in working.items()}
+            world.release_tables(snaps)  # a bank that changed is never read in an earlier state again
         run = evaluate_policy(world, policy, snaps, fit_ids)
         acc = float(run.outcomes.mean())
         gap = None if acc_oracle == acc_base else (acc - acc_base) / (acc_oracle - acc_base)
@@ -599,50 +603,124 @@ def write_ledger(rows, path: str) -> None:
             fh.write(row.as_csv() + "\n")
 
 
+# a traces.jsonl line and its steps: json.dumps(..., sort_keys=True) of the README's fields
+_STEP_JSON = (
+    '{"accepted": %s, "baseline_action": %s, "baseline_confidence": %s, "calls_used": %d, "example_id": %d, '
+    '"final_action": %s, "retrieved_ids": [%s], "routed": %s, "second_action": %s, "second_confidence": %s, '
+    '"step_index": %d}'
+)
+_EPISODE_JSON = (
+    '{"accepted_count": %d, "episode_id": %d, "outcome_utility": %s, "routed_count": %d, "steps": [%s], '
+    '"total_calls": %d}\n'
+)
+
+
+def _json_bools(values: np.ndarray) -> list:
+    return list(map(_JSON_BOOL.__getitem__, values.tolist()))
+
+
+def _json_rounded(values: np.ndarray) -> list:
+    """json's text of each finite value rounded to 10 places, as the per-row files write confidences."""
+    return [float.__repr__(round(x, 10)) for x in values.tolist()]
+
+
 def write_traces(steps: StepTable, path: str) -> None:
     """One JSON line per episode of the policy run, its steps in order (format in README).
 
     A routed step shows its deciding attempt: the ids it injected, and its
-    second answer and confidence if a second pass ran.
+    second answer and confidence if a second pass ran. Lines are encoded
+    from the table's columns a block of episodes at a time.
     """
     world = steps.world
-    deciding = steps.deciding.tolist()
-    ran, correct, confidence = (x.tolist() for x in steps.deciding_pass())
-    routed, accepted = steps.routed.tolist(), steps.accepted.tolist()
-    base_conf = steps.baseline_confidence.tolist()
-    final = steps.final_correct.tolist()
-    records = []
-    for s, idx in enumerate(steps.example_ids.tolist()):
-        base = world.answer(idx, bool(steps.baseline_correct[s]), second=False)
-        second = world.answer(idx, correct[s], second=True) if ran[s] else None
-        records.append(
-            {
-                "step_index": int(steps.step_index[s]),
-                "example_id": idx,
-                "baseline_action": base,
-                "baseline_confidence": round(base_conf[s], 10),
-                "routed": routed[s],
-                "retrieved_ids": list(steps.entry_ids(s, deciding[s])) if routed[s] else [],
-                "second_action": second,
-                "second_confidence": round(confidence[s], 10) if ran[s] else None,
-                "accepted": accepted[s],
-                "final_action": second if accepted[s] else base,
-                "calls_used": 2 if routed[s] else 1,
-            }
-        )
-    bounds = np.flatnonzero(np.diff(steps.episode_ids, prepend=-1, append=-1)).tolist()
+    quoted_ids = [encode_basestring_ascii(e) for e in world.entry_ids]
+    deciding = steps.deciding
+    ran, correct, confidence = steps.deciding_pass()
+    accepted = steps.accepted
+
+    def step_json(lo: int, hi: int) -> list:
+        ids = steps.example_ids[lo:hi].tolist()
+        routed, ran_ = steps.routed[lo:hi], ran[lo:hi].tolist()
+        base = [
+            encode_basestring_ascii(world.answer(i, c, second=False))
+            for i, c in zip(ids, steps.baseline_correct[lo:hi].tolist())
+        ]
+        second = [
+            encode_basestring_ascii(world.answer(i, c, second=True)) if r else "null"
+            for i, c, r in zip(ids, correct[lo:hi].tolist(), ran_)
+        ]
+        retrieved = [""] * (hi - lo)
+        for a in range(len(steps.plan)):
+            rows = np.flatnonzero(routed & (deciding[lo:hi] == a))
+            filled = steps.filled[a][lo:hi][rows]
+            cells = [quoted_ids[c] for c in steps.columns[a][lo:hi][rows][filled].tolist()]
+            cut = 0
+            for r, end in zip(rows.tolist(), np.cumsum(filled.sum(axis=1)).tolist()):
+                retrieved[r] = ", ".join(cells[cut:end])
+                cut = end
+        return list(map(_STEP_JSON.__mod__, zip(
+            _json_bools(accepted[lo:hi]),
+            base,
+            _json_rounded(steps.baseline_confidence[lo:hi]),
+            (routed + 1).tolist(),
+            ids,
+            [s if a else b for s, b, a in zip(second, base, accepted[lo:hi].tolist())],
+            retrieved,
+            _json_bools(routed),
+            second,
+            [c if r else "null" for c, r in zip(_json_rounded(confidence[lo:hi]), ran_)],
+            steps.step_index[lo:hi].tolist(),
+        )))
+
+    bounds = np.flatnonzero(np.diff(steps.episode_ids, prepend=-1, append=-1))
+    starts, lengths = bounds[:-1], np.diff(bounds)
+    routed_count = np.add.reduceat(steps.routed.astype(np.intp), starts)
+    accepted_count = np.add.reduceat(accepted.astype(np.intp), starts).tolist()
+    utility = (np.add.reduceat(steps.final_correct.astype(np.intp), starts) / lengths).tolist()
+    calls = (lengths + routed_count).tolist()
+    episode_ids, routed_count, bounds = steps.episode_ids[starts].tolist(), routed_count.tolist(), bounds.tolist()
+    per_block = max(1, ROW_BLOCK // world.spec.steps_per_episode)
     with open(path, "w", encoding="utf-8") as fh:
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            n_routed = sum(routed[lo:hi])
-            episode = {
-                "episode_id": int(steps.episode_ids[lo]),
-                "outcome_utility": sum(final[lo:hi]) / (hi - lo),
-                "routed_count": n_routed,
-                "accepted_count": sum(accepted[lo:hi]),
-                "total_calls": hi - lo + n_routed,
-                "steps": records[lo:hi],
-            }
-            fh.write(json.dumps(episode, sort_keys=True) + "\n")
+        for e0 in range(0, len(episode_ids), per_block):
+            e1 = min(e0 + per_block, len(episode_ids))
+            lo = bounds[e0]
+            lines = step_json(lo, bounds[e1])
+            fh.write("".join(
+                _EPISODE_JSON % (
+                    accepted_count[e], episode_ids[e], float.__repr__(utility[e]), routed_count[e],
+                    ", ".join(lines[bounds[e] - lo:bounds[e + 1] - lo]), calls[e],
+                )
+                for e in range(e0, e1)
+            ))
+
+
+def write_outcome_table(table: OutcomeTable, path: str) -> None:
+    """outcome_table.json: the bytes of json.dump(rows, fh, sort_keys=True), one row per example.
+
+    A row holds example_id, baseline_correct, second_correct_by_context
+    ("context/version" -> bool) and confidences (context -> second-pass
+    confidence rounded to 10 places). Rows are encoded from the table's
+    columns a block at a time.
+    """
+    correct = sorted((f"{ctx}/{ver}", v) for (ctx, ver), v in table.second_correct.items())
+    confs = sorted(table.confidences.items())
+    row = (
+        '{"baseline_correct": %s, "confidences": {'
+        + ", ".join(encode_basestring_ascii(k) + ": %s" for k, _ in confs)
+        + '}, "example_id": %d, "second_correct_by_context": {'
+        + ", ".join(encode_basestring_ascii(k) + ": %s" for k, _ in correct)
+        + "}}"
+    )
+    n = len(table.baseline_correct)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("[")
+        for lo in range(0, n, ROW_BLOCK):
+            hi = min(lo + ROW_BLOCK, n)
+            columns = [_json_bools(table.baseline_correct[lo:hi])]
+            columns += [_json_rounded(v[lo:hi]) for _, v in confs]
+            columns.append(range(lo, hi))
+            columns += [_json_bools(v[lo:hi]) for _, v in correct]
+            fh.write((", " if lo else "") + ", ".join(map(row.__mod__, zip(*columns))))
+        fh.write("]\n")
 
 
 def write_conf_bins(world: World, runs: dict, path: str, signal: str, n_bins: int = 10) -> None:
@@ -825,10 +903,28 @@ def _audit_fixed_replay(modes: dict, frozen: dict, hit_set: set, rows) -> None:
             raise ProtocolViolation(f"non-hit row {qid} differs across repair/corrupt under fixed retrieval")
 
 
+_COUNTERFACTUAL_JSON = (
+    '{"frozen_identity": [%s], "outcome_corrupt_fixed": %s, "outcome_corrupt_free": %s, "outcome_original": %s, '
+    '"outcome_repair_fixed": %s, "outcome_repair_free": %s, "query_id": %d, "routed": %s, "target_hit": %s}\n'
+)
+
+
 def write_counterfactual_rows(rows, path: str) -> None:
+    """One JSON line per CounterfactualRow, its fields in sorted order."""
     with open(path, "w", encoding="utf-8") as fh:
-        for r in rows:
-            fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
+        fh.writelines(
+            _COUNTERFACTUAL_JSON % (
+                ", ".join(map(encode_basestring_ascii, r.frozen_identity)),
+                *map(float.__repr__, (
+                    r.outcome_corrupt_fixed, r.outcome_corrupt_free, r.outcome_original,
+                    r.outcome_repair_fixed, r.outcome_repair_free,
+                )),
+                r.query_id,
+                _JSON_BOOL[r.routed],
+                _JSON_BOOL[r.target_hit],
+            )
+            for r in rows
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -127,9 +128,26 @@ def bootstrap_ci(
         raise ValueError("empty diffs")
     if n_resamples < 1000:
         raise ValueError(f"n_resamples must be >= 1000, got {n_resamples}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     means = _resample_means(values, n_resamples, seed)
-    lo, hi = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return float(lo), float(hi)
+    means.sort()
+    return _percentile(means, alpha / 2.0), _percentile(means, 1.0 - alpha / 2.0)
+
+
+def _percentile(ordered: np.ndarray, q: float) -> float:
+    """np.quantile(ordered, q) for ascending ordered and q in [0, 1], bit for bit.
+
+    numpy's default `linear` rule: the virtual index (n - 1) q falls between
+    ranks i and i + 1 at fraction t, and the value is a + (b - a) t, or
+    b - (b - a)(1 - t) where t >= 0.5. np.quantile itself imports numpy.ma.
+    """
+    n = len(ordered)
+    virtual = (n - 1) * q
+    i = min(math.floor(virtual), n - 1)
+    t = virtual - i
+    a, b = float(ordered[i]), float(ordered[min(i + 1, n - 1)])
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
 
 
 def roc_auc(scores, labels) -> float:

@@ -487,6 +487,11 @@ class World:
             hit = self._tables[snapshot.content_hash] = (table, self.columns(snapshot.entry_ids)[table.ranked])
         return hit
 
+    def release_tables(self, keep: dict) -> None:
+        """Forget the retrieval tables of every snapshot not among keep's values; they rebuild if read again."""
+        hashes = {s.content_hash for s in keep.values()}
+        self._tables = {h: t for h, t in self._tables.items() if h in hashes}
+
     def columns(self, entry_ids) -> np.ndarray:
         """Pair-table columns of entry ids: rule entries first, then exemplar entries."""
         return np.array([self._column[e] for e in entry_ids], np.intp)

@@ -5,11 +5,13 @@ the control loop one step at a time, with the second pass decoded entry by
 entry, as step records; oracle_policy is the paired oracle one step at a
 time. The package computes all three in batches, and keeps a run as the
 arrays of a StepTable. reference_pair_table draws every pair latent of a
-world at once, where the world draws a cell on its first read.
+world at once, where the world draws a cell on its first read. The
+reference_*_text writers build a dict per row and call json on it; the
+package encodes the same bytes from columns.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -462,3 +464,78 @@ def reference_trace_lines(traces) -> list[str]:
         )
         for t in traces
     ]
+
+
+# ---------------------------------------------------------------------------
+# per-row files as a dict per row and a json call, the references for the
+# package's column encoders
+# ---------------------------------------------------------------------------
+
+
+def reference_outcome_table_text(table) -> str:
+    """outcome_table.json: json.dump of a row dict per example, sort_keys=True."""
+    correct = {f"{ctx}/{ver}": v.tolist() for (ctx, ver), v in table.second_correct.items()}
+    confs = {ctx: v.tolist() for ctx, v in table.confidences.items()}
+    rows = [
+        {
+            "example_id": i,
+            "baseline_correct": base,
+            "second_correct_by_context": {k: v[i] for k, v in correct.items()},
+            "confidences": {k: round(v[i], 10) for k, v in confs.items()},
+        }
+        for i, base in enumerate(table.baseline_correct.tolist())
+    ]
+    return json.dumps(rows, sort_keys=True) + "\n"
+
+
+def reference_traces_text(steps) -> str:
+    """traces.jsonl from a StepTable: a dict per step and per episode, json.dumps per episode."""
+    world = steps.world
+    deciding = steps.deciding.tolist()
+    ran, correct, confidence = (x.tolist() for x in steps.deciding_pass())
+    routed, accepted = steps.routed.tolist(), steps.accepted.tolist()
+    base_conf = steps.baseline_confidence.tolist()
+    final = steps.final_correct.tolist()
+    records = []
+    for s, idx in enumerate(steps.example_ids.tolist()):
+        base = world.answer(idx, bool(steps.baseline_correct[s]), second=False)
+        second = world.answer(idx, correct[s], second=True) if ran[s] else None
+        records.append(
+            {
+                "step_index": int(steps.step_index[s]),
+                "example_id": idx,
+                "baseline_action": base,
+                "baseline_confidence": round(base_conf[s], 10),
+                "routed": routed[s],
+                "retrieved_ids": list(steps.entry_ids(s, deciding[s])) if routed[s] else [],
+                "second_action": second,
+                "second_confidence": round(confidence[s], 10) if ran[s] else None,
+                "accepted": accepted[s],
+                "final_action": second if accepted[s] else base,
+                "calls_used": 2 if routed[s] else 1,
+            }
+        )
+    bounds = np.flatnonzero(np.diff(steps.episode_ids, prepend=-1, append=-1)).tolist()
+    lines = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]):
+        n_routed = sum(routed[lo:hi])
+        episode = {
+            "episode_id": int(steps.episode_ids[lo]),
+            "outcome_utility": sum(final[lo:hi]) / (hi - lo),
+            "routed_count": n_routed,
+            "accepted_count": sum(accepted[lo:hi]),
+            "total_calls": hi - lo + n_routed,
+            "steps": records[lo:hi],
+        }
+        lines.append(json.dumps(episode, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+def reference_counterfactual_rows_text(rows) -> str:
+    """counterfactual_rows.jsonl: json.dumps(asdict(row), sort_keys=True) per row."""
+    return "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in rows)
+
+
+def reference_manifest_json(manifest) -> str:
+    """FreezeManifest.to_json through a deep copy of every field."""
+    return json.dumps(asdict(manifest), sort_keys=True, indent=2)

@@ -3,11 +3,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gatedmem
 from gatedmem import controller
 from gatedmem.cli import main
 from gatedmem.retrieval import ContentEdit, save_edits
@@ -43,7 +46,7 @@ def test_gen_world_writes_dump(tmp_path, world_config, capsys):
     assert main(["gen-world", "--config", world_config, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "bank_rule.jsonl"))
     assert os.path.exists(os.path.join(out, "bank_exemplar.jsonl"))
-    table = json.load(open(os.path.join(out, "outcome_table.json")))
+    table = json.loads(Path(out, "outcome_table.json").read_text())
     assert len(table) == 200
     assert "second_correct_by_context" in table[0]
 
@@ -55,9 +58,21 @@ def test_fit_then_test_flow(tmp_path, world_config, grid_config, capsys):
     manifest = os.path.join(fit_out, "manifest.json")
     assert os.path.exists(manifest)
     assert main(["test", "--config", world_config, "--manifest", manifest, "--out", test_out]) == 0
-    ledger = open(os.path.join(test_out, "ledger.csv")).read().splitlines()
+    ledger = Path(test_out, "ledger.csv").read_text().splitlines()
     assert ledger[0].startswith("comparison,")
     assert any(line.startswith("retry vs baseline") for line in ledger)
+
+
+def test_test_stage_leaves_numpy_ma_unimported(tmp_path, world_config, grid_config, capsys):
+    fit_out = str(tmp_path / "fit")
+    assert main(["fit", "--config", world_config, "--grid", grid_config, "--out", fit_out]) == 0
+    argv = ["test", "--config", world_config, "--manifest", os.path.join(fit_out, "manifest.json"), "--out", str(tmp_path / "t")]
+    script = f"import sys\nfrom gatedmem.cli import main\nassert main({argv!r}) == 0\nprint('numpy.ma' in sys.modules)"
+    src = str(Path(gatedmem.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert done.stdout.splitlines()[-1] == "False"
+    assert os.path.exists(tmp_path / "t" / "traces.jsonl")
 
 
 def test_test_without_manifest_errors(tmp_path, world_config, capsys):
@@ -70,9 +85,9 @@ def test_test_with_tampered_manifest_errors(tmp_path, world_config, grid_config,
     fit_out = str(tmp_path / "fit")
     main(["fit", "--config", world_config, "--grid", grid_config, "--out", fit_out])
     manifest_path = os.path.join(fit_out, "manifest.json")
-    raw = json.load(open(manifest_path))
+    raw = json.loads(Path(manifest_path).read_text())
     raw["selection_record"]["policy"]["tau"] = "0.99"  # retune after freeze
-    json.dump(raw, open(manifest_path, "w"))
+    Path(manifest_path).write_text(json.dumps(raw))
     code = main(["test", "--config", world_config, "--manifest", manifest_path, "--out", str(tmp_path / "t")])
     assert code != 0
 
@@ -96,7 +111,7 @@ def test_counterfactual_flow(tmp_path, world_config, grid_config, capsys):
     assert code == 0
     audit = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     assert audit["decomposition_max_abs_error"] == 0.0
-    rows = open(os.path.join(cf_out, "counterfactual_rows.jsonl")).read().splitlines()
+    rows = Path(cf_out, "counterfactual_rows.jsonl").read_text().splitlines()
     assert len(rows) == audit["n_rows"]
 
 
@@ -133,7 +148,7 @@ def test_tampered_fixed_replay_exits_1_naming_the_query(tmp_path, world_config, 
 def test_governance_flow(tmp_path, world_config, capsys):
     out = str(tmp_path / "gov")
     assert main(["governance", "--config", world_config, "--rounds", "3", "--out", out]) == 0
-    payload = json.load(open(os.path.join(out, "governance.json")))
+    payload = json.loads(Path(out, "governance.json").read_text())
     assert len(payload["rounds"]) == 3
     assert "selected_iteration" in payload
 
@@ -379,8 +394,8 @@ def test_seed_override(tmp_path, world_config, capsys):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     main(["gen-world", "--config", world_config, "--out", out1, "--seed", "77"])
     main(["gen-world", "--config", world_config, "--out", out2])
-    h1 = open(os.path.join(out1, "bank_rule.jsonl")).read()
-    h2 = open(os.path.join(out2, "bank_rule.jsonl")).read()
+    h1 = Path(out1, "bank_rule.jsonl").read_text()
+    h2 = Path(out2, "bank_rule.jsonl").read_text()
     assert h1 != h2
 
 

@@ -8,7 +8,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import arith_shape_spec, localization_shape_spec, reference_trace_lines, reference_traces
+from conftest import (
+    arith_shape_spec,
+    localization_shape_spec,
+    reference_counterfactual_rows_text,
+    reference_manifest_json,
+    reference_outcome_table_text,
+    reference_trace_lines,
+    reference_traces,
+    reference_traces_text,
+)
 from gatedmem import protocol
 from gatedmem.bank import EvidenceRecord, MemoryBank
 from gatedmem.controller import GUARD_NAMES, PolicyConfig
@@ -24,10 +33,12 @@ from gatedmem.protocol import (
     run_pooled_test,
     run_test_stage,
     split_indices,
+    write_counterfactual_rows,
+    write_outcome_table,
     write_traces,
 )
 from gatedmem.util import indices_digest
-from gatedmem.worldsim import World, WorldSpec, generate_world
+from gatedmem.worldsim import OutcomeTable, World, WorldSpec, generate_world
 
 
 def fitted_world(seed=0, n=400, grid=None, governance_rounds=0, spec=None):
@@ -249,7 +260,8 @@ def test_output_files_written(tmp_path):
     assert os.path.exists(os.path.join(out, "ledger.csv"))
     assert os.path.exists(os.path.join(out, "traces.jsonl"))
     assert os.path.exists(os.path.join(out, "conf_bins.csv"))
-    header = open(os.path.join(out, "ledger.csv")).readline().strip()
+    with open(os.path.join(out, "ledger.csv"), encoding="utf-8") as fh:
+        header = fh.readline().strip()
     assert header.split(",")[:4] == ["comparison", "n", "delta_acc", "ci_lo"]
 
 
@@ -568,3 +580,115 @@ def test_ledger_check_paper_rows():
 def test_ledger_check_inconsistent_rows():
     assert ledger_check(600, 0.5, 2, 0.5) is None  # dacc*n nowhere near HH
     assert ledger_check(600, 0.07, 42, 1e-20) is None  # p unreachable
+
+
+# ---------------------------------------------------------------------------
+# per-row files: column encoders against a dict per row and a json call
+# ---------------------------------------------------------------------------
+
+# confidences whose 10-place rounding or JSON text is an edge case
+EDGE_CONFIDENCES = (1e-11, 0.1 + 0.2, 0.99999999995, 0.0, 1.0, 1e-05, 5e-324, 0.12345678905, 0.5)
+
+
+@pytest.mark.parametrize("n, block", [(1, None), (None, None), (40, 7), (14, 7), (1, 7)])
+def test_outcome_table_bytes_match_reference(tmp_path, monkeypatch, n, block):
+    # None: the shipped row block, and n three rows past it
+    if block is not None:
+        monkeypatch.setattr(protocol, "ROW_BLOCK", block)
+    n = n or protocol.ROW_BLOCK + 3
+    table = generate_world(WorldSpec(n_examples=n, seed=n)).outcome_table()
+    path = tmp_path / "outcome_table.json"
+    write_outcome_table(table, str(path))
+    assert path.read_text() == reference_outcome_table_text(table)
+
+
+def test_outcome_table_confidences_at_rounding_edges(tmp_path, monkeypatch):
+    monkeypatch.setattr(protocol, "ROW_BLOCK", 4)
+    conf = np.array(EDGE_CONFIDENCES)
+    rng = np.random.default_rng(0)
+    table = OutcomeTable(
+        baseline_correct=rng.random(len(conf)) < 0.5,
+        second_correct={(ctx, ver): rng.random(len(conf)) < 0.5 for ctx in ("none", "dual") for ver in ("original", "repair")},
+        confidences={"none": conf, "dual": conf[::-1].copy()},
+    )
+    path = tmp_path / "outcome_table.json"
+    write_outcome_table(table, str(path))
+    assert path.read_text() == reference_outcome_table_text(table)
+
+
+@pytest.mark.parametrize("steps_per_episode", range(1, 9))
+@pytest.mark.parametrize("comparator", [None, "retry"])
+def test_traces_bytes_match_reference(tmp_path, monkeypatch, steps_per_episode, comparator):
+    monkeypatch.setattr(protocol, "ROW_BLOCK", 20)  # several blocks of episodes
+    spec = WorldSpec(
+        n_examples=203,
+        seed=70 + steps_per_episode,
+        steps_per_episode=steps_per_episode,
+        n_rule_entries=12,
+        n_exemplar_entries=24,
+        topic_count=40,  # more topics than rule entries: some queries retrieve nothing
+        toxic_entry_rate=0.2,
+        guard_pass_rate=(("format", 0.7),),
+    )
+    world = generate_world(spec)
+    ids = [i for i in range(spec.n_examples) if i % 13 != 5]  # some episodes lose a step
+    policy = PolicyConfig(
+        tau=0.7, margin_m=0.02, bank_policy="cascade_rule_then_exemplar", budget_B=2, guards_enabled=frozenset({"format"}),
+    )
+    steps = evaluate_policy(world, policy, world.snapshots(), ids, comparator=comparator).steps
+    path = tmp_path / "traces.jsonl"
+    write_traces(steps, str(path))
+    assert path.read_text() == reference_traces_text(steps)
+    # the same steps with confidences at rounding edges
+    edge = np.resize(np.array(EDGE_CONFIDENCES), len(steps.routed))
+    edged = replace(
+        steps,
+        baseline_confidence=edge,
+        second_confidence=np.where(np.isnan(steps.second_confidence), np.nan, edge[::-1, None]),
+    )
+    write_traces(edged, str(path))
+    assert path.read_text() == reference_traces_text(edged)
+    # not vacuous: unrouted steps, and routed ones that retrieved nothing, were rejected, or were accepted
+    # (a retry's second pass repeats the baseline, so the margin rejects it)
+    ran = steps.deciding_pass()[0]
+    assert (~steps.routed).any() and (steps.routed & ~steps.accepted & ran).any()
+    if comparator is None:
+        assert (steps.routed & ~ran).any() and steps.accepted.any()
+    lengths = np.unique(np.unique(steps.episode_ids, return_counts=True)[1])
+    assert lengths.max() == steps_per_episode and (steps_per_episode == 1 or lengths.min() < steps_per_episode)
+
+
+def test_counterfactual_rows_bytes_match_reference(tmp_path):
+    world, manifest, policy, snaps, edits = make_counterfactual_setup(seed=18)
+    rows, _ = run_counterfactual(world, manifest, policy, snaps, edits, seed=18)
+    rows.append(protocol.CounterfactualRow(3, False, (), *EDGE_CONFIDENCES[:5], False))
+    path = tmp_path / "counterfactual_rows.jsonl"
+    write_counterfactual_rows(rows, str(path))
+    assert path.read_text() == reference_counterfactual_rows_text(rows)
+    assert any(r.target_hit for r in rows) and any(len(r.frozen_identity) > 1 for r in rows)
+
+
+@pytest.mark.parametrize("governance_rounds", [0, 2])
+def test_manifest_json_matches_reference(governance_rounds):
+    _, manifest, _, _ = fitted_world(seed=6, governance_rounds=governance_rounds)
+    assert manifest.to_json() == reference_manifest_json(manifest)
+
+
+def test_governance_releases_tables_no_later_round_reads(monkeypatch):
+    spec = WorldSpec(n_examples=200, seed=18, toxic_entry_rate=0.3, toxic_hurt_prob=0.95, k_max=1)
+    fit_ids, _ = split_indices(200, 0.5, 0)
+    policy = PolicyConfig(tau=0.95, margin_m=-10.0)
+    world = generate_world(spec)
+    report = run_governance_loop(world, policy, 4, fit_ids)
+    assert any(r.retired_ids for r in report.rounds[:-1])  # a bank changed between rounds
+    assert set(world._tables) == {s.content_hash for s in report.rounds[-1].snapshots.values()}
+    monkeypatch.setattr(World, "release_tables", lambda self, keep: None)
+    kept = generate_world(spec)
+    unreleased = run_governance_loop(kept, policy, 4, fit_ids)
+    assert len(kept._tables) > len(world._tables)
+
+    def outputs(r):
+        rounds = [(x.fit_accuracy, x.gap_close, x.retired_ids, x.bank_hashes) for x in r.rounds]
+        return rounds, r.selected_iteration, r.baseline_accuracy, r.oracle_accuracy
+
+    assert outputs(unreleased) == outputs(report)
