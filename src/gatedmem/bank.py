@@ -2,9 +2,10 @@
 
 A bank accumulates per-entry evidence (paired utility of interventions that
 retrieved the entry, relative to the baseline answer) during the fit stage
-only. An entry is retired when the Hoeffding upper confidence bound on its
-mean utility drops below zero. Retirement is permanent: active -> retired,
-never back, and never during the test stage.
+only. Evidence is kept as a per-entry count and sum of utilities, which is
+all the Hoeffding statistic reads. An entry is retired when the Hoeffding
+upper confidence bound on its mean utility drops below zero. Retirement is
+permanent: active -> retired, never back, and never during the test stage.
 
 On-disk format (bank file): one json object per line, {id, bank_kind,
 payload, embedding (fixed-width decimals), status}.
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -29,30 +30,20 @@ EMBED_PLACES = 8  # fixed-width decimals in bank files and content hashes
 
 
 @dataclass
-class EvidenceRecord:
-    episode_id: int
-    utility: float  # paired delta vs baseline, must lie in [-1, 1]
-    iteration: int = 0
-
-
-@dataclass
 class MemoryEntry:
     id: str
     bank_kind: str
     payload: str
     embedding: np.ndarray
     status: str = "active"
-    evidence: list[EvidenceRecord] = field(default_factory=list)
-
-    @property
-    def evidence_count(self) -> int:
-        return len(self.evidence)
+    evidence_count: int = 0
+    evidence_sum: float = 0.0  # of paired utilities vs baseline, each in [-1, 1]
 
     @property
     def evidence_mean(self) -> float:
-        if not self.evidence:
+        if not self.evidence_count:
             raise ValueError(f"entry {self.id} has no evidence")
-        return sum(r.utility for r in self.evidence) / len(self.evidence)
+        return self.evidence_sum / self.evidence_count
 
 
 def hoeffding_ucb(mean: float, n: int, delta: float) -> float:
@@ -160,16 +151,23 @@ class MemoryBank:
                 f"{op} is a fit-stage operation; bank {self.bank_kind!r} is frozen for test"
             )
 
-    def append_evidence(self, entry_id: str, record: EvidenceRecord) -> int:
-        """Attach one paired-utility observation; returns the new count."""
+    def append_evidence(self, entry_id: str, utilities) -> int:
+        """Attach one entry's paired-utility observations; returns its new count.
+
+        Every value must lie in [-1, 1] (NaN is rejected); if any check
+        fails, nothing is added.
+        """
         self._check_fit_stage("append_evidence")
         entry = self.entry(entry_id)
         if entry.status != "active":
             raise ValueError(f"entry {entry_id!r} is retired; evidence rejected")
-        if not (-1.0 <= record.utility <= 1.0):
-            raise ValueError(f"utility {record.utility} outside [-1, 1]")
-        entry.evidence.append(record)
-        return len(entry.evidence)
+        values = np.asarray(utilities, np.float64)
+        outside = ~((values >= -1.0) & (values <= 1.0))
+        if outside.any():
+            raise ValueError(f"utility {values[outside][0]} outside [-1, 1]")
+        entry.evidence_count += values.size
+        entry.evidence_sum += float(values.sum())
+        return entry.evidence_count
 
     def retirement_sweep(self, delta: float = 0.05) -> list[str]:
         """Retire every active entry whose UCB on mean utility is below zero.
@@ -201,7 +199,7 @@ class MemoryBank:
     def copy(self) -> "MemoryBank":
         """Independent copy: same entries and stage, unshared status and evidence."""
         clone = MemoryBank(self.bank_kind)
-        clone._entries = {k: replace(e, evidence=list(e.evidence)) for k, e in self._entries.items()}
+        clone._entries = {k: replace(e) for k, e in self._entries.items()}
         clone.stage = self.stage
         return clone
 

@@ -22,7 +22,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .bank import EvidenceRecord, STAGE_FIT, STAGE_TEST
+from .bank import STAGE_FIT, STAGE_TEST
 from .controller import (
     MULTIBANK_FAMILY,
     PolicyConfig,
@@ -228,22 +228,27 @@ def _fit_score(policy: PolicyConfig, dacc: float, mean_calls: float) -> float:
     return dacc - policy.lambda_cost * mean_calls
 
 
-def attach_evidence(world: World, banks: dict, run: EvalRun, iteration: int = 0) -> int:
+def attach_evidence(world: World, banks: dict, run: EvalRun) -> int:
     """Attribute each routed intervention's paired utility to every retrieved entry.
 
-    Records go in step, attempt and rank order; returns how many were appended.
+    Each entry's utilities go to its bank in one append, entries in
+    pair-table column order; returns how many utilities were attributed.
     """
     steps = run.steps
     utility = steps.second_correct.astype(np.float64) - steps.baseline_correct[:, None]
-    found = []
+    columns, gains = [np.zeros(0, np.intp)], [np.zeros(0)]
     for a in range(len(steps.plan)):
-        rows, ranks = np.nonzero(steps.retrieved(a)[:, None] & steps.filled[a])
-        found += [(s, a, k) for s, k in zip(rows.tolist(), ranks.tolist())]
-    for s, a, k in sorted(found):
-        entry_id = world.entry_ids[steps.columns[a][s, k]]
-        record = EvidenceRecord(int(steps.episode_ids[s]), float(utility[s, a]), iteration)
-        banks[world.entry_bank(entry_id)].append_evidence(entry_id, record)
-    return len(found)
+        cells = steps.retrieved(a)[:, None] & steps.filled[a]
+        columns.append(steps.columns[a][cells])
+        gains.append(utility[np.nonzero(cells)[0], a])
+    columns, gains = np.concatenate(columns), np.concatenate(gains)
+    order = np.argsort(columns, kind="stable")
+    columns, gains = columns[order], gains[order]
+    starts = np.flatnonzero(np.diff(columns, prepend=-1))
+    for column, part in zip(columns[starts].tolist(), np.split(gains, starts[1:])):
+        entry_id = world.entry_ids[column]
+        banks[world.entry_bank(entry_id)].append_evidence(entry_id, part)
+    return len(columns)
 
 
 @dataclass
@@ -296,7 +301,7 @@ def run_governance_loop(world: World, policy: PolicyConfig, rounds: int, fit_ids
         run = evaluate_policy(world, policy, snaps, fit_ids)
         acc = float(run.outcomes.mean())
         gap = None if acc_oracle == acc_base else (acc - acc_base) / (acc_oracle - acc_base)
-        attach_evidence(world, working, run, iteration=it)
+        attach_evidence(world, working, run)
         retired = []
         for bank in working.values():
             retired.extend(bank.retirement_sweep(policy.delta))
@@ -620,8 +625,21 @@ def _json_bools(values: np.ndarray) -> list:
 
 
 def _json_rounded(values: np.ndarray) -> list:
-    """json's text of each finite value rounded to 10 places, as the per-row files write confidences."""
-    return [float.__repr__(round(x, 10)) for x in values.tolist()]
+    """json's text of each finite value rounded to 10 places, as the per-row files write confidences.
+
+    That text is float.__repr__(round(x, 10)). From 1e-4 up to 1e5 it is also
+    '%.10f' % x without trailing zeros: both take the same correctly rounded
+    digits, and a decimal of at most 15 significant digits is its double's
+    shortest repr. Below 1e-4 repr switches to exponent form.
+    """
+    out = []
+    for x in values.tolist():
+        if 1e-4 <= x < 1e5:
+            text = ("%.10f" % x).rstrip("0")
+            out.append(text + "0" if text[-1] == "." else text)
+        else:
+            out.append(float.__repr__(round(x, 10)))
+    return out
 
 
 def write_traces(steps: StepTable, path: str) -> None:
@@ -798,20 +816,16 @@ def run_counterfactual(
             out[kind] = world.drifted_snapshot(kind, kinds_edits) if kinds_edits else snap
         return out
 
-    modes = {
-        ("repair", "free"): evaluate_policy(
-            world, policy, free_snaps(repair_edits), example_ids, context=SecondPassContext("repair", edited_ids)
-        ),
-        ("corrupt", "free"): evaluate_policy(
-            world, policy, free_snaps(corrupt_edits), example_ids, context=SecondPassContext("corrupt", edited_ids)
-        ),
-        ("repair", "fixed"): evaluate_policy(
-            world, policy, snapshots, example_ids, context=SecondPassContext("repair", edited_ids, frozen_map=frozen)
-        ),
-        ("corrupt", "fixed"): evaluate_policy(
-            world, policy, snapshots, example_ids, context=SecondPassContext("corrupt", edited_ids, frozen_map=frozen)
-        ),
-    }
+    modes = {}
+    for version, kind_edits in (("repair", repair_edits), ("corrupt", corrupt_edits)):
+        modes[(version, "free")] = evaluate_policy(
+            world, policy, free_snaps(kind_edits), example_ids, context=SecondPassContext(version, edited_ids)
+        )
+        world.release_tables(snapshots)  # no later mode reads a drifted snapshot
+    for version in ("repair", "corrupt"):
+        modes[(version, "fixed")] = evaluate_policy(
+            world, policy, snapshots, example_ids, context=SecondPassContext(version, edited_ids, frozen_map=frozen)
+        )
 
     pos = {ex: k for k, ex in enumerate(example_ids)}
     routed_ids = original.steps.example_ids[original.steps.routed].tolist()

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from gatedmem.bank import BANK_KINDS, EvidenceRecord
+from gatedmem.bank import BANK_KINDS
 from gatedmem.controller import DEFAULT_CONTEXT, GUARD_NAMES, compose_bank_policy
 from gatedmem.retrieval import Query, RetrievalResult
 from gatedmem.util import derive_seed
@@ -403,9 +403,17 @@ def oracle_policy(episode_id, oracle_steps) -> EpisodeTrace:
     )
 
 
-def reference_attach_evidence(world, banks, traces, iteration=0):
-    """protocol.attach_evidence, read off step records."""
-    appended = 0
+@dataclass(frozen=True)
+class ReferenceEvidence:
+    """One paired-utility observation of one retrieved entry."""
+
+    entry_id: str
+    utility: float
+
+
+def reference_attach_evidence(world, traces):
+    """protocol.attach_evidence's observations, one record per retrieved entry, read off step records."""
+    records = []
     for trace in traces:
         for step in trace.steps:
             if not step.routed:
@@ -415,12 +423,8 @@ def reference_attach_evidence(world, banks, traces, iteration=0):
                 if not attempt.retrieved:
                     continue
                 gain = utility(world, step.example_id, attempt.second_action) - base_u
-                for entry_id in attempt.retrieved:
-                    banks[world.entry_bank(entry_id)].append_evidence(
-                        entry_id, EvidenceRecord(trace.episode_id, gain, iteration)
-                    )
-                    appended += 1
-    return appended
+                records += [ReferenceEvidence(entry_id, gain) for entry_id in attempt.retrieved]
+    return records
 
 
 def reference_freeze_identities(traces):

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import arith_shape_spec, localization_shape_spec, oracle_policy, reference_oracle_steps, utility
-from gatedmem.bank import EvidenceRecord, MemoryBank, MemoryEntry, hoeffding_ucb
+from gatedmem.bank import MemoryBank, MemoryEntry, hoeffding_ucb
 from gatedmem.controller import PolicyConfig
 from gatedmem.errors import FreezeMismatch, ProtocolViolation
 from gatedmem.protocol import (
@@ -148,8 +148,7 @@ def test_criterion_03_hoeffding_retirement():
     def sweep_retires(utilities, trial):
         bank = MemoryBank("rule")
         bank.add_entry(MemoryEntry("R000", "rule", "probe", np.ones(4)))
-        for i, u in enumerate(utilities):
-            bank.append_evidence("R000", EvidenceRecord(i, float(u)))
+        bank.append_evidence("R000", utilities)
         return bank.retirement_sweep(delta=delta) == ["R000"]
 
     # true mean +0.5: +/-1 coin with P(+1) = 0.75
@@ -445,7 +444,7 @@ def test_criterion_09_control_contracts():
         run_test_stage(world, manifest, replace(policy, tau=0.9), snaps)
     run_test_stage(world, manifest, policy, snaps)
     with pytest.raises(ProtocolViolation):
-        world.banks["rule"].append_evidence("R000", EvidenceRecord(0, 1.0))
+        world.banks["rule"].append_evidence("R000", [1.0])
     with pytest.raises(ProtocolViolation):
         world.banks["exemplar"].retirement_sweep()
 

@@ -11,7 +11,6 @@ import pytest
 
 from gatedmem.bank import (
     BankSnapshot,
-    EvidenceRecord,
     MemoryBank,
     MemoryEntry,
     STAGE_TEST,
@@ -76,7 +75,7 @@ def test_ucb_argument_validation():
 
 def test_append_evidence_single_record_mean():
     bank = make_bank()
-    count = bank.append_evidence("R000", EvidenceRecord(0, 1.0))
+    count = bank.append_evidence("R000", [1.0])
     assert count == 1
     assert bank.entry("R000").evidence_mean == 1.0
 
@@ -84,23 +83,51 @@ def test_append_evidence_single_record_mean():
 def test_append_evidence_range_check():
     bank = make_bank()
     with pytest.raises(ValueError):
-        bank.append_evidence("R000", EvidenceRecord(0, 1.5))
+        bank.append_evidence("R000", [1.5])
 
 
 def test_append_evidence_test_stage_violation():
     bank = make_bank()
     bank.stage = STAGE_TEST
     with pytest.raises(ProtocolViolation):
-        bank.append_evidence("R000", EvidenceRecord(0, 1.0))
+        bank.append_evidence("R000", [1.0])
+    assert bank.entry("R000").evidence_count == 0
 
 
 def test_append_evidence_unknown_and_retired():
     bank = make_bank()
     with pytest.raises(KeyError):
-        bank.append_evidence("R999", EvidenceRecord(0, 0.0))
+        bank.append_evidence("R999", [0.0])
     bank.entry("R001").status = "retired"
     with pytest.raises(ValueError):
-        bank.append_evidence("R001", EvidenceRecord(0, 0.0))
+        bank.append_evidence("R001", [0.0, 1.0])
+    assert bank.entry("R001").evidence_count == 0
+
+
+def test_append_evidence_batch_equals_one_at_a_time():
+    rng = np.random.default_rng(7)
+    for n in (1, 7, 30, 1000):
+        for p_neg in (0.2, 0.5, 0.8):
+            u = rng.choice([-1.0, 0.0, 1.0], size=n, p=[p_neg, 0.1, 0.9 - p_neg])
+            batched, single = make_bank(), make_bank()
+            assert batched.append_evidence("R000", u) == n
+            for x in u.tolist():
+                single.append_evidence("R000", [x])
+            a, b = batched.entry("R000"), single.entry("R000")
+            assert a.evidence_count == b.evidence_count == n
+            assert a.evidence_mean == b.evidence_mean == sum(u.tolist()) / n
+            assert batched.retirement_sweep(delta=0.05) == single.retirement_sweep(delta=0.05)
+            assert a.status == b.status
+
+
+@pytest.mark.parametrize("bad", [1.5, -1.0000001, float("nan"), float("inf")])
+def test_append_evidence_bad_value_adds_nothing(bad):
+    bank = make_bank()
+    bank.append_evidence("R000", [0.5, -1.0])
+    with pytest.raises(ValueError, match="outside"):
+        bank.append_evidence("R000", [1.0, 0.0, bad, -1.0])
+    entry = bank.entry("R000")
+    assert (entry.evidence_count, entry.evidence_sum) == (2, -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +136,7 @@ def test_append_evidence_unknown_and_retired():
 
 def test_sweep_retires_all_negative_entry():
     bank = make_bank()
-    for i in range(8):
-        bank.append_evidence("R000", EvidenceRecord(i, -1.0))
+    bank.append_evidence("R000", [-1.0] * 8)
     retired = bank.retirement_sweep(delta=0.05)
     # UCB = -1 + sqrt(ln40/16) ~ -0.52 < 0
     assert retired == ["R000"]
@@ -119,8 +145,7 @@ def test_sweep_retires_all_negative_entry():
 
 def test_sweep_retains_mean_zero_and_skips_no_evidence():
     bank = make_bank()
-    for i, u in enumerate([1.0, -1.0, 1.0, -1.0]):
-        bank.append_evidence("R000", EvidenceRecord(i, u))
+    bank.append_evidence("R000", [1.0, -1.0, 1.0, -1.0])
     assert bank.retirement_sweep(delta=0.05) == []
     assert all(e.status == "active" for e in bank.entries())
 
@@ -128,8 +153,7 @@ def test_sweep_retains_mean_zero_and_skips_no_evidence():
 def test_sweep_boundary_matches_ucb():
     # mean -0.6 over n=8 at delta 0.05 has UCB ~ -0.1198 < 0: retired
     bank = make_bank()
-    for i in range(8):
-        bank.append_evidence("R002", EvidenceRecord(i, -0.6))
+    bank.append_evidence("R002", [-0.6] * 8)
     assert bank.retirement_sweep(delta=0.05) == ["R002"]
 
 
@@ -148,9 +172,9 @@ def test_retain_retires_the_rest_and_only_shrinks():
 
 def test_copy_shares_no_status_or_evidence():
     bank = make_bank()
-    bank.append_evidence("R000", EvidenceRecord(0, 0.5))
+    bank.append_evidence("R000", [0.5])
     clone = bank.copy()
-    clone.append_evidence("R000", EvidenceRecord(1, -0.5))
+    clone.append_evidence("R000", [-0.5])
     clone.retain(["R000"])
     assert bank.entry("R000").evidence_count == 1
     assert len(bank.active_entries()) == 4
@@ -192,8 +216,7 @@ def test_freeze_deterministic_hash():
 def test_freeze_hash_changes_on_retirement():
     bank = make_bank()
     before = bank.freeze().content_hash
-    for i in range(8):
-        bank.append_evidence("R000", EvidenceRecord(i, -1.0))
+    bank.append_evidence("R000", [-1.0] * 8)
     bank.retirement_sweep()
     after = bank.freeze()
     assert after.content_hash != before
@@ -203,8 +226,8 @@ def test_freeze_hash_changes_on_retirement():
 def test_freeze_hash_ignores_evidence():
     bank = make_bank()
     before = bank.freeze().content_hash
-    bank.append_evidence("R003", EvidenceRecord(0, 0.5))
-    bank.append_evidence("R001", EvidenceRecord(1, -0.5))
+    bank.append_evidence("R003", [0.5])
+    bank.append_evidence("R001", [-0.5])
     assert bank.freeze().content_hash == before
 
 

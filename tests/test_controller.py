@@ -415,11 +415,7 @@ def test_policy_validation():
 # ---------------------------------------------------------------------------
 
 def _evidence(banks):
-    return {
-        e.id: [(r.episode_id, r.utility, r.iteration) for r in e.evidence]
-        for bank in banks.values()
-        for e in bank.entries()
-    }
+    return {e.id: (e.evidence_count, e.evidence_sum) for bank in banks.values() for e in bank.entries()}
 
 
 def _table_view(steps):
@@ -502,11 +498,13 @@ def _assert_matches_reference(world, policy, snaps, ids, context=DEFAULT_CONTEXT
     assert run.accepted_frac == sum(t.accepted_count for t in want) / len(steps)
     assert run.mean_calls == sum(t.total_calls for t in want) / len(steps)
     batched = {k: b.copy() for k, b in world.banks.items()}
-    reference = {k: b.copy() for k, b in world.banks.items()}
-    assert attach_evidence(world, batched, run, iteration=3) == reference_attach_evidence(
-        world, reference, want, iteration=3
-    )
-    assert _evidence(batched) == _evidence(reference)
+    records = reference_attach_evidence(world, want)
+    assert attach_evidence(world, batched, run) == len(records)
+    totals = _evidence(world.banks)
+    for r in records:
+        count, total = totals[r.entry_id]
+        totals[r.entry_id] = (count + 1, total + r.utility)
+    assert _evidence(batched) == totals
     assert freeze_identities(run.steps.retrievals()) == reference_freeze_identities(want)
     return run
 

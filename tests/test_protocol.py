@@ -19,7 +19,7 @@ from conftest import (
     reference_traces_text,
 )
 from gatedmem import protocol
-from gatedmem.bank import EvidenceRecord, MemoryBank
+from gatedmem.bank import MemoryBank
 from gatedmem.controller import GUARD_NAMES, PolicyConfig
 from gatedmem.errors import FreezeMismatch, ProtocolViolation
 from gatedmem.protocol import (
@@ -207,7 +207,7 @@ def test_test_stage_blocks_fit_operations():
     world, manifest, policy, snaps = fitted_world(seed=11)
     run_test_stage(world, manifest, policy, snaps)
     with pytest.raises(ProtocolViolation):
-        world.banks["rule"].append_evidence("R000", EvidenceRecord(0, 1.0))
+        world.banks["rule"].append_evidence("R000", [1.0])
     with pytest.raises(ProtocolViolation):
         world.banks["rule"].retirement_sweep()
     with pytest.raises(ProtocolViolation):
@@ -616,6 +616,22 @@ def test_outcome_table_confidences_at_rounding_edges(tmp_path, monkeypatch):
     assert path.read_text() == reference_outcome_table_text(table)
 
 
+def test_json_rounded_equals_repr_of_round():
+    # uniform, small, U-shaped and edge values; a confidence is at most 1, but a seventh of them is
+    # also scaled past 1e5 and 1e16, where '%.10f' has too many digits and repr switches to exponents
+    rng = np.random.default_rng(11)
+    n = 350_000
+    values = np.concatenate([
+        rng.random(n),
+        rng.random(n) * 1e-3,
+        rng.beta(0.3, 0.3, n),
+        EDGE_CONFIDENCES,
+        [1e-4, np.nextafter(1e-4, 0), 9.99995e-5, 1 / 2048, 0.99999999994999, 1e5, np.nextafter(1e5, 0), 12345.6789012345],
+    ])
+    values = np.concatenate([values, values[::7] * 1e8, values[::7] * 1e17, [np.nan, -0.25]])
+    assert protocol._json_rounded(values) == [float.__repr__(round(x, 10)) for x in values.tolist()]
+
+
 @pytest.mark.parametrize("steps_per_episode", range(1, 9))
 @pytest.mark.parametrize("comparator", [None, "retry"])
 def test_traces_bytes_match_reference(tmp_path, monkeypatch, steps_per_episode, comparator):
@@ -692,3 +708,14 @@ def test_governance_releases_tables_no_later_round_reads(monkeypatch):
         return rounds, r.selected_iteration, r.baseline_accuracy, r.oracle_accuracy
 
     assert outputs(unreleased) == outputs(report)
+
+
+def test_counterfactual_releases_drifted_tables(monkeypatch):
+    world, manifest, policy, snaps, edits = make_counterfactual_setup(seed=18)
+    rows, audit = run_counterfactual(world, manifest, policy, snaps, edits, seed=18)
+    assert world._tables and set(world._tables) <= {s.content_hash for s in snaps.values()}
+    monkeypatch.setattr(World, "release_tables", lambda self, keep: None)
+    kept, manifest, policy, snaps, edits = make_counterfactual_setup(seed=18)
+    unreleased = run_counterfactual(kept, manifest, policy, snaps, edits, seed=18)
+    assert len(kept._tables) > len(world._tables)  # the free reruns read drifted snapshots
+    assert unreleased == (rows, audit)
