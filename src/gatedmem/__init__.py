@@ -5,7 +5,7 @@ from .bank import BankSnapshot, MemoryBank, MemoryEntry, hoeffding_ucb
 from .controller import PolicyConfig, compose_bank_policy, select_threshold_percentile
 from .errors import FreezeMismatch, ProtocolViolation, SignalUndefined
 from .protocol import (
-    CounterfactualRow,
+    CounterfactualRows,
     FreezeManifest,
     LedgerRow,
     ledger_check,
@@ -15,14 +15,7 @@ from .protocol import (
     run_test_stage,
     split_indices,
 )
-from .retrieval import (
-    ContentEdit,
-    Query,
-    RetrievalResult,
-    freeze_identities,
-    retrieve,
-    target_hit_partition,
-)
+from .retrieval import ContentEdit, Query, RetrievalResult, retrieve
 from .stats import (
     CalibrationSet,
     PairedComparison,

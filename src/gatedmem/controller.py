@@ -10,9 +10,10 @@ baseline action.
 run_steps runs every episode of a run at once: only routing depends on
 earlier steps, so it loops over step position, and every other decision is
 a mask over the world's arrays. A run is its StepTable, and every reader
-(evidence, frozen identities, the replay audit, traces.jsonl) reads its
-arrays. The paired oracle is not a control loop: protocol.evaluate_oracle
-reads it off the world's ground truth (World.oracle_candidates).
+(evidence, frozen identities, fixed replay, the replay audit,
+traces.jsonl) reads its arrays. The paired oracle is not a control loop:
+protocol.evaluate_oracle reads it off the world's ground truth
+(World.oracle_candidates).
 
 Call accounting is compute-matched: a routed step costs exactly one extra
 call (k_t = 2) regardless of bank-policy internals, so total_calls is always
@@ -141,7 +142,7 @@ class SecondPassContext:
 
     version: str = "original"  # original | repair | corrupt | none (no memory: retry)
     edited_ids: tuple[str, ...] = ()
-    frozen_map: dict | None = None  # fixed-retrieval replay when set
+    frozen: StepTable | None = None  # fixed-retrieval replay of this run's deciding injections when set
 
 
 DEFAULT_CONTEXT = SecondPassContext()
@@ -198,31 +199,21 @@ class StepTable:
         """Which steps' attempt carries a retrieval result (it may be empty only in fixed replay)."""
         if self.context.version == "none":
             return np.zeros(len(self.routed), bool)
-        if self.context.frozen_map is not None:
+        if self.context.frozen is not None:
             return self.tried[:, attempt]
         return self.tried[:, attempt] & self.filled[attempt].any(axis=1)
 
-    def entry_ids(self, step: int, attempt: int) -> tuple[str, ...]:
-        cols = self.columns[attempt][step, self.filled[attempt][step]]
-        return tuple(self.world.entry_ids[c] for c in cols.tolist())
-
-    def retrievals(self) -> list[tuple[int, tuple[str, ...]]]:
-        """(example id, retrieved ids) of each routed step whose deciding attempt carries a retrieval."""
+    def deciding_injection(self) -> tuple[np.ndarray, np.ndarray]:
+        """(columns, filled) of what each step's deciding attempt injected, padded to the widest
+        attempt: a run's frozen identities. filled is all false where the step carries no retrieval
+        (an attempt fills a slot only if it retrieved, and an unrouted step decides no attempt)."""
         deciding = self.deciding
-        has = np.zeros(len(self.routed), bool)
-        for a in range(len(self.plan)):
-            has |= self.retrieved(a) & (deciding == a)
-        return [(int(self.example_ids[s]), self.entry_ids(s, deciding[s])) for s in np.flatnonzero(has).tolist()]
-
-
-def _frozen_injection(world, frozen_map: dict, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """World.injected for fixed-retrieval replay: each example's frozen ids, or none if it has none."""
-    ids = [frozen_map.get(idx, ()) for idx in rows.tolist()]
-    width = max(map(len, ids), default=0)
-    filled = np.arange(width) < np.array([len(i) for i in ids], np.intp).reshape(-1, 1)
-    cols = np.zeros(filled.shape, np.intp)
-    cols[filled] = world.columns([e for i in ids for e in i])
-    return cols, filled
+        cols = np.zeros((len(self.routed), max(c.shape[1] for c in self.columns)), np.intp)
+        filled = np.zeros(cols.shape, bool)
+        for a, (c, f) in enumerate(zip(self.columns, self.filled)):
+            at = deciding == a
+            cols[at, :c.shape[1]], filled[at, :f.shape[1]] = c[at], f[at]
+        return cols, filled
 
 
 def run_steps(
@@ -237,12 +228,15 @@ def run_steps(
     is accepted iff it injected something, its confidence is at least the
     baseline's plus the margin (-inf for gate_only) and every enabled guard
     passes. The first accepted attempt's answer is final; if none is, the
-    step rolls back to the baseline. Fixed replay injects the frozen ids in
-    one attempt, and the `none` version injects nothing and decodes the
-    baseline again. Steps of an episode are its examples in ascending order;
+    step rolls back to the baseline. Fixed replay (context.frozen, a run on
+    the same examples) injects each step's frozen deciding injection in one
+    attempt, and the `none` version injects nothing and decodes the baseline
+    again. Steps of an episode are its examples in ascending order;
     example_ids must be distinct and index the world's examples.
     """
     ex = np.sort(np.asarray(example_ids, np.intp))
+    if context.frozen is not None and not np.array_equal(context.frozen.example_ids, ex):
+        raise ValueError("fixed replay must run on the examples of the run it replays")
     episode = ex // world.spec.steps_per_episode
     first = np.diff(episode, prepend=-1) != 0
     slot = np.cumsum(first) - 1  # the episode's number among those present
@@ -262,8 +256,9 @@ def run_steps(
         count[e] += go
         cooling[e] = np.where(go, policy.cooldown, np.maximum(cooling[e] - 1, 0))
 
-    if context.frozen_map is not None:
+    if context.frozen is not None:
         plan = ((("frozen",), policy.resolved().bank_policy == "gate_only"),)
+        frozen = context.frozen.deciding_injection()
     else:
         plan = tuple(compose_bank_policy(policy))
     rows = ex[routed]
@@ -275,8 +270,8 @@ def run_steps(
     columns, filled = [], []
     pending = np.ones(len(rows), bool)
     for a, (banks, bypass_margin) in enumerate(plan):
-        if context.frozen_map is not None and not no_memory:
-            cols, fill = _frozen_injection(world, context.frozen_map, rows)
+        if context.frozen is not None and not no_memory:
+            cols, fill = (x[routed] for x in frozen)
         else:
             cols, fill = world.injected(rows, snapshots, () if no_memory else banks)
         second, conf2 = world.second_pass(

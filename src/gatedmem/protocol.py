@@ -24,6 +24,7 @@ import numpy as np
 
 from .bank import STAGE_FIT, STAGE_TEST
 from .controller import (
+    DEFAULT_CONTEXT,
     MULTIBANK_FAMILY,
     PolicyConfig,
     SecondPassContext,
@@ -32,12 +33,13 @@ from .controller import (
     select_threshold_percentile,
 )
 from .errors import FreezeMismatch, ProtocolViolation
-from .retrieval import ContentEdit, freeze_identities, target_hit_partition
+from .retrieval import ContentEdit
 from .stats import PairedComparison, bootstrap_ci, mcnemar_exact, randomization_interaction_test
 from .util import indices_digest
 from .worldsim import OutcomeTable, World, WorldSpec
 
 COMPARATORS = ("retry", "always_retrieve", "fixed_budget")
+LEDGER_COMPARISONS = ("policy",) + COMPARATORS + ("oracle",)  # each ledger row pairs one against baseline
 FIXED_BUDGET_K = 2  # comparator retrieves up to k=2 per episode, no guards, no rollback
 # Confidences lie in [0, 1], so tau = inf routes every step; margin -inf with
 # no guards accepts every second pass whose retrieval is non-empty.
@@ -165,11 +167,11 @@ def evaluate_policy(
     snapshots: dict,
     example_ids,
     comparator: str | None = None,
-    context: SecondPassContext = SecondPassContext(),
 ) -> EvalRun:
     """Run one policy (or a comparator variant of it) over the given examples."""
     ids = np.asarray(example_ids, np.intp)
     _check_example_ids(ids, world.spec.n_examples)
+    context = DEFAULT_CONTEXT
     if comparator == "retry":
         context = NO_MEMORY
     elif comparator == "always_retrieve":
@@ -492,7 +494,7 @@ def _evaluate_test_split(
 
     rows = [
         make_ledger_row(f"{name} vs baseline", runs["baseline"], runs[name], seed=world.seed)
-        for name in ("policy", "retry", "always_retrieve", "fixed_budget", "oracle")
+        for name in LEDGER_COMPARISONS
     ]
     return rows, runs
 
@@ -572,7 +574,7 @@ def run_pooled_test(
     pooled = {name: _pool_runs(rs) for name, rs in runs_by_name.items()}
     pooled_rows = [
         make_ledger_row(f"{name} vs baseline", pooled["baseline"], pooled[name], seed=spec.seed)
-        for name in ("policy", "retry", "always_retrieve", "fixed_budget", "oracle")
+        for name in LEDGER_COMPARISONS
     ]
     if out_dir is not None:
         write_ledger(pooled_rows, os.path.join(out_dir, "ledger.csv"))
@@ -624,6 +626,13 @@ def _json_bools(values: np.ndarray) -> list:
     return list(map(_JSON_BOOL.__getitem__, values.tolist()))
 
 
+def _joined_ids(quoted_ids: list, columns: np.ndarray, filled: np.ndarray) -> list:
+    """Each row's injected entries as the items of a JSON list: quoted_ids[c] for c in columns[r][filled[r]]."""
+    cells = [quoted_ids[c] for c in columns[filled].tolist()]
+    ends = np.cumsum(filled.sum(axis=1)).tolist()
+    return [", ".join(cells[lo:hi]) for lo, hi in zip([0] + ends[:-1], ends)]
+
+
 def _json_rounded(values: np.ndarray) -> list:
     """json's text of each finite value rounded to 10 places, as the per-row files write confidences.
 
@@ -651,7 +660,7 @@ def write_traces(steps: StepTable, path: str) -> None:
     """
     world = steps.world
     quoted_ids = [encode_basestring_ascii(e) for e in world.entry_ids]
-    deciding = steps.deciding
+    injected, filled = steps.deciding_injection()
     ran, correct, confidence = steps.deciding_pass()
     accepted = steps.accepted
 
@@ -666,15 +675,6 @@ def write_traces(steps: StepTable, path: str) -> None:
             encode_basestring_ascii(world.answer(i, c, second=True)) if r else "null"
             for i, c, r in zip(ids, correct[lo:hi].tolist(), ran_)
         ]
-        retrieved = [""] * (hi - lo)
-        for a in range(len(steps.plan)):
-            rows = np.flatnonzero(routed & (deciding[lo:hi] == a))
-            filled = steps.filled[a][lo:hi][rows]
-            cells = [quoted_ids[c] for c in steps.columns[a][lo:hi][rows][filled].tolist()]
-            cut = 0
-            for r, end in zip(rows.tolist(), np.cumsum(filled.sum(axis=1)).tolist()):
-                retrieved[r] = ", ".join(cells[cut:end])
-                cut = end
         return list(map(_STEP_JSON.__mod__, zip(
             _json_bools(accepted[lo:hi]),
             base,
@@ -682,7 +682,7 @@ def write_traces(steps: StepTable, path: str) -> None:
             (routed + 1).tolist(),
             ids,
             [s if a else b for s, b, a in zip(second, base, accepted[lo:hi].tolist())],
-            retrieved,
+            _joined_ids(quoted_ids, injected[lo:hi], filled[lo:hi]),
             _json_bools(routed),
             second,
             [c if r else "null" for c, r in zip(_json_rounded(confidence[lo:hi]), ran_)],
@@ -764,16 +764,25 @@ def write_conf_bins(world: World, runs: dict, path: str, signal: str, n_bins: in
 # ---------------------------------------------------------------------------
 
 @dataclass
-class CounterfactualRow:
-    query_id: int
-    routed: bool
-    frozen_identity: tuple
-    outcome_original: float
-    outcome_repair_free: float
-    outcome_corrupt_free: float
-    outcome_repair_fixed: float
-    outcome_corrupt_fixed: float
-    target_hit: bool
+class CounterfactualRows:
+    """A counterfactual run's routed rows as columns, in ascending query id.
+
+    A row's frozen identity is what its deciding attempt injected in the
+    original run: entry_ids[c] for c in columns[r][filled[r]], empty where it
+    retrieved nothing. It is a target hit if that identity holds an edited
+    entry. Outcomes are 0.0 or 1.0, one column per mode.
+    """
+
+    entry_ids: tuple  # the world's entry ids, by pair-table column
+    query_id: np.ndarray
+    columns: np.ndarray
+    filled: np.ndarray
+    outcome_original: np.ndarray
+    outcome_repair_free: np.ndarray
+    outcome_corrupt_free: np.ndarray
+    outcome_repair_fixed: np.ndarray
+    outcome_corrupt_fixed: np.ndarray
+    target_hit: np.ndarray
 
 
 def run_counterfactual(
@@ -782,93 +791,79 @@ def run_counterfactual(
     policy: PolicyConfig,
     snapshots: dict,
     edits: list,
-    example_ids=None,
     n_permutations: int = 10000,
     seed: int = 0,
-) -> tuple[list, dict]:
-    """Free-rerun and fixed-retrieval replays of content edits, with audit.
+) -> tuple[CounterfactualRows, dict]:
+    """Free-rerun and fixed-retrieval replays of content edits on the test split, with audit.
 
     Per routed row, free contrast = within-identity content term + retrieval
     drift term, exactly; in fixed mode the drift term is identically zero and
     non-hit rows are bitwise identical across repair/corrupt.
     """
     manifest.validate(world, policy, snapshots)
-    if example_ids is None:
-        _, example_ids = _recover_split(manifest.selection_record, world.spec.n_examples)
+    _, test_ids = _recover_split(manifest.selection_record, world.spec.n_examples)
     edited_ids = tuple(sorted({e.entry_id for e in edits}))
     for eid in edited_ids:
         kind = world.entry_bank(eid)
         if eid not in world.banks[kind]:
             raise ValueError(f"edit references unknown entry {eid!r}")
 
-    original = evaluate_policy(world, policy, snapshots, example_ids)
-    frozen = freeze_identities(original.steps.retrievals())
-    if not frozen:
+    original = evaluate_policy(world, policy, snapshots, test_ids).steps
+    columns, filled = original.deciding_injection()
+    if not filled.any():
         raise ProtocolViolation("no routed queries with retrieval; nothing to replay")
-
-    repair_edits = [ContentEdit(e.entry_id, e.new_payload, "repair") for e in edits]
-    corrupt_edits = [ContentEdit(e.entry_id, e.new_payload, "corrupt") for e in edits]
-
-    def free_snaps(kind_edits):
-        out = {}
-        for kind, snap in snapshots.items():
-            kinds_edits = [e for e in kind_edits if world.entry_bank(e.entry_id) == kind]
-            out[kind] = world.drifted_snapshot(kind, kinds_edits) if kinds_edits else snap
-        return out
+    ex = original.example_ids
 
     modes = {}
-    for version, kind_edits in (("repair", repair_edits), ("corrupt", corrupt_edits)):
-        modes[(version, "free")] = evaluate_policy(
-            world, policy, free_snaps(kind_edits), example_ids, context=SecondPassContext(version, edited_ids)
-        )
+    for version in ("repair", "corrupt"):
+        drifted = {}
+        for kind, snap in snapshots.items():
+            kind_edits = [
+                ContentEdit(e.entry_id, e.new_payload, version) for e in edits if world.entry_bank(e.entry_id) == kind
+            ]
+            drifted[kind] = world.drifted_snapshot(kind, kind_edits) if kind_edits else snap
+        modes[(version, "free")] = run_steps(world, policy, drifted, ex, SecondPassContext(version, edited_ids))
         world.release_tables(snapshots)  # no later mode reads a drifted snapshot
     for version in ("repair", "corrupt"):
-        modes[(version, "fixed")] = evaluate_policy(
-            world, policy, snapshots, example_ids, context=SecondPassContext(version, edited_ids, frozen_map=frozen)
+        modes[(version, "fixed")] = run_steps(
+            world, policy, snapshots, ex, SecondPassContext(version, edited_ids, frozen=original)
         )
 
-    pos = {ex: k for k, ex in enumerate(example_ids)}
-    routed_ids = original.steps.example_ids[original.steps.routed].tolist()
-    rows = []
+    routed = original.routed
+    edited = np.zeros(len(world.entry_ids), bool)
+    edited[world.columns(edited_ids)] = True
+    hit = (filled & edited[columns]).any(axis=1)
+    rows = CounterfactualRows(
+        entry_ids=world.entry_ids,
+        query_id=ex[routed],
+        columns=columns[routed],
+        filled=filled[routed],
+        outcome_original=original.final_correct[routed].astype(np.float64),
+        **{
+            f"outcome_{version}_{mode}": steps.final_correct[routed].astype(np.float64)
+            for (version, mode), steps in modes.items()
+        },
+        target_hit=hit[routed],
+    )
     max_audit_error = 0.0
-    for qid in routed_ids:
-        k = pos[qid]
-        row = CounterfactualRow(
-            query_id=qid,
-            routed=True,
-            frozen_identity=frozen.get(qid, ()),
-            outcome_original=float(original.outcomes[k]),
-            outcome_repair_free=float(modes[("repair", "free")].outcomes[k]),
-            outcome_corrupt_free=float(modes[("corrupt", "free")].outcomes[k]),
-            outcome_repair_fixed=float(modes[("repair", "fixed")].outcomes[k]),
-            outcome_corrupt_fixed=float(modes[("corrupt", "fixed")].outcomes[k]),
-            target_hit=bool(set(frozen.get(qid, ())) & set(edited_ids)),
-        )
-        rows.append(row)
-        for version in ("repair", "corrupt"):
-            y_free = getattr(row, f"outcome_{version}_free")
-            y_fixed = getattr(row, f"outcome_{version}_fixed")
-            free_contrast = y_free - row.outcome_original
-            content_term = y_fixed - row.outcome_original
-            drift_term = y_free - y_fixed
-            err = abs(free_contrast - (content_term + drift_term))
-            max_audit_error = max(max_audit_error, err)
-            if err != 0.0:
-                raise ProtocolViolation(
-                    f"decomposition identity violated on query {qid} ({version}): "
-                    f"free={free_contrast} content={content_term} drift={drift_term}"
-                )
+    for version in ("repair", "corrupt"):
+        y_free = getattr(rows, f"outcome_{version}_free")
+        y_fixed = getattr(rows, f"outcome_{version}_fixed")
+        free_contrast = y_free - rows.outcome_original
+        content_term = y_fixed - rows.outcome_original
+        drift_term = y_free - y_fixed
+        err = np.abs(free_contrast - (content_term + drift_term))
+        max_audit_error = max(max_audit_error, float(err.max()))
+        if err.any():
+            r = int(np.flatnonzero(err)[0])
+            raise ProtocolViolation(
+                f"decomposition identity violated on query {rows.query_id[r]} ({version}): "
+                f"free={free_contrast[r]} content={content_term[r]} drift={drift_term[r]}"
+            )
+    _audit_fixed_replay(original, (columns, filled), modes, hit)
 
-    hit_ids, non_hit_ids = target_hit_partition(frozen, edited_ids)
-    hit_set = set(hit_ids)
-    hit_diffs = np.array(
-        [r.outcome_repair_fixed - r.outcome_corrupt_fixed for r in rows if r.query_id in hit_set]
-    )
-    non_hit_diffs = np.array(
-        [r.outcome_repair_fixed - r.outcome_corrupt_fixed for r in rows if r.query_id not in hit_set]
-    )
-    _audit_fixed_replay(modes, frozen, hit_set, rows)
-
+    diffs = rows.outcome_repair_fixed - rows.outcome_corrupt_fixed
+    hit_diffs, non_hit_diffs = diffs[rows.target_hit], diffs[~rows.target_hit]
     interaction_p = None
     if hit_diffs.size and non_hit_diffs.size:
         interaction_p = randomization_interaction_test(
@@ -876,9 +871,10 @@ def run_counterfactual(
         )
 
     audit = {
-        "n_rows": len(rows),
-        "n_hit": len(hit_ids),
-        "n_non_hit": len(non_hit_ids),
+        "n_rows": len(rows.query_id),
+        "n_hit": len(hit_diffs),
+        # routed rows that retrieved an identity and hit no edit; non_hit_diffs also holds those that retrieved none
+        "n_non_hit": int((rows.filled.any(axis=1) & ~rows.target_hit).sum()),
         "decomposition_max_abs_error": max_audit_error,
         "fixed_replay_identity_ok": True,
         "non_hit_bitwise_identical": True,
@@ -889,18 +885,32 @@ def run_counterfactual(
     return rows, audit
 
 
-def _audit_fixed_replay(modes: dict, frozen: dict, hit_set: set, rows) -> None:
-    """Fixed-mode hard checks: frozen identity replayed exactly, and non-hit
-    rows bitwise identical across repair/corrupt (actions, confidences,
-    acceptance, not just outcomes)."""
-    tables = {version: modes[(version, "fixed")].steps for version in ("repair", "corrupt")}
-    for version, steps in tables.items():
-        for qid, replayed in steps.retrievals():
-            if replayed != frozen.get(qid, ()):
-                raise ProtocolViolation(
-                    f"fixed replay of query {qid} ({version}) injected {replayed}, frozen was {frozen.get(qid)}"
-                )
-    a, b = tables["repair"], tables["corrupt"]
+def _left_packed(columns: np.ndarray, filled: np.ndarray, width: int) -> np.ndarray:
+    """Each row's injected columns in order, then -1 up to width."""
+    out = np.full((len(filled), width), -1, np.intp)
+    out[np.arange(width) < filled.sum(axis=1)[:, None]] = columns[filled]
+    return out
+
+
+def _audit_fixed_replay(original: StepTable, frozen: tuple, modes: dict, hit: np.ndarray) -> None:
+    """Fixed-mode hard checks: every routed step replayed its frozen identity
+    (original's deciding injection) exactly, and non-hit rows are bitwise
+    identical across repair/corrupt (actions, confidences, acceptance, not
+    just outcomes)."""
+    entry_ids, ex = original.world.entry_ids, original.example_ids
+    for version in ("repair", "corrupt"):
+        steps = modes[(version, "fixed")]
+        replayed = steps.deciding_injection()
+        width = max(frozen[1].shape[1], replayed[1].shape[1])
+        want, got = _left_packed(*frozen, width), _left_packed(*replayed, width)
+        bad = np.flatnonzero(steps.routed & (want != got).any(axis=1))
+        if bad.size:
+            s = int(bad[0])
+            names = [tuple(entry_ids[c] for c in row if c >= 0) for row in (got[s].tolist(), want[s].tolist())]
+            raise ProtocolViolation(
+                f"fixed replay of query {ex[s]} ({version}) injected {names[0]}, frozen was {names[1]}"
+            )
+    a, b = modes[("repair", "fixed")], modes[("corrupt", "fixed")]
     (ran_a, ok_a, conf_a), (ran_b, ok_b, conf_b) = a.deciding_pass(), b.deciding_pass()
     same = (a.routed == b.routed) & (
         ~a.routed
@@ -911,34 +921,33 @@ def _audit_fixed_replay(modes: dict, frozen: dict, hit_set: set, rows) -> None:
             & (a.accepted == b.accepted)
         )
     )
-    non_hit = [row.query_id for row in rows if row.query_id not in hit_set]
-    for qid, ok in zip(non_hit, same[np.searchsorted(a.example_ids, non_hit)].tolist()):
-        if not ok:
-            raise ProtocolViolation(f"non-hit row {qid} differs across repair/corrupt under fixed retrieval")
+    bad = np.flatnonzero(original.routed & ~hit & ~same)
+    if bad.size:
+        raise ProtocolViolation(f"non-hit row {ex[bad[0]]} differs across repair/corrupt under fixed retrieval")
 
 
 _COUNTERFACTUAL_JSON = (
     '{"frozen_identity": [%s], "outcome_corrupt_fixed": %s, "outcome_corrupt_free": %s, "outcome_original": %s, '
-    '"outcome_repair_fixed": %s, "outcome_repair_free": %s, "query_id": %d, "routed": %s, "target_hit": %s}\n'
+    '"outcome_repair_fixed": %s, "outcome_repair_free": %s, "query_id": %d, "routed": true, "target_hit": %s}\n'
 )
 
 
-def write_counterfactual_rows(rows, path: str) -> None:
-    """One JSON line per CounterfactualRow, its fields in sorted order."""
+def write_counterfactual_rows(rows: CounterfactualRows, path: str) -> None:
+    """One JSON line per routed row, its fields in sorted order (format in README), a block of rows at a time."""
+    quoted_ids = [encode_basestring_ascii(e) for e in rows.entry_ids]
+    outcomes = (
+        rows.outcome_corrupt_fixed, rows.outcome_corrupt_free, rows.outcome_original,
+        rows.outcome_repair_fixed, rows.outcome_repair_free,
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            _COUNTERFACTUAL_JSON % (
-                ", ".join(map(encode_basestring_ascii, r.frozen_identity)),
-                *map(float.__repr__, (
-                    r.outcome_corrupt_fixed, r.outcome_corrupt_free, r.outcome_original,
-                    r.outcome_repair_fixed, r.outcome_repair_free,
-                )),
-                r.query_id,
-                _JSON_BOOL[r.routed],
-                _JSON_BOOL[r.target_hit],
-            )
-            for r in rows
-        )
+        for lo in range(0, len(rows.query_id), ROW_BLOCK):
+            hi = lo + ROW_BLOCK
+            fh.write("".join(map(_COUNTERFACTUAL_JSON.__mod__, zip(
+                _joined_ids(quoted_ids, rows.columns[lo:hi], rows.filled[lo:hi]),
+                *(map(float.__repr__, v[lo:hi].tolist()) for v in outcomes),
+                rows.query_id[lo:hi].tolist(),
+                _json_bools(rows.target_hit[lo:hi]),
+            ))))
 
 
 # ---------------------------------------------------------------------------

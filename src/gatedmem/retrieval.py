@@ -1,4 +1,4 @@
-"""Deterministic similarity retrieval, frozen identities, and content-edit files.
+"""Deterministic similarity retrieval and content-edit files.
 
 Retrieval is a pure function of (query, snapshot, threshold, k_max): cosine
 similarity over the snapshot's active entries, strictly above the threshold,
@@ -17,7 +17,7 @@ keyed one at a time (embed_key).
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -158,47 +158,13 @@ def retrieve(
     """Up to k_max entries with cosine similarity strictly above threshold.
 
     The one-row case of retrieval_table; a World serves its own queries from
-    a table per snapshot (World.retrieve).
+    a table per snapshot (World._table) as pair-table columns (World.injected).
     """
     queries = np.asarray(query.embedding, np.float64)[None, :]
     return retrieval_table(queries, snapshot, threshold, k_max).result(0, query.id)
 
 
-def freeze_identities(retrievals) -> dict[int, tuple[str, ...]]:
-    """Map query_id -> retrieved_ids over (query id, retrieved ids) pairs.
-
-    The pairs are a completed run's routed steps that retrieved
-    (StepTable.retrievals); a query id given twice must name the same ids.
-    """
-    frozen: dict[int, tuple[str, ...]] = {}
-    for qid, ids in retrievals:
-        ids = tuple(ids)
-        if qid in frozen and frozen[qid] != ids:
-            raise ValueError(f"conflicting retrieved identities for query {qid}")
-        frozen[qid] = ids
-    return frozen
-
-
-def target_hit_partition(
-    frozen_map: dict[int, tuple[str, ...]], edited_ids
-) -> tuple[list[int], list[int]]:
-    """Split routed queries by whether their frozen retrieved set hits an edit."""
-    if not frozen_map:
-        raise ValueError("frozen map is empty")
-    edited = set(edited_ids)
-    hit, non_hit = [], []
-    for qid in sorted(frozen_map):
-        (hit if edited.intersection(frozen_map[qid]) else non_hit).append(qid)
-    return hit, non_hit
-
-
 # -- file formats -----------------------------------------------------------
-
-def save_edits(edits: list[ContentEdit], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for e in edits:
-            fh.write(json.dumps(asdict(e), sort_keys=True) + "\n")
-
 
 def load_edits(path: str) -> list[ContentEdit]:
     """One JSON object per line, one line per entry; a bad line is a ValueError naming the file and line.

@@ -614,11 +614,6 @@ class World:
 
     # -- content-edit machinery ------------------------------------------------
 
-    def default_edits(self, entry_ids, edit_kind: str) -> list[ContentEdit]:
-        return [
-            ContentEdit(eid, f"{edit_kind} version of {eid}", edit_kind) for eid in entry_ids
-        ]
-
     def drifted_snapshot(self, bank_kind: str, edits: list[ContentEdit]) -> BankSnapshot:
         """Edited-bank view for free reruns: edited entries drift topics.
 

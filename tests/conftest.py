@@ -7,7 +7,9 @@ time. The package computes all three in batches, and keeps a run as the
 arrays of a StepTable. reference_pair_table draws every pair latent of a
 world at once, where the world draws a cell on its first read. The
 reference_*_text writers build a dict per row and call json on it; the
-package encodes the same bytes from columns.
+package encodes the same bytes from columns. reference_counterfactual is the
+counterfactual runner over per-step records, with the frozen identities as a
+dict keyed by example id.
 """
 
 import json
@@ -16,8 +18,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from gatedmem.bank import BANK_KINDS
-from gatedmem.controller import DEFAULT_CONTEXT, GUARD_NAMES, compose_bank_policy
-from gatedmem.retrieval import Query, RetrievalResult
+from gatedmem.controller import DEFAULT_CONTEXT, GUARD_NAMES, SecondPassContext, compose_bank_policy
+from gatedmem.retrieval import ContentEdit, Query, RetrievalResult
+from gatedmem.stats import randomization_interaction_test
 from gatedmem.util import derive_seed
 from gatedmem.worldsim import (
     CONTENT_VERSIONS,
@@ -80,6 +83,18 @@ def reference_pair_table(world, block_cells=1 << 13) -> np.ndarray:
         block |= (u[..., 3] < sens_repair) * np.uint8(PAIR_REPAIR_BETTER)
         block |= ((u[..., 3] >= sens_repair) & (u[..., 3] < spec.edit_sensitive_rate)) * np.uint8(PAIR_CORRUPT_BETTER)
     return out
+
+
+def default_edits(entry_ids, edit_kind: str) -> list:
+    """One ContentEdit of the given kind per entry id."""
+    return [ContentEdit(eid, f"{edit_kind} version of {eid}", edit_kind) for eid in entry_ids]
+
+
+def save_edits(edits, path: str) -> None:
+    """An edits file: one JSON object per edit and line, as load_edits reads it."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for e in edits:
+            fh.write(json.dumps(asdict(e), sort_keys=True) + "\n")
 
 
 def utility(world, idx, action) -> float:
@@ -226,8 +241,10 @@ def reference_second(world, idx, injected, version="original", edited_ids=(), si
     return action, world._conf[signal].item(idx, column)
 
 
-def reference_step(world, example_id, step_index, policy, snapshots, budget_state, context=DEFAULT_CONTEXT):
-    """One pass of the decision loop for one step."""
+def reference_step(
+    world, example_id, step_index, policy, snapshots, budget_state, context=DEFAULT_CONTEXT, frozen_map=None
+):
+    """One pass of the decision loop for one step; a frozen_map (example id -> ids) replays fixed retrieval."""
     action, conf = reference_baseline(world, example_id, policy.confidence_signal)
     routed = route_decision(conf, policy.tau) and budget_state.can_route()
     budget_state.step_end(routed)
@@ -238,15 +255,15 @@ def reference_step(world, example_id, step_index, policy, snapshots, budget_stat
     attempts = []
     decisive = None
     no_memory = context.version == "none"
-    if context.frozen_map is not None:
+    if frozen_map is not None:
         plan = [(("frozen",), policy.resolved().bank_policy == "gate_only")]
     else:
         plan = compose_bank_policy(policy)
     for banks, bypass_margin in plan:
         if no_memory:
             ids, result = (), None
-        elif context.frozen_map is not None:  # an empty frozen injection still carries a result
-            ids = result = tuple(context.frozen_map.get(example_id, ()))
+        elif frozen_map is not None:  # an empty frozen injection still carries a result
+            ids = result = tuple(frozen_map.get(example_id, ()))
         else:
             ids = reference_injection(world, example_id, banks, snapshots)
             result = ids or None
@@ -294,12 +311,15 @@ def reference_episodes(world, example_ids):
     return out
 
 
-def reference_traces(world, policy, snapshots, example_ids, context=DEFAULT_CONTEXT):
+def reference_traces(world, policy, snapshots, example_ids, context=DEFAULT_CONTEXT, frozen_map=None):
     """EpisodeTrace records of the per-step loop over example_ids."""
     traces = []
     for eid, members in reference_episodes(world, example_ids):
         budget = BudgetState(policy.budget_B, policy.cooldown)
-        steps = [reference_step(world, ex, i, policy, snapshots, budget, context) for i, ex in enumerate(members)]
+        steps = [
+            reference_step(world, ex, i, policy, snapshots, budget, context, frozen_map)
+            for i, ex in enumerate(members)
+        ]
         traces.append(
             EpisodeTrace(
                 eid,
@@ -495,7 +515,7 @@ def reference_outcome_table_text(table) -> str:
 def reference_traces_text(steps) -> str:
     """traces.jsonl from a StepTable: a dict per step and per episode, json.dumps per episode."""
     world = steps.world
-    deciding = steps.deciding.tolist()
+    columns, filled = steps.deciding_injection()
     ran, correct, confidence = (x.tolist() for x in steps.deciding_pass())
     routed, accepted = steps.routed.tolist(), steps.accepted.tolist()
     base_conf = steps.baseline_confidence.tolist()
@@ -511,7 +531,7 @@ def reference_traces_text(steps) -> str:
                 "baseline_action": base,
                 "baseline_confidence": round(base_conf[s], 10),
                 "routed": routed[s],
-                "retrieved_ids": list(steps.entry_ids(s, deciding[s])) if routed[s] else [],
+                "retrieved_ids": [world.entry_ids[c] for c in columns[s][filled[s]].tolist()],
                 "second_action": second,
                 "second_confidence": round(confidence[s], 10) if ran[s] else None,
                 "accepted": accepted[s],
@@ -536,8 +556,80 @@ def reference_traces_text(steps) -> str:
 
 
 def reference_counterfactual_rows_text(rows) -> str:
-    """counterfactual_rows.jsonl: json.dumps(asdict(row), sort_keys=True) per row."""
-    return "".join(json.dumps(asdict(r), sort_keys=True) + "\n" for r in rows)
+    """counterfactual_rows.jsonl from CounterfactualRows: a dict per row, json.dumps(row, sort_keys=True)."""
+    lines = []
+    for r, qid in enumerate(rows.query_id.tolist()):
+        row = {
+            "query_id": qid,
+            "routed": True,
+            "frozen_identity": [rows.entry_ids[c] for c in rows.columns[r][rows.filled[r]].tolist()],
+            "target_hit": bool(rows.target_hit[r]),
+        }
+        for field in COUNTERFACTUAL_OUTCOMES:
+            row[field] = float(getattr(rows, field)[r])
+        lines.append(json.dumps(row, sort_keys=True) + "\n")
+    return "".join(lines)
+
+
+COUNTERFACTUAL_OUTCOMES = (
+    "outcome_original", "outcome_repair_free", "outcome_corrupt_free", "outcome_repair_fixed", "outcome_corrupt_fixed",
+)
+
+
+def reference_counterfactual(world, policy, snapshots, test_ids, edits, n_permutations=10000, seed=0):
+    """(counterfactual_rows.jsonl text, audit) of protocol.run_counterfactual, from the per-step loop.
+
+    The original run's frozen identities are reference_freeze_identities of
+    its step records; each free rerun retrieves from drifted snapshots, and
+    each fixed replay looks its injection up by example id in that dict.
+    """
+    edited = tuple(sorted({e.entry_id for e in edits}))
+    traces = reference_traces(world, policy, snapshots, test_ids)
+    original = [s for t in traces for s in t.steps]
+    frozen = reference_freeze_identities(traces)
+    outcomes = {"outcome_original": {s.example_id: utility(world, s.example_id, s.final_action) for s in original}}
+    for version in ("repair", "corrupt"):
+        drifted = {}
+        for kind, snap in snapshots.items():
+            kind_edits = [
+                ContentEdit(e.entry_id, e.new_payload, version) for e in edits if world.entry_bank(e.entry_id) == kind
+            ]
+            drifted[kind] = world.drifted_snapshot(kind, kind_edits) if kind_edits else snap
+        for mode, snaps, frozen_map in (("free", drifted, None), ("fixed", snapshots, frozen)):
+            traces = reference_traces(world, policy, snaps, test_ids, SecondPassContext(version, edited), frozen_map)
+            outcomes[f"outcome_{version}_{mode}"] = {
+                s.example_id: utility(world, s.example_id, s.final_action) for t in traces for s in t.steps
+            }
+    rows, hit_diffs, non_hit_diffs = [], [], []
+    for step in sorted((s for s in original if s.routed), key=lambda s: s.example_id):
+        qid = step.example_id
+        identity = frozen.get(qid, ())
+        row = {field: outcomes[field][qid] for field in COUNTERFACTUAL_OUTCOMES}
+        hit = bool(set(identity) & set(edited))
+        row.update(query_id=qid, routed=True, frozen_identity=list(identity), target_hit=hit)
+        for version in ("repair", "corrupt"):
+            free, fixed, base = row[f"outcome_{version}_free"], row[f"outcome_{version}_fixed"], row["outcome_original"]
+            assert (free - base) - ((fixed - base) + (free - fixed)) == 0.0
+        (hit_diffs if row["target_hit"] else non_hit_diffs).append(
+            row["outcome_repair_fixed"] - row["outcome_corrupt_fixed"]
+        )
+        rows.append(json.dumps(row, sort_keys=True) + "\n")
+    hit_diffs, non_hit_diffs = np.array(hit_diffs), np.array(non_hit_diffs)
+    audit = {
+        "n_rows": len(rows),
+        "n_hit": len(hit_diffs),
+        "n_non_hit": sum(1 for ids in frozen.values() if not set(ids) & set(edited)),
+        "decomposition_max_abs_error": 0.0,
+        "fixed_replay_identity_ok": True,
+        "non_hit_bitwise_identical": True,
+        "hit_dacc_fixed": float(hit_diffs.mean()) if hit_diffs.size else None,
+        "non_hit_dacc_fixed": float(non_hit_diffs.mean()) if non_hit_diffs.size else None,
+        "interaction_p": (
+            randomization_interaction_test(hit_diffs, non_hit_diffs, n_permutations=n_permutations, seed=seed)
+            if hit_diffs.size and non_hit_diffs.size else None
+        ),
+    }
+    return "".join(rows), audit
 
 
 def reference_manifest_json(manifest) -> str:

@@ -15,7 +15,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import arith_shape_spec, localization_shape_spec, oracle_policy, reference_oracle_steps, utility
+from conftest import (
+    arith_shape_spec,
+    default_edits,
+    localization_shape_spec,
+    oracle_policy,
+    reference_oracle_steps,
+    utility,
+)
 from gatedmem.bank import MemoryBank, MemoryEntry, hoeffding_ucb
 from gatedmem.controller import PolicyConfig
 from gatedmem.errors import FreezeMismatch, ProtocolViolation
@@ -95,7 +102,7 @@ def counterfactual_suite(n_worlds=20):
             e for e in snaps["exemplar"].entry_ids
             if world.banks["exemplar"].entry(e).payload.endswith("topic 0")
         ][:4]
-        edits = world.default_edits(edited, "repair")
+        edits = default_edits(edited, "repair")
         rows, audit = run_counterfactual(
             world, manifest, policy, snaps, edits, n_permutations=2000, seed=seed
         )
@@ -112,14 +119,13 @@ def test_criterion_01_decomposition_identity():
     for rows, audit in results:
         # run_counterfactual raises on any nonzero row; re-assert the audit
         assert audit["decomposition_max_abs_error"] == 0.0
-        for row in rows:
-            for version in ("repair", "corrupt"):
-                y_free = getattr(row, f"outcome_{version}_free")
-                y_fixed = getattr(row, f"outcome_{version}_fixed")
-                free_contrast = y_free - row.outcome_original
-                content = y_fixed - row.outcome_original
-                drift = y_free - y_fixed
-                assert free_contrast - (content + drift) == 0.0  # zero tolerance
+        for version in ("repair", "corrupt"):
+            y_free = getattr(rows, f"outcome_{version}_free")
+            y_fixed = getattr(rows, f"outcome_{version}_fixed")
+            free_contrast = y_free - rows.outcome_original
+            content = y_fixed - rows.outcome_original
+            drift = y_free - y_fixed
+            assert (free_contrast - (content + drift) == 0.0).all()  # zero tolerance, every row
     assert elapsed < 60.0, f"counterfactual suite took {elapsed:.1f}s"
 
 
@@ -133,10 +139,9 @@ def test_criterion_02_fixed_retrieval_identification():
         # re-asserted here together with non-hit bitwise identity
         assert audit["fixed_replay_identity_ok"] is True
         assert audit["non_hit_bitwise_identical"] is True
-        for row in rows:
-            if not row.target_hit:
-                assert row.outcome_repair_fixed == row.outcome_corrupt_fixed
-                assert row.outcome_repair_fixed == row.outcome_original
+        non_hit = ~rows.target_hit
+        assert (rows.outcome_repair_fixed[non_hit] == rows.outcome_corrupt_fixed[non_hit]).all()
+        assert (rows.outcome_repair_fixed[non_hit] == rows.outcome_original[non_hit]).all()
         assert audit["non_hit_dacc_fixed"] == 0.0
 
 
@@ -465,7 +470,7 @@ def test_criterion_10_localization_shape():
             e for e in snaps["exemplar"].entry_ids
             if world.banks["exemplar"].entry(e).payload.endswith("topic 0")
         ][:4]
-        edits = world.default_edits(edited, "repair")
+        edits = default_edits(edited, "repair")
         rows, audit = run_counterfactual(world, manifest, policy, snaps, edits, seed=seed)
         hit_counts.append(audit["n_hit"])
         assert audit["n_rows"] == 800

@@ -5,16 +5,17 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gatedmem
-from gatedmem import controller
+from conftest import default_edits, save_edits
+from gatedmem import protocol
 from gatedmem.cli import main
-from gatedmem.retrieval import ContentEdit, save_edits
-from gatedmem.worldsim import WorldSpec, generate_world
+from gatedmem.retrieval import ContentEdit
 
 
 @pytest.fixture()
@@ -96,9 +97,8 @@ def test_counterfactual_flow(tmp_path, world_config, grid_config, capsys):
     fit_out = str(tmp_path / "fit")
     cf_out = str(tmp_path / "cf")
     main(["fit", "--config", world_config, "--grid", grid_config, "--out", fit_out])
-    world = generate_world(WorldSpec.from_flat({"n_examples": "200", "base_accuracy": "0.74", "seed": "5", "topic_count": "10"}))
     edits_path = str(tmp_path / "edits.jsonl")
-    save_edits(world.default_edits(["E000", "E001"], "repair"), edits_path)
+    save_edits(default_edits(["E000", "E001"], "repair"), edits_path)
     code = main(
         [
             "counterfactual",
@@ -120,18 +120,22 @@ def test_tampered_fixed_replay_exits_1_naming_the_query(tmp_path, world_config, 
     assert main(["fit", "--config", world_config, "--grid", grid_config, "--out", fit_out]) == 0
     edits_path = str(tmp_path / "edits.jsonl")
     save_edits([ContentEdit("E000", "repaired E000", "repair")], edits_path)
-    frozen_injection = controller._frozen_injection
+    run_steps = protocol.run_steps
     tampered = []
 
-    def drop_one_entry(world, frozen_map, rows):
+    def drop_one_entry(world, policy, snapshots, example_ids, context):
         # the fixed replay of the first query with a frozen identity injects one entry fewer
-        cols, filled = frozen_injection(world, frozen_map, rows)
-        r = int(np.flatnonzero(filled.any(axis=1))[0])
-        filled[r, np.flatnonzero(filled[r])[-1]] = False
-        tampered.append(int(rows[r]))
-        return cols, filled
+        frozen = context.frozen
+        if frozen is not None:
+            s = int(np.flatnonzero(frozen.deciding_injection()[1].any(axis=1))[0])
+            filled = [f.copy() for f in frozen.filled]
+            row = filled[frozen.deciding[s]][s]
+            row[np.flatnonzero(row)[-1]] = False
+            tampered.append(int(frozen.example_ids[s]))
+            context = replace(context, frozen=replace(frozen, filled=tuple(filled)))
+        return run_steps(world, policy, snapshots, example_ids, context)
 
-    monkeypatch.setattr(controller, "_frozen_injection", drop_one_entry)
+    monkeypatch.setattr(protocol, "run_steps", drop_one_entry)
     code = main(
         [
             "counterfactual", "--config", world_config, "--manifest", os.path.join(fit_out, "manifest.json"),

@@ -29,18 +29,19 @@ from gatedmem.controller import (
     PolicyConfig,
     SecondPassContext,
     compose_bank_policy,
+    run_steps,
     select_threshold_percentile,
 )
 from gatedmem.protocol import (
     FIXED_BUDGET_K,
     NO_MEMORY,
     ROUTE_AND_ACCEPT_ALL,
+    EvalRun,
     attach_evidence,
     evaluate_oracle,
     evaluate_policy,
     write_traces,
 )
-from gatedmem.retrieval import freeze_identities
 from gatedmem.worldsim import ORACLE_CONTEXTS, WorldSpec, generate_world
 
 
@@ -418,6 +419,23 @@ def _evidence(banks):
     return {e.id: (e.evidence_count, e.evidence_sum) for bank in banks.values() for e in bank.entries()}
 
 
+def _names(world, columns, filled):
+    return tuple(world.entry_ids[c] for c in columns[filled].tolist())
+
+
+def _frozen_identities(steps):
+    """Example id -> deciding injection of every routed step that carries a retrieval."""
+    columns, filled = steps.deciding_injection()
+    carries = np.zeros(len(steps.routed), bool)
+    for a in range(len(steps.plan)):
+        carries |= steps.retrieved(a) & (steps.deciding == a)
+    return {
+        idx: _names(steps.world, columns[s], filled[s])
+        for s, idx in enumerate(steps.example_ids.tolist())
+        if carries[s]
+    }
+
+
 def _table_view(steps):
     """Each step of a StepTable as (example, episode, position, baseline correct and
     confidence, routed, accepted, final correct, attempts); each tried attempt as
@@ -432,7 +450,7 @@ def _table_view(steps):
             attempts.append((
                 a,
                 bool(retrieved[a][s]),
-                steps.entry_ids(s, a),
+                _names(steps.world, steps.columns[a][s], steps.filled[a][s]),
                 ran,
                 bool(steps.second_correct[s, a]) if ran else None,
                 float(steps.second_confidence[s, a]) if ran else None,
@@ -485,28 +503,39 @@ def _reference_view(world, traces):
     ]
 
 
-def _assert_matches_reference(world, policy, snaps, ids, context=DEFAULT_CONTEXT, comparator=None):
-    run = evaluate_policy(world, policy, snaps, ids, comparator=comparator, context=context)
+def _assert_matches_reference(
+    world, policy, snaps, ids, context=DEFAULT_CONTEXT, comparator=None, frozen_map=None
+):
+    """A policy or comparator run (evaluate_policy), or a run under another second-pass context
+    (run_steps; a fixed replay's context.frozen is the run that frozen_map, example id -> ids, reads)."""
+    if context is DEFAULT_CONTEXT:
+        run = evaluate_policy(world, policy, snaps, ids, comparator=comparator)
+        steps = run.steps
+    else:
+        run, steps = None, run_steps(world, policy, snaps, ids, context)
     if comparator is not None:
         policy, context = _comparator_variant(policy, context, comparator)
-    want = reference_traces(world, policy, snaps, ids, context)
-    assert _table_view(run.steps) == _reference_view(world, want)
-    steps = [s for t in want for s in t.steps]
-    outcome = {s.example_id: utility(world, s.example_id, s.final_action) for s in steps}
-    assert run.outcomes.tolist() == [outcome[i] for i in ids]
-    assert run.routed_frac == sum(t.routed_count for t in want) / len(steps)
-    assert run.accepted_frac == sum(t.accepted_count for t in want) / len(steps)
-    assert run.mean_calls == sum(t.total_calls for t in want) / len(steps)
+    want = reference_traces(world, policy, snaps, ids, context, frozen_map)
+    assert _table_view(steps) == _reference_view(world, want)
+    ref_steps = [s for t in want for s in t.steps]
+    outcome = {s.example_id: utility(world, s.example_id, s.final_action) for s in ref_steps}
+    assert steps.final_correct.tolist() == [bool(outcome[i]) for i in steps.example_ids.tolist()]
+    if run is not None:
+        assert run.outcomes.tolist() == [outcome[i] for i in ids]
+        assert run.routed_frac == sum(t.routed_count for t in want) / len(ref_steps)
+        assert run.accepted_frac == sum(t.accepted_count for t in want) / len(ref_steps)
+        assert run.mean_calls == sum(t.total_calls for t in want) / len(ref_steps)
     batched = {k: b.copy() for k, b in world.banks.items()}
     records = reference_attach_evidence(world, want)
-    assert attach_evidence(world, batched, run) == len(records)
+    run_of_steps = EvalRun(list(ids), None, 0.0, 0.0, 0.0, steps)  # attach_evidence reads only the steps
+    assert attach_evidence(world, batched, run_of_steps) == len(records)
     totals = _evidence(world.banks)
     for r in records:
         count, total = totals[r.entry_id]
         totals[r.entry_id] = (count + 1, total + r.utility)
     assert _evidence(batched) == totals
-    assert freeze_identities(run.steps.retrievals()) == reference_freeze_identities(want)
-    return run
+    assert _frozen_identities(steps) == reference_freeze_identities(want)
+    return steps
 
 
 def _comparator_variant(policy, context, comparator):
@@ -556,13 +585,19 @@ def test_batched_loop_matches_per_step_reference():
         ids = rng.permutation(spec.n_examples)[: int(rng.integers(1, spec.n_examples + 1))].tolist()
         original = _assert_matches_reference(world, policy, snaps, ids)
         edited = tuple(sorted(rng.choice(world.entry_ids, size=6, replace=False).tolist()))
-        frozen = freeze_identities(original.steps.retrievals())
-        if frozen:  # one routed query replays an explicitly empty injection
-            frozen[next(iter(frozen))] = ()
+        frozen = _frozen_identities(original)
+        if frozen:  # one routed query that retrieved replays an explicitly empty injection
+            qid = next(iter(frozen))
+            frozen[qid] = ()
+            s = int(np.searchsorted(original.example_ids, qid))
+            filled = [f.copy() for f in original.filled]
+            filled[original.deciding[s]][s] = False
+            original = replace(original, filled=tuple(filled))
         for version in ("repair", "corrupt"):
             _assert_matches_reference(world, policy, snaps, ids, SecondPassContext(version, edited))
-            _assert_matches_reference(world, policy, snaps, ids, SecondPassContext(version, edited, frozen))
-        _assert_matches_reference(world, policy, snaps, ids, NO_MEMORY)
+            fixed = SecondPassContext(version, edited, frozen=original)
+            _assert_matches_reference(world, policy, snaps, ids, fixed, frozen_map=frozen)
+        _assert_matches_reference(world, policy, snaps, ids, comparator="retry")
 
 
 def test_batched_comparators_match_per_step_reference():
@@ -628,6 +663,14 @@ def test_repeated_example_id_rejected():
     world = generate_world(WorldSpec(n_examples=8, seed=1, steps_per_episode=4))
     with pytest.raises(ValueError, match="example id 1 is repeated"):
         evaluate_policy(world, PolicyConfig(), world.snapshots(), [1, 1, 2, 3])
+
+
+def test_fixed_replay_on_other_examples_rejected():
+    world = generate_world(WorldSpec(n_examples=50, seed=1))
+    policy, snaps = PolicyConfig(tau=0.9), world.snapshots()
+    original = evaluate_policy(world, policy, snaps, list(range(40))).steps
+    with pytest.raises(ValueError, match="fixed replay must run on the examples of the run it replays"):
+        run_steps(world, policy, snaps, list(range(1, 41)), SecondPassContext("repair", ("E000",), frozen=original))
 
 
 def test_out_of_range_example_id_rejected():

@@ -3,14 +3,17 @@
 import os
 import re
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from conftest import (
+    COUNTERFACTUAL_OUTCOMES,
     arith_shape_spec,
+    default_edits,
     localization_shape_spec,
+    reference_counterfactual,
     reference_counterfactual_rows_text,
     reference_manifest_json,
     reference_outcome_table_text,
@@ -20,7 +23,7 @@ from conftest import (
 )
 from gatedmem import protocol
 from gatedmem.bank import MemoryBank
-from gatedmem.controller import GUARD_NAMES, PolicyConfig
+from gatedmem.controller import BANK_POLICIES, GUARD_NAMES, PolicyConfig
 from gatedmem.errors import FreezeMismatch, ProtocolViolation
 from gatedmem.protocol import (
     FreezeManifest,
@@ -350,7 +353,7 @@ def comparator_setup():
 
 def _injects(steps):
     """Whether each step's deciding attempt injected anything."""
-    return np.array([d >= 0 and bool(steps.entry_ids(s, d)) for s, d in enumerate(steps.deciding.tolist())])
+    return steps.deciding_injection()[1].any(axis=1)
 
 
 def test_always_retrieve_routes_every_step_and_accepts_nonempty_retrievals():
@@ -381,7 +384,7 @@ def test_retry_keeps_baseline_outcomes_at_the_gated_policy_cost():
     assert np.array_equal(retry.outcomes, base.outcomes)
     assert np.array_equal(retry.steps.routed, gated.steps.routed)
     assert retry.mean_calls == gated.mean_calls > base.mean_calls
-    assert retry.steps.columns[0].shape[1] == 0 and not retry.steps.retrievals()
+    assert retry.steps.columns[0].shape[1] == 0 and not retry.steps.deciding_injection()[1].any()
     assert not np.array_equal(gated.outcomes, base.outcomes)
 
 
@@ -520,7 +523,7 @@ def make_counterfactual_setup(seed=0):
     grid = [PolicyConfig(tau=tau_all, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
     manifest, policy, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
     edited = [e for e in snaps["exemplar"].entry_ids if world.banks["exemplar"].entry(e).payload.endswith("topic 0")][:4]
-    edits = world.default_edits(edited, "repair")
+    edits = default_edits(edited, "repair")
     return world, manifest, policy, snaps, edits
 
 
@@ -529,22 +532,45 @@ def test_counterfactual_decomposition_and_fixed_mode():
     rows, audit = run_counterfactual(world, manifest, policy, snaps, edits, seed=18)
     assert audit["decomposition_max_abs_error"] == 0.0
     assert audit["non_hit_dacc_fixed"] == 0.0
-    for row in rows:
-        # fixed mode: the drift term is identically zero by construction
-        assert row.outcome_repair_fixed - row.outcome_original == pytest.approx(
-            (row.outcome_repair_fixed - row.outcome_original), abs=0
-        )
-        if not row.target_hit:
-            assert row.outcome_repair_fixed == row.outcome_corrupt_fixed
+    non_hit = ~rows.target_hit
+    assert non_hit.any() and rows.target_hit.any()
+    assert np.array_equal(rows.outcome_repair_fixed[non_hit], rows.outcome_corrupt_fixed[non_hit])
 
 
 def test_counterfactual_free_mode_has_drift():
     world, manifest, policy, snaps, edits = make_counterfactual_setup(seed=19)
     rows, _ = run_counterfactual(world, manifest, policy, snaps, edits, seed=19)
-    drift = [
-        abs((r.outcome_repair_free - r.outcome_repair_fixed)) for r in rows
-    ]
-    assert sum(drift) > 0  # retrieval drift makes free != fixed somewhere
+    drift = np.abs(rows.outcome_repair_free - rows.outcome_repair_fixed)
+    assert drift.sum() > 0  # retrieval drift makes free != fixed somewhere
+
+
+@pytest.mark.parametrize("hit", [False, True])
+def test_counterfactual_audits_non_hit_rows_only(monkeypatch, hit):
+    # the corrupt fixed replay reports another second-pass confidence on one routed row
+    world, manifest, policy, snaps, edits = make_counterfactual_setup(seed=18)
+    run_steps = protocol.run_steps
+    nudged = []
+
+    def nudge(world, policy, snapshots, example_ids, context):
+        steps = run_steps(world, policy, snapshots, example_ids, context)
+        if context.frozen is not None and context.version == "corrupt":
+            columns, filled = context.frozen.deciding_injection()
+            hits = (filled & np.isin(columns, world.columns(context.edited_ids))).any(axis=1)
+            s = int(np.flatnonzero(steps.routed & steps.decoded[:, 0] & (hits == hit))[0])
+            confidence = steps.second_confidence.copy()
+            confidence[s, 0] += 0.5
+            nudged.append(int(steps.example_ids[s]))
+            steps = replace(steps, second_confidence=confidence)
+        return steps
+
+    monkeypatch.setattr(protocol, "run_steps", nudge)
+    if hit:  # a hit row may differ across repair/corrupt
+        assert run_counterfactual(world, manifest, policy, snaps, edits, seed=18)[1]["n_hit"] > 0
+    else:
+        with pytest.raises(ProtocolViolation) as raised:
+            run_counterfactual(world, manifest, policy, snaps, edits, seed=18)
+        assert str(raised.value) == f"non-hit row {nudged[0]} differs across repair/corrupt under fixed retrieval"
+    assert len(nudged) == 1
 
 
 def test_counterfactual_unknown_edit_rejected():
@@ -674,14 +700,58 @@ def test_traces_bytes_match_reference(tmp_path, monkeypatch, steps_per_episode, 
     assert lengths.max() == steps_per_episode and (steps_per_episode == 1 or lengths.min() < steps_per_episode)
 
 
-def test_counterfactual_rows_bytes_match_reference(tmp_path):
+def test_counterfactual_rows_bytes_match_reference(tmp_path, monkeypatch):
     world, manifest, policy, snaps, edits = make_counterfactual_setup(seed=18)
     rows, _ = run_counterfactual(world, manifest, policy, snaps, edits, seed=18)
-    rows.append(protocol.CounterfactualRow(3, False, (), *EDGE_CONFIDENCES[:5], False))
+    # one more row with an empty identity and outcomes at the rounding edges
+    width = rows.columns.shape[1]
+    rows = replace(
+        rows,
+        query_id=np.append(rows.query_id, 3),
+        columns=np.vstack([rows.columns, np.zeros((1, width), np.intp)]),
+        filled=np.vstack([rows.filled, np.zeros((1, width), bool)]),
+        target_hit=np.append(rows.target_hit, False),
+        **{f: np.append(getattr(rows, f), x) for f, x in zip(COUNTERFACTUAL_OUTCOMES, EDGE_CONFIDENCES)},
+    )
+    path = tmp_path / "counterfactual_rows.jsonl"
+    for block in (protocol.ROW_BLOCK, 7):  # the shipped row block, and blocks that split the rows unevenly
+        monkeypatch.setattr(protocol, "ROW_BLOCK", block)
+        write_counterfactual_rows(rows, str(path))
+        assert path.read_text() == reference_counterfactual_rows_text(rows)
+    assert rows.target_hit.any() and (rows.filled.sum(axis=1) > 1).any()
+
+
+def _counterfactual_world(kind):
+    """A fitted world with routed steps that retrieve nothing, budget-blocked steps and rejecting guards,
+    and edits of entries the policy retrieves and of some it does not."""
+    spec = WorldSpec(
+        n_examples=240, seed=77, steps_per_episode=4, topic_count=12, n_rule_entries=10, n_exemplar_entries=10,
+        guard_pass_rate=(("format", 0.7),), edit_sensitive_rate=0.6, k_max=2,
+    )
+    world = generate_world(spec)
+    fit_ids, test_ids = split_indices(240, 0.5, 0)
+    grid = [PolicyConfig(tau=0.75, margin_m=0.02, bank_policy=kind, budget_B=2, guards_enabled=frozenset({"format"}))]
+    manifest, policy, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
+    edits = default_edits(["E001", "E004", "E007", "R002", "R005", "R008"], "repair")
+    return world, manifest, policy, snaps, test_ids, edits
+
+
+@pytest.mark.parametrize("kind", BANK_POLICIES)
+def test_counterfactual_matches_per_step_reference(tmp_path, kind):
+    world, manifest, policy, snaps, test_ids, edits = _counterfactual_world(kind)
+    rows, audit = run_counterfactual(world, manifest, policy, snaps, edits, n_permutations=500, seed=3)
     path = tmp_path / "counterfactual_rows.jsonl"
     write_counterfactual_rows(rows, str(path))
-    assert path.read_text() == reference_counterfactual_rows_text(rows)
-    assert any(r.target_hit for r in rows) and any(len(r.frozen_identity) > 1 for r in rows)
+    assert (path.read_text(), audit) == reference_counterfactual(
+        world, policy, snaps, test_ids, edits, n_permutations=500, seed=3
+    )
+    # not vacuous: hits, non-hits, and routed rows that retrieved nothing, which n_non_hit leaves out
+    assert audit["n_hit"] > 0 and audit["n_non_hit"] > 0
+    assert audit["n_hit"] + audit["n_non_hit"] < audit["n_rows"]
+    original = evaluate_policy(world, policy, snaps, test_ids).steps
+    assert (~original.routed).any()
+    if policy.resolved().bank_policy.startswith("cascade"):  # the second attempt decides some routed steps
+        assert (original.routed & (original.deciding == 1) & original.filled[1].any(axis=1)).any()
 
 
 @pytest.mark.parametrize("governance_rounds", [0, 2])
@@ -718,4 +788,5 @@ def test_counterfactual_releases_drifted_tables(monkeypatch):
     kept, manifest, policy, snaps, edits = make_counterfactual_setup(seed=18)
     unreleased = run_counterfactual(kept, manifest, policy, snaps, edits, seed=18)
     assert len(kept._tables) > len(world._tables)  # the free reruns read drifted snapshots
-    assert unreleased == (rows, audit)
+    assert unreleased[1] == audit
+    assert all(np.array_equal(getattr(unreleased[0], f.name), getattr(rows, f.name)) for f in fields(rows))

@@ -3,22 +3,27 @@
 import numpy as np
 import pytest
 
-from conftest import reference_freeze_identities, reference_retrieve, reference_traces
+from conftest import (
+    default_edits,
+    localization_shape_spec,
+    reference_freeze_identities,
+    reference_retrieve,
+    reference_traces,
+    save_edits,
+)
 from gatedmem import retrieval
 from gatedmem.bank import BankSnapshot, MemoryEntry
 from gatedmem.controller import PolicyConfig
-from gatedmem.protocol import evaluate_policy
+from gatedmem.errors import ProtocolViolation
+from gatedmem.protocol import evaluate_policy, run_counterfactual, run_fit_stage, split_indices
 from gatedmem.retrieval import (
     ContentEdit,
     Query,
     RetrievalResult,
     embed_key,
-    freeze_identities,
     load_edits,
     retrieval_table,
     retrieve,
-    save_edits,
-    target_hit_partition,
     topic_vector,
 )
 from gatedmem.worldsim import WorldSpec, generate_world
@@ -152,7 +157,7 @@ def test_embed_topic_structure():
 
 
 # ---------------------------------------------------------------------------
-# freeze_identities
+# frozen identities: a run's deciding injections (StepTable.deciding_injection)
 # ---------------------------------------------------------------------------
 
 def test_freeze_identities_routed_only():
@@ -161,16 +166,15 @@ def test_freeze_identities_routed_only():
     world = generate_world(WorldSpec(n_examples=60, seed=3, steps_per_episode=4, n_rule_entries=4, n_exemplar_entries=4))
     policy, snaps, ids = PolicyConfig(tau=0.6, budget_B=2), world.snapshots(), list(range(60))
     steps = evaluate_policy(world, policy, snaps, ids).steps
-    frozen = freeze_identities(steps.retrievals())
+    columns, filled = steps.deciding_injection()
+    frozen = {
+        idx: tuple(world.entry_ids[c] for c in columns[s][filled[s]].tolist())
+        for s, idx in enumerate(steps.example_ids.tolist())
+        if filled[s].any()
+    }
     assert frozen == reference_freeze_identities(reference_traces(world, policy, snaps, ids))
     assert (~steps.routed).any() and (steps.routed & ~steps.filled[0].any(axis=1)).any()
-    assert all(frozen.values())
-
-
-def test_freeze_identities_conflict():
-    with pytest.raises(ValueError):
-        freeze_identities([(0, ("R001",)), (0, ("R002",))])
-    assert freeze_identities([(0, ("R001",)), (0, ["R001"])]) == {0: ("R001",)}
+    assert not filled[~steps.routed].any()
 
 
 def test_edit_kind_validated():
@@ -186,37 +190,47 @@ def test_edits_file_roundtrip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# target_hit_partition
+# the target-hit partition of a counterfactual run's routed rows
 # ---------------------------------------------------------------------------
 
+def _counterfactual(edited, **spec):
+    """run_counterfactual on a 4-topic world whose fitted policy retrieves only from the exemplar bank."""
+    shape = {"n_examples": 200, "seed": 4, "topic_count": 4, "n_rule_entries": 8, "n_exemplar_entries": 16}
+    world = generate_world(WorldSpec(**shape, **spec))
+    fit_ids, test_ids = split_indices(world.spec.n_examples, 0.5, 0)
+    grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
+    manifest, policy, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
+    return run_counterfactual(world, manifest, policy, snaps, default_edits(edited, "repair"), n_permutations=200)
+
+
 def test_partition_no_hits():
-    frozen = {i: (f"R{i:03d}",) for i in range(5)}
-    hit, non_hit = target_hit_partition(frozen, ["E000"])
-    assert hit == [] and non_hit == [0, 1, 2, 3, 4]
+    rows, audit = _counterfactual(["R000"])
+    assert not rows.target_hit.any() and audit["n_hit"] == 0
+    assert audit["n_non_hit"] == rows.filled.any(axis=1).sum() > 0
+    assert audit["hit_dacc_fixed"] is None and audit["interaction_p"] is None
 
 
 def test_partition_all_hits():
-    frozen = {i: ("E000", f"R{i:03d}") for i in range(4)}
-    hit, non_hit = target_hit_partition(frozen, ["E000"])
-    assert non_hit == [] and hit == [0, 1, 2, 3]
+    rows, audit = _counterfactual([f"E{i:03d}" for i in range(16)])
+    assert np.array_equal(rows.target_hit, rows.filled.any(axis=1))
+    assert audit["n_hit"] == rows.target_hit.sum() > 0 and audit["n_non_hit"] == 0
 
 
 def test_partition_paper_scale_sizes():
-    # 800 routed rows of which exactly 105 retrieve an edited entry
-    edited = ["E003", "E023", "E042", "E058"]
-    frozen = {}
-    for q in range(800):
-        if q < 105:
-            frozen[q] = (edited[q % 4], "E900")
-        else:
-            frozen[q] = (f"E{100 + (q % 50):03d}",)
-    hit, non_hit = target_hit_partition(frozen, edited)
-    assert len(hit) == 105
-    assert len(non_hit) == 695
-    assert sorted(hit + non_hit) == list(range(800))
-    assert set(hit) & set(non_hit) == set()
+    # 800 routed rows, about 105 of which retrieve one of 4 edited entries
+    world = generate_world(localization_shape_spec(seed=0))
+    fit_ids, test_ids = split_indices(1000, 0.2, 0)
+    grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
+    manifest, policy, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
+    edited = [e for e in snaps["exemplar"].entry_ids if world.banks["exemplar"].entry(e).payload.endswith("topic 0")][:4]
+    rows, audit = run_counterfactual(world, manifest, policy, snaps, default_edits(edited, "repair"))
+    assert audit["n_rows"] == len(rows.query_id) == 800
+    assert 60 <= audit["n_hit"] == rows.target_hit.sum() <= 160
+    assert audit["n_hit"] + audit["n_non_hit"] == rows.filled.any(axis=1).sum()
+    assert not (rows.target_hit & ~rows.filled.any(axis=1)).any()
 
 
 def test_partition_empty_map_errors():
-    with pytest.raises(ValueError):
-        target_hit_partition({}, ["E000"])
+    # every step routes, and at this threshold none retrieves: there is no frozen identity to replay
+    with pytest.raises(ProtocolViolation, match="no routed queries with retrieval"):
+        _counterfactual(["E000"], retrieval_threshold=0.9999)

@@ -7,7 +7,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import arith_shape_spec, reference_outcome_table, reference_pair_table, reference_retrieve, utility
+from conftest import (
+    arith_shape_spec,
+    default_edits,
+    reference_outcome_table,
+    reference_pair_table,
+    reference_retrieve,
+    utility,
+)
 from gatedmem import retrieval, worldsim
 from gatedmem.controller import CONFIDENCE_SIGNALS, GUARD_NAMES, PolicyConfig
 from gatedmem.protocol import evaluate_oracle, evaluate_policy
@@ -375,7 +382,7 @@ def test_exposure_averaging_insufficiency():
 
 def test_drifted_snapshot_changes_only_edited_embeddings():
     world = generate_world(WorldSpec(n_examples=50, seed=14))
-    edits = world.default_edits(["E001", "E005"], "corrupt")
+    edits = default_edits(["E001", "E005"], "corrupt")
     snap = world.banks["exemplar"].freeze()
     drifted = world.drifted_snapshot("exemplar", edits)
     assert drifted.entry_ids == snap.entry_ids
@@ -383,7 +390,7 @@ def test_drifted_snapshot_changes_only_edited_embeddings():
         same = np.allclose(drifted.embeddings[k], snap.embeddings[k])
         assert same == (eid not in ("E001", "E005"))
     # drift depends on the edit kind
-    drifted_repair = world.drifted_snapshot("exemplar", world.default_edits(["E001"], "repair"))
+    drifted_repair = world.drifted_snapshot("exemplar", default_edits(["E001"], "repair"))
     i = snap.entry_ids.index("E001")
     assert not np.allclose(drifted_repair.embeddings[i], drifted.embeddings[i])
 
@@ -417,7 +424,7 @@ def test_world_retrieve_matches_per_query_reference(spec):
     snapshots = list(world.snapshots().values())
     for kind, bank in world.banks.items():
         ids = [e.id for e in bank.active_entries()]
-        snapshots.append(world.drifted_snapshot(kind, world.default_edits(ids[::3], "repair")))
+        snapshots.append(world.drifted_snapshot(kind, default_edits(ids[::3], "repair")))
         governed = bank.copy()
         governed.retain(ids[::2])
         snapshots.append(governed.freeze())
@@ -477,7 +484,7 @@ def test_draws_do_not_depend_on_retirement_drift_or_order():
     world = generate_world(spec)
     for kind, bank in world.banks.items():
         ids = [e.id for e in bank.active_entries()]
-        world.drifted_snapshot(kind, world.default_edits(ids[::4], "corrupt"))
+        world.drifted_snapshot(kind, default_edits(ids[::4], "corrupt"))
         bank.retain(ids[::3])
     assert _all_draws(world, reversed(range(spec.n_examples))) == reference
 
