@@ -158,7 +158,6 @@ class StepTable:
     """
 
     world: object
-    context: SecondPassContext
     plan: tuple  # ((banks, bypass_margin), ...)
     episode_ids: np.ndarray
     example_ids: np.ndarray
@@ -194,14 +193,6 @@ class StepTable:
         return tuple(
             np.take_along_axis(x, at, axis=1)[:, 0] for x in (self.decoded, self.second_correct, self.second_confidence)
         )
-
-    def retrieved(self, attempt: int) -> np.ndarray:
-        """Which steps' attempt carries a retrieval result (it may be empty only in fixed replay)."""
-        if self.context.version == "none":
-            return np.zeros(len(self.routed), bool)
-        if self.context.frozen is not None:
-            return self.tried[:, attempt]
-        return self.tried[:, attempt] & self.filled[attempt].any(axis=1)
 
     def deciding_injection(self) -> tuple[np.ndarray, np.ndarray]:
         """(columns, filled) of what each step's deciding attempt injected, padded to the widest
@@ -289,7 +280,6 @@ def run_steps(
         pending &= ~ok
     return StepTable(
         world=world,
-        context=context,
         plan=plan,
         episode_ids=episode,
         example_ids=ex,

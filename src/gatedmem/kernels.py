@@ -1,143 +1,15 @@
-"""Hot numeric kernels: numba-jitted loops with a pure-numpy fallback.
-
-Backend selection is done once at import via GATEDMEM_KERNELS:
-
-    GATEDMEM_KERNELS=numba   require numba (ImportError if missing)
-    GATEDMEM_KERNELS=numpy   force the pure-numpy implementations
-    unset / auto             numba when importable, else numpy
-
-All randomness (resample indices, permutation selections) is generated by
-the caller with a seeded numpy Generator and passed in, so both backends
-consume identical random streams. On integer-valued inputs (paired outcome
-diffs are in {-1, 0, +1}) the two backends are bitwise identical; on general
-floats they agree to summation-order rounding.
-
-benchmarks/bench_kernels.py times the two implementations side by side.
-"""
-
-from __future__ import annotations
-
-import os
+"""Kept only for the benchmark harness; nothing in the package calls it.
+perfbench/test_tracer.py checks that resample_means is the traced
+resample_means_numpy, and perfbench/run.py's provenance reads USING_NUMBA."""
 
 import numpy as np
 
-_MODE = os.environ.get("GATEDMEM_KERNELS", "auto").strip().lower()
-if _MODE not in ("auto", "numba", "numpy"):
-    raise ValueError(f"GATEDMEM_KERNELS must be auto|numba|numpy, got {_MODE!r}")
+USING_NUMBA = False
 
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    _HAVE_NUMBA = False
-    if _MODE == "numba":
-        raise
-
-USING_NUMBA = _HAVE_NUMBA and _MODE != "numpy"
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
 
 def resample_means_numpy(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Row means of values[idx]; idx is (B, n) resample indices."""
     return values[idx].sum(axis=1) / idx.shape[1]
 
 
-def group_stats_numpy(pool: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """mean(pool[sel_row]) - mean(pool[rest]) for each row of sel.
-
-    sel is (P, n_a) indices into pool selecting the permuted first group.
-    """
-    n = pool.shape[0]
-    n_a = sel.shape[1]
-    n_b = n - n_a
-    total = pool.sum()
-    sum_a = pool[sel].sum(axis=1)
-    return sum_a / n_a - (total - sum_a) / n_b
-
-
-def binned_sums_numpy(conf: np.ndarray, correct: np.ndarray, n_bins: int):
-    """Per equal-width bin: (count, sum of conf, sum of correct)."""
-    bins = np.minimum((conf * n_bins).astype(np.int64), n_bins - 1)
-    count = np.bincount(bins, minlength=n_bins).astype(np.float64)
-    conf_sum = np.bincount(bins, weights=conf, minlength=n_bins)
-    acc_sum = np.bincount(bins, weights=correct, minlength=n_bins)
-    return count, conf_sum, acc_sum
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same contracts, fused loops)
-# ---------------------------------------------------------------------------
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _resample_means_nb(values, idx):
-        b, n = idx.shape
-        out = np.empty(b, np.float64)
-        for i in range(b):
-            s = 0.0
-            for j in range(n):
-                s += values[idx[i, j]]
-            out[i] = s / n
-        return out
-
-    @njit(cache=True)
-    def _group_stats_nb(pool, sel):
-        n = pool.shape[0]
-        p, n_a = sel.shape
-        n_b = n - n_a
-        total = 0.0
-        for i in range(n):
-            total += pool[i]
-        out = np.empty(p, np.float64)
-        for i in range(p):
-            s = 0.0
-            for j in range(n_a):
-                s += pool[sel[i, j]]
-            out[i] = s / n_a - (total - s) / n_b
-        return out
-
-    @njit(cache=True)
-    def _binned_sums_nb(conf, correct, n_bins):
-        count = np.zeros(n_bins, np.float64)
-        conf_sum = np.zeros(n_bins, np.float64)
-        acc_sum = np.zeros(n_bins, np.float64)
-        for i in range(conf.shape[0]):
-            b = int(conf[i] * n_bins)
-            if b > n_bins - 1:
-                b = n_bins - 1
-            count[b] += 1.0
-            conf_sum[b] += conf[i]
-            acc_sum[b] += correct[i]
-        return count, conf_sum, acc_sum
-
-    def resample_means_numba(values: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        return _resample_means_nb(
-            np.ascontiguousarray(values, np.float64), np.ascontiguousarray(idx, np.int64)
-        )
-
-    def group_stats_numba(pool: np.ndarray, sel: np.ndarray) -> np.ndarray:
-        return _group_stats_nb(
-            np.ascontiguousarray(pool, np.float64), np.ascontiguousarray(sel, np.int64)
-        )
-
-    def binned_sums_numba(conf: np.ndarray, correct: np.ndarray, n_bins: int):
-        return _binned_sums_nb(
-            np.ascontiguousarray(conf, np.float64),
-            np.ascontiguousarray(correct, np.float64),
-            n_bins,
-        )
-
-
-if USING_NUMBA:
-    resample_means = resample_means_numba
-    group_stats = group_stats_numba
-    binned_sums = binned_sums_numba
-else:
-    resample_means = resample_means_numpy
-    group_stats = group_stats_numpy
-    binned_sums = binned_sums_numpy
+resample_means = resample_means_numpy

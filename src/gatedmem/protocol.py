@@ -8,7 +8,10 @@ the manifest, evaluates the frozen policy against the comparator family on
 the disjoint test split, and emits internally consistent ledger rows. The
 counterfactual runner replays content edits in free-rerun and
 fixed-retrieval modes and audits the free = content + drift decomposition
-row by row at zero tolerance.
+row by row at zero tolerance. With outcomes in {0, 1} that identity holds
+exactly in floating point whatever the runs return, so it cannot catch a
+wrong replay; the fixed-replay identity audit and the non-hit bitwise audit
+do.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from .controller import (
 )
 from .errors import FreezeMismatch, ProtocolViolation
 from .retrieval import ContentEdit
-from .stats import PairedComparison, bootstrap_ci, mcnemar_exact, randomization_interaction_test
+from .stats import PairedComparison, bootstrap_ci, confidence_bins, mcnemar_exact, randomization_interaction_test
 from .util import indices_digest
 from .worldsim import OutcomeTable, World, WorldSpec
 
@@ -240,7 +243,7 @@ def attach_evidence(world: World, banks: dict, run: EvalRun) -> int:
     utility = steps.second_correct.astype(np.float64) - steps.baseline_correct[:, None]
     columns, gains = [np.zeros(0, np.intp)], [np.zeros(0)]
     for a in range(len(steps.plan)):
-        cells = steps.retrieved(a)[:, None] & steps.filled[a]
+        cells = steps.tried[:, a, None] & steps.filled[a]
         columns.append(steps.columns[a][cells])
         gains.append(utility[np.nonzero(cells)[0], a])
     columns, gains = np.concatenate(columns), np.concatenate(gains)
@@ -745,7 +748,7 @@ def write_conf_bins(world: World, runs: dict, path: str, signal: str, n_bins: in
     """Plot-ready binned accuracy: baseline vs gated policy by baseline confidence."""
     ids = runs["baseline"].example_ids
     conf = world.baseline_pass(ids, signal)[1]
-    bins = np.minimum((conf * n_bins).astype(int), n_bins - 1)
+    bins = confidence_bins(conf, n_bins)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("bin_lo,bin_hi,count,baseline_acc,policy_acc\n")
         for b in range(n_bins):

@@ -15,7 +15,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import kernels
 from .errors import SignalUndefined
 from .util import derive_seed
 
@@ -175,6 +174,11 @@ def roc_auc(scores, labels) -> float:
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+def confidence_bins(conf: np.ndarray, n_bins: int) -> np.ndarray:
+    """Equal-width bin of each confidence in [0, 1]; a confidence of 1.0 goes in the last bin."""
+    return np.minimum((conf * n_bins).astype(np.int64), n_bins - 1)
+
+
 def calibration_metrics(calset: CalibrationSet, n_bins: int = 10) -> tuple[float, float, float]:
     """(ECE, Brier, NLL) over equal-width confidence bins.
 
@@ -188,7 +192,10 @@ def calibration_metrics(calset: CalibrationSet, n_bins: int = 10) -> tuple[float
         raise ValueError("n_bins must be >= 1")
     conf = calset.confidences
     correct = calset.correct.astype(np.float64)
-    count, conf_sum, acc_sum = kernels.binned_sums(conf, correct, n_bins)
+    bins = confidence_bins(conf, n_bins)
+    count = np.bincount(bins, minlength=n_bins).astype(np.float64)
+    conf_sum = np.bincount(bins, weights=conf, minlength=n_bins)
+    acc_sum = np.bincount(bins, weights=correct, minlength=n_bins)
     nonempty = count > 0
     gaps = np.zeros(n_bins)
     gaps[nonempty] = np.abs(acc_sum[nonempty] / count[nonempty] - conf_sum[nonempty] / count[nonempty])

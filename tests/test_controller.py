@@ -423,12 +423,22 @@ def _names(world, columns, filled):
     return tuple(world.entry_ids[c] for c in columns[filled].tolist())
 
 
-def _frozen_identities(steps):
+def _carries_retrieval(steps, context, attempt):
+    """Which steps' attempt carries a retrieval result: none without memory, and in fixed
+    replay every tried attempt, whose frozen injection may be empty."""
+    if context.version == "none":
+        return np.zeros(len(steps.routed), bool)
+    if context.frozen is not None:
+        return steps.tried[:, attempt]
+    return steps.tried[:, attempt] & steps.filled[attempt].any(axis=1)
+
+
+def _frozen_identities(steps, context=DEFAULT_CONTEXT):
     """Example id -> deciding injection of every routed step that carries a retrieval."""
     columns, filled = steps.deciding_injection()
     carries = np.zeros(len(steps.routed), bool)
     for a in range(len(steps.plan)):
-        carries |= steps.retrieved(a) & (steps.deciding == a)
+        carries |= _carries_retrieval(steps, context, a) & (steps.deciding == a)
     return {
         idx: _names(steps.world, columns[s], filled[s])
         for s, idx in enumerate(steps.example_ids.tolist())
@@ -436,11 +446,11 @@ def _frozen_identities(steps):
     }
 
 
-def _table_view(steps):
-    """Each step of a StepTable as (example, episode, position, baseline correct and
-    confidence, routed, accepted, final correct, attempts); each tried attempt as
+def _table_view(steps, context):
+    """Each step of a StepTable run under context as (example, episode, position, baseline
+    correct and confidence, routed, accepted, final correct, attempts); each tried attempt as
     (index, carries a retrieval, injected ids, decoded, second correct, confidence, accepted)."""
-    retrieved = [steps.retrieved(a) for a in range(len(steps.plan))]
+    retrieved = [_carries_retrieval(steps, context, a) for a in range(len(steps.plan))]
     final = steps.final_correct.tolist()
     view = []
     for s, idx in enumerate(steps.example_ids.tolist()):
@@ -516,7 +526,7 @@ def _assert_matches_reference(
     if comparator is not None:
         policy, context = _comparator_variant(policy, context, comparator)
     want = reference_traces(world, policy, snaps, ids, context, frozen_map)
-    assert _table_view(steps) == _reference_view(world, want)
+    assert _table_view(steps, context) == _reference_view(world, want)
     ref_steps = [s for t in want for s in t.steps]
     outcome = {s.example_id: utility(world, s.example_id, s.final_action) for s in ref_steps}
     assert steps.final_correct.tolist() == [bool(outcome[i]) for i in steps.example_ids.tolist()]
@@ -534,7 +544,7 @@ def _assert_matches_reference(
         count, total = totals[r.entry_id]
         totals[r.entry_id] = (count + 1, total + r.utility)
     assert _evidence(batched) == totals
-    assert _frozen_identities(steps) == reference_freeze_identities(want)
+    assert _frozen_identities(steps, context) == reference_freeze_identities(want)
     return steps
 
 

@@ -15,6 +15,7 @@ from gatedmem.stats import (
     PairedComparison,
     bootstrap_ci,
     calibration_metrics,
+    confidence_bins,
     mcnemar_exact,
     platt_apply,
     platt_fit,
@@ -294,6 +295,15 @@ def test_calibration_matches_direct_summation():
     want = calibration_oracle(conf.tolist(), correct.tolist(), 10)
     for g, w in zip(got, want):
         assert g == pytest.approx(w, abs=1e-12)
+
+
+def test_calibration_confidence_one_lands_in_last_bin():
+    conf = np.array([1.0, 0.0, 0.9])
+    assert confidence_bins(conf, 10).tolist() == [9, 0, 9]
+    # bin 9 holds 1.0 (wrong) and 0.9 (right): accuracy 0.5, mean confidence 0.95, weight 2/3;
+    # bin 0 holds 0.0 (wrong), gap 0. A bin of its own for 1.0 would give ECE (1 + 0.1) / 3
+    ece, _, _ = calibration_metrics(CalibrationSet(conf, np.array([False, False, True])), n_bins=10)
+    assert ece == pytest.approx(2 / 3 * 0.45, abs=1e-15)
 
 
 def test_calibration_empty_errors():
