@@ -1,12 +1,14 @@
 """Wall time and peak RSS of every CLI stage at fixed world sizes.
 
     python benchmarks/bench_scale.py [--sizes 600,10000,50000,200000] [--repeats 3] [--out PATH]
+    python benchmarks/bench_scale.py --against TREE [--sizes ...] [--repeats ...] [--out PATH]
 
 Run from the root of a source checkout; the record goes to its
-BENCH_scale.json unless --out names another path. Each size is the
-shipped configs/world.kv with n_examples set to that size, and the
-shipped configs/grid.kv. The stages run in pipeline order, each as a
-fresh ``python -m gatedmem.cli`` process with ``PYTHONPATH=src``:
+BENCH_scale.json (BENCH_scale_ab.json with --against) unless --out names
+another path. Each size is the shipped configs/world.kv with n_examples set
+to that size, and the shipped configs/grid.kv. The stages run in pipeline
+order, each as a fresh ``python -m gatedmem.cli`` process with
+``PYTHONPATH=src``:
 
     gen-world, fit, fit --governance-rounds 2, test (on the plain fit's
     manifest), counterfactual (one repair edit of E000), governance.
@@ -19,11 +21,21 @@ names the host and whether child processes may write bytecode caches
 (PYTHONDONTWRITEBYTECODE unset), since without them every stage
 recompiles the package. A stage that exits non-zero stops the run with
 exit status 1 and its output on stderr.
+
+--against TREE compares this checkout with another source checkout in one
+run, so drift of the host over time does not read as a change. For each
+size, stage and repeat the stage runs once in each tree, on the same
+inputs, each tree in its own work directory; which tree goes first
+alternates from one pair to the next. Per stage the record keeps both
+trees' samples and medians, the median of the paired differences (this
+tree minus TREE), how many pairs moved each way, and whether every output
+file of the stage was byte-identical between the trees on every repeat.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -57,17 +69,17 @@ def stage_args(work: Path) -> dict[str, list[str]]:
     }
 
 
-def child_env() -> dict:
+def child_env(root: Path = ROOT) -> dict:
     env = dict(os.environ)
-    src = str(ROOT / "src")
+    src = str(root / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return env
 
 
-def run_child(argv: list[str], env: dict) -> tuple[float, float]:
+def run_child(argv: list[str], env: dict, cwd: Path = ROOT) -> tuple[float, float]:
     """(wall seconds, peak RSS in MB) of one process; exits 1 if it fails."""
     start = time.perf_counter()
-    proc = subprocess.Popen(argv, cwd=ROOT, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
+    proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
     try:
         output = proc.stdout.read()
         _, status, usage = os.wait4(proc.pid, 0)
@@ -79,7 +91,7 @@ def run_child(argv: list[str], env: dict) -> tuple[float, float]:
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode != 0:
         sys.stderr.write(output.decode("utf-8", "replace"))
-        sys.exit(f"error: {' '.join(argv[1:])} exited {proc.returncode}")
+        sys.exit(f"error: {' '.join(argv[1:])} in {cwd} exited {proc.returncode}")
     return wall, usage.ru_maxrss / 1024.0
 
 
@@ -94,6 +106,46 @@ def measure(argv: list[str], env: dict, repeats: int) -> dict:
     }
 
 
+def paired(this: list[float], against: list[float], places: int) -> dict:
+    """Both trees' medians, the median paired difference (this - against) and how many pairs moved each way."""
+    diffs = [a - b for a, b in zip(this, against)]
+    return {
+        "this": round(statistics.median(this), places),
+        "against": round(statistics.median(against), places),
+        "median_paired_change": round(statistics.median(diffs), places),
+        "pairs_this_lower": sum(d < 0 for d in diffs),
+        "pairs_this_higher": sum(d > 0 for d in diffs),
+        "this_samples": [round(x, places) for x in this],
+        "against_samples": [round(x, places) for x in against],
+    }
+
+
+def output_files(out: Path) -> dict:
+    """Relative path -> sha256 of every file a stage wrote."""
+    return {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.rglob("*")) if p.is_file()}
+
+
+def measure_pairs(stage: str, trees: dict, works: dict, repeats: int, first: int) -> dict:
+    """One stage run `repeats` times in each tree, the trees' order alternating from `first`."""
+    samples = {name: [] for name in trees}
+    identical = True
+    names = list(trees)
+    for r in range(repeats):
+        order = names if (first + r) % 2 == 0 else names[::-1]
+        outputs = {}
+        for name in order:
+            args = stage_args(works[name])[stage]
+            samples[name].append(run_child([sys.executable, "-m", "gatedmem.cli", *args], child_env(trees[name]), trees[name]))
+            outputs[name] = output_files(Path(args[args.index("--out") + 1]))
+        identical &= outputs["this"] == outputs["against"]
+    this, against = samples["this"], samples["against"]
+    return {
+        "wall_s": paired([w for w, _ in this], [w for w, _ in against], 4),
+        "peak_rss_mb": paired([r for _, r in this], [r for _, r in against], 1),
+        "outputs_identical": identical,
+    }
+
+
 def world_config(n_examples: int) -> str:
     lines = (ROOT / "configs" / "world.kv").read_text(encoding="utf-8").splitlines()
     kept = [line for line in lines if line.split("=")[0].strip() != "n_examples"]
@@ -103,62 +155,87 @@ def world_config(n_examples: int) -> str:
 def host() -> dict:
     import numpy
 
-    try:
-        commit = subprocess.run(
-            ["git", "describe", "--always", "--dirty", "--abbrev=40"], cwd=ROOT, capture_output=True, text=True, check=True
-        ).stdout.strip()
-    except (OSError, subprocess.CalledProcessError):
-        commit = None
     return {
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "commit": commit,
+        "commit": commit(ROOT),
         "bytecode_cache": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
     }
+
+
+def commit(root: Path) -> str | None:
+    try:
+        return subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"], cwd=root, capture_output=True, text=True, check=True
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
+def make_work(work: Path, n: int) -> Path:
+    work.mkdir(parents=True)
+    (work / "world.kv").write_text(world_config(n), encoding="utf-8")
+    (work / "edits.jsonl").write_text(json.dumps(EDIT) + "\n", encoding="utf-8")
+    return work
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default=",".join(map(str, DEFAULT_SIZES)), help="comma-separated n_examples")
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--out", default=str(ROOT / "BENCH_scale.json"))
+    parser.add_argument("--out", help="record path (default BENCH_scale.json, or BENCH_scale_ab.json with --against)")
+    parser.add_argument("--against", type=Path, help="another source checkout to compare with, stage by stage")
     args = parser.parse_args(argv)
     sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
     if args.repeats < 1 or not sizes or min(sizes) < 1:
         parser.error("--repeats and every size must be >= 1")
-    if not (ROOT / "src" / "gatedmem" / "cli.py").is_file():
-        parser.error(f"no gatedmem sources under {ROOT / 'src'}")
+    trees = {"this": ROOT}
+    if args.against is not None:
+        trees["against"] = args.against.resolve()
+    for root in trees.values():
+        if not (root / "src" / "gatedmem" / "cli.py").is_file():
+            parser.error(f"no gatedmem sources under {root / 'src'}")
+    out = args.out or str(ROOT / ("BENCH_scale_ab.json" if args.against else "BENCH_scale.json"))
 
-    env = child_env()
-    record = {
-        "host": host(),
-        "repeats": args.repeats,
-        "import_only": measure([sys.executable, "-c", "import gatedmem.cli"], env, args.repeats),
-        "sizes": {},
-    }
-    print(f"import-only: {record['import_only']['wall_s']:.3f} s", flush=True)
+    record = {"host": host(), "repeats": args.repeats, "sizes": {}}
+    if args.against:
+        record["against_commit"] = commit(trees["against"])
+    else:
+        record["import_only"] = measure([sys.executable, "-c", "import gatedmem.cli"], child_env(), args.repeats)
+        print(f"import-only: {record['import_only']['wall_s']:.3f} s", flush=True)
     work_root = Path(tempfile.mkdtemp(prefix="bench-scale-"))
+    pair = 0
     try:
         for n in sizes:
-            work = work_root / f"n{n}"
-            work.mkdir()
-            (work / "world.kv").write_text(world_config(n), encoding="utf-8")
-            (work / "edits.jsonl").write_text(json.dumps(EDIT) + "\n", encoding="utf-8")
+            works = {name: make_work(work_root / name / f"n{n}", n) for name in trees}
             stages = {}
-            for name, cli_args in stage_args(work).items():
-                stages[name] = measure([sys.executable, "-m", "gatedmem.cli", *cli_args], env, args.repeats)
-                print(f"n={n} {name}: {stages[name]['wall_s']:.3f} s, {stages[name]['peak_rss_mb']:.1f} MB", flush=True)
+            for name, cli_args in stage_args(works["this"]).items():
+                if args.against:
+                    stages[name] = measure_pairs(name, trees, works, args.repeats, pair)
+                    pair += args.repeats
+                    wall, rss = stages[name]["wall_s"], stages[name]["peak_rss_mb"]
+                    print(
+                        f"n={n} {name}: {wall['this']:.3f} vs {wall['against']:.3f} s "
+                        f"(paired {wall['median_paired_change']:+.3f}, lower {wall['pairs_this_lower']}/{args.repeats}), "
+                        f"{rss['this']:.1f} vs {rss['against']:.1f} MB, "
+                        f"outputs {'identical' if stages[name]['outputs_identical'] else 'DIFFER'}",
+                        flush=True,
+                    )
+                else:
+                    stages[name] = measure([sys.executable, "-m", "gatedmem.cli", *cli_args], child_env(), args.repeats)
+                    print(f"n={n} {name}: {stages[name]['wall_s']:.3f} s, {stages[name]['peak_rss_mb']:.1f} MB", flush=True)
             record["sizes"][str(n)] = stages
-            shutil.rmtree(work, ignore_errors=True)
+            for work in works.values():
+                shutil.rmtree(work, ignore_errors=True)
     finally:
         shutil.rmtree(work_root, ignore_errors=True)
-    with open(args.out, "w", encoding="utf-8") as fh:
+    with open(out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    print(f"wrote {args.out}")
+    print(f"wrote {out}")
     return 0
 
 

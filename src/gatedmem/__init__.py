@@ -1,7 +1,7 @@
 """Training-free applicability control for prompt memory, with a locked
 fit/test evaluation harness over a deterministic synthetic task world."""
 
-from .bank import BankSnapshot, MemoryBank, MemoryEntry, hoeffding_ucb
+from .bank import BankSnapshot, MemoryBank, hoeffding_ucb
 from .controller import PolicyConfig, compose_bank_policy, select_threshold_percentile
 from .errors import FreezeMismatch, ProtocolViolation, SignalUndefined
 from .protocol import (

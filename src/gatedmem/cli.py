@@ -132,6 +132,10 @@ def cmd_counterfactual(args) -> int:
     snapshots = world.snapshots()
     edits = load_edits(args.edits)
     rows, audit = run_counterfactual(world, manifest, policy, snapshots, edits)
+    inert = sorted({e.entry_id for e in edits} - {i for snap in snapshots.values() for i in snap.entry_ids})
+    if inert:  # never retrieved, so never hit; the run still replays the rest
+        print(f"note: {len(inert)} edits name entries the frozen membership retired, "
+              f"which no mode retrieves: {', '.join(inert)}", file=sys.stderr)
     os.makedirs(args.out, exist_ok=True)
     write_counterfactual_rows(rows, os.path.join(args.out, "counterfactual_rows.jsonl"))
     with open(os.path.join(args.out, "audit.json"), "w", encoding="utf-8") as fh:

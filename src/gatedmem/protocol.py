@@ -302,7 +302,6 @@ def run_governance_loop(world: World, policy: PolicyConfig, rounds: int, fit_ids
     for it in range(rounds):
         if it:
             snaps = {k: b.freeze() for k, b in working.items()}
-            world.release_tables(snaps)  # a bank that changed is never read in an earlier state again
         run = evaluate_policy(world, policy, snaps, fit_ids)
         acc = float(run.outcomes.mean())
         gap = None if acc_oracle == acc_base else (acc - acc_base) / (acc_oracle - acc_base)
@@ -817,7 +816,13 @@ def run_counterfactual(
         raise ProtocolViolation("no routed queries with retrieval; nothing to replay")
     ex = original.example_ids
 
+    # the fixed modes read the original snapshots, so they run before the
+    # drifted snapshots of the free reruns replace those retrieval tables
     modes = {}
+    for version in ("repair", "corrupt"):
+        modes[(version, "fixed")] = run_steps(
+            world, policy, snapshots, ex, SecondPassContext(version, edited_ids, frozen=original)
+        )
     for version in ("repair", "corrupt"):
         drifted = {}
         for kind, snap in snapshots.items():
@@ -826,11 +831,6 @@ def run_counterfactual(
             ]
             drifted[kind] = world.drifted_snapshot(kind, kind_edits) if kind_edits else snap
         modes[(version, "free")] = run_steps(world, policy, drifted, ex, SecondPassContext(version, edited_ids))
-        world.release_tables(snapshots)  # no later mode reads a drifted snapshot
-    for version in ("repair", "corrupt"):
-        modes[(version, "fixed")] = run_steps(
-            world, policy, snapshots, ex, SecondPassContext(version, edited_ids, frozen=original)
-        )
 
     routed = original.routed
     edited = np.zeros(len(world.entry_ids), bool)
@@ -967,6 +967,12 @@ def ledger_check(
     smallest-hurts solution, or None if the row is inconsistent. A row that
     cannot be a ledger row (n < 1, a non-finite delta_acc, p outside [0, 1])
     is a ValueError.
+
+    At fixed help_hurt >= 1 the exact p never falls as hurts u grow: with
+    S ~ Bin(2u + help_hurt, 1/2), one more hurt adds (P(S = u + 1) -
+    P(S = u)) / 4 >= 0 to the tail (help_hurt = 0 gives p = 1; < 0 mirrors).
+    So the first u at most rel_tol below p, found by bisection, is the only
+    candidate; at p = 0 only the smallest u can have p_exact = 0.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -976,16 +982,16 @@ def ledger_check(
         raise ValueError(f"p must be in [0, 1], got {p}")
     if abs(delta_acc * n - help_hurt) >= 0.5:
         return None
-    u_start = max(0, -help_hurt)
-    for u in range(u_start, n + 1):
-        h = u + help_hurt
-        if h < 0 or h + u > n:
-            continue
-        p_exact = mcnemar_exact(h, u)
-        if p <= 0:
-            if p_exact == 0:
-                return h, u, p_exact
-            continue
-        if abs(p_exact - p) / p <= rel_tol:
-            return h, u, p_exact
-    return None
+    lo, hi = max(0, -help_hurt), (n - help_hurt) // 2  # helps = u + help_hurt >= 0 and helps + u <= n
+    if lo > hi:
+        return None
+    if p > 0:
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if (p - mcnemar_exact(mid + help_hurt, mid)) / p <= rel_tol:
+                hi = mid
+            else:
+                lo = mid + 1
+    p_exact = mcnemar_exact(lo + help_hurt, lo)
+    consistent = p_exact == 0 if p <= 0 else abs(p_exact - p) / p <= rel_tol
+    return (lo + help_hurt, lo, p_exact) if consistent else None

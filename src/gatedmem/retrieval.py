@@ -158,7 +158,7 @@ def retrieve(
     """Up to k_max entries with cosine similarity strictly above threshold.
 
     The one-row case of retrieval_table; a World serves its own queries from
-    a table per snapshot (World._table) as pair-table columns (World.injected).
+    one table per bank kind (World._table) as pair-table columns (World.injected).
     """
     queries = np.asarray(query.embedding, np.float64)[None, :]
     return retrieval_table(queries, snapshot, threshold, k_max).result(0, query.id)

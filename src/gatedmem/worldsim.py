@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bank import BANK_KINDS, BankSnapshot, MemoryBank, MemoryEntry
+from .bank import BANK_KINDS, BankSnapshot, MemoryBank
 from .controller import GUARD_NAMES
 from .retrieval import (
     TABLE_BLOCK_CELLS,
@@ -301,7 +301,7 @@ _PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _U64 = (1 << 64) - 1
-# every operand is np.uint64: numpy 1.x promotes uint64 with a python int to float64
+# np.uint64 operands keep every operation in uint64, modulo 2**64: the dtype is stated, not inferred from a python int
 _LO32, _32, _11 = np.uint64(0xFFFFFFFF), np.uint64(32), np.uint64(11)
 
 
@@ -363,16 +363,13 @@ class World:
         embeddings = embed_rows(
             self._rng("entry-embedding"), topic_rows, self._topic_matrix(topic_rows), spec.topic_weight
         )
-        self.banks: dict[str, MemoryBank] = {kind: MemoryBank(kind) for kind, _, _ in kinds}
-        for j, (eid, kind) in enumerate(zip(entry_ids, entry_kinds)):
-            self.banks[kind].add_entry(
-                MemoryEntry(
-                    id=eid,
-                    bank_kind=kind,
-                    payload=f"{kind} {eid}: guidance for topic {entry_topics[j]}",
-                    embedding=embeddings[j],
-                )
-            )
+        payloads = [f"{kind} {eid}: guidance for topic {t}" for eid, kind, t in zip(entry_ids, entry_kinds, entry_topics)]
+        self.banks: dict[str, MemoryBank] = {}
+        start = 0
+        for kind, count, _ in kinds:  # a bank's rows stay a view of the matrix while its ids sort in column order
+            part = slice(start, start + count)
+            self.banks[kind] = MemoryBank(kind, entry_ids[part], payloads[part], embeddings[part])
+            start += count
 
         # examples: one row per example; retrieval tables rank them a block at a time
         topics = self._rng("topic").integers(spec.topic_count, size=n)
@@ -388,7 +385,8 @@ class World:
         rates = np.array([spec.guard_rate(g) for g in GUARD_NAMES])
         self._guards = self._rng("guard").random((n, len(GUARD_NAMES))) < rates
         self._conf = self._draw_confidences(self._baseline)
-        self._tables: dict = {}  # snapshot content_hash -> (RetrievalTable, its ranked entries as columns)
+        # bank kind -> (content_hash, RetrievalTable, its ranked entries as columns) of the last snapshot read
+        self._tables: dict = {}
 
     def _rng(self, purpose: str) -> np.random.Generator:
         return _stream(derive_seed(self.seed, purpose))
@@ -480,17 +478,18 @@ class World:
         return {k: b.freeze() for k, b in self.banks.items()}
 
     def _table(self, snapshot: BankSnapshot) -> tuple:
-        """The snapshot's retrieval table and its ranked entries as pair-table columns, built on first use."""
-        hit = self._tables.get(snapshot.content_hash)
-        if hit is None:
-            table = retrieval_table(self.query_embeddings, snapshot, self.spec.retrieval_threshold, self.spec.k_max)
-            hit = self._tables[snapshot.content_hash] = (table, self.columns(snapshot.entry_ids)[table.ranked])
-        return hit
+        """The snapshot's retrieval table and its ranked entries as pair-table columns.
 
-    def release_tables(self, keep: dict) -> None:
-        """Forget the retrieval tables of every snapshot not among keep's values; they rebuild if read again."""
-        hashes = {s.content_hash for s in keep.values()}
-        self._tables = {h: t for h, t in self._tables.items() if h in hashes}
+        One table per bank kind is kept, that of the last snapshot read; a
+        snapshot with another content hash replaces it. The old table goes
+        before the new one is ranked, so two of a kind never coexist.
+        """
+        kind = snapshot.bank_kind
+        if self._tables.get(kind, (None,))[0] != snapshot.content_hash:
+            self._tables.pop(kind, None)
+            table = retrieval_table(self.query_embeddings, snapshot, self.spec.retrieval_threshold, self.spec.k_max)
+            self._tables[kind] = (snapshot.content_hash, table, self.columns(snapshot.entry_ids)[table.ranked])
+        return self._tables[kind][1:]
 
     def columns(self, entry_ids) -> np.ndarray:
         """Pair-table columns of entry ids: rule entries first, then exemplar entries."""
@@ -621,30 +620,24 @@ class World:
         only); drift models the edited text embedding differently, which is
         what confounds free-rerun counterfactuals.
         """
-        by_id = {e.entry_id: e for e in edits}
+        entry_ids, payloads, embeddings = self.banks[bank_kind].active_columns()
+        payloads, embeddings = list(payloads), embeddings.copy()
         spec = self.spec
-        entries = []
-        for entry in self.banks[bank_kind].active_entries():
-            edit = by_id.get(entry.id)
-            if edit is None:
-                entries.append(entry)
+        rows = {entry_id: i for i, entry_id in enumerate(entry_ids)}
+        for edit in edits:
+            i = rows.get(edit.entry_id)
+            if i is None:  # an entry the frozen membership retired
                 continue
-            rng = np.random.default_rng(derive_seed(self.seed, "drift", entry.id, edit.edit_kind))
+            rng = np.random.default_rng(derive_seed(self.seed, "drift", edit.entry_id, edit.edit_kind))
             topic = int(rng.integers(spec.topic_count))
-            entries.append(
-                MemoryEntry(
-                    id=entry.id,
-                    bank_kind=bank_kind,
-                    payload=edit.new_payload,
-                    embedding=embed_key(
-                        (self.seed, "entry", entry.id, "drift", edit.edit_kind),
-                        spec.embedding_dim,
-                        self._topic(topic),
-                        spec.topic_weight,
-                    ),
-                )
+            payloads[i] = edit.new_payload
+            embeddings[i] = embed_key(
+                (self.seed, "entry", edit.entry_id, "drift", edit.edit_kind),
+                spec.embedding_dim,
+                self._topic(topic),
+                spec.topic_weight,
             )
-        return BankSnapshot.build(bank_kind, entries)
+        return BankSnapshot.build(bank_kind, entry_ids, payloads, embeddings)
 
 
 def generate_world(spec: WorldSpec) -> World:

@@ -9,7 +9,8 @@ world at once, where the world draws a cell on its first read. The
 reference_*_text writers build a dict per row and call json on it; the
 package encodes the same bytes from columns. reference_counterfactual is the
 counterfactual runner over per-step records, with the frozen identities as a
-dict keyed by example id.
+dict keyed by example id. reference_ledger_check tries every hurts count in
+turn, where ledger_check bisects.
 """
 
 import json
@@ -20,7 +21,7 @@ import numpy as np
 from gatedmem.bank import BANK_KINDS
 from gatedmem.controller import DEFAULT_CONTEXT, GUARD_NAMES, SecondPassContext, compose_bank_policy
 from gatedmem.retrieval import ContentEdit, Query, RetrievalResult
-from gatedmem.stats import randomization_interaction_test
+from gatedmem.stats import mcnemar_exact, randomization_interaction_test
 from gatedmem.util import derive_seed
 from gatedmem.worldsim import (
     CONTENT_VERSIONS,
@@ -635,3 +636,21 @@ def reference_counterfactual(world, policy, snapshots, test_ids, edits, n_permut
 def reference_manifest_json(manifest) -> str:
     """FreezeManifest.to_json through a deep copy of every field."""
     return json.dumps(asdict(manifest), sort_keys=True, indent=2)
+
+
+def reference_ledger_check(n, delta_acc, help_hurt, p, rel_tol=0.05):
+    """protocol.ledger_check on a consistent row, by a linear scan over hurts from the smallest."""
+    if abs(delta_acc * n - help_hurt) >= 0.5:
+        return None
+    for u in range(max(0, -help_hurt), n + 1):
+        h = u + help_hurt
+        if h < 0 or h + u > n:
+            continue
+        p_exact = mcnemar_exact(h, u)
+        if p <= 0:
+            if p_exact == 0:
+                return h, u, p_exact
+            continue
+        if abs(p_exact - p) / p <= rel_tol:
+            return h, u, p_exact
+    return None

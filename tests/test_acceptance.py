@@ -23,7 +23,7 @@ from conftest import (
     reference_oracle_steps,
     utility,
 )
-from gatedmem.bank import MemoryBank, MemoryEntry, hoeffding_ucb
+from gatedmem.bank import MemoryBank, hoeffding_ucb
 from gatedmem.controller import PolicyConfig
 from gatedmem.errors import FreezeMismatch, ProtocolViolation
 from gatedmem.protocol import (
@@ -99,8 +99,8 @@ def counterfactual_suite(n_worlds=20):
         grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
         manifest, policy, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
         edited = [
-            e for e in snaps["exemplar"].entry_ids
-            if world.banks["exemplar"].entry(e).payload.endswith("topic 0")
+            e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads)
+            if p.endswith("topic 0")
         ][:4]
         edits = default_edits(edited, "repair")
         rows, audit = run_counterfactual(
@@ -154,8 +154,7 @@ def test_criterion_03_hoeffding_retirement():
     delta, n_obs, trials = 0.05, 30, 1000
 
     def sweep_retires(utilities, trial):
-        bank = MemoryBank("rule")
-        bank.add_entry(MemoryEntry("R000", "rule", "probe", np.ones(4)))
+        bank = MemoryBank("rule", ("R000",), ("probe",), np.ones((1, 4)))
         bank.append_evidence("R000", utilities)
         return bank.retirement_sweep(delta=delta) == ["R000"]
 
@@ -470,8 +469,8 @@ def test_criterion_10_localization_shape():
         grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
         manifest, policy, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
         edited = [
-            e for e in snaps["exemplar"].entry_ids
-            if world.banks["exemplar"].entry(e).payload.endswith("topic 0")
+            e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads)
+            if p.endswith("topic 0")
         ][:4]
         edits = default_edits(edited, "repair")
         rows, audit = run_counterfactual(world, manifest, policy, snaps, edits, seed=seed)

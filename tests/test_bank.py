@@ -4,15 +4,12 @@ import hashlib
 import json
 import math
 import re
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
 from gatedmem.bank import (
     BankSnapshot,
     MemoryBank,
-    MemoryEntry,
     STAGE_TEST,
     hoeffding_ucb,
 )
@@ -21,18 +18,23 @@ from gatedmem.errors import ProtocolViolation
 
 def make_bank(n=4, kind="rule", dim=6):
     rng = np.random.default_rng(0)
-    bank = MemoryBank(kind)
     prefix = "R" if kind == "rule" else "E"
-    for i in range(n):
-        bank.add_entry(
-            MemoryEntry(
-                id=f"{prefix}{i:03d}",
-                bank_kind=kind,
-                payload=f"payload {i}",
-                embedding=rng.standard_normal(dim),
-            )
-        )
-    return bank
+    return MemoryBank(
+        kind, [f"{prefix}{i:03d}" for i in range(n)], [f"payload {i}" for i in range(n)], rng.standard_normal((n, dim))
+    )
+
+
+def evidence(bank, entry_id):
+    i = bank.row(entry_id)
+    return int(bank.evidence_count[i]), float(bank.evidence_sum[i])
+
+
+def is_active(bank, entry_id):
+    return bool(bank.active[bank.row(entry_id)])
+
+
+def active_ids(bank):
+    return [e for e, a in zip(bank.entry_ids, bank.active.tolist()) if a]
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +79,7 @@ def test_append_evidence_single_record_mean():
     bank = make_bank()
     count = bank.append_evidence("R000", [1.0])
     assert count == 1
-    assert bank.entry("R000").evidence_mean == 1.0
+    assert evidence(bank, "R000") == (1, 1.0)
 
 
 def test_append_evidence_range_check():
@@ -91,17 +93,17 @@ def test_append_evidence_test_stage_violation():
     bank.stage = STAGE_TEST
     with pytest.raises(ProtocolViolation):
         bank.append_evidence("R000", [1.0])
-    assert bank.entry("R000").evidence_count == 0
+    assert evidence(bank, "R000") == (0, 0.0)
 
 
 def test_append_evidence_unknown_and_retired():
     bank = make_bank()
-    with pytest.raises(KeyError):
+    with pytest.raises(KeyError, match="unknown entry 'R999'"):
         bank.append_evidence("R999", [0.0])
-    bank.entry("R001").status = "retired"
+    bank.active[bank.row("R001")] = False
     with pytest.raises(ValueError):
         bank.append_evidence("R001", [0.0, 1.0])
-    assert bank.entry("R001").evidence_count == 0
+    assert evidence(bank, "R001") == (0, 0.0)
 
 
 def test_append_evidence_batch_equals_one_at_a_time():
@@ -113,11 +115,11 @@ def test_append_evidence_batch_equals_one_at_a_time():
             assert batched.append_evidence("R000", u) == n
             for x in u.tolist():
                 single.append_evidence("R000", [x])
-            a, b = batched.entry("R000"), single.entry("R000")
-            assert a.evidence_count == b.evidence_count == n
-            assert a.evidence_mean == b.evidence_mean == sum(u.tolist()) / n
+            (count_a, sum_a), (count_b, sum_b) = evidence(batched, "R000"), evidence(single, "R000")
+            assert count_a == count_b == n
+            assert sum_a / count_a == sum_b / count_b == sum(u.tolist()) / n
             assert batched.retirement_sweep(delta=0.05) == single.retirement_sweep(delta=0.05)
-            assert a.status == b.status
+            assert is_active(batched, "R000") == is_active(single, "R000")
 
 
 @pytest.mark.parametrize("bad", [1.5, -1.0000001, float("nan"), float("inf")])
@@ -126,8 +128,7 @@ def test_append_evidence_bad_value_adds_nothing(bad):
     bank.append_evidence("R000", [0.5, -1.0])
     with pytest.raises(ValueError, match="outside"):
         bank.append_evidence("R000", [1.0, 0.0, bad, -1.0])
-    entry = bank.entry("R000")
-    assert (entry.evidence_count, entry.evidence_sum) == (2, -0.5)
+    assert evidence(bank, "R000") == (2, -0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -140,14 +141,14 @@ def test_sweep_retires_all_negative_entry():
     retired = bank.retirement_sweep(delta=0.05)
     # UCB = -1 + sqrt(ln40/16) ~ -0.52 < 0
     assert retired == ["R000"]
-    assert bank.entry("R000").status == "retired"
+    assert not is_active(bank, "R000")
 
 
 def test_sweep_retains_mean_zero_and_skips_no_evidence():
     bank = make_bank()
     bank.append_evidence("R000", [1.0, -1.0, 1.0, -1.0])
     assert bank.retirement_sweep(delta=0.05) == []
-    assert all(e.status == "active" for e in bank.entries())
+    assert bank.active.all()
 
 
 def test_sweep_boundary_matches_ucb():
@@ -160,7 +161,7 @@ def test_sweep_boundary_matches_ucb():
 def test_retain_retires_the_rest_and_only_shrinks():
     bank = make_bank()
     bank.retain(["R001", "R003"])
-    assert [e.id for e in bank.active_entries()] == ["R001", "R003"]
+    assert active_ids(bank) == ["R001", "R003"]
     with pytest.raises(ValueError):
         bank.retain(["R000"])  # retired stays retired
     with pytest.raises(KeyError):
@@ -176,14 +177,16 @@ def test_copy_shares_no_status_or_evidence():
     clone = bank.copy()
     clone.append_evidence("R000", [-0.5])
     clone.retain(["R000"])
-    assert bank.entry("R000").evidence_count == 1
-    assert len(bank.active_entries()) == 4
+    assert evidence(bank, "R000") == (1, 0.5)
+    assert len(active_ids(bank)) == 4
     assert clone.freeze().entry_ids == ("R000",)
 
 
 def test_sweep_empty_bank():
-    bank = MemoryBank("rule")
+    bank = MemoryBank("rule", (), (), np.zeros((0, 0)))
     assert bank.retirement_sweep() == []
+    snap = bank.freeze()
+    assert snap.entry_ids == () and snap.embeddings.shape == (0, 0)
 
 
 def test_sweep_test_stage_violation():
@@ -234,20 +237,45 @@ def test_freeze_hash_ignores_evidence():
 def test_freeze_hash_sensitive_to_payload_and_embedding():
     bank = make_bank()
     base = bank.freeze()
-    entries = bank.active_entries()
-    edited = BankSnapshot.build("rule", [replace(entries[0], payload="changed"), *entries[1:]])
+    edited = BankSnapshot.build("rule", base.entry_ids, ("changed",) + base.payloads[1:], base.embeddings)
     assert edited.content_hash != base.content_hash
     assert edited.entry_ids == base.entry_ids
-    moved = BankSnapshot.build("rule", [replace(entries[0], embedding=-entries[0].embedding), *entries[1:]])
+    flipped = base.embeddings.copy()
+    flipped[0] *= -1
+    moved = BankSnapshot.build("rule", base.entry_ids, base.payloads, flipped)
     assert moved.content_hash not in (base.content_hash, edited.content_hash)
 
 
+def test_freeze_hashes_the_columns_as_they_are_now():
+    # no memo: a payload or embedding changed in place changes the next hash
+    bank = make_bank()
+    base = bank.freeze().content_hash
+    bank.payloads = ("changed",) + bank.payloads[1:]
+    edited = bank.freeze().content_hash
+    assert edited != base
+    flipped = bank.embeddings.copy()
+    flipped[0] *= -1
+    bank.embeddings = flipped
+    assert bank.freeze().content_hash not in (base, edited)
+
+
 def test_snapshot_ids_sorted_ascending():
-    bank = MemoryBank("rule")
-    rng = np.random.default_rng(2)
-    for eid in ("R002", "R000", "R001"):
-        bank.add_entry(MemoryEntry(eid, "rule", eid, rng.standard_normal(4)))
-    assert bank.freeze().entry_ids == ("R000", "R001", "R002")
+    emb = np.random.default_rng(2).standard_normal((3, 4))
+    bank = MemoryBank("rule", ("R002", "R000", "R001"), ("R002", "R000", "R001"), emb)
+    snap = bank.freeze()
+    assert snap.entry_ids == snap.payloads == ("R000", "R001", "R002")
+    np.testing.assert_array_equal(snap.embeddings, emb[[1, 2, 0]])  # each row moves with its id
+    built = BankSnapshot.build("rule", ("R002", "R000", "R001"), ("R002", "R000", "R001"), emb)
+    assert (built.entry_ids, built.content_hash) == (snap.entry_ids, snap.content_hash)
+
+
+def test_rows_in_id_order_are_a_read_only_view():
+    emb = np.random.default_rng(3).standard_normal((3, 4))
+    bank = MemoryBank("rule", ("R000", "R001", "R002"), ("a", "b", "c"), emb)
+    assert np.shares_memory(bank.embeddings, emb) and emb.flags.writeable
+    assert np.shares_memory(bank.freeze().embeddings, emb)  # every entry active: no copy
+    with pytest.raises(ValueError):
+        bank.embeddings[0, 0] = 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -255,18 +283,21 @@ def test_snapshot_ids_sorted_ascending():
 # ---------------------------------------------------------------------------
 
 def test_duplicate_and_dimension_checks():
-    bank = make_bank(dim=6)
-    with pytest.raises(ValueError):
-        bank.add_entry(MemoryEntry("R000", "rule", "dup", np.zeros(6)))
-    with pytest.raises(ValueError):
-        bank.add_entry(MemoryEntry("R900", "rule", "short", np.zeros(3)))
-    with pytest.raises(ValueError):
-        bank.add_entry(MemoryEntry("X001", "exemplar", "wrong kind", np.zeros(6)))
+    with pytest.raises(ValueError, match="duplicate entry id 'R000'"):
+        MemoryBank("rule", ("R001", "R000", "R000"), ("a", "b", "dup"), np.zeros((3, 6)))
+    with pytest.raises(ValueError, match="one row per entry id"):
+        MemoryBank("rule", ("R000", "R900"), ("a", "short"), [np.zeros(6), np.zeros(3)])
+    with pytest.raises(ValueError, match="one row per entry id"):
+        MemoryBank("rule", ("R000", "R001"), ("a", "b"), np.zeros((3, 6)))
+    with pytest.raises(ValueError, match="payloads"):
+        MemoryBank("rule", ("R000", "R001"), ("a",), np.zeros((2, 6)))
+    with pytest.raises(ValueError, match="bank_kind"):
+        MemoryBank("semantic", ("R000",), ("a",), np.zeros((1, 6)))
 
 
 def test_bank_file_format(tmp_path):
     bank = make_bank(n=5)
-    bank.entry("R004").status = "retired"
+    bank.retain(["R000", "R001", "R002", "R003"])
     path = tmp_path / "bank_rule.jsonl"
     bank.save(str(path))
     records = [json.loads(line) for line in path.read_text().splitlines()]
@@ -275,23 +306,22 @@ def test_bank_file_format(tmp_path):
     for r in records:
         assert set(r) == {"id", "bank_kind", "payload", "embedding", "status"}
         assert r["bank_kind"] == "rule"
-        assert r["payload"] == bank.entry(r["id"]).payload
+        assert r["payload"] == bank.payloads[bank.row(r["id"])]
         # fixed-width decimal strings, so the file is byte-stable across platforms
         assert all(re.fullmatch(r"-?\d+\.\d{8}", x) for x in r["embedding"])
-        np.testing.assert_allclose([float(x) for x in r["embedding"]], bank.entry(r["id"]).embedding, atol=5e-9)
+        np.testing.assert_allclose([float(x) for x in r["embedding"]], bank.embeddings[bank.row(r["id"])], atol=5e-9)
 
 
 def test_embedding_decimals_match_per_scalar_format(tmp_path):
     # signed zeros, values either side of the 8th-place rounding boundary,
     # a large value and the smallest subnormal
     values = [-0.0, 4.9999999e-9, -4.9999999e-9, 5e-9, 1e15, 5e-324]
-    bank = MemoryBank("rule")
-    bank.add_entry(MemoryEntry("R000", "rule", "edge", np.array(values)))
-    bank.add_entry(MemoryEntry("R001", "rule", "reversed", np.array(values[::-1], np.float32)))
-    want = {e.id: [format(np.float64(x), ".8f") for x in e.embedding] for e in bank.entries()}
+    rows = [np.array(values), np.array(values[::-1], np.float32)]
+    bank = MemoryBank("rule", ("R000", "R001"), ("edge", "reversed"), rows)
+    want = {eid: [format(np.float64(x), ".8f") for x in row] for eid, row in zip(bank.entry_ids, rows)}
     assert want["R000"][:4] == ["-0.00000000", "0.00000000", "-0.00000000", "0.00000001"]
     lines = "\n".join(
-        f"{json.dumps(eid)}\t{json.dumps(bank.entry(eid).payload)}\t{' '.join(vec)}" for eid, vec in sorted(want.items())
+        f"{json.dumps(eid)}\t{json.dumps(bank.payloads[bank.row(eid)])}\t{' '.join(vec)}" for eid, vec in sorted(want.items())
     )
     assert bank.freeze().content_hash == hashlib.sha256(lines.encode("utf-8")).hexdigest()
     path = tmp_path / "bank_rule.jsonl"

@@ -115,6 +115,35 @@ def test_counterfactual_flow(tmp_path, world_config, grid_config, capsys):
     assert len(rows) == audit["n_rows"]
 
 
+def test_counterfactual_names_edits_of_retired_entries(tmp_path, capsys):
+    world = tmp_path / "world.kv"
+    world.write_text("n_examples = 200\nseed = 0\ntopic_count = 10\ntoxic_entry_rate = 0.3\ntoxic_hurt_prob = 0.95\n")
+    grid = tmp_path / "grid.kv"
+    grid.write_text("tau = 0.95\nmargin_m = -10.0\nbank_policy = dual\n")
+    fit_out = tmp_path / "fit"
+    assert main(["fit", "--config", str(world), "--grid", str(grid), "--governance-rounds", "3", "--out", str(fit_out)]) == 0
+    active = json.loads((fit_out / "manifest.json").read_text())["selection_record"]["active_ids"]
+    retired = sorted({f"E{i:03d}" for i in range(100)} - set(active["exemplar"]))[:2]
+    assert len(retired) == 2
+    outputs = {}
+    for name, edited in (("cf", ["E000", *retired]), ("cf-active", ["E000"])):
+        save_edits(default_edits(edited, "repair"), str(tmp_path / f"{name}.jsonl"))
+        capsys.readouterr()
+        assert main([
+            "counterfactual", "--config", str(world), "--manifest", str(fit_out / "manifest.json"),
+            "--edits", str(tmp_path / f"{name}.jsonl"), "--out", str(tmp_path / name),
+        ]) == 0
+        outputs[name] = capsys.readouterr()
+    assert outputs["cf"].err == (
+        f"note: 2 edits name entries the frozen membership retired, which no mode retrieves: {', '.join(retired)}\n"
+    )
+    assert outputs["cf-active"].err == ""
+    # an inert edit never hits, so the rows are those of the active edit alone
+    assert outputs["cf"].out == outputs["cf-active"].out
+    rows = [(tmp_path / d / "counterfactual_rows.jsonl").read_bytes() for d in ("cf", "cf-active")]
+    assert rows[0] == rows[1]
+
+
 def test_tampered_fixed_replay_exits_1_naming_the_query(tmp_path, world_config, grid_config, capsys, monkeypatch):
     fit_out = str(tmp_path / "fit")
     assert main(["fit", "--config", world_config, "--grid", grid_config, "--out", fit_out]) == 0

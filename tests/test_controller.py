@@ -416,7 +416,11 @@ def test_policy_validation():
 # ---------------------------------------------------------------------------
 
 def _evidence(banks):
-    return {e.id: (e.evidence_count, e.evidence_sum) for bank in banks.values() for e in bank.entries()}
+    return {
+        e: (count, total)
+        for bank in banks.values()
+        for e, count, total in zip(bank.entry_ids, bank.evidence_count.tolist(), bank.evidence_sum.tolist())
+    }
 
 
 def _names(world, columns, filled):
@@ -623,7 +627,7 @@ def test_batched_comparators_match_per_step_reference():
 def test_batched_loop_on_governed_banks_and_empty_banks():
     # retired entries leave holes in the snapshots; an all-retired bank retrieves nothing
     world = generate_world(WorldSpec(n_examples=300, seed=31, steps_per_episode=5, toxic_entry_rate=0.2))
-    world.banks["rule"].retain([e.id for e in world.banks["rule"].entries() if int(e.id[1:]) % 3])
+    world.banks["rule"].retain([e for e in world.banks["rule"].entry_ids if int(e[1:]) % 3])
     world.banks["exemplar"].retain([])
     snaps = world.snapshots()
     for kind in ("dual", "cascade_rule_then_exemplar", "cascade_exemplar_then_rule", "gate_only"):

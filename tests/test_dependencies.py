@@ -65,3 +65,14 @@ def test_pyproject_declares_numpy_only_and_a_test_extra():
 
         project = tomllib.loads(text)["project"]
         assert (dependencies, extras) == (project["dependencies"], project["optional-dependencies"])
+
+
+def test_running_numpy_meets_the_declared_floor():
+    import numpy
+
+    text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
+    (requirement,) = ast.literal_eval(_read_pyproject(text)["project"]["dependencies"])
+    floor = re.fullmatch(r"numpy>=(\d+)\.(\d+)", requirement)
+    assert floor, requirement
+    running = tuple(int(x) for x in re.match(r"(\d+)\.(\d+)", numpy.__version__).groups())
+    assert running >= tuple(map(int, floor.groups()))

@@ -15,6 +15,7 @@ from conftest import (
     localization_shape_spec,
     reference_counterfactual,
     reference_counterfactual_rows_text,
+    reference_ledger_check,
     reference_manifest_json,
     reference_outcome_table_text,
     reference_trace_lines,
@@ -40,6 +41,7 @@ from gatedmem.protocol import (
     write_outcome_table,
     write_traces,
 )
+from gatedmem.stats import mcnemar_exact
 from gatedmem.util import indices_digest
 from gatedmem.worldsim import OutcomeTable, World, WorldSpec, generate_world
 
@@ -181,7 +183,8 @@ def test_tampered_tau_hash_mismatch():
 
 def test_tampered_bank_hash_mismatch():
     world, manifest, policy, snaps = fitted_world(seed=8)
-    world.banks["rule"].entry("R000").payload = "tampered"
+    bank = world.banks["rule"]
+    bank.payloads = tuple("tampered" if e == "R000" else p for e, p in zip(bank.entry_ids, bank.payloads))
     with pytest.raises(FreezeMismatch):
         run_test_stage(world, manifest, policy, world.snapshots())
 
@@ -522,7 +525,7 @@ def make_counterfactual_setup(seed=0):
     tau_all = 2.0  # route everything; budget-free single-step episodes
     grid = [PolicyConfig(tau=tau_all, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
     manifest, policy, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
-    edited = [e for e in snaps["exemplar"].entry_ids if world.banks["exemplar"].entry(e).payload.endswith("topic 0")][:4]
+    edited = [e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads) if p.endswith("topic 0")][:4]
     edits = default_edits(edited, "repair")
     return world, manifest, policy, snaps, edits
 
@@ -606,6 +609,43 @@ def test_ledger_check_paper_rows():
 def test_ledger_check_inconsistent_rows():
     assert ledger_check(600, 0.5, 2, 0.5) is None  # dacc*n nowhere near HH
     assert ledger_check(600, 0.07, 42, 1e-20) is None  # p unreachable
+
+
+def _ledger_cases():
+    """(n, dacc, hh, p, rel_tol) rows around the first reachable p values: each exact
+    p, the two rel_tol boundaries and their neighbouring doubles, p = 0 and p = 1."""
+    for n in (1, 2, 3, 8, 25, 64, 150):
+        for hh in sorted({*range(-n - 1, n + 2, max(1, n // 9)), -1, 0, 1}):
+            first = max(0, -hh)
+            exact = [mcnemar_exact(u + hh, u) for u in range(first, first + 4) if 2 * u + hh <= n]
+            for rel_tol in (0.05, 0.0, 0.5):
+                edges = {0.0, 1.0, 0.5, *(x * f for x in exact for f in (1, 1 / (1 - rel_tol), 1 / (1 + rel_tol)))}
+                ps = {q for x in edges for q in (x, np.nextafter(x, 0.0), np.nextafter(x, 1.0))}
+                for p in sorted(q for q in ps if 0.0 <= q <= 1.0):
+                    yield n, hh / n, hh, float(p), rel_tol
+        yield n, 0.5, 0, 1.0, 0.05  # dacc * n too far from hh
+    for hh in (1070, 1080):  # at 1080 helps and no hurts p_exact underflows to 0
+        yield 1100, hh / 1100, hh, 0.0, 0.05
+
+
+def test_ledger_check_equals_linear_scan():
+    cases = list(_ledger_cases())
+    found = {"consistent": 0, "p=0": 0}
+    for n, dacc, hh, p, rel_tol in cases:
+        want = reference_ledger_check(n, dacc, hh, p, rel_tol)
+        assert ledger_check(n, dacc, hh, p, rel_tol) == want, (n, dacc, hh, p, rel_tol)
+        found["consistent"] += want is not None
+        found["p=0"] += want is not None and p == 0.0
+    assert len(cases) > 5000 and found["consistent"] > 1000 and found["p=0"] > 0  # not vacuous
+
+
+def test_ledger_check_large_row():
+    # 3000 helps and 2000 hurts of n = 20000: a linear scan tries about 2000 hurts counts
+    p = mcnemar_exact(3000, 2000)
+    h, u, p_exact = ledger_check(20000, 1000 / 20000, 1000, p)
+    assert h - u == 1000 and u <= 2000 and abs(p_exact - p) / p <= 0.05
+    assert abs(mcnemar_exact(h - 1, u - 1) - p) / p > 0.05  # no smaller hurts count fits
+    assert ledger_check(20000, 1000 / 20000, 1000, 1e-300) is None
 
 
 # ---------------------------------------------------------------------------
@@ -760,33 +800,36 @@ def test_manifest_json_matches_reference(governance_rounds):
     assert manifest.to_json() == reference_manifest_json(manifest)
 
 
-def test_governance_releases_tables_no_later_round_reads(monkeypatch):
-    spec = WorldSpec(n_examples=200, seed=18, toxic_entry_rate=0.3, toxic_hurt_prob=0.95, k_max=1)
-    fit_ids, _ = split_indices(200, 0.5, 0)
-    policy = PolicyConfig(tau=0.95, margin_m=-10.0)
-    world = generate_world(spec)
-    report = run_governance_loop(world, policy, 4, fit_ids)
+def _fit_governance_counterfactual(world):
+    """A governed fit, an 8-round governance and a counterfactual on one world, with
+    each stage's outputs and the bank kind -> content hash of the tables kept after it."""
+    fit_ids, test_ids = split_indices(world.spec.n_examples, 0.5, 0)
+    grid = [PolicyConfig(tau=0.95, margin_m=-10.0, bank_policy=b) for b in ("dual", "cascade_rule_then_exemplar")]
+    manifest, policy, _ = run_fit_stage(world, grid, fit_ids, test_ids, governance_rounds=3)
+    outputs, kept = [manifest.to_json()], [{k: t[0] for k, t in world._tables.items()}]
+    report = run_governance_loop(world, policy, 8, fit_ids)
     assert any(r.retired_ids for r in report.rounds[:-1])  # a bank changed between rounds
-    assert set(world._tables) == {s.content_hash for s in report.rounds[-1].snapshots.values()}
-    monkeypatch.setattr(World, "release_tables", lambda self, keep: None)
-    kept = generate_world(spec)
-    unreleased = run_governance_loop(kept, policy, 4, fit_ids)
-    assert len(kept._tables) > len(world._tables)
-
-    def outputs(r):
-        rounds = [(x.fit_accuracy, x.gap_close, x.retired_ids, x.bank_hashes) for x in r.rounds]
-        return rounds, r.selected_iteration, r.baseline_accuracy, r.oracle_accuracy
-
-    assert outputs(unreleased) == outputs(report)
+    outputs.append(([(r.fit_accuracy, r.gap_close, r.retired_ids, r.bank_hashes) for r in report.rounds],
+                    report.selected_iteration, report.baseline_accuracy, report.oracle_accuracy))
+    kept.append({k: t[0] for k, t in world._tables.items()})
+    assert kept[-1].items() <= report.rounds[-1].bank_hashes.items()
+    edits = default_edits(world.entry_ids[::7], "repair")
+    rows, audit = run_counterfactual(world, manifest, policy, world.snapshots(), edits, seed=18)
+    outputs.append((audit, *(getattr(rows, f.name).tolist() for f in fields(rows) if f.name != "entry_ids")))
+    kept.append({k: t[0] for k, t in world._tables.items()})
+    return outputs, kept
 
 
-def test_counterfactual_releases_drifted_tables(monkeypatch):
-    world, manifest, policy, snaps, edits = make_counterfactual_setup(seed=18)
-    rows, audit = run_counterfactual(world, manifest, policy, snaps, edits, seed=18)
-    assert world._tables and set(world._tables) <= {s.content_hash for s in snaps.values()}
-    monkeypatch.setattr(World, "release_tables", lambda self, keep: None)
-    kept, manifest, policy, snaps, edits = make_counterfactual_setup(seed=18)
-    unreleased = run_counterfactual(kept, manifest, policy, snaps, edits, seed=18)
-    assert len(kept._tables) > len(world._tables)  # the free reruns read drifted snapshots
-    assert unreleased[1] == audit
-    assert all(np.array_equal(getattr(unreleased[0], f.name), getattr(rows, f.name)) for f in fields(rows))
+def test_one_retrieval_table_per_bank_kind(monkeypatch):
+    spec = WorldSpec(n_examples=200, seed=18, toxic_entry_rate=0.3, toxic_hurt_prob=0.95, k_max=1)
+    outputs, kept = _fit_governance_counterfactual(generate_world(spec))
+    for after_stage in kept:
+        assert set(after_stage) <= {"rule", "exemplar"}  # at most one table per kind, whatever was read
+    read = World._table
+
+    def uncached(self, snapshot):
+        self._tables.clear()
+        return read(self, snapshot)
+
+    monkeypatch.setattr(World, "_table", uncached)
+    assert _fit_governance_counterfactual(generate_world(spec))[0] == outputs

@@ -12,7 +12,7 @@ from conftest import (
     save_edits,
 )
 from gatedmem import retrieval
-from gatedmem.bank import BankSnapshot, MemoryEntry
+from gatedmem.bank import BankSnapshot
 from gatedmem.controller import PolicyConfig
 from gatedmem.errors import ProtocolViolation
 from gatedmem.protocol import evaluate_policy, run_counterfactual, run_fit_stage, split_indices
@@ -30,11 +30,8 @@ from gatedmem.worldsim import WorldSpec, generate_world
 
 
 def snap_from(vectors, kind="rule", prefix="R"):
-    entries = [
-        MemoryEntry(f"{prefix}{i:03d}", kind, f"payload {i}", np.asarray(v, float))
-        for i, v in enumerate(vectors)
-    ]
-    return BankSnapshot.build(kind, entries)
+    n = len(vectors)
+    return BankSnapshot.build(kind, [f"{prefix}{i:03d}" for i in range(n)], [f"payload {i}" for i in range(n)], vectors)
 
 
 def toy_snapshot():
@@ -94,7 +91,7 @@ def test_retrieve_deterministic():
 
 
 def test_empty_snapshot():
-    snap = BankSnapshot.build("rule", [])
+    snap = BankSnapshot.build("rule", (), (), np.zeros((0, 0)))
     assert retrieve(Query(0, np.array([1.0])), snap).retrieved_ids == ()
 
 
@@ -222,7 +219,7 @@ def test_partition_paper_scale_sizes():
     fit_ids, test_ids = split_indices(1000, 0.2, 0)
     grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
     manifest, policy, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
-    edited = [e for e in snaps["exemplar"].entry_ids if world.banks["exemplar"].entry(e).payload.endswith("topic 0")][:4]
+    edited = [e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads) if p.endswith("topic 0")][:4]
     rows, audit = run_counterfactual(world, manifest, policy, snaps, default_edits(edited, "repair"))
     assert audit["n_rows"] == len(rows.query_id) == 800
     assert 60 <= audit["n_hit"] == rows.target_hit.sum() <= 160

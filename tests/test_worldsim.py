@@ -423,7 +423,7 @@ def test_world_retrieve_matches_per_query_reference(spec):
     world = generate_world(spec)
     snapshots = list(world.snapshots().values())
     for kind, bank in world.banks.items():
-        ids = [e.id for e in bank.active_entries()]
+        ids = list(bank.active_columns()[0])
         snapshots.append(world.drifted_snapshot(kind, default_edits(ids[::3], "repair")))
         governed = bank.copy()
         governed.retain(ids[::2])
@@ -483,7 +483,7 @@ def test_draws_do_not_depend_on_retirement_drift_or_order():
     reference = _all_draws(generate_world(spec), range(spec.n_examples))
     world = generate_world(spec)
     for kind, bank in world.banks.items():
-        ids = [e.id for e in bank.active_entries()]
+        ids = list(bank.active_columns()[0])
         world.drifted_snapshot(kind, default_edits(ids[::4], "corrupt"))
         bank.retain(ids[::3])
     assert _all_draws(world, reversed(range(spec.n_examples))) == reference
