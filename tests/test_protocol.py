@@ -800,31 +800,8 @@ def test_manifest_json_matches_reference(governance_rounds):
     assert manifest.to_json() == reference_manifest_json(manifest)
 
 
-def _fit_governance_counterfactual(world):
-    """A governed fit, an 8-round governance and a counterfactual on one world, with
-    each stage's outputs and the bank kind -> content hash of the tables kept after it."""
-    fit_ids, test_ids = split_indices(world.spec.n_examples, 0.5, 0)
-    grid = [PolicyConfig(tau=0.95, margin_m=-10.0, bank_policy=b) for b in ("dual", "cascade_rule_then_exemplar")]
-    manifest, policy, _ = run_fit_stage(world, grid, fit_ids, test_ids, governance_rounds=3)
-    outputs, kept = [manifest.to_json()], [{k: t[0] for k, t in world._tables.items()}]
-    report = run_governance_loop(world, policy, 8, fit_ids)
-    assert any(r.retired_ids for r in report.rounds[:-1])  # a bank changed between rounds
-    outputs.append(([(r.fit_accuracy, r.gap_close, r.retired_ids, r.bank_hashes) for r in report.rounds],
-                    report.selected_iteration, report.baseline_accuracy, report.oracle_accuracy))
-    kept.append({k: t[0] for k, t in world._tables.items()})
-    assert kept[-1].items() <= report.rounds[-1].bank_hashes.items()
-    edits = default_edits(world.entry_ids[::7], "repair")
-    rows, audit = run_counterfactual(world, manifest, policy, world.snapshots(), edits, seed=18)
-    outputs.append((audit, *(getattr(rows, f.name).tolist() for f in fields(rows) if f.name != "entry_ids")))
-    kept.append({k: t[0] for k, t in world._tables.items()})
-    return outputs, kept
-
-
-def test_one_retrieval_table_per_bank_kind(monkeypatch):
-    spec = WorldSpec(n_examples=200, seed=18, toxic_entry_rate=0.3, toxic_hurt_prob=0.95, k_max=1)
-    outputs, kept = _fit_governance_counterfactual(generate_world(spec))
-    for after_stage in kept:
-        assert set(after_stage) <= {"rule", "exemplar"}  # at most one table per kind, whatever was read
+def _uncached(monkeypatch):
+    """Clear the world's table cache before every read, so each read ranks afresh."""
     read = World._table
 
     def uncached(self, snapshot):
@@ -832,4 +809,40 @@ def test_one_retrieval_table_per_bank_kind(monkeypatch):
         return read(self, snapshot)
 
     monkeypatch.setattr(World, "_table", uncached)
-    assert _fit_governance_counterfactual(generate_world(spec))[0] == outputs
+
+
+def _governance_outputs(world):
+    """A governed fit and an 8-round governance on one world: each stage's outputs, the
+    report and the bank kind -> content hash of the tables kept after each stage."""
+    fit_ids, test_ids = split_indices(world.spec.n_examples, 0.5, 0)
+    grid = [PolicyConfig(tau=0.95, margin_m=-10.0, bank_policy=b) for b in ("dual", "cascade_rule_then_exemplar")]
+    manifest, policy, _ = run_fit_stage(world, grid, fit_ids, test_ids, governance_rounds=3)
+    kept = [{k: t[0] for k, t in world._tables.items()}]
+    report = run_governance_loop(world, policy, 8, fit_ids)
+    kept.append({k: t[0] for k, t in world._tables.items()})
+    outputs = (manifest.to_json(), [(r.fit_accuracy, r.gap_close, r.retired_ids, r.bank_hashes) for r in report.rounds],
+               report.selected_iteration, report.baseline_accuracy, report.oracle_accuracy)
+    return outputs, report, kept
+
+
+def test_governance_releases_tables_no_later_round_reads(monkeypatch):
+    spec = WorldSpec(n_examples=200, seed=18, toxic_entry_rate=0.3, toxic_hurt_prob=0.95, k_max=1)
+    outputs, report, kept = _governance_outputs(generate_world(spec))
+    assert any(r.retired_ids for r in report.rounds[:-1])  # a bank changed between rounds
+    for after_stage in kept:
+        assert set(after_stage) <= {"rule", "exemplar"}  # one table per kind: an earlier round's is released
+    assert kept[-1].items() <= report.rounds[-1].bank_hashes.items()  # only the last round's tables stay
+    _uncached(monkeypatch)
+    assert _governance_outputs(generate_world(spec))[0] == outputs
+
+
+def test_counterfactual_releases_drifted_tables(monkeypatch):
+    world, manifest, policy, snaps, edits = make_counterfactual_setup(seed=18)
+    rows, audit = run_counterfactual(world, manifest, policy, snaps, edits, seed=18)
+    kept = {k: t[0] for k, t in world._tables.items()}
+    assert set(kept) <= {"rule", "exemplar"}  # one table per kind, whatever was read
+    assert kept["exemplar"] != snaps["exemplar"].content_hash  # the free reruns' drifted table replaced it
+    _uncached(monkeypatch)
+    uncached = run_counterfactual(*make_counterfactual_setup(seed=18), seed=18)
+    assert uncached[1] == audit
+    assert all(np.array_equal(getattr(uncached[0], f.name), getattr(rows, f.name)) for f in fields(rows))
