@@ -18,7 +18,6 @@ from .protocol import (
 from .retrieval import ContentEdit, Query, RetrievalResult, retrieve
 from .stats import (
     CalibrationSet,
-    PairedComparison,
     bootstrap_ci,
     calibration_metrics,
     mcnemar_exact,

@@ -37,7 +37,7 @@ from .controller import (
 )
 from .errors import FreezeMismatch, ProtocolViolation
 from .retrieval import ContentEdit
-from .stats import PairedComparison, bootstrap_ci, confidence_bins, mcnemar_exact, randomization_interaction_test
+from .stats import bootstrap_ci, confidence_bins, mcnemar_exact, randomization_interaction_test
 from .util import indices_digest
 from .worldsim import OutcomeTable, World, WorldSpec
 
@@ -142,12 +142,51 @@ def split_indices(n: int, fit_fraction: float = 0.5, split_seed: int = 0):
 
 @dataclass
 class EvalRun:
-    example_ids: list
-    outcomes: np.ndarray  # per example, index-aligned with example_ids
+    outcomes: np.ndarray  # per example, in the order of the ids evaluated
     routed_frac: float
     accepted_frac: float
     mean_calls: float
-    steps: StepTable | None = None  # the controller's per-step arrays; None for the oracle and pooled test runs
+    steps: StepTable | None = None  # the controller's per-step arrays; None for the oracle
+
+
+@dataclass(frozen=True)
+class PairedCounts:
+    """A run against the baseline on the same examples, as much as a ledger row reads:
+    helps (run right, baseline wrong), hurts (the reverse), the run's rates and the baseline's mean calls."""
+
+    n: int
+    helps: int
+    hurts: int
+    routed_frac: float
+    accepted_frac: float
+    mean_calls: float
+    base_mean_calls: float
+
+    @property
+    def delta_acc(self) -> float:
+        return (self.helps - self.hurts) / self.n
+
+    @staticmethod
+    def of(base: EvalRun, run: EvalRun) -> "PairedCounts":
+        """The counts of two runs whose outcomes are index-aligned."""
+        a, b = base.outcomes.astype(bool), run.outcomes.astype(bool)
+        if a.shape != b.shape or a.ndim != 1:
+            raise ValueError("outcome vectors must be 1-d and equal length")
+        helps, hurts = int(np.sum(~a & b)), int(np.sum(a & ~b))
+        return PairedCounts(len(a), helps, hurts, run.routed_frac, run.accepted_frac, run.mean_calls, base.mean_calls)
+
+    @staticmethod
+    def pool(parts: list) -> "PairedCounts":
+        """The counts over all parts' examples. A rate pools as sum((n_k / N) * x_k) in order,
+        which can differ from sum(n_k * x_k) / N in the last bit, and so in a ledger's sixth decimal."""
+        total = sum(p.n for p in parts)
+        rates = ("routed_frac", "accepted_frac", "mean_calls", "base_mean_calls")
+        return PairedCounts(
+            total,
+            sum(p.helps for p in parts),
+            sum(p.hurts for p in parts),
+            *(sum(p.n / total * getattr(p, rate) for p in parts) for rate in rates),
+        )
 
 
 def _check_example_ids(example_ids: np.ndarray, n: int) -> None:
@@ -190,7 +229,6 @@ def evaluate_policy(
     n = len(ids)
     routed = int(steps.routed.sum())
     return EvalRun(
-        example_ids=list(example_ids),
         outcomes=steps.final_correct[np.searchsorted(steps.example_ids, ids)].astype(np.float64),
         routed_frac=routed / n,
         accepted_frac=int(steps.accepted.sum()) / n,
@@ -213,7 +251,6 @@ def evaluate_oracle(world: World, snapshots: dict, example_ids) -> EvalRun:
     accepted = ~base & (present & correct).any(axis=1)
     n = len(rows)
     return EvalRun(
-        example_ids=list(example_ids),
         outcomes=(base | accepted).astype(np.float64),
         routed_frac=routed / n,
         accepted_frac=int(accepted.sum()) / n,
@@ -362,8 +399,7 @@ def run_fit_stage(
     scored = []
     for order, (gi, cand) in enumerate(expanded):
         run = evaluate_policy(world, cand, snapshots, fit_ids)
-        comp = PairedComparison(base_run.outcomes.astype(bool), run.outcomes.astype(bool))
-        scored.append((gi, order, cand, comp.delta_acc(), run.mean_calls))
+        scored.append((gi, order, cand, PairedCounts.of(base_run, run).delta_acc, run.mean_calls))
 
     best = min(
         scored,
@@ -449,24 +485,33 @@ LEDGER_HEADER = (
 )
 
 
-def make_ledger_row(name: str, base: EvalRun, run: EvalRun, seed: int = 0) -> LedgerRow:
-    comp = PairedComparison(base.outcomes.astype(bool), run.outcomes.astype(bool))
-    diffs = comp.diffs()
+def make_ledger_row(name: str, counts: PairedCounts, seed: int = 0) -> LedgerRow:
+    helps, hurts = counts.helps, counts.hurts
+    # the paired differences run - baseline; the bootstrap reads only how many there are of each value
+    diffs = np.repeat([-1.0, 0.0, 1.0], [hurts, counts.n - helps - hurts, helps])
     lo, hi = bootstrap_ci(diffs, seed=seed)
     row = LedgerRow(
         comparison=name,
-        n=comp.n,
-        delta_acc=comp.delta_acc(),
+        n=counts.n,
+        delta_acc=counts.delta_acc,
         ci_lo=lo,
         ci_hi=hi,
-        mcnemar_p=mcnemar_exact(comp.helps(), comp.hurts()),
-        help_hurt=comp.helps() - comp.hurts(),
-        delta_calls=run.mean_calls - base.mean_calls,
-        routed_frac=run.routed_frac,
-        accepted_frac=run.accepted_frac,
+        mcnemar_p=mcnemar_exact(helps, hurts),
+        help_hurt=helps - hurts,
+        delta_calls=counts.mean_calls - counts.base_mean_calls,
+        routed_frac=counts.routed_frac,
+        accepted_frac=counts.accepted_frac,
     )
     row.check_consistency()
     return row
+
+
+def _ledger_rows(counts: dict, seed: int) -> list:
+    return [make_ledger_row(f"{name} vs baseline", counts[name], seed=seed) for name in LEDGER_COMPARISONS]
+
+
+def _paired_counts(runs: dict) -> dict:
+    return {name: PairedCounts.of(runs["baseline"], runs[name]) for name in LEDGER_COMPARISONS}
 
 
 def run_test_stage(
@@ -477,36 +522,30 @@ def run_test_stage(
 ) -> tuple[list, dict]:
     """Frozen paired evaluation on the test split; returns (rows, runs by name)."""
     manifest.validate(world, policy, snapshots)
-    return _evaluate_test_split(world, manifest, policy, snapshots)
+    _, test_ids = _recover_split(manifest.selection_record, world.spec.n_examples)
+    runs = _test_runs(world, policy, snapshots, test_ids)
+    return _ledger_rows(_paired_counts(runs), world.seed), runs
 
 
-def _evaluate_test_split(
-    world: World, manifest: FreezeManifest, policy: PolicyConfig, snapshots: dict
-) -> tuple[list, dict]:
-    """run_test_stage once the manifest has been checked against the base world."""
-    fit_ids, test_ids = _recover_split(manifest.selection_record, world.spec.n_examples)
+def _test_runs(world: World, policy: PolicyConfig, snapshots: dict, test_ids: list) -> dict:
+    """The baseline's and each ledger comparison's run on the test split, by name; the banks go to the test stage."""
     for bank in world.banks.values():
         bank.stage = STAGE_TEST
-
     runs = {"baseline": evaluate_policy(world, policy, snapshots, test_ids, comparator="baseline")}
     runs["policy"] = evaluate_policy(world, policy, snapshots, test_ids)
     for comparator in COMPARATORS:
         runs[comparator] = evaluate_policy(world, policy, snapshots, test_ids, comparator=comparator)
     runs["oracle"] = evaluate_oracle(world, snapshots, test_ids)
-
-    rows = [
-        make_ledger_row(f"{name} vs baseline", runs["baseline"], runs[name], seed=world.seed)
-        for name in LEDGER_COMPARISONS
-    ]
-    return rows, runs
+    return runs
 
 
 def _recover_split(record: dict, n: int):
-    try:
-        fit_ids = [int(i) for i in record["fit_ids"]]
-        test_ids = [int(i) for i in record["test_ids"]]
-    except (TypeError, ValueError) as exc:
-        raise FreezeMismatch(f"manifest fit_ids and test_ids must be lists of example ids ({exc!r})") from None
+    for field in ("fit_ids", "test_ids"):
+        ids = record[field]
+        bad = [i for i in ids if type(i) is not int] if isinstance(ids, list) else [ids]
+        if bad:
+            raise FreezeMismatch(f"manifest selection_record.{field} must be a list of JSON integers, got {bad[0]!r}")
+    fit_ids, test_ids = record["fit_ids"], record["test_ids"]
     if len(set(fit_ids)) != len(fit_ids) or len(set(test_ids)) != len(test_ids):
         raise FreezeMismatch("manifest split has duplicate example ids")
     if set(fit_ids) & set(test_ids):
@@ -532,18 +571,6 @@ def apply_recorded_membership(world: World, manifest: FreezeManifest) -> None:
             bank.retain(recorded[kind])
 
 
-def _pool_runs(runs: list) -> EvalRun:
-    total_steps = sum(len(r.example_ids) for r in runs)
-    weights = [len(r.example_ids) / total_steps for r in runs]
-    return EvalRun(
-        example_ids=[i for r in runs for i in r.example_ids],
-        outcomes=np.concatenate([r.outcomes for r in runs]),
-        routed_frac=sum(w * r.routed_frac for w, r in zip(weights, runs)),
-        accepted_frac=sum(w * r.accepted_frac for w, r in zip(weights, runs)),
-        mean_calls=sum(w * r.mean_calls for w, r in zip(weights, runs)),
-    )
-
-
 def run_pooled_test(
     spec: WorldSpec,
     manifest: FreezeManifest,
@@ -556,28 +583,25 @@ def run_pooled_test(
     Seed k's world is built from the spec at seed spec.seed + k and keeps the
     manifest's recorded bank membership. The manifest is validated against
     the base world (k = 0); siblings reuse the frozen policy and membership,
-    and no selection, evidence or retirement sweep runs on them. Paired
-    outcome vectors are concatenated in seed order and the statistics
-    recomputed on the pool. One world is alive at a time: each seed keeps
-    only what the ledger reads, and the base world's traces and confidence
-    bins are written before any sibling is built.
+    and no selection, evidence or retirement sweep runs on them. Each seed
+    reduces every comparison to its PairedCounts against the baseline, and
+    the pooled rows are computed from those counts added up in seed order.
+    One world is alive at a time, and no seed keeps a per-example array: the
+    base world's traces and confidence bins are written before any sibling
+    is built.
     """
     if n_seeds < 1:
         raise ValueError("n_seeds must be >= 1")
     per_seed_rows = {}
-    runs_by_name: dict[str, list] = {}
+    counts_by_name: dict[str, list] = {}
     for k in range(n_seeds):
         seed_spec = replace(spec, seed=spec.seed + k)
-        rows, runs = _test_seed(seed_spec, manifest, policy, base=k == 0, out_dir=out_dir)
+        rows, counts = _test_seed(seed_spec, manifest, policy, base=k == 0, out_dir=out_dir)
         per_seed_rows[seed_spec.seed] = rows
-        for name, run in runs.items():
-            runs_by_name.setdefault(name, []).append(run)
+        for name, c in counts.items():
+            counts_by_name.setdefault(name, []).append(c)
 
-    pooled = {name: _pool_runs(rs) for name, rs in runs_by_name.items()}
-    pooled_rows = [
-        make_ledger_row(f"{name} vs baseline", pooled["baseline"], pooled[name], seed=spec.seed)
-        for name in LEDGER_COMPARISONS
-    ]
+    pooled_rows = _ledger_rows({name: PairedCounts.pool(cs) for name, cs in counts_by_name.items()}, spec.seed)
     if out_dir is not None:
         write_ledger(pooled_rows, os.path.join(out_dir, "ledger.csv"))
         for seed, rows in per_seed_rows.items():
@@ -588,7 +612,7 @@ def run_pooled_test(
 def _test_seed(
     spec: WorldSpec, manifest: FreezeManifest, policy: PolicyConfig, base: bool, out_dir: str | None
 ) -> tuple[list, dict]:
-    """One seed's ledger rows and its runs without their step tables, which hold the world.
+    """One seed's ledger rows and each comparison's PairedCounts, by name.
 
     The base world is checked against the manifest and, given out_dir,
     writes traces.jsonl and conf_bins.csv. The world goes when this returns.
@@ -598,11 +622,13 @@ def _test_seed(
     snapshots = world.snapshots()
     if base:
         manifest.validate(world, policy, snapshots)
-    rows, runs = _evaluate_test_split(world, manifest, policy, snapshots)
+    _, test_ids = _recover_split(manifest.selection_record, spec.n_examples)
+    runs = _test_runs(world, policy, snapshots, test_ids)
     if base and out_dir is not None:
         write_traces(runs["policy"].steps, os.path.join(out_dir, "traces.jsonl"))
-        write_conf_bins(world, runs, os.path.join(out_dir, "conf_bins.csv"), policy.confidence_signal)
-    return rows, {name: replace(run, steps=None) for name, run in runs.items()}
+        write_conf_bins(world, test_ids, runs, os.path.join(out_dir, "conf_bins.csv"), policy.confidence_signal)
+    counts = _paired_counts(runs)
+    return _ledger_rows(counts, world.seed), counts
 
 
 def write_ledger(rows, path: str) -> None:
@@ -743,10 +769,9 @@ def write_outcome_table(table: OutcomeTable, path: str) -> None:
         fh.write("]\n")
 
 
-def write_conf_bins(world: World, runs: dict, path: str, signal: str, n_bins: int = 10) -> None:
-    """Plot-ready binned accuracy: baseline vs gated policy by baseline confidence."""
-    ids = runs["baseline"].example_ids
-    conf = world.baseline_pass(ids, signal)[1]
+def write_conf_bins(world: World, test_ids: list, runs: dict, path: str, signal: str, n_bins: int = 10) -> None:
+    """Plot-ready binned accuracy: baseline vs gated policy by baseline confidence, runs on test_ids."""
+    conf = world.baseline_pass(test_ids, signal)[1]
     bins = confidence_bins(conf, n_bins)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("bin_lo,bin_hi,count,baseline_acc,policy_acc\n")
@@ -811,18 +836,28 @@ def run_counterfactual(
             raise ValueError(f"edit references unknown entry {eid!r}")
 
     original = evaluate_policy(world, policy, snapshots, test_ids).steps
-    columns, filled = original.deciding_injection()
+    columns, filled = frozen = original.deciding_injection()
     if not filled.any():
         raise ProtocolViolation("no routed queries with retrieval; nothing to replay")
-    ex = original.example_ids
+    ex, routed = original.example_ids, original.routed
+    edited = np.zeros(len(world.entry_ids), bool)
+    edited[world.columns(edited_ids)] = True
+    hit = (filled & edited[columns]).any(axis=1)
 
-    # the fixed modes read the original snapshots, so they run before the
-    # drifted snapshots of the free reruns replace those retrieval tables
-    modes = {}
-    for version in ("repair", "corrupt"):
-        modes[(version, "fixed")] = run_steps(
-            world, policy, snapshots, ex, SecondPassContext(version, edited_ids, frozen=original)
+    # Each mode's table is reduced to what the audits and rows read as it
+    # finishes. The fixed modes read the original snapshots, so they run
+    # before the drifted snapshots of the free reruns replace those
+    # retrieval tables.
+    fixed = {
+        version: _fixed_replay(
+            run_steps(world, policy, snapshots, ex, SecondPassContext(version, edited_ids, frozen=original)),
+            frozen,
+            version,
         )
+        for version in ("repair", "corrupt")
+    }
+    _audit_non_hit(fixed["repair"], fixed["corrupt"], routed & ~hit, ex)
+    outcomes = {"original": original.final_correct, **{f"{v}_fixed": final for v, (_, final, *_) in fixed.items()}}
     for version in ("repair", "corrupt"):
         drifted = {}
         for kind, snap in snapshots.items():
@@ -830,22 +865,15 @@ def run_counterfactual(
                 ContentEdit(e.entry_id, e.new_payload, version) for e in edits if world.entry_bank(e.entry_id) == kind
             ]
             drifted[kind] = world.drifted_snapshot(kind, kind_edits) if kind_edits else snap
-        modes[(version, "free")] = run_steps(world, policy, drifted, ex, SecondPassContext(version, edited_ids))
+        free = run_steps(world, policy, drifted, ex, SecondPassContext(version, edited_ids)).final_correct
+        outcomes[f"{version}_free"] = free
 
-    routed = original.routed
-    edited = np.zeros(len(world.entry_ids), bool)
-    edited[world.columns(edited_ids)] = True
-    hit = (filled & edited[columns]).any(axis=1)
     rows = CounterfactualRows(
         entry_ids=world.entry_ids,
         query_id=ex[routed],
         columns=columns[routed],
         filled=filled[routed],
-        outcome_original=original.final_correct[routed].astype(np.float64),
-        **{
-            f"outcome_{version}_{mode}": steps.final_correct[routed].astype(np.float64)
-            for (version, mode), steps in modes.items()
-        },
+        **{f"outcome_{mode}": correct[routed].astype(np.float64) for mode, correct in outcomes.items()},
         target_hit=hit[routed],
     )
     max_audit_error = 0.0
@@ -863,7 +891,6 @@ def run_counterfactual(
                 f"decomposition identity violated on query {rows.query_id[r]} ({version}): "
                 f"free={free_contrast[r]} content={content_term[r]} drift={drift_term[r]}"
             )
-    _audit_fixed_replay(original, (columns, filled), modes, hit)
 
     diffs = rows.outcome_repair_fixed - rows.outcome_corrupt_fixed
     hit_diffs, non_hit_diffs = diffs[rows.target_hit], diffs[~rows.target_hit]
@@ -895,36 +922,39 @@ def _left_packed(columns: np.ndarray, filled: np.ndarray, width: int) -> np.ndar
     return out
 
 
-def _audit_fixed_replay(original: StepTable, frozen: tuple, modes: dict, hit: np.ndarray) -> None:
-    """Fixed-mode hard checks: every routed step replayed its frozen identity
-    (original's deciding injection) exactly, and non-hit rows are bitwise
-    identical across repair/corrupt (actions, confidences, acceptance, not
-    just outcomes)."""
-    entry_ids, ex = original.world.entry_ids, original.example_ids
-    for version in ("repair", "corrupt"):
-        steps = modes[(version, "fixed")]
-        replayed = steps.deciding_injection()
-        width = max(frozen[1].shape[1], replayed[1].shape[1])
-        want, got = _left_packed(*frozen, width), _left_packed(*replayed, width)
-        bad = np.flatnonzero(steps.routed & (want != got).any(axis=1))
-        if bad.size:
-            s = int(bad[0])
-            names = [tuple(entry_ids[c] for c in row if c >= 0) for row in (got[s].tolist(), want[s].tolist())]
-            raise ProtocolViolation(
-                f"fixed replay of query {ex[s]} ({version}) injected {names[0]}, frozen was {names[1]}"
-            )
-    a, b = modes[("repair", "fixed")], modes[("corrupt", "fixed")]
-    (ran_a, ok_a, conf_a), (ran_b, ok_b, conf_b) = a.deciding_pass(), b.deciding_pass()
-    same = (a.routed == b.routed) & (
-        ~a.routed
+def _fixed_replay(steps: StepTable, frozen: tuple, version: str) -> tuple:
+    """Check that every routed step of a fixed-mode run replayed its frozen identity
+    (the original's deciding injection) exactly; return what the non-hit audit
+    compares: routed, final_correct, the deciding pass's (decoded, correct,
+    confidence), and accepted."""
+    replayed = steps.deciding_injection()
+    width = max(frozen[1].shape[1], replayed[1].shape[1])
+    want, got = _left_packed(*frozen, width), _left_packed(*replayed, width)
+    bad = np.flatnonzero(steps.routed & (want != got).any(axis=1))
+    if bad.size:
+        s = int(bad[0])
+        entry_ids = steps.world.entry_ids
+        names = [tuple(entry_ids[c] for c in row if c >= 0) for row in (got[s].tolist(), want[s].tolist())]
+        raise ProtocolViolation(
+            f"fixed replay of query {steps.example_ids[s]} ({version}) injected {names[0]}, frozen was {names[1]}"
+        )
+    return (steps.routed, steps.final_correct, *steps.deciding_pass(), steps.accepted)
+
+
+def _audit_non_hit(repair: tuple, corrupt: tuple, non_hit: np.ndarray, ex: np.ndarray) -> None:
+    """Non-hit rows are bitwise identical across the repair and corrupt fixed
+    replays (actions, confidences, acceptance, not just outcomes)."""
+    (routed_a, final_a, ran_a, ok_a, conf_a, acc_a), (routed_b, final_b, ran_b, ok_b, conf_b, acc_b) = repair, corrupt
+    same = (routed_a == routed_b) & (
+        ~routed_a
         | (
-            (a.final_correct == b.final_correct)
+            (final_a == final_b)
             & (ran_a == ran_b)
             & (~ran_a | ((ok_a == ok_b) & (conf_a == conf_b)))
-            & (a.accepted == b.accepted)
+            & (acc_a == acc_b)
         )
     )
-    bad = np.flatnonzero(original.routed & ~hit & ~same)
+    bad = np.flatnonzero(non_hit & ~same)
     if bad.size:
         raise ProtocolViolation(f"non-hit row {ex[bad[0]]} differs across repair/corrupt under fixed retrieval")
 

@@ -25,38 +25,6 @@ RESAMPLE_CHUNK_CELLS = 1_000_000
 
 
 @dataclass(frozen=True)
-class PairedComparison:
-    """Index-aligned boolean outcomes of two policies on the same examples."""
-
-    outcomes_a: np.ndarray
-    outcomes_b: np.ndarray
-
-    def __post_init__(self):
-        a = np.asarray(self.outcomes_a, bool)
-        b = np.asarray(self.outcomes_b, bool)
-        if a.shape != b.shape or a.ndim != 1:
-            raise ValueError("outcome vectors must be 1-d and equal length")
-        object.__setattr__(self, "outcomes_a", a)
-        object.__setattr__(self, "outcomes_b", b)
-
-    @property
-    def n(self) -> int:
-        return int(self.outcomes_a.shape[0])
-
-    def helps(self) -> int:
-        return int(np.sum(~self.outcomes_a & self.outcomes_b))
-
-    def hurts(self) -> int:
-        return int(np.sum(self.outcomes_a & ~self.outcomes_b))
-
-    def delta_acc(self) -> float:
-        return (self.helps() - self.hurts()) / self.n
-
-    def diffs(self) -> np.ndarray:
-        return self.outcomes_b.astype(np.float64) - self.outcomes_a.astype(np.float64)
-
-
-@dataclass(frozen=True)
 class CalibrationSet:
     confidences: np.ndarray
     correct: np.ndarray

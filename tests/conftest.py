@@ -10,18 +10,29 @@ reference_*_text writers build a dict per row and call json on it; the
 package encodes the same bytes from columns. reference_counterfactual is the
 counterfactual runner over per-step records, with the frozen identities as a
 dict keyed by example id. reference_ledger_check tries every hurts count in
-turn, where ledger_check bisects.
+turn, where ledger_check bisects. reference_pooled_test keeps every seed's
+outcome vectors, concatenates them and computes each ledger row from the
+paired vectors, where the test stage keeps each comparison's paired counts.
 """
 
 import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from gatedmem.bank import BANK_KINDS
 from gatedmem.controller import DEFAULT_CONTEXT, GUARD_NAMES, SecondPassContext, compose_bank_policy
+from gatedmem.protocol import (
+    COMPARATORS,
+    LEDGER_COMPARISONS,
+    EvalRun,
+    LedgerRow,
+    apply_recorded_membership,
+    evaluate_oracle,
+    evaluate_policy,
+)
 from gatedmem.retrieval import ContentEdit, Query, RetrievalResult
-from gatedmem.stats import mcnemar_exact, randomization_interaction_test
+from gatedmem.stats import bootstrap_ci, mcnemar_exact, randomization_interaction_test
 from gatedmem.util import derive_seed
 from gatedmem.worldsim import (
     CONTENT_VERSIONS,
@@ -32,6 +43,7 @@ from gatedmem.worldsim import (
     PAIR_HURT,
     PAIR_REPAIR_BETTER,
     ConfidenceModel,
+    World,
     WorldSpec,
 )
 
@@ -654,3 +666,67 @@ def reference_ledger_check(n, delta_acc, help_hurt, p, rel_tol=0.05):
         if abs(p_exact - p) / p <= rel_tol:
             return h, u, p_exact
     return None
+
+
+# ---------------------------------------------------------------------------
+# pooled test ledgers from per-example outcome vectors, the reference for
+# the package's rows from paired counts
+# ---------------------------------------------------------------------------
+
+
+def reference_pooled_run(runs) -> EvalRun:
+    """One run over all the runs' examples in order: outcome vectors concatenated, rates weighted by size."""
+    total = sum(len(r.outcomes) for r in runs)
+    weights = [len(r.outcomes) / total for r in runs]
+    return EvalRun(
+        outcomes=np.concatenate([r.outcomes for r in runs]),
+        routed_frac=sum(w * r.routed_frac for w, r in zip(weights, runs)),
+        accepted_frac=sum(w * r.accepted_frac for w, r in zip(weights, runs)),
+        mean_calls=sum(w * r.mean_calls for w, r in zip(weights, runs)),
+    )
+
+
+def reference_ledger_row(name, base, run, seed=0) -> LedgerRow:
+    """A ledger row from two runs' index-aligned outcome vectors, bootstrapping their paired differences."""
+    a, b = base.outcomes.astype(bool), run.outcomes.astype(bool)
+    helps, hurts = int(np.sum(~a & b)), int(np.sum(a & ~b))
+    lo, hi = bootstrap_ci(b.astype(np.float64) - a.astype(np.float64), seed=seed)
+    return LedgerRow(
+        comparison=name,
+        n=len(a),
+        delta_acc=(helps - hurts) / len(a),
+        ci_lo=lo,
+        ci_hi=hi,
+        mcnemar_p=mcnemar_exact(helps, hurts),
+        help_hurt=helps - hurts,
+        delta_calls=run.mean_calls - base.mean_calls,
+        routed_frac=run.routed_frac,
+        accepted_frac=run.accepted_frac,
+    )
+
+
+def reference_pooled_test(spec, manifest, policy, n_seeds):
+    """(pooled rows, rows by seed, pooled runs by name) of protocol.run_pooled_test, every seed's runs kept whole."""
+    test_ids = manifest.selection_record["test_ids"]
+    runs_by_name, per_seed = {}, {}
+    for k in range(n_seeds):
+        world = World(replace(spec, seed=spec.seed + k))
+        apply_recorded_membership(world, manifest)
+        snaps = world.snapshots()
+        runs = {"baseline": evaluate_policy(world, policy, snaps, test_ids, comparator="baseline")}
+        runs["policy"] = evaluate_policy(world, policy, snaps, test_ids)
+        for comparator in COMPARATORS:
+            runs[comparator] = evaluate_policy(world, policy, snaps, test_ids, comparator=comparator)
+        runs["oracle"] = evaluate_oracle(world, snaps, test_ids)
+        per_seed[world.seed] = [
+            reference_ledger_row(f"{name} vs baseline", runs["baseline"], runs[name], seed=world.seed)
+            for name in LEDGER_COMPARISONS
+        ]
+        for name, run in runs.items():
+            runs_by_name.setdefault(name, []).append(run)
+    pooled = {name: reference_pooled_run(runs) for name, runs in runs_by_name.items()}
+    rows = [
+        reference_ledger_row(f"{name} vs baseline", pooled["baseline"], pooled[name], seed=spec.seed)
+        for name in LEDGER_COMPARISONS
+    ]
+    return rows, per_seed, pooled

@@ -541,7 +541,7 @@ def _assert_matches_reference(
         assert run.mean_calls == sum(t.total_calls for t in want) / len(ref_steps)
     batched = {k: b.copy() for k, b in world.banks.items()}
     records = reference_attach_evidence(world, want)
-    run_of_steps = EvalRun(list(ids), None, 0.0, 0.0, 0.0, steps)  # attach_evidence reads only the steps
+    run_of_steps = EvalRun(None, 0.0, 0.0, 0.0, steps)  # attach_evidence reads only the steps
     assert attach_evidence(world, batched, run_of_steps) == len(records)
     totals = _evidence(world.banks)
     for r in records:

@@ -1,5 +1,6 @@
 """Protocol: freeze manifests, stage separation, governance, counterfactuals."""
 
+import json
 import os
 import re
 import weakref
@@ -18,6 +19,7 @@ from conftest import (
     reference_ledger_check,
     reference_manifest_json,
     reference_outcome_table_text,
+    reference_pooled_test,
     reference_trace_lines,
     reference_traces,
     reference_traces_text,
@@ -27,8 +29,10 @@ from gatedmem.bank import MemoryBank
 from gatedmem.controller import BANK_POLICIES, GUARD_NAMES, PolicyConfig
 from gatedmem.errors import FreezeMismatch, ProtocolViolation
 from gatedmem.protocol import (
+    LEDGER_COMPARISONS,
     FreezeManifest,
     LedgerRow,
+    PairedCounts,
     evaluate_policy,
     ledger_check,
     run_counterfactual,
@@ -330,6 +334,23 @@ def test_split_with_negative_id_rejected():
         run_test_stage(world, tampered, policy, snaps)
 
 
+@pytest.mark.parametrize("field", ["fit_ids", "test_ids"])
+@pytest.mark.parametrize("coerce", [lambda i: i + 0.9, str, float, bool], ids=["fraction", "string", "float", "bool"])
+def test_split_ids_must_be_json_integers(field, coerce):
+    # the first id is 1 (fit) or 0 (test); int() of each bad value gives that id back
+    world = generate_world(arith_shape_spec(seed=16, n=100))
+    odd, even = list(range(1, 100, 2)), list(range(0, 100, 2))
+    manifest, policy, snaps = run_fit_stage(world, [PolicyConfig(tau=0.6)], odd, even)
+    raw = json.loads(manifest.to_json())
+    ids = raw["selection_record"][field]
+    bad = ids[0] = coerce(ids[0])
+    assert int(bad) == manifest.selection_record[field][0]
+    tampered = FreezeManifest.from_json(json.dumps(raw))
+    named = f"manifest selection_record.{field} must be a list of JSON integers, got {bad!r}"
+    with pytest.raises(FreezeMismatch, match=re.escape(named)):
+        run_test_stage(world, tampered, policy, snaps)
+
+
 # ---------------------------------------------------------------------------
 # comparators: each is the gated controller under another policy or context
 # ---------------------------------------------------------------------------
@@ -438,6 +459,49 @@ def test_pooled_test_single_seed_matches_plain(tmp_path):
     world, manifest, policy, snaps = fitted_world(seed=41)
     pooled_rows, _ = run_pooled_test(world.spec, manifest, policy, n_seeds=1)
     assert [r.as_csv() for r in pooled_rows] == [r.as_csv() for r in plain_rows]
+
+
+@pytest.mark.parametrize("n_seeds", [1, 3, 5])
+def test_pooled_rows_from_counts_equal_rows_from_outcome_vectors(n_seeds):
+    world, manifest, policy, _ = fitted_world(seed=45, governance_rounds=1)
+    rows, per_seed = run_pooled_test(world.spec, manifest, policy, n_seeds=n_seeds)
+    want, want_per_seed, runs = reference_pooled_test(world.spec, manifest, policy, n_seeds)
+    assert [r.as_csv() for r in rows] == [r.as_csv() for r in want]
+    assert {s: [r.as_csv() for r in rs] for s, rs in per_seed.items()} == {
+        s: [r.as_csv() for r in rs] for s, rs in want_per_seed.items()
+    }
+    # not vacuous: rows whose paired differences lack -1 or +1, which the
+    # bootstrap's np.unique drops, next to rows that have all three values
+    base = runs["baseline"].outcomes
+    helps_hurts = {name: (int((r.outcomes > base).sum()), int((r.outcomes < base).sum())) for name, r in runs.items()}
+    assert helps_hurts["retry"] == (0, 0)
+    assert helps_hurts["oracle"][0] > 0 and helps_hurts["oracle"][1] == 0
+    assert min(helps_hurts["policy"]) > 0
+
+
+def test_pooled_rates_are_size_weighted_sums_in_seed_order():
+    # three seeds of 128 examples routing 0, 1 and 20: sum(n_k / N * x_k) and
+    # sum(x_k * n_k) / N differ in the last bit and in a ledger's sixth decimal
+    parts = [
+        PairedCounts(128, h, u, r / 128, r / 256, 1 + r / 128, 1.0) for h, u, r in ((3, 0, 0), (0, 2, 1), (5, 5, 20))
+    ]
+    pooled = PairedCounts.pool(parts)
+    assert (pooled.n, pooled.helps, pooled.hurts) == (384, 8, 7)
+    assert pooled.routed_frac == 0.05468749999999999 != 21 / 384
+    assert f"{pooled.routed_frac:.6f}" == "0.054687" and f"{21 / 384:.6f}" == "0.054688"
+    assert pooled.mean_calls == sum(128 / 384 * (1 + r / 128) for r in (0, 1, 20))
+    assert pooled.base_mean_calls == 1.0
+    assert PairedCounts.pool(parts[:1]) == parts[0]
+
+
+def test_a_test_seed_hands_back_only_numbers(tmp_path):
+    world, manifest, policy, _ = fitted_world(seed=46)
+    rows, counts = protocol._test_seed(world.spec, manifest, policy, base=True, out_dir=str(tmp_path))
+    assert [r.comparison for r in rows] == [f"{name} vs baseline" for name in LEDGER_COMPARISONS]
+    assert sorted(counts) == sorted(LEDGER_COMPARISONS)
+    for record in rows + list(counts.values()):
+        for f in fields(record):
+            assert type(getattr(record, f.name)) in (int, float, str), (record, f.name)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import reference_ledger_row
 from gatedmem import stats
 from gatedmem.errors import SignalUndefined
+from gatedmem.protocol import EvalRun, PairedCounts, make_ledger_row
 from gatedmem.stats import (
     CalibrationSet,
-    PairedComparison,
     bootstrap_ci,
     calibration_metrics,
     confidence_bins,
@@ -420,18 +421,30 @@ def test_interaction_empty_group_errors():
 # paired comparison consistency
 # ---------------------------------------------------------------------------
 
+def _run(outcomes, routed_frac=0.0):
+    return EvalRun(np.asarray(outcomes, np.float64), routed_frac, routed_frac / 2, 1.0 + routed_frac)
+
+
 def test_paired_comparison_identity():
     rng = np.random.default_rng(11)
     for _ in range(50):
         n = int(rng.integers(2, 200))
         a = rng.integers(0, 2, n).astype(bool)
         b = rng.integers(0, 2, n).astype(bool)
-        comp = PairedComparison(a, b)
+        base, run = _run(a), _run(b, float(rng.random()))
+        counts = PairedCounts.of(base, run)
+        assert (counts.n, counts.helps, counts.hurts) == (n, int(np.sum(~a & b)), int(np.sum(a & ~b)))
         # delta_acc * n is exactly helps - hurts on integer outcome vectors
-        assert comp.delta_acc() * comp.n == pytest.approx(comp.helps() - comp.hurts(), abs=1e-9)
-        assert comp.diffs().sum() == comp.helps() - comp.hurts()
+        assert counts.delta_acc * counts.n == pytest.approx(counts.helps - counts.hurts, abs=1e-9)
+        assert (b.astype(np.float64) - a.astype(np.float64)).sum() == counts.helps - counts.hurts
+        # the row from counts is the row from the paired outcome vectors, byte for byte
+        seed = int(rng.integers(100))
+        want = reference_ledger_row("run vs baseline", base, run, seed=seed)
+        assert make_ledger_row("run vs baseline", counts, seed=seed).as_csv() == want.as_csv()
 
 
 def test_paired_comparison_shape_errors():
-    with pytest.raises(ValueError):
-        PairedComparison(np.array([True]), np.array([True, False]))
+    with pytest.raises(ValueError, match="1-d and equal length"):
+        PairedCounts.of(_run([1.0]), _run([1.0, 0.0]))
+    with pytest.raises(ValueError, match="1-d and equal length"):
+        PairedCounts.of(_run([[1.0]]), _run([[1.0]]))
