@@ -12,7 +12,6 @@ from .protocol import (
     run_counterfactual,
     run_fit_stage,
     run_governance_loop,
-    run_test_stage,
     split_indices,
 )
 from .retrieval import ContentEdit, Query, RetrievalResult, retrieve

@@ -24,7 +24,6 @@ from .controller import PolicyConfig
 from .errors import ProtocolViolation
 from .protocol import (
     FreezeManifest,
-    apply_recorded_membership,
     ledger_check,
     resolve_tau_percentile,
     run_counterfactual,
@@ -110,9 +109,8 @@ def cmd_test(args) -> int:
         return 2
     spec = _load_spec(args)
     manifest = FreezeManifest.load(args.manifest)
-    policy = PolicyConfig.from_flat(manifest.selection_record["policy"])
     os.makedirs(args.out, exist_ok=True)
-    rows, _ = run_pooled_test(spec, manifest, policy, n_seeds=args.pool_seeds, out_dir=args.out)
+    rows, _ = run_pooled_test(spec, manifest, n_seeds=args.pool_seeds, out_dir=args.out)
     for row in rows:
         print(row.as_csv())
     return 0
@@ -127,12 +125,9 @@ def cmd_counterfactual(args) -> int:
         return 2
     world = _load_world(args)
     manifest = FreezeManifest.load(args.manifest)
-    policy = PolicyConfig.from_flat(manifest.selection_record["policy"])
-    apply_recorded_membership(world, manifest)
-    snapshots = world.snapshots()
     edits = load_edits(args.edits)
-    rows, audit = run_counterfactual(world, manifest, policy, snapshots, edits)
-    inert = sorted({e.entry_id for e in edits} - {i for snap in snapshots.values() for i in snap.entry_ids})
+    rows, audit = run_counterfactual(world, manifest, edits)
+    inert = sorted({e.entry_id for e in edits} - {i for bank in world.banks.values() for i in bank.active_columns()[0]})
     if inert:  # never retrieved, so never hit; the run still replays the rest
         print(f"note: {len(inert)} edits name entries the frozen membership retired, "
               f"which no mode retrieves: {', '.join(inert)}", file=sys.stderr)

@@ -3,15 +3,18 @@
 The fit stage grid-searches candidate policies on the fit split, optionally
 runs governance rounds (evaluate, attach evidence, retire), and emits a
 freeze manifest hashing the policy, the frozen bank snapshots, the world,
-and the split. The test stage refuses to run unless every input hashes to
-the manifest, evaluates the frozen policy against the comparator family on
-the disjoint test split, and emits internally consistent ledger rows. The
-counterfactual runner replays content edits in free-rerun and
-fixed-retrieval modes and audits the free = content + drift decomposition
-row by row at zero tolerance. With outcomes in {0, 1} that identity holds
-exactly in floating point whatever the runs return, so it cannot catch a
-wrong replay; the fixed-replay identity audit and the non-hit bitwise audit
-do.
+and the split. The frozen stages, test and counterfactual, take only a
+world and the manifest: frozen_inputs reads the policy, the bank
+membership and the split back from it and cuts the world's banks to that
+membership, and FreezeManifest.validate refuses inputs that hash
+differently. The test stage evaluates the frozen policy against the
+comparator family on the disjoint test split and emits internally
+consistent ledger rows. The counterfactual runner replays content edits in
+free-rerun and fixed-retrieval modes and audits the free = content + drift
+decomposition row by row at zero tolerance. With outcomes in {0, 1} that
+identity holds exactly in floating point whatever the runs return, so it
+cannot catch a wrong replay; the fixed-replay identity audit and the
+non-hit bitwise audit do.
 """
 
 from __future__ import annotations
@@ -510,36 +513,8 @@ def _ledger_rows(counts: dict, seed: int) -> list:
     return [make_ledger_row(f"{name} vs baseline", counts[name], seed=seed) for name in LEDGER_COMPARISONS]
 
 
-def _paired_counts(runs: dict) -> dict:
-    return {name: PairedCounts.of(runs["baseline"], runs[name]) for name in LEDGER_COMPARISONS}
-
-
-def run_test_stage(
-    world: World,
-    manifest: FreezeManifest,
-    policy: PolicyConfig,
-    snapshots: dict,
-) -> tuple[list, dict]:
-    """Frozen paired evaluation on the test split; returns (rows, runs by name)."""
-    manifest.validate(world, policy, snapshots)
-    _, test_ids = _recover_split(manifest.selection_record, world.spec.n_examples)
-    runs = _test_runs(world, policy, snapshots, test_ids)
-    return _ledger_rows(_paired_counts(runs), world.seed), runs
-
-
-def _test_runs(world: World, policy: PolicyConfig, snapshots: dict, test_ids: list) -> dict:
-    """The baseline's and each ledger comparison's run on the test split, by name; the banks go to the test stage."""
-    for bank in world.banks.values():
-        bank.stage = STAGE_TEST
-    runs = {"baseline": evaluate_policy(world, policy, snapshots, test_ids, comparator="baseline")}
-    runs["policy"] = evaluate_policy(world, policy, snapshots, test_ids)
-    for comparator in COMPARATORS:
-        runs[comparator] = evaluate_policy(world, policy, snapshots, test_ids, comparator=comparator)
-    runs["oracle"] = evaluate_oracle(world, snapshots, test_ids)
-    return runs
-
-
-def _recover_split(record: dict, n: int):
+def _recover_split(record: dict, n: int) -> list:
+    """The recorded test ids, once both recorded id lists are checked against each other, n and their digests."""
     for field in ("fit_ids", "test_ids"):
         ids = record[field]
         bad = [i for i in ids if type(i) is not int] if isinstance(ids, list) else [ids]
@@ -556,25 +531,35 @@ def _recover_split(record: dict, n: int):
         raise FreezeMismatch("manifest split indexes past the world size")
     if indices_digest(fit_ids) != record["fit_digest"] or indices_digest(test_ids) != record["test_digest"]:
         raise FreezeMismatch("manifest split digests do not match the recorded indices")
-    return fit_ids, test_ids
+    return test_ids
 
 
-def apply_recorded_membership(world: World, manifest: FreezeManifest) -> None:
-    """Retire whatever the manifest's recorded active id lists exclude.
+def frozen_inputs(world: World, manifest: FreezeManifest) -> tuple[PolicyConfig, dict, list]:
+    """(policy, snapshots, test_ids) that the manifest freezes, for this world.
 
-    Entry ids are deterministic across worlds of the same shape, so a
-    governed manifest's pruned membership transfers to sibling-seed worlds.
+    Parses the recorded policy, retires whatever the recorded active id
+    lists exclude, snapshots the banks and recovers the test split. Entry
+    ids are deterministic across worlds of the same shape, so a governed
+    manifest's pruned membership transfers to sibling-seed worlds. The
+    recorded bank kinds must be the world's; the hashes are for
+    FreezeManifest.validate to check.
     """
-    recorded = manifest.selection_record["active_ids"]
+    record = manifest.selection_record
+    policy = PolicyConfig.from_flat(record["policy"])
+    recorded = record["active_ids"]
+    if sorted(recorded) != sorted(world.banks):
+        raise FreezeMismatch(
+            f"manifest selection_record.active_ids names bank kinds {sorted(recorded)}, "
+            f"the world has {sorted(world.banks)}"
+        )
     for kind, bank in world.banks.items():
-        if kind in recorded:
-            bank.retain(recorded[kind])
+        bank.retain(recorded[kind])
+    return policy, world.snapshots(), _recover_split(record, world.spec.n_examples)
 
 
 def run_pooled_test(
     spec: WorldSpec,
     manifest: FreezeManifest,
-    policy: PolicyConfig,
     n_seeds: int = 3,
     out_dir: str | None = None,
 ) -> tuple[list, dict]:
@@ -595,9 +580,8 @@ def run_pooled_test(
     per_seed_rows = {}
     counts_by_name: dict[str, list] = {}
     for k in range(n_seeds):
-        seed_spec = replace(spec, seed=spec.seed + k)
-        rows, counts = _test_seed(seed_spec, manifest, policy, base=k == 0, out_dir=out_dir)
-        per_seed_rows[seed_spec.seed] = rows
+        rows, counts = _test_seed(World(replace(spec, seed=spec.seed + k)), manifest, base=k == 0, out_dir=out_dir)
+        per_seed_rows[spec.seed + k] = rows
         for name, c in counts.items():
             counts_by_name.setdefault(name, []).append(c)
 
@@ -609,25 +593,32 @@ def run_pooled_test(
     return pooled_rows, per_seed_rows
 
 
-def _test_seed(
-    spec: WorldSpec, manifest: FreezeManifest, policy: PolicyConfig, base: bool, out_dir: str | None
-) -> tuple[list, dict]:
-    """One seed's ledger rows and each comparison's PairedCounts, by name.
+def _test_seed(world: World, manifest: FreezeManifest, base: bool, out_dir: str | None) -> tuple[list, dict]:
+    """One seed's ledger rows and each comparison's PairedCounts against the baseline, by name.
 
     The base world is checked against the manifest and, given out_dir,
-    writes traces.jsonl and conf_bins.csv. The world goes when this returns.
+    writes traces.jsonl and conf_bins.csv from the policy's run. The banks
+    go to the test stage. Each comparison's run is reduced to its counts
+    before the next one runs, so only the baseline's outcomes outlive them.
     """
-    world = World(spec)
-    apply_recorded_membership(world, manifest)
-    snapshots = world.snapshots()
+    policy, snapshots, test_ids = frozen_inputs(world, manifest)
     if base:
         manifest.validate(world, policy, snapshots)
-    _, test_ids = _recover_split(manifest.selection_record, spec.n_examples)
-    runs = _test_runs(world, policy, snapshots, test_ids)
-    if base and out_dir is not None:
-        write_traces(runs["policy"].steps, os.path.join(out_dir, "traces.jsonl"))
-        write_conf_bins(world, test_ids, runs, os.path.join(out_dir, "conf_bins.csv"), policy.confidence_signal)
-    counts = _paired_counts(runs)
+    for bank in world.banks.values():
+        bank.stage = STAGE_TEST
+    baseline = replace(evaluate_policy(world, policy, snapshots, test_ids, comparator="baseline"), steps=None)
+    counts = {}
+    for name in LEDGER_COMPARISONS:
+        if name == "oracle":
+            run = evaluate_oracle(world, snapshots, test_ids)
+        else:
+            run = evaluate_policy(world, policy, snapshots, test_ids, comparator=None if name == "policy" else name)
+        counts[name] = PairedCounts.of(baseline, run)
+        if name == "policy" and base and out_dir is not None:
+            write_traces(run.steps, os.path.join(out_dir, "traces.jsonl"))
+            conf_bins = os.path.join(out_dir, "conf_bins.csv")
+            write_conf_bins(world, test_ids, baseline, run, conf_bins, policy.confidence_signal)
+        del run  # its step table goes before the next comparison's is built
     return _ledger_rows(counts, world.seed), counts
 
 
@@ -769,7 +760,9 @@ def write_outcome_table(table: OutcomeTable, path: str) -> None:
         fh.write("]\n")
 
 
-def write_conf_bins(world: World, test_ids: list, runs: dict, path: str, signal: str, n_bins: int = 10) -> None:
+def write_conf_bins(
+    world: World, test_ids: list, baseline: EvalRun, policy: EvalRun, path: str, signal: str, n_bins: int = 10
+) -> None:
     """Plot-ready binned accuracy: baseline vs gated policy by baseline confidence, runs on test_ids."""
     conf = world.baseline_pass(test_ids, signal)[1]
     bins = confidence_bins(conf, n_bins)
@@ -781,8 +774,8 @@ def write_conf_bins(world: World, test_ids: list, runs: dict, path: str, signal:
             if cnt == 0:
                 fh.write(f"{b/n_bins:.2f},{(b+1)/n_bins:.2f},0,,\n")
                 continue
-            acc_a = runs["baseline"].outcomes[mask].mean()
-            acc_b = runs["policy"].outcomes[mask].mean()
+            acc_a = baseline.outcomes[mask].mean()
+            acc_b = policy.outcomes[mask].mean()
             fh.write(f"{b/n_bins:.2f},{(b+1)/n_bins:.2f},{cnt},{acc_a:.6f},{acc_b:.6f}\n")
 
 
@@ -815,8 +808,6 @@ class CounterfactualRows:
 def run_counterfactual(
     world: World,
     manifest: FreezeManifest,
-    policy: PolicyConfig,
-    snapshots: dict,
     edits: list,
     n_permutations: int = 10000,
     seed: int = 0,
@@ -825,10 +816,11 @@ def run_counterfactual(
 
     Per routed row, free contrast = within-identity content term + retrieval
     drift term, exactly; in fixed mode the drift term is identically zero and
-    non-hit rows are bitwise identical across repair/corrupt.
+    non-hit rows are bitwise identical across repair/corrupt. The world's
+    banks are cut to the manifest's recorded membership.
     """
+    policy, snapshots, test_ids = frozen_inputs(world, manifest)
     manifest.validate(world, policy, snapshots)
-    _, test_ids = _recover_split(manifest.selection_record, world.spec.n_examples)
     edited_ids = tuple(sorted({e.entry_id for e in edits}))
     for eid in edited_ids:
         kind = world.entry_bank(eid)

@@ -21,13 +21,12 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from gatedmem.bank import BANK_KINDS
-from gatedmem.controller import DEFAULT_CONTEXT, GUARD_NAMES, SecondPassContext, compose_bank_policy
+from gatedmem.controller import DEFAULT_CONTEXT, GUARD_NAMES, PolicyConfig, SecondPassContext, compose_bank_policy
 from gatedmem.protocol import (
     COMPARATORS,
     LEDGER_COMPARISONS,
     EvalRun,
     LedgerRow,
-    apply_recorded_membership,
     evaluate_oracle,
     evaluate_policy,
 )
@@ -108,6 +107,12 @@ def save_edits(edits, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for e in edits:
             fh.write(json.dumps(asdict(e), sort_keys=True) + "\n")
+
+
+def tampered_policy(manifest, **changes):
+    """The manifest with its recorded policy retuned after the freeze, its policy hash left as it was."""
+    policy = replace(PolicyConfig.from_flat(manifest.selection_record["policy"]), **changes)
+    return replace(manifest, selection_record=dict(manifest.selection_record, policy=policy.to_flat()))
 
 
 def utility(world, idx, action) -> float:
@@ -711,7 +716,8 @@ def reference_pooled_test(spec, manifest, policy, n_seeds):
     runs_by_name, per_seed = {}, {}
     for k in range(n_seeds):
         world = World(replace(spec, seed=spec.seed + k))
-        apply_recorded_membership(world, manifest)
+        for kind, bank in world.banks.items():
+            bank.retain(manifest.selection_record["active_ids"][kind])
         snaps = world.snapshots()
         runs = {"baseline": evaluate_policy(world, policy, snaps, test_ids, comparator="baseline")}
         runs["policy"] = evaluate_policy(world, policy, snaps, test_ids)

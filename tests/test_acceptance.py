@@ -21,10 +21,12 @@ from conftest import (
     localization_shape_spec,
     oracle_policy,
     reference_oracle_steps,
+    tampered_policy,
     utility,
 )
 from gatedmem.bank import MemoryBank, hoeffding_ucb
 from gatedmem.controller import PolicyConfig
+from gatedmem import protocol
 from gatedmem.errors import FreezeMismatch, ProtocolViolation
 from gatedmem.protocol import (
     evaluate_oracle,
@@ -32,7 +34,6 @@ from gatedmem.protocol import (
     ledger_check,
     run_counterfactual,
     run_fit_stage,
-    run_test_stage,
     split_indices,
 )
 from gatedmem.stats import (
@@ -97,15 +98,13 @@ def counterfactual_suite(n_worlds=20):
         world = generate_world(spec)
         fit_ids, test_ids = split_indices(400, 0.25, 0)
         grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
-        manifest, policy, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
+        manifest, _, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
         edited = [
             e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads)
             if p.endswith("topic 0")
         ][:4]
         edits = default_edits(edited, "repair")
-        rows, audit = run_counterfactual(
-            world, manifest, policy, snaps, edits, n_permutations=2000, seed=seed
-        )
+        rows, audit = run_counterfactual(world, manifest, edits, n_permutations=2000, seed=seed)
         results.append((rows, audit))
     elapsed = time.time() - started
     _CF_CACHE[n_worlds] = (results, elapsed)
@@ -225,8 +224,8 @@ def test_criterion_05_retry_flat():
         world = generate_world(arith_shape_spec(seed=4000 + seed, n=400))
         fit_ids, test_ids = split_indices(400, 0.5, 0)
         grid = [PolicyConfig(tau=0.6, margin_m=0.05, bank_policy="choose", primary_bank="rule")]
-        manifest, policy, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
-        rows, _ = run_test_stage(world, manifest, policy, snaps)
+        manifest, _, _ = run_fit_stage(world, grid, fit_ids, test_ids)
+        rows, _ = protocol._test_seed(world, manifest, base=True, out_dir=None)
         retries.append(next(r for r in rows if r.comparison == "retry vs baseline"))
     margin("max |retry dacc|", max(abs(r.delta_acc) for r in retries), "<=", 0.0)
     margin("min retry p", min(r.mcnemar_p for r in retries), ">=", 1.0)
@@ -446,10 +445,10 @@ def test_criterion_09_control_contracts():
     # freeze / stage separation: tampering and fit-ops during test hard-fail
     world = generate_world(arith_shape_spec(seed=9999, n=200))
     fit_ids, test_ids = split_indices(200, 0.5, 0)
-    manifest, policy, snaps = run_fit_stage(world, [PolicyConfig(tau=0.6)], fit_ids, test_ids)
+    manifest, _, _ = run_fit_stage(world, [PolicyConfig(tau=0.6)], fit_ids, test_ids)
     with pytest.raises(FreezeMismatch):
-        run_test_stage(world, manifest, replace(policy, tau=0.9), snaps)
-    run_test_stage(world, manifest, policy, snaps)
+        protocol._test_seed(world, tampered_policy(manifest, tau=0.9), base=True, out_dir=None)
+    protocol._test_seed(world, manifest, base=True, out_dir=None)
     with pytest.raises(ProtocolViolation):
         world.banks["rule"].append_evidence("R000", [1.0])
     with pytest.raises(ProtocolViolation):
@@ -467,13 +466,13 @@ def test_criterion_10_localization_shape():
         world = generate_world(spec)
         fit_ids, test_ids = split_indices(1000, 0.2, 0)  # 800 test rows, all routed
         grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
-        manifest, policy, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
+        manifest, _, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
         edited = [
             e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads)
             if p.endswith("topic 0")
         ][:4]
         edits = default_edits(edited, "repair")
-        rows, audit = run_counterfactual(world, manifest, policy, snaps, edits, seed=seed)
+        rows, audit = run_counterfactual(world, manifest, edits, seed=seed)
         hit_counts.append(audit["n_hit"])
         assert audit["n_rows"] == 800
         assert audit["non_hit_dacc_fixed"] == 0.0  # exactly zero off the hit set

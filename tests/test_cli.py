@@ -360,10 +360,19 @@ def fitted(tmp_path, world_config, grid_config):
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], active_ids=5)), "selection_record.active_ids"),
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], active_ids={"rule": 5, "exemplar": []})), "selection_record.active_ids.rule"),
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], active_ids={"rule": [], "exemplar": [7]})), "selection_record.active_ids.exemplar"),
+        (
+            lambda raw: dict(raw, selection_record=dict(raw["selection_record"], active_ids=dict(raw["selection_record"]["active_ids"], bogus=[]))),
+            "selection_record.active_ids names bank kinds ['bogus', 'exemplar', 'rule'], the world has ['exemplar', 'rule']",
+        ),
+        (
+            lambda raw: dict(raw, selection_record=dict(raw["selection_record"], active_ids={"rule": raw["selection_record"]["active_ids"]["rule"]})),
+            "selection_record.active_ids names bank kinds ['rule'], the world has ['exemplar', 'rule']",
+        ),
     ],
     ids=[
         "not-object", "missing-field", "extra-field", "wrong-type", "split-not-list", "split-not-ids",
         "policy-not-object", "active-ids-not-object", "active-ids-not-list", "active-ids-not-strings",
+        "active-ids-extra-kind", "active-ids-missing-kind",
     ],
 )
 def test_malformed_manifest_names_the_field(tmp_path, world_config, fitted, capsys, tamper, named):

@@ -23,6 +23,7 @@ from conftest import (
     reference_trace_lines,
     reference_traces,
     reference_traces_text,
+    tampered_policy,
 )
 from gatedmem import protocol
 from gatedmem.bank import MemoryBank
@@ -39,7 +40,6 @@ from gatedmem.protocol import (
     run_fit_stage,
     run_governance_loop,
     run_pooled_test,
-    run_test_stage,
     split_indices,
     write_counterfactual_rows,
     write_outcome_table,
@@ -59,6 +59,11 @@ def fitted_world(seed=0, n=400, grid=None, governance_rounds=0, spec=None):
         world, grid, fit_ids, test_ids, governance_rounds=governance_rounds
     )
     return world, manifest, policy, snaps
+
+
+def base_seed(world, manifest):
+    """The test stage's base-seed pass on this world: (ledger rows, PairedCounts by name)."""
+    return protocol._test_seed(world, manifest, base=True, out_dir=None)
 
 
 # ---------------------------------------------------------------------------
@@ -179,43 +184,58 @@ def test_malformed_manifest_is_a_freeze_mismatch(text):
 
 
 def test_tampered_tau_hash_mismatch():
-    world, manifest, policy, snaps = fitted_world(seed=7)
-    tampered = replace(policy, tau=policy.tau + 0.05)
-    with pytest.raises(FreezeMismatch):
-        run_test_stage(world, manifest, tampered, snaps)
+    world, manifest, policy, _ = fitted_world(seed=7)
+    with pytest.raises(FreezeMismatch, match="policy config hash"):
+        base_seed(world, tampered_policy(manifest, tau=policy.tau + 0.05))
 
 
 def test_tampered_bank_hash_mismatch():
     world, manifest, policy, snaps = fitted_world(seed=8)
     bank = world.banks["rule"]
     bank.payloads = tuple("tampered" if e == "R000" else p for e, p in zip(bank.entry_ids, bank.payloads))
-    with pytest.raises(FreezeMismatch):
-        run_test_stage(world, manifest, policy, world.snapshots())
+    with pytest.raises(FreezeMismatch, match="rule bank content hash"):
+        base_seed(world, manifest)
 
 
 def test_bank_kind_set_mismatch():
-    world, manifest, policy, snaps = fitted_world(seed=8)
-    assert set(snaps) == {"rule", "exemplar"}
+    world, manifest, _, snaps = fitted_world(seed=8)
+    hashes = manifest.bank_hashes
+    assert set(snaps) == set(hashes) == {"rule", "exemplar"}
     cases = [
-        ({"rule": snaps["rule"]}, "missing ['exemplar'], extra []"),
-        ({}, "missing ['exemplar', 'rule'], extra []"),
-        ({**snaps, "extra": snaps["rule"]}, "missing [], extra ['extra']"),
+        ({"rule": hashes["rule"]}, "missing [], extra ['exemplar']"),
+        ({}, "missing [], extra ['exemplar', 'rule']"),
+        ({**hashes, "extra": hashes["rule"]}, "missing ['extra'], extra []"),
     ]
-    for partial, named in cases:
-        with pytest.raises(FreezeMismatch, match=re.escape(named)):
-            manifest.validate(world, policy, partial)
+    for bank_hashes, named in cases:
+        with pytest.raises(FreezeMismatch, match=re.escape(f"bank kinds do not match the freeze manifest: {named}")):
+            base_seed(world, replace(manifest, bank_hashes=bank_hashes))
+
+
+@pytest.mark.parametrize(
+    "kinds, named",
+    [(["rule", "exemplar", "bogus"], "['bogus', 'exemplar', 'rule']"), (["rule"], "['rule']")],
+    ids=["extra-kind", "missing-kind"],
+)
+def test_counterfactual_recorded_bank_kinds_must_be_the_worlds(kinds, named):
+    # test_cli's malformed-manifest cases check the same rule through `test`
+    world, manifest, _, snaps = fitted_world(seed=8)
+    active = {kind: list(snaps[kind].entry_ids) if kind in snaps else [] for kind in kinds}
+    tampered = replace(manifest, selection_record=dict(manifest.selection_record, active_ids=active))
+    message = f"manifest selection_record.active_ids names bank kinds {named}, the world has ['exemplar', 'rule']"
+    with pytest.raises(FreezeMismatch, match=re.escape(message)):
+        run_counterfactual(world, tampered, default_edits(["E000"], "repair"))
 
 
 def test_wrong_world_hash_mismatch():
     world, manifest, policy, snaps = fitted_world(seed=9)
     other = generate_world(replace(world.spec, seed=10))
-    with pytest.raises(FreezeMismatch):
-        run_test_stage(other, manifest, policy, other.snapshots())
+    with pytest.raises(FreezeMismatch, match="world hash"):
+        base_seed(other, manifest)
 
 
 def test_test_stage_blocks_fit_operations():
-    world, manifest, policy, snaps = fitted_world(seed=11)
-    run_test_stage(world, manifest, policy, snaps)
+    world, manifest, policy, _ = fitted_world(seed=11)
+    base_seed(world, manifest)
     with pytest.raises(ProtocolViolation):
         world.banks["rule"].append_evidence("R000", [1.0])
     with pytest.raises(ProtocolViolation):
@@ -225,8 +245,8 @@ def test_test_stage_blocks_fit_operations():
 
 
 def test_retry_row_flat_in_deterministic_world():
-    world, manifest, policy, snaps = fitted_world(seed=12)
-    rows, _ = run_test_stage(world, manifest, policy, snaps)
+    world, manifest, _, _ = fitted_world(seed=12)
+    rows, _ = base_seed(world, manifest)
     retry = next(r for r in rows if r.comparison.startswith("retry"))
     assert retry.delta_acc == 0.0
     assert retry.mcnemar_p == 1.0
@@ -235,12 +255,12 @@ def test_retry_row_flat_in_deterministic_world():
 
 
 def test_ledger_rows_internally_consistent():
-    world, manifest, policy, snaps = fitted_world(seed=13)
-    rows, runs = run_test_stage(world, manifest, policy, snaps)
+    world, manifest, _, _ = fitted_world(seed=13)
+    rows, counts = base_seed(world, manifest)
     for row in rows:
         row.check_consistency()
     # compute matching: retry call count equals the gated policy's
-    assert runs["retry"].mean_calls == runs["policy"].mean_calls
+    assert counts["retry"].mean_calls == counts["policy"].mean_calls
 
 
 def test_inconsistent_ledger_row_is_a_protocol_violation():
@@ -256,8 +276,8 @@ def test_fit_test_byte_identical_ledgers(tmp_path):
     out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
     for out in (out1, out2):
         os.makedirs(out)
-        world, manifest, policy, _ = fitted_world(seed=14)
-        run_pooled_test(world.spec, manifest, policy, n_seeds=1, out_dir=out)
+        world, manifest, _, _ = fitted_world(seed=14)
+        run_pooled_test(world.spec, manifest, n_seeds=1, out_dir=out)
     for name in ("ledger.csv", "traces.jsonl", "conf_bins.csv"):
         with open(os.path.join(out1, name), "rb") as f1, open(os.path.join(out2, name), "rb") as f2:
             assert f1.read() == f2.read(), name
@@ -265,8 +285,8 @@ def test_fit_test_byte_identical_ledgers(tmp_path):
 
 def test_output_files_written(tmp_path):
     out = str(tmp_path)
-    world, manifest, policy, _ = fitted_world(seed=15)
-    run_pooled_test(world.spec, manifest, policy, n_seeds=1, out_dir=out)
+    world, manifest, _, _ = fitted_world(seed=15)
+    run_pooled_test(world.spec, manifest, n_seeds=1, out_dir=out)
     assert os.path.exists(os.path.join(out, "ledger.csv"))
     assert os.path.exists(os.path.join(out, "traces.jsonl"))
     assert os.path.exists(os.path.join(out, "conf_bins.csv"))
@@ -276,13 +296,9 @@ def test_output_files_written(tmp_path):
 
 
 def test_pooled_test_concatenates_seeds(tmp_path):
-    world, manifest, policy, snaps = fitted_world(seed=40)
-    single_rows, _ = run_test_stage(world, manifest, policy, snaps)
-    # rebuild the world: run_test_stage flipped its banks to the test stage
-    world, manifest, policy, snaps = fitted_world(seed=40)
-    pooled_rows, per_seed = run_pooled_test(
-        world.spec, manifest, policy, n_seeds=3, out_dir=str(tmp_path)
-    )
+    world, manifest, _, _ = fitted_world(seed=40)
+    single_rows, _ = base_seed(world, manifest)
+    pooled_rows, per_seed = run_pooled_test(world.spec, manifest, n_seeds=3, out_dir=str(tmp_path))
     assert len(per_seed) == 3
     single = {r.comparison: r for r in single_rows}
     for row in pooled_rows:
@@ -297,7 +313,7 @@ def test_pooled_test_concatenates_seeds(tmp_path):
 
 
 def test_pooled_test_holds_one_world_at_a_time(monkeypatch, tmp_path):
-    world, manifest, policy, _ = fitted_world(seed=42, governance_rounds=1)
+    world, manifest, _, _ = fitted_world(seed=42, governance_rounds=1)
     spec = world.spec
     del world
     built = []
@@ -309,9 +325,42 @@ def test_pooled_test_holds_one_world_at_a_time(monkeypatch, tmp_path):
         return world
 
     monkeypatch.setattr(protocol, "World", build)
-    rows, per_seed = run_pooled_test(spec, manifest, policy, n_seeds=3, out_dir=str(tmp_path))
+    rows, per_seed = run_pooled_test(spec, manifest, n_seeds=3, out_dir=str(tmp_path))
     assert len(built) == 3 and [ref() for ref in built] == [None] * 3
     assert sorted(per_seed) == [42, 43, 44] and (tmp_path / "traces.jsonl").exists()
+
+
+def test_a_test_seed_holds_one_step_table_at_a_time(monkeypatch, tmp_path):
+    # each comparison's run is reduced to its counts before the next one runs; on
+    # the base seed the policy's table lives until conf_bins.csv is written
+    world, manifest, _, _ = fitted_world(seed=47)
+    evaluate_policy, evaluate_oracle = protocol.evaluate_policy, protocol.evaluate_oracle
+    write_conf_bins = protocol.write_conf_bins
+    tables, alive_at_conf_bins = [], []
+
+    def alive():
+        return [ref() is not None for ref in tables]
+
+    def tracked(*args, **kwargs):
+        assert not any(alive()), f"an earlier run's step table is still alive: {alive()}"
+        run = evaluate_policy(*args, **kwargs)
+        tables.append(weakref.ref(run.steps))
+        return run
+
+    def oracle(*args, **kwargs):
+        assert not any(alive()), f"an earlier run's step table is still alive: {alive()}"
+        return evaluate_oracle(*args, **kwargs)
+
+    def conf_bins(*args, **kwargs):
+        alive_at_conf_bins.append(alive())
+        write_conf_bins(*args, **kwargs)
+
+    monkeypatch.setattr(protocol, "evaluate_policy", tracked)
+    monkeypatch.setattr(protocol, "evaluate_oracle", oracle)
+    monkeypatch.setattr(protocol, "write_conf_bins", conf_bins)
+    run_pooled_test(world.spec, manifest, n_seeds=2, out_dir=str(tmp_path))
+    assert len(tables) == 2 * 5 and not any(alive())  # per seed: baseline, policy and three comparators
+    assert alive_at_conf_bins == [[False, True]]  # the baseline's table went at once, the policy's is being read
 
 
 def _tampered_split(manifest, test_ids):
@@ -320,18 +369,18 @@ def _tampered_split(manifest, test_ids):
 
 
 def test_split_with_duplicate_ids_rejected():
-    world, manifest, policy, snaps = fitted_world(seed=16, n=100)
+    world, manifest, _, _ = fitted_world(seed=16, n=100)
     test_ids = manifest.selection_record["test_ids"]
     tampered = _tampered_split(manifest, test_ids + test_ids[:20])
     with pytest.raises(FreezeMismatch, match="duplicate"):
-        run_test_stage(world, tampered, policy, snaps)
+        base_seed(world, tampered)
 
 
 def test_split_with_negative_id_rejected():
-    world, manifest, policy, snaps = fitted_world(seed=16, n=100)
+    world, manifest, _, _ = fitted_world(seed=16, n=100)
     tampered = _tampered_split(manifest, [-1] + manifest.selection_record["test_ids"][1:])
     with pytest.raises(FreezeMismatch, match="negative"):
-        run_test_stage(world, tampered, policy, snaps)
+        base_seed(world, tampered)
 
 
 @pytest.mark.parametrize("field", ["fit_ids", "test_ids"])
@@ -340,7 +389,7 @@ def test_split_ids_must_be_json_integers(field, coerce):
     # the first id is 1 (fit) or 0 (test); int() of each bad value gives that id back
     world = generate_world(arith_shape_spec(seed=16, n=100))
     odd, even = list(range(1, 100, 2)), list(range(0, 100, 2))
-    manifest, policy, snaps = run_fit_stage(world, [PolicyConfig(tau=0.6)], odd, even)
+    manifest, _, _ = run_fit_stage(world, [PolicyConfig(tau=0.6)], odd, even)
     raw = json.loads(manifest.to_json())
     ids = raw["selection_record"][field]
     bad = ids[0] = coerce(ids[0])
@@ -348,7 +397,7 @@ def test_split_ids_must_be_json_integers(field, coerce):
     tampered = FreezeManifest.from_json(json.dumps(raw))
     named = f"manifest selection_record.{field} must be a list of JSON integers, got {bad!r}"
     with pytest.raises(FreezeMismatch, match=re.escape(named)):
-        run_test_stage(world, tampered, policy, snaps)
+        base_seed(world, tampered)
 
 
 # ---------------------------------------------------------------------------
@@ -454,17 +503,16 @@ def test_traces_jsonl_matches_reference_on_multi_step_episodes(tmp_path, seed, p
 
 
 def test_pooled_test_single_seed_matches_plain(tmp_path):
-    world, manifest, policy, snaps = fitted_world(seed=41)
-    plain_rows, _ = run_test_stage(world, manifest, policy, snaps)
-    world, manifest, policy, snaps = fitted_world(seed=41)
-    pooled_rows, _ = run_pooled_test(world.spec, manifest, policy, n_seeds=1)
+    world, manifest, _, _ = fitted_world(seed=41)
+    plain_rows, _ = base_seed(world, manifest)
+    pooled_rows, _ = run_pooled_test(world.spec, manifest, n_seeds=1)
     assert [r.as_csv() for r in pooled_rows] == [r.as_csv() for r in plain_rows]
 
 
 @pytest.mark.parametrize("n_seeds", [1, 3, 5])
 def test_pooled_rows_from_counts_equal_rows_from_outcome_vectors(n_seeds):
     world, manifest, policy, _ = fitted_world(seed=45, governance_rounds=1)
-    rows, per_seed = run_pooled_test(world.spec, manifest, policy, n_seeds=n_seeds)
+    rows, per_seed = run_pooled_test(world.spec, manifest, n_seeds=n_seeds)
     want, want_per_seed, runs = reference_pooled_test(world.spec, manifest, policy, n_seeds)
     assert [r.as_csv() for r in rows] == [r.as_csv() for r in want]
     assert {s: [r.as_csv() for r in rs] for s, rs in per_seed.items()} == {
@@ -495,8 +543,8 @@ def test_pooled_rates_are_size_weighted_sums_in_seed_order():
 
 
 def test_a_test_seed_hands_back_only_numbers(tmp_path):
-    world, manifest, policy, _ = fitted_world(seed=46)
-    rows, counts = protocol._test_seed(world.spec, manifest, policy, base=True, out_dir=str(tmp_path))
+    world, manifest, _, _ = fitted_world(seed=46)
+    rows, counts = protocol._test_seed(world, manifest, base=True, out_dir=str(tmp_path))
     assert [r.comparison for r in rows] == [f"{name} vs baseline" for name in LEDGER_COMPARISONS]
     assert sorted(counts) == sorted(LEDGER_COMPARISONS)
     for record in rows + list(counts.values()):
@@ -588,15 +636,15 @@ def make_counterfactual_setup(seed=0):
     fit_ids, test_ids = split_indices(n, 0.2, 0)
     tau_all = 2.0  # route everything; budget-free single-step episodes
     grid = [PolicyConfig(tau=tau_all, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
-    manifest, policy, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
+    manifest, _, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
     edited = [e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads) if p.endswith("topic 0")][:4]
     edits = default_edits(edited, "repair")
-    return world, manifest, policy, snaps, edits
+    return world, manifest, edits
 
 
 def test_counterfactual_decomposition_and_fixed_mode():
-    world, manifest, policy, snaps, edits = make_counterfactual_setup(seed=18)
-    rows, audit = run_counterfactual(world, manifest, policy, snaps, edits, seed=18)
+    world, manifest, edits = make_counterfactual_setup(seed=18)
+    rows, audit = run_counterfactual(world, manifest, edits, seed=18)
     assert audit["decomposition_max_abs_error"] == 0.0
     assert audit["non_hit_dacc_fixed"] == 0.0
     non_hit = ~rows.target_hit
@@ -605,8 +653,8 @@ def test_counterfactual_decomposition_and_fixed_mode():
 
 
 def test_counterfactual_free_mode_has_drift():
-    world, manifest, policy, snaps, edits = make_counterfactual_setup(seed=19)
-    rows, _ = run_counterfactual(world, manifest, policy, snaps, edits, seed=19)
+    world, manifest, edits = make_counterfactual_setup(seed=19)
+    rows, _ = run_counterfactual(world, manifest, edits, seed=19)
     drift = np.abs(rows.outcome_repair_free - rows.outcome_repair_fixed)
     assert drift.sum() > 0  # retrieval drift makes free != fixed somewhere
 
@@ -614,7 +662,7 @@ def test_counterfactual_free_mode_has_drift():
 @pytest.mark.parametrize("hit", [False, True])
 def test_counterfactual_audits_non_hit_rows_only(monkeypatch, hit):
     # the corrupt fixed replay reports another second-pass confidence on one routed row
-    world, manifest, policy, snaps, edits = make_counterfactual_setup(seed=18)
+    world, manifest, edits = make_counterfactual_setup(seed=18)
     run_steps = protocol.run_steps
     nudged = []
 
@@ -632,28 +680,26 @@ def test_counterfactual_audits_non_hit_rows_only(monkeypatch, hit):
 
     monkeypatch.setattr(protocol, "run_steps", nudge)
     if hit:  # a hit row may differ across repair/corrupt
-        assert run_counterfactual(world, manifest, policy, snaps, edits, seed=18)[1]["n_hit"] > 0
+        assert run_counterfactual(world, manifest, edits, seed=18)[1]["n_hit"] > 0
     else:
         with pytest.raises(ProtocolViolation) as raised:
-            run_counterfactual(world, manifest, policy, snaps, edits, seed=18)
+            run_counterfactual(world, manifest, edits, seed=18)
         assert str(raised.value) == f"non-hit row {nudged[0]} differs across repair/corrupt under fixed retrieval"
     assert len(nudged) == 1
 
 
 def test_counterfactual_unknown_edit_rejected():
-    world, manifest, policy, snaps, _ = make_counterfactual_setup(seed=20)
+    world, manifest, _ = make_counterfactual_setup(seed=20)
     from gatedmem.retrieval import ContentEdit
 
     with pytest.raises(ValueError, match="unknown entry 'E999'"):
-        run_counterfactual(
-            world, manifest, policy, snaps, [ContentEdit("E999", "x", "repair")]
-        )
+        run_counterfactual(world, manifest, [ContentEdit("E999", "x", "repair")])
 
 
 def test_counterfactual_requires_valid_manifest():
-    world, manifest, policy, snaps, edits = make_counterfactual_setup(seed=21)
-    with pytest.raises(FreezeMismatch):
-        run_counterfactual(world, manifest, replace(policy, tau=0.1), snaps, edits)
+    world, manifest, edits = make_counterfactual_setup(seed=21)
+    with pytest.raises(FreezeMismatch, match="policy config hash"):
+        run_counterfactual(world, tampered_policy(manifest, tau=0.1), edits)
 
 
 # ---------------------------------------------------------------------------
@@ -805,8 +851,8 @@ def test_traces_bytes_match_reference(tmp_path, monkeypatch, steps_per_episode, 
 
 
 def test_counterfactual_rows_bytes_match_reference(tmp_path, monkeypatch):
-    world, manifest, policy, snaps, edits = make_counterfactual_setup(seed=18)
-    rows, _ = run_counterfactual(world, manifest, policy, snaps, edits, seed=18)
+    world, manifest, edits = make_counterfactual_setup(seed=18)
+    rows, _ = run_counterfactual(world, manifest, edits, seed=18)
     # one more row with an empty identity and outcomes at the rounding edges
     width = rows.columns.shape[1]
     rows = replace(
@@ -843,7 +889,7 @@ def _counterfactual_world(kind):
 @pytest.mark.parametrize("kind", BANK_POLICIES)
 def test_counterfactual_matches_per_step_reference(tmp_path, kind):
     world, manifest, policy, snaps, test_ids, edits = _counterfactual_world(kind)
-    rows, audit = run_counterfactual(world, manifest, policy, snaps, edits, n_permutations=500, seed=3)
+    rows, audit = run_counterfactual(world, manifest, edits, n_permutations=500, seed=3)
     path = tmp_path / "counterfactual_rows.jsonl"
     write_counterfactual_rows(rows, str(path))
     assert (path.read_text(), audit) == reference_counterfactual(
@@ -901,12 +947,13 @@ def test_governance_releases_tables_no_later_round_reads(monkeypatch):
 
 
 def test_counterfactual_releases_drifted_tables(monkeypatch):
-    world, manifest, policy, snaps, edits = make_counterfactual_setup(seed=18)
-    rows, audit = run_counterfactual(world, manifest, policy, snaps, edits, seed=18)
+    world, manifest, edits = make_counterfactual_setup(seed=18)
+    rows, audit = run_counterfactual(world, manifest, edits, seed=18)
     kept = {k: t[0] for k, t in world._tables.items()}
     assert set(kept) <= {"rule", "exemplar"}  # one table per kind, whatever was read
-    assert kept["exemplar"] != snaps["exemplar"].content_hash  # the free reruns' drifted table replaced it
+    assert kept["exemplar"] != manifest.bank_hashes["exemplar"]  # the free reruns' drifted table replaced it
     _uncached(monkeypatch)
-    uncached = run_counterfactual(*make_counterfactual_setup(seed=18), seed=18)
+    world, manifest, edits = make_counterfactual_setup(seed=18)
+    uncached = run_counterfactual(world, manifest, edits, seed=18)
     assert uncached[1] == audit
     assert all(np.array_equal(getattr(uncached[0], f.name), getattr(rows, f.name)) for f in fields(rows))

@@ -196,8 +196,8 @@ def _counterfactual(edited, **spec):
     world = generate_world(WorldSpec(**shape, **spec))
     fit_ids, test_ids = split_indices(world.spec.n_examples, 0.5, 0)
     grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
-    manifest, policy, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
-    return run_counterfactual(world, manifest, policy, snaps, default_edits(edited, "repair"), n_permutations=200)
+    manifest, _, _ = run_fit_stage(world, grid, fit_ids, test_ids)
+    return run_counterfactual(world, manifest, default_edits(edited, "repair"), n_permutations=200)
 
 
 def test_partition_no_hits():
@@ -218,9 +218,9 @@ def test_partition_paper_scale_sizes():
     world = generate_world(localization_shape_spec(seed=0))
     fit_ids, test_ids = split_indices(1000, 0.2, 0)
     grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
-    manifest, policy, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
+    manifest, _, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
     edited = [e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads) if p.endswith("topic 0")][:4]
-    rows, audit = run_counterfactual(world, manifest, policy, snaps, default_edits(edited, "repair"))
+    rows, audit = run_counterfactual(world, manifest, default_edits(edited, "repair"))
     assert audit["n_rows"] == len(rows.query_id) == 800
     assert 60 <= audit["n_hit"] == rows.target_hit.sum() <= 160
     assert audit["n_hit"] + audit["n_non_hit"] == rows.filled.any(axis=1).sum()
