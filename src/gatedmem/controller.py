@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 
 import numpy as np
 
@@ -111,7 +110,8 @@ def select_threshold_percentile(fit_confidences, p: float) -> float:
     ordered = sorted(fit_confidences)
     if p == 0.0:
         return ordered[0]
-    rank = math.ceil(Fraction(p) * len(ordered) / 100)  # exact: in floats 7 / 100.0 * 100 exceeds 7, giving rank 8
+    num, den = float(p).as_integer_ratio()
+    rank = -(-num * len(ordered) // (den * 100))  # exact ceil: in floats 7 / 100.0 * 100 exceeds 7, giving rank 8
     return ordered[rank - 1]
 
 

@@ -538,11 +538,11 @@ def frozen_inputs(world: World, manifest: FreezeManifest) -> tuple[PolicyConfig,
     """(policy, snapshots, test_ids) that the manifest freezes, for this world.
 
     Parses the recorded policy, retires whatever the recorded active id
-    lists exclude, snapshots the banks and recovers the test split. Entry
-    ids are deterministic across worlds of the same shape, so a governed
-    manifest's pruned membership transfers to sibling-seed worlds. The
-    recorded bank kinds must be the world's; the hashes are for
-    FreezeManifest.validate to check.
+    lists exclude, moves the banks to the test stage, snapshots them and
+    recovers the test split. Entry ids are deterministic across worlds of
+    the same shape, so a governed manifest's pruned membership transfers to
+    sibling-seed worlds. The recorded bank kinds must be the world's; the
+    hashes are for FreezeManifest.validate to check.
     """
     record = manifest.selection_record
     policy = PolicyConfig.from_flat(record["policy"])
@@ -554,6 +554,7 @@ def frozen_inputs(world: World, manifest: FreezeManifest) -> tuple[PolicyConfig,
         )
     for kind, bank in world.banks.items():
         bank.retain(recorded[kind])
+        bank.stage = STAGE_TEST
     return policy, world.snapshots(), _recover_split(record, world.spec.n_examples)
 
 
@@ -597,15 +598,13 @@ def _test_seed(world: World, manifest: FreezeManifest, base: bool, out_dir: str 
     """One seed's ledger rows and each comparison's PairedCounts against the baseline, by name.
 
     The base world is checked against the manifest and, given out_dir,
-    writes traces.jsonl and conf_bins.csv from the policy's run. The banks
-    go to the test stage. Each comparison's run is reduced to its counts
-    before the next one runs, so only the baseline's outcomes outlive them.
+    writes traces.jsonl and conf_bins.csv from the policy's run. Each
+    comparison's run is reduced to its counts before the next one runs, so
+    only the baseline's outcomes outlive them.
     """
     policy, snapshots, test_ids = frozen_inputs(world, manifest)
     if base:
         manifest.validate(world, policy, snapshots)
-    for bank in world.banks.values():
-        bank.stage = STAGE_TEST
     baseline = replace(evaluate_policy(world, policy, snapshots, test_ids, comparator="baseline"), steps=None)
     counts = {}
     for name in LEDGER_COMPARISONS:

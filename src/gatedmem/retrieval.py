@@ -3,9 +3,10 @@
 Retrieval is a pure function of (query, snapshot, threshold, k_max): cosine
 similarity over the snapshot's active entries, strictly above the threshold,
 in descending similarity with ties broken by ascending entry id. The
-tie-break makes replay exact. Since it is pure, a world ranks all of its
-queries against a snapshot once (retrieval_table) and serves every later
-retrieval on that snapshot from the table.
+tie-break makes replay exact. Since it is pure, a world ranks each of its
+queries against a snapshot at most once, on first read (retrieval_table on
+a block of the missing rows), and serves every later retrieval of that
+query on that snapshot from its table.
 
 Embeddings come from a seeded stub: a random unit vector blended with a
 per-topic unit vector, so similarity structure is scriptable (same topic =>
@@ -57,10 +58,12 @@ def topic_vector(topic: int, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-# queries x entries ranked per block: 64 KB of similarities and as much for
-# the working copy the top k are selected from, however many queries a table
-# holds. With 0.5 MB blocks the peak RSS of a 2000-query, 8-step fit rose
-# from 44.0 to 48.7 MB; with these it is 45.7 MB.
+# doubles per block of blocked work, 64 KB, however large the table: queries
+# x entries ranked per block (the similarities, and as much again for the
+# working copy the top k are selected from), embedding rows blended per
+# block, and pair cells drawn per block, four uniforms each. With 0.5 MB
+# blocks the peak RSS of a 2000-query, 8-step fit rose from 44.0 to 48.7 MB;
+# with these it is 45.7 MB.
 TABLE_BLOCK_CELLS = 1 << 13
 # a NaN cosine's value in the selection copy: below every cosine, above -inf
 _BELOW_ANY_COSINE = -np.finfo(np.float64).max

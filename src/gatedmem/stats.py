@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -59,7 +58,7 @@ def mcnemar_exact(helps: int, hurts: int) -> float:
     for k in range(min(helps, hurts)):
         term = term * (n - k) // (k + 1)
         tail += term
-    return float(min(Fraction(1), 2 * Fraction(tail, 2**n)))
+    return min(1.0, tail / 2 ** (n - 1))  # int / int rounds the exact quotient once, as Fraction's float does
 
 
 def _weighted_sums(counts: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -15,11 +15,15 @@ outcomes for every candidate context (oracle_candidates).
 
 Each purpose (pair latents, guards, confidence latents and noise, topics,
 baseline correctness, query and entry embeddings) draws from its own keyed
-Philox stream. All but the pair latents are drawn when the world is built,
-as dense arrays. A run reads only the few pairs its examples inject, so a
-pair's latents are drawn on first read: pair (i, j) is one Philox4x64-10
-block at a fixed counter, computed directly by philox_uniforms, and the
-value is the one a dense draw of the whole table would give.
+Philox stream, so a draw can be made when it is first read and still be the
+value an eager draw gives. Guards, baseline correctness, topics, embeddings
+and the confidence latents are drawn when the world is built, as dense
+arrays. A noisy confidence signal is drawn whole on its first read, and a
+pair's latents on the first read of that pair: pair (i, j) is one
+Philox4x64-10 block at a fixed counter, computed directly by
+philox_uniforms, and the value is the one a dense draw of the whole table
+would give. Retrieval is ranked on first read as well: a world ranks only
+the examples it is asked for against a snapshot (World._table).
 
 Confidences come from a two-Beta model: correct decodes draw from
 Beta(mu_hi*kappa, ...), incorrect from the mirrored low component, with the
@@ -340,8 +344,9 @@ class World:
 
     Every random value is drawn here, as arrays, each purpose from its own
     keyed stream derive_seed(seed, purpose); draws depend on the spec and the
-    world's shape only, never on snapshots, retirement, drift or call order.
-    Decoding indexes these arrays.
+    world's shape only, never on snapshots, retirement, drift or call order,
+    nor on whether they are made at build time or on first read. Decoding
+    indexes these arrays.
     """
 
     def __init__(self, spec: WorldSpec):
@@ -384,8 +389,9 @@ class World:
         self._pairs = np.zeros((n, len(entry_ids)), np.uint8)
         rates = np.array([spec.guard_rate(g) for g in GUARD_NAMES])
         self._guards = self._rng("guard").random((n, len(GUARD_NAMES))) < rates
-        self._conf = self._draw_confidences(self._baseline)
-        # bank kind -> (content_hash, RetrievalTable, its ranked entries as columns) of the last snapshot read
+        self._latent = self._draw_latent(self._baseline)
+        self._conf: dict[str, np.ndarray] = {}  # noisy signal -> its confidences, drawn on first read
+        # bank kind -> (content_hash, counts, columns, ranked) of the last snapshot read; see _table
         self._tables: dict = {}
 
     def _rng(self, purpose: str) -> np.random.Generator:
@@ -396,7 +402,8 @@ class World:
 
         Pair (i, j) takes the four uniforms of block i * n_entries + j + 1 of
         the world's pair stream: applicable, help, hurt, sensitivity. Cells
-        not read before are drawn now, about TABLE_BLOCK_CELLS at a time, and
+        not read before are drawn now, TABLE_BLOCK_CELLS // 4 at a time, so
+        that their (cells, 4) uniforms fill TABLE_BLOCK_CELLS doubles, and
         kept, so a value does not depend on which cells were read, in what
         order or in what blocks: it is the cell of the dense row-major draw.
         """
@@ -407,8 +414,9 @@ class World:
         missing = cells[bits & PAIR_DRAWN == 0]
         if missing.size:
             key = derive_seed(self.seed, "pair")
-            for start in range(0, missing.size, TABLE_BLOCK_CELLS):
-                block = missing[start:start + TABLE_BLOCK_CELLS]
+            step = max(1, TABLE_BLOCK_CELLS // 4)
+            for start in range(0, missing.size, step):
+                block = missing[start:start + step]
                 flat[block] = self._encode_pairs(block % m, philox_uniforms(key, block + 1))
             bits = flat[cells]
         bits &= ~np.uint8(PAIR_DRAWN)
@@ -426,15 +434,14 @@ class World:
         bits |= ((u[:, 3] >= sens_repair) & (u[:, 3] < spec.edit_sensitive_rate)) * np.uint8(PAIR_CORRUPT_BETTER)
         return bits
 
-    def _draw_confidences(self, baseline: np.ndarray) -> dict[str, np.ndarray]:
-        """signal -> (n_examples, 5) confidences.
+    def _draw_latent(self, baseline: np.ndarray) -> np.ndarray:
+        """(n_examples, 5) Beta confidence latents, the mean_logprob signal.
 
         Column 0 is the baseline decode; column 1 + 2 * bank + correct the
         second pass decided by that bank (BANK_KINDS order) with that outcome.
-        Every signal shares one Beta latent per cell; the noisier signals mix
-        in their own uniform noise. Each target AUC has its own stream, since
-        Beta draws take a variable number of uniforms: a bank's confidences
-        do not move when another target changes.
+        Each target AUC has its own stream, since Beta draws take a variable
+        number of uniforms: a bank's confidences do not move when another
+        target changes.
         """
         cm = self.spec.confidence_model
         n = self.spec.n_examples
@@ -445,16 +452,24 @@ class World:
         for k, kind in enumerate(BANK_KINDS):
             a, b = np.array([_beta_params(cm.second_auc(kind), cm.kappa, c) for c in (False, True)]).T
             latent[:, 1 + 2 * k:3 + 2 * k] = self._rng(f"confidence-{kind}").beta(a, b, size=(n, 2))
-        out = {}
-        for signal, w in SIGNAL_LATENT_WEIGHT.items():
-            if w >= 1.0:
-                out[signal] = latent
-            else:
-                conf = self._rng(f"noise-{signal}").random((n, 5))
-                conf *= 1.0 - w
-                conf += w * latent
-                out[signal] = np.clip(conf, 0.0, 1.0, out=conf)
-        return out
+        return latent
+
+    def _confidence(self, signal: str) -> np.ndarray:
+        """(n_examples, 5) confidences of a signal, columns as in _draw_latent.
+
+        Every signal shares the Beta latent; a noisier one mixes in its own
+        noise-<signal> uniforms, drawn whole on the signal's first read.
+        """
+        w = SIGNAL_LATENT_WEIGHT[signal]
+        if w >= 1.0:
+            return self._latent
+        conf = self._conf.get(signal)
+        if conf is None:
+            conf = self._rng(f"noise-{signal}").random(self._latent.shape)
+            conf *= 1.0 - w
+            conf += w * self._latent
+            conf = self._conf[signal] = np.clip(conf, 0.0, 1.0, out=conf)
+        return conf
 
     # -- structure ----------------------------------------------------------
 
@@ -477,19 +492,39 @@ class World:
     def snapshots(self) -> dict[str, BankSnapshot]:
         return {k: b.freeze() for k, b in self.banks.items()}
 
-    def _table(self, snapshot: BankSnapshot) -> tuple:
-        """The snapshot's retrieval table and its ranked entries as pair-table columns.
+    def _table(self, snapshot: BankSnapshot, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(columns, counts) of the snapshot's retrieval at example rows.
 
-        One table per bank kind is kept, that of the last snapshot read; a
-        snapshot with another content hash replaces it. The old table goes
-        before the new one is ranked, so two of a kind never coexist.
+        Row r of columns holds the ranked entries of example rows[r] as
+        pair-table columns, best first, and counts[r] how many lead strictly
+        above the threshold. One table per bank kind is kept, that of the
+        last snapshot read, and it ranks an example on its first read only:
+        missing rows are ranked by retrieval_table a row block at a time. A
+        snapshot with another content hash replaces the table; the old one
+        goes first, so two of a kind never coexist.
         """
         kind = snapshot.bank_kind
         if self._tables.get(kind, (None,))[0] != snapshot.content_hash:
             self._tables.pop(kind, None)
-            table = retrieval_table(self.query_embeddings, snapshot, self.spec.retrieval_threshold, self.spec.k_max)
-            self._tables[kind] = (snapshot.content_hash, table, self.columns(snapshot.entry_ids)[table.ranked])
-        return self._tables[kind][1:]
+            n, k = self.spec.n_examples, min(self.spec.k_max, len(snapshot.entry_ids))
+            self._tables[kind] = (
+                snapshot.content_hash, np.zeros(n, np.intp), np.zeros((n, k), np.intp), np.zeros(n, bool)
+            )
+        _, counts, columns, ranked = self._tables[kind]
+        need = np.zeros(len(ranked), bool)
+        need[rows] = True
+        missing = np.flatnonzero(need & ~ranked)
+        if missing.size:
+            entry_columns = self.columns(snapshot.entry_ids)
+            step = max(1, TABLE_BLOCK_CELLS // max(1, len(entry_columns)))
+            for start in range(0, missing.size, step):
+                block = missing[start:start + step]
+                table = retrieval_table(
+                    self.query_embeddings[block], snapshot, self.spec.retrieval_threshold, self.spec.k_max
+                )
+                counts[block], columns[block] = table.counts, entry_columns[table.ranked]
+            ranked[missing] = True
+        return columns[rows], counts[rows]
 
     def columns(self, entry_ids) -> np.ndarray:
         """Pair-table columns of entry ids: rule entries first, then exemplar entries."""
@@ -503,11 +538,11 @@ class World:
         similarity is strictly above the threshold, best first.
         """
         rows = np.asarray(rows, np.intp)
-        parts = [self._table(snapshots[b]) for b in banks]
+        parts = [self._table(snapshots[b], rows) for b in banks]
         empty = np.zeros((len(rows), 0), np.intp)
-        cols = np.concatenate([empty] + [c[rows] for _, c in parts], axis=1)
+        cols = np.concatenate([empty] + [c for c, _ in parts], axis=1)
         filled = np.concatenate(
-            [empty.astype(bool)] + [np.arange(c.shape[1]) < t.counts[rows, None] for t, c in parts], axis=1
+            [empty.astype(bool)] + [np.arange(c.shape[1]) < counts[:, None] for c, counts in parts], axis=1
         )
         return cols, filled
 
@@ -545,7 +580,7 @@ class World:
     def baseline_pass(self, rows, signal: str = "mean_logprob") -> tuple[np.ndarray, np.ndarray]:
         """(correct, confidence) of the baseline decode, per example of rows."""
         rows = np.asarray(rows, np.intp)
-        return self._baseline[rows], self._conf[signal][rows, 0]
+        return self._baseline[rows], self._confidence(signal)[rows, 0]
 
     def second_pass(
         self, rows, columns, filled, version: str = "original", edited_ids=(), signal: str = "mean_logprob"
@@ -557,8 +592,9 @@ class World:
         injected entry decides: correct if the baseline is and that entry
         does not hurt. Under the repair or corrupt version the first injected
         entry among edited_ids overrides this if it is edit-sensitive. The
-        confidence is column 1 + 2 * bank + correct of _conf, the bank that of
-        the deciding entry. A row injecting nothing repeats the baseline decode.
+        confidence is column 1 + 2 * bank + correct of _confidence(signal), the
+        bank that of the deciding entry. A row injecting nothing repeats the
+        baseline decode.
         """
         rows = np.asarray(rows, np.intp)
         base, conf = self.baseline_pass(rows, signal)
@@ -585,7 +621,7 @@ class World:
         bank = np.take_along_axis(columns, slot, axis=1)[:, 0] >= self.spec.n_rule_entries
         column = 1 + 2 * bank + correct
         has = filled.any(axis=1)
-        return np.where(has, correct, base), np.where(has, self._conf[signal][rows, column], conf)
+        return np.where(has, correct, base), np.where(has, self._confidence(signal)[rows, column], conf)
 
     # -- canonical outcome tables and oracle ground truth ---------------------
 

@@ -232,7 +232,7 @@ def accept_decision(c_t, c2_t, margin_m, guard_results, guards_enabled) -> bool:
 
 def reference_baseline(world, idx, signal="mean_logprob"):
     """(action, confidence) of one baseline decode, read off the world's draws."""
-    return world.answer(idx, bool(world._baseline[idx]), second=False), world._conf[signal].item(idx, 0)
+    return world.answer(idx, bool(world._baseline[idx]), second=False), world._confidence(signal).item(idx, 0)
 
 
 def reference_second(world, idx, injected, version="original", edited_ids=(), signal="mean_logprob"):
@@ -256,7 +256,7 @@ def reference_second(world, idx, injected, version="original", edited_ids=(), si
     deciding = injected[applicable[0] if applicable else 0]
     column = 1 + 2 * BANK_KINDS.index(world.entry_bank(deciding)) + correct
     action = world.true_action(idx) if correct else f"alt{idx}.m"
-    return action, world._conf[signal].item(idx, column)
+    return action, world._confidence(signal).item(idx, column)
 
 
 def reference_step(

@@ -7,6 +7,7 @@ import re
 import numpy as np
 import pytest
 
+from gatedmem import bank as bank_module
 from gatedmem.bank import (
     BankSnapshot,
     MemoryBank,
@@ -169,6 +170,8 @@ def test_retain_retires_the_rest_and_only_shrinks():
     bank.stage = STAGE_TEST
     with pytest.raises(ProtocolViolation):
         bank.retain(["R001"])
+    bank.retain(["R003", "R001"])  # retires nothing, so a frozen bank accepts it
+    assert active_ids(bank) == ["R001", "R003"]
 
 
 def test_copy_shares_no_status_or_evidence():
@@ -257,6 +260,37 @@ def test_freeze_hashes_the_columns_as_they_are_now():
     flipped[0] *= -1
     bank.embeddings = flipped
     assert bank.freeze().content_hash not in (base, edited)
+
+
+def test_freeze_formats_each_row_once_and_hashes_as_build(monkeypatch):
+    keeps = [("R000", "R001", "R002", "R003", "R004", "R005"), ("R000", "R002", "R003", "R005"), ("R003",), ()]
+    reference = make_bank(n=6)
+    want = []
+    for keep in keeps:
+        reference.retain(keep)
+        want.append(BankSnapshot.build("rule", *reference.active_columns()))
+    formatted = []
+    hash_lines = bank_module._hash_lines
+
+    def counted(entry_ids, payloads, embeddings):
+        formatted.append(len(entry_ids))
+        return hash_lines(entry_ids, payloads, embeddings)
+
+    monkeypatch.setattr(bank_module, "_hash_lines", counted)
+    bank = make_bank(n=6)
+    assert formatted == []  # set-up formats nothing
+    for keep, expected in zip(keeps, want):
+        bank.retain(keep)
+        snap = bank.freeze()
+        assert snap.entry_ids == expected.entry_ids and snap.payloads == expected.payloads
+        assert snap.content_hash == expected.content_hash
+        assert snap.embeddings.shape == expected.embeddings.shape and not snap.embeddings.flags.writeable
+    assert formatted == [6]  # every row once, on the first freeze
+    bank.copy().freeze()
+    assert formatted == [6]  # a copy has the same columns
+    bank.payloads = bank.payloads[:5] + ("changed",)
+    bank.freeze()
+    assert formatted == [6, 6]  # new columns are formatted again
 
 
 def test_snapshot_ids_sorted_ascending():

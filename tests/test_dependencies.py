@@ -1,7 +1,9 @@
 """The declared dependencies match what the package imports."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -76,3 +78,11 @@ def test_running_numpy_meets_the_declared_floor():
     assert floor, requirement
     running = tuple(int(x) for x in re.match(r"(\d+)\.(\d+)", numpy.__version__).groups())
     assert running >= tuple(map(int, floor.groups()))
+
+
+def test_importing_the_cli_loads_neither_fractions_nor_decimal():
+    # every stage is its own process, and the two modules cost each one about 0.4 MB
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = "import sys, gatedmem.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    assert done.stdout.strip() == "[]"

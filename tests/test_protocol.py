@@ -652,6 +652,20 @@ def test_counterfactual_decomposition_and_fixed_mode():
     assert np.array_equal(rows.outcome_repair_fixed[non_hit], rows.outcome_corrupt_fixed[non_hit])
 
 
+def test_counterfactual_leaves_the_banks_frozen_for_test():
+    world, manifest, edits = make_counterfactual_setup(seed=18)
+    run_counterfactual(world, manifest, edits, seed=18)
+    for kind, bank in world.banks.items():
+        entry_id = bank.active_columns()[0][0]
+        for op in (
+            lambda: bank.append_evidence(entry_id, [1.0]),
+            lambda: bank.retirement_sweep(),
+            lambda: bank.retain([entry_id]),
+        ):
+            with pytest.raises(ProtocolViolation, match=f"fit-stage operation; bank '{kind}' is frozen for test"):
+                op()
+
+
 def test_counterfactual_free_mode_has_drift():
     world, manifest, edits = make_counterfactual_setup(seed=19)
     rows, _ = run_counterfactual(world, manifest, edits, seed=19)
@@ -914,9 +928,9 @@ def _uncached(monkeypatch):
     """Clear the world's table cache before every read, so each read ranks afresh."""
     read = World._table
 
-    def uncached(self, snapshot):
+    def uncached(self, snapshot, rows):
         self._tables.clear()
-        return read(self, snapshot)
+        return read(self, snapshot, rows)
 
     monkeypatch.setattr(World, "_table", uncached)
 

@@ -18,9 +18,9 @@ from conftest import (
 from gatedmem import retrieval, worldsim
 from gatedmem.controller import CONFIDENCE_SIGNALS, GUARD_NAMES, PolicyConfig
 from gatedmem.protocol import evaluate_oracle, evaluate_policy
-from gatedmem.retrieval import Query
+from gatedmem.retrieval import Query, retrieval_table
 from gatedmem.stats import roc_auc
-from gatedmem.util import parse_kv_file
+from gatedmem.util import derive_seed, parse_kv_file
 from gatedmem.worldsim import (
     PAIR_APPLICABLE,
     PAIR_CORRUPT_BETTER,
@@ -28,6 +28,7 @@ from gatedmem.worldsim import (
     PAIR_HELP,
     PAIR_HURT,
     PAIR_REPAIR_BETTER,
+    SIGNAL_LATENT_WEIGHT,
     ConfidenceModel,
     WorldSpec,
     _auc,
@@ -439,6 +440,98 @@ def test_world_retrieve_matches_per_query_reference(spec):
             got = [tuple(world.entry_ids[c] for c in cs[f].tolist()) for cs, f in zip(cols, filled)]
             assert got == want, snap.content_hash
     assert world.injected([0], world.snapshots(), ("rule",))[1].any()  # not vacuous
+
+
+def _full_table(world, snap):
+    """(columns, counts) of every example, ranked at once by retrieval_table."""
+    table = retrieval_table(world.query_embeddings, snap, world.spec.retrieval_threshold, world.spec.k_max)
+    return world.columns(snap.entry_ids)[table.ranked], table.counts
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        _multi_step_spec(7),
+        WorldSpec(n_examples=230, seed=8, k_max=3, retrieval_threshold=0.3),
+        WorldSpec(n_examples=90, seed=9, n_rule_entries=4, n_exemplar_entries=0, k_max=6),
+    ],
+    ids=["multi-step-7", "k3", "empty-exemplar-bank"],
+)
+def test_lazy_table_rows_equal_full_retrieval_table(monkeypatch, spec):
+    # 11 query rows per rule block and 5 per exemplar block at 50 and 100
+    # entries, so most reads span several row blocks
+    monkeypatch.setattr(worldsim, "TABLE_BLOCK_CELLS", 555)
+    world = generate_world(spec)
+    n = spec.n_examples
+    snaps = {kind: [bank.freeze()] for kind, bank in world.banks.items()}
+    for kind, bank in world.banks.items():
+        ids = list(bank.active_columns()[0])
+        governed = bank.copy()
+        governed.retain(ids[1::2])
+        emptied = bank.copy()
+        emptied.retain([])
+        drifted = world.drifted_snapshot(kind, default_edits(ids[::3], "corrupt"))
+        snaps[kind] += [drifted, governed.freeze(), emptied.freeze()]
+    want = {s.content_hash: _full_table(world, s) for kind_snaps in snaps.values() for s in kind_snaps}
+    rng = np.random.default_rng(spec.seed)
+    for kind, kind_snaps in snaps.items():
+        read = {}  # content hash -> rows read since the snapshot last replaced the table
+        for it in range(24):
+            snap = kind_snaps[rng.integers(len(kind_snaps))]
+            if world._tables.get(kind, (None,))[0] != snap.content_hash:
+                read[snap.content_hash] = np.zeros(n, bool)
+            # random subsets in random order, repeats within a read, rows read before and the empty read
+            size = [0, 1, 7, 60, n][it % 5]
+            rows = rng.integers(n, size=size) if it % 2 else rng.permutation(n)[:size]
+            columns, counts = world._table(snap, rows)
+            cols_want, counts_want = (x[rows] for x in want[snap.content_hash])
+            assert columns.shape == cols_want.shape and columns.tobytes() == cols_want.tobytes()
+            assert counts.tobytes() == counts_want.tobytes()
+            read[snap.content_hash][rows] = True
+            assert set(world._tables) <= set(world.banks)  # one table per kind
+            ranked = world._tables[kind][3]
+            assert np.array_equal(ranked, read[snap.content_hash])  # only the rows read are ranked
+        columns, counts = world._table(snap, np.arange(n))
+        assert columns.tobytes() == want[snap.content_hash][0].tobytes()
+        assert counts.tobytes() == want[snap.content_hash][1].tobytes()
+    assert any(want[s.content_hash][1].any() for s in snaps["rule"])  # not vacuous
+
+
+def _eager_confidences(world):
+    """signal -> (n_examples, 5) confidences, every noisy signal drawn at once from its noise-<signal> stream."""
+    out = {}
+    for signal, w in SIGNAL_LATENT_WEIGHT.items():
+        if w >= 1.0:
+            out[signal] = world._latent
+            continue
+        key = derive_seed(world.seed, f"noise-{signal}")
+        conf = np.random.Generator(np.random.Philox(key=key)).random((world.spec.n_examples, 5))
+        conf *= 1.0 - w
+        conf += w * world._latent
+        out[signal] = np.clip(conf, 0.0, 1.0, out=conf)
+    return out
+
+
+@pytest.mark.parametrize(
+    "order",
+    [("sum_logprob", "first_token"), ("mean_logprob", "first_token", "sum_logprob"), ("mean_logprob",), ()],
+    ids=["noisy-first", "noisy-last", "noisy-never", "nothing"],
+)
+def test_noisy_signals_equal_eager_draw_in_any_read_order(order):
+    spec = WorldSpec(n_examples=150, seed=30)
+    world = generate_world(spec)
+    assert not world._conf  # building the world draws no noisy signal
+    want = _eager_confidences(generate_world(spec))
+    rows = np.random.default_rng(30).permutation(spec.n_examples)[:40]
+    for signal in order:
+        conf = world.baseline_pass(rows, signal)[1]
+        assert conf.tobytes() == want[signal][rows, 0].tobytes()
+        for bank, entry_id in enumerate(("R001", "E002")):  # one entry injected decides the pass
+            correct, conf = _second_pass(world, rows, (entry_id,), signal=signal)
+            assert conf.tobytes() == want[signal][rows, 1 + 2 * bank + correct].tobytes()
+    assert set(world._conf) == {s for s in order if SIGNAL_LATENT_WEIGHT[s] < 1.0}
+    for signal in CONFIDENCE_SIGNALS:
+        assert world._confidence(signal).tobytes() == want[signal].tobytes()
 
 
 # ---------------------------------------------------------------------------
