@@ -19,8 +19,10 @@ import-only process (``python -c "import gatedmem.cli"``) is timed the
 same way, so the start-up floor every stage pays is visible. The record
 names the host and whether child processes may write bytecode caches
 (PYTHONDONTWRITEBYTECODE unset), since without them every stage
-recompiles the package. A stage that exits non-zero stops the run with
-exit status 1 and its output on stderr.
+recompiles the package. Beside each tree's ``git describe`` the record
+keeps the sha256 of each of its src/gatedmem/*.py files, so it says which
+code ran even when a tree is dirty or not a git checkout. A stage that exits
+non-zero stops the run with exit status 1 and its output on stderr.
 
 --against TREE compares this checkout with another source checkout in one
 run, so drift of the host over time does not read as a change. For each
@@ -162,6 +164,7 @@ def host() -> dict:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "commit": commit(ROOT),
+        "source_sha256": source_sha256(ROOT),
         "bytecode_cache": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
     }
 
@@ -173,6 +176,11 @@ def commit(root: Path) -> str | None:
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
         return None
+
+
+def source_sha256(root: Path) -> dict:
+    """File name -> sha256 of each src/gatedmem/*.py of a tree, as sha256sum prints it."""
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted((root / "src" / "gatedmem").glob("*.py"))}
 
 
 def make_work(work: Path, n: int) -> Path:
@@ -203,6 +211,7 @@ def main(argv=None) -> int:
     record = {"host": host(), "repeats": args.repeats, "sizes": {}}
     if args.against:
         record["against_commit"] = commit(trees["against"])
+        record["against_source_sha256"] = source_sha256(trees["against"])
     else:
         record["import_only"] = measure([sys.executable, "-c", "import gatedmem.cli"], child_env(), args.repeats)
         print(f"import-only: {record['import_only']['wall_s']:.3f} s", flush=True)

@@ -23,6 +23,7 @@ from dataclasses import replace
 from .controller import PolicyConfig
 from .errors import ProtocolViolation
 from .protocol import (
+    FIXED_BUDGET_K,
     FreezeManifest,
     ledger_check,
     resolve_tau_percentile,
@@ -111,6 +112,9 @@ def cmd_test(args) -> int:
     manifest = FreezeManifest.load(args.manifest)
     os.makedirs(args.out, exist_ok=True)
     rows, _ = run_pooled_test(spec, manifest, n_seeds=args.pool_seeds, out_dir=args.out)
+    if spec.steps_per_episode <= FIXED_BUDGET_K:
+        print(f"note: steps_per_episode = {spec.steps_per_episode} is at most fixed_budget's cap of {FIXED_BUDGET_K} routed "
+              "steps per episode, so the cap cannot bind and the fixed_budget row equals always_retrieve's", file=sys.stderr)
     for row in rows:
         print(row.as_csv())
     return 0

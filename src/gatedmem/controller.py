@@ -153,8 +153,9 @@ class StepTable:
     """A batched run: one row per step, in episode then step order.
 
     Attempt a of a routed step is entry a of its bank plan. Per attempt,
-    columns/filled give what it injects (see World.injected);
-    a step tries attempt a + 1 only if attempt a was rejected.
+    columns/filled give what it injects and pairs the pair-latent bytes it
+    decodes them with (see World.injected); a step tries attempt a + 1 only
+    if attempt a was rejected.
     """
 
     world: object
@@ -168,6 +169,7 @@ class StepTable:
     tried: np.ndarray  # (steps, attempts)
     columns: tuple  # per attempt, (steps, width)
     filled: tuple
+    pairs: tuple
     decoded: np.ndarray  # (steps, attempts): a second pass ran (it injected something, or used no memory)
     second_correct: np.ndarray  # (steps, attempts)
     second_confidence: np.ndarray  # (steps, attempts)
@@ -194,17 +196,19 @@ class StepTable:
             np.take_along_axis(x, at, axis=1)[:, 0] for x in (self.decoded, self.second_correct, self.second_confidence)
         )
 
-    def deciding_injection(self) -> tuple[np.ndarray, np.ndarray]:
-        """(columns, filled) of what each step's deciding attempt injected, padded to the widest
-        attempt: a run's frozen identities. filled is all false where the step carries no retrieval
-        (an attempt fills a slot only if it retrieved, and an unrouted step decides no attempt)."""
+    def deciding_injection(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(columns, filled, pairs) of what each step's deciding attempt injected, padded to the
+        widest attempt: a run's frozen identities and the pair bytes a fixed replay decodes them
+        with. filled is all false where the step carries no retrieval (an attempt fills a slot only
+        if it retrieved, and an unrouted step decides no attempt)."""
         deciding = self.deciding
-        cols = np.zeros((len(self.routed), max(c.shape[1] for c in self.columns)), np.intp)
-        filled = np.zeros(cols.shape, bool)
-        for a, (c, f) in enumerate(zip(self.columns, self.filled)):
+        width = max(c.shape[1] for c in self.columns)
+        out = [np.zeros((len(self.routed), width), dtype) for dtype in (np.intp, bool, np.uint8)]
+        for a, attempt in enumerate(zip(self.columns, self.filled, self.pairs)):
             at = deciding == a
-            cols[at, :c.shape[1]], filled[at, :f.shape[1]] = c[at], f[at]
-        return cols, filled
+            for full, x in zip(out, attempt):
+                full[at, :x.shape[1]] = x[at]
+        return tuple(out)
 
 
 def run_steps(
@@ -228,6 +232,8 @@ def run_steps(
     ex = np.sort(np.asarray(example_ids, np.intp))
     if context.frozen is not None and not np.array_equal(context.frozen.example_ids, ex):
         raise ValueError("fixed replay must run on the examples of the run it replays")
+    if context.frozen is not None and context.frozen.world.spec != world.spec:  # it decodes with that run's pair bytes
+        raise ValueError("fixed replay must run on a world of the spec of the run it replays")
     episode = ex // world.spec.steps_per_episode
     first = np.diff(episode, prepend=-1) != 0
     slot = np.cumsum(first) - 1  # the episode's number among those present
@@ -258,20 +264,20 @@ def run_steps(
     shape = (len(ex), len(plan))
     tried, decoded, correct, accepted = (np.zeros(shape, bool) for _ in range(4))
     confidence = np.full(shape, np.nan)
-    columns, filled = [], []
+    columns, filled, pairs = [], [], []
     pending = np.ones(len(rows), bool)
     for a, (banks, bypass_margin) in enumerate(plan):
         if context.frozen is not None and not no_memory:
-            cols, fill = (x[routed] for x in frozen)
+            cols, fill, bits = (x[routed] for x in frozen)
         else:
-            cols, fill = world.injected(rows, snapshots, () if no_memory else banks)
+            cols, fill, bits = world.injected(rows, snapshots, () if no_memory else banks)
         second, conf2 = world.second_pass(
-            rows, cols, fill, context.version, context.edited_ids, policy.confidence_signal
+            rows, cols, fill, bits, context.version, context.edited_ids, policy.confidence_signal
         )
         ran = pending & (fill.any(axis=1) | no_memory)
         margin = -math.inf if bypass_margin else policy.margin_m
         ok = ran & ~(conf2 < conf[routed] + margin) & guards
-        for store, values in ((columns, cols), (filled, fill)):
+        for store, values in ((columns, cols), (filled, fill), (pairs, bits)):
             full = np.zeros((len(ex), values.shape[1]), values.dtype)
             full[routed] = values
             store.append(full)
@@ -290,6 +296,7 @@ def run_steps(
         tried=tried,
         columns=tuple(columns),
         filled=tuple(filled),
+        pairs=tuple(pairs),
         decoded=decoded,
         second_correct=correct,
         second_confidence=confidence,

@@ -678,7 +678,7 @@ def write_traces(steps: StepTable, path: str) -> None:
     """
     world = steps.world
     quoted_ids = [encode_basestring_ascii(e) for e in world.entry_ids]
-    injected, filled = steps.deciding_injection()
+    injected, filled, _ = steps.deciding_injection()
     ran, correct, confidence = steps.deciding_pass()
     accepted = steps.accepted
 
@@ -827,7 +827,7 @@ def run_counterfactual(
             raise ValueError(f"edit references unknown entry {eid!r}")
 
     original = evaluate_policy(world, policy, snapshots, test_ids).steps
-    columns, filled = frozen = original.deciding_injection()
+    columns, filled, _ = original.deciding_injection()
     if not filled.any():
         raise ProtocolViolation("no routed queries with retrieval; nothing to replay")
     ex, routed = original.example_ids, original.routed
@@ -842,7 +842,7 @@ def run_counterfactual(
     fixed = {
         version: _fixed_replay(
             run_steps(world, policy, snapshots, ex, SecondPassContext(version, edited_ids, frozen=original)),
-            frozen,
+            (columns, filled),
             version,
         )
         for version in ("repair", "corrupt")
@@ -918,7 +918,7 @@ def _fixed_replay(steps: StepTable, frozen: tuple, version: str) -> tuple:
     (the original's deciding injection) exactly; return what the non-hit audit
     compares: routed, final_correct, the deciding pass's (decoded, correct,
     confidence), and accepted."""
-    replayed = steps.deciding_injection()
+    replayed = steps.deciding_injection()[:2]
     width = max(frozen[1].shape[1], replayed[1].shape[1])
     want, got = _left_packed(*frozen, width), _left_packed(*replayed, width)
     bad = np.flatnonzero(steps.routed & (want != got).any(axis=1))

@@ -6,7 +6,8 @@ in descending similarity with ties broken by ascending entry id. The
 tie-break makes replay exact. Since it is pure, a world ranks each of its
 queries against a snapshot at most once, on first read (retrieval_table on
 a block of the missing rows), and serves every later retrieval of that
-query on that snapshot from its table.
+query on that snapshot from its table. A table keeps no cosines; retrieve,
+the one-query form, computes those of the entries it returns.
 
 Embeddings come from a seeded stub: a random unit vector blended with a
 per-topic unit vector, so similarity structure is scriptable (same topic =>
@@ -61,9 +62,9 @@ def topic_vector(topic: int, dim: int) -> np.ndarray:
 # doubles per block of blocked work, 64 KB, however large the table: queries
 # x entries ranked per block (the similarities, and as much again for the
 # working copy the top k are selected from), embedding rows blended per
-# block, and pair cells drawn per block, four uniforms each. With 0.5 MB
-# blocks the peak RSS of a 2000-query, 8-step fit rose from 44.0 to 48.7 MB;
-# with these it is 45.7 MB.
+# block, and the pair cells a world draws per block at the rows a table
+# ranks, four uniforms each. With 0.5 MB blocks the peak RSS of a
+# 2000-query, 8-step fit rose from 44.0 to 48.7 MB; with these it is 45.7 MB.
 TABLE_BLOCK_CELLS = 1 << 13
 # a NaN cosine's value in the selection copy: below every cosine, above -inf
 _BELOW_ANY_COSINE = -np.finfo(np.float64).max
@@ -95,20 +96,10 @@ def embed_key(key, dim: int, topic_vec: np.ndarray, topic_weight: float = 0.9) -
 
 @dataclass(frozen=True)
 class RetrievalTable:
-    """retrieve() for every row of a query matrix against one snapshot."""
+    """retrieve() for every row of a query matrix against one snapshot, without the cosines."""
 
-    entry_ids: tuple[str, ...]
     ranked: np.ndarray  # (n_queries, min(k_max, n_entries)) snapshot rows, best first
-    similarities: np.ndarray  # cosine of each ranked entry
     counts: np.ndarray  # (n_queries,) leading ranked entries strictly above the threshold
-
-    def result(self, row: int, query_id: int) -> RetrievalResult:
-        n = self.counts[row]
-        return RetrievalResult(
-            query_id,
-            tuple(self.entry_ids[i] for i in self.ranked[row, :n].tolist()),
-            tuple(self.similarities[row, :n].tolist()),
-        )
 
 
 def retrieval_table(
@@ -126,7 +117,6 @@ def retrieval_table(
     n, m = len(queries), len(snapshot.entry_ids)
     k = min(k_max, m)
     ranked = np.zeros((n, k), np.intp)
-    sims = np.zeros((n, k))
     counts = np.zeros(n, np.intp)
     if m:
         emb = snapshot.embeddings
@@ -150,21 +140,24 @@ def retrieval_table(
                 order[:, j] = work.argmax(axis=1)
                 work[np.arange(stop - start), order[:, j]] = -np.inf
             top = np.take_along_axis(block, order, axis=1)
-            sims[start:stop] = top
             counts[start:stop] = np.count_nonzero(top > threshold, axis=1)
-    return RetrievalTable(snapshot.entry_ids, ranked, sims, counts)
+    return RetrievalTable(ranked, counts)
 
 
 def retrieve(
     query: Query, snapshot: BankSnapshot, threshold: float = 0.6, k_max: int = 2
 ) -> RetrievalResult:
-    """Up to k_max entries with cosine similarity strictly above threshold.
+    """Up to k_max entries with cosine similarity strictly above threshold, and their cosines.
 
     The one-row case of retrieval_table; a World serves its own queries from
     one table per bank kind (World._table) as pair-table columns (World.injected).
     """
-    queries = np.asarray(query.embedding, np.float64)[None, :]
-    return retrieval_table(queries, snapshot, threshold, k_max).result(0, query.id)
+    q = np.asarray(query.embedding, np.float64)
+    table = retrieval_table(q[None, :], snapshot, threshold, k_max)
+    top = table.ranked[0, :table.counts[0]]
+    emb = snapshot.embeddings[top]
+    sims = (emb @ q / (np.linalg.norm(emb, axis=1) * np.linalg.norm(q))).tolist() if top.size else []
+    return RetrievalResult(query.id, tuple(snapshot.entry_ids[i] for i in top.tolist()), tuple(sims))
 
 
 # -- file formats -----------------------------------------------------------

@@ -5,10 +5,10 @@ actually applicable to the example, whether an applicable injection helps,
 whether an inapplicable one hurts, and how the example reacts to content
 edits of that entry. Decoding is then indexing, many examples at a time:
 baseline_pass reads a seeded Bernoulli of base_accuracy, guards_pass the
-drawn guard outcomes, injected lists (as pair-table columns) what each
-example retrieves from a snapshot, and second_pass combines the pair draws
-of whatever entries were injected. A decode is a correctness flag and a
-confidence; answer names the action it stands for. Everything is a
+drawn guard outcomes, injected lists (as pair-table columns, with their
+pair latents) what each example retrieves from a snapshot, and second_pass
+combines the pair latents of whatever entries were injected. A decode is a
+correctness flag and a confidence; answer names the action it stands for. Everything is a
 deterministic function of (spec, seed), which makes free-rerun versus fixed-retrieval
 contrasts exactly decomposable and lets the oracle read off ground-truth
 outcomes for every candidate context (oracle_candidates).
@@ -18,12 +18,13 @@ baseline correctness, query and entry embeddings) draws from its own keyed
 Philox stream, so a draw can be made when it is first read and still be the
 value an eager draw gives. Guards, baseline correctness, topics, embeddings
 and the confidence latents are drawn when the world is built, as dense
-arrays. A noisy confidence signal is drawn whole on its first read, and a
-pair's latents on the first read of that pair: pair (i, j) is one
-Philox4x64-10 block at a fixed counter, computed directly by
-philox_uniforms, and the value is the one a dense draw of the whole table
-would give. Retrieval is ranked on first read as well: a world ranks only
-the examples it is asked for against a snapshot (World._table).
+arrays. A noisy confidence signal is drawn whole on its first read.
+Retrieval is ranked on first read: a world ranks only the examples it is
+asked for against a snapshot (World._table), and draws the pair latents of
+each row it ranks at that row's ranked entries, the only pairs a second pass
+reads. Pair (i, j) is one Philox4x64-10 block at a fixed counter, computed
+directly by philox_uniforms, so its value is the one a dense draw of the
+whole table would give, whichever table draws it.
 
 Confidences come from a two-Beta model: correct decodes draw from
 Beta(mu_hi*kappa, ...), incorrect from the mirrored low component, with the
@@ -288,7 +289,6 @@ class OutcomeTable:
 
 # bits of a pair-latent byte; sensitivity takes two: repair_better, corrupt_better, or neither
 PAIR_APPLICABLE, PAIR_HELP, PAIR_HURT, PAIR_REPAIR_BETTER, PAIR_CORRUPT_BETTER = 1, 2, 4, 8, 16
-PAIR_DRAWN = 32  # set once a cell's latents are drawn; never part of what _pair_bytes returns
 
 
 def _stream(key: int, counter: int = 0) -> np.random.Generator:
@@ -383,15 +383,14 @@ class World:
             self._rng("query-embedding"), topics, self._topic_matrix(topics), spec.topic_weight
         )
 
-        # pair latents, drawn a cell at a time on first read (_pair_bytes)
+        # pair latents, drawn at the cells a retrieval table ranks (_pair_bytes)
         self._pair_rate = np.where(toxic, spec.toxic_applicability, [spec.rate_for(k) for k in entry_kinds])
         self._pair_hurt = np.where(toxic, spec.toxic_hurt_prob, spec.hurt_prob_given_inapplicable)
-        self._pairs = np.zeros((n, len(entry_ids)), np.uint8)
         rates = np.array([spec.guard_rate(g) for g in GUARD_NAMES])
         self._guards = self._rng("guard").random((n, len(GUARD_NAMES))) < rates
         self._latent = self._draw_latent(self._baseline)
         self._conf: dict[str, np.ndarray] = {}  # noisy signal -> its confidences, drawn on first read
-        # bank kind -> (content_hash, counts, columns, ranked) of the last snapshot read; see _table
+        # bank kind -> (content_hash, counts, columns, pairs, ranked) of the last snapshot read; see _table
         self._tables: dict = {}
 
     def _rng(self, purpose: str) -> np.random.Generator:
@@ -402,37 +401,26 @@ class World:
 
         Pair (i, j) takes the four uniforms of block i * n_entries + j + 1 of
         the world's pair stream: applicable, help, hurt, sensitivity. Cells
-        not read before are drawn now, TABLE_BLOCK_CELLS // 4 at a time, so
-        that their (cells, 4) uniforms fill TABLE_BLOCK_CELLS doubles, and
-        kept, so a value does not depend on which cells were read, in what
-        order or in what blocks: it is the cell of the dense row-major draw.
+        are drawn TABLE_BLOCK_CELLS // 4 at a time, so that their (cells, 4)
+        uniforms fill TABLE_BLOCK_CELLS doubles; a value does not depend on
+        which other cells are drawn with it: it is the cell of the dense
+        row-major draw.
         """
-        m = self._pairs.shape[1]
-        cells = np.asarray(rows, np.intp) * m + np.asarray(columns, np.intp)
-        flat = self._pairs.reshape(-1)
-        bits = flat[cells]
-        missing = cells[bits & PAIR_DRAWN == 0]
-        if missing.size:
-            key = derive_seed(self.seed, "pair")
-            step = max(1, TABLE_BLOCK_CELLS // 4)
-            for start in range(0, missing.size, step):
-                block = missing[start:start + step]
-                flat[block] = self._encode_pairs(block % m, philox_uniforms(key, block + 1))
-            bits = flat[cells]
-        bits &= ~np.uint8(PAIR_DRAWN)
-        return bits
-
-    def _encode_pairs(self, columns: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Pair-latent bytes, PAIR_DRAWN set, of cells in `columns` from their (cells, 4) uniforms."""
-        spec = self.spec
+        spec, m = self.spec, len(self.entry_ids)
         sens_repair = spec.edit_sensitive_rate * spec.repair_better_prob
-        bits = np.full(len(columns), PAIR_DRAWN, np.uint8)
-        bits |= (u[:, 0] < self._pair_rate[columns]) * np.uint8(PAIR_APPLICABLE)
-        bits |= (u[:, 1] < spec.help_prob_given_applicable) * np.uint8(PAIR_HELP)
-        bits |= (u[:, 2] < self._pair_hurt[columns]) * np.uint8(PAIR_HURT)
-        bits |= (u[:, 3] < sens_repair) * np.uint8(PAIR_REPAIR_BETTER)
-        bits |= ((u[:, 3] >= sens_repair) & (u[:, 3] < spec.edit_sensitive_rate)) * np.uint8(PAIR_CORRUPT_BETTER)
-        return bits
+        cells = np.asarray(rows, np.intp) * m + np.asarray(columns, np.intp)
+        out = np.empty(cells.shape, np.uint8)
+        key, step = derive_seed(self.seed, "pair"), max(1, TABLE_BLOCK_CELLS // 4)
+        for start in range(0, cells.size, step):
+            block = cells.reshape(-1)[start:start + step]
+            j, u = block % m, philox_uniforms(key, block + 1)
+            bits = (u[:, 0] < self._pair_rate[j]) * np.uint8(PAIR_APPLICABLE)
+            bits |= (u[:, 1] < spec.help_prob_given_applicable) * np.uint8(PAIR_HELP)
+            bits |= (u[:, 2] < self._pair_hurt[j]) * np.uint8(PAIR_HURT)
+            bits |= (u[:, 3] < sens_repair) * np.uint8(PAIR_REPAIR_BETTER)
+            bits |= ((u[:, 3] >= sens_repair) & (u[:, 3] < spec.edit_sensitive_rate)) * np.uint8(PAIR_CORRUPT_BETTER)
+            out.reshape(-1)[start:start + step] = bits
+        return out
 
     def _draw_latent(self, baseline: np.ndarray) -> np.ndarray:
         """(n_examples, 5) Beta confidence latents, the mean_logprob signal.
@@ -492,25 +480,28 @@ class World:
     def snapshots(self) -> dict[str, BankSnapshot]:
         return {k: b.freeze() for k, b in self.banks.items()}
 
-    def _table(self, snapshot: BankSnapshot, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(columns, counts) of the snapshot's retrieval at example rows.
+    def _table(self, snapshot: BankSnapshot, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(columns, counts, pairs) of the snapshot's retrieval at example rows.
 
         Row r of columns holds the ranked entries of example rows[r] as
-        pair-table columns, best first, and counts[r] how many lead strictly
-        above the threshold. One table per bank kind is kept, that of the
-        last snapshot read, and it ranks an example on its first read only:
-        missing rows are ranked by retrieval_table a row block at a time. A
-        snapshot with another content hash replaces the table; the old one
-        goes first, so two of a kind never coexist.
+        pair-table columns, best first, counts[r] how many lead strictly
+        above the threshold, and pairs[r] the pair-latent bytes of those
+        columns. One table per bank kind is kept, that of the last snapshot
+        read, and it ranks an example on its first read only: missing rows
+        are ranked by retrieval_table a row block at a time, and their pair
+        bytes drawn in one _pair_bytes call. A snapshot with another content
+        hash replaces the table; the old one goes first, so two of a kind
+        never coexist.
         """
         kind = snapshot.bank_kind
         if self._tables.get(kind, (None,))[0] != snapshot.content_hash:
             self._tables.pop(kind, None)
             n, k = self.spec.n_examples, min(self.spec.k_max, len(snapshot.entry_ids))
             self._tables[kind] = (
-                snapshot.content_hash, np.zeros(n, np.intp), np.zeros((n, k), np.intp), np.zeros(n, bool)
+                snapshot.content_hash, np.zeros(n, np.intp), np.zeros((n, k), np.intp), np.zeros((n, k), np.uint8),
+                np.zeros(n, bool),
             )
-        _, counts, columns, ranked = self._tables[kind]
+        _, counts, columns, pairs, ranked = self._tables[kind]
         need = np.zeros(len(ranked), bool)
         need[rows] = True
         missing = np.flatnonzero(need & ~ranked)
@@ -523,28 +514,30 @@ class World:
                     self.query_embeddings[block], snapshot, self.spec.retrieval_threshold, self.spec.k_max
                 )
                 counts[block], columns[block] = table.counts, entry_columns[table.ranked]
+            # one call for every missing row: each philox_uniforms call costs its ten rounds whatever its size
+            pairs[missing] = self._pair_bytes(missing[:, None], columns[missing])
             ranked[missing] = True
-        return columns[rows], counts[rows]
+        return columns[rows], counts[rows], pairs[rows]
 
     def columns(self, entry_ids) -> np.ndarray:
         """Pair-table columns of entry ids: rule entries first, then exemplar entries."""
         return np.array([self._column[e] for e in entry_ids], np.intp)
 
-    def injected(self, rows, snapshots: dict, banks) -> tuple[np.ndarray, np.ndarray]:
-        """(columns, filled): what retrieving from `banks` in order injects per example.
+    def injected(self, rows, snapshots: dict, banks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(columns, filled, pairs): what retrieving from `banks` in order injects per example.
 
         Row r of each array belongs to example rows[r], which injects
         columns[r][filled[r]] in that order: each bank's ranked entries whose
-        similarity is strictly above the threshold, best first.
+        similarity is strictly above the threshold, best first. pairs holds
+        the pair-latent byte of each column.
         """
         rows = np.asarray(rows, np.intp)
-        parts = [self._table(snapshots[b], rows) for b in banks]
-        empty = np.zeros((len(rows), 0), np.intp)
-        cols = np.concatenate([empty] + [c for c, _ in parts], axis=1)
-        filled = np.concatenate(
-            [empty.astype(bool)] + [np.arange(c.shape[1]) < counts[:, None] for c, counts in parts], axis=1
-        )
-        return cols, filled
+        out = [np.zeros((len(rows), 0), dtype) for dtype in (np.intp, bool, np.uint8)]
+        for b in banks:
+            cols, counts, pairs = self._table(snapshots[b], rows)
+            filled = np.arange(cols.shape[1]) < counts[:, None]
+            out = [np.concatenate(x, axis=1) for x in zip(out, (cols, filled, pairs))]
+        return tuple(out)
 
     def true_action(self, idx: int) -> str:
         return f"ans{idx}"
@@ -583,9 +576,10 @@ class World:
         return self._baseline[rows], self._confidence(signal)[rows, 0]
 
     def second_pass(
-        self, rows, columns, filled, version: str = "original", edited_ids=(), signal: str = "mean_logprob"
+        self, rows, columns, filled, pairs, version: str = "original", edited_ids=(), signal: str = "mean_logprob"
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(correct, confidence) of a second pass per example of rows, row r injecting columns[r][filled[r]].
+        """(correct, confidence) of a second pass per example of rows, row r injecting columns[r][filled[r]]
+        with pair-latent bytes pairs[r][filled[r]].
 
         The first applicable injected entry decides: the pass is correct if
         the baseline is or that entry helps. With none applicable the first
@@ -600,18 +594,17 @@ class World:
         base, conf = self.baseline_pass(rows, signal)
         if columns.shape[1] == 0:
             return base, conf
-        bits = np.zeros(columns.shape, np.uint8)  # an unfilled slot never decides, so it reads 0
-        bits[filled] = self._pair_bytes(np.repeat(rows, filled.sum(axis=1)), columns[filled])
-        applicable = filled & (bits & PAIR_APPLICABLE > 0)
+        # an unfilled slot never decides, so its byte is never read
+        applicable = filled & (pairs & PAIR_APPLICABLE > 0)
         any_applicable = applicable.any(axis=1)
         slot = np.where(any_applicable, applicable.argmax(axis=1), filled.argmax(axis=1))[:, None]
-        deciding = np.take_along_axis(bits, slot, axis=1)[:, 0]
+        deciding = np.take_along_axis(pairs, slot, axis=1)[:, 0]
         correct = np.where(any_applicable, base | (deciding & PAIR_HELP > 0), base & (deciding & PAIR_HURT == 0))
         if version in ("repair", "corrupt") and len(edited_ids):
             edited = np.zeros(len(self.entry_ids), bool)
             edited[self.columns([e for e in edited_ids if e in self._column])] = True
             hit = filled & edited[columns]
-            hit_bits = np.take_along_axis(bits, hit.argmax(axis=1)[:, None], axis=1)[:, 0] * hit.any(axis=1)
+            hit_bits = np.take_along_axis(pairs, hit.argmax(axis=1)[:, None], axis=1)[:, 0] * hit.any(axis=1)
             correct = np.where(
                 hit_bits & PAIR_REPAIR_BETTER > 0,
                 version == "repair",
@@ -631,8 +624,7 @@ class World:
         by_context: dict = {}
         confs: dict = {}
         for context in ("none",) + ORACLE_CONTEXTS:
-            cols, filled = self.injected(rows, snaps, CONTEXT_BANKS[context])
-            correct, confs[context] = self.second_pass(rows, cols, filled)
+            correct, confs[context] = self.second_pass(rows, *self.injected(rows, snaps, CONTEXT_BANKS[context]))
             for version in CONTENT_VERSIONS:  # with no entry edited, every version decodes alike
                 by_context[(context, version)] = correct
         return OutcomeTable(self._baseline, by_context, confs)
@@ -642,9 +634,9 @@ class World:
         context injects anything for the example, and whether that pass is correct."""
         present, correct = [], []
         for context in contexts:
-            cols, filled = self.injected(rows, snapshots, CONTEXT_BANKS[context])
+            cols, filled, pairs = self.injected(rows, snapshots, CONTEXT_BANKS[context])
             present.append(filled.any(axis=1))
-            correct.append(self.second_pass(rows, cols, filled)[0])
+            correct.append(self.second_pass(rows, cols, filled, pairs)[0])
         return np.stack(present, axis=1), np.stack(correct, axis=1)
 
     # -- content-edit machinery ------------------------------------------------

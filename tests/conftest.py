@@ -5,7 +5,8 @@ the control loop one step at a time, with the second pass decoded entry by
 entry, as step records; oracle_policy is the paired oracle one step at a
 time. The package computes all three in batches, and keeps a run as the
 arrays of a StepTable. reference_pair_table draws every pair latent of a
-world at once, where the world draws a cell on its first read. The
+world at once, where the world draws only the cells its retrieval tables
+rank. The
 reference_*_text writers build a dict per row and call json on it; the
 package encodes the same bytes from columns. reference_counterfactual is the
 counterfactual runner over per-step records, with the frozen identities as a
@@ -533,7 +534,7 @@ def reference_outcome_table_text(table) -> str:
 def reference_traces_text(steps) -> str:
     """traces.jsonl from a StepTable: a dict per step and per episode, json.dumps per episode."""
     world = steps.world
-    columns, filled = steps.deciding_injection()
+    columns, filled, _ = steps.deciding_injection()
     ran, correct, confidence = (x.tolist() for x in steps.deciding_pass())
     routed, accepted = steps.routed.tolist(), steps.accepted.tolist()
     base_conf = steps.baseline_confidence.tolist()

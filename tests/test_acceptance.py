@@ -368,8 +368,8 @@ def test_criterion_08_separability_gating():
             # verify the premise: realized help-vs-hurt separation per bank
             base, _ = world.baseline_pass(ids)
             for bank, store in (("rule", auc_a_values), ("exemplar", auc_b_values)):
-                cols, filled = world.injected(ids, snaps, (bank,))
-                correct, conf = world.second_pass(ids, cols, filled)
+                cols, filled, pairs = world.injected(ids, snaps, (bank,))
+                correct, conf = world.second_pass(ids, cols, filled, pairs)
                 flipped = filled.any(axis=1) & (correct != base)
                 store.append(roc_auc(conf[flipped].tolist(), correct[flipped].tolist()))
     assert margin("mean rule help/hurt AUC", np.mean(auc_a_values), ">=", 0.8) >= 0.8

@@ -64,6 +64,29 @@ def test_fit_then_test_flow(tmp_path, world_config, grid_config, capsys):
     assert any(line.startswith("retry vs baseline") for line in ledger)
 
 
+@pytest.mark.parametrize("steps_per_episode", [1, 2, 3])
+def test_test_says_when_fixed_budget_cannot_bind(tmp_path, grid_config, capsys, steps_per_episode):
+    config = tmp_path / "world.kv"
+    config.write_text(f"n_examples = 240\nseed = 5\ntopic_count = 10\nsteps_per_episode = {steps_per_episode}\n")
+    fit_out, test_out = str(tmp_path / "fit"), str(tmp_path / "test")
+    assert main(["fit", "--config", str(config), "--grid", grid_config, "--out", fit_out]) == 0
+    capsys.readouterr()
+    manifest = os.path.join(fit_out, "manifest.json")
+    assert main(["test", "--config", str(config), "--manifest", manifest, "--out", test_out]) == 0
+    err = capsys.readouterr().err
+    ledger = Path(test_out, "ledger.csv").read_text().splitlines()[1:]
+    rows = {line.split(" vs ")[0]: line.split(",", 1)[1] for line in ledger}
+    if steps_per_episode <= 2:
+        assert err == (
+            f"note: steps_per_episode = {steps_per_episode} is at most fixed_budget's cap of 2 routed steps per "
+            "episode, so the cap cannot bind and the fixed_budget row equals always_retrieve's\n"
+        )
+        assert rows["fixed_budget"] == rows["always_retrieve"]
+    else:
+        assert err == ""
+        assert rows["fixed_budget"] != rows["always_retrieve"]
+
+
 def test_test_stage_leaves_numpy_ma_unimported(tmp_path, world_config, grid_config, capsys):
     fit_out = str(tmp_path / "fit")
     assert main(["fit", "--config", world_config, "--grid", grid_config, "--out", fit_out]) == 0

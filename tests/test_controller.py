@@ -439,7 +439,7 @@ def _carries_retrieval(steps, context, attempt):
 
 def _frozen_identities(steps, context=DEFAULT_CONTEXT):
     """Example id -> deciding injection of every routed step that carries a retrieval."""
-    columns, filled = steps.deciding_injection()
+    columns, filled, _ = steps.deciding_injection()
     carries = np.zeros(len(steps.routed), bool)
     for a in range(len(steps.plan)):
         carries |= _carries_retrieval(steps, context, a) & (steps.deciding == a)
@@ -645,7 +645,8 @@ def test_array_decode_matches_entry_by_entry_reference():
         version = ("original", "repair", "corrupt")[int(rng.integers(3))]
         signal = CONFIDENCE_SIGNALS[int(rng.integers(3))]
         cols = world.columns(injected)[None, :]
-        correct, conf = world.second_pass([idx], cols, np.ones(cols.shape, bool), version, edited, signal)
+        pairs = world._pair_bytes(idx, cols)
+        correct, conf = world.second_pass([idx], cols, np.ones(cols.shape, bool), pairs, version, edited, signal)
         got = world.answer(idx, bool(correct[0]), second=bool(injected)), float(conf[0])
         assert got == reference_second(world, idx, injected, version, edited, signal)
 
@@ -683,8 +684,15 @@ def test_fixed_replay_on_other_examples_rejected():
     world = generate_world(WorldSpec(n_examples=50, seed=1))
     policy, snaps = PolicyConfig(tau=0.9), world.snapshots()
     original = evaluate_policy(world, policy, snaps, list(range(40))).steps
+    context = SecondPassContext("repair", ("E000",), frozen=original)
     with pytest.raises(ValueError, match="fixed replay must run on the examples of the run it replays"):
-        run_steps(world, policy, snaps, list(range(1, 41)), SecondPassContext("repair", ("E000",), frozen=original))
+        run_steps(world, policy, snaps, list(range(1, 41)), context)
+    other = generate_world(WorldSpec(n_examples=50, seed=2))
+    with pytest.raises(ValueError, match="fixed replay must run on a world of the spec of the run it replays"):
+        run_steps(other, policy, other.snapshots(), list(range(40)), context)
+    same = generate_world(WorldSpec(n_examples=50, seed=1))  # a world of the same spec has the same pair bytes
+    fixed = run_steps(same, policy, same.snapshots(), list(range(40)), context)
+    assert fixed.routed.any() and np.array_equal(fixed.pairs[0], original.deciding_injection()[2])
 
 
 def test_out_of_range_example_id_rejected():

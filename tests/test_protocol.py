@@ -683,7 +683,7 @@ def test_counterfactual_audits_non_hit_rows_only(monkeypatch, hit):
     def nudge(world, policy, snapshots, example_ids, context):
         steps = run_steps(world, policy, snapshots, example_ids, context)
         if context.frozen is not None and context.version == "corrupt":
-            columns, filled = context.frozen.deciding_injection()
+            columns, filled, _ = context.frozen.deciding_injection()
             hits = (filled & np.isin(columns, world.columns(context.edited_ids))).any(axis=1)
             s = int(np.flatnonzero(steps.routed & steps.decoded[:, 0] & (hits == hit))[0])
             confidence = steps.second_confidence.copy()

@@ -95,6 +95,11 @@ def test_empty_snapshot():
     assert retrieve(Query(0, np.array([1.0])), snap).retrieved_ids == ()
 
 
+def table_ids(table, snap, row):
+    """The entry ids a retrieval table's row retrieves."""
+    return tuple(snap.entry_ids[i] for i in table.ranked[row, :table.counts[row]].tolist())
+
+
 def assert_same_result(got, want):
     # ids exactly; cosines to float64 rounding of a dot product in <= 64 dims
     assert got.query_id == want.query_id
@@ -122,11 +127,11 @@ def test_table_matches_reference_on_ties_and_threshold_across_blocks(monkeypatch
             np.testing.assert_array_equal(table.ranked, np.argsort(-sims, axis=1, kind="stable")[:, :k_max])
             for i, q in enumerate(queries):
                 want = reference_retrieve(Query(i, q), snap, threshold, k_max)
-                assert_same_result(table.result(i, i), want)
+                assert table_ids(table, snap, i) == want.retrieved_ids
                 assert_same_result(retrieve(Query(i, q), snap, threshold, k_max), want)
     probe = retrieval_table(queries, snap, 0.6, 3)
-    assert probe.result(0, 0).retrieved_ids == ("R000", "R001", "R002")
-    assert probe.result(3, 3).retrieved_ids == probe.result(9, 9).retrieved_ids == ("R003", "R001", "R002")
+    assert table_ids(probe, snap, 0) == ("R000", "R001", "R002")
+    assert table_ids(probe, snap, 3) == table_ids(probe, snap, 9) == ("R003", "R001", "R002")
 
 
 def test_k_max_must_be_positive():
@@ -163,7 +168,7 @@ def test_freeze_identities_routed_only():
     world = generate_world(WorldSpec(n_examples=60, seed=3, steps_per_episode=4, n_rule_entries=4, n_exemplar_entries=4))
     policy, snaps, ids = PolicyConfig(tau=0.6, budget_B=2), world.snapshots(), list(range(60))
     steps = evaluate_policy(world, policy, snaps, ids).steps
-    columns, filled = steps.deciding_injection()
+    columns, filled, _ = steps.deciding_injection()
     frozen = {
         idx: tuple(world.entry_ids[c] for c in columns[s][filled[s]].tolist())
         for s, idx in enumerate(steps.example_ids.tolist())

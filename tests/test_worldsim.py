@@ -24,7 +24,6 @@ from gatedmem.util import derive_seed, parse_kv_file
 from gatedmem.worldsim import (
     PAIR_APPLICABLE,
     PAIR_CORRUPT_BETTER,
-    PAIR_DRAWN,
     PAIR_HELP,
     PAIR_HURT,
     PAIR_REPAIR_BETTER,
@@ -46,7 +45,8 @@ from gatedmem.worldsim import (
 def _second_pass(world, rows, injected, version="original", edited_ids=(), signal="mean_logprob"):
     """second_pass with every row injecting the same entry ids."""
     cols = np.tile(world.columns(injected), (len(rows), 1))
-    return world.second_pass(rows, cols, np.ones(cols.shape, bool), version, edited_ids, signal)
+    pairs = world._pair_bytes(np.asarray(rows, np.intp)[:, None], cols)
+    return world.second_pass(rows, cols, np.ones(cols.shape, bool), pairs, version, edited_ids, signal)
 
 
 def test_same_spec_same_world():
@@ -317,8 +317,8 @@ def test_realized_help_hurt_auc_in_band():
     snaps = world.snapshots()
     rows = range(1500)
     base, _ = world.baseline_pass(rows)
-    cols, filled = world.injected(rows, snaps, ("exemplar",))
-    correct, conf = world.second_pass(rows, cols, filled)
+    cols, filled, pairs = world.injected(rows, snaps, ("exemplar",))
+    correct, conf = world.second_pass(rows, cols, filled, pairs)
     flipped = filled.any(axis=1) & (correct != base)
     assert flipped.sum() >= 500
     auc = roc_auc(conf[flipped].tolist(), correct[flipped].tolist())
@@ -436,16 +436,18 @@ def test_world_retrieve_matches_per_query_reference(spec):
             for idx, q in enumerate(world.query_embeddings)
         ]
         for _ in range(2):  # the second read uses the table built by the first
-            cols, filled = world.injected(rows, {"bank": snap}, ("bank",))
+            cols, filled, _ = world.injected(rows, {"bank": snap}, ("bank",))
             got = [tuple(world.entry_ids[c] for c in cs[f].tolist()) for cs, f in zip(cols, filled)]
             assert got == want, snap.content_hash
     assert world.injected([0], world.snapshots(), ("rule",))[1].any()  # not vacuous
 
 
-def _full_table(world, snap):
-    """(columns, counts) of every example, ranked at once by retrieval_table."""
+def _full_table(world, snap, dense_pairs):
+    """(columns, counts, pairs) of every example, ranked at once by retrieval_table, with the
+    dense pair-latent draw read at the ranked cells."""
     table = retrieval_table(world.query_embeddings, snap, world.spec.retrieval_threshold, world.spec.k_max)
-    return world.columns(snap.entry_ids)[table.ranked], table.counts
+    columns = world.columns(snap.entry_ids)[table.ranked]
+    return columns, table.counts, np.take_along_axis(dense_pairs, columns, axis=1)
 
 
 @pytest.mark.parametrize(
@@ -472,7 +474,8 @@ def test_lazy_table_rows_equal_full_retrieval_table(monkeypatch, spec):
         emptied.retain([])
         drifted = world.drifted_snapshot(kind, default_edits(ids[::3], "corrupt"))
         snaps[kind] += [drifted, governed.freeze(), emptied.freeze()]
-    want = {s.content_hash: _full_table(world, s) for kind_snaps in snaps.values() for s in kind_snaps}
+    dense = reference_pair_table(world)
+    want = {s.content_hash: _full_table(world, s, dense) for kind_snaps in snaps.values() for s in kind_snaps}
     rng = np.random.default_rng(spec.seed)
     for kind, kind_snaps in snaps.items():
         read = {}  # content hash -> rows read since the snapshot last replaced the table
@@ -483,18 +486,20 @@ def test_lazy_table_rows_equal_full_retrieval_table(monkeypatch, spec):
             # random subsets in random order, repeats within a read, rows read before and the empty read
             size = [0, 1, 7, 60, n][it % 5]
             rows = rng.integers(n, size=size) if it % 2 else rng.permutation(n)[:size]
-            columns, counts = world._table(snap, rows)
-            cols_want, counts_want = (x[rows] for x in want[snap.content_hash])
+            columns, counts, pairs = world._table(snap, rows)
+            cols_want, counts_want, pairs_want = (x[rows] for x in want[snap.content_hash])
             assert columns.shape == cols_want.shape and columns.tobytes() == cols_want.tobytes()
             assert counts.tobytes() == counts_want.tobytes()
+            assert pairs.shape == pairs_want.shape and pairs.tobytes() == pairs_want.tobytes()
             read[snap.content_hash][rows] = True
             assert set(world._tables) <= set(world.banks)  # one table per kind
-            ranked = world._tables[kind][3]
+            ranked = world._tables[kind][4]
             assert np.array_equal(ranked, read[snap.content_hash])  # only the rows read are ranked
-        columns, counts = world._table(snap, np.arange(n))
-        assert columns.tobytes() == want[snap.content_hash][0].tobytes()
-        assert counts.tobytes() == want[snap.content_hash][1].tobytes()
+        got = world._table(snap, np.arange(n))
+        for x, x_want in zip(got, want[snap.content_hash]):
+            assert x.tobytes() == x_want.tobytes()
     assert any(want[s.content_hash][1].any() for s in snaps["rule"])  # not vacuous
+    assert any(want[s.content_hash][2].any() for s in snaps["rule"])
 
 
 def _eager_confidences(world):
@@ -605,7 +610,8 @@ def _lazy_specs():
 def test_pair_bytes_equal_dense_draw_in_any_read_order(spec):
     reference = reference_pair_table(generate_world(spec))
     n, m = reference.shape
-    assert reference.any() and not (reference & PAIR_DRAWN).any()
+    latent_bits = PAIR_APPLICABLE | PAIR_HELP | PAIR_HURT | PAIR_REPAIR_BETTER | PAIR_CORRUPT_BETTER
+    assert reference.any() and not (reference & ~np.uint8(latent_bits)).any()  # no other bit is ever set
     world = generate_world(spec)  # a row at a time, rows shuffled and columns reversed
     for idx in np.random.default_rng(spec.seed).permutation(n).tolist():
         assert np.array_equal(world._pair_bytes(idx, np.arange(m)[::-1]), reference[idx, ::-1])
@@ -621,16 +627,35 @@ def test_pair_bytes_equal_dense_draw_in_any_read_order(spec):
         )
 
 
-def test_second_pass_draws_only_the_cells_it_injects():
-    world = generate_world(WorldSpec(n_examples=300, seed=27))
-    rows = np.arange(0, 300, 2)
-    cols, filled = world.injected(rows, world.snapshots(), ("rule", "exemplar"))
-    assert not (world._pairs & PAIR_DRAWN).any()
-    world.second_pass(rows, cols, filled)
-    drawn = np.zeros(world._pairs.shape, bool)
-    drawn[np.broadcast_to(rows[:, None], cols.shape)[filled], cols[filled]] = True
-    assert 0 < drawn.sum() < drawn.size // 10
-    assert np.array_equal(world._pairs & PAIR_DRAWN > 0, drawn)
+def _arrays(obj, seen=None):
+    """Every numpy array reachable from obj through containers and gatedmem objects."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            yield from _arrays(value, seen)
+    elif isinstance(obj, (tuple, list, set, frozenset)):
+        for value in obj:
+            yield from _arrays(value, seen)
+    elif type(obj).__module__.startswith("gatedmem"):
+        for value in vars(obj).values():
+            yield from _arrays(value, seen)
+
+
+def test_world_keeps_no_examples_by_entries_array():
+    # pair latents live beside each table's ranked columns, not in an (n_examples, n_entries) matrix
+    spec = WorldSpec(n_examples=300, seed=27)
+    world = generate_world(spec)
+    world.outcome_table(world.snapshots())
+    assert all(world._tables[kind][4].all() for kind in world.banks)  # every row is ranked
+    cells = spec.n_examples * len(world.entry_ids)
+    sizes = {a.size for a in _arrays(world)}
+    assert spec.n_examples * spec.embedding_dim in sizes  # the walk reaches the query embeddings
+    assert max(sizes) < cells
 
 
 def test_realized_rates_within_binomial_bands():
