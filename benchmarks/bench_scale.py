@@ -21,8 +21,10 @@ names the host and whether child processes may write bytecode caches
 (PYTHONDONTWRITEBYTECODE unset), since without them every stage
 recompiles the package. Beside each tree's ``git describe`` the record
 keeps the sha256 of each of its src/gatedmem/*.py files, so it says which
-code ran even when a tree is dirty or not a git checkout. A stage that exits
-non-zero stops the run with exit status 1 and its output on stderr.
+code ran even when a tree is dirty or not a git checkout, and each file's
+line count, so a change's line delta comes from the same record as its
+timings. A stage that exits non-zero stops the run with exit status 1 and
+its output on stderr.
 
 --against TREE compares this checkout with another source checkout in one
 run, so drift of the host over time does not read as a change. For each
@@ -165,6 +167,7 @@ def host() -> dict:
         "numpy": numpy.__version__,
         "commit": commit(ROOT),
         "source_sha256": source_sha256(ROOT),
+        "source_lines": source_lines(ROOT),
         "bytecode_cache": not os.environ.get("PYTHONDONTWRITEBYTECODE"),
     }
 
@@ -181,6 +184,11 @@ def commit(root: Path) -> str | None:
 def source_sha256(root: Path) -> dict:
     """File name -> sha256 of each src/gatedmem/*.py of a tree, as sha256sum prints it."""
     return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted((root / "src" / "gatedmem").glob("*.py"))}
+
+
+def source_lines(root: Path) -> dict:
+    """File name -> line count of each src/gatedmem/*.py of a tree, as wc -l counts them."""
+    return {p.name: p.read_bytes().count(b"\n") for p in sorted((root / "src" / "gatedmem").glob("*.py"))}
 
 
 def make_work(work: Path, n: int) -> Path:
@@ -212,6 +220,7 @@ def main(argv=None) -> int:
     if args.against:
         record["against_commit"] = commit(trees["against"])
         record["against_source_sha256"] = source_sha256(trees["against"])
+        record["against_source_lines"] = source_lines(trees["against"])
     else:
         record["import_only"] = measure([sys.executable, "-c", "import gatedmem.cli"], child_env(), args.repeats)
         print(f"import-only: {record['import_only']['wall_s']:.3f} s", flush=True)

@@ -14,7 +14,7 @@ from .protocol import (
     run_governance_loop,
     split_indices,
 )
-from .retrieval import ContentEdit, Query, RetrievalResult, retrieve
+from .retrieval import Query, RetrievalResult, retrieve
 from .stats import (
     CalibrationSet,
     bootstrap_ci,

@@ -129,9 +129,9 @@ def cmd_counterfactual(args) -> int:
         return 2
     world = _load_world(args)
     manifest = FreezeManifest.load(args.manifest)
-    edits = load_edits(args.edits)
-    rows, audit = run_counterfactual(world, manifest, edits)
-    inert = sorted({e.entry_id for e in edits} - {i for bank in world.banks.values() for i in bank.active_columns()[0]})
+    edited_ids = load_edits(args.edits)
+    rows, audit = run_counterfactual(world, manifest, edited_ids)
+    inert = sorted(set(edited_ids) - {i for bank in world.banks.values() for i in bank.active_columns()[0]})
     if inert:  # never retrieved, so never hit; the run still replays the rest
         print(f"note: {len(inert)} edits name entries the frozen membership retired, "
               f"which no mode retrieves: {', '.join(inert)}", file=sys.stderr)

@@ -136,18 +136,6 @@ def compose_bank_policy(policy: PolicyConfig) -> list[tuple[tuple[str, ...], boo
     raise ValueError(f"unresolved bank policy {kind!r}")
 
 
-@dataclass(frozen=True)
-class SecondPassContext:
-    """Content version and replay mode for the second pass."""
-
-    version: str = "original"  # original | repair | corrupt | none (no memory: retry)
-    edited_ids: tuple[str, ...] = ()
-    frozen: StepTable | None = None  # fixed-retrieval replay of this run's deciding injections when set
-
-
-DEFAULT_CONTEXT = SecondPassContext()
-
-
 @dataclass
 class StepTable:
     """A batched run: one row per step, in episode then step order.
@@ -212,7 +200,7 @@ class StepTable:
 
 
 def run_steps(
-    world, policy: PolicyConfig, snapshots: dict, example_ids, context: SecondPassContext = DEFAULT_CONTEXT
+    world, policy: PolicyConfig, snapshots: dict, example_ids, version="original", edited_ids=(), frozen=None
 ) -> StepTable:
     """The decision loop over every episode at once, one step position at a time.
 
@@ -223,16 +211,17 @@ def run_steps(
     is accepted iff it injected something, its confidence is at least the
     baseline's plus the margin (-inf for gate_only) and every enabled guard
     passes. The first accepted attempt's answer is final; if none is, the
-    step rolls back to the baseline. Fixed replay (context.frozen, a run on
-    the same examples) injects each step's frozen deciding injection in one
-    attempt, and the `none` version injects nothing and decodes the baseline
-    again. Steps of an episode are its examples in ascending order;
-    example_ids must be distinct and index the world's examples.
+    step rolls back to the baseline. The second pass decodes edited_ids at
+    content `version`; the `none` version injects nothing and decodes the
+    baseline again. A fixed replay of `frozen`, a run on the same examples,
+    injects each step's frozen deciding injection in one attempt. Steps of
+    an episode are its examples in ascending order; example_ids must be
+    distinct and index the world's examples.
     """
     ex = np.sort(np.asarray(example_ids, np.intp))
-    if context.frozen is not None and not np.array_equal(context.frozen.example_ids, ex):
+    if frozen is not None and not np.array_equal(frozen.example_ids, ex):
         raise ValueError("fixed replay must run on the examples of the run it replays")
-    if context.frozen is not None and context.frozen.world.spec != world.spec:  # it decodes with that run's pair bytes
+    if frozen is not None and frozen.world.spec != world.spec:  # it decodes with that run's pair bytes
         raise ValueError("fixed replay must run on a world of the spec of the run it replays")
     episode = ex // world.spec.steps_per_episode
     first = np.diff(episode, prepend=-1) != 0
@@ -253,13 +242,13 @@ def run_steps(
         count[e] += go
         cooling[e] = np.where(go, policy.cooldown, np.maximum(cooling[e] - 1, 0))
 
-    if context.frozen is not None:
+    if frozen is not None:
         plan = ((("frozen",), policy.resolved().bank_policy == "gate_only"),)
-        frozen = context.frozen.deciding_injection()
+        injection = frozen.deciding_injection()
     else:
         plan = tuple(compose_bank_policy(policy))
     rows = ex[routed]
-    no_memory = context.version == "none"
+    no_memory = version == "none"
     guards = world.guards_pass(rows, policy.guards_enabled)
     shape = (len(ex), len(plan))
     tried, decoded, correct, accepted = (np.zeros(shape, bool) for _ in range(4))
@@ -267,13 +256,11 @@ def run_steps(
     columns, filled, pairs = [], [], []
     pending = np.ones(len(rows), bool)
     for a, (banks, bypass_margin) in enumerate(plan):
-        if context.frozen is not None and not no_memory:
-            cols, fill, bits = (x[routed] for x in frozen)
+        if frozen is not None and not no_memory:
+            cols, fill, bits = (x[routed] for x in injection)
         else:
             cols, fill, bits = world.injected(rows, snapshots, () if no_memory else banks)
-        second, conf2 = world.second_pass(
-            rows, cols, fill, bits, context.version, context.edited_ids, policy.confidence_signal
-        )
+        second, conf2 = world.second_pass(rows, cols, fill, bits, version, edited_ids, policy.confidence_signal)
         ran = pending & (fill.any(axis=1) | no_memory)
         margin = -math.inf if bypass_margin else policy.margin_m
         ok = ran & ~(conf2 < conf[routed] + margin) & guards

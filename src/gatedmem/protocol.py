@@ -9,12 +9,12 @@ membership and the split back from it and cuts the world's banks to that
 membership, and FreezeManifest.validate refuses inputs that hash
 differently. The test stage evaluates the frozen policy against the
 comparator family on the disjoint test split and emits internally
-consistent ledger rows. The counterfactual runner replays content edits in
-free-rerun and fixed-retrieval modes and audits the free = content + drift
-decomposition row by row at zero tolerance. With outcomes in {0, 1} that
-identity holds exactly in floating point whatever the runs return, so it
-cannot catch a wrong replay; the fixed-replay identity audit and the
-non-hit bitwise audit do.
+consistent ledger rows. The counterfactual runner replays edited entries
+as repair and corrupt in free-rerun and fixed-retrieval modes and audits
+the free = content + drift decomposition row by row at zero tolerance.
+With outcomes in {0, 1} that identity holds exactly in floating point
+whatever the runs return, so it cannot catch a wrong replay; the
+fixed-replay identity audit and the non-hit bitwise audit do.
 """
 
 from __future__ import annotations
@@ -30,16 +30,13 @@ import numpy as np
 
 from .bank import STAGE_FIT, STAGE_TEST
 from .controller import (
-    DEFAULT_CONTEXT,
     MULTIBANK_FAMILY,
     PolicyConfig,
-    SecondPassContext,
     StepTable,
     run_steps,
     select_threshold_percentile,
 )
 from .errors import FreezeMismatch, ProtocolViolation
-from .retrieval import ContentEdit
 from .stats import bootstrap_ci, confidence_bins, mcnemar_exact, randomization_interaction_test
 from .util import indices_digest
 from .worldsim import OutcomeTable, World, WorldSpec
@@ -50,7 +47,6 @@ FIXED_BUDGET_K = 2  # comparator retrieves up to k=2 per episode, no guards, no 
 # Confidences lie in [0, 1], so tau = inf routes every step; margin -inf with
 # no guards accepts every second pass whose retrieval is non-empty.
 ROUTE_AND_ACCEPT_ALL = dict(tau=math.inf, margin_m=-math.inf, guards_enabled=frozenset())
-NO_MEMORY = SecondPassContext(version="none")  # retry: a second pass without memory
 # selection_record entries that the test stage reads back, with their JSON types
 RECORD_TYPES = {
     "policy": dict, "fit_ids": list, "test_ids": list, "fit_digest": str, "test_digest": str, "active_ids": dict,
@@ -216,9 +212,9 @@ def evaluate_policy(
     """Run one policy (or a comparator variant of it) over the given examples."""
     ids = np.asarray(example_ids, np.intp)
     _check_example_ids(ids, world.spec.n_examples)
-    context = DEFAULT_CONTEXT
+    version = "original"
     if comparator == "retry":
-        context = NO_MEMORY
+        version = "none"  # a second pass without memory
     elif comparator == "always_retrieve":
         policy = replace(policy, **ROUTE_AND_ACCEPT_ALL, budget_B=None, cooldown=0)
     elif comparator == "fixed_budget":
@@ -228,7 +224,7 @@ def evaluate_policy(
     elif comparator is not None:
         raise ValueError(f"unknown comparator {comparator!r}")
 
-    steps = run_steps(world, policy, snapshots, ids, context)
+    steps = run_steps(world, policy, snapshots, ids, version)
     n = len(ids)
     routed = int(steps.routed.sum())
     return EvalRun(
@@ -553,6 +549,12 @@ def frozen_inputs(world: World, manifest: FreezeManifest) -> tuple[PolicyConfig,
             f"the world has {sorted(world.banks)}"
         )
     for kind, bank in world.banks.items():
+        unknown = sorted({e for e in recorded[kind] if e not in bank})
+        if unknown:
+            raise FreezeMismatch(
+                f"manifest selection_record.active_ids[{kind!r}] names entries that bank lacks: {unknown}"
+            )
+    for kind, bank in world.banks.items():
         bank.retain(recorded[kind])
         bank.stage = STAGE_TEST
     return policy, world.snapshots(), _recover_split(record, world.spec.n_examples)
@@ -807,20 +809,21 @@ class CounterfactualRows:
 def run_counterfactual(
     world: World,
     manifest: FreezeManifest,
-    edits: list,
+    edited_ids,
     n_permutations: int = 10000,
     seed: int = 0,
 ) -> tuple[CounterfactualRows, dict]:
-    """Free-rerun and fixed-retrieval replays of content edits on the test split, with audit.
+    """Free-rerun and fixed-retrieval replays of edited entries on the test split, with audit.
 
-    Per routed row, free contrast = within-identity content term + retrieval
-    drift term, exactly; in fixed mode the drift term is identically zero and
+    Each edited entry is replayed as both repair and corrupt. Per routed
+    row, free contrast = within-identity content term + retrieval drift
+    term, exactly; in fixed mode the drift term is identically zero and
     non-hit rows are bitwise identical across repair/corrupt. The world's
     banks are cut to the manifest's recorded membership.
     """
     policy, snapshots, test_ids = frozen_inputs(world, manifest)
     manifest.validate(world, policy, snapshots)
-    edited_ids = tuple(sorted({e.entry_id for e in edits}))
+    edited_ids = tuple(sorted(set(edited_ids)))
     for eid in edited_ids:
         kind = world.entry_bank(eid)
         if eid not in world.banks[kind]:
@@ -841,7 +844,7 @@ def run_counterfactual(
     # retrieval tables.
     fixed = {
         version: _fixed_replay(
-            run_steps(world, policy, snapshots, ex, SecondPassContext(version, edited_ids, frozen=original)),
+            run_steps(world, policy, snapshots, ex, version, edited_ids, frozen=original),
             (columns, filled),
             version,
         )
@@ -850,14 +853,8 @@ def run_counterfactual(
     _audit_non_hit(fixed["repair"], fixed["corrupt"], routed & ~hit, ex)
     outcomes = {"original": original.final_correct, **{f"{v}_fixed": final for v, (_, final, *_) in fixed.items()}}
     for version in ("repair", "corrupt"):
-        drifted = {}
-        for kind, snap in snapshots.items():
-            kind_edits = [
-                ContentEdit(e.entry_id, e.new_payload, version) for e in edits if world.entry_bank(e.entry_id) == kind
-            ]
-            drifted[kind] = world.drifted_snapshot(kind, kind_edits) if kind_edits else snap
-        free = run_steps(world, policy, drifted, ex, SecondPassContext(version, edited_ids)).final_correct
-        outcomes[f"{version}_free"] = free
+        drifted = {kind: world.drifted_snapshot(kind, version, edited_ids) for kind in snapshots}
+        outcomes[f"{version}_free"] = run_steps(world, policy, drifted, ex, version, edited_ids).final_correct
 
     rows = CounterfactualRows(
         entry_ids=world.entry_ids,
@@ -906,28 +903,21 @@ def run_counterfactual(
     return rows, audit
 
 
-def _left_packed(columns: np.ndarray, filled: np.ndarray, width: int) -> np.ndarray:
-    """Each row's injected columns in order, then -1 up to width."""
-    out = np.full((len(filled), width), -1, np.intp)
-    out[np.arange(width) < filled.sum(axis=1)[:, None]] = columns[filled]
-    return out
-
-
 def _fixed_replay(steps: StepTable, frozen: tuple, version: str) -> tuple:
     """Check that every routed step of a fixed-mode run replayed its frozen identity
     (the original's deciding injection) exactly; return what the non-hit audit
     compares: routed, final_correct, the deciding pass's (decoded, correct,
-    confidence), and accepted."""
+    confidence), and accepted. The replay injects the frozen identity as its
+    one attempt, so both sides have one layout and compare slot by slot."""
     replayed = steps.deciding_injection()[:2]
-    width = max(frozen[1].shape[1], replayed[1].shape[1])
-    want, got = _left_packed(*frozen, width), _left_packed(*replayed, width)
-    bad = np.flatnonzero(steps.routed & (want != got).any(axis=1))
+    (columns, filled), (got_columns, got_filled) = frozen, replayed
+    bad = np.flatnonzero(steps.routed & ((got_filled != filled) | (filled & (got_columns != columns))).any(axis=1))
     if bad.size:
         s = int(bad[0])
         entry_ids = steps.world.entry_ids
-        names = [tuple(entry_ids[c] for c in row if c >= 0) for row in (got[s].tolist(), want[s].tolist())]
+        got, want = (tuple(entry_ids[c] for c in cols[s][fill[s]].tolist()) for cols, fill in (replayed, frozen))
         raise ProtocolViolation(
-            f"fixed replay of query {steps.example_ids[s]} ({version}) injected {names[0]}, frozen was {names[1]}"
+            f"fixed replay of query {steps.example_ids[s]} ({version}) injected {got}, frozen was {want}"
         )
     return (steps.routed, steps.final_correct, *steps.deciding_pass(), steps.accepted)
 

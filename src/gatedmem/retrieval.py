@@ -1,4 +1,4 @@
-"""Deterministic similarity retrieval and content-edit files.
+"""Deterministic similarity retrieval and edits files.
 
 Retrieval is a pure function of (query, snapshot, threshold, k_max): cosine
 similarity over the snapshot's active entries, strictly above the threshold,
@@ -14,12 +14,14 @@ per-topic unit vector, so similarity structure is scriptable (same topic =>
 high cosine) without any learned model. A world draws its query and entry
 embeddings as matrices (embed_rows); topic vectors and drifted entries are
 keyed one at a time (embed_key).
+An edits file names the entries a counterfactual replays as both repair
+and corrupt; load_edits validates each line and returns the entry ids.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,17 +42,6 @@ class RetrievalResult:
     query_id: int
     retrieved_ids: tuple[str, ...]
     similarities: tuple[float, ...]
-
-
-@dataclass(frozen=True)
-class ContentEdit:
-    entry_id: str
-    new_payload: str
-    edit_kind: str  # repair | corrupt
-
-    def __post_init__(self):
-        if self.edit_kind not in EDIT_KINDS:
-            raise ValueError(f"edit_kind must be one of {EDIT_KINDS}, got {self.edit_kind!r}")
 
 
 def topic_vector(topic: int, dim: int) -> np.ndarray:
@@ -162,14 +153,15 @@ def retrieve(
 
 # -- file formats -----------------------------------------------------------
 
-def load_edits(path: str) -> list[ContentEdit]:
-    """One JSON object per line, one line per entry; a bad line is a ValueError naming the file and line.
+def load_edits(path: str) -> list[str]:
+    """The edited entry ids, in file order; a bad line is a ValueError naming the file and line.
 
-    A file with no edit is a ValueError too: a counterfactual over it would
-    hit nothing and test nothing.
+    Each line is a JSON object with string entry_id, edit_kind (repair or
+    corrupt) and new_payload, and no entry_id repeats. A file with no edit
+    is a ValueError too: a counterfactual over it would hit nothing and
+    test nothing.
     """
-    names = [f.name for f in fields(ContentEdit)]
-    edits = []
+    names = ["entry_id", "new_payload", "edit_kind"]
     seen: dict = {}  # entry_id -> the line that edits it
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):
@@ -185,13 +177,14 @@ def load_edits(path: str) -> list[ContentEdit]:
                 not_text = [k for k in names if not isinstance(rec[k], str)]
                 if not_text:
                     raise ValueError(f"field {', '.join(not_text)} must be a string")
-                edit = ContentEdit(**{k: rec[k] for k in names})
-                if edit.entry_id in seen:
-                    raise ValueError(f"entry_id {edit.entry_id!r} is already edited on line {seen[edit.entry_id]}")
-                seen[edit.entry_id] = lineno
-                edits.append(edit)
+                if rec["edit_kind"] not in EDIT_KINDS:
+                    raise ValueError(f"edit_kind must be one of {EDIT_KINDS}, got {rec['edit_kind']!r}")
+                entry_id = rec["entry_id"]
+                if entry_id in seen:
+                    raise ValueError(f"entry_id {entry_id!r} is already edited on line {seen[entry_id]}")
+                seen[entry_id] = lineno
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
-    if not edits:
+    if not seen:
         raise ValueError(f"{path}: no edits")
-    return edits
+    return list(seen)

@@ -45,7 +45,6 @@ from .bank import BANK_KINDS, BankSnapshot, MemoryBank
 from .controller import GUARD_NAMES
 from .retrieval import (
     TABLE_BLOCK_CELLS,
-    ContentEdit,
     embed_key,
     embed_rows,
     retrieval_table,
@@ -291,13 +290,13 @@ class OutcomeTable:
 PAIR_APPLICABLE, PAIR_HELP, PAIR_HURT, PAIR_REPAIR_BETTER, PAIR_CORRUPT_BETTER = 1, 2, 4, 8, 16
 
 
-def _stream(key: int, counter: int = 0) -> np.random.Generator:
-    """Generator on the Philox stream `key`, `counter` blocks of four 64-bit draws in.
+def _stream(key: int) -> np.random.Generator:
+    """Generator on the Philox stream `key`, from counter 0.
 
     Keyed counter-based streams (Salmon et al., SC'11): each purpose has its
-    own key, and a row of a table can start at a fixed counter offset.
+    own key, and philox_uniforms reads a block of a stream at a given counter.
     """
-    return np.random.Generator(np.random.Philox(key=key, counter=counter))
+    return np.random.Generator(np.random.Philox(key=key))
 
 
 # Philox4x64-10 multipliers and Weyl key increments, as in numpy's Philox
@@ -639,33 +638,30 @@ class World:
             correct.append(self.second_pass(rows, cols, filled, pairs)[0])
         return np.stack(present, axis=1), np.stack(correct, axis=1)
 
-    # -- content-edit machinery ------------------------------------------------
+    # -- drift of edited entries ---------------------------------------------
 
-    def drifted_snapshot(self, bank_kind: str, edits: list[ContentEdit]) -> BankSnapshot:
-        """Edited-bank view for free reruns: edited entries drift topics.
+    def drifted_snapshot(self, bank_kind: str, version: str, entry_ids) -> BankSnapshot:
+        """The bank's active entries, with those among entry_ids drifted under version, for free reruns.
 
-        The stored bank embeddings never change (content edits replace payload
-        only); drift models the edited text embedding differently, which is
-        what confounds free-rerun counterfactuals.
+        Editing an entry's text moves its embedding, which is what confounds
+        free-rerun counterfactuals: each active edited entry is re-embedded
+        on a topic keyed by (entry, version). Payloads stay as they are, since
+        a decode reads pair latents, not text; the stored bank never changes.
+        Ids of other banks and of retired entries are skipped.
         """
-        entry_ids, payloads, embeddings = self.banks[bank_kind].active_columns()
-        payloads, embeddings = list(payloads), embeddings.copy()
+        ids, payloads, embeddings = self.banks[bank_kind].active_columns()
+        embeddings = embeddings.copy()
         spec = self.spec
-        rows = {entry_id: i for i, entry_id in enumerate(entry_ids)}
-        for edit in edits:
-            i = rows.get(edit.entry_id)
-            if i is None:  # an entry the frozen membership retired
+        rows = {entry_id: i for i, entry_id in enumerate(ids)}
+        for entry_id in entry_ids:
+            i = rows.get(entry_id)
+            if i is None:
                 continue
-            rng = np.random.default_rng(derive_seed(self.seed, "drift", edit.entry_id, edit.edit_kind))
+            rng = np.random.default_rng(derive_seed(self.seed, "drift", entry_id, version))
             topic = int(rng.integers(spec.topic_count))
-            payloads[i] = edit.new_payload
-            embeddings[i] = embed_key(
-                (self.seed, "entry", edit.entry_id, "drift", edit.edit_kind),
-                spec.embedding_dim,
-                self._topic(topic),
-                spec.topic_weight,
-            )
-        return BankSnapshot.build(bank_kind, entry_ids, payloads, embeddings)
+            key = (self.seed, "entry", entry_id, "drift", version)
+            embeddings[i] = embed_key(key, spec.embedding_dim, self._topic(topic), spec.topic_weight)
+        return BankSnapshot.build(bank_kind, ids, payloads, embeddings)
 
 
 def generate_world(spec: WorldSpec) -> World:

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from gatedmem.bank import BANK_KINDS
-from gatedmem.controller import DEFAULT_CONTEXT, GUARD_NAMES, PolicyConfig, SecondPassContext, compose_bank_policy
+from gatedmem.controller import GUARD_NAMES, PolicyConfig, compose_bank_policy
 from gatedmem.protocol import (
     COMPARATORS,
     LEDGER_COMPARISONS,
@@ -31,7 +31,7 @@ from gatedmem.protocol import (
     evaluate_oracle,
     evaluate_policy,
 )
-from gatedmem.retrieval import ContentEdit, Query, RetrievalResult
+from gatedmem.retrieval import Query, RetrievalResult
 from gatedmem.stats import bootstrap_ci, mcnemar_exact, randomization_interaction_test
 from gatedmem.util import derive_seed
 from gatedmem.worldsim import (
@@ -98,16 +98,12 @@ def reference_pair_table(world, block_cells=1 << 13) -> np.ndarray:
     return out
 
 
-def default_edits(entry_ids, edit_kind: str) -> list:
-    """One ContentEdit of the given kind per entry id."""
-    return [ContentEdit(eid, f"{edit_kind} version of {eid}", edit_kind) for eid in entry_ids]
-
-
-def save_edits(edits, path: str) -> None:
-    """An edits file: one JSON object per edit and line, as load_edits reads it."""
+def save_edits(entry_ids, path: str, edit_kind: str = "repair") -> None:
+    """An edits file editing each of entry_ids as edit_kind: one JSON object per line, as load_edits reads it."""
     with open(path, "w", encoding="utf-8") as fh:
-        for e in edits:
-            fh.write(json.dumps(asdict(e), sort_keys=True) + "\n")
+        for eid in entry_ids:
+            edit = {"entry_id": eid, "edit_kind": edit_kind, "new_payload": f"{edit_kind} version of {eid}"}
+            fh.write(json.dumps(edit, sort_keys=True) + "\n")
 
 
 def tampered_policy(manifest, **changes):
@@ -261,9 +257,10 @@ def reference_second(world, idx, injected, version="original", edited_ids=(), si
 
 
 def reference_step(
-    world, example_id, step_index, policy, snapshots, budget_state, context=DEFAULT_CONTEXT, frozen_map=None
+    world, example_id, step_index, policy, snapshots, budget_state, version="original", edited_ids=(), frozen_map=None
 ):
-    """One pass of the decision loop for one step; a frozen_map (example id -> ids) replays fixed retrieval."""
+    """One pass of the decision loop for one step under a content version (`none`: no memory);
+    a frozen_map (example id -> ids) replays fixed retrieval."""
     action, conf = reference_baseline(world, example_id, policy.confidence_signal)
     routed = route_decision(conf, policy.tau) and budget_state.can_route()
     budget_state.step_end(routed)
@@ -273,7 +270,7 @@ def reference_step(
     guard_results = dict(zip(GUARD_NAMES, world._guards[example_id].tolist()))
     attempts = []
     decisive = None
-    no_memory = context.version == "none"
+    no_memory = version == "none"
     if frozen_map is not None:
         plan = [(("frozen",), policy.resolved().bank_policy == "gate_only")]
     else:
@@ -290,9 +287,7 @@ def reference_step(
             decisive = AttemptRecord(banks, result, None, None, False)
             attempts.append(decisive)
             continue
-        a2, c2 = reference_second(
-            world, example_id, ids, context.version, context.edited_ids, policy.confidence_signal
-        )
+        a2, c2 = reference_second(world, example_id, ids, version, edited_ids, policy.confidence_signal)
         margin = float("-inf") if bypass_margin else policy.margin_m
         ok = accept_decision(conf, c2, margin, guard_results, policy.guards_enabled)
         decisive = AttemptRecord(banks, result, a2, c2, ok)
@@ -330,13 +325,13 @@ def reference_episodes(world, example_ids):
     return out
 
 
-def reference_traces(world, policy, snapshots, example_ids, context=DEFAULT_CONTEXT, frozen_map=None):
+def reference_traces(world, policy, snapshots, example_ids, version="original", edited_ids=(), frozen_map=None):
     """EpisodeTrace records of the per-step loop over example_ids."""
     traces = []
     for eid, members in reference_episodes(world, example_ids):
         budget = BudgetState(policy.budget_B, policy.cooldown)
         steps = [
-            reference_step(world, ex, i, policy, snapshots, budget, context, frozen_map)
+            reference_step(world, ex, i, policy, snapshots, budget, version, edited_ids, frozen_map)
             for i, ex in enumerate(members)
         ]
         traces.append(
@@ -595,27 +590,22 @@ COUNTERFACTUAL_OUTCOMES = (
 )
 
 
-def reference_counterfactual(world, policy, snapshots, test_ids, edits, n_permutations=10000, seed=0):
+def reference_counterfactual(world, policy, snapshots, test_ids, edited_ids, n_permutations=10000, seed=0):
     """(counterfactual_rows.jsonl text, audit) of protocol.run_counterfactual, from the per-step loop.
 
     The original run's frozen identities are reference_freeze_identities of
     its step records; each free rerun retrieves from drifted snapshots, and
     each fixed replay looks its injection up by example id in that dict.
     """
-    edited = tuple(sorted({e.entry_id for e in edits}))
+    edited = tuple(sorted(set(edited_ids)))
     traces = reference_traces(world, policy, snapshots, test_ids)
     original = [s for t in traces for s in t.steps]
     frozen = reference_freeze_identities(traces)
     outcomes = {"outcome_original": {s.example_id: utility(world, s.example_id, s.final_action) for s in original}}
     for version in ("repair", "corrupt"):
-        drifted = {}
-        for kind, snap in snapshots.items():
-            kind_edits = [
-                ContentEdit(e.entry_id, e.new_payload, version) for e in edits if world.entry_bank(e.entry_id) == kind
-            ]
-            drifted[kind] = world.drifted_snapshot(kind, kind_edits) if kind_edits else snap
+        drifted = {kind: world.drifted_snapshot(kind, version, edited) for kind in snapshots}
         for mode, snaps, frozen_map in (("free", drifted, None), ("fixed", snapshots, frozen)):
-            traces = reference_traces(world, policy, snaps, test_ids, SecondPassContext(version, edited), frozen_map)
+            traces = reference_traces(world, policy, snaps, test_ids, version, edited, frozen_map)
             outcomes[f"outcome_{version}_{mode}"] = {
                 s.example_id: utility(world, s.example_id, s.final_action) for t in traces for s in t.steps
             }

@@ -17,7 +17,6 @@ import pytest
 
 from conftest import (
     arith_shape_spec,
-    default_edits,
     localization_shape_spec,
     oracle_policy,
     reference_oracle_steps,
@@ -103,8 +102,7 @@ def counterfactual_suite(n_worlds=20):
             e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads)
             if p.endswith("topic 0")
         ][:4]
-        edits = default_edits(edited, "repair")
-        rows, audit = run_counterfactual(world, manifest, edits, n_permutations=2000, seed=seed)
+        rows, audit = run_counterfactual(world, manifest, edited, n_permutations=2000, seed=seed)
         results.append((rows, audit))
     elapsed = time.time() - started
     _CF_CACHE[n_worlds] = (results, elapsed)
@@ -471,8 +469,7 @@ def test_criterion_10_localization_shape():
             e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads)
             if p.endswith("topic 0")
         ][:4]
-        edits = default_edits(edited, "repair")
-        rows, audit = run_counterfactual(world, manifest, edits, seed=seed)
+        rows, audit = run_counterfactual(world, manifest, edited, seed=seed)
         hit_counts.append(audit["n_hit"])
         assert audit["n_rows"] == 800
         assert audit["non_hit_dacc_fixed"] == 0.0  # exactly zero off the hit set

@@ -12,10 +12,9 @@ import numpy as np
 import pytest
 
 import gatedmem
-from conftest import default_edits, save_edits
+from conftest import save_edits
 from gatedmem import protocol
 from gatedmem.cli import main
-from gatedmem.retrieval import ContentEdit
 
 
 @pytest.fixture()
@@ -121,7 +120,7 @@ def test_counterfactual_flow(tmp_path, world_config, grid_config, capsys):
     cf_out = str(tmp_path / "cf")
     main(["fit", "--config", world_config, "--grid", grid_config, "--out", fit_out])
     edits_path = str(tmp_path / "edits.jsonl")
-    save_edits(default_edits(["E000", "E001"], "repair"), edits_path)
+    save_edits(["E000", "E001"], edits_path)
     code = main(
         [
             "counterfactual",
@@ -150,7 +149,7 @@ def test_counterfactual_names_edits_of_retired_entries(tmp_path, capsys):
     assert len(retired) == 2
     outputs = {}
     for name, edited in (("cf", ["E000", *retired]), ("cf-active", ["E000"])):
-        save_edits(default_edits(edited, "repair"), str(tmp_path / f"{name}.jsonl"))
+        save_edits(edited, str(tmp_path / f"{name}.jsonl"))
         capsys.readouterr()
         assert main([
             "counterfactual", "--config", str(world), "--manifest", str(fit_out / "manifest.json"),
@@ -167,38 +166,129 @@ def test_counterfactual_names_edits_of_retired_entries(tmp_path, capsys):
     assert rows[0] == rows[1]
 
 
-def test_tampered_fixed_replay_exits_1_naming_the_query(tmp_path, world_config, grid_config, capsys, monkeypatch):
+def _tampered_counterfactual(tmp_path, world_config, grid_config, monkeypatch, tamper):
+    """Exit code of `counterfactual` (one edit, E000) when each fixed replay replays
+    tamper(world, frozen, s) in place of the run it was given, s the first step with a frozen identity."""
     fit_out = str(tmp_path / "fit")
     assert main(["fit", "--config", world_config, "--grid", grid_config, "--out", fit_out]) == 0
     edits_path = str(tmp_path / "edits.jsonl")
-    save_edits([ContentEdit("E000", "repaired E000", "repair")], edits_path)
+    save_edits(["E000"], edits_path)
     run_steps = protocol.run_steps
-    tampered = []
 
-    def drop_one_entry(world, policy, snapshots, example_ids, context):
-        # the fixed replay of the first query with a frozen identity injects one entry fewer
-        frozen = context.frozen
+    def tampered(world, policy, snapshots, example_ids, version="original", edited_ids=(), frozen=None):
         if frozen is not None:
-            s = int(np.flatnonzero(frozen.deciding_injection()[1].any(axis=1))[0])
-            filled = [f.copy() for f in frozen.filled]
-            row = filled[frozen.deciding[s]][s]
-            row[np.flatnonzero(row)[-1]] = False
-            tampered.append(int(frozen.example_ids[s]))
-            context = replace(context, frozen=replace(frozen, filled=tuple(filled)))
-        return run_steps(world, policy, snapshots, example_ids, context)
+            frozen = tamper(world, frozen, int(np.flatnonzero(frozen.deciding_injection()[1].any(axis=1))[0]))
+        return run_steps(world, policy, snapshots, example_ids, version, edited_ids, frozen)
 
-    monkeypatch.setattr(protocol, "run_steps", drop_one_entry)
+    monkeypatch.setattr(protocol, "run_steps", tampered)
     code = main(
         [
             "counterfactual", "--config", world_config, "--manifest", os.path.join(fit_out, "manifest.json"),
             "--edits", edits_path, "--out", str(tmp_path / "cf"),
         ]
     )
+    assert not os.path.exists(tmp_path / "cf" / "audit.json")
+    return code
+
+
+def test_tampered_fixed_replay_exits_1_naming_the_query(tmp_path, world_config, grid_config, capsys, monkeypatch):
+    tampered = []
+
+    def drop_one_entry(world, frozen, s):
+        # the fixed replay of the first query with a frozen identity injects one entry fewer
+        filled = [f.copy() for f in frozen.filled]
+        row = filled[frozen.deciding[s]][s]
+        row[np.flatnonzero(row)[-1]] = False
+        tampered.append(int(frozen.example_ids[s]))
+        return replace(frozen, filled=tuple(filled))
+
+    code = _tampered_counterfactual(tmp_path, world_config, grid_config, monkeypatch, drop_one_entry)
     err = capsys.readouterr().err
     assert code == 1
     assert err.startswith(f"error: fixed replay of query {tampered[0]} (repair) injected (")
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert not os.path.exists(tmp_path / "cf" / "audit.json")
+
+
+def test_substituted_fixed_replay_column_exits_1_naming_the_query(
+    tmp_path, world_config, grid_config, capsys, monkeypatch
+):
+    tampered = []
+
+    def swap_one_column(world, frozen, s):
+        # the fixed replay of the first query with a frozen identity injects another entry in its
+        # first slot: the filled mask, and so the number of entries injected, stay as they were
+        columns, filled, _ = frozen.deciding_injection()
+        a = frozen.deciding[s]
+        swapped = [c.copy() for c in frozen.columns]
+        slot = int(np.flatnonzero(frozen.filled[a][s])[0])
+        swapped[a][s, slot] = (swapped[a][s, slot] + 1) % len(world.entry_ids)
+        names = [tuple(world.entry_ids[c] for c in cols[s][filled[s]].tolist()) for cols in (columns, swapped[a])]
+        tampered.append((int(frozen.example_ids[s]), *names))
+        return replace(frozen, columns=tuple(swapped))
+
+    code = _tampered_counterfactual(tmp_path, world_config, grid_config, monkeypatch, swap_one_column)
+    err = capsys.readouterr().err
+    query, frozen_names, swapped_names = tampered[0]
+    assert frozen_names != swapped_names and len(frozen_names) == len(swapped_names)
+    assert code == 1
+    assert err == f"error: fixed replay of query {query} (repair) injected {swapped_names}, frozen was {frozen_names}\n"
+
+
+def _write_edits(path, edits) -> None:
+    """An edits file of (entry_id, edit_kind, new_payload) lines."""
+    lines = [json.dumps({"entry_id": e, "edit_kind": k, "new_payload": p}) for e, k, p in edits]
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("setup", ["shipped", "governed-multi-step"])
+def test_edit_kind_and_payload_do_not_change_the_output(tmp_path, capsys, setup):
+    # every edited entry is replayed as both repair and corrupt, so only the entry ids decide the run
+    if setup == "shipped":
+        configs = Path(__file__).parents[1] / "configs"
+        world, fit_args = configs / "world.kv", ["--grid", str(configs / "grid.kv")]
+    else:
+        world = tmp_path / "world.kv"
+        world.write_text(
+            "n_examples = 200\nseed = 0\nsteps_per_episode = 4\ntopic_count = 10\n"
+            "toxic_entry_rate = 0.3\ntoxic_hurt_prob = 0.95\n"
+        )
+        grid = tmp_path / "grid.kv"
+        grid.write_text("tau = 0.95\nmargin_m = -10.0\nbank_policy = dual\nbudget_B = 2\n")
+        fit_args = ["--grid", str(grid), "--governance-rounds", "3"]
+    fit_out = tmp_path / "fit"
+    assert main(["fit", "--config", str(world), *fit_args, "--out", str(fit_out)]) == 0
+    active = json.loads((fit_out / "manifest.json").read_text())["selection_record"]["active_ids"]
+    edited = ["E000", "E003", "R001", "R004"]
+    if setup != "shipped":
+        retired = sorted({f"E{i:03d}" for i in range(100)} - set(active["exemplar"]))[:2]
+        assert len(retired) == 2
+        edited += retired
+    variants = {
+        "repair": [(e, "repair", f"repair version of {e}") for e in edited],
+        "corrupt": [(e, "corrupt", f"corrupt version of {e}") for e in edited],
+        "mixed": [(e, ("corrupt", "repair")[i % 2], "" if i % 3 else "\u00e9dit\n" * i) for i, e in enumerate(edited)],
+    }
+    outputs = {}
+    for name, edits in variants.items():
+        _write_edits(tmp_path / f"{name}.jsonl", edits)
+        capsys.readouterr()
+        out = tmp_path / f"cf-{name}"
+        assert main([
+            "counterfactual", "--config", str(world), "--manifest", str(fit_out / "manifest.json"),
+            "--edits", str(tmp_path / f"{name}.jsonl"), "--out", str(out),
+        ]) == 0
+        printed = capsys.readouterr()
+        files = [(out / f).read_bytes() for f in ("audit.json", "counterfactual_rows.jsonl")]
+        outputs[name] = (printed.out, printed.err, *files)
+    assert outputs["repair"] == outputs["corrupt"] == outputs["mixed"]
+    audit = json.loads(outputs["repair"][2])
+    assert audit["n_hit"] > 0 and audit["n_non_hit"] > 0  # not vacuous: the edits hit routed rows
+    inert = sorted(set(edited) - set(active["rule"]) - set(active["exemplar"]))
+    assert (len(inert) >= 2) == (setup != "shipped")  # the governed manifest retired some edited entries
+    assert outputs["repair"][1] == (
+        f"note: {len(inert)} edits name entries the frozen membership retired, which no mode retrieves: {', '.join(inert)}\n"
+        if inert else ""
+    )
 
 
 def test_governance_flow(tmp_path, world_config, capsys):
@@ -391,11 +481,19 @@ def fitted(tmp_path, world_config, grid_config):
             lambda raw: dict(raw, selection_record=dict(raw["selection_record"], active_ids={"rule": raw["selection_record"]["active_ids"]["rule"]})),
             "selection_record.active_ids names bank kinds ['rule'], the world has ['exemplar', 'rule']",
         ),
+        (
+            lambda raw: dict(raw, selection_record=dict(raw["selection_record"], active_ids=dict(raw["selection_record"]["active_ids"], rule=["R000", "R999"]))),
+            "selection_record.active_ids['rule'] names entries that bank lacks: ['R999']",
+        ),
+        (
+            lambda raw: dict(raw, selection_record=dict(raw["selection_record"], active_ids=dict(raw["selection_record"]["active_ids"], rule=["E001", "R000"]))),
+            "selection_record.active_ids['rule'] names entries that bank lacks: ['E001']",
+        ),
     ],
     ids=[
         "not-object", "missing-field", "extra-field", "wrong-type", "split-not-list", "split-not-ids",
         "policy-not-object", "active-ids-not-object", "active-ids-not-list", "active-ids-not-strings",
-        "active-ids-extra-kind", "active-ids-missing-kind",
+        "active-ids-extra-kind", "active-ids-missing-kind", "active-ids-unknown-entry", "active-ids-wrong-kind",
     ],
 )
 def test_malformed_manifest_names_the_field(tmp_path, world_config, fitted, capsys, tamper, named):

@@ -23,18 +23,15 @@ from conftest import (
 from gatedmem.controller import (
     BANK_POLICIES,
     CONFIDENCE_SIGNALS,
-    DEFAULT_CONTEXT,
     GUARD_NAMES,
     MULTIBANK_FAMILY,
     PolicyConfig,
-    SecondPassContext,
     compose_bank_policy,
     run_steps,
     select_threshold_percentile,
 )
 from gatedmem.protocol import (
     FIXED_BUDGET_K,
-    NO_MEMORY,
     ROUTE_AND_ACCEPT_ALL,
     EvalRun,
     attach_evidence,
@@ -427,22 +424,22 @@ def _names(world, columns, filled):
     return tuple(world.entry_ids[c] for c in columns[filled].tolist())
 
 
-def _carries_retrieval(steps, context, attempt):
-    """Which steps' attempt carries a retrieval result: none without memory, and in fixed
-    replay every tried attempt, whose frozen injection may be empty."""
-    if context.version == "none":
+def _carries_retrieval(steps, version, attempt):
+    """Which steps' attempt carries a retrieval result: none without memory (the `none` version),
+    and in fixed replay every tried attempt, whose frozen injection may be empty."""
+    if version == "none":
         return np.zeros(len(steps.routed), bool)
-    if context.frozen is not None:
+    if steps.plan[0][0] == ("frozen",):
         return steps.tried[:, attempt]
     return steps.tried[:, attempt] & steps.filled[attempt].any(axis=1)
 
 
-def _frozen_identities(steps, context=DEFAULT_CONTEXT):
+def _frozen_identities(steps, version="original"):
     """Example id -> deciding injection of every routed step that carries a retrieval."""
     columns, filled, _ = steps.deciding_injection()
     carries = np.zeros(len(steps.routed), bool)
     for a in range(len(steps.plan)):
-        carries |= _carries_retrieval(steps, context, a) & (steps.deciding == a)
+        carries |= _carries_retrieval(steps, version, a) & (steps.deciding == a)
     return {
         idx: _names(steps.world, columns[s], filled[s])
         for s, idx in enumerate(steps.example_ids.tolist())
@@ -450,11 +447,11 @@ def _frozen_identities(steps, context=DEFAULT_CONTEXT):
     }
 
 
-def _table_view(steps, context):
-    """Each step of a StepTable run under context as (example, episode, position, baseline
+def _table_view(steps, version):
+    """Each step of a StepTable run of a content version as (example, episode, position, baseline
     correct and confidence, routed, accepted, final correct, attempts); each tried attempt as
     (index, carries a retrieval, injected ids, decoded, second correct, confidence, accepted)."""
-    retrieved = [_carries_retrieval(steps, context, a) for a in range(len(steps.plan))]
+    retrieved = [_carries_retrieval(steps, version, a) for a in range(len(steps.plan))]
     final = steps.final_correct.tolist()
     view = []
     for s, idx in enumerate(steps.example_ids.tolist()):
@@ -518,19 +515,19 @@ def _reference_view(world, traces):
 
 
 def _assert_matches_reference(
-    world, policy, snaps, ids, context=DEFAULT_CONTEXT, comparator=None, frozen_map=None
+    world, policy, snaps, ids, version="original", edited_ids=(), frozen=None, comparator=None, frozen_map=None
 ):
-    """A policy or comparator run (evaluate_policy), or a run under another second-pass context
-    (run_steps; a fixed replay's context.frozen is the run that frozen_map, example id -> ids, reads)."""
-    if context is DEFAULT_CONTEXT:
+    """A policy or comparator run (evaluate_policy), or a run of another content version or a
+    fixed replay (run_steps; a fixed replay of the run `frozen` reads frozen_map, example id -> ids)."""
+    if version == "original" and frozen is None:
         run = evaluate_policy(world, policy, snaps, ids, comparator=comparator)
         steps = run.steps
     else:
-        run, steps = None, run_steps(world, policy, snaps, ids, context)
+        run, steps = None, run_steps(world, policy, snaps, ids, version, edited_ids, frozen)
     if comparator is not None:
-        policy, context = _comparator_variant(policy, context, comparator)
-    want = reference_traces(world, policy, snaps, ids, context, frozen_map)
-    assert _table_view(steps, context) == _reference_view(world, want)
+        policy, version = _comparator_variant(policy, version, comparator)
+    want = reference_traces(world, policy, snaps, ids, version, edited_ids, frozen_map)
+    assert _table_view(steps, version) == _reference_view(world, want)
     ref_steps = [s for t in want for s in t.steps]
     outcome = {s.example_id: utility(world, s.example_id, s.final_action) for s in ref_steps}
     assert steps.final_correct.tolist() == [bool(outcome[i]) for i in steps.example_ids.tolist()]
@@ -548,17 +545,17 @@ def _assert_matches_reference(
         count, total = totals[r.entry_id]
         totals[r.entry_id] = (count + 1, total + r.utility)
     assert _evidence(batched) == totals
-    assert _frozen_identities(steps, context) == reference_freeze_identities(want)
+    assert _frozen_identities(steps, version) == reference_freeze_identities(want)
     return steps
 
 
-def _comparator_variant(policy, context, comparator):
+def _comparator_variant(policy, version, comparator):
     if comparator == "retry":
-        return policy, NO_MEMORY
+        return policy, "none"
     if comparator == "baseline":
-        return replace(policy, budget_B=0), context
+        return replace(policy, budget_B=0), version
     budget = FIXED_BUDGET_K if comparator == "fixed_budget" else None
-    return replace(policy, **ROUTE_AND_ACCEPT_ALL, budget_B=budget, cooldown=0), context
+    return replace(policy, **ROUTE_AND_ACCEPT_ALL, budget_B=budget, cooldown=0), version
 
 
 def _random_case(rng, trial):
@@ -577,7 +574,7 @@ def _random_case(rng, trial):
     kind, member = (kinds + [("multibank_best", m) for m in MULTIBANK_FAMILY])[trial % (len(kinds) + 3)]
     policy = PolicyConfig(
         tau=float(rng.uniform(0.2, 0.9)),
-        # margin 0 puts the retry context's second pass (the baseline again) on the accept boundary
+        # margin 0 puts the retry comparator's second pass (the baseline again) on the accept boundary
         margin_m=0.0 if rng.random() < 0.25 else float(rng.uniform(-0.1, 0.2)),
         guards_enabled=frozenset(g for g in GUARD_NAMES if rng.random() < 0.5),
         bank_policy=kind,
@@ -608,9 +605,8 @@ def test_batched_loop_matches_per_step_reference():
             filled[original.deciding[s]][s] = False
             original = replace(original, filled=tuple(filled))
         for version in ("repair", "corrupt"):
-            _assert_matches_reference(world, policy, snaps, ids, SecondPassContext(version, edited))
-            fixed = SecondPassContext(version, edited, frozen=original)
-            _assert_matches_reference(world, policy, snaps, ids, fixed, frozen_map=frozen)
+            _assert_matches_reference(world, policy, snaps, ids, version, edited)
+            _assert_matches_reference(world, policy, snaps, ids, version, edited, frozen=original, frozen_map=frozen)
         _assert_matches_reference(world, policy, snaps, ids, comparator="retry")
 
 
@@ -684,14 +680,14 @@ def test_fixed_replay_on_other_examples_rejected():
     world = generate_world(WorldSpec(n_examples=50, seed=1))
     policy, snaps = PolicyConfig(tau=0.9), world.snapshots()
     original = evaluate_policy(world, policy, snaps, list(range(40))).steps
-    context = SecondPassContext("repair", ("E000",), frozen=original)
+    replay = dict(version="repair", edited_ids=("E000",), frozen=original)
     with pytest.raises(ValueError, match="fixed replay must run on the examples of the run it replays"):
-        run_steps(world, policy, snaps, list(range(1, 41)), context)
+        run_steps(world, policy, snaps, list(range(1, 41)), **replay)
     other = generate_world(WorldSpec(n_examples=50, seed=2))
     with pytest.raises(ValueError, match="fixed replay must run on a world of the spec of the run it replays"):
-        run_steps(other, policy, other.snapshots(), list(range(40)), context)
+        run_steps(other, policy, other.snapshots(), list(range(40)), **replay)
     same = generate_world(WorldSpec(n_examples=50, seed=1))  # a world of the same spec has the same pair bytes
-    fixed = run_steps(same, policy, same.snapshots(), list(range(40)), context)
+    fixed = run_steps(same, policy, same.snapshots(), list(range(40)), **replay)
     assert fixed.routed.any() and np.array_equal(fixed.pairs[0], original.deciding_injection()[2])
 
 

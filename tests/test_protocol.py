@@ -12,7 +12,6 @@ import pytest
 from conftest import (
     COUNTERFACTUAL_OUTCOMES,
     arith_shape_spec,
-    default_edits,
     localization_shape_spec,
     reference_counterfactual,
     reference_counterfactual_rows_text,
@@ -223,7 +222,23 @@ def test_counterfactual_recorded_bank_kinds_must_be_the_worlds(kinds, named):
     tampered = replace(manifest, selection_record=dict(manifest.selection_record, active_ids=active))
     message = f"manifest selection_record.active_ids names bank kinds {named}, the world has ['exemplar', 'rule']"
     with pytest.raises(FreezeMismatch, match=re.escape(message)):
-        run_counterfactual(world, tampered, default_edits(["E000"], "repair"))
+        run_counterfactual(world, tampered, ["E000"])
+
+
+@pytest.mark.parametrize("kind, entry", [("rule", "R999"), ("rule", "E001"), ("exemplar", "R000")],
+                         ids=["unknown-entry", "exemplar-under-rule", "rule-under-exemplar"])
+def test_recorded_active_ids_must_be_entries_of_their_bank(kind, entry):
+    # test_cli's malformed-manifest cases check the same rule through `test`
+    world, manifest, _, snaps = fitted_world(seed=8)
+    active = {k: [*snaps[k].entry_ids, entry] if k == kind else list(snaps[k].entry_ids) for k in snaps}
+    tampered = replace(manifest, selection_record=dict(manifest.selection_record, active_ids=active))
+    message = f"manifest selection_record.active_ids['{kind}'] names entries that bank lacks: ['{entry}']"
+    with pytest.raises(FreezeMismatch, match=re.escape(message)):
+        base_seed(world, tampered)
+    with pytest.raises(FreezeMismatch, match=re.escape(message)):
+        run_counterfactual(world, tampered, ["E000"])
+    # refused before any bank was cut to the recorded membership or frozen
+    assert all(bank.active.all() and bank.stage == "fit" for bank in world.banks.values())
 
 
 def test_wrong_world_hash_mismatch():
@@ -401,7 +416,7 @@ def test_split_ids_must_be_json_integers(field, coerce):
 
 
 # ---------------------------------------------------------------------------
-# comparators: each is the gated controller under another policy or context
+# comparators: each is the gated controller under another policy or content version
 # ---------------------------------------------------------------------------
 
 def comparator_setup():
@@ -638,13 +653,12 @@ def make_counterfactual_setup(seed=0):
     grid = [PolicyConfig(tau=tau_all, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
     manifest, _, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
     edited = [e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads) if p.endswith("topic 0")][:4]
-    edits = default_edits(edited, "repair")
-    return world, manifest, edits
+    return world, manifest, edited
 
 
 def test_counterfactual_decomposition_and_fixed_mode():
-    world, manifest, edits = make_counterfactual_setup(seed=18)
-    rows, audit = run_counterfactual(world, manifest, edits, seed=18)
+    world, manifest, edited = make_counterfactual_setup(seed=18)
+    rows, audit = run_counterfactual(world, manifest, edited, seed=18)
     assert audit["decomposition_max_abs_error"] == 0.0
     assert audit["non_hit_dacc_fixed"] == 0.0
     non_hit = ~rows.target_hit
@@ -653,8 +667,8 @@ def test_counterfactual_decomposition_and_fixed_mode():
 
 
 def test_counterfactual_leaves_the_banks_frozen_for_test():
-    world, manifest, edits = make_counterfactual_setup(seed=18)
-    run_counterfactual(world, manifest, edits, seed=18)
+    world, manifest, edited = make_counterfactual_setup(seed=18)
+    run_counterfactual(world, manifest, edited, seed=18)
     for kind, bank in world.banks.items():
         entry_id = bank.active_columns()[0][0]
         for op in (
@@ -667,8 +681,8 @@ def test_counterfactual_leaves_the_banks_frozen_for_test():
 
 
 def test_counterfactual_free_mode_has_drift():
-    world, manifest, edits = make_counterfactual_setup(seed=19)
-    rows, _ = run_counterfactual(world, manifest, edits, seed=19)
+    world, manifest, edited = make_counterfactual_setup(seed=19)
+    rows, _ = run_counterfactual(world, manifest, edited, seed=19)
     drift = np.abs(rows.outcome_repair_free - rows.outcome_repair_fixed)
     assert drift.sum() > 0  # retrieval drift makes free != fixed somewhere
 
@@ -676,15 +690,15 @@ def test_counterfactual_free_mode_has_drift():
 @pytest.mark.parametrize("hit", [False, True])
 def test_counterfactual_audits_non_hit_rows_only(monkeypatch, hit):
     # the corrupt fixed replay reports another second-pass confidence on one routed row
-    world, manifest, edits = make_counterfactual_setup(seed=18)
+    world, manifest, edited = make_counterfactual_setup(seed=18)
     run_steps = protocol.run_steps
     nudged = []
 
-    def nudge(world, policy, snapshots, example_ids, context):
-        steps = run_steps(world, policy, snapshots, example_ids, context)
-        if context.frozen is not None and context.version == "corrupt":
-            columns, filled, _ = context.frozen.deciding_injection()
-            hits = (filled & np.isin(columns, world.columns(context.edited_ids))).any(axis=1)
+    def nudge(world, policy, snapshots, example_ids, version="original", edited_ids=(), frozen=None):
+        steps = run_steps(world, policy, snapshots, example_ids, version, edited_ids, frozen)
+        if frozen is not None and version == "corrupt":
+            columns, filled, _ = frozen.deciding_injection()
+            hits = (filled & np.isin(columns, world.columns(edited_ids))).any(axis=1)
             s = int(np.flatnonzero(steps.routed & steps.decoded[:, 0] & (hits == hit))[0])
             confidence = steps.second_confidence.copy()
             confidence[s, 0] += 0.5
@@ -694,26 +708,24 @@ def test_counterfactual_audits_non_hit_rows_only(monkeypatch, hit):
 
     monkeypatch.setattr(protocol, "run_steps", nudge)
     if hit:  # a hit row may differ across repair/corrupt
-        assert run_counterfactual(world, manifest, edits, seed=18)[1]["n_hit"] > 0
+        assert run_counterfactual(world, manifest, edited, seed=18)[1]["n_hit"] > 0
     else:
         with pytest.raises(ProtocolViolation) as raised:
-            run_counterfactual(world, manifest, edits, seed=18)
+            run_counterfactual(world, manifest, edited, seed=18)
         assert str(raised.value) == f"non-hit row {nudged[0]} differs across repair/corrupt under fixed retrieval"
     assert len(nudged) == 1
 
 
 def test_counterfactual_unknown_edit_rejected():
     world, manifest, _ = make_counterfactual_setup(seed=20)
-    from gatedmem.retrieval import ContentEdit
-
     with pytest.raises(ValueError, match="unknown entry 'E999'"):
-        run_counterfactual(world, manifest, [ContentEdit("E999", "x", "repair")])
+        run_counterfactual(world, manifest, ["E999"])
 
 
 def test_counterfactual_requires_valid_manifest():
-    world, manifest, edits = make_counterfactual_setup(seed=21)
+    world, manifest, edited = make_counterfactual_setup(seed=21)
     with pytest.raises(FreezeMismatch, match="policy config hash"):
-        run_counterfactual(world, tampered_policy(manifest, tau=0.1), edits)
+        run_counterfactual(world, tampered_policy(manifest, tau=0.1), edited)
 
 
 # ---------------------------------------------------------------------------
@@ -865,8 +877,8 @@ def test_traces_bytes_match_reference(tmp_path, monkeypatch, steps_per_episode, 
 
 
 def test_counterfactual_rows_bytes_match_reference(tmp_path, monkeypatch):
-    world, manifest, edits = make_counterfactual_setup(seed=18)
-    rows, _ = run_counterfactual(world, manifest, edits, seed=18)
+    world, manifest, edited = make_counterfactual_setup(seed=18)
+    rows, _ = run_counterfactual(world, manifest, edited, seed=18)
     # one more row with an empty identity and outcomes at the rounding edges
     width = rows.columns.shape[1]
     rows = replace(
@@ -896,18 +908,17 @@ def _counterfactual_world(kind):
     fit_ids, test_ids = split_indices(240, 0.5, 0)
     grid = [PolicyConfig(tau=0.75, margin_m=0.02, bank_policy=kind, budget_B=2, guards_enabled=frozenset({"format"}))]
     manifest, policy, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
-    edits = default_edits(["E001", "E004", "E007", "R002", "R005", "R008"], "repair")
-    return world, manifest, policy, snaps, test_ids, edits
+    return world, manifest, policy, snaps, test_ids, ["E001", "E004", "E007", "R002", "R005", "R008"]
 
 
 @pytest.mark.parametrize("kind", BANK_POLICIES)
 def test_counterfactual_matches_per_step_reference(tmp_path, kind):
-    world, manifest, policy, snaps, test_ids, edits = _counterfactual_world(kind)
-    rows, audit = run_counterfactual(world, manifest, edits, n_permutations=500, seed=3)
+    world, manifest, policy, snaps, test_ids, edited = _counterfactual_world(kind)
+    rows, audit = run_counterfactual(world, manifest, edited, n_permutations=500, seed=3)
     path = tmp_path / "counterfactual_rows.jsonl"
     write_counterfactual_rows(rows, str(path))
     assert (path.read_text(), audit) == reference_counterfactual(
-        world, policy, snaps, test_ids, edits, n_permutations=500, seed=3
+        world, policy, snaps, test_ids, edited, n_permutations=500, seed=3
     )
     # not vacuous: hits, non-hits, and routed rows that retrieved nothing, which n_non_hit leaves out
     assert audit["n_hit"] > 0 and audit["n_non_hit"] > 0
@@ -961,13 +972,13 @@ def test_governance_releases_tables_no_later_round_reads(monkeypatch):
 
 
 def test_counterfactual_releases_drifted_tables(monkeypatch):
-    world, manifest, edits = make_counterfactual_setup(seed=18)
-    rows, audit = run_counterfactual(world, manifest, edits, seed=18)
+    world, manifest, edited = make_counterfactual_setup(seed=18)
+    rows, audit = run_counterfactual(world, manifest, edited, seed=18)
     kept = {k: t[0] for k, t in world._tables.items()}
     assert set(kept) <= {"rule", "exemplar"}  # one table per kind, whatever was read
     assert kept["exemplar"] != manifest.bank_hashes["exemplar"]  # the free reruns' drifted table replaced it
     _uncached(monkeypatch)
-    world, manifest, edits = make_counterfactual_setup(seed=18)
-    uncached = run_counterfactual(world, manifest, edits, seed=18)
+    world, manifest, edited = make_counterfactual_setup(seed=18)
+    uncached = run_counterfactual(world, manifest, edited, seed=18)
     assert uncached[1] == audit
     assert all(np.array_equal(getattr(uncached[0], f.name), getattr(rows, f.name)) for f in fields(rows))

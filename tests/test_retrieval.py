@@ -1,10 +1,11 @@
 """Retrieval: cosine ranking, frozen identities, edits, hit partition."""
 
+import re
+
 import numpy as np
 import pytest
 
 from conftest import (
-    default_edits,
     localization_shape_spec,
     reference_freeze_identities,
     reference_retrieve,
@@ -17,7 +18,6 @@ from gatedmem.controller import PolicyConfig
 from gatedmem.errors import ProtocolViolation
 from gatedmem.protocol import evaluate_policy, run_counterfactual, run_fit_stage, split_indices
 from gatedmem.retrieval import (
-    ContentEdit,
     Query,
     RetrievalResult,
     embed_key,
@@ -179,16 +179,19 @@ def test_freeze_identities_routed_only():
     assert not filled[~steps.routed].any()
 
 
-def test_edit_kind_validated():
-    with pytest.raises(ValueError):
-        ContentEdit("R000", "x", "delete")
+def test_edit_kind_validated(tmp_path):
+    path = tmp_path / "edits.jsonl"
+    path.write_text('{"entry_id": "R000", "new_payload": "x", "edit_kind": "delete"}\n')
+    with pytest.raises(ValueError, match=re.escape(f"{path}:1: edit_kind must be one of ('repair', 'corrupt')")):
+        load_edits(str(path))
 
 
 def test_edits_file_roundtrip(tmp_path):
-    edits = [ContentEdit("R001", "better", "repair"), ContentEdit("E002", "worse", "corrupt")]
+    # load_edits returns the edited entry ids in file order; the kind and payload do not enter a replay
     path = tmp_path / "edits.jsonl"
-    save_edits(edits, str(path))
-    assert load_edits(str(path)) == edits
+    for kind in ("repair", "corrupt"):
+        save_edits(["R001", "E002"], str(path), kind)
+        assert load_edits(str(path)) == ["R001", "E002"]
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +205,7 @@ def _counterfactual(edited, **spec):
     fit_ids, test_ids = split_indices(world.spec.n_examples, 0.5, 0)
     grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
     manifest, _, _ = run_fit_stage(world, grid, fit_ids, test_ids)
-    return run_counterfactual(world, manifest, default_edits(edited, "repair"), n_permutations=200)
+    return run_counterfactual(world, manifest, edited, n_permutations=200)
 
 
 def test_partition_no_hits():
@@ -225,7 +228,7 @@ def test_partition_paper_scale_sizes():
     grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
     manifest, _, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
     edited = [e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads) if p.endswith("topic 0")][:4]
-    rows, audit = run_counterfactual(world, manifest, default_edits(edited, "repair"))
+    rows, audit = run_counterfactual(world, manifest, edited)
     assert audit["n_rows"] == len(rows.query_id) == 800
     assert 60 <= audit["n_hit"] == rows.target_hit.sum() <= 160
     assert audit["n_hit"] + audit["n_non_hit"] == rows.filled.any(axis=1).sum()

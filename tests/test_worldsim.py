@@ -9,7 +9,6 @@ import pytest
 
 from conftest import (
     arith_shape_spec,
-    default_edits,
     reference_outcome_table,
     reference_pair_table,
     reference_retrieve,
@@ -383,17 +382,22 @@ def test_exposure_averaging_insufficiency():
 
 def test_drifted_snapshot_changes_only_edited_embeddings():
     world = generate_world(WorldSpec(n_examples=50, seed=14))
-    edits = default_edits(["E001", "E005"], "corrupt")
     snap = world.banks["exemplar"].freeze()
-    drifted = world.drifted_snapshot("exemplar", edits)
+    # ids of another bank are skipped
+    drifted = world.drifted_snapshot("exemplar", "corrupt", ["E001", "E005", "R002"])
     assert drifted.entry_ids == snap.entry_ids
+    assert drifted.payloads == snap.payloads  # only the embeddings drift
     for k, eid in enumerate(snap.entry_ids):
         same = np.allclose(drifted.embeddings[k], snap.embeddings[k])
         assert same == (eid not in ("E001", "E005"))
-    # drift depends on the edit kind
-    drifted_repair = world.drifted_snapshot("exemplar", default_edits(["E001"], "repair"))
+    # drift depends on the content version
+    drifted_repair = world.drifted_snapshot("exemplar", "repair", ["E001"])
     i = snap.entry_ids.index("E001")
     assert not np.allclose(drifted_repair.embeddings[i], drifted.embeddings[i])
+    # a retired entry is skipped: nothing active is edited, so the snapshot is the frozen one
+    world.banks["exemplar"].retain([e for e in snap.entry_ids if e != "E001"])
+    kept = world.banks["exemplar"].freeze()
+    assert world.drifted_snapshot("exemplar", "repair", ["E001"]).content_hash == kept.content_hash
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +429,7 @@ def test_world_retrieve_matches_per_query_reference(spec):
     snapshots = list(world.snapshots().values())
     for kind, bank in world.banks.items():
         ids = list(bank.active_columns()[0])
-        snapshots.append(world.drifted_snapshot(kind, default_edits(ids[::3], "repair")))
+        snapshots.append(world.drifted_snapshot(kind, "repair", ids[::3]))
         governed = bank.copy()
         governed.retain(ids[::2])
         snapshots.append(governed.freeze())
@@ -472,7 +476,7 @@ def test_lazy_table_rows_equal_full_retrieval_table(monkeypatch, spec):
         governed.retain(ids[1::2])
         emptied = bank.copy()
         emptied.retain([])
-        drifted = world.drifted_snapshot(kind, default_edits(ids[::3], "corrupt"))
+        drifted = world.drifted_snapshot(kind, "corrupt", ids[::3])
         snaps[kind] += [drifted, governed.freeze(), emptied.freeze()]
     dense = reference_pair_table(world)
     want = {s.content_hash: _full_table(world, s, dense) for kind_snaps in snaps.values() for s in kind_snaps}
@@ -582,7 +586,7 @@ def test_draws_do_not_depend_on_retirement_drift_or_order():
     world = generate_world(spec)
     for kind, bank in world.banks.items():
         ids = list(bank.active_columns()[0])
-        world.drifted_snapshot(kind, default_edits(ids[::4], "corrupt"))
+        world.drifted_snapshot(kind, "corrupt", ids[::4])
         bank.retain(ids[::3])
     assert _all_draws(world, reversed(range(spec.n_examples))) == reference
 
