@@ -7,7 +7,10 @@ retrieved the entry, relative to the baseline answer) accumulates during
 the fit stage only, kept as a per-entry count and sum of utilities, which
 is all the Hoeffding statistic reads. An entry is retired when the
 Hoeffding upper confidence bound on its mean utility drops below zero.
-Retirement is permanent: active -> retired, never back, and never during
+That bound's radius is the one for observations in a range of width 1,
+too narrow for utilities in [-1, 1], so it does not keep a harmless
+entry's chance of retirement within delta (see hoeffding_ucb; ROADMAP
+item 1 has the fix). Retirement is permanent: active -> retired, never back, and never during
 the test stage.
 
 On-disk format (bank file): one json object per line, {id, bank_kind,
@@ -36,8 +39,12 @@ EMBED_PLACES = 8  # fixed-width decimals in bank files and content hashes
 def hoeffding_ucb(mean: float, n: int, delta: float) -> float:
     """mean + sqrt(ln(2/delta) / (2 n)), the retirement test statistic.
 
-    Valid for utility observations bounded in [-1, 1]; for a true mean >= 0
-    the chance this falls below zero is at most delta.
+    The radius is Hoeffding's two-sided one for observations in a range of
+    width 1. Utilities lie in [-1, 1], a range of width 2, so it is too
+    narrow and the chance this falls below zero at a true mean of 0 exceeds
+    delta: with +-1 utilities and delta = 0.05, exact binomial tails give
+    0.100, 0.097 and 0.088 at n = 30, 100 and 400. ROADMAP item 1 has the
+    fix.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -10,10 +10,11 @@ baseline action.
 run_steps runs every episode of a run at once: only routing depends on
 earlier steps, so it loops over step position, and every other decision is
 a mask over the world's arrays. A run is its StepTable, and every reader
-(evidence, frozen identities, fixed replay, the replay audit,
-traces.jsonl) reads its arrays. The paired oracle is not a control loop:
-protocol.evaluate_oracle reads it off the world's ground truth
-(World.oracle_candidates).
+(paired counts, evidence, frozen identities, fixed replay, the replay
+audit, traces.jsonl, conf_bins.csv) reads its arrays. Neither the baseline
+nor the paired oracle is a control loop: the baseline is a read of the
+world's first pass (World.baseline_pass), and protocol.evaluate_oracle
+reads the oracle off the world's ground truth (World.decode_contexts).
 
 Call accounting is compute-matched: a routed step costs exactly one extra
 call (k_t = 2) regardless of bank-policy internals, so total_calls is always
@@ -140,10 +141,11 @@ def compose_bank_policy(policy: PolicyConfig) -> list[tuple[tuple[str, ...], boo
 class StepTable:
     """A batched run: one row per step, in episode then step order.
 
-    Attempt a of a routed step is entry a of its bank plan. Per attempt,
-    columns/filled give what it injects and pairs the pair-latent bytes it
-    decodes them with (see World.injected); a step tries attempt a + 1 only
-    if attempt a was rejected.
+    Attempt a of a routed step is entry a of its bank plan. columns/filled
+    give what each attempt injects and pairs the pair-latent bytes it
+    decodes them with (see World.injected), padded with unfilled slots to
+    the widest attempt; a step tries attempt a + 1 only if attempt a was
+    rejected.
     """
 
     world: object
@@ -155,9 +157,9 @@ class StepTable:
     baseline_confidence: np.ndarray
     routed: np.ndarray
     tried: np.ndarray  # (steps, attempts)
-    columns: tuple  # per attempt, (steps, width)
-    filled: tuple
-    pairs: tuple
+    columns: np.ndarray  # (steps, attempts, width)
+    filled: np.ndarray  # (steps, attempts, width)
+    pairs: np.ndarray  # (steps, attempts, width)
     decoded: np.ndarray  # (steps, attempts): a second pass ran (it injected something, or used no memory)
     second_correct: np.ndarray  # (steps, attempts)
     second_confidence: np.ndarray  # (steps, attempts)
@@ -185,18 +187,26 @@ class StepTable:
         )
 
     def deciding_injection(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(columns, filled, pairs) of what each step's deciding attempt injected, padded to the
-        widest attempt: a run's frozen identities and the pair bytes a fixed replay decodes them
-        with. filled is all false where the step carries no retrieval (an attempt fills a slot only
-        if it retrieved, and an unrouted step decides no attempt)."""
-        deciding = self.deciding
-        width = max(c.shape[1] for c in self.columns)
-        out = [np.zeros((len(self.routed), width), dtype) for dtype in (np.intp, bool, np.uint8)]
-        for a, attempt in enumerate(zip(self.columns, self.filled, self.pairs)):
-            at = deciding == a
-            for full, x in zip(out, attempt):
-                full[at, :x.shape[1]] = x[at]
-        return tuple(out)
+        """(columns, filled, pairs) of what each step's deciding attempt injected: a run's frozen
+        identities and the pair bytes a fixed replay decodes them with. filled is all false where
+        the step carries no retrieval (an attempt fills a slot only if it retrieved, and an
+        unrouted step fills none)."""
+        at = np.maximum(self.deciding, 0)[:, None, None]
+        return tuple(np.take_along_axis(x, at, axis=1)[:, 0] for x in (self.columns, self.filled, self.pairs))
+
+
+def _check_example_ids(example_ids: np.ndarray, n: int) -> None:
+    """ValueError naming the first duplicate, negative or out-of-range example id."""
+    if example_ids.size == 0:
+        raise ValueError("no examples to evaluate")
+    order = np.argsort(example_ids, kind="stable")
+    repeat = np.zeros(len(example_ids), bool)
+    repeat[order[1:]] = example_ids[order[1:]] == example_ids[order[:-1]]
+    bad = np.flatnonzero(repeat | (example_ids < 0) | (example_ids >= n))
+    if bad.size:
+        i = int(example_ids[bad[0]])
+        why = "is repeated" if repeat[bad[0]] else f"is outside the world's examples 0..{n - 1}"
+        raise ValueError(f"example id {i} {why}")
 
 
 def run_steps(
@@ -216,9 +226,12 @@ def run_steps(
     baseline again. A fixed replay of `frozen`, a run on the same examples,
     injects each step's frozen deciding injection in one attempt. Steps of
     an episode are its examples in ascending order; example_ids must be
-    distinct and index the world's examples.
+    distinct and index the world's examples, which is checked before any
+    world read.
     """
-    ex = np.sort(np.asarray(example_ids, np.intp))
+    ex = np.asarray(example_ids, np.intp)
+    _check_example_ids(ex, world.spec.n_examples)
+    ex = np.sort(ex)
     if frozen is not None and not np.array_equal(frozen.example_ids, ex):
         raise ValueError("fixed replay must run on the examples of the run it replays")
     if frozen is not None and frozen.world.spec != world.spec:  # it decodes with that run's pair bytes
@@ -253,7 +266,7 @@ def run_steps(
     shape = (len(ex), len(plan))
     tried, decoded, correct, accepted = (np.zeros(shape, bool) for _ in range(4))
     confidence = np.full(shape, np.nan)
-    columns, filled, pairs = [], [], []
+    injections = []  # per attempt, (columns, filled, pairs) of the routed rows
     pending = np.ones(len(rows), bool)
     for a, (banks, bypass_margin) in enumerate(plan):
         if frozen is not None and not no_memory:
@@ -264,13 +277,15 @@ def run_steps(
         ran = pending & (fill.any(axis=1) | no_memory)
         margin = -math.inf if bypass_margin else policy.margin_m
         ok = ran & ~(conf2 < conf[routed] + margin) & guards
-        for store, values in ((columns, cols), (filled, fill), (pairs, bits)):
-            full = np.zeros((len(ex), values.shape[1]), values.dtype)
-            full[routed] = values
-            store.append(full)
+        injections.append((cols, fill, bits))
         tried[routed, a], decoded[routed, a], accepted[routed, a] = pending, ran, ok
         correct[routed, a], confidence[routed, a] = second, np.where(ran, conf2, np.nan)
         pending &= ~ok
+    width = max(cols.shape[1] for cols, _, _ in injections)
+    columns, filled, pairs = (np.zeros(shape + (width,), dtype) for dtype in (np.intp, bool, np.uint8))
+    for a, attempt in enumerate(injections):
+        for full, values in zip((columns, filled, pairs), attempt):
+            full[routed, a, :values.shape[1]] = values
     return StepTable(
         world=world,
         plan=plan,
@@ -281,9 +296,9 @@ def run_steps(
         baseline_confidence=conf,
         routed=routed,
         tried=tried,
-        columns=tuple(columns),
-        filled=tuple(filled),
-        pairs=tuple(pairs),
+        columns=columns,
+        filled=filled,
+        pairs=pairs,
         decoded=decoded,
         second_correct=correct,
         second_confidence=confidence,

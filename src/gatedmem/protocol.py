@@ -33,13 +33,14 @@ from .controller import (
     MULTIBANK_FAMILY,
     PolicyConfig,
     StepTable,
+    _check_example_ids,
     run_steps,
     select_threshold_percentile,
 )
 from .errors import FreezeMismatch, ProtocolViolation
 from .stats import bootstrap_ci, confidence_bins, mcnemar_exact, randomization_interaction_test
 from .util import indices_digest
-from .worldsim import OutcomeTable, World, WorldSpec
+from .worldsim import ORACLE_CONTEXTS, OutcomeTable, World, WorldSpec
 
 COMPARATORS = ("retry", "always_retrieve", "fixed_budget")
 LEDGER_COMPARISONS = ("policy",) + COMPARATORS + ("oracle",)  # each ledger row pairs one against baseline
@@ -51,6 +52,7 @@ ROUTE_AND_ACCEPT_ALL = dict(tau=math.inf, margin_m=-math.inf, guards_enabled=fro
 RECORD_TYPES = {
     "policy": dict, "fit_ids": list, "test_ids": list, "fit_digest": str, "test_digest": str, "active_ids": dict,
 }
+CONF_BINS = 10  # equal-width baseline-confidence bins of conf_bins.csv
 ROW_BLOCK = 256  # rows (traces: about this many steps) encoded per write; a block's text stays well under 1 MB
 _JSON_BOOL = ("false", "true")
 
@@ -139,15 +141,6 @@ def split_indices(n: int, fit_fraction: float = 0.5, split_seed: int = 0):
 # policy evaluation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class EvalRun:
-    outcomes: np.ndarray  # per example, in the order of the ids evaluated
-    routed_frac: float
-    accepted_frac: float
-    mean_calls: float
-    steps: StepTable | None = None  # the controller's per-step arrays; None for the oracle
-
-
 @dataclass(frozen=True)
 class PairedCounts:
     """A run against the baseline on the same examples, as much as a ledger row reads:
@@ -166,13 +159,17 @@ class PairedCounts:
         return (self.helps - self.hurts) / self.n
 
     @staticmethod
-    def of(base: EvalRun, run: EvalRun) -> "PairedCounts":
-        """The counts of two runs whose outcomes are index-aligned."""
-        a, b = base.outcomes.astype(bool), run.outcomes.astype(bool)
-        if a.shape != b.shape or a.ndim != 1:
+    def of(base, correct, routed, accepted) -> "PairedCounts":
+        """The counts of a run from index-aligned masks: baseline correctness, the run's
+        correctness, and which examples it routed and accepted. A routed example costs one
+        extra call, and the baseline makes one call per example."""
+        masks = [np.asarray(x, bool) for x in (base, correct, routed, accepted)]
+        if masks[0].ndim != 1 or any(m.shape != masks[0].shape for m in masks):
             raise ValueError("outcome vectors must be 1-d and equal length")
-        helps, hurts = int(np.sum(~a & b)), int(np.sum(a & ~b))
-        return PairedCounts(len(a), helps, hurts, run.routed_frac, run.accepted_frac, run.mean_calls, base.mean_calls)
+        base, correct, routed, accepted = masks
+        n, n_routed = len(base), int(routed.sum())
+        helps, hurts = int(np.sum(~base & correct)), int(np.sum(base & ~correct))
+        return PairedCounts(n, helps, hurts, n_routed / n, int(accepted.sum()) / n, (n + n_routed) / n, 1.0)
 
     @staticmethod
     def pool(parts: list) -> "PairedCounts":
@@ -188,18 +185,9 @@ class PairedCounts:
         )
 
 
-def _check_example_ids(example_ids: np.ndarray, n: int) -> None:
-    """ValueError naming the first duplicate, negative or out-of-range example id."""
-    if example_ids.size == 0:
-        raise ValueError("no examples to evaluate")
-    order = np.argsort(example_ids, kind="stable")
-    repeat = np.zeros(len(example_ids), bool)
-    repeat[order[1:]] = example_ids[order[1:]] == example_ids[order[:-1]]
-    bad = np.flatnonzero(repeat | (example_ids < 0) | (example_ids >= n))
-    if bad.size:
-        i = int(example_ids[bad[0]])
-        why = "is repeated" if repeat[bad[0]] else f"is outside the world's examples 0..{n - 1}"
-        raise ValueError(f"example id {i} {why}")
+def _run_counts(steps: StepTable) -> PairedCounts:
+    """A run's counts against the baseline first pass of its own steps."""
+    return PairedCounts.of(steps.baseline_correct, steps.final_correct, steps.routed, steps.accepted)
 
 
 def evaluate_policy(
@@ -208,10 +196,8 @@ def evaluate_policy(
     snapshots: dict,
     example_ids,
     comparator: str | None = None,
-) -> EvalRun:
+) -> StepTable:
     """Run one policy (or a comparator variant of it) over the given examples."""
-    ids = np.asarray(example_ids, np.intp)
-    _check_example_ids(ids, world.spec.n_examples)
     version = "original"
     if comparator == "retry":
         version = "none"  # a second pass without memory
@@ -219,42 +205,32 @@ def evaluate_policy(
         policy = replace(policy, **ROUTE_AND_ACCEPT_ALL, budget_B=None, cooldown=0)
     elif comparator == "fixed_budget":
         policy = replace(policy, **ROUTE_AND_ACCEPT_ALL, budget_B=FIXED_BUDGET_K, cooldown=0)
-    elif comparator == "baseline":
-        policy = replace(policy, budget_B=0)
     elif comparator is not None:
         raise ValueError(f"unknown comparator {comparator!r}")
-
-    steps = run_steps(world, policy, snapshots, ids, version)
-    n = len(ids)
-    routed = int(steps.routed.sum())
-    return EvalRun(
-        outcomes=steps.final_correct[np.searchsorted(steps.example_ids, ids)].astype(np.float64),
-        routed_frac=routed / n,
-        accepted_frac=int(steps.accepted.sum()) / n,
-        mean_calls=(n + routed) / n,
-        steps=steps,
-    )
+    return run_steps(world, policy, snapshots, example_ids, version)
 
 
-def evaluate_oracle(world: World, snapshots: dict, example_ids) -> EvalRun:
+def evaluate_oracle(world: World, snapshots: dict, example_ids) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The paired upper bound: commit a candidate second pass only where it beats the baseline.
 
-    Equal utility keeps the baseline; with ground truth this is the pointwise
+    Returns (correct, routed, accepted) per example of example_ids: an
+    example routes if any oracle context injects something, and accepts if
+    its baseline is wrong and one such context's pass is right. Equal
+    utility keeps the baseline; with ground truth this is the pointwise
     maximizer over keep/commit per example, so no implementable policy over
     the same candidate set can beat it.
     """
     rows = np.asarray(example_ids, np.intp)
+    _check_example_ids(rows, world.spec.n_examples)
     base, _ = world.baseline_pass(rows)
-    present, correct = world.oracle_candidates(rows, snapshots)
-    routed = int(present.any(axis=1).sum())
-    accepted = ~base & (present & correct).any(axis=1)
-    n = len(rows)
-    return EvalRun(
-        outcomes=(base | accepted).astype(np.float64),
-        routed_frac=routed / n,
-        accepted_frac=int(accepted.sum()) / n,
-        mean_calls=(n + routed) / n,
-    )
+    passes = world.decode_contexts(rows, snapshots)
+    routed, wins = np.zeros(len(rows), bool), np.zeros(len(rows), bool)
+    for context in ORACLE_CONTEXTS:
+        injects, correct, _ = passes[context]
+        routed |= injects
+        wins |= injects & correct
+    accepted = ~base & wins
+    return base | accepted, routed, accepted
 
 
 # ---------------------------------------------------------------------------
@@ -269,20 +245,15 @@ def _fit_score(policy: PolicyConfig, dacc: float, mean_calls: float) -> float:
     return dacc - policy.lambda_cost * mean_calls
 
 
-def attach_evidence(world: World, banks: dict, run: EvalRun) -> int:
+def attach_evidence(world: World, banks: dict, steps: StepTable) -> int:
     """Attribute each routed intervention's paired utility to every retrieved entry.
 
     Each entry's utilities go to its bank in one append, entries in
     pair-table column order; returns how many utilities were attributed.
     """
-    steps = run.steps
     utility = steps.second_correct.astype(np.float64) - steps.baseline_correct[:, None]
-    columns, gains = [np.zeros(0, np.intp)], [np.zeros(0)]
-    for a in range(len(steps.plan)):
-        cells = steps.tried[:, a, None] & steps.filled[a]
-        columns.append(steps.columns[a][cells])
-        gains.append(utility[np.nonzero(cells)[0], a])
-    columns, gains = np.concatenate(columns), np.concatenate(gains)
+    cells = steps.tried[:, :, None] & steps.filled
+    columns, gains = steps.columns[cells], utility[np.nonzero(cells)[:2]]
     order = np.argsort(columns, kind="stable")
     columns, gains = columns[order], gains[order]
     starts = np.flatnonzero(np.diff(columns, prepend=-1))
@@ -329,19 +300,17 @@ def run_governance_loop(world: World, policy: PolicyConfig, rounds: int, fit_ids
             raise ProtocolViolation("governance is a fit-stage operation")
     working = {kind: bank.copy() for kind, bank in world.banks.items()}
     snaps = {k: b.freeze() for k, b in working.items()}  # the entering state of round 0, too
-    base_run = evaluate_policy(world, policy, snaps, fit_ids, comparator="baseline")
-    oracle_run = evaluate_oracle(world, snaps, fit_ids)
-    acc_base = float(base_run.outcomes.mean())
-    acc_oracle = float(oracle_run.outcomes.mean())
+    acc_oracle = float(evaluate_oracle(world, snaps, fit_ids)[0].mean())  # checks fit_ids before the baseline read
+    acc_base = float(world.baseline_pass(fit_ids)[0].mean())
 
     report_rounds = []
     for it in range(rounds):
         if it:
             snaps = {k: b.freeze() for k, b in working.items()}
-        run = evaluate_policy(world, policy, snaps, fit_ids)
-        acc = float(run.outcomes.mean())
+        steps = evaluate_policy(world, policy, snaps, fit_ids)
+        acc = float(steps.final_correct.mean())
         gap = None if acc_oracle == acc_base else (acc - acc_base) / (acc_oracle - acc_base)
-        attach_evidence(world, working, run)
+        attach_evidence(world, working, steps)
         retired = []
         for bank in working.values():
             retired.extend(bank.retirement_sweep(policy.delta))
@@ -394,11 +363,10 @@ def run_fit_stage(
             expanded.append((gi, cand))
 
     snapshots = world.snapshots()
-    base_run = evaluate_policy(world, expanded[0][1], snapshots, fit_ids, comparator="baseline")
     scored = []
     for order, (gi, cand) in enumerate(expanded):
-        run = evaluate_policy(world, cand, snapshots, fit_ids)
-        scored.append((gi, order, cand, PairedCounts.of(base_run, run).delta_acc, run.mean_calls))
+        counts = _run_counts(evaluate_policy(world, cand, snapshots, fit_ids))
+        scored.append((gi, order, cand, counts.delta_acc, counts.mean_calls))
 
     best = min(
         scored,
@@ -600,26 +568,26 @@ def _test_seed(world: World, manifest: FreezeManifest, base: bool, out_dir: str 
     """One seed's ledger rows and each comparison's PairedCounts against the baseline, by name.
 
     The base world is checked against the manifest and, given out_dir,
-    writes traces.jsonl and conf_bins.csv from the policy's run. Each
-    comparison's run is reduced to its counts before the next one runs, so
-    only the baseline's outcomes outlive them.
+    writes traces.jsonl and conf_bins.csv from the policy's run. The
+    baseline is the world's first pass, read once for the oracle; each
+    comparator run is its StepTable, which carries the same read, and is
+    reduced to its counts before the next one runs.
     """
     policy, snapshots, test_ids = frozen_inputs(world, manifest)
     if base:
         manifest.validate(world, policy, snapshots)
-    baseline = replace(evaluate_policy(world, policy, snapshots, test_ids, comparator="baseline"), steps=None)
     counts = {}
     for name in LEDGER_COMPARISONS:
         if name == "oracle":
-            run = evaluate_oracle(world, snapshots, test_ids)
-        else:
-            run = evaluate_policy(world, policy, snapshots, test_ids, comparator=None if name == "policy" else name)
-        counts[name] = PairedCounts.of(baseline, run)
+            oracle = evaluate_oracle(world, snapshots, test_ids)
+            counts[name] = PairedCounts.of(world.baseline_pass(test_ids)[0], *oracle)
+            continue
+        steps = evaluate_policy(world, policy, snapshots, test_ids, comparator=None if name == "policy" else name)
+        counts[name] = _run_counts(steps)
         if name == "policy" and base and out_dir is not None:
-            write_traces(run.steps, os.path.join(out_dir, "traces.jsonl"))
-            conf_bins = os.path.join(out_dir, "conf_bins.csv")
-            write_conf_bins(world, test_ids, baseline, run, conf_bins, policy.confidence_signal)
-        del run  # its step table goes before the next comparison's is built
+            write_traces(steps, os.path.join(out_dir, "traces.jsonl"))
+            write_conf_bins(steps, os.path.join(out_dir, "conf_bins.csv"))
+        del steps  # its step table goes before the next comparison's is built
     return _ledger_rows(counts, world.seed), counts
 
 
@@ -761,23 +729,18 @@ def write_outcome_table(table: OutcomeTable, path: str) -> None:
         fh.write("]\n")
 
 
-def write_conf_bins(
-    world: World, test_ids: list, baseline: EvalRun, policy: EvalRun, path: str, signal: str, n_bins: int = 10
-) -> None:
-    """Plot-ready binned accuracy: baseline vs gated policy by baseline confidence, runs on test_ids."""
-    conf = world.baseline_pass(test_ids, signal)[1]
-    bins = confidence_bins(conf, n_bins)
+def write_conf_bins(steps: StepTable, path: str) -> None:
+    """Plot-ready binned accuracy of the policy's run: baseline vs gated policy, by the baseline
+    confidence of the policy's signal in CONF_BINS equal-width bins."""
+    bins = confidence_bins(steps.baseline_confidence, CONF_BINS)
+    final = steps.final_correct
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("bin_lo,bin_hi,count,baseline_acc,policy_acc\n")
-        for b in range(n_bins):
+        for b in range(CONF_BINS):
             mask = bins == b
             cnt = int(mask.sum())
-            if cnt == 0:
-                fh.write(f"{b/n_bins:.2f},{(b+1)/n_bins:.2f},0,,\n")
-                continue
-            acc_a = baseline.outcomes[mask].mean()
-            acc_b = policy.outcomes[mask].mean()
-            fh.write(f"{b/n_bins:.2f},{(b+1)/n_bins:.2f},{cnt},{acc_a:.6f},{acc_b:.6f}\n")
+            accs = f"{steps.baseline_correct[mask].mean():.6f},{final[mask].mean():.6f}" if cnt else ","
+            fh.write(f"{b/CONF_BINS:.2f},{(b+1)/CONF_BINS:.2f},{cnt},{accs}\n")
 
 
 # ---------------------------------------------------------------------------
@@ -829,7 +792,7 @@ def run_counterfactual(
         if eid not in world.banks[kind]:
             raise ValueError(f"edit references unknown entry {eid!r}")
 
-    original = evaluate_policy(world, policy, snapshots, test_ids).steps
+    original = evaluate_policy(world, policy, snapshots, test_ids)
     columns, filled, _ = original.deciding_injection()
     if not filled.any():
         raise ProtocolViolation("no routed queries with retrieval; nothing to replay")

@@ -10,8 +10,8 @@ pair latents) what each example retrieves from a snapshot, and second_pass
 combines the pair latents of whatever entries were injected. A decode is a
 correctness flag and a confidence; answer names the action it stands for. Everything is a
 deterministic function of (spec, seed), which makes free-rerun versus fixed-retrieval
-contrasts exactly decomposable and lets the oracle read off ground-truth
-outcomes for every candidate context (oracle_candidates).
+contrasts exactly decomposable and lets the oracle and outcome_table.json read off
+ground-truth outcomes for every candidate context (decode_contexts).
 
 Each purpose (pair latents, guards, confidence latents and noise, topics,
 baseline correctness, query and entry embeddings) draws from its own keyed
@@ -617,26 +617,25 @@ class World:
 
     # -- canonical outcome tables and oracle ground truth ---------------------
 
-    def outcome_table(self, snapshots: dict | None = None) -> OutcomeTable:
-        snaps = snapshots or self.snapshots()
-        rows = np.arange(self.spec.n_examples)
-        by_context: dict = {}
-        confs: dict = {}
-        for context in ("none",) + ORACLE_CONTEXTS:
-            correct, confs[context] = self.second_pass(rows, *self.injected(rows, snaps, CONTEXT_BANKS[context]))
-            for version in CONTENT_VERSIONS:  # with no entry edited, every version decodes alike
-                by_context[(context, version)] = correct
-        return OutcomeTable(self._baseline, by_context, confs)
+    def decode_contexts(self, rows, snapshots: dict) -> dict:
+        """context -> (injects, correct, confidence) of the original-content second pass that
+        retrieves from the context's banks (CONTEXT_BANKS), per example of rows: whether it
+        injects anything, and its correctness and mean_logprob confidence. Each context is
+        retrieved and decoded once; the `none` context injects nothing and repeats the baseline."""
+        rows = np.asarray(rows, np.intp)
+        out = {}
+        for context, banks in CONTEXT_BANKS.items():
+            cols, filled, pairs = self.injected(rows, snapshots, banks)
+            out[context] = (filled.any(axis=1), *self.second_pass(rows, cols, filled, pairs))
+        return out
 
-    def oracle_candidates(self, rows, snapshots: dict, contexts=ORACLE_CONTEXTS) -> tuple[np.ndarray, np.ndarray]:
-        """(present, correct), each (len(rows), len(contexts)): whether the
-        context injects anything for the example, and whether that pass is correct."""
-        present, correct = [], []
-        for context in contexts:
-            cols, filled, pairs = self.injected(rows, snapshots, CONTEXT_BANKS[context])
-            present.append(filled.any(axis=1))
-            correct.append(self.second_pass(rows, cols, filled, pairs)[0])
-        return np.stack(present, axis=1), np.stack(correct, axis=1)
+    def outcome_table(self, snapshots: dict | None = None) -> OutcomeTable:
+        passes = self.decode_contexts(np.arange(self.spec.n_examples), snapshots or self.snapshots())
+        return OutcomeTable(
+            self._baseline,
+            {(c, v): passes[c][1] for c in passes for v in CONTENT_VERSIONS},  # unedited, every version decodes alike
+            {c: passes[c][2] for c in passes},
+        )
 
     # -- drift of edited entries ---------------------------------------------
 

@@ -26,7 +26,6 @@ from gatedmem.controller import GUARD_NAMES, PolicyConfig, compose_bank_policy
 from gatedmem.protocol import (
     COMPARATORS,
     LEDGER_COMPARISONS,
-    EvalRun,
     LedgerRow,
     evaluate_oracle,
     evaluate_policy,
@@ -569,6 +568,25 @@ def reference_traces_text(steps) -> str:
     return "".join(lines)
 
 
+def reference_conf_bins_text(world, policy, snapshots, test_ids, n_bins=10) -> str:
+    """conf_bins.csv from the per-step loop: each test example binned one at a time by its baseline
+    confidence, and each bin's accuracies summed over its examples' utilities."""
+    bins = [[] for _ in range(n_bins)]
+    for trace in reference_traces(world, policy, snapshots, test_ids):
+        for s in trace.steps:
+            b = min(int(s.baseline_confidence * n_bins), n_bins - 1)
+            bins[b].append((utility(world, s.example_id, s.baseline_action), utility(world, s.example_id, s.final_action)))
+    lines = ["bin_lo,bin_hi,count,baseline_acc,policy_acc\n"]
+    for b, members in enumerate(bins):
+        bounds = f"{b / n_bins:.2f},{(b + 1) / n_bins:.2f}"
+        if not members:
+            lines.append(f"{bounds},0,,\n")
+            continue
+        base, final = (sum(m[k] for m in members) / len(members) for k in (0, 1))
+        lines.append(f"{bounds},{len(members)},{base:.6f},{final:.6f}\n")
+    return "".join(lines)
+
+
 def reference_counterfactual_rows_text(rows) -> str:
     """counterfactual_rows.jsonl from CounterfactualRows: a dict per row, json.dumps(row, sort_keys=True)."""
     lines = []
@@ -670,11 +688,27 @@ def reference_ledger_check(n, delta_acc, help_hurt, p, rel_tol=0.05):
 # ---------------------------------------------------------------------------
 
 
-def reference_pooled_run(runs) -> EvalRun:
+@dataclass
+class ReferenceRun:
+    """A run as per-example outcomes (0.0 or 1.0, index-aligned with the baseline's) and its rates."""
+
+    outcomes: np.ndarray
+    routed_frac: float
+    accepted_frac: float
+    mean_calls: float
+
+
+def reference_run(correct, routed, accepted) -> ReferenceRun:
+    """A run from its masks; a routed example costs a second call."""
+    n, n_routed = len(correct), int(routed.sum())
+    return ReferenceRun(correct.astype(np.float64), n_routed / n, int(accepted.sum()) / n, (n + n_routed) / n)
+
+
+def reference_pooled_run(runs) -> ReferenceRun:
     """One run over all the runs' examples in order: outcome vectors concatenated, rates weighted by size."""
     total = sum(len(r.outcomes) for r in runs)
     weights = [len(r.outcomes) / total for r in runs]
-    return EvalRun(
+    return ReferenceRun(
         outcomes=np.concatenate([r.outcomes for r in runs]),
         routed_frac=sum(w * r.routed_frac for w, r in zip(weights, runs)),
         accepted_frac=sum(w * r.accepted_frac for w, r in zip(weights, runs)),
@@ -702,19 +736,23 @@ def reference_ledger_row(name, base, run, seed=0) -> LedgerRow:
 
 
 def reference_pooled_test(spec, manifest, policy, n_seeds):
-    """(pooled rows, rows by seed, pooled runs by name) of protocol.run_pooled_test, every seed's runs kept whole."""
-    test_ids = manifest.selection_record["test_ids"]
+    """(pooled rows, rows by seed, pooled runs by name) of protocol.run_pooled_test, every seed's runs kept whole.
+
+    The baseline is the world's first pass, which routes nothing; each run is over the test ids in ascending order.
+    """
+    test_ids = sorted(manifest.selection_record["test_ids"])
     runs_by_name, per_seed = {}, {}
     for k in range(n_seeds):
         world = World(replace(spec, seed=spec.seed + k))
         for kind, bank in world.banks.items():
             bank.retain(manifest.selection_record["active_ids"][kind])
         snaps = world.snapshots()
-        runs = {"baseline": evaluate_policy(world, policy, snaps, test_ids, comparator="baseline")}
-        runs["policy"] = evaluate_policy(world, policy, snaps, test_ids)
-        for comparator in COMPARATORS:
-            runs[comparator] = evaluate_policy(world, policy, snaps, test_ids, comparator=comparator)
-        runs["oracle"] = evaluate_oracle(world, snaps, test_ids)
+        none = np.zeros(len(test_ids), bool)
+        runs = {"baseline": reference_run(world.baseline_pass(test_ids)[0], none, none)}
+        for name in ("policy",) + COMPARATORS:
+            steps = evaluate_policy(world, policy, snaps, test_ids, comparator=None if name == "policy" else name)
+            runs[name] = reference_run(steps.final_correct, steps.routed, steps.accepted)
+        runs["oracle"] = reference_run(*evaluate_oracle(world, snaps, test_ids))
         per_seed[world.seed] = [
             reference_ledger_row(f"{name} vs baseline", runs["baseline"], runs[name], seed=world.seed)
             for name in LEDGER_COMPARISONS

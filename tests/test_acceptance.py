@@ -189,13 +189,11 @@ def test_criterion_04_oracle_dominance():
         world = generate_world(arith_shape_spec(seed=3000 + seed, n=240))
         snaps = world.snapshots()
         ids = list(range(240))
-        base = evaluate_policy(world, PolicyConfig(), snaps, ids, comparator="baseline")
-        oracle = evaluate_oracle(world, snaps, ids)
-        oracle_acc = oracle.outcomes.mean()
-        assert oracle_acc >= base.outcomes.mean()
+        oracle_acc = evaluate_oracle(world, snaps, ids)[0].mean()
+        assert oracle_acc >= world.baseline_pass(ids)[0].mean()
         for name, (comparator, policy) in policies.items():
-            run = evaluate_policy(world, policy, snaps, ids, comparator=comparator)
-            assert oracle_acc >= run.outcomes.mean(), f"seed {seed}: oracle < {name}"
+            steps = evaluate_policy(world, policy, snaps, ids, comparator=comparator)
+            assert oracle_acc >= steps.final_correct.mean(), f"seed {seed}: oracle < {name}"
 
     # brute force: on <=10 routed rows the oracle equals the best of all
     # 2^k per-row accept decisions over the same candidate set
@@ -352,13 +350,13 @@ def test_criterion_08_separability_gating():
         acc = {}
         for bank in ("rule", "exemplar"):
             for mode in ("gate_only", "choose"):
-                run = evaluate_policy(
+                steps = evaluate_policy(
                     world,
                     PolicyConfig(tau=0.7, margin_m=0.0, bank_policy=mode, primary_bank=bank),
                     snaps,
                     ids,
                 )
-                acc[(bank, mode)] = run.outcomes.mean()
+                acc[(bank, mode)] = steps.final_correct.mean()
         ok_a = acc[("rule", "choose")] > acc[("rule", "gate_only")]
         ok_b = acc[("exemplar", "choose")] <= acc[("exemplar", "gate_only")]
         joint += ok_a and ok_b
@@ -419,10 +417,10 @@ def test_criterion_09_control_contracts():
         run_lo = evaluate_policy(world, policy, snaps, ids)
         run_hi = evaluate_policy(world, replace(policy, tau=tau_hi), snaps, ids)
 
-        for run in (run_lo, run_hi):
-            steps = run.steps
+        counts_lo, counts_hi = (protocol._run_counts(steps) for steps in (run_lo, run_hi))
+        for steps, counts in ((run_lo, counts_lo), (run_hi, counts_hi)):
             total_steps += len(steps.routed)
-            assert run.mean_calls == pytest.approx(1 + run.routed_frac, abs=1e-12)  # one extra call per routed step
+            assert counts.mean_calls == pytest.approx(1 + counts.routed_frac, abs=1e-12)  # one extra call per routed step
             if policy.budget_B is not None:
                 assert np.bincount(steps.episode_ids[steps.routed], minlength=1).max() <= policy.budget_B
             # an unrouted step tries nothing; a step accepts at most one attempt, and only a routed one
@@ -433,8 +431,8 @@ def test_criterion_09_control_contracts():
             _, deciding_correct, _ = steps.deciding_pass()
             assert np.array_equal(steps.final_correct, np.where(steps.accepted, deciding_correct, steps.baseline_correct))
         # routing volume is nondecreasing in tau over the same trace set
-        routed_gaps.append(run_hi.routed_frac - run_lo.routed_frac)
-        assert run_hi.routed_frac >= run_lo.routed_frac
+        routed_gaps.append(counts_hi.routed_frac - counts_lo.routed_frac)
+        assert counts_hi.routed_frac >= counts_lo.routed_frac
 
     margin("min routed-fraction rise with tau", min(routed_gaps), ">=", 0.0)
     margin("steps", total_steps, ">=", 100_000)

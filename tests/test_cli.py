@@ -196,11 +196,11 @@ def test_tampered_fixed_replay_exits_1_naming_the_query(tmp_path, world_config, 
 
     def drop_one_entry(world, frozen, s):
         # the fixed replay of the first query with a frozen identity injects one entry fewer
-        filled = [f.copy() for f in frozen.filled]
-        row = filled[frozen.deciding[s]][s]
+        filled = frozen.filled.copy()
+        row = filled[s, frozen.deciding[s]]
         row[np.flatnonzero(row)[-1]] = False
         tampered.append(int(frozen.example_ids[s]))
-        return replace(frozen, filled=tuple(filled))
+        return replace(frozen, filled=filled)
 
     code = _tampered_counterfactual(tmp_path, world_config, grid_config, monkeypatch, drop_one_entry)
     err = capsys.readouterr().err
@@ -219,12 +219,12 @@ def test_substituted_fixed_replay_column_exits_1_naming_the_query(
         # first slot: the filled mask, and so the number of entries injected, stay as they were
         columns, filled, _ = frozen.deciding_injection()
         a = frozen.deciding[s]
-        swapped = [c.copy() for c in frozen.columns]
-        slot = int(np.flatnonzero(frozen.filled[a][s])[0])
-        swapped[a][s, slot] = (swapped[a][s, slot] + 1) % len(world.entry_ids)
-        names = [tuple(world.entry_ids[c] for c in cols[s][filled[s]].tolist()) for cols in (columns, swapped[a])]
+        swapped = frozen.columns.copy()
+        slot = int(np.flatnonzero(frozen.filled[s, a])[0])
+        swapped[s, a, slot] = (swapped[s, a, slot] + 1) % len(world.entry_ids)
+        names = [tuple(world.entry_ids[c] for c in cols[s][filled[s]].tolist()) for cols in (columns, swapped[:, a])]
         tampered.append((int(frozen.example_ids[s]), *names))
-        return replace(frozen, columns=tuple(swapped))
+        return replace(frozen, columns=swapped)
 
     code = _tampered_counterfactual(tmp_path, world_config, grid_config, monkeypatch, swap_one_column)
     err = capsys.readouterr().err

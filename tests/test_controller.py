@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +34,8 @@ from gatedmem.controller import (
 from gatedmem.protocol import (
     FIXED_BUDGET_K,
     ROUTE_AND_ACCEPT_ALL,
-    EvalRun,
+    PairedCounts,
+    _run_counts,
     attach_evidence,
     evaluate_oracle,
     evaluate_policy,
@@ -181,34 +183,33 @@ def test_gate_only_acceptance_superset_of_choose():
     choose = evaluate_policy(
         world, PolicyConfig(tau=0.6, margin_m=0.2, bank_policy="choose"), snaps, ids
     )
-    assert gate.accepted_frac >= choose.accepted_frac
+    assert gate.accepted.mean() >= choose.accepted.mean()
     # and with a margin that often fails, gate accepts rows choose rejected
-    assert gate.accepted_frac > 0
+    assert gate.accepted.mean() > 0
 
 
 def test_cascade_short_circuits():
     world = generate_world(WorldSpec(n_examples=120, seed=4))
     snaps = world.snapshots()
-    run = evaluate_policy(
+    steps = evaluate_policy(
         world,
         PolicyConfig(tau=0.9, margin_m=-1.0, bank_policy="cascade_rule_then_exemplar"),
         snaps,
         list(range(120)),
     )
-    steps = run.steps
     assert steps.accepted_attempt[:, 0].any()
     assert not (steps.accepted_attempt[:, 0] & steps.tried[:, 1]).any()  # second bank never queried
 
 
 def test_dual_single_second_pass():
     world = generate_world(WorldSpec(n_examples=100, seed=5))
-    run = evaluate_policy(
+    steps = evaluate_policy(
         world, PolicyConfig(tau=0.9, bank_policy="dual"), world.snapshots(), list(range(100))
     )
-    steps = run.steps
+    counts = _run_counts(steps)
     assert steps.routed.any()
     assert np.array_equal(steps.tried, steps.routed[:, None])  # one joint second pass
-    assert run.mean_calls == 1 + run.routed_frac
+    assert counts.mean_calls == 1 + counts.routed_frac
 
 
 # ---------------------------------------------------------------------------
@@ -217,21 +218,20 @@ def test_dual_single_second_pass():
 
 def test_high_confidence_step_not_routed():
     world = generate_world(WorldSpec(n_examples=50, seed=6))
-    run = evaluate_policy(
+    steps = evaluate_policy(
         world, PolicyConfig(tau=0.0), world.snapshots(), list(range(50))
     )
-    steps = run.steps
     assert not steps.routed.any() and not steps.tried.any()
-    assert run.mean_calls == 1
+    assert _run_counts(steps).mean_calls == 1
     assert np.array_equal(steps.final_correct, steps.baseline_correct)
 
 
 def test_budget_one_blocks_second_route():
     world = generate_world(WorldSpec(n_examples=60, seed=7, steps_per_episode=6))
-    run = evaluate_policy(
+    steps = evaluate_policy(
         world, PolicyConfig(tau=1.0, budget_B=1), world.snapshots(), list(range(60))
     )
-    per_episode = np.bincount(run.steps.episode_ids[run.steps.routed])
+    per_episode = np.bincount(steps.episode_ids[steps.routed])
     assert per_episode.max() == 1
 
 
@@ -239,22 +239,20 @@ def test_budget_zero_bitwise_baseline():
     world = generate_world(WorldSpec(n_examples=80, seed=8))
     ids = list(range(80))
     zero = evaluate_policy(world, PolicyConfig(tau=1.0, budget_B=0), world.snapshots(), ids)
-    base = evaluate_policy(
-        world, PolicyConfig(tau=1.0), world.snapshots(), ids, comparator="baseline"
-    )
-    assert np.array_equal(zero.outcomes, base.outcomes)
-    assert np.array_equal(zero.steps.final_correct, base.steps.final_correct)
-    assert not zero.steps.routed.any() and not base.steps.routed.any()
-    assert zero.mean_calls == base.mean_calls == 1
+    base = world.baseline_pass(ids)[0]
+    counts = _run_counts(zero)
+    assert np.array_equal(zero.final_correct, base)
+    assert not zero.routed.any()
+    assert (counts.helps, counts.hurts) == (0, 0)
+    assert counts.mean_calls == counts.base_mean_calls == 1
 
 
 def test_empty_retrieval_rolls_back():
     # world with retrieval threshold above any similarity: nothing to inject
     world = generate_world(WorldSpec(n_examples=40, seed=9, retrieval_threshold=0.999999))
-    run = evaluate_policy(world, PolicyConfig(tau=1.0), world.snapshots(), list(range(40)))
-    steps = run.steps
+    steps = evaluate_policy(world, PolicyConfig(tau=1.0), world.snapshots(), list(range(40)))
     assert steps.routed.all()
-    assert not steps.filled[0].any() and not steps.decoded.any() and not steps.accepted.any()
+    assert not steps.filled.any() and not steps.decoded.any() and not steps.accepted.any()
     assert np.array_equal(steps.final_correct, steps.baseline_correct)
 
 
@@ -263,7 +261,7 @@ def test_trace_counters_match_recomputation(tmp_path):
     run = evaluate_policy(
         world, PolicyConfig(tau=0.7, budget_B=2), world.snapshots(), list(range(90))
     )
-    write_traces(run.steps, tmp_path / "traces.jsonl")
+    write_traces(run, tmp_path / "traces.jsonl")
     traces = [json.loads(line) for line in (tmp_path / "traces.jsonl").read_text().splitlines()]
     assert len(traces) == 30
     for trace in traces:
@@ -274,9 +272,9 @@ def test_trace_counters_match_recomputation(tmp_path):
         assert trace["total_calls"] == len(steps) + trace["routed_count"]
         assert trace["outcome_utility"] == sum(utility(world, s["example_id"], s["final_action"]) for s in steps) / len(steps)
     steps = [s for t in traces for s in t["steps"]]
-    assert [s["example_id"] for s in steps] == run.steps.example_ids.tolist()
-    assert [s["routed"] for s in steps] == run.steps.routed.tolist()
-    assert [s["accepted"] for s in steps] == run.steps.accepted.tolist()
+    assert [s["example_id"] for s in steps] == run.example_ids.tolist()
+    assert [s["routed"] for s in steps] == run.routed.tolist()
+    assert [s["accepted"] for s in steps] == run.accepted.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +429,7 @@ def _carries_retrieval(steps, version, attempt):
         return np.zeros(len(steps.routed), bool)
     if steps.plan[0][0] == ("frozen",):
         return steps.tried[:, attempt]
-    return steps.tried[:, attempt] & steps.filled[attempt].any(axis=1)
+    return steps.tried[:, attempt] & steps.filled[:, attempt].any(axis=1)
 
 
 def _frozen_identities(steps, version="original"):
@@ -461,7 +459,7 @@ def _table_view(steps, version):
             attempts.append((
                 a,
                 bool(retrieved[a][s]),
-                _names(steps.world, steps.columns[a][s], steps.filled[a][s]),
+                _names(steps.world, steps.columns[s, a], steps.filled[s, a]),
                 ran,
                 bool(steps.second_correct[s, a]) if ran else None,
                 float(steps.second_confidence[s, a]) if ran else None,
@@ -520,10 +518,9 @@ def _assert_matches_reference(
     """A policy or comparator run (evaluate_policy), or a run of another content version or a
     fixed replay (run_steps; a fixed replay of the run `frozen` reads frozen_map, example id -> ids)."""
     if version == "original" and frozen is None:
-        run = evaluate_policy(world, policy, snaps, ids, comparator=comparator)
-        steps = run.steps
+        steps = evaluate_policy(world, policy, snaps, ids, comparator=comparator)
     else:
-        run, steps = None, run_steps(world, policy, snaps, ids, version, edited_ids, frozen)
+        steps = run_steps(world, policy, snaps, ids, version, edited_ids, frozen)
     if comparator is not None:
         policy, version = _comparator_variant(policy, version, comparator)
     want = reference_traces(world, policy, snaps, ids, version, edited_ids, frozen_map)
@@ -531,15 +528,13 @@ def _assert_matches_reference(
     ref_steps = [s for t in want for s in t.steps]
     outcome = {s.example_id: utility(world, s.example_id, s.final_action) for s in ref_steps}
     assert steps.final_correct.tolist() == [bool(outcome[i]) for i in steps.example_ids.tolist()]
-    if run is not None:
-        assert run.outcomes.tolist() == [outcome[i] for i in ids]
-        assert run.routed_frac == sum(t.routed_count for t in want) / len(ref_steps)
-        assert run.accepted_frac == sum(t.accepted_count for t in want) / len(ref_steps)
-        assert run.mean_calls == sum(t.total_calls for t in want) / len(ref_steps)
+    counts = _run_counts(steps)
+    assert counts.routed_frac == sum(t.routed_count for t in want) / len(ref_steps)
+    assert counts.accepted_frac == sum(t.accepted_count for t in want) / len(ref_steps)
+    assert counts.mean_calls == sum(t.total_calls for t in want) / len(ref_steps)
     batched = {k: b.copy() for k, b in world.banks.items()}
     records = reference_attach_evidence(world, want)
-    run_of_steps = EvalRun(None, 0.0, 0.0, 0.0, steps)  # attach_evidence reads only the steps
-    assert attach_evidence(world, batched, run_of_steps) == len(records)
+    assert attach_evidence(world, batched, steps) == len(records)
     totals = _evidence(world.banks)
     for r in records:
         count, total = totals[r.entry_id]
@@ -552,8 +547,6 @@ def _assert_matches_reference(
 def _comparator_variant(policy, version, comparator):
     if comparator == "retry":
         return policy, "none"
-    if comparator == "baseline":
-        return replace(policy, budget_B=0), version
     budget = FIXED_BUDGET_K if comparator == "fixed_budget" else None
     return replace(policy, **ROUTE_AND_ACCEPT_ALL, budget_B=budget, cooldown=0), version
 
@@ -601,9 +594,9 @@ def test_batched_loop_matches_per_step_reference():
             qid = next(iter(frozen))
             frozen[qid] = ()
             s = int(np.searchsorted(original.example_ids, qid))
-            filled = [f.copy() for f in original.filled]
-            filled[original.deciding[s]][s] = False
-            original = replace(original, filled=tuple(filled))
+            filled = original.filled.copy()
+            filled[s, original.deciding[s]] = False
+            original = replace(original, filled=filled)
         for version in ("repair", "corrupt"):
             _assert_matches_reference(world, policy, snaps, ids, version, edited)
             _assert_matches_reference(world, policy, snaps, ids, version, edited, frozen=original, frozen_map=frozen)
@@ -616,7 +609,7 @@ def test_batched_comparators_match_per_step_reference():
         spec, policy = _random_case(rng, 100 + trial)
         world = generate_world(spec)
         ids = rng.permutation(spec.n_examples).tolist()
-        for comparator in ("baseline", "retry", "always_retrieve", "fixed_budget"):
+        for comparator in ("retry", "always_retrieve", "fixed_budget"):
             _assert_matches_reference(world, policy, world.snapshots(), ids, comparator=comparator)
 
 
@@ -652,18 +645,20 @@ def test_oracle_matches_per_example_reference():
         world = generate_world(WorldSpec(n_examples=150, seed=60 + seed, n_rule_entries=10))
         snaps = world.snapshots()
         ids = np.random.default_rng(seed).permutation(150)[:100].tolist()
+        passes = world.decode_contexts(ids, snaps)
         for contexts in (ORACLE_CONTEXTS, ("exemplar",)):
-            present, correct = world.oracle_candidates(ids, snaps, contexts)
+            present, correct = (np.stack([passes[c][k] for c in contexts], axis=1) for k in (0, 1))
             assert [
                 tuple((world.answer(i, ok, second=True), float(ok)) for p, ok in zip(ps, oks) if p)
                 for i, ps, oks in zip(ids, present.tolist(), correct.tolist())
             ] == [s.candidates for s in reference_oracle_steps(world, ids, snaps, contexts)]
         trace = oracle_policy(0, reference_oracle_steps(world, ids, snaps))
-        run = evaluate_oracle(world, snaps, ids)
-        assert run.outcomes.tolist() == [utility(world, s.example_id, s.final_action) for s in trace.steps]
-        assert run.routed_frac == trace.routed_count / 100
-        assert run.accepted_frac == trace.accepted_count / 100
-        assert run.mean_calls == trace.total_calls / 100
+        correct, routed, accepted = evaluate_oracle(world, snaps, ids)
+        counts = PairedCounts.of(world.baseline_pass(ids)[0], correct, routed, accepted)
+        assert correct.tolist() == [bool(utility(world, s.example_id, s.final_action)) for s in trace.steps]
+        assert counts.routed_frac == trace.routed_count / 100
+        assert counts.accepted_frac == trace.accepted_count / 100
+        assert counts.mean_calls == trace.total_calls / 100
 
 
 # ---------------------------------------------------------------------------
@@ -676,10 +671,49 @@ def test_repeated_example_id_rejected():
         evaluate_policy(world, PolicyConfig(), world.snapshots(), [1, 1, 2, 3])
 
 
+WORLD_READS = ("baseline_pass", "guards_pass", "injected", "second_pass", "decode_contexts")
+
+
+@pytest.mark.parametrize("reader", ["run_steps", "evaluate_oracle"])
+@pytest.mark.parametrize(
+    "ids, message",
+    [
+        ([3, 3], "example id 3 is repeated"),
+        ([3, 3, -1], "example id 3 is repeated"),
+        ([0, -1], "example id -1 is outside the world's examples 0..49"),
+        ([7, 50], "example id 50 is outside the world's examples 0..49"),
+        ([], "no examples to evaluate"),
+    ],
+    ids=["repeated", "repeated-and-negative", "negative", "past-the-end", "empty"],
+)
+def test_example_ids_checked_before_any_world_read(monkeypatch, reader, ids, message):
+    # without the check, the oracle reads id -1 as the last example and [3, 3] twice,
+    # and run_steps numbers example -1 as step -1
+    world = generate_world(WorldSpec(n_examples=50, seed=1, steps_per_episode=4))
+    snaps, reads = world.snapshots(), []
+    for name in WORLD_READS:
+        def spy(*args, _read=getattr(world, name), _name=name, **kwargs):
+            reads.append(_name)
+            return _read(*args, **kwargs)
+
+        monkeypatch.setattr(world, name, spy)
+
+    def run(example_ids):
+        if reader == "run_steps":
+            return run_steps(world, PolicyConfig(tau=1.0), snaps, example_ids)
+        return evaluate_oracle(world, snaps, example_ids)
+
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run(ids)
+    assert reads == []
+    run([7, 3, 49])  # the spies see the reads of valid ids
+    assert reads and set(reads) <= set(WORLD_READS)
+
+
 def test_fixed_replay_on_other_examples_rejected():
     world = generate_world(WorldSpec(n_examples=50, seed=1))
     policy, snaps = PolicyConfig(tau=0.9), world.snapshots()
-    original = evaluate_policy(world, policy, snaps, list(range(40))).steps
+    original = evaluate_policy(world, policy, snaps, list(range(40)))
     replay = dict(version="repair", edited_ids=("E000",), frozen=original)
     with pytest.raises(ValueError, match="fixed replay must run on the examples of the run it replays"):
         run_steps(world, policy, snaps, list(range(1, 41)), **replay)
@@ -688,7 +722,7 @@ def test_fixed_replay_on_other_examples_rejected():
         run_steps(other, policy, other.snapshots(), list(range(40)), **replay)
     same = generate_world(WorldSpec(n_examples=50, seed=1))  # a world of the same spec has the same pair bytes
     fixed = run_steps(same, policy, same.snapshots(), list(range(40)), **replay)
-    assert fixed.routed.any() and np.array_equal(fixed.pairs[0], original.deciding_injection()[2])
+    assert fixed.routed.any() and np.array_equal(fixed.pairs[:, 0], original.deciding_injection()[2])
 
 
 def test_out_of_range_example_id_rejected():

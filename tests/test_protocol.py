@@ -13,6 +13,7 @@ from conftest import (
     COUNTERFACTUAL_OUTCOMES,
     arith_shape_spec,
     localization_shape_spec,
+    reference_conf_bins_text,
     reference_counterfactual,
     reference_counterfactual_rows_text,
     reference_ledger_check,
@@ -310,6 +311,28 @@ def test_output_files_written(tmp_path):
     assert header.split(",")[:4] == ["comparison", "n", "delta_acc", "ci_lo"]
 
 
+def test_conf_bins_bytes_match_per_example_reference(tmp_path):
+    # multi-step episodes whose budget and cooldown hold steps back, binned by the noisier sum_logprob signal
+    spec = WorldSpec(
+        n_examples=300, seed=19, steps_per_episode=5, guard_pass_rate=(("format", 0.8),), toxic_entry_rate=0.2
+    )
+    world = generate_world(spec)
+    fit_ids, test_ids = split_indices(spec.n_examples, 0.5, 0)
+    grid = [PolicyConfig(
+        tau=0.6, margin_m=0.02, bank_policy="cascade_rule_then_exemplar", budget_B=2, cooldown=1,
+        confidence_signal="sum_logprob",
+    )]
+    manifest, policy, _ = run_fit_stage(world, grid, fit_ids, test_ids)
+    run_pooled_test(spec, manifest, n_seeds=1, out_dir=str(tmp_path))
+    fresh = generate_world(spec)
+    text = (tmp_path / "conf_bins.csv").read_text()
+    assert text == reference_conf_bins_text(fresh, policy, fresh.snapshots(), test_ids)
+    # not vacuous: an empty bin, and bins where the policy's accuracy differs from the baseline's
+    lines = [line.split(",") for line in text.splitlines()[1:]]
+    assert len(lines) == 10 and ["", ""] in [line[3:] for line in lines]
+    assert any(line[3] != line[4] for line in lines)
+
+
 def test_pooled_test_concatenates_seeds(tmp_path):
     world, manifest, _, _ = fitted_world(seed=40)
     single_rows, _ = base_seed(world, manifest)
@@ -358,9 +381,9 @@ def test_a_test_seed_holds_one_step_table_at_a_time(monkeypatch, tmp_path):
 
     def tracked(*args, **kwargs):
         assert not any(alive()), f"an earlier run's step table is still alive: {alive()}"
-        run = evaluate_policy(*args, **kwargs)
-        tables.append(weakref.ref(run.steps))
-        return run
+        steps = evaluate_policy(*args, **kwargs)
+        tables.append(weakref.ref(steps))
+        return steps
 
     def oracle(*args, **kwargs):
         assert not any(alive()), f"an earlier run's step table is still alive: {alive()}"
@@ -374,8 +397,8 @@ def test_a_test_seed_holds_one_step_table_at_a_time(monkeypatch, tmp_path):
     monkeypatch.setattr(protocol, "evaluate_oracle", oracle)
     monkeypatch.setattr(protocol, "write_conf_bins", conf_bins)
     run_pooled_test(world.spec, manifest, n_seeds=2, out_dir=str(tmp_path))
-    assert len(tables) == 2 * 5 and not any(alive())  # per seed: baseline, policy and three comparators
-    assert alive_at_conf_bins == [[False, True]]  # the baseline's table went at once, the policy's is being read
+    assert len(tables) == 2 * 4 and not any(alive())  # per seed: policy and three comparators; the baseline is a read
+    assert alive_at_conf_bins == [[True]]  # the policy's table is being read
 
 
 def _tampered_split(manifest, test_ids):
@@ -446,17 +469,18 @@ def _injects(steps):
 
 def test_always_retrieve_routes_every_step_and_accepts_nonempty_retrievals():
     world, policy, snaps, ids = comparator_setup()
-    run = evaluate_policy(world, policy, snaps, ids, comparator="always_retrieve")
-    nonempty = _injects(run.steps)
-    assert run.steps.routed.all()
-    assert np.array_equal(run.steps.accepted, nonempty)
+    steps = evaluate_policy(world, policy, snaps, ids, comparator="always_retrieve")
+    nonempty = _injects(steps)
+    assert steps.routed.all()
+    assert np.array_equal(steps.accepted, nonempty)
     assert nonempty.any() and not nonempty.all()
-    assert run.routed_frac == 1.0 and run.mean_calls == 2.0
+    counts = protocol._run_counts(steps)
+    assert counts.routed_frac == 1.0 and counts.mean_calls == 2.0
 
 
 def test_fixed_budget_routes_two_steps_per_episode():
     world, policy, snaps, ids = comparator_setup()
-    steps = evaluate_policy(world, policy, snaps, ids, comparator="fixed_budget").steps
+    steps = evaluate_policy(world, policy, snaps, ids, comparator="fixed_budget")
     lengths = np.bincount(steps.episode_ids)
     lengths = lengths[lengths > 0]
     assert 1 in lengths and lengths.max() > 2
@@ -466,14 +490,15 @@ def test_fixed_budget_routes_two_steps_per_episode():
 
 def test_retry_keeps_baseline_outcomes_at_the_gated_policy_cost():
     world, policy, snaps, ids = comparator_setup()
-    base = evaluate_policy(world, policy, snaps, ids, comparator="baseline")
+    base = world.baseline_pass(sorted(ids))[0]
     gated = evaluate_policy(world, policy, snaps, ids)
     retry = evaluate_policy(world, policy, snaps, ids, comparator="retry")
-    assert np.array_equal(retry.outcomes, base.outcomes)
-    assert np.array_equal(retry.steps.routed, gated.steps.routed)
-    assert retry.mean_calls == gated.mean_calls > base.mean_calls
-    assert retry.steps.columns[0].shape[1] == 0 and not retry.steps.deciding_injection()[1].any()
-    assert not np.array_equal(gated.outcomes, base.outcomes)
+    gated_counts, retry_counts = protocol._run_counts(gated), protocol._run_counts(retry)
+    assert np.array_equal(retry.final_correct, base)
+    assert np.array_equal(retry.routed, gated.routed)
+    assert retry_counts.mean_calls == gated_counts.mean_calls > retry_counts.base_mean_calls
+    assert retry.columns.shape[2] == 0 and not retry.deciding_injection()[1].any()
+    assert not np.array_equal(gated.final_correct, base)
 
 
 @pytest.mark.parametrize(
@@ -504,7 +529,7 @@ def test_traces_jsonl_matches_reference_on_multi_step_episodes(tmp_path, seed, p
     world = generate_world(spec)
     snaps = world.snapshots()
     _, ids = split_indices(spec.n_examples, 0.5, seed)
-    steps = evaluate_policy(world, policy, snaps, ids).steps
+    steps = evaluate_policy(world, policy, snaps, ids)
     path = tmp_path / "traces.jsonl"
     write_traces(steps, str(path))
     assert path.read_text().splitlines() == reference_trace_lines(reference_traces(world, policy, snaps, ids))
@@ -853,7 +878,7 @@ def test_traces_bytes_match_reference(tmp_path, monkeypatch, steps_per_episode, 
     policy = PolicyConfig(
         tau=0.7, margin_m=0.02, bank_policy="cascade_rule_then_exemplar", budget_B=2, guards_enabled=frozenset({"format"}),
     )
-    steps = evaluate_policy(world, policy, world.snapshots(), ids, comparator=comparator).steps
+    steps = evaluate_policy(world, policy, world.snapshots(), ids, comparator=comparator)
     path = tmp_path / "traces.jsonl"
     write_traces(steps, str(path))
     assert path.read_text() == reference_traces_text(steps)
@@ -923,10 +948,10 @@ def test_counterfactual_matches_per_step_reference(tmp_path, kind):
     # not vacuous: hits, non-hits, and routed rows that retrieved nothing, which n_non_hit leaves out
     assert audit["n_hit"] > 0 and audit["n_non_hit"] > 0
     assert audit["n_hit"] + audit["n_non_hit"] < audit["n_rows"]
-    original = evaluate_policy(world, policy, snaps, test_ids).steps
+    original = evaluate_policy(world, policy, snaps, test_ids)
     assert (~original.routed).any()
     if policy.resolved().bank_policy.startswith("cascade"):  # the second attempt decides some routed steps
-        assert (original.routed & (original.deciding == 1) & original.filled[1].any(axis=1)).any()
+        assert (original.routed & (original.deciding == 1) & original.filled[:, 1].any(axis=1)).any()
 
 
 @pytest.mark.parametrize("governance_rounds", [0, 2])

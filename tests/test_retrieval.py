@@ -167,7 +167,7 @@ def test_freeze_identities_routed_only():
     # topics most queries retrieve nothing, and the budget blocks some steps
     world = generate_world(WorldSpec(n_examples=60, seed=3, steps_per_episode=4, n_rule_entries=4, n_exemplar_entries=4))
     policy, snaps, ids = PolicyConfig(tau=0.6, budget_B=2), world.snapshots(), list(range(60))
-    steps = evaluate_policy(world, policy, snaps, ids).steps
+    steps = evaluate_policy(world, policy, snaps, ids)
     columns, filled, _ = steps.deciding_injection()
     frozen = {
         idx: tuple(world.entry_ids[c] for c in columns[s][filled[s]].tolist())
@@ -175,7 +175,7 @@ def test_freeze_identities_routed_only():
         if filled[s].any()
     }
     assert frozen == reference_freeze_identities(reference_traces(world, policy, snaps, ids))
-    assert (~steps.routed).any() and (steps.routed & ~steps.filled[0].any(axis=1)).any()
+    assert (~steps.routed).any() and (steps.routed & ~steps.filled[:, 0].any(axis=1)).any()
     assert not filled[~steps.routed].any()
 
 

@@ -8,10 +8,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from conftest import reference_ledger_row
+from conftest import reference_ledger_row, reference_run
 from gatedmem import stats
 from gatedmem.errors import SignalUndefined
-from gatedmem.protocol import EvalRun, PairedCounts, make_ledger_row
+from gatedmem.protocol import PairedCounts, make_ledger_row
 from gatedmem.stats import (
     CalibrationSet,
     bootstrap_ci,
@@ -421,8 +421,10 @@ def test_interaction_empty_group_errors():
 # paired comparison consistency
 # ---------------------------------------------------------------------------
 
-def _run(outcomes, routed_frac=0.0):
-    return EvalRun(np.asarray(outcomes, np.float64), routed_frac, routed_frac / 2, 1.0 + routed_frac)
+def _masks(correct, routed_frac=0.0):
+    """(correct, routed, accepted): the first routed_frac of the examples route, every other one of those accepts."""
+    routed = np.arange(len(correct)) < int(routed_frac * len(correct))
+    return correct, routed, routed & (np.arange(len(correct)) % 2 == 0)
 
 
 def test_paired_comparison_identity():
@@ -431,8 +433,9 @@ def test_paired_comparison_identity():
         n = int(rng.integers(2, 200))
         a = rng.integers(0, 2, n).astype(bool)
         b = rng.integers(0, 2, n).astype(bool)
-        base, run = _run(a), _run(b, float(rng.random()))
-        counts = PairedCounts.of(base, run)
+        base, run = _masks(a), _masks(b, float(rng.random()))
+        counts = PairedCounts.of(a, *run)
+        base, run = reference_run(*base), reference_run(*run)
         assert (counts.n, counts.helps, counts.hurts) == (n, int(np.sum(~a & b)), int(np.sum(a & ~b)))
         # delta_acc * n is exactly helps - hurts on integer outcome vectors
         assert counts.delta_acc * counts.n == pytest.approx(counts.helps - counts.hurts, abs=1e-9)
@@ -445,6 +448,8 @@ def test_paired_comparison_identity():
 
 def test_paired_comparison_shape_errors():
     with pytest.raises(ValueError, match="1-d and equal length"):
-        PairedCounts.of(_run([1.0]), _run([1.0, 0.0]))
+        PairedCounts.of([True], *_masks(np.array([True, False])))
     with pytest.raises(ValueError, match="1-d and equal length"):
-        PairedCounts.of(_run([[1.0]]), _run([[1.0]]))
+        PairedCounts.of([[True]], [[True]], [[False]], [[False]])
+    with pytest.raises(ValueError, match="1-d and equal length"):
+        PairedCounts.of([True, False], [True, False], [False], [False, False])

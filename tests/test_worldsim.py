@@ -128,17 +128,18 @@ def test_degenerate_world_every_intervention_hurts():
         hurt_prob_given_inapplicable=1.0,
     )
     world = generate_world(spec)
-    run = evaluate_policy(
+    steps = evaluate_policy(
         world, PolicyConfig(tau=1.0), world.snapshots(), list(range(200)),
         comparator="always_retrieve",
     )
     base = world.baseline_pass(range(200))[0].astype(float)
-    injected_rows = run.steps.filled[0].any(axis=1)  # one attempt per step, in example order
+    outcomes = steps.final_correct.astype(float)  # in example order
+    injected_rows = steps.filled[:, 0].any(axis=1)  # one attempt per step
     assert injected_rows.any()
     # every injected row with a correct baseline flips to wrong: help-hurt maximally negative
-    assert np.all(run.outcomes[injected_rows] == 0.0)
-    helps = np.sum((base == 0) & (run.outcomes == 1))
-    hurts = np.sum((base == 1) & (run.outcomes == 0))
+    assert np.all(outcomes[injected_rows] == 0.0)
+    helps = np.sum((base == 0) & (outcomes == 1))
+    hurts = np.sum((base == 1) & (outcomes == 0))
     assert helps == 0 and hurts > 0
 
 
@@ -151,7 +152,7 @@ def test_invalid_probability_rejected():
 
 def test_episode_chunking():
     world = generate_world(WorldSpec(n_examples=10, seed=6, steps_per_episode=4))
-    steps = evaluate_policy(world, PolicyConfig(), world.snapshots(), [9, 0, 5, 1, 2, 3, 4, 6, 7, 8]).steps
+    steps = evaluate_policy(world, PolicyConfig(), world.snapshots(), [9, 0, 5, 1, 2, 3, 4, 6, 7, 8])
     assert steps.episode_ids.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
     assert steps.example_ids.tolist() == list(range(10))
     assert steps.step_index.tolist() == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
@@ -348,8 +349,8 @@ def test_oracle_reachable_accuracy_shape():
     accs = []
     for seed in range(4):
         world = generate_world(arith_shape_spec(seed=300 + seed))
-        run = evaluate_oracle(world, world.snapshots(), list(range(600)))
-        accs.append(run.outcomes.mean())
+        correct, _, _ = evaluate_oracle(world, world.snapshots(), list(range(600)))
+        accs.append(correct.mean())
     assert abs(np.mean(accs) - 0.845) <= 0.02
 
 
@@ -371,11 +372,11 @@ def test_exposure_averaging_insufficiency():
         world = generate_world(spec)
         snaps = world.snapshots()
         ids = list(range(400))
-        base = evaluate_policy(world, PolicyConfig(), snaps, ids, comparator="baseline")
+        base = world.baseline_pass(ids)[0].mean()
         always = evaluate_policy(world, PolicyConfig(), snaps, ids, comparator="always_retrieve")
-        oracle = evaluate_oracle(world, snaps, ids)
-        always_deltas.append(always.outcomes.mean() - base.outcomes.mean())
-        oracle_deltas.append(oracle.outcomes.mean() - base.outcomes.mean())
+        oracle, _, _ = evaluate_oracle(world, snaps, ids)
+        always_deltas.append(always.final_correct.mean() - base)
+        oracle_deltas.append(oracle.mean() - base)
     assert abs(np.mean(always_deltas)) <= 0.03
     assert np.mean(oracle_deltas) > 0.05
 
