@@ -21,7 +21,7 @@ import sys
 from dataclasses import replace
 
 from .controller import PolicyConfig
-from .errors import ProtocolViolation
+from .errors import AuditFailure, ProtocolViolation
 from .protocol import (
     FIXED_BUDGET_K,
     FreezeManifest,
@@ -130,18 +130,26 @@ def cmd_counterfactual(args) -> int:
     world = _load_world(args)
     manifest = FreezeManifest.load(args.manifest)
     edited_ids = load_edits(args.edits)
-    rows, audit = run_counterfactual(world, manifest, edited_ids)
+    try:
+        rows, audit = run_counterfactual(world, manifest, edited_ids)
+    except AuditFailure as exc:  # audit.json then holds the failing row alone
+        _write_audit(args.out, exc.row)
+        raise
     inert = sorted(set(edited_ids) - {i for bank in world.banks.values() for i in bank.active_columns()[0]})
     if inert:  # never retrieved, so never hit; the run still replays the rest
         print(f"note: {len(inert)} edits name entries the frozen membership retired, "
               f"which no mode retrieves: {', '.join(inert)}", file=sys.stderr)
-    os.makedirs(args.out, exist_ok=True)
+    _write_audit(args.out, audit)
     write_counterfactual_rows(rows, os.path.join(args.out, "counterfactual_rows.jsonl"))
-    with open(os.path.join(args.out, "audit.json"), "w", encoding="utf-8") as fh:
-        json.dump(audit, fh, sort_keys=True, indent=2)
-        fh.write("\n")
     print(json.dumps(audit, sort_keys=True))
     return 0
+
+
+def _write_audit(out: str, audit: dict) -> None:
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, "audit.json"), "w", encoding="utf-8") as fh:
+        json.dump(audit, fh, sort_keys=True, indent=2)
+        fh.write("\n")
 
 
 def cmd_governance(args) -> int:

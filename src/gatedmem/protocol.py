@@ -37,7 +37,7 @@ from .controller import (
     run_steps,
     select_threshold_percentile,
 )
-from .errors import FreezeMismatch, ProtocolViolation
+from .errors import AuditFailure, FreezeMismatch, ProtocolViolation
 from .stats import bootstrap_ci, confidence_bins, mcnemar_exact, randomization_interaction_test
 from .util import indices_digest
 from .worldsim import ORACLE_CONTEXTS, OutcomeTable, World, WorldSpec
@@ -576,12 +576,11 @@ def _test_seed(world: World, manifest: FreezeManifest, base: bool, out_dir: str 
     policy, snapshots, test_ids = frozen_inputs(world, manifest)
     if base:
         manifest.validate(world, policy, snapshots)
-    counts = {}
-    for name in LEDGER_COMPARISONS:
-        if name == "oracle":
-            oracle = evaluate_oracle(world, snapshots, test_ids)
-            counts[name] = PairedCounts.of(world.baseline_pass(test_ids)[0], *oracle)
-            continue
+    # the oracle reads every test row from both banks, so it goes first: its
+    # one query draw per row ranks every row that a comparator's run reads
+    oracle = evaluate_oracle(world, snapshots, test_ids)
+    counts = {"oracle": PairedCounts.of(world.baseline_pass(test_ids)[0], *oracle)}
+    for name in ("policy",) + COMPARATORS:
         steps = evaluate_policy(world, policy, snapshots, test_ids, comparator=None if name == "policy" else name)
         counts[name] = _run_counts(steps)
         if name == "policy" and base and out_dir is not None:
@@ -838,9 +837,11 @@ def run_counterfactual(
         max_audit_error = max(max_audit_error, float(err.max()))
         if err.any():
             r = int(np.flatnonzero(err)[0])
-            raise ProtocolViolation(
+            raise AuditFailure(
                 f"decomposition identity violated on query {rows.query_id[r]} ({version}): "
-                f"free={free_contrast[r]} content={content_term[r]} drift={drift_term[r]}"
+                f"free={free_contrast[r]} content={content_term[r]} drift={drift_term[r]}",
+                "decomposition_max_abs_error", rows.query_id[r], version,
+                float(content_term[r] + drift_term[r]), float(free_contrast[r]),
             )
 
     diffs = rows.outcome_repair_fixed - rows.outcome_corrupt_fixed
@@ -879,8 +880,9 @@ def _fixed_replay(steps: StepTable, frozen: tuple, version: str) -> tuple:
         s = int(bad[0])
         entry_ids = steps.world.entry_ids
         got, want = (tuple(entry_ids[c] for c in cols[s][fill[s]].tolist()) for cols, fill in (replayed, frozen))
-        raise ProtocolViolation(
-            f"fixed replay of query {steps.example_ids[s]} ({version}) injected {got}, frozen was {want}"
+        raise AuditFailure(
+            f"fixed replay of query {steps.example_ids[s]} ({version}) injected {got}, frozen was {want}",
+            "fixed_replay_identity_ok", steps.example_ids[s], version, list(want), list(got),
         )
     return (steps.routed, steps.final_correct, *steps.deciding_pass(), steps.accepted)
 
@@ -900,7 +902,20 @@ def _audit_non_hit(repair: tuple, corrupt: tuple, non_hit: np.ndarray, ex: np.nd
     )
     bad = np.flatnonzero(non_hit & ~same)
     if bad.size:
-        raise ProtocolViolation(f"non-hit row {ex[bad[0]]} differs across repair/corrupt under fixed retrieval")
+        s = int(bad[0])
+        # the corrupt replay's values against the repair replay's; a pass that did not run has a NaN confidence
+        expected, got = (
+            {name: None if x[s] != x[s] else x[s].item() for name, x in zip(_REPLAY_FIELDS, run)}
+            for run in (repair, corrupt)
+        )
+        raise AuditFailure(
+            f"non-hit row {ex[s]} differs across repair/corrupt under fixed retrieval",
+            "non_hit_bitwise_identical", ex[s], "corrupt", expected, got,
+        )
+
+
+# what _fixed_replay returns per step, as _audit_non_hit's failing row names it
+_REPLAY_FIELDS = ("routed", "final_correct", "decoded", "second_correct", "confidence", "accepted")
 
 
 _COUNTERFACTUAL_JSON = (

@@ -11,9 +11,10 @@ the one-query form, computes those of the entries it returns.
 
 Embeddings come from a seeded stub: a random unit vector blended with a
 per-topic unit vector, so similarity structure is scriptable (same topic =>
-high cosine) without any learned model. A world draws its query and entry
-embeddings as matrices (embed_rows); topic vectors and drifted entries are
-keyed one at a time (embed_key).
+high cosine) without any learned model. A world draws its entry embeddings
+as a matrix (embed_rows), and its query embeddings a block of rows at a
+time with the same blend (blend_rows), as it ranks them; topic vectors and
+drifted entries are keyed one at a time (embed_key).
 An edits file names the entries a counterfactual replays as both repair
 and corrupt; load_edits validates each line and returns the entry ids.
 """
@@ -61,21 +62,25 @@ TABLE_BLOCK_CELLS = 1 << 13
 _BELOW_ANY_COSINE = -np.finfo(np.float64).max
 
 
-def embed_rows(rng: np.random.Generator, topics: np.ndarray, topic_vecs: np.ndarray, topic_weight: float) -> np.ndarray:
-    """One unit embedding per entry of `topics`.
+def blend_rows(normals: np.ndarray, topics: np.ndarray, topic_vecs: np.ndarray, topic_weight: float) -> np.ndarray:
+    """Turn each row of standard normals into its unit embedding, in place, and return it.
 
-    Row i blends a standard-normal unit vector from rng, weight
-    1 - topic_weight, with topic_vecs[topics[i]], weight topic_weight, and
-    is normalised again; the blend runs in place a row block at a time.
+    Row i, scaled to unit length, is blended with topic_vecs[topics[i]] at
+    weight topic_weight and normalised again. Every step reads one row
+    alone, so a row's bits do not depend on which rows are blended with it.
     """
+    normals *= (1.0 - topic_weight) / np.linalg.norm(normals, axis=1, keepdims=True)
+    normals += topic_weight * topic_vecs[topics]
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return normals
+
+
+def embed_rows(rng: np.random.Generator, topics: np.ndarray, topic_vecs: np.ndarray, topic_weight: float) -> np.ndarray:
+    """One unit embedding per entry of `topics`: rng's standard normals, one row each, blended a row block at a time."""
     out = rng.standard_normal((len(topics), topic_vecs.shape[1]))
-    scaled = topic_weight * topic_vecs
     rows = max(1, TABLE_BLOCK_CELLS // max(1, out.shape[1]))
     for start in range(0, len(out), rows):
-        v = out[start:start + rows]
-        v *= (1.0 - topic_weight) / np.linalg.norm(v, axis=1, keepdims=True)
-        v += scaled[topics[start:start + rows]]
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        blend_rows(out[start:start + rows], topics[start:start + rows], topic_vecs, topic_weight)
     return out
 
 

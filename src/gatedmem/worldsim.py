@@ -16,15 +16,19 @@ ground-truth outcomes for every candidate context (decode_contexts).
 Each purpose (pair latents, guards, confidence latents and noise, topics,
 baseline correctness, query and entry embeddings) draws from its own keyed
 Philox stream, so a draw can be made when it is first read and still be the
-value an eager draw gives. Guards, baseline correctness, topics, embeddings
-and the confidence latents are drawn when the world is built, as dense
-arrays. A noisy confidence signal is drawn whole on its first read.
+value an eager draw gives. Guards, baseline correctness, topics, entry
+embeddings and the confidence latents are drawn when the world is built, as
+dense arrays. A noisy confidence signal is drawn whole on its first read.
+Query embeddings are kept as no array: the world keeps the query stream's
+Philox state at the start of every QUERY_MARK_ROWS-row block, and draws a
+row again from its block's state whenever a table ranks it (_query_rows).
 Retrieval is ranked on first read: a world ranks only the examples it is
-asked for against a snapshot (World._table), and draws the pair latents of
-each row it ranks at that row's ranked entries, the only pairs a second pass
-reads. Pair (i, j) is one Philox4x64-10 block at a fixed counter, computed
-directly by philox_uniforms, so its value is the one a dense draw of the
-whole table would give, whichever table draws it.
+asked for against a snapshot (World._table), drawing their query rows once
+for every bank of the read, and draws the pair latents of each row it ranks
+at that row's ranked entries, the only pairs a second pass reads. Pair
+(i, j) is one Philox4x64-10 block at a fixed counter, computed directly by
+philox_uniforms, so its value is the one a dense draw of the whole table
+would give, whichever table draws it.
 
 Confidences come from a two-Beta model: correct decodes draw from
 Beta(mu_hi*kappa, ...), incorrect from the mirrored low component, with the
@@ -45,6 +49,7 @@ from .bank import BANK_KINDS, BankSnapshot, MemoryBank
 from .controller import GUARD_NAMES
 from .retrieval import (
     TABLE_BLOCK_CELLS,
+    blend_rows,
     embed_key,
     embed_rows,
     retrieval_table,
@@ -288,6 +293,9 @@ class OutcomeTable:
 
 # bits of a pair-latent byte; sensitivity takes two: repair_better, corrupt_better, or neither
 PAIR_APPLICABLE, PAIR_HELP, PAIR_HURT, PAIR_REPAIR_BETTER, PAIR_CORRUPT_BETTER = 1, 2, 4, 8, 16
+# query rows between two kept states of the query-embedding stream: a row is
+# drawn again from the state at the start of its block, through the rows before it
+QUERY_MARK_ROWS = 16
 
 
 def _stream(key: int) -> np.random.Generator:
@@ -297,6 +305,24 @@ def _stream(key: int) -> np.random.Generator:
     own key, and philox_uniforms reads a block of a stream at a given counter.
     """
     return np.random.Generator(np.random.Philox(key=key))
+
+
+def _philox_words(bit_generator: np.random.Philox) -> tuple:
+    """A Philox stream's position as 9 words: counter (4), buffer (4) and buffer_pos."""
+    state = bit_generator.state
+    return (*state["state"]["counter"], *state["buffer"], state["buffer_pos"])
+
+
+def _set_philox_words(bit_generator: np.random.Philox, key: np.ndarray, words: np.ndarray) -> None:
+    """Put the Philox stream with key words `key` at the position _philox_words read."""
+    bit_generator.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": words[:4].copy(), "key": key},
+        "buffer": words[4:8].copy(),
+        "buffer_pos": int(words[8]),
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
 
 
 # Philox4x64-10 multipliers and Weyl key increments, as in numpy's Philox
@@ -375,12 +401,17 @@ class World:
             self.banks[kind] = MemoryBank(kind, entry_ids[part], payloads[part], embeddings[part])
             start += count
 
-        # examples: one row per example; retrieval tables rank them a block at a time
-        topics = self._rng("topic").integers(spec.topic_count, size=n)
+        # examples: one row per example; a query row is drawn when a table ranks it (_query_rows)
+        self._query_topics = self._rng("topic").integers(spec.topic_count, size=n)
+        self._query_topic_vecs = self._topic_matrix(self._query_topics)
         self._baseline = self._rng("baseline").random(n) < spec.base_accuracy
-        self.query_embeddings = embed_rows(
-            self._rng("query-embedding"), topics, self._topic_matrix(topics), spec.topic_weight
-        )
+        self._query_rng = self._rng("query-embedding")
+        self._query_key = self._query_rng.bit_generator.state["state"]["key"]
+        # the query stream's position (_philox_words) at rows 0, QUERY_MARK_ROWS, 2 * QUERY_MARK_ROWS, ...;
+        # the first _marked are known, each recorded when a draw first reaches it
+        self._marks = np.zeros((-(-n // QUERY_MARK_ROWS), 9), np.uint64)
+        self._marks[0] = _philox_words(self._query_rng.bit_generator)
+        self._marked = 1
 
         # pair latents, drawn at the cells a retrieval table ranks (_pair_bytes)
         self._pair_rate = np.where(toxic, spec.toxic_applicability, [spec.rate_for(k) for k in entry_kinds])
@@ -479,44 +510,98 @@ class World:
     def snapshots(self) -> dict[str, BankSnapshot]:
         return {k: b.freeze() for k, b in self.banks.items()}
 
-    def _table(self, snapshot: BankSnapshot, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(columns, counts, pairs) of the snapshot's retrieval at example rows.
+    def _query_rows(self, rows: np.ndarray):
+        """Yield (block, embeddings) for ascending distinct example rows, a block of rows at a time.
+
+        Row i is bit for bit row i of one embed_rows call over every example
+        on the query-embedding stream, yet no such matrix is kept, only the
+        stream's position at the start of every QUERY_MARK_ROWS-row block
+        (_marks). A row is drawn from the last kept position at or before it,
+        through the rows in between, and runs of rows are drawn straight
+        through; a draw that first reaches a block start records it. Each
+        standard_normal call and each yielded block holds at most
+        TABLE_BLOCK_CELLS doubles, and only the yielded rows are blended.
+        """
+        n, dim, weight = self.spec.n_examples, self.spec.embedding_dim, self.spec.topic_weight
+        every, step = QUERY_MARK_ROWS, max(1, TABLE_BLOCK_CELLS // dim)
+        rng, bit_generator = self._query_rng, self._query_rng.bit_generator
+        drawn, out = np.empty((step, dim)), np.empty((step, dim))
+        at = n + 1  # the row the stream stands at; past every row, so the first read restores a mark
+        lo = i = 0  # rows[lo:i] are in out
+
+        def blended():
+            return rows[lo:i], blend_rows(out[:i - lo], self._query_topics[rows[lo:i]], self._query_topic_vecs, weight)
+
+        while i < len(rows):
+            row = int(rows[i])
+            mark = min(row // every, self._marked - 1)
+            if at > row or at < mark * every:  # the stream is past the row, or a kept position skips rows
+                _set_philox_words(bit_generator, self._query_key, self._marks[mark])
+                at = mark * every
+            end = min(at + step, n)
+            j = int(rows.searchsorted(end))  # rows[i:j] lie in [at, end)
+            if j > i:  # draw no further than the last row read
+                end = min(end, int(rows[j - 1]) + 1)
+            start = at
+            while self._marked * every <= end and self._marked < len(self._marks):  # record the marks passed
+                stop = self._marked * every
+                rng.standard_normal(out=drawn[start - at:stop - at])
+                self._marks[self._marked], start = _philox_words(bit_generator), stop
+                self._marked += 1
+            rng.standard_normal(out=drawn[start - at:end - at])
+            if j - lo > step:
+                yield blended()
+                out, lo = np.empty((step, dim)), i
+            out[i - lo:j - lo] = drawn[rows[i:j] - at]
+            at, i = end, j
+        if i > lo:
+            yield blended()
+
+    def _table(self, snapshots, rows: np.ndarray) -> list:
+        """[(columns, counts, pairs)] of each snapshot's retrieval at example rows.
 
         Row r of columns holds the ranked entries of example rows[r] as
         pair-table columns, best first, counts[r] how many lead strictly
         above the threshold, and pairs[r] the pair-latent bytes of those
         columns. One table per bank kind is kept, that of the last snapshot
-        read, and it ranks an example on its first read only: missing rows
-        are ranked by retrieval_table a row block at a time, and their pair
-        bytes drawn in one _pair_bytes call. A snapshot with another content
-        hash replaces the table; the old one goes first, so two of a kind
-        never coexist.
+        read, and it ranks an example on its first read only. The query rows
+        any of the snapshots miss are drawn once (_query_rows), a block at a
+        time; each snapshot ranks the rows of a block it misses by
+        retrieval_table, and the block is dropped. Each table's new rows
+        then draw their pair bytes in one _pair_bytes call. A snapshot with
+        another content hash replaces its kind's table; the old one goes
+        first, so two of a kind never coexist.
         """
-        kind = snapshot.bank_kind
-        if self._tables.get(kind, (None,))[0] != snapshot.content_hash:
-            self._tables.pop(kind, None)
-            n, k = self.spec.n_examples, min(self.spec.k_max, len(snapshot.entry_ids))
-            self._tables[kind] = (
-                snapshot.content_hash, np.zeros(n, np.intp), np.zeros((n, k), np.intp), np.zeros((n, k), np.uint8),
-                np.zeros(n, bool),
-            )
-        _, counts, columns, pairs, ranked = self._tables[kind]
-        need = np.zeros(len(ranked), bool)
+        n = self.spec.n_examples
+        need = np.zeros(n, bool)
         need[rows] = True
-        missing = np.flatnonzero(need & ~ranked)
-        if missing.size:
-            entry_columns = self.columns(snapshot.entry_ids)
-            step = max(1, TABLE_BLOCK_CELLS // max(1, len(entry_columns)))
-            for start in range(0, missing.size, step):
-                block = missing[start:start + step]
-                table = retrieval_table(
-                    self.query_embeddings[block], snapshot, self.spec.retrieval_threshold, self.spec.k_max
+        tables, work = [], []  # work: (snapshot, table, rows it misses, its columns) per snapshot that misses some
+        for snapshot in snapshots:
+            kind = snapshot.bank_kind
+            if self._tables.get(kind, (None,))[0] != snapshot.content_hash:
+                self._tables.pop(kind, None)
+                k = min(self.spec.k_max, len(snapshot.entry_ids))
+                self._tables[kind] = (
+                    snapshot.content_hash, np.zeros(n, np.intp), np.zeros((n, k), np.intp),
+                    np.zeros((n, k), np.uint8), np.zeros(n, bool),
                 )
-                counts[block], columns[block] = table.counts, entry_columns[table.ranked]
-            # one call for every missing row: each philox_uniforms call costs its ten rounds whatever its size
-            pairs[missing] = self._pair_bytes(missing[:, None], columns[missing])
-            ranked[missing] = True
-        return columns[rows], counts[rows], pairs[rows]
+            tables.append(self._tables[kind])
+            miss = need & ~tables[-1][4]
+            if miss.any():
+                work.append((snapshot, tables[-1], miss, self.columns(snapshot.entry_ids)))
+        if work:
+            union = np.flatnonzero(np.logical_or.reduce([miss for _, _, miss, _ in work]))
+            for block, queries in self._query_rows(union):
+                for snapshot, (_, counts, columns, _, _), miss, entry_columns in work:
+                    take = miss[block]
+                    table = retrieval_table(queries[take], snapshot, self.spec.retrieval_threshold, self.spec.k_max)
+                    counts[block[take]], columns[block[take]] = table.counts, entry_columns[table.ranked]
+            for _, (_, _, columns, pairs, ranked), miss, _ in work:
+                # one call per table: each philox_uniforms call costs its ten rounds whatever its size
+                new = np.flatnonzero(miss)
+                pairs[new] = self._pair_bytes(new[:, None], columns[new])
+                ranked[new] = True
+        return [(columns[rows], counts[rows], pairs[rows]) for _, counts, columns, pairs, _ in tables]
 
     def columns(self, entry_ids) -> np.ndarray:
         """Pair-table columns of entry ids: rule entries first, then exemplar entries."""
@@ -532,8 +617,7 @@ class World:
         """
         rows = np.asarray(rows, np.intp)
         out = [np.zeros((len(rows), 0), dtype) for dtype in (np.intp, bool, np.uint8)]
-        for b in banks:
-            cols, counts, pairs = self._table(snapshots[b], rows)
+        for cols, counts, pairs in self._table([snapshots[b] for b in banks], rows):
             filled = np.arange(cols.shape[1]) < counts[:, None]
             out = [np.concatenate(x, axis=1) for x in zip(out, (cols, filled, pairs))]
         return tuple(out)
@@ -624,10 +708,11 @@ class World:
         retrieved and decoded once; the `none` context injects nothing and repeats the baseline."""
         rows = np.asarray(rows, np.intp)
         out = {}
-        for context, banks in CONTEXT_BANKS.items():
-            cols, filled, pairs = self.injected(rows, snapshots, banks)
+        # widest context first, so that one query draw ranks every bank
+        for context in sorted(CONTEXT_BANKS, key=lambda c: -len(CONTEXT_BANKS[c])):
+            cols, filled, pairs = self.injected(rows, snapshots, CONTEXT_BANKS[context])
             out[context] = (filled.any(axis=1), *self.second_pass(rows, cols, filled, pairs))
-        return out
+        return {context: out[context] for context in CONTEXT_BANKS}
 
     def outcome_table(self, snapshots: dict | None = None) -> OutcomeTable:
         passes = self.decode_contexts(np.arange(self.spec.n_examples), snapshots or self.snapshots())

@@ -6,7 +6,8 @@ entry, as step records; oracle_policy is the paired oracle one step at a
 time. The package computes all three in batches, and keeps a run as the
 arrays of a StepTable. reference_pair_table draws every pair latent of a
 world at once, where the world draws only the cells its retrieval tables
-rank. The
+rank, and reference_query_embeddings every query row at once, where the
+world keeps none and draws a row again whenever a table ranks it. The
 reference_*_text writers build a dict per row and call json on it; the
 package encodes the same bytes from columns. reference_counterfactual is the
 counterfactual runner over per-step records, with the frozen identities as a
@@ -16,6 +17,7 @@ outcome vectors, concatenates them and computes each ledger row from the
 paired vectors, where the test stage keeps each comparison's paired counts.
 """
 
+import functools
 import json
 from dataclasses import asdict, dataclass, replace
 
@@ -30,7 +32,7 @@ from gatedmem.protocol import (
     evaluate_oracle,
     evaluate_policy,
 )
-from gatedmem.retrieval import Query, RetrievalResult
+from gatedmem.retrieval import Query, RetrievalResult, embed_rows, topic_vector
 from gatedmem.stats import bootstrap_ci, mcnemar_exact, randomization_interaction_test
 from gatedmem.util import derive_seed
 from gatedmem.worldsim import (
@@ -63,9 +65,23 @@ def reference_retrieve(query, snapshot, threshold, k_max) -> RetrievalResult:
     )
 
 
+@functools.lru_cache(maxsize=4)
+def reference_query_embeddings(spec) -> np.ndarray:
+    """(n_examples, embedding_dim) query embeddings of a world's spec, read-only: one eager
+    embed_rows call over the world's whole query-embedding stream, with the topics of its topic stream."""
+    def stream(purpose):
+        return np.random.Generator(np.random.Philox(key=derive_seed(spec.seed, purpose)))
+
+    topics = stream("topic").integers(spec.topic_count, size=spec.n_examples)
+    topic_vecs = np.array([topic_vector(t, spec.embedding_dim) for t in range(spec.topic_count)])
+    out = embed_rows(stream("query-embedding"), topics, topic_vecs, spec.topic_weight)
+    out.flags.writeable = False
+    return out
+
+
 def reference_world_retrieve(world, idx, snapshot) -> RetrievalResult:
     """reference_retrieve for one example of a world, at the world's threshold and k_max."""
-    query = Query(idx, world.query_embeddings[idx])
+    query = Query(idx, reference_query_embeddings(world.spec)[idx])
     return reference_retrieve(query, snapshot, world.spec.retrieval_threshold, world.spec.k_max)
 
 

@@ -167,7 +167,7 @@ def test_counterfactual_names_edits_of_retired_entries(tmp_path, capsys):
 
 
 def _tampered_counterfactual(tmp_path, world_config, grid_config, monkeypatch, tamper):
-    """Exit code of `counterfactual` (one edit, E000) when each fixed replay replays
+    """(exit code, audit.json) of `counterfactual` (one edit, E000) when each fixed replay replays
     tamper(world, frozen, s) in place of the run it was given, s the first step with a frozen identity."""
     fit_out = str(tmp_path / "fit")
     assert main(["fit", "--config", world_config, "--grid", grid_config, "--out", fit_out]) == 0
@@ -187,8 +187,8 @@ def _tampered_counterfactual(tmp_path, world_config, grid_config, monkeypatch, t
             "--edits", edits_path, "--out", str(tmp_path / "cf"),
         ]
     )
-    assert not os.path.exists(tmp_path / "cf" / "audit.json")
-    return code
+    assert not os.path.exists(tmp_path / "cf" / "counterfactual_rows.jsonl")
+    return code, json.loads((tmp_path / "cf" / "audit.json").read_text(encoding="utf-8"))
 
 
 def test_tampered_fixed_replay_exits_1_naming_the_query(tmp_path, world_config, grid_config, capsys, monkeypatch):
@@ -198,15 +198,21 @@ def test_tampered_fixed_replay_exits_1_naming_the_query(tmp_path, world_config, 
         # the fixed replay of the first query with a frozen identity injects one entry fewer
         filled = frozen.filled.copy()
         row = filled[s, frozen.deciding[s]]
+        names = [world.entry_ids[c] for c in frozen.columns[s, frozen.deciding[s]][row].tolist()]
         row[np.flatnonzero(row)[-1]] = False
-        tampered.append(int(frozen.example_ids[s]))
+        tampered.append((int(frozen.example_ids[s]), names))
         return replace(frozen, filled=filled)
 
-    code = _tampered_counterfactual(tmp_path, world_config, grid_config, monkeypatch, drop_one_entry)
+    code, audit = _tampered_counterfactual(tmp_path, world_config, grid_config, monkeypatch, drop_one_entry)
     err = capsys.readouterr().err
+    query, names = tampered[0]
     assert code == 1
-    assert err.startswith(f"error: fixed replay of query {tampered[0]} (repair) injected (")
+    assert err.startswith(f"error: fixed replay of query {query} (repair) injected (")
     assert err.count("\n") == 1 and "Traceback" not in err
+    # audit.json holds the failing row alone
+    assert audit == {
+        "check": "fixed_replay_identity_ok", "query_id": query, "version": "repair", "expected": names, "got": names[:-1],
+    }
 
 
 def test_substituted_fixed_replay_column_exits_1_naming_the_query(
@@ -226,12 +232,13 @@ def test_substituted_fixed_replay_column_exits_1_naming_the_query(
         tampered.append((int(frozen.example_ids[s]), *names))
         return replace(frozen, columns=swapped)
 
-    code = _tampered_counterfactual(tmp_path, world_config, grid_config, monkeypatch, swap_one_column)
+    code, audit = _tampered_counterfactual(tmp_path, world_config, grid_config, monkeypatch, swap_one_column)
     err = capsys.readouterr().err
     query, frozen_names, swapped_names = tampered[0]
     assert frozen_names != swapped_names and len(frozen_names) == len(swapped_names)
     assert code == 1
     assert err == f"error: fixed replay of query {query} (repair) injected {swapped_names}, frozen was {frozen_names}\n"
+    assert (audit["query_id"], audit["expected"], audit["got"]) == (query, list(frozen_names), list(swapped_names))
 
 
 def _write_edits(path, edits) -> None:

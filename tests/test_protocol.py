@@ -738,6 +738,10 @@ def test_counterfactual_audits_non_hit_rows_only(monkeypatch, hit):
         with pytest.raises(ProtocolViolation) as raised:
             run_counterfactual(world, manifest, edited, seed=18)
         assert str(raised.value) == f"non-hit row {nudged[0]} differs across repair/corrupt under fixed retrieval"
+        row = raised.value.row  # the corrupt replay's values against the repair replay's
+        assert (row["check"], row["query_id"], row["version"]) == ("non_hit_bitwise_identical", nudged[0], "corrupt")
+        expected, got = row["expected"], row["got"]
+        assert got.pop("confidence") == expected.pop("confidence") + 0.5 and got == expected
     assert len(nudged) == 1
 
 
@@ -964,9 +968,9 @@ def _uncached(monkeypatch):
     """Clear the world's table cache before every read, so each read ranks afresh."""
     read = World._table
 
-    def uncached(self, snapshot, rows):
+    def uncached(self, snapshots, rows):
         self._tables.clear()
-        return read(self, snapshot, rows)
+        return read(self, snapshots, rows)
 
     monkeypatch.setattr(World, "_table", uncached)
 

@@ -11,6 +11,7 @@ from conftest import (
     arith_shape_spec,
     reference_outcome_table,
     reference_pair_table,
+    reference_query_embeddings,
     reference_retrieve,
     utility,
 )
@@ -26,6 +27,7 @@ from gatedmem.worldsim import (
     PAIR_HELP,
     PAIR_HURT,
     PAIR_REPAIR_BETTER,
+    QUERY_MARK_ROWS,
     SIGNAL_LATENT_WEIGHT,
     ConfidenceModel,
     WorldSpec,
@@ -48,10 +50,19 @@ def _second_pass(world, rows, injected, version="original", edited_ids=(), signa
     return world.second_pass(rows, cols, np.ones(cols.shape, bool), pairs, version, edited_ids, signal)
 
 
+def _redrawn(world, rows):
+    """The query rows a world draws for ascending distinct example rows, stacked."""
+    rows = np.asarray(rows, np.intp)
+    blocks = list(world._query_rows(rows))
+    assert np.array_equal(np.concatenate([b for b, _ in blocks] or [rows]), rows)
+    return np.concatenate([q for _, q in blocks]) if blocks else np.zeros((0, world.spec.embedding_dim))
+
+
 def test_same_spec_same_world():
     spec = WorldSpec(n_examples=120, seed=21)
     w1, w2 = generate_world(spec), generate_world(spec)
-    assert np.array_equal(w1.query_embeddings, w2.query_embeddings)  # the examples' topics
+    rows = np.arange(120)
+    assert _redrawn(w1, rows).tobytes() == _redrawn(w2, rows).tobytes()  # the examples' topics
     for kind in ("rule", "exemplar"):
         assert w1.banks[kind].freeze().content_hash == w2.banks[kind].freeze().content_hash
 
@@ -438,7 +449,7 @@ def test_world_retrieve_matches_per_query_reference(spec):
     for snap in snapshots:
         want = [
             reference_retrieve(Query(idx, q), snap, spec.retrieval_threshold, spec.k_max).retrieved_ids
-            for idx, q in enumerate(world.query_embeddings)
+            for idx, q in enumerate(reference_query_embeddings(spec))
         ]
         for _ in range(2):  # the second read uses the table built by the first
             cols, filled, _ = world.injected(rows, {"bank": snap}, ("bank",))
@@ -448,9 +459,10 @@ def test_world_retrieve_matches_per_query_reference(spec):
 
 
 def _full_table(world, snap, dense_pairs):
-    """(columns, counts, pairs) of every example, ranked at once by retrieval_table, with the
-    dense pair-latent draw read at the ranked cells."""
-    table = retrieval_table(world.query_embeddings, snap, world.spec.retrieval_threshold, world.spec.k_max)
+    """(columns, counts, pairs) of every example, ranked at once by retrieval_table on the eager
+    query matrix, with the dense pair-latent draw read at the ranked cells."""
+    queries = reference_query_embeddings(world.spec)
+    table = retrieval_table(queries, snap, world.spec.retrieval_threshold, world.spec.k_max)
     columns = world.columns(snap.entry_ids)[table.ranked]
     return columns, table.counts, np.take_along_axis(dense_pairs, columns, axis=1)
 
@@ -465,8 +477,8 @@ def _full_table(world, snap, dense_pairs):
     ids=["multi-step-7", "k3", "empty-exemplar-bank"],
 )
 def test_lazy_table_rows_equal_full_retrieval_table(monkeypatch, spec):
-    # 11 query rows per rule block and 5 per exemplar block at 50 and 100
-    # entries, so most reads span several row blocks
+    # 8 query rows drawn and ranked per block at embedding_dim 64, so most
+    # reads span several blocks
     monkeypatch.setattr(worldsim, "TABLE_BLOCK_CELLS", 555)
     world = generate_world(spec)
     n = spec.n_examples
@@ -483,6 +495,7 @@ def test_lazy_table_rows_equal_full_retrieval_table(monkeypatch, spec):
     want = {s.content_hash: _full_table(world, s, dense) for kind_snaps in snaps.values() for s in kind_snaps}
     rng = np.random.default_rng(spec.seed)
     for kind, kind_snaps in snaps.items():
+        world._tables.pop(kind, None)  # reads of the kind before ranked rows with another kind's snapshot
         read = {}  # content hash -> rows read since the snapshot last replaced the table
         for it in range(24):
             snap = kind_snaps[rng.integers(len(kind_snaps))]
@@ -491,16 +504,18 @@ def test_lazy_table_rows_equal_full_retrieval_table(monkeypatch, spec):
             # random subsets in random order, repeats within a read, rows read before and the empty read
             size = [0, 1, 7, 60, n][it % 5]
             rows = rng.integers(n, size=size) if it % 2 else rng.permutation(n)[:size]
-            columns, counts, pairs = world._table(snap, rows)
-            cols_want, counts_want, pairs_want = (x[rows] for x in want[snap.content_hash])
-            assert columns.shape == cols_want.shape and columns.tobytes() == cols_want.tobytes()
-            assert counts.tobytes() == counts_want.tobytes()
-            assert pairs.shape == pairs_want.shape and pairs.tobytes() == pairs_want.tobytes()
+            # half the reads rank this kind with the other kind's first snapshot, on one query draw
+            other = [kind_snaps[0] for k, kind_snaps in snaps.items() if k != kind][: it % 2]
+            for s, (columns, counts, pairs) in zip([snap, *other], world._table([snap, *other], rows)):
+                cols_want, counts_want, pairs_want = (x[rows] for x in want[s.content_hash])
+                assert columns.shape == cols_want.shape and columns.tobytes() == cols_want.tobytes()
+                assert counts.tobytes() == counts_want.tobytes()
+                assert pairs.shape == pairs_want.shape and pairs.tobytes() == pairs_want.tobytes()
             read[snap.content_hash][rows] = True
             assert set(world._tables) <= set(world.banks)  # one table per kind
             ranked = world._tables[kind][4]
             assert np.array_equal(ranked, read[snap.content_hash])  # only the rows read are ranked
-        got = world._table(snap, np.arange(n))
+        (got,) = world._table([snap], np.arange(n))
         for x, x_want in zip(got, want[snap.content_hash]):
             assert x.tobytes() == x_want.tobytes()
     assert any(want[s.content_hash][1].any() for s in snaps["rule"])  # not vacuous
@@ -578,7 +593,29 @@ def test_draws_do_not_depend_on_block_size(monkeypatch):
     small_blocks = generate_world(spec)
     order = range(spec.n_examples)
     assert _all_draws(small_blocks, order) == _all_draws(default, order)
-    assert np.array_equal(small_blocks.query_embeddings, default.query_embeddings)
+    rows = np.arange(spec.n_examples)
+    assert _redrawn(small_blocks, rows).tobytes() == reference_query_embeddings(spec).tobytes()
+
+
+@pytest.mark.parametrize("block_cells", [None, 3 * 64 + 5], ids=["default-blocks", "3-row-blocks"])
+@pytest.mark.parametrize("n", [1, QUERY_MARK_ROWS - 1, QUERY_MARK_ROWS, 2001])
+def test_redrawn_query_rows_equal_eager_draw(monkeypatch, n, block_cells):
+    if block_cells is not None:
+        monkeypatch.setattr(worldsim, "TABLE_BLOCK_CELLS", block_cells)
+    spec = WorldSpec(n_examples=n, seed=40 + n)
+    want = reference_query_embeddings(spec)
+    rng = np.random.default_rng(n)
+    last_block = np.arange((n - 1) // QUERY_MARK_ROWS * QUERY_MARK_ROWS, n)
+    subsets = [np.unique(rng.integers(n, size=size)) for size in (1, 5, n // 3 + 1, n)]
+    sparse = np.arange(n)[rng.integers(QUERY_MARK_ROWS + 1):: QUERY_MARK_ROWS + 1]  # a row in most blocks
+    for first in (last_block[-1:], last_block, np.arange(n)):
+        world = generate_world(spec)
+        assert world._marked == 1  # building the world draws no query row
+        # the first read reaches every block start, then reads in random order, each twice
+        reads = [first, *[subsets[i] for i in rng.permutation(len(subsets))], sparse, first]
+        for rows in reads + reads[::-1]:
+            assert _redrawn(world, rows).tobytes() == want[rows].tobytes()
+        assert world._marked == len(world._marks)
 
 
 def test_draws_do_not_depend_on_retirement_drift_or_order():
@@ -652,14 +689,18 @@ def _arrays(obj, seen=None):
 
 
 def test_world_keeps_no_examples_by_entries_array():
-    # pair latents live beside each table's ranked columns, not in an (n_examples, n_entries) matrix
+    # pair latents live beside each table's ranked columns, not in an (n_examples, n_entries) matrix,
+    # and query rows are drawn again when ranked, not kept in an (n_examples, embedding_dim) one
     spec = WorldSpec(n_examples=300, seed=27)
     world = generate_world(spec)
     world.outcome_table(world.snapshots())
     assert all(world._tables[kind][4].all() for kind in world.banks)  # every row is ranked
     cells = spec.n_examples * len(world.entry_ids)
-    sizes = {a.size for a in _arrays(world)}
-    assert spec.n_examples * spec.embedding_dim in sizes  # the walk reaches the query embeddings
+    arrays = list(_arrays(world))
+    sizes = {a.size for a in arrays}
+    assert any(a is world._latent for a in arrays)  # the walk reaches the (n_examples, 5) latents
+    assert not any(a.shape == (spec.n_examples, spec.embedding_dim) for a in arrays)
+    assert spec.n_examples * spec.embedding_dim not in sizes
     assert max(sizes) < cells
 
 
