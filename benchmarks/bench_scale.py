@@ -125,8 +125,22 @@ def paired(this: list[float], against: list[float], places: int) -> dict:
 
 
 def output_files(out: Path) -> dict:
-    """Relative path -> sha256 of every file a stage wrote."""
-    return {str(p.relative_to(out)): hashlib.sha256(p.read_bytes()).hexdigest() for p in sorted(out.rglob("*")) if p.is_file()}
+    """Relative path -> sha256 of every file a stage wrote.
+
+    Files are hashed 1 MB at a time: on Linux a child's ru_maxrss is at
+    least the peak RSS of the process that started it, so reading a whole
+    200k outcome_table.json (about 95 MB) here would raise every later
+    child's peak RSS to this script's.
+    """
+    digests = {}
+    for p in sorted(out.rglob("*")):
+        if p.is_file():
+            h = hashlib.sha256()
+            with open(p, "rb") as fh:
+                for chunk in iter(lambda: fh.read(1 << 20), b""):
+                    h.update(chunk)
+            digests[str(p.relative_to(out))] = h.hexdigest()
+    return digests
 
 
 def measure_pairs(stage: str, trees: dict, works: dict, repeats: int, first: int) -> dict:
