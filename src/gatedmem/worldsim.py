@@ -294,8 +294,10 @@ class OutcomeTable:
 # bits of a pair-latent byte; sensitivity takes two: repair_better, corrupt_better, or neither
 PAIR_APPLICABLE, PAIR_HELP, PAIR_HURT, PAIR_REPAIR_BETTER, PAIR_CORRUPT_BETTER = 1, 2, 4, 8, 16
 # query rows between two kept states of the query-embedding stream: a row is
-# drawn again from the state at the start of its block, through the rows before it
-QUERY_MARK_ROWS = 16
+# drawn again from the state at the start of its block, through the rows before
+# it. Reading a state costs about 8 us, so 16-row blocks cost a full pass over
+# a 200k-example stream 0.09 s more than 64-row ones.
+QUERY_MARK_ROWS = 64
 
 
 def _stream(key: int) -> np.random.Generator:
@@ -594,8 +596,9 @@ class World:
             for block, queries in self._query_rows(union):
                 for snapshot, (_, counts, columns, _, _), miss, entry_columns in work:
                     take = miss[block]
-                    table = retrieval_table(queries[take], snapshot, self.spec.retrieval_threshold, self.spec.k_max)
-                    counts[block[take]], columns[block[take]] = table.counts, entry_columns[table.ranked]
+                    mine = (block, queries) if take.all() else (block[take], queries[take])
+                    table = retrieval_table(mine[1], snapshot, self.spec.retrieval_threshold, self.spec.k_max)
+                    counts[mine[0]], columns[mine[0]] = table.counts, entry_columns[table.ranked]
             for _, (_, _, columns, pairs, ranked), miss, _ in work:
                 # one call per table: each philox_uniforms call costs its ten rounds whatever its size
                 new = np.flatnonzero(miss)
