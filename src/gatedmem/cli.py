@@ -20,6 +20,8 @@ import os
 import sys
 from dataclasses import replace
 
+import numpy as np
+
 from .controller import PolicyConfig
 from .errors import AuditFailure, ProtocolViolation
 from .protocol import (
@@ -82,7 +84,9 @@ def cmd_gen_world(args) -> int:
     write_kv_file(os.path.join(args.out, "world.kv"), world.spec.to_flat())
     for kind, bank in world.banks.items():
         bank.save(os.path.join(args.out, f"bank_{kind}.jsonl"))
-    write_outcome_table(world.outcome_table(world.snapshots()), os.path.join(args.out, "outcome_table.json"))
+    rows = np.arange(world.spec.n_examples)
+    passes = world.decode_contexts(rows, world.snapshots())
+    write_outcome_table(world.baseline_pass(rows)[0], passes, os.path.join(args.out, "outcome_table.json"))
     print(f"world {world.spec.world_hash()[:12]} written to {args.out}")
     return 0
 

@@ -40,10 +40,11 @@ from .controller import (
 from .errors import AuditFailure, FreezeMismatch, ProtocolViolation
 from .stats import bootstrap_ci, confidence_bins, mcnemar_exact, randomization_interaction_test
 from .util import indices_digest
-from .worldsim import ORACLE_CONTEXTS, OutcomeTable, World, WorldSpec
+from .worldsim import ORACLE_CONTEXTS, World, WorldSpec
 
 COMPARATORS = ("retry", "always_retrieve", "fixed_budget")
 LEDGER_COMPARISONS = ("policy",) + COMPARATORS + ("oracle",)  # each ledger row pairs one against baseline
+CONTENT_VERSIONS = ("original", "repair", "corrupt")  # the versions outcome_table.json lists per context
 FIXED_BUDGET_K = 2  # comparator retrieves up to k=2 per episode, no guards, no rollback
 # Confidences lie in [0, 1], so tau = inf routes every step; margin -inf with
 # no guards accepts every second pass whose retrieval is non-empty.
@@ -698,16 +699,18 @@ def write_traces(steps: StepTable, path: str) -> None:
             ))
 
 
-def write_outcome_table(table: OutcomeTable, path: str) -> None:
+def write_outcome_table(baseline_correct: np.ndarray, passes: dict, path: str) -> None:
     """outcome_table.json: the bytes of json.dump(rows, fh, sort_keys=True), one row per example.
 
-    A row holds example_id, baseline_correct, second_correct_by_context
-    ("context/version" -> bool) and confidences (context -> second-pass
-    confidence rounded to 10 places). Rows are encoded from the table's
-    columns a block at a time.
+    passes maps context -> (injects, correct, confidence) per example, as
+    World.decode_contexts returns them. A row holds example_id,
+    baseline_correct, second_correct_by_context ("context/version" -> bool,
+    for every CONTENT_VERSIONS entry: unedited content decodes alike under
+    each) and confidences (context -> second-pass confidence rounded to 10
+    places). Rows are encoded from these columns a block at a time.
     """
-    correct = sorted((f"{ctx}/{ver}", v) for (ctx, ver), v in table.second_correct.items())
-    confs = sorted(table.confidences.items())
+    correct = sorted((f"{ctx}/{ver}", p[1]) for ctx, p in passes.items() for ver in CONTENT_VERSIONS)
+    confs = sorted((ctx, p[2]) for ctx, p in passes.items())
     row = (
         '{"baseline_correct": %s, "confidences": {'
         + ", ".join(encode_basestring_ascii(k) + ": %s" for k, _ in confs)
@@ -715,12 +718,12 @@ def write_outcome_table(table: OutcomeTable, path: str) -> None:
         + ", ".join(encode_basestring_ascii(k) + ": %s" for k, _ in correct)
         + "}}"
     )
-    n = len(table.baseline_correct)
+    n = len(baseline_correct)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("[")
         for lo in range(0, n, ROW_BLOCK):
             hi = min(lo + ROW_BLOCK, n)
-            columns = [_json_bools(table.baseline_correct[lo:hi])]
+            columns = [_json_bools(baseline_correct[lo:hi])]
             columns += [_json_rounded(v[lo:hi]) for _, v in confs]
             columns.append(range(lo, hi))
             columns += [_json_bools(v[lo:hi]) for _, v in correct]

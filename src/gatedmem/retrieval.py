@@ -5,9 +5,10 @@ similarity over the snapshot's active entries, strictly above the threshold,
 in descending similarity with ties broken by ascending entry id. The
 tie-break makes replay exact. Since it is pure, a world ranks each of its
 queries against a snapshot at most once, on first read (retrieval_table on
-a block of the missing rows), and serves every later retrieval of that
-query on that snapshot from its table. A table keeps no cosines; retrieve,
-the one-query form, computes those of the entries it returns.
+a block of the missing rows, which returns each row's ranked snapshot rows
+and how many lead above the threshold), and serves every later retrieval of
+that query on that snapshot from its table. A table keeps no cosines;
+retrieve, the one-query form, computes those of the entries it returns.
 
 Embeddings come from a seeded stub: a random unit vector blended with a
 per-topic unit vector, so similarity structure is scriptable (same topic =>
@@ -90,22 +91,17 @@ def embed_key(key, dim: int, topic_vec: np.ndarray, topic_weight: float = 0.9) -
     return embed_rows(rng, np.zeros(1, np.intp), np.reshape(topic_vec, (1, dim)), topic_weight)[0]
 
 
-@dataclass(frozen=True)
-class RetrievalTable:
-    """retrieve() for every row of a query matrix against one snapshot, without the cosines."""
-
-    ranked: np.ndarray  # (n_queries, min(k_max, n_entries)) snapshot rows, best first
-    counts: np.ndarray  # (n_queries,) leading ranked entries strictly above the threshold
-
-
 def retrieval_table(
     queries: np.ndarray, snapshot: BankSnapshot, threshold: float, k_max: int
-) -> RetrievalTable:
-    """Rank every query row against the snapshot, one matmul per row block.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(ranked, counts): retrieve() for every query row against the snapshot, without the cosines.
 
-    The top min(k_max, entries) are selected in descending cosine, ties to
-    the lower snapshot row, and snapshot rows are sorted by entry id, so ties
-    go to the ascending id: the order of a stable sort, at k passes per row.
+    Row r of ranked holds query r's top min(k_max, entries) snapshot rows,
+    best first, and counts[r] how many of them lead strictly above the
+    threshold. Each row block is one matmul. Entries are selected in
+    descending cosine, ties to the lower snapshot row, and snapshot rows are
+    sorted by entry id, so ties go to the ascending id: the order of a stable
+    sort, at k passes per row.
     """
     if k_max < 1:
         raise ValueError(f"k_max must be >= 1, got {k_max}")
@@ -137,7 +133,7 @@ def retrieval_table(
                 work[np.arange(stop - start), order[:, j]] = -np.inf
             top = np.take_along_axis(block, order, axis=1)
             counts[start:stop] = np.count_nonzero(top > threshold, axis=1)
-    return RetrievalTable(ranked, counts)
+    return ranked, counts
 
 
 def retrieve(
@@ -149,8 +145,8 @@ def retrieve(
     one table per bank kind (World._table) as pair-table columns (World.injected).
     """
     q = np.asarray(query.embedding, np.float64)
-    table = retrieval_table(q[None, :], snapshot, threshold, k_max)
-    top = table.ranked[0, :table.counts[0]]
+    ranked, counts = retrieval_table(q[None, :], snapshot, threshold, k_max)
+    top = ranked[0, :counts[0]]
     emb = snapshot.embeddings[top]
     sims = (emb @ q / (np.linalg.norm(emb, axis=1) * np.linalg.norm(q))).tolist() if top.size else []
     return RetrievalResult(query.id, tuple(snapshot.entry_ids[i] for i in top.tolist()), tuple(sims))

@@ -23,12 +23,14 @@ Query embeddings are kept as no array: the world keeps the query stream's
 Philox state at the start of every QUERY_MARK_ROWS-row block, and draws a
 row again from its block's state whenever a table ranks it (_query_rows).
 Retrieval is ranked on first read: a world ranks only the examples it is
-asked for against a snapshot (World._table), drawing their query rows once
-for every bank of the read, and draws the pair latents of each row it ranks
-at that row's ranked entries, the only pairs a second pass reads. Pair
-(i, j) is one Philox4x64-10 block at a fixed counter, computed directly by
-philox_uniforms, so its value is the one a dense draw of the whole table
-would give, whichever table draws it.
+asked for (World._table). An injected read ranks them against every snapshot
+the caller holds, whichever banks it returns, so their query rows are drawn
+once for all banks, whatever order callers read the banks in. The world
+draws the pair latents of each row it ranks at that row's ranked entries,
+the only pairs a second pass reads. Pair (i, j) is one Philox4x64-10 block
+at a fixed counter, computed directly by philox_uniforms, so its value is
+the one a dense draw of the whole table would give, whichever table draws
+it.
 
 Confidences come from a two-Beta model: correct decodes draw from
 Beta(mu_hi*kappa, ...), incorrect from the mirrored low component, with the
@@ -58,7 +60,6 @@ from .retrieval import (
 from .retrieval import retrieve  # unused; perfbench/test_tracer.py asserts every module's retrieve is one function
 from .util import canonical_json, derive_seed, from_flat, stable_digest, to_flat
 
-CONTENT_VERSIONS = ("original", "repair", "corrupt")
 ORACLE_CONTEXTS = ("rule", "exemplar", "dual")
 # bank-policy context -> the banks it retrieves from, in injection order
 CONTEXT_BANKS = {"none": (), "rule": ("rule",), "exemplar": ("exemplar",), "dual": ("rule", "exemplar")}
@@ -280,15 +281,6 @@ class PairDraws:
     help: bool
     hurt: bool
     sensitivity: str  # none | repair_better | corrupt_better
-
-
-@dataclass
-class OutcomeTable:
-    """Every example's second-pass outcome per bank-policy context and content version."""
-
-    baseline_correct: np.ndarray  # (n_examples,) bool
-    second_correct: dict  # (context, version) -> (n_examples,) bool
-    confidences: dict  # context -> (n_examples,) mean_logprob confidence of the second pass
 
 
 # bits of a pair-latent byte; sensitivity takes two: repair_better, corrupt_better, or neither
@@ -560,13 +552,14 @@ class World:
             yield blended()
 
     def _table(self, snapshots, rows: np.ndarray) -> list:
-        """[(columns, counts, pairs)] of each snapshot's retrieval at example rows.
+        """[(columns, counts, pairs)]: each snapshot's kept table, once it has ranked example rows.
 
-        Row r of columns holds the ranked entries of example rows[r] as
-        pair-table columns, best first, counts[r] how many lead strictly
-        above the threshold, and pairs[r] the pair-latent bytes of those
-        columns. One table per bank kind is kept, that of the last snapshot
-        read, and it ranks an example on its first read only. The query rows
+        Row i of columns holds the ranked entries of example i as pair-table
+        columns, best first, counts[i] how many lead strictly above the
+        threshold, and pairs[i] the pair-latent bytes of those columns; rows
+        no read has asked for are zero. One table per bank kind is kept, that
+        of the last snapshot read, and it ranks an example on its first read
+        only. The query rows
         any of the snapshots miss are drawn once (_query_rows), a block at a
         time; each snapshot ranks the rows of a block it misses by
         retrieval_table, and the block is dropped. Each table's new rows
@@ -597,18 +590,21 @@ class World:
                 for snapshot, (_, counts, columns, _, _), miss, entry_columns in work:
                     take = miss[block]
                     mine = (block, queries) if take.all() else (block[take], queries[take])
-                    table = retrieval_table(mine[1], snapshot, self.spec.retrieval_threshold, self.spec.k_max)
-                    counts[mine[0]], columns[mine[0]] = table.counts, entry_columns[table.ranked]
+                    ranked, above = retrieval_table(mine[1], snapshot, self.spec.retrieval_threshold, self.spec.k_max)
+                    counts[mine[0]], columns[mine[0]] = above, entry_columns[ranked]
             for _, (_, _, columns, pairs, ranked), miss, _ in work:
                 # one call per table: each philox_uniforms call costs its ten rounds whatever its size
                 new = np.flatnonzero(miss)
                 pairs[new] = self._pair_bytes(new[:, None], columns[new])
                 ranked[new] = True
-        return [(columns[rows], counts[rows], pairs[rows]) for _, counts, columns, pairs, _ in tables]
+        return [(columns, counts, pairs) for _, counts, columns, pairs, _ in tables]
 
     def columns(self, entry_ids) -> np.ndarray:
-        """Pair-table columns of entry ids: rule entries first, then exemplar entries."""
-        return np.array([self._column[e] for e in entry_ids], np.intp)
+        """Pair-table columns of entry ids, rule entries first; an unknown id is a ValueError naming it."""
+        try:
+            return np.array([self._column[e] for e in entry_ids], np.intp)
+        except KeyError as exc:
+            raise ValueError(f"unknown entry id {exc.args[0]!r}") from None
 
     def injected(self, rows, snapshots: dict, banks) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(columns, filled, pairs): what retrieving from `banks` in order injects per example.
@@ -616,14 +612,22 @@ class World:
         Row r of each array belongs to example rows[r], which injects
         columns[r][filled[r]] in that order: each bank's ranked entries whose
         similarity is strictly above the threshold, best first. pairs holds
-        the pair-latent byte of each column.
+        the pair-latent byte of each column. Every snapshot of the dict ranks
+        the rows it misses in this one read, whichever banks are asked for, so
+        no caller orders its reads to draw each query row once.
         """
         rows = np.asarray(rows, np.intp)
-        out = [np.zeros((len(rows), 0), dtype) for dtype in (np.intp, bool, np.uint8)]
-        for cols, counts, pairs in self._table([snapshots[b] for b in banks], rows):
-            filled = np.arange(cols.shape[1]) < counts[:, None]
-            out = [np.concatenate(x, axis=1) for x in zip(out, (cols, filled, pairs))]
-        return tuple(out)
+        tables = dict(zip(snapshots, self._table(list(snapshots.values()), rows)))
+        tables = [tables[b] for b in banks]
+        shape = (len(rows), sum(cols.shape[1] for cols, _, _ in tables))
+        columns, filled, pairs = (np.zeros(shape, dtype) for dtype in (np.intp, bool, np.uint8))
+        at = 0
+        for cols, counts, bits in tables:  # one bank's rows are copied at a time, into place
+            part = slice(at, at + cols.shape[1])
+            columns[:, part], pairs[:, part] = cols[rows], bits[rows]
+            filled[:, part] = np.arange(cols.shape[1]) < counts[rows, None]
+            at = part.stop
+        return columns, filled, pairs
 
     def true_action(self, idx: int) -> str:
         return f"ans{idx}"
@@ -688,7 +692,7 @@ class World:
         correct = np.where(any_applicable, base | (deciding & PAIR_HELP > 0), base & (deciding & PAIR_HURT == 0))
         if version in ("repair", "corrupt") and len(edited_ids):
             edited = np.zeros(len(self.entry_ids), bool)
-            edited[self.columns([e for e in edited_ids if e in self._column])] = True
+            edited[self.columns(edited_ids)] = True
             hit = filled & edited[columns]
             hit_bits = np.take_along_axis(pairs, hit.argmax(axis=1)[:, None], axis=1)[:, 0] * hit.any(axis=1)
             correct = np.where(
@@ -702,7 +706,7 @@ class World:
         has = filled.any(axis=1)
         return np.where(has, correct, base), np.where(has, self._confidence(signal)[rows, column], conf)
 
-    # -- canonical outcome tables and oracle ground truth ---------------------
+    # -- oracle ground truth ---------------------------------------------------
 
     def decode_contexts(self, rows, snapshots: dict) -> dict:
         """context -> (injects, correct, confidence) of the original-content second pass that
@@ -711,19 +715,10 @@ class World:
         retrieved and decoded once; the `none` context injects nothing and repeats the baseline."""
         rows = np.asarray(rows, np.intp)
         out = {}
-        # widest context first, so that one query draw ranks every bank
-        for context in sorted(CONTEXT_BANKS, key=lambda c: -len(CONTEXT_BANKS[c])):
-            cols, filled, pairs = self.injected(rows, snapshots, CONTEXT_BANKS[context])
+        for context, banks in CONTEXT_BANKS.items():
+            cols, filled, pairs = self.injected(rows, snapshots, banks)
             out[context] = (filled.any(axis=1), *self.second_pass(rows, cols, filled, pairs))
-        return {context: out[context] for context in CONTEXT_BANKS}
-
-    def outcome_table(self, snapshots: dict | None = None) -> OutcomeTable:
-        passes = self.decode_contexts(np.arange(self.spec.n_examples), snapshots or self.snapshots())
-        return OutcomeTable(
-            self._baseline,
-            {(c, v): passes[c][1] for c in passes for v in CONTENT_VERSIONS},  # unedited, every version decodes alike
-            {c: passes[c][2] for c in passes},
-        )
+        return out
 
     # -- drift of edited entries ---------------------------------------------
 

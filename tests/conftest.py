@@ -27,6 +27,7 @@ from gatedmem.bank import BANK_KINDS
 from gatedmem.controller import GUARD_NAMES, PolicyConfig, compose_bank_policy
 from gatedmem.protocol import (
     COMPARATORS,
+    CONTENT_VERSIONS,
     LEDGER_COMPARISONS,
     LedgerRow,
     evaluate_oracle,
@@ -36,7 +37,6 @@ from gatedmem.retrieval import Query, RetrievalResult, embed_rows, topic_vector
 from gatedmem.stats import bootstrap_ci, mcnemar_exact, randomization_interaction_test
 from gatedmem.util import derive_seed
 from gatedmem.worldsim import (
-    CONTENT_VERSIONS,
     ORACLE_CONTEXTS,
     PAIR_APPLICABLE,
     PAIR_CORRUPT_BETTER,
@@ -47,6 +47,20 @@ from gatedmem.worldsim import (
     World,
     WorldSpec,
 )
+
+
+def count_query_draws(monkeypatch) -> list:
+    """Patch World._query_rows to record the example rows of every block it draws; returns the record."""
+    drawn = []
+    query_rows = World._query_rows
+
+    def counting(self, rows):
+        for block, queries in query_rows(self, rows):
+            drawn.append(block.copy())
+            yield block, queries
+
+    monkeypatch.setattr(World, "_query_rows", counting)
+    return drawn
 
 
 def reference_retrieve(query, snapshot, threshold, k_max) -> RetrievalResult:
@@ -525,10 +539,14 @@ def reference_trace_lines(traces) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def reference_outcome_table_text(table) -> str:
-    """outcome_table.json: json.dump of a row dict per example, sort_keys=True."""
-    correct = {f"{ctx}/{ver}": v.tolist() for (ctx, ver), v in table.second_correct.items()}
-    confs = {ctx: v.tolist() for ctx, v in table.confidences.items()}
+def reference_outcome_table_text(baseline_correct, passes) -> str:
+    """outcome_table.json: json.dump of a row dict per example, sort_keys=True.
+
+    passes maps context -> (injects, correct, confidence), as decode_contexts returns them; a
+    context's correctness is listed under every content version.
+    """
+    correct = {f"{ctx}/{ver}": p[1].tolist() for ctx, p in passes.items() for ver in CONTENT_VERSIONS}
+    confs = {ctx: p[2].tolist() for ctx, p in passes.items()}
     rows = [
         {
             "example_id": i,
@@ -536,7 +554,7 @@ def reference_outcome_table_text(table) -> str:
             "second_correct_by_context": {k: v[i] for k, v in correct.items()},
             "confidences": {k: round(v[i], 10) for k, v in confs.items()},
         }
-        for i, base in enumerate(table.baseline_correct.tolist())
+        for i, base in enumerate(baseline_correct.tolist())
     ]
     return json.dumps(rows, sort_keys=True) + "\n"
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import gatedmem
-from conftest import save_edits
+from conftest import count_query_draws, save_edits
 from gatedmem import protocol
 from gatedmem.cli import main
 
@@ -61,6 +61,19 @@ def test_fit_then_test_flow(tmp_path, world_config, grid_config, capsys):
     ledger = Path(test_out, "ledger.csv").read_text().splitlines()
     assert ledger[0].startswith("comparison,")
     assert any(line.startswith("retry vs baseline") for line in ledger)
+
+
+def test_fit_on_the_shipped_grid_draws_each_fit_row_at_most_once(tmp_path, capsys, monkeypatch):
+    # the shipped grid runs single-bank candidates before dual ones; every read ranks both banks,
+    # so a routed fit row's query embedding is drawn once, whichever bank reads it first
+    drawn = count_query_draws(monkeypatch)
+    configs = Path(__file__).parents[1] / "configs"
+    world, grid, out = configs / "world.kv", configs / "grid.kv", tmp_path / "fit"
+    assert main(["fit", "--config", str(world), "--grid", str(grid), "--out", str(out)]) == 0
+    fit_ids = json.loads((out / "manifest.json").read_text())["selection_record"]["fit_ids"]
+    rows = np.concatenate(drawn)
+    assert len(rows) and np.isin(rows, fit_ids).all()
+    assert np.bincount(rows).max() == 1
 
 
 @pytest.mark.parametrize("steps_per_episode", [1, 2, 3])

@@ -725,6 +725,17 @@ def test_fixed_replay_on_other_examples_rejected():
     assert fixed.routed.any() and np.array_equal(fixed.pairs[:, 0], original.deciding_injection()[2])
 
 
+@pytest.mark.parametrize("frozen", [False, True], ids=["free", "fixed"])
+def test_unknown_edited_id_rejected(frozen):
+    # an edited id the world does not know would otherwise be dropped, and the run read as unedited
+    world = generate_world(WorldSpec(n_examples=50, seed=1))
+    policy, snaps = PolicyConfig(tau=0.9), world.snapshots()
+    original = evaluate_policy(world, policy, snaps, list(range(50)))
+    assert original.routed.any()
+    with pytest.raises(ValueError, match="unknown entry id 'R999'"):
+        run_steps(world, policy, snaps, list(range(50)), "repair", ("R000", "R999"), original if frozen else None)
+
+
 def test_out_of_range_example_id_rejected():
     world = generate_world(WorldSpec(n_examples=50, seed=1))
     with pytest.raises(ValueError, match="example id 60 is outside the world's examples 0..49"):

@@ -47,7 +47,7 @@ from gatedmem.protocol import (
 )
 from gatedmem.stats import mcnemar_exact
 from gatedmem.util import indices_digest
-from gatedmem.worldsim import OutcomeTable, World, WorldSpec, generate_world
+from gatedmem.worldsim import World, WorldSpec, generate_world
 
 
 def fitted_world(seed=0, n=400, grid=None, governance_rounds=0, spec=None):
@@ -827,24 +827,25 @@ def test_outcome_table_bytes_match_reference(tmp_path, monkeypatch, n, block):
     if block is not None:
         monkeypatch.setattr(protocol, "ROW_BLOCK", block)
     n = n or protocol.ROW_BLOCK + 3
-    table = generate_world(WorldSpec(n_examples=n, seed=n)).outcome_table()
+    world, rows = generate_world(WorldSpec(n_examples=n, seed=n)), np.arange(n)
+    baseline, passes = world.baseline_pass(rows)[0], world.decode_contexts(rows, world.snapshots())
     path = tmp_path / "outcome_table.json"
-    write_outcome_table(table, str(path))
-    assert path.read_text() == reference_outcome_table_text(table)
+    write_outcome_table(baseline, passes, str(path))
+    assert path.read_text() == reference_outcome_table_text(baseline, passes)
 
 
 def test_outcome_table_confidences_at_rounding_edges(tmp_path, monkeypatch):
     monkeypatch.setattr(protocol, "ROW_BLOCK", 4)
     conf = np.array(EDGE_CONFIDENCES)
     rng = np.random.default_rng(0)
-    table = OutcomeTable(
-        baseline_correct=rng.random(len(conf)) < 0.5,
-        second_correct={(ctx, ver): rng.random(len(conf)) < 0.5 for ctx in ("none", "dual") for ver in ("original", "repair")},
-        confidences={"none": conf, "dual": conf[::-1].copy()},
-    )
+    baseline = rng.random(len(conf)) < 0.5
+    passes = {
+        ctx: (rng.random(len(conf)) < 0.5, rng.random(len(conf)) < 0.5, c)
+        for ctx, c in (("none", conf), ("dual", conf[::-1].copy()))
+    }
     path = tmp_path / "outcome_table.json"
-    write_outcome_table(table, str(path))
-    assert path.read_text() == reference_outcome_table_text(table)
+    write_outcome_table(baseline, passes, str(path))
+    assert path.read_text() == reference_outcome_table_text(baseline, passes)
 
 
 def test_json_rounded_equals_repr_of_round():

@@ -97,7 +97,8 @@ def test_empty_snapshot():
 
 def table_ids(table, snap, row):
     """The entry ids a retrieval table's row retrieves."""
-    return tuple(snap.entry_ids[i] for i in table.ranked[row, :table.counts[row]].tolist())
+    ranked, counts = table
+    return tuple(snap.entry_ids[i] for i in ranked[row, :counts[row]].tolist())
 
 
 def assert_same_result(got, want):
@@ -124,7 +125,7 @@ def test_table_matches_reference_on_ties_and_threshold_across_blocks(monkeypatch
             table = retrieval_table(queries, snap, threshold, k_max)
             # every ranked row, the NaN and below-threshold tail included, is
             # the stable sort's: distinct rows, NaN last
-            np.testing.assert_array_equal(table.ranked, np.argsort(-sims, axis=1, kind="stable")[:, :k_max])
+            np.testing.assert_array_equal(table[0], np.argsort(-sims, axis=1, kind="stable")[:, :k_max])
             for i, q in enumerate(queries):
                 want = reference_retrieve(Query(i, q), snap, threshold, k_max)
                 assert table_ids(table, snap, i) == want.retrieved_ids

@@ -9,6 +9,8 @@ import pytest
 
 from conftest import (
     arith_shape_spec,
+    count_query_draws,
+    reference_baseline,
     reference_outcome_table,
     reference_pair_table,
     reference_query_embeddings,
@@ -219,27 +221,30 @@ def test_non_hit_rows_identical_across_versions():
 
 
 def test_outcome_table_deterministic_and_bounded():
+    # the columns gen-world writes to outcome_table.json
     world = generate_world(WorldSpec(n_examples=40, seed=11))
-    snaps = world.snapshots()
-    t1 = world.outcome_table(snaps)
-    t2 = world.outcome_table(snaps)
-    assert t1.second_correct.keys() == t2.second_correct.keys()
-    for key, correct in t1.second_correct.items():
-        assert correct.dtype == bool and correct.shape == (40,)
-        assert np.array_equal(correct, t2.second_correct[key])
-    assert np.array_equal(t1.second_correct[("none", "original")], t1.baseline_correct)
+    snaps, rows = world.snapshots(), np.arange(40)
+    t1 = world.decode_contexts(rows, snaps)
+    t2 = world.decode_contexts(rows, snaps)
+    assert list(t1) == list(t2) == ["none", "rule", "exemplar", "dual"]
+    for context, (injects, correct, conf) in t1.items():
+        assert injects.dtype == correct.dtype == bool and correct.shape == conf.shape == (40,)
+        assert ((conf >= 0.0) & (conf <= 1.0)).all()
+        for x, y in zip(t1[context], t2[context]):
+            assert np.array_equal(x, y)
+    assert np.array_equal(t1["none"][1], world.baseline_pass(rows)[0])
 
 
 def test_outcome_table_matches_per_example_reference():
     for spec in (WorldSpec(n_examples=120, seed=21), _multi_step_spec(22)):
         world = generate_world(spec)
         snaps = world.snapshots()
-        table = world.outcome_table(snaps)
+        passes = world.decode_contexts(np.arange(spec.n_examples), snaps)
         for i in range(spec.n_examples):
             correct, confs = reference_outcome_table(world, i, snaps)
-            assert {k: bool(v[i]) for k, v in table.second_correct.items()} == correct
-            assert {k: float(v[i]) for k, v in table.confidences.items()} == confs
-            assert bool(table.baseline_correct[i]) == bool(world._baseline[i])
+            assert {(c, v): bool(passes[c][1][i]) for c, v in correct} == correct
+            assert {c: float(p[2][i]) for c, p in passes.items()} == confs
+            assert bool(world.baseline_pass([i])[0][0]) == (reference_baseline(world, i)[0] == world.true_action(i))
 
 
 # ---------------------------------------------------------------------------
@@ -462,9 +467,9 @@ def _full_table(world, snap, dense_pairs):
     """(columns, counts, pairs) of every example, ranked at once by retrieval_table on the eager
     query matrix, with the dense pair-latent draw read at the ranked cells."""
     queries = reference_query_embeddings(world.spec)
-    table = retrieval_table(queries, snap, world.spec.retrieval_threshold, world.spec.k_max)
-    columns = world.columns(snap.entry_ids)[table.ranked]
-    return columns, table.counts, np.take_along_axis(dense_pairs, columns, axis=1)
+    ranked, counts = retrieval_table(queries, snap, world.spec.retrieval_threshold, world.spec.k_max)
+    columns = world.columns(snap.entry_ids)[ranked]
+    return columns, counts, np.take_along_axis(dense_pairs, columns, axis=1)
 
 
 @pytest.mark.parametrize(
@@ -506,7 +511,8 @@ def test_lazy_table_rows_equal_full_retrieval_table(monkeypatch, spec):
             rows = rng.integers(n, size=size) if it % 2 else rng.permutation(n)[:size]
             # half the reads rank this kind with the other kind's first snapshot, on one query draw
             other = [kind_snaps[0] for k, kind_snaps in snaps.items() if k != kind][: it % 2]
-            for s, (columns, counts, pairs) in zip([snap, *other], world._table([snap, *other], rows)):
+            for s, table in zip([snap, *other], world._table([snap, *other], rows)):
+                columns, counts, pairs = (x[rows] for x in table)
                 cols_want, counts_want, pairs_want = (x[rows] for x in want[s.content_hash])
                 assert columns.shape == cols_want.shape and columns.tobytes() == cols_want.tobytes()
                 assert counts.tobytes() == counts_want.tobytes()
@@ -520,6 +526,27 @@ def test_lazy_table_rows_equal_full_retrieval_table(monkeypatch, spec):
             assert x.tobytes() == x_want.tobytes()
     assert any(want[s.content_hash][1].any() for s in snaps["rule"])  # not vacuous
     assert any(want[s.content_hash][2].any() for s in snaps["rule"])
+
+
+def test_single_bank_reads_share_one_query_draw(monkeypatch):
+    # a read ranks every snapshot the caller holds, so a rule read then an exemplar read give the
+    # dual read's tables and draw each query row once, as the dual read does
+    spec = _multi_step_spec(12)
+    rows = np.random.default_rng(12).permutation(spec.n_examples)[:150]
+    drawn = count_query_draws(monkeypatch)
+    dual = generate_world(spec)
+    want = dual.injected(rows, dual.snapshots(), ("rule", "exemplar"))
+    assert np.array_equal(np.sort(np.concatenate(drawn)), np.sort(rows))
+    drawn.clear()
+    world = generate_world(spec)
+    snaps = world.snapshots()
+    rule = world.injected(rows, snaps, ("rule",))
+    exemplar = world.injected(rows, snaps, ("exemplar",))
+    for got, x in zip(zip(rule, exemplar), want):
+        joined = np.concatenate(got, axis=1)
+        assert joined.shape == x.shape and joined.tobytes() == x.tobytes()
+    assert np.array_equal(np.sort(np.concatenate(drawn)), np.sort(rows))
+    assert rule[1].any() and exemplar[1].any()  # not vacuous
 
 
 def _eager_confidences(world):
@@ -693,7 +720,7 @@ def test_world_keeps_no_examples_by_entries_array():
     # and query rows are drawn again when ranked, not kept in an (n_examples, embedding_dim) one
     spec = WorldSpec(n_examples=300, seed=27)
     world = generate_world(spec)
-    world.outcome_table(world.snapshots())
+    world.decode_contexts(np.arange(spec.n_examples), world.snapshots())
     assert all(world._tables[kind][4].all() for kind in world.banks)  # every row is ranked
     cells = spec.n_examples * len(world.entry_ids)
     arrays = list(_arrays(world))
