@@ -14,7 +14,8 @@ order, each as a fresh ``python -m gatedmem.cli`` process with
     manifest), counterfactual (one repair edit of E000), governance.
 
 Every stage runs --repeats times; the record keeps each sample and the
-median wall time and median peak RSS (the child's ru_maxrss). An
+median wall time, median CPU time (the child's ru_utime + ru_stime, over
+all its threads) and median peak RSS (the child's ru_maxrss). An
 import-only process (``python -c "import gatedmem.cli"``) is timed the
 same way, so the start-up floor every stage pays is visible. The record
 names the host and whether child processes may write bytecode caches
@@ -30,10 +31,11 @@ its output on stderr.
 run, so drift of the host over time does not read as a change. For each
 size, stage and repeat the stage runs once in each tree, on the same
 inputs, each tree in its own work directory; which tree goes first
-alternates from one pair to the next. Per stage the record keeps both
-trees' samples and medians, the median of the paired differences (this
-tree minus TREE), how many pairs moved each way, and whether every output
-file of the stage was byte-identical between the trees on every repeat.
+alternates from one pair to the next. Per stage the record keeps, for
+wall time, CPU time and peak RSS, both trees' samples and medians, the
+median of the paired differences (this tree minus TREE) and how many pairs
+moved each way; and whether every output file of the stage was
+byte-identical between the trees on every repeat.
 """
 
 from __future__ import annotations
@@ -80,8 +82,8 @@ def child_env(root: Path = ROOT) -> dict:
     return env
 
 
-def run_child(argv: list[str], env: dict, cwd: Path = ROOT) -> tuple[float, float]:
-    """(wall seconds, peak RSS in MB) of one process; exits 1 if it fails."""
+def run_child(argv: list[str], env: dict, cwd: Path = ROOT) -> tuple[float, float, float]:
+    """(wall seconds, CPU seconds, peak RSS in MB) of one process; exits 1 if it fails."""
     start = time.perf_counter()
     proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
     try:
@@ -96,16 +98,18 @@ def run_child(argv: list[str], env: dict, cwd: Path = ROOT) -> tuple[float, floa
     if proc.returncode != 0:
         sys.stderr.write(output.decode("utf-8", "replace"))
         sys.exit(f"error: {' '.join(argv[1:])} in {cwd} exited {proc.returncode}")
-    return wall, usage.ru_maxrss / 1024.0
+    return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
 
 
 def measure(argv: list[str], env: dict, repeats: int) -> dict:
     samples = [run_child(argv, env) for _ in range(repeats)]
-    walls, rss = [w for w, _ in samples], [r for _, r in samples]
+    walls, cpus, rss = zip(*samples)
     return {
         "wall_s": round(statistics.median(walls), 4),
+        "cpu_s": round(statistics.median(cpus), 4),
         "peak_rss_mb": round(statistics.median(rss), 1),
         "wall_s_samples": [round(w, 4) for w in walls],
+        "cpu_s_samples": [round(c, 4) for c in cpus],
         "peak_rss_mb_samples": [round(r, 1) for r in rss],
     }
 
@@ -158,8 +162,9 @@ def measure_pairs(stage: str, trees: dict, works: dict, repeats: int, first: int
         identical &= outputs["this"] == outputs["against"]
     this, against = samples["this"], samples["against"]
     return {
-        "wall_s": paired([w for w, _ in this], [w for w, _ in against], 4),
-        "peak_rss_mb": paired([r for _, r in this], [r for _, r in against], 1),
+        "wall_s": paired([w for w, _, _ in this], [w for w, _, _ in against], 4),
+        "cpu_s": paired([c for _, c, _ in this], [c for _, c, _ in against], 4),
+        "peak_rss_mb": paired([r for _, _, r in this], [r for _, _, r in against], 1),
         "outputs_identical": identical,
     }
 
@@ -248,17 +253,19 @@ def main(argv=None) -> int:
                 if args.against:
                     stages[name] = measure_pairs(name, trees, works, args.repeats, pair)
                     pair += args.repeats
-                    wall, rss = stages[name]["wall_s"], stages[name]["peak_rss_mb"]
+                    wall, cpu, rss = (stages[name][key] for key in ("wall_s", "cpu_s", "peak_rss_mb"))
                     print(
                         f"n={n} {name}: {wall['this']:.3f} vs {wall['against']:.3f} s "
                         f"(paired {wall['median_paired_change']:+.3f}, lower {wall['pairs_this_lower']}/{args.repeats}), "
+                        f"CPU {cpu['this']:.3f} vs {cpu['against']:.3f} s, "
                         f"{rss['this']:.1f} vs {rss['against']:.1f} MB, "
                         f"outputs {'identical' if stages[name]['outputs_identical'] else 'DIFFER'}",
                         flush=True,
                     )
                 else:
                     stages[name] = measure([sys.executable, "-m", "gatedmem.cli", *cli_args], child_env(), args.repeats)
-                    print(f"n={n} {name}: {stages[name]['wall_s']:.3f} s, {stages[name]['peak_rss_mb']:.1f} MB", flush=True)
+                    stage = stages[name]
+                    print(f"n={n} {name}: {stage['wall_s']:.3f} s, CPU {stage['cpu_s']:.3f} s, {stage['peak_rss_mb']:.1f} MB", flush=True)
             record["sizes"][str(n)] = stages
             for work in works.values():
                 shutil.rmtree(work, ignore_errors=True)

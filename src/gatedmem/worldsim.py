@@ -19,9 +19,9 @@ Philox stream, so a draw can be made when it is first read and still be the
 value an eager draw gives. Guards, baseline correctness, topics, entry
 embeddings and the confidence latents are drawn when the world is built, as
 dense arrays. A noisy confidence signal is drawn whole on its first read.
-Query embeddings are kept as no array: the world keeps the query stream's
-Philox state at the start of every QUERY_MARK_ROWS-row block, and draws a
-row again from its block's state whenever a table ranks it (_query_rows).
+Query embeddings are kept as no array: each read of query rows opens the
+query stream at its start and draws it through the last row it asks for,
+keeping only those rows (_query_rows).
 Retrieval is ranked on first read: a world ranks only the examples it is
 asked for (World._table). An injected read ranks them against every snapshot
 the caller holds, whichever banks it returns, so their query rows are drawn
@@ -61,8 +61,9 @@ from .retrieval import retrieve  # unused; perfbench/test_tracer.py asserts ever
 from .util import canonical_json, derive_seed, from_flat, stable_digest, to_flat
 
 ORACLE_CONTEXTS = ("rule", "exemplar", "dual")
-# bank-policy context -> the banks it retrieves from, in injection order
-CONTEXT_BANKS = {"none": (), "rule": ("rule",), "exemplar": ("exemplar",), "dual": ("rule", "exemplar")}
+# bank-policy context -> the banks it retrieves from, in injection order;
+# dual, the widest decode, first, so decode_contexts holds no other context's outputs while it runs
+CONTEXT_BANKS = {"dual": ("rule", "exemplar"), "rule": ("rule",), "exemplar": ("exemplar",), "none": ()}
 
 # signal -> latent weight (rest is seeded uniform noise)
 SIGNAL_LATENT_WEIGHT = {"mean_logprob": 1.0, "sum_logprob": 0.85, "first_token": 0.4}
@@ -285,11 +286,6 @@ class PairDraws:
 
 # bits of a pair-latent byte; sensitivity takes two: repair_better, corrupt_better, or neither
 PAIR_APPLICABLE, PAIR_HELP, PAIR_HURT, PAIR_REPAIR_BETTER, PAIR_CORRUPT_BETTER = 1, 2, 4, 8, 16
-# query rows between two kept states of the query-embedding stream: a row is
-# drawn again from the state at the start of its block, through the rows before
-# it. Reading a state costs about 8 us, so 16-row blocks cost a full pass over
-# a 200k-example stream 0.09 s more than 64-row ones.
-QUERY_MARK_ROWS = 64
 
 
 def _stream(key: int) -> np.random.Generator:
@@ -299,24 +295,6 @@ def _stream(key: int) -> np.random.Generator:
     own key, and philox_uniforms reads a block of a stream at a given counter.
     """
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _philox_words(bit_generator: np.random.Philox) -> tuple:
-    """A Philox stream's position as 9 words: counter (4), buffer (4) and buffer_pos."""
-    state = bit_generator.state
-    return (*state["state"]["counter"], *state["buffer"], state["buffer_pos"])
-
-
-def _set_philox_words(bit_generator: np.random.Philox, key: np.ndarray, words: np.ndarray) -> None:
-    """Put the Philox stream with key words `key` at the position _philox_words read."""
-    bit_generator.state = {
-        "bit_generator": "Philox",
-        "state": {"counter": words[:4].copy(), "key": key},
-        "buffer": words[4:8].copy(),
-        "buffer_pos": int(words[8]),
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
 
 
 # Philox4x64-10 multipliers and Weyl key increments, as in numpy's Philox
@@ -399,13 +377,6 @@ class World:
         self._query_topics = self._rng("topic").integers(spec.topic_count, size=n)
         self._query_topic_vecs = self._topic_matrix(self._query_topics)
         self._baseline = self._rng("baseline").random(n) < spec.base_accuracy
-        self._query_rng = self._rng("query-embedding")
-        self._query_key = self._query_rng.bit_generator.state["state"]["key"]
-        # the query stream's position (_philox_words) at rows 0, QUERY_MARK_ROWS, 2 * QUERY_MARK_ROWS, ...;
-        # the first _marked are known, each recorded when a draw first reaches it
-        self._marks = np.zeros((-(-n // QUERY_MARK_ROWS), 9), np.uint64)
-        self._marks[0] = _philox_words(self._query_rng.bit_generator)
-        self._marked = 1
 
         # pair latents, drawn at the cells a retrieval table ranks (_pair_bytes)
         self._pair_rate = np.where(toxic, spec.toxic_applicability, [spec.rate_for(k) for k in entry_kinds])
@@ -508,46 +479,31 @@ class World:
         """Yield (block, embeddings) for ascending distinct example rows, a block of rows at a time.
 
         Row i is bit for bit row i of one embed_rows call over every example
-        on the query-embedding stream, yet no such matrix is kept, only the
-        stream's position at the start of every QUERY_MARK_ROWS-row block
-        (_marks). A row is drawn from the last kept position at or before it,
-        through the rows in between, and runs of rows are drawn straight
-        through; a draw that first reaches a block start records it. Each
-        standard_normal call and each yielded block holds at most
-        TABLE_BLOCK_CELLS doubles, and only the yielded rows are blended.
+        on the query-embedding stream, yet no such matrix is kept: each read
+        opens the stream at its start and draws it through the last row
+        asked for, keeping the rows asked for. Each standard_normal call and
+        each yielded block holds at most TABLE_BLOCK_CELLS doubles, and only
+        the yielded rows are blended.
         """
-        n, dim, weight = self.spec.n_examples, self.spec.embedding_dim, self.spec.topic_weight
-        every, step = QUERY_MARK_ROWS, max(1, TABLE_BLOCK_CELLS // dim)
-        rng, bit_generator = self._query_rng, self._query_rng.bit_generator
+        dim, weight = self.spec.embedding_dim, self.spec.topic_weight
+        step = max(1, TABLE_BLOCK_CELLS // dim)
+        rng = self._rng("query-embedding")
         drawn, out = np.empty((step, dim)), np.empty((step, dim))
-        at = n + 1  # the row the stream stands at; past every row, so the first read restores a mark
+        stop = int(rows[-1]) + 1 if len(rows) else 0
         lo = i = 0  # rows[lo:i] are in out
 
         def blended():
             return rows[lo:i], blend_rows(out[:i - lo], self._query_topics[rows[lo:i]], self._query_topic_vecs, weight)
 
-        while i < len(rows):
-            row = int(rows[i])
-            mark = min(row // every, self._marked - 1)
-            if at > row or at < mark * every:  # the stream is past the row, or a kept position skips rows
-                _set_philox_words(bit_generator, self._query_key, self._marks[mark])
-                at = mark * every
-            end = min(at + step, n)
+        for at in range(0, stop, step):
+            end = min(at + step, stop)
+            rng.standard_normal(out=drawn[:end - at])
             j = int(rows.searchsorted(end))  # rows[i:j] lie in [at, end)
-            if j > i:  # draw no further than the last row read
-                end = min(end, int(rows[j - 1]) + 1)
-            start = at
-            while self._marked * every <= end and self._marked < len(self._marks):  # record the marks passed
-                stop = self._marked * every
-                rng.standard_normal(out=drawn[start - at:stop - at])
-                self._marks[self._marked], start = _philox_words(bit_generator), stop
-                self._marked += 1
-            rng.standard_normal(out=drawn[start - at:end - at])
             if j - lo > step:
                 yield blended()
                 out, lo = np.empty((step, dim)), i
             out[i - lo:j - lo] = drawn[rows[i:j] - at]
-            at, i = end, j
+            i = j
         if i > lo:
             yield blended()
 
@@ -559,13 +515,12 @@ class World:
         threshold, and pairs[i] the pair-latent bytes of those columns; rows
         no read has asked for are zero. One table per bank kind is kept, that
         of the last snapshot read, and it ranks an example on its first read
-        only. The query rows
-        any of the snapshots miss are drawn once (_query_rows), a block at a
-        time; each snapshot ranks the rows of a block it misses by
-        retrieval_table, and the block is dropped. Each table's new rows
-        then draw their pair bytes in one _pair_bytes call. A snapshot with
-        another content hash replaces its kind's table; the old one goes
-        first, so two of a kind never coexist.
+        only. The query rows any of the snapshots miss are drawn in one pass
+        of the query stream (_query_rows), a block at a time; each snapshot
+        ranks the rows of a block it misses by retrieval_table, and the block
+        is dropped. Each table's new rows then draw their pair bytes in one
+        _pair_bytes call. A snapshot with another content hash replaces its
+        kind's table; the old one goes first, so two of a kind never coexist.
         """
         n = self.spec.n_examples
         need = np.zeros(n, bool)

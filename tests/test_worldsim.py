@@ -1,5 +1,6 @@
 """World generator: determinism, outcome structure, confidence model."""
 
+import itertools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -29,7 +30,6 @@ from gatedmem.worldsim import (
     PAIR_HELP,
     PAIR_HURT,
     PAIR_REPAIR_BETTER,
-    QUERY_MARK_ROWS,
     SIGNAL_LATENT_WEIGHT,
     ConfidenceModel,
     WorldSpec,
@@ -226,7 +226,7 @@ def test_outcome_table_deterministic_and_bounded():
     snaps, rows = world.snapshots(), np.arange(40)
     t1 = world.decode_contexts(rows, snaps)
     t2 = world.decode_contexts(rows, snaps)
-    assert list(t1) == list(t2) == ["none", "rule", "exemplar", "dual"]
+    assert list(t1) == list(t2) == ["dual", "rule", "exemplar", "none"]
     for context, (injects, correct, conf) in t1.items():
         assert injects.dtype == correct.dtype == bool and correct.shape == conf.shape == (40,)
         assert ((conf >= 0.0) & (conf <= 1.0)).all()
@@ -625,24 +625,39 @@ def test_draws_do_not_depend_on_block_size(monkeypatch):
 
 
 @pytest.mark.parametrize("block_cells", [None, 3 * 64 + 5], ids=["default-blocks", "3-row-blocks"])
-@pytest.mark.parametrize("n", [1, QUERY_MARK_ROWS - 1, QUERY_MARK_ROWS, 2001])
+@pytest.mark.parametrize("n", [1, 63, 64, 2001])
 def test_redrawn_query_rows_equal_eager_draw(monkeypatch, n, block_cells):
     if block_cells is not None:
         monkeypatch.setattr(worldsim, "TABLE_BLOCK_CELLS", block_cells)
     spec = WorldSpec(n_examples=n, seed=40 + n)
     want = reference_query_embeddings(spec)
     rng = np.random.default_rng(n)
-    last_block = np.arange((n - 1) // QUERY_MARK_ROWS * QUERY_MARK_ROWS, n)
+    last_block = np.arange((n - 1) // 64 * 64, n)
     subsets = [np.unique(rng.integers(n, size=size)) for size in (1, 5, n // 3 + 1, n)]
-    sparse = np.arange(n)[rng.integers(QUERY_MARK_ROWS + 1):: QUERY_MARK_ROWS + 1]  # a row in most blocks
+    sparse = np.arange(n)[rng.integers(65):: 65]  # a row in most 64-row blocks
     for first in (last_block[-1:], last_block, np.arange(n)):
         world = generate_world(spec)
-        assert world._marked == 1  # building the world draws no query row
-        # the first read reaches every block start, then reads in random order, each twice
+        # a first read, then reads in random order, each twice
         reads = [first, *[subsets[i] for i in rng.permutation(len(subsets))], sparse, first]
         for rows in reads + reads[::-1]:
             assert _redrawn(world, rows).tobytes() == want[rows].tobytes()
-        assert world._marked == len(world._marks)
+
+
+def test_interleaved_query_reads_equal_eager_draw(monkeypatch):
+    # two reads of one world, advanced a block at a time in turn, each see their own rows
+    monkeypatch.setattr(worldsim, "TABLE_BLOCK_CELLS", 5 * 64)
+    spec = WorldSpec(n_examples=700, seed=43)
+    want, world = reference_query_embeddings(spec), generate_world(spec)
+    reads = [np.arange(0, 700, 2), np.arange(0, 700, 3)]
+    blocks = [[], []]
+    for pair in itertools.zip_longest(*[world._query_rows(rows) for rows in reads]):
+        for got, block in zip(blocks, pair):
+            if block is not None:
+                got.append(block)
+    for rows, got in zip(reads, blocks):
+        assert len(got) > 1
+        assert np.array_equal(np.concatenate([b for b, _ in got]), rows)
+        assert np.concatenate([q for _, q in got]).tobytes() == want[rows].tobytes()
 
 
 def test_draws_do_not_depend_on_retirement_drift_or_order():
