@@ -22,13 +22,12 @@ from dataclasses import replace
 
 import numpy as np
 
-from .controller import PolicyConfig
+from .controller import PolicyConfig, select_threshold_percentile
 from .errors import AuditFailure, ProtocolViolation
 from .protocol import (
     FIXED_BUDGET_K,
     FreezeManifest,
     ledger_check,
-    resolve_tau_percentile,
     run_counterfactual,
     run_fit_stage,
     run_governance_loop,
@@ -72,7 +71,7 @@ def _resolve_candidates(world, fit_ids, combos) -> list[PolicyConfig]:
         policy = PolicyConfig.from_flat(combo)
         if pct is not None:
             pct = parse_value("tau_percentile", float, pct)
-            tau = resolve_tau_percentile(world, fit_ids, pct, policy.confidence_signal)
+            tau = select_threshold_percentile(world.baseline_pass(fit_ids, policy.confidence_signal)[1], pct)
             policy = replace(policy, tau=tau)
         out.append(policy)
     return out

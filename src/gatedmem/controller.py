@@ -103,17 +103,15 @@ class PolicyConfig:
 
 
 def select_threshold_percentile(fit_confidences, p: float) -> float:
-    """Nearest-rank percentile of fit confidences; routed fraction ~= p/100."""
-    if len(fit_confidences) == 0:
+    """Nearest-rank percentile of fit confidences (a sequence or array); routed fraction ~= p/100."""
+    ordered = np.sort(np.asarray(fit_confidences, np.float64))
+    if ordered.size == 0:
         raise ValueError("empty confidence list")
     if not (0.0 <= p <= 100.0):
         raise ValueError(f"percentile must be in [0, 100], got {p}")
-    ordered = sorted(fit_confidences)
-    if p == 0.0:
-        return ordered[0]
     num, den = float(p).as_integer_ratio()
-    rank = -(-num * len(ordered) // (den * 100))  # exact ceil: in floats 7 / 100.0 * 100 exceeds 7, giving rank 8
-    return ordered[rank - 1]
+    rank = -(-num * ordered.size // (den * 100))  # exact ceil: in floats 7 / 100.0 * 100 exceeds 7, giving rank 8
+    return float(ordered[max(rank, 1) - 1])
 
 
 def compose_bank_policy(policy: PolicyConfig) -> list[tuple[tuple[str, ...], bool]]:
@@ -224,7 +222,9 @@ def run_steps(
     step rolls back to the baseline. The second pass decodes edited_ids at
     content `version`; the `none` version injects nothing and decodes the
     baseline again. A fixed replay of `frozen`, a run on the same examples,
-    injects each step's frozen deciding injection in one attempt. Steps of
+    injects each step's frozen deciding injection in one attempt. Retrieval
+    reads every step under tau, routed or not, so that runs differing only
+    in budget or cooldown share one world read per snapshot. Steps of
     an episode are its examples in ascending order; example_ids must be
     distinct and index the world's examples, which is checked before any
     world read.
@@ -261,6 +261,7 @@ def run_steps(
     else:
         plan = tuple(compose_bank_policy(policy))
     rows = ex[routed]
+    keep = routed[wants]  # the routed steps among those that want to route
     no_memory = version == "none"
     guards = world.guards_pass(rows, policy.guards_enabled)
     shape = (len(ex), len(plan))
@@ -272,7 +273,7 @@ def run_steps(
         if frozen is not None and not no_memory:
             cols, fill, bits = (x[routed] for x in injection)
         else:
-            cols, fill, bits = world.injected(rows, snapshots, () if no_memory else banks)
+            cols, fill, bits = (x[keep] for x in world.injected(ex[wants], snapshots, () if no_memory else banks))
         second, conf2 = world.second_pass(rows, cols, fill, bits, version, edited_ids, policy.confidence_signal)
         ran = pending & (fill.any(axis=1) | no_memory)
         margin = -math.inf if bypass_margin else policy.margin_m

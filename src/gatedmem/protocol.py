@@ -35,7 +35,6 @@ from .controller import (
     StepTable,
     _check_example_ids,
     run_steps,
-    select_threshold_percentile,
 )
 from .errors import AuditFailure, FreezeMismatch, ProtocolViolation
 from .stats import bootstrap_ci, confidence_bins, mcnemar_exact, randomization_interaction_test
@@ -237,10 +236,6 @@ def evaluate_oracle(world: World, snapshots: dict, example_ids) -> tuple[np.ndar
 # ---------------------------------------------------------------------------
 # fit stage
 # ---------------------------------------------------------------------------
-
-def resolve_tau_percentile(world: World, fit_ids, percentile: float, signal: str) -> float:
-    return select_threshold_percentile(world.baseline_pass(fit_ids, signal)[1].tolist(), percentile)
-
 
 def _fit_score(policy: PolicyConfig, dacc: float, mean_calls: float) -> float:
     return dacc - policy.lambda_cost * mean_calls

@@ -12,10 +12,11 @@ retrieve, the one-query form, computes those of the entries it returns.
 
 Embeddings come from a seeded stub: a random unit vector blended with a
 per-topic unit vector, so similarity structure is scriptable (same topic =>
-high cosine) without any learned model. A world draws its entry embeddings
-as a matrix (embed_rows), and its query embeddings a block of rows at a
-time with the same blend (blend_rows), as it ranks them; topic vectors and
-drifted entries are keyed one at a time (embed_key).
+high cosine) without any learned model. A world draws every topic vector
+when it is built (topic_vector), its entry embeddings as a matrix
+(embed_rows), and its query embeddings a block of rows at a time with the
+same blend (blend_rows), as it ranks them; drifted entries are keyed one at
+a time (embed_key).
 An edits file names the entries a counterfactual replays as both repair
 and corrupt; load_edits validates each line and returns the entry ids.
 """

@@ -124,19 +124,12 @@ def roc_auc(scores, labels) -> float:
     n_neg = int((~y).sum())
     if n_pos == 0 or n_neg == 0:
         raise SignalUndefined("AUC needs both classes present")
-    order = np.argsort(s, kind="mergesort")
-    ranks = np.empty(s.size, np.float64)
-    ranks[order] = np.arange(1, s.size + 1)
-    # average ranks within tie groups
-    sorted_s = s[order]
-    i = 0
-    while i < s.size:
-        j = i
-        while j + 1 < s.size and sorted_s[j + 1] == sorted_s[i]:
-            j += 1
-        if j > i:
-            ranks[order[i : j + 1]] = 0.5 * (i + 1 + j + 1)
-        i = j + 1
+    nan = np.flatnonzero(np.isnan(s))
+    if nan.size:
+        raise ValueError(f"AUC scores must be numbers, got nan at index {int(nan[0])}")
+    # the c tied scores of a group ending at 1-based rank r share the average rank r - (c - 1) / 2
+    _, inverse, count = np.unique(s, return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(count) - (count - 1) / 2.0)[inverse]
     rank_sum_pos = float(ranks[y].sum())
     return (rank_sum_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

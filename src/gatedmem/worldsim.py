@@ -18,7 +18,8 @@ baseline correctness, query and entry embeddings) draws from its own keyed
 Philox stream, so a draw can be made when it is first read and still be the
 value an eager draw gives. Guards, baseline correctness, topics, entry
 embeddings and the confidence latents are drawn when the world is built, as
-dense arrays. A noisy confidence signal is drawn whole on its first read.
+dense arrays, and so is every topic's unit vector (topic_vector). A noisy
+confidence signal is drawn whole on its first read.
 Query embeddings are kept as no array: each read of query rows opens the
 query stream at its start and draws it through the last row it asks for,
 keeping only those rows (_query_rows).
@@ -343,14 +344,16 @@ class World:
     keyed stream derive_seed(seed, purpose); draws depend on the spec and the
     world's shape only, never on snapshots, retirement, drift or call order,
     nor on whether they are made at build time or on first read. Decoding
-    indexes these arrays.
+    indexes these arrays. The topic vectors, which depend on the topic and
+    the embedding dimension only, are drawn at build, one row per topic.
     """
 
     def __init__(self, spec: WorldSpec):
         self.spec = spec
         self.seed = spec.seed
         n = spec.n_examples
-        self._topics: dict[int, np.ndarray] = {}  # topic -> topic_vector, drawn on first use
+        # row t: topic t's unit vector, which entry, query and drifted embeddings blend with
+        self._topic_vecs = np.array([topic_vector(t, spec.embedding_dim) for t in range(spec.topic_count)])
 
         # entries: rule ids then exemplar ids, the columns of the pair table
         kinds = [("rule", spec.n_rule_entries, "R"), ("exemplar", spec.n_exemplar_entries, "E")]
@@ -362,9 +365,7 @@ class World:
         toxic = self._rng("toxic").random(len(entry_ids)) < spec.toxic_entry_rate
         self.toxic_ids = {eid for eid, t in zip(entry_ids, toxic.tolist()) if t}
         topic_rows = np.array(entry_topics, np.intp)
-        embeddings = embed_rows(
-            self._rng("entry-embedding"), topic_rows, self._topic_matrix(topic_rows), spec.topic_weight
-        )
+        embeddings = embed_rows(self._rng("entry-embedding"), topic_rows, self._topic_vecs, spec.topic_weight)
         payloads = [f"{kind} {eid}: guidance for topic {t}" for eid, kind, t in zip(entry_ids, entry_kinds, entry_topics)]
         self.banks: dict[str, MemoryBank] = {}
         start = 0
@@ -375,7 +376,6 @@ class World:
 
         # examples: one row per example; a query row is drawn when a table ranks it (_query_rows)
         self._query_topics = self._rng("topic").integers(spec.topic_count, size=n)
-        self._query_topic_vecs = self._topic_matrix(self._query_topics)
         self._baseline = self._rng("baseline").random(n) < spec.base_accuracy
 
         # pair latents, drawn at the cells a retrieval table ranks (_pair_bytes)
@@ -459,19 +459,6 @@ class World:
     def entry_bank(self, entry_id: str) -> str:
         return "rule" if entry_id.startswith("R") else "exemplar"
 
-    def _topic(self, topic: int) -> np.ndarray:
-        vec = self._topics.get(topic)
-        if vec is None:
-            vec = self._topics[topic] = topic_vector(topic, self.spec.embedding_dim)
-        return vec
-
-    def _topic_matrix(self, topics: np.ndarray) -> np.ndarray:
-        """Rows 0..max(topics) of the topic vectors; rows no topic uses stay zero."""
-        mat = np.zeros((int(topics.max(initial=0)) + 1, self.spec.embedding_dim))
-        for t in set(topics.tolist()):  # np.unique would import numpy.ma, 1.4 MB
-            mat[t] = self._topic(t)
-        return mat
-
     def snapshots(self) -> dict[str, BankSnapshot]:
         return {k: b.freeze() for k, b in self.banks.items()}
 
@@ -493,7 +480,7 @@ class World:
         lo = i = 0  # rows[lo:i] are in out
 
         def blended():
-            return rows[lo:i], blend_rows(out[:i - lo], self._query_topics[rows[lo:i]], self._query_topic_vecs, weight)
+            return rows[lo:i], blend_rows(out[:i - lo], self._query_topics[rows[lo:i]], self._topic_vecs, weight)
 
         for at in range(0, stop, step):
             end = min(at + step, stop)
@@ -697,7 +684,7 @@ class World:
             rng = np.random.default_rng(derive_seed(self.seed, "drift", entry_id, version))
             topic = int(rng.integers(spec.topic_count))
             key = (self.seed, "entry", entry_id, "drift", version)
-            embeddings[i] = embed_key(key, spec.embedding_dim, self._topic(topic), spec.topic_weight)
+            embeddings[i] = embed_key(key, spec.embedding_dim, self._topic_vecs[topic], spec.topic_weight)
         return BankSnapshot.build(bank_kind, ids, payloads, embeddings)
 
 

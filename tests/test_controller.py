@@ -2,8 +2,10 @@
 
 import itertools
 import json
+import math
 import re
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -88,6 +90,19 @@ def test_percentile_rank_is_exact():
         values = list(range(n))
         for p in range(1, 101):
             assert select_threshold_percentile(values, p) == -(-p * n // 100) - 1, (p, n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 101])
+def test_percentile_matches_sorted_list_reference(n):
+    # nearest rank ceil(p n / 100) of the sorted list, at least 1, on a list and on an array with ties
+    confs = np.round(np.random.default_rng(n).random(n), 1)
+    assert n < 11 or len(set(confs.tolist())) < n  # not vacuous: the larger list ties
+    ordered = sorted(confs.tolist())
+    for p in (0, 7, 35, 50, 100):
+        want = ordered[max(1, math.ceil(Fraction(p * n, 100))) - 1]
+        for given in (confs.tolist(), confs):
+            got = select_threshold_percentile(given, p)
+            assert type(got) is float and got == want, (p, n, type(given))
 
 
 def test_percentile_validation():

@@ -250,6 +250,36 @@ def test_auc_matches_pair_counting_random():
         )
 
 
+def auc_average_ranks(scores, labels):
+    """Oracle: the rank-sum AUC with each tie group's average rank, in pure Python."""
+    ordered = sorted(scores)
+    rank = {}
+    for s in set(ordered):
+        first = ordered.index(s) + 1
+        last = len(ordered) - ordered[::-1].index(s)
+        rank[s] = (first + last) / 2
+    pos = [rank[s] for s, l in zip(scores, labels) if l]
+    n_pos, n_neg = len(pos), len(scores) - len(pos)
+    return (sum(pos) - n_pos * (n_pos + 1) / 2) / (n_pos * n_neg)
+
+
+def test_auc_equals_average_rank_reference_under_heavy_ties():
+    # ranks are halves, so both rank sums are exact and the AUCs agree bit for bit
+    rng = np.random.default_rng(7)
+    for trial in range(200):
+        n = int(rng.integers(2, 300))
+        scores = rng.integers(0, int(rng.integers(1, 6)), n).astype(float).tolist()
+        labels = rng.integers(0, 2, n).astype(bool).tolist()
+        if all(labels) or not any(labels):
+            continue
+        assert roc_auc(scores, labels) == auc_average_ranks(scores, labels), trial
+
+
+def test_auc_rejects_nan_scores():
+    with pytest.raises(ValueError, match="nan at index 1"):
+        roc_auc([0.2, math.nan, 0.4, math.nan], [1, 0, 1, 0])
+
+
 # ---------------------------------------------------------------------------
 # calibration metrics
 # ---------------------------------------------------------------------------

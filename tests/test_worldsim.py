@@ -417,6 +417,37 @@ def test_drifted_snapshot_changes_only_edited_embeddings():
     assert world.drifted_snapshot("exemplar", "repair", ["E001"]).content_hash == kept.content_hash
 
 
+@pytest.mark.parametrize(
+    "spec", [WorldSpec(n_examples=30, seed=14), WorldSpec(n_examples=30, topic_count=40, embedding_dim=16, seed=2)]
+)
+def test_topic_entry_and_drifted_embeddings_equal_per_topic_reference(spec):
+    # every topic vector is drawn at build; each entry row blends its own normals with its topic's
+    # vector alone, the topic its payload names; a drifted entry is keyed on its drift topic
+    world = generate_world(spec)
+    dim, weight = spec.embedding_dim, spec.topic_weight
+    assert world._topic_vecs.shape == (spec.topic_count, dim)
+    for t in range(spec.topic_count):
+        assert world._topic_vecs[t].tobytes() == retrieval.topic_vector(t, dim).tobytes()
+    key = derive_seed(spec.seed, "entry-embedding")
+    normals = np.random.Generator(np.random.Philox(key=key)).standard_normal((len(world.entry_ids), dim))
+    snaps = world.snapshots()
+    got = np.concatenate([snaps["rule"].embeddings, snaps["exemplar"].embeddings])
+    payloads = snaps["rule"].payloads + snaps["exemplar"].payloads
+    for i, payload in enumerate(payloads):
+        topic = int(payload.rsplit(" ", 1)[1])
+        one = retrieval.topic_vector(topic, dim)[None, :]
+        want = retrieval.blend_rows(normals[i:i + 1].copy(), np.zeros(1, np.intp), one, weight)[0]
+        assert got[i].tobytes() == want.tobytes(), world.entry_ids[i]
+    edited = ["E001", "E007", "E033", "R002"]
+    for version in ("repair", "corrupt"):
+        drifted = world.drifted_snapshot("exemplar", version, edited)
+        for entry_id in edited[:3]:
+            rng = np.random.default_rng(derive_seed(spec.seed, "drift", entry_id, version))
+            topic_vec = retrieval.topic_vector(int(rng.integers(spec.topic_count)), dim)
+            want = retrieval.embed_key((spec.seed, "entry", entry_id, "drift", version), dim, topic_vec, weight)
+            assert drifted.embeddings[drifted.entry_ids.index(entry_id)].tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # retrieval tables
 # ---------------------------------------------------------------------------
@@ -547,6 +578,27 @@ def test_single_bank_reads_share_one_query_draw(monkeypatch):
         assert joined.shape == x.shape and joined.tobytes() == x.tobytes()
     assert np.array_equal(np.sort(np.concatenate(drawn)), np.sort(rows))
     assert rule[1].any() and exemplar[1].any()  # not vacuous
+
+
+def test_runs_differing_in_budget_or_cooldown_share_one_read(monkeypatch):
+    # a run reads every step under tau, routed or not, so a second run that changes only budget
+    # or cooldown finds every row it routes already ranked and draws no query row
+    spec = _multi_step_spec(5)
+    ids = np.arange(0, spec.n_examples, 2)
+    first, second = PolicyConfig(tau=0.6, budget_B=1), PolicyConfig(tau=0.6, budget_B=3, cooldown=2)
+    drawn = count_query_draws(monkeypatch)
+    world = generate_world(spec)
+    snaps = world.snapshots()
+    a = evaluate_policy(world, first, snaps, ids)
+    assert len(drawn)
+    drawn.clear()
+    b = evaluate_policy(world, second, snaps, ids)
+    assert drawn == []
+    assert not np.array_equal(a.routed, b.routed) and (b.routed & ~a.routed).any()  # not vacuous
+    fresh = generate_world(spec)
+    want = evaluate_policy(fresh, second, fresh.snapshots(), ids)
+    for name in ("routed", "columns", "filled", "pairs", "accepted_attempt", "second_correct"):
+        assert getattr(b, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def _eager_confidences(world):
