@@ -15,9 +15,11 @@ order, each as a fresh ``python -m gatedmem.cli`` process with
 
 Every stage runs --repeats times; the record keeps each sample and the
 median wall time, median CPU time (the child's ru_utime + ru_stime, over
-all its threads) and median peak RSS (the child's ru_maxrss). An
-import-only process (``python -c "import gatedmem.cli"``) is timed the
-same way, so the start-up floor every stage pays is visible. The record
+all its threads) and median peak RSS (the child's ru_maxrss). Two
+start-up processes are timed the same way, so the floor every process
+pays is visible: ``import gatedmem.cli``, which every stage runs first,
+and ``import gatedmem`` with a default-sized generate_world, the set-up
+that perfbench times. The record
 names the host and whether child processes may write bytecode caches
 (PYTHONDONTWRITEBYTECODE unset), since without them every stage
 recompiles the package. Beside each tree's ``git describe`` the record
@@ -31,10 +33,14 @@ its output on stderr.
 run, so drift of the host over time does not read as a change. For each
 size, stage and repeat the stage runs once in each tree, on the same
 inputs, each tree in its own work directory; which tree goes first
-alternates from one pair to the next. Per stage the record keeps, for
-wall time, CPU time and peak RSS, both trees' samples and medians, the
-median of the paired differences (this tree minus TREE) and how many pairs
-moved each way; and whether every output file of the stage was
+alternates from one pair to the next. The start-up processes run as pairs
+the same way. Per stage and start-up process the record keeps, for wall
+time, CPU time and peak RSS, both trees' samples and medians, the median
+of the paired differences (this tree minus TREE), how many pairs moved
+each way, an exact two-sided sign test p over the pairs that moved and a
+verdict: ``lower`` or ``higher`` when p < 0.05, else ``not decided``.
+Five pairs can never reach it (p >= 2 * 2**-5), so a decided verdict
+needs at least six. Per stage it also keeps whether every output file was
 byte-identical between the trees on every repeat.
 """
 
@@ -43,6 +49,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import platform
 import shutil
@@ -56,6 +63,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 DEFAULT_SIZES = (600, 10_000, 50_000, 200_000)
 EDIT = {"entry_id": "E000", "edit_kind": "repair", "new_payload": "repaired E000"}
+# start-up processes timed beside the stages, keyed by the code each runs
+STARTUP = (
+    "import gatedmem.cli",
+    "import gatedmem; gatedmem.generate_world(gatedmem.WorldSpec())",
+)
+SIGN_TEST_ALPHA = 0.05
 
 
 def stage_args(work: Path) -> dict[str, list[str]]:
@@ -114,15 +127,27 @@ def measure(argv: list[str], env: dict, repeats: int) -> dict:
     }
 
 
+def sign_test_p(lower: int, higher: int) -> float:
+    """Exact two-sided sign test p of `lower` against `higher` untied pairs: twice the smaller binomial(n, 1/2) tail, at most 1."""
+    n = lower + higher
+    tail = sum(math.comb(n, i) for i in range(min(lower, higher) + 1))
+    return min(1.0, 2 * tail / 2**n)
+
+
 def paired(this: list[float], against: list[float], places: int) -> dict:
-    """Both trees' medians, the median paired difference (this - against) and how many pairs moved each way."""
+    """Both trees' medians, the median paired difference (this - against), how many pairs moved each way,
+    and the sign test over those pairs with its verdict; tied pairs count for neither side."""
     diffs = [a - b for a, b in zip(this, against)]
+    lower, higher = sum(d < 0 for d in diffs), sum(d > 0 for d in diffs)
+    p = sign_test_p(lower, higher)
     return {
         "this": round(statistics.median(this), places),
         "against": round(statistics.median(against), places),
         "median_paired_change": round(statistics.median(diffs), places),
-        "pairs_this_lower": sum(d < 0 for d in diffs),
-        "pairs_this_higher": sum(d > 0 for d in diffs),
+        "pairs_this_lower": lower,
+        "pairs_this_higher": higher,
+        "sign_test_p": p,
+        "verdict": ("lower" if lower > higher else "higher") if p < SIGN_TEST_ALPHA else "not decided",
         "this_samples": [round(x, places) for x in this],
         "against_samples": [round(x, places) for x in against],
     }
@@ -147,26 +172,43 @@ def output_files(out: Path) -> dict:
     return digests
 
 
-def measure_pairs(stage: str, trees: dict, works: dict, repeats: int, first: int) -> dict:
-    """One stage run `repeats` times in each tree, the trees' order alternating from `first`."""
+def measure_pairs(commands: dict, trees: dict, repeats: int, first: int) -> dict:
+    """Each tree's command run `repeats` times, the trees' order alternating from `first`.
+
+    commands maps a tree name to (argv, the directory the command writes or None).
+    """
     samples = {name: [] for name in trees}
-    identical = True
+    outputs = {name: [] for name in trees}
     names = list(trees)
     for r in range(repeats):
         order = names if (first + r) % 2 == 0 else names[::-1]
-        outputs = {}
         for name in order:
-            args = stage_args(works[name])[stage]
-            samples[name].append(run_child([sys.executable, "-m", "gatedmem.cli", *args], child_env(trees[name]), trees[name]))
-            outputs[name] = output_files(Path(args[args.index("--out") + 1]))
-        identical &= outputs["this"] == outputs["against"]
+            argv, out = commands[name]
+            samples[name].append(run_child(argv, child_env(trees[name]), trees[name]))
+            if out is not None:
+                outputs[name].append(output_files(out))
     this, against = samples["this"], samples["against"]
-    return {
+    result = {
         "wall_s": paired([w for w, _, _ in this], [w for w, _, _ in against], 4),
         "cpu_s": paired([c for _, c, _ in this], [c for _, c, _ in against], 4),
         "peak_rss_mb": paired([r for _, _, r in this], [r for _, _, r in against], 1),
-        "outputs_identical": identical,
     }
+    if outputs["this"]:
+        result["outputs_identical"] = outputs["this"] == outputs["against"]
+    return result
+
+
+def describe_pairs(label: str, result: dict, repeats: int) -> str:
+    wall, cpu, rss = (result[key] for key in ("wall_s", "cpu_s", "peak_rss_mb"))
+    line = (
+        f"{label}: {wall['this']:.3f} vs {wall['against']:.3f} s "
+        f"(paired {wall['median_paired_change']:+.3f}, lower {wall['pairs_this_lower']}/{repeats}, {wall['verdict']}), "
+        f"CPU {cpu['this']:.3f} vs {cpu['against']:.3f} s ({cpu['verdict']}), "
+        f"{rss['this']:.1f} vs {rss['against']:.1f} MB ({rss['verdict']})"
+    )
+    if "outputs_identical" in result:
+        line += f", outputs {'identical' if result['outputs_identical'] else 'DIFFER'}"
+    return line
 
 
 def world_config(n_examples: int) -> str:
@@ -235,33 +277,37 @@ def main(argv=None) -> int:
             parser.error(f"no gatedmem sources under {root / 'src'}")
     out = args.out or str(ROOT / ("BENCH_scale_ab.json" if args.against else "BENCH_scale.json"))
 
-    record = {"host": host(), "repeats": args.repeats, "sizes": {}}
+    record = {"host": host(), "repeats": args.repeats, "sizes": {}, "startup": {}}
     if args.against:
         record["against_commit"] = commit(trees["against"])
         record["against_source_sha256"] = source_sha256(trees["against"])
         record["against_source_lines"] = source_lines(trees["against"])
-    else:
-        record["import_only"] = measure([sys.executable, "-c", "import gatedmem.cli"], child_env(), args.repeats)
-        print(f"import-only: {record['import_only']['wall_s']:.3f} s", flush=True)
-    work_root = Path(tempfile.mkdtemp(prefix="bench-scale-"))
     pair = 0
+    for code in STARTUP:
+        argv = [sys.executable, "-c", code]
+        if args.against:
+            record["startup"][code] = measure_pairs({name: (argv, None) for name in trees}, trees, args.repeats, pair)
+            pair += args.repeats
+            print(describe_pairs(code, record["startup"][code], args.repeats), flush=True)
+        else:
+            record["startup"][code] = measure(argv, child_env(), args.repeats)
+            startup = record["startup"][code]
+            print(f"{code}: {startup['wall_s']:.3f} s, CPU {startup['cpu_s']:.3f} s, {startup['peak_rss_mb']:.1f} MB", flush=True)
+    work_root = Path(tempfile.mkdtemp(prefix="bench-scale-"))
     try:
         for n in sizes:
             works = {name: make_work(work_root / name / f"n{n}", n) for name in trees}
             stages = {}
             for name, cli_args in stage_args(works["this"]).items():
                 if args.against:
-                    stages[name] = measure_pairs(name, trees, works, args.repeats, pair)
+                    commands = {}
+                    for tree, work in works.items():
+                        tree_args = stage_args(work)[name]
+                        argv = [sys.executable, "-m", "gatedmem.cli", *tree_args]
+                        commands[tree] = (argv, Path(tree_args[tree_args.index("--out") + 1]))
+                    stages[name] = measure_pairs(commands, trees, args.repeats, pair)
                     pair += args.repeats
-                    wall, cpu, rss = (stages[name][key] for key in ("wall_s", "cpu_s", "peak_rss_mb"))
-                    print(
-                        f"n={n} {name}: {wall['this']:.3f} vs {wall['against']:.3f} s "
-                        f"(paired {wall['median_paired_change']:+.3f}, lower {wall['pairs_this_lower']}/{args.repeats}), "
-                        f"CPU {cpu['this']:.3f} vs {cpu['against']:.3f} s, "
-                        f"{rss['this']:.1f} vs {rss['against']:.1f} MB, "
-                        f"outputs {'identical' if stages[name]['outputs_identical'] else 'DIFFER'}",
-                        flush=True,
-                    )
+                    print(describe_pairs(f"n={n} {name}", stages[name], args.repeats), flush=True)
                 else:
                     stages[name] = measure([sys.executable, "-m", "gatedmem.cli", *cli_args], child_env(), args.repeats)
                     stage = stages[name]

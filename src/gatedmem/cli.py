@@ -59,6 +59,9 @@ def _expand_grid(flat: dict[str, str]) -> list[dict[str, str]]:
     combos: list[dict[str, str]] = [{}]
     for key in keys:
         options = [v.strip() for v in flat[key].split(GRID_SEP)]
+        repeated = sorted({v for v in options if options.count(v) > 1})
+        if repeated:
+            raise ValueError(f"{key}: repeated grid alternatives {repeated}")
         combos = [dict(c, **{key: opt}) for c in combos for opt in options]
     return combos
 

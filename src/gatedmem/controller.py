@@ -31,8 +31,8 @@ import numpy as np
 
 from .retrieval import retrieve  # unused; perfbench/test_tracer.py asserts every module's retrieve is one function
 from .util import canonical_json, from_flat, stable_digest, to_flat
+from .worldsim import GUARD_NAMES
 
-GUARD_NAMES = ("format", "valid", "progress", "contract")
 BANK_POLICIES = (
     "gate_only",
     "choose",

@@ -49,7 +49,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bank import BANK_KINDS, BankSnapshot, MemoryBank
-from .controller import GUARD_NAMES
 from .retrieval import (
     TABLE_BLOCK_CELLS,
     blend_rows,
@@ -61,6 +60,7 @@ from .retrieval import (
 from .retrieval import retrieve  # unused; perfbench/test_tracer.py asserts every module's retrieve is one function
 from .util import canonical_json, derive_seed, from_flat, stable_digest, to_flat
 
+GUARD_NAMES = ("format", "valid", "progress", "contract")
 ORACLE_CONTEXTS = ("rule", "exemplar", "dual")
 # bank-policy context -> the banks it retrieves from, in injection order;
 # dual, the widest decode, first, so decode_contexts holds no other context's outputs while it runs

@@ -414,6 +414,7 @@ def test_malformed_world_config_names_the_key(tmp_path, world_config, grid_confi
     [
         pytest.param("budgetB = 2\n", "budgetB", id="unknown-key"),
         pytest.param("tau_percentile = abc\n", "tau_percentile", id="bad-tau_percentile"),
+        pytest.param("margin_m = 0.0|0.0\n", "margin_m", id="repeated-alternative"),
     ],
 )
 def test_unknown_grid_key_names_the_key(tmp_path, world_config, capsys, grid_text, named):

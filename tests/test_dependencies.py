@@ -7,6 +7,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import gatedmem
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -86,3 +90,37 @@ def test_importing_the_cli_loads_neither_fractions_nor_decimal():
     code = "import sys, gatedmem.cli; print(sorted({'fractions', 'decimal'} & set(sys.modules)))"
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_building_a_world_loads_only_the_world_core():
+    # perfbench's set-up process is `import gatedmem` and generate_world, and a module it loads
+    # is compiled and run in every such process
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    code = (
+        "import sys, gatedmem\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gatedmem.')))\n"
+        "gatedmem.generate_world(gatedmem.WorldSpec())\n"
+        "print(sorted(m for m in sys.modules if m.startswith('gatedmem.')))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True)
+    after_import, after_world = done.stdout.splitlines()
+    assert after_import == "[]"
+    loaded = set(ast.literal_eval(after_world))
+    assert "gatedmem.worldsim" in loaded
+    assert not loaded & {"gatedmem.protocol", "gatedmem.stats", "gatedmem.controller", "gatedmem.cli"}
+
+
+def test_every_public_name_is_its_defining_module_attribute():
+    assert gatedmem.__all__ == sorted(set(gatedmem.__all__))
+    assert set(gatedmem.__all__) <= set(dir(gatedmem))
+    for name in gatedmem.__all__:
+        value = getattr(gatedmem, name)
+        assert value.__module__.startswith("gatedmem."), name
+        assert value is getattr(sys.modules[value.__module__], name), name
+
+
+def test_an_unknown_public_name_raises_attribute_error_naming_it():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        gatedmem.no_such_name
+    with pytest.raises(ImportError, match="no_such_name"):
+        from gatedmem import no_such_name  # noqa: F401
