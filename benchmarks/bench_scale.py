@@ -13,35 +13,34 @@ order, each as a fresh ``python -m gatedmem.cli`` process with
     gen-world, fit, fit --governance-rounds 2, test (on the plain fit's
     manifest), counterfactual (one repair edit of E000), governance.
 
-Every stage runs --repeats times; the record keeps each sample and the
-median wall time, median CPU time (the child's ru_utime + ru_stime, over
-all its threads) and median peak RSS (the child's ru_maxrss). Two
-start-up processes are timed the same way, so the floor every process
+Two start-up processes run before the stages, so the floor every process
 pays is visible: ``import gatedmem.cli``, which every stage runs first,
 and ``import gatedmem`` with a default-sized generate_world, the set-up
-that perfbench times. The record
-names the host and whether child processes may write bytecode caches
-(PYTHONDONTWRITEBYTECODE unset), since without them every stage
-recompiles the package. Beside each tree's ``git describe`` the record
-keeps the sha256 of each of its src/gatedmem/*.py files, so it says which
-code ran even when a tree is dirty or not a git checkout, and each file's
-line count, so a change's line delta comes from the same record as its
-timings. A stage that exits non-zero stops the run with exit status 1 and
-its output on stderr.
+that perfbench times. Each start-up process and stage runs --repeats
+times. For each one the record keeps three metrics: wall time, CPU time
+(the child's ru_utime + ru_stime, over all its threads) and peak RSS (the
+child's ru_maxrss). Each metric holds this tree's median and samples
+(``this``, ``this_samples``). The record names the host and whether child
+processes may write bytecode caches (PYTHONDONTWRITEBYTECODE unset), since
+without them every stage recompiles the package. Beside each tree's
+``git describe`` the record keeps the sha256 of each of its
+src/gatedmem/*.py files, so it says which code ran even when a tree is
+dirty or not a git checkout, and each file's line count, so a change's
+line delta comes from the same record as its timings. A process that
+exits non-zero stops the run with exit status 1 and its output on stderr.
 
 --against TREE compares this checkout with another source checkout in one
-run, so drift of the host over time does not read as a change. For each
-size, stage and repeat the stage runs once in each tree, on the same
-inputs, each tree in its own work directory; which tree goes first
-alternates from one pair to the next. The start-up processes run as pairs
-the same way. Per stage and start-up process the record keeps, for wall
-time, CPU time and peak RSS, both trees' samples and medians, the median
-of the paired differences (this tree minus TREE), how many pairs moved
-each way, an exact two-sided sign test p over the pairs that moved and a
-verdict: ``lower`` or ``higher`` when p < 0.05, else ``not decided``.
-Five pairs can never reach it (p >= 2 * 2**-5), so a decided verdict
-needs at least six. Per stage it also keeps whether every output file was
-byte-identical between the trees on every repeat.
+run, so drift of the host over time does not read as a change. Each
+command runs once per repeat in each tree, on the same inputs, each tree
+in its own work directory; which tree goes first alternates from one pair
+to the next. Each metric then also holds TREE's median and samples
+(``against``, ``against_samples``), the median of the paired differences
+(this tree minus TREE), how many pairs moved each way, an exact two-sided
+sign test p over the pairs that moved and a verdict: ``lower`` or
+``higher`` when p < 0.05, else ``not decided``. Five pairs can never
+reach it (p >= 2 * 2**-5), so a decided verdict needs at least six. Per
+stage the record also keeps whether every output file was byte-identical
+between the trees on every repeat.
 """
 
 from __future__ import annotations
@@ -69,33 +68,37 @@ STARTUP = (
     "import gatedmem; gatedmem.generate_world(gatedmem.WorldSpec())",
 )
 SIGN_TEST_ALPHA = 0.05
+# (record key, decimal places) of each metric, in the order run_child returns them
+METRICS = (("wall_s", 4), ("cpu_s", 4), ("peak_rss_mb", 1))
 
 
-def stage_args(work: Path) -> dict[str, list[str]]:
-    """Stage name -> CLI arguments, in the order the stages must run."""
+def stage_commands(work: Path) -> dict[str, tuple[list[str], Path]]:
+    """Stage name -> (argv, the directory the stage writes), in the order the stages must run."""
     cfg = ["--config", str(work / "world.kv")]
     grid = ["--grid", str(ROOT / "configs" / "grid.kv")]
     manifest = ["--manifest", str(work / "fit" / "manifest.json")]
+    stages = {
+        "gen-world": ("world", ["gen-world", *cfg]),
+        "fit": ("fit", ["fit", *cfg, *grid]),
+        "fit --governance-rounds 2": ("fit-gov", ["fit", *cfg, *grid, "--governance-rounds", "2"]),
+        "test": ("test", ["test", *cfg, *manifest]),
+        "counterfactual": ("cf", ["counterfactual", *cfg, *manifest, "--edits", str(work / "edits.jsonl")]),
+        "governance": ("gov", ["governance", *cfg]),
+    }
     return {
-        "gen-world": ["gen-world", *cfg, "--out", str(work / "world")],
-        "fit": ["fit", *cfg, *grid, "--out", str(work / "fit")],
-        "fit --governance-rounds 2": ["fit", *cfg, *grid, "--governance-rounds", "2", "--out", str(work / "fit-gov")],
-        "test": ["test", *cfg, *manifest, "--out", str(work / "test")],
-        "counterfactual": [
-            "counterfactual", *cfg, *manifest, "--edits", str(work / "edits.jsonl"), "--out", str(work / "cf"),
-        ],
-        "governance": ["governance", *cfg, "--out", str(work / "gov")],
+        name: ([sys.executable, "-m", "gatedmem.cli", *args, "--out", str(work / out)], work / out)
+        for name, (out, args) in stages.items()
     }
 
 
-def child_env(root: Path = ROOT) -> dict:
+def child_env(root: Path) -> dict:
     env = dict(os.environ)
     src = str(root / "src")
     env["PYTHONPATH"] = src + (os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else "")
     return env
 
 
-def run_child(argv: list[str], env: dict, cwd: Path = ROOT) -> tuple[float, float, float]:
+def run_child(argv: list[str], env: dict, cwd: Path) -> tuple[float, float, float]:
     """(wall seconds, CPU seconds, peak RSS in MB) of one process; exits 1 if it fails."""
     start = time.perf_counter()
     proc = subprocess.Popen(argv, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT)
@@ -114,19 +117,6 @@ def run_child(argv: list[str], env: dict, cwd: Path = ROOT) -> tuple[float, floa
     return wall, usage.ru_utime + usage.ru_stime, usage.ru_maxrss / 1024.0
 
 
-def measure(argv: list[str], env: dict, repeats: int) -> dict:
-    samples = [run_child(argv, env) for _ in range(repeats)]
-    walls, cpus, rss = zip(*samples)
-    return {
-        "wall_s": round(statistics.median(walls), 4),
-        "cpu_s": round(statistics.median(cpus), 4),
-        "peak_rss_mb": round(statistics.median(rss), 1),
-        "wall_s_samples": [round(w, 4) for w in walls],
-        "cpu_s_samples": [round(c, 4) for c in cpus],
-        "peak_rss_mb_samples": [round(r, 1) for r in rss],
-    }
-
-
 def sign_test_p(lower: int, higher: int) -> float:
     """Exact two-sided sign test p of `lower` against `higher` untied pairs: twice the smaller binomial(n, 1/2) tail, at most 1."""
     n = lower + higher
@@ -134,23 +124,26 @@ def sign_test_p(lower: int, higher: int) -> float:
     return min(1.0, 2 * tail / 2**n)
 
 
-def paired(this: list[float], against: list[float], places: int) -> dict:
-    """Both trees' medians, the median paired difference (this - against), how many pairs moved each way,
-    and the sign test over those pairs with its verdict; tied pairs count for neither side."""
-    diffs = [a - b for a, b in zip(this, against)]
-    lower, higher = sum(d < 0 for d in diffs), sum(d > 0 for d in diffs)
-    p = sign_test_p(lower, higher)
-    return {
-        "this": round(statistics.median(this), places),
-        "against": round(statistics.median(against), places),
-        "median_paired_change": round(statistics.median(diffs), places),
-        "pairs_this_lower": lower,
-        "pairs_this_higher": higher,
-        "sign_test_p": p,
-        "verdict": ("lower" if lower > higher else "higher") if p < SIGN_TEST_ALPHA else "not decided",
-        "this_samples": [round(x, places) for x in this],
-        "against_samples": [round(x, places) for x in against],
-    }
+def summary(samples: dict, places: int) -> dict:
+    """Each tree's median and samples of one metric. With a second tree, also the median paired difference
+    (this - against), how many pairs moved each way, and the sign test over those pairs with its verdict;
+    tied pairs count for neither side."""
+    result = {}
+    for name, values in samples.items():
+        result[name] = round(statistics.median(values), places)
+        result[f"{name}_samples"] = [round(x, places) for x in values]
+    if "against" in samples:
+        diffs = [a - b for a, b in zip(samples["this"], samples["against"])]
+        lower, higher = sum(d < 0 for d in diffs), sum(d > 0 for d in diffs)
+        p = sign_test_p(lower, higher)
+        result.update(
+            median_paired_change=round(statistics.median(diffs), places),
+            pairs_this_lower=lower,
+            pairs_this_higher=higher,
+            sign_test_p=p,
+            verdict=("lower" if lower > higher else "higher") if p < SIGN_TEST_ALPHA else "not decided",
+        )
+    return result
 
 
 def output_files(out: Path) -> dict:
@@ -172,8 +165,9 @@ def output_files(out: Path) -> dict:
     return digests
 
 
-def measure_pairs(commands: dict, trees: dict, repeats: int, first: int) -> dict:
-    """Each tree's command run `repeats` times, the trees' order alternating from `first`.
+def measure(commands: dict, trees: dict, repeats: int, first: int) -> dict:
+    """Each tree's command run `repeats` times, summarised per metric; with two trees, which goes first
+    alternates from `first`, and the result says whether they wrote the same files on every repeat.
 
     commands maps a tree name to (argv, the directory the command writes or None).
     """
@@ -185,30 +179,35 @@ def measure_pairs(commands: dict, trees: dict, repeats: int, first: int) -> dict
         for name in order:
             argv, out = commands[name]
             samples[name].append(run_child(argv, child_env(trees[name]), trees[name]))
-            if out is not None:
+            if out is not None and len(trees) > 1:
                 outputs[name].append(output_files(out))
-    this, against = samples["this"], samples["against"]
     result = {
-        "wall_s": paired([w for w, _, _ in this], [w for w, _, _ in against], 4),
-        "cpu_s": paired([c for _, c, _ in this], [c for _, c, _ in against], 4),
-        "peak_rss_mb": paired([r for _, _, r in this], [r for _, _, r in against], 1),
+        key: summary({name: [run[i] for run in runs] for name, runs in samples.items()}, places)
+        for i, (key, places) in enumerate(METRICS)
     }
     if outputs["this"]:
         result["outputs_identical"] = outputs["this"] == outputs["against"]
     return result
 
 
-def describe_pairs(label: str, result: dict, repeats: int) -> str:
-    wall, cpu, rss = (result[key] for key in ("wall_s", "cpu_s", "peak_rss_mb"))
-    line = (
-        f"{label}: {wall['this']:.3f} vs {wall['against']:.3f} s "
-        f"(paired {wall['median_paired_change']:+.3f}, lower {wall['pairs_this_lower']}/{repeats}, {wall['verdict']}), "
-        f"CPU {cpu['this']:.3f} vs {cpu['against']:.3f} s ({cpu['verdict']}), "
-        f"{rss['this']:.1f} vs {rss['against']:.1f} MB ({rss['verdict']})"
-    )
+def describe(label: str, result: dict, repeats: int) -> str:
+    """One line: each metric's median in this tree and, with a second tree, its median there,
+    the median paired change, how many pairs this tree was lower in, and the verdict."""
+    parts = []
+    for key, prefix, unit, digits in (("wall_s", "", "s", 3), ("cpu_s", "CPU ", "s", 3), ("peak_rss_mb", "", "MB", 1)):
+        metric = result[key]
+        part = f"{prefix}{metric['this']:.{digits}f}"
+        if "against" in metric:
+            part += (
+                f" vs {metric['against']:.{digits}f} {unit} ({metric['median_paired_change']:+.{digits}f}, "
+                f"lower {metric['pairs_this_lower']}/{repeats}, {metric['verdict']})"
+            )
+        else:
+            part += f" {unit}"
+        parts.append(part)
     if "outputs_identical" in result:
-        line += f", outputs {'identical' if result['outputs_identical'] else 'DIFFER'}"
-    return line
+        parts.append(f"outputs {'identical' if result['outputs_identical'] else 'DIFFER'}")
+    return f"{label}: {', '.join(parts)}"
 
 
 def world_config(n_examples: int) -> str:
@@ -259,6 +258,22 @@ def make_work(work: Path, n: int) -> Path:
     return work
 
 
+def every_command(record: dict, trees: dict, sizes: list[int], work_root: Path):
+    """(record section, key, label, commands) of each measurement in run order: the start-up processes,
+    then each stage at each size. commands maps a tree name to (argv, the directory it writes or None).
+    Each size's work directories are removed once its stages have run."""
+    for code in STARTUP:
+        yield record["startup"], code, code, {name: ([sys.executable, "-c", code], None) for name in trees}
+    for n in sizes:
+        works = {name: make_work(work_root / name / f"n{n}", n) for name in trees}
+        stages = {name: stage_commands(work) for name, work in works.items()}
+        section = record["sizes"][str(n)] = {}
+        for stage in stages["this"]:
+            yield section, stage, f"n={n} {stage}", {name: commands[stage] for name, commands in stages.items()}
+        for work in works.values():
+            shutil.rmtree(work, ignore_errors=True)
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--sizes", default=",".join(map(str, DEFAULT_SIZES)), help="comma-separated n_examples")
@@ -266,7 +281,10 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="record path (default BENCH_scale.json, or BENCH_scale_ab.json with --against)")
     parser.add_argument("--against", type=Path, help="another source checkout to compare with, stage by stage")
     args = parser.parse_args(argv)
-    sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",") if s.strip()]
+    except ValueError as exc:
+        parser.error(f"--sizes: {exc}")
     if args.repeats < 1 or not sizes or min(sizes) < 1:
         parser.error("--repeats and every size must be >= 1")
     trees = {"this": ROOT}
@@ -282,39 +300,11 @@ def main(argv=None) -> int:
         record["against_commit"] = commit(trees["against"])
         record["against_source_sha256"] = source_sha256(trees["against"])
         record["against_source_lines"] = source_lines(trees["against"])
-    pair = 0
-    for code in STARTUP:
-        argv = [sys.executable, "-c", code]
-        if args.against:
-            record["startup"][code] = measure_pairs({name: (argv, None) for name in trees}, trees, args.repeats, pair)
-            pair += args.repeats
-            print(describe_pairs(code, record["startup"][code], args.repeats), flush=True)
-        else:
-            record["startup"][code] = measure(argv, child_env(), args.repeats)
-            startup = record["startup"][code]
-            print(f"{code}: {startup['wall_s']:.3f} s, CPU {startup['cpu_s']:.3f} s, {startup['peak_rss_mb']:.1f} MB", flush=True)
     work_root = Path(tempfile.mkdtemp(prefix="bench-scale-"))
     try:
-        for n in sizes:
-            works = {name: make_work(work_root / name / f"n{n}", n) for name in trees}
-            stages = {}
-            for name, cli_args in stage_args(works["this"]).items():
-                if args.against:
-                    commands = {}
-                    for tree, work in works.items():
-                        tree_args = stage_args(work)[name]
-                        argv = [sys.executable, "-m", "gatedmem.cli", *tree_args]
-                        commands[tree] = (argv, Path(tree_args[tree_args.index("--out") + 1]))
-                    stages[name] = measure_pairs(commands, trees, args.repeats, pair)
-                    pair += args.repeats
-                    print(describe_pairs(f"n={n} {name}", stages[name], args.repeats), flush=True)
-                else:
-                    stages[name] = measure([sys.executable, "-m", "gatedmem.cli", *cli_args], child_env(), args.repeats)
-                    stage = stages[name]
-                    print(f"n={n} {name}: {stage['wall_s']:.3f} s, CPU {stage['cpu_s']:.3f} s, {stage['peak_rss_mb']:.1f} MB", flush=True)
-            record["sizes"][str(n)] = stages
-            for work in works.values():
-                shutil.rmtree(work, ignore_errors=True)
+        for i, (section, key, label, commands) in enumerate(every_command(record, trees, sizes, work_root)):
+            section[key] = measure(commands, trees, args.repeats, i * args.repeats)
+            print(describe(label, section[key], args.repeats), flush=True)
     finally:
         shutil.rmtree(work_root, ignore_errors=True)
     with open(out, "w", encoding="utf-8") as fh:

@@ -71,6 +71,8 @@ def _resolve_candidates(world, fit_ids, combos) -> list[PolicyConfig]:
     for combo in combos:
         combo = dict(combo)
         pct = combo.pop("tau_percentile", None)
+        if pct is not None and "tau" in combo:
+            raise ValueError("grid sets both tau and tau_percentile; tau_percentile chooses tau, so set one of them")
         policy = PolicyConfig.from_flat(combo)
         if pct is not None:
             pct = parse_value("tau_percentile", float, pct)
@@ -111,9 +113,6 @@ def cmd_fit(args) -> int:
 
 
 def cmd_test(args) -> int:
-    if not args.manifest or not os.path.exists(args.manifest):
-        print("error: test requires a fit manifest (--manifest)", file=sys.stderr)
-        return 2
     spec = _load_spec(args)
     manifest = FreezeManifest.load(args.manifest)
     os.makedirs(args.out, exist_ok=True)
@@ -127,12 +126,6 @@ def cmd_test(args) -> int:
 
 
 def cmd_counterfactual(args) -> int:
-    if not args.manifest or not os.path.exists(args.manifest):
-        print("error: counterfactual requires a fit manifest (--manifest)", file=sys.stderr)
-        return 2
-    if not args.edits:
-        print("error: counterfactual requires --edits", file=sys.stderr)
-        return 2
     world = _load_world(args)
     manifest = FreezeManifest.load(args.manifest)
     edited_ids = load_edits(args.edits)
@@ -227,9 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=None, help="override the spec's seed")
         p.add_argument("--out", default="out", help="output directory")
         if manifest:
-            p.add_argument("--manifest", default=None, help="freeze manifest path")
+            p.add_argument("--manifest", required=True, help="freeze manifest path")
         if edits:
-            p.add_argument("--edits", default=None, help="edits file, one json object per line")
+            p.add_argument("--edits", required=True, help="edits file, one json object per line")
 
     p = sub.add_parser("gen-world", help="generate and dump a world")
     common(p)

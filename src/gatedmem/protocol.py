@@ -798,10 +798,10 @@ def run_counterfactual(
     edited[world.columns(edited_ids)] = True
     hit = (filled & edited[columns]).any(axis=1)
 
-    # Each mode's table is reduced to what the audits and rows read as it
-    # finishes. The fixed modes read the original snapshots, so they run
-    # before the drifted snapshots of the free reruns replace those
-    # retrieval tables.
+    # Each mode's run is reduced to what the audits and rows read as it
+    # finishes. The fixed modes replay the original run's deciding
+    # injections and read no retrieval table; only the free reruns rank
+    # snapshots, the drifted ones.
     fixed = {
         version: _fixed_replay(
             run_steps(world, policy, snapshots, ex, version, edited_ids, frozen=original),

@@ -117,6 +117,27 @@ def test_test_without_manifest_errors(tmp_path, world_config, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "stage, missing",
+    [("test", "--manifest"), ("counterfactual", "--manifest"), ("counterfactual", "--edits")],
+)
+def test_nonexistent_input_path_exits_1_naming_the_path(tmp_path, world_config, grid_config, capsys, stage, missing):
+    fit_out = tmp_path / "fit"
+    assert main(["fit", "--config", world_config, "--grid", grid_config, "--out", str(fit_out)]) == 0
+    save_edits(["E000"], str(tmp_path / "edits.jsonl"))
+    inputs = {"--manifest": str(fit_out / "manifest.json"), "--edits": str(tmp_path / "edits.jsonl")}
+    inputs[missing] = str(tmp_path / "nosuch.json")
+    if stage == "test":
+        del inputs["--edits"]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    argv = [stage, "--config", world_config, *(a for item in inputs.items() for a in item), "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "nosuch.json") in err
+    assert not out.exists()
+
+
 def test_test_with_tampered_manifest_errors(tmp_path, world_config, grid_config, capsys):
     fit_out = str(tmp_path / "fit")
     main(["fit", "--config", world_config, "--grid", grid_config, "--out", fit_out])
@@ -415,6 +436,10 @@ def test_malformed_world_config_names_the_key(tmp_path, world_config, grid_confi
         pytest.param("budgetB = 2\n", "budgetB", id="unknown-key"),
         pytest.param("tau_percentile = abc\n", "tau_percentile", id="bad-tau_percentile"),
         pytest.param("margin_m = 0.0|0.0\n", "margin_m", id="repeated-alternative"),
+        # tau_percentile would choose every candidate's tau, so the grid's taus would be dropped
+        pytest.param(
+            "tau = 0.3|0.6\ntau_percentile = 35\nbank_policy = dual\n", "tau and tau_percentile", id="tau-and-tau_percentile"
+        ),
     ],
 )
 def test_unknown_grid_key_names_the_key(tmp_path, world_config, capsys, grid_text, named):

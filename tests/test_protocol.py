@@ -12,6 +12,7 @@ import pytest
 from conftest import (
     COUNTERFACTUAL_OUTCOMES,
     arith_shape_spec,
+    count_query_draws,
     localization_shape_spec,
     reference_conf_bins_text,
     reference_counterfactual,
@@ -999,6 +1000,22 @@ def test_governance_releases_tables_no_later_round_reads(monkeypatch):
     assert kept[-1].items() <= report.rounds[-1].bank_hashes.items()  # only the last round's tables stay
     _uncached(monkeypatch)
     assert _governance_outputs(generate_world(spec))[0] == outputs
+
+
+def test_fixed_replay_draws_no_query_rows(monkeypatch):
+    # a fixed replay injects the original run's deciding injections, so it ranks no snapshot
+    # and reads no retrieval table, even when every read would rank afresh
+    world, manifest, edited = make_counterfactual_setup(seed=18)
+    policy, snapshots, test_ids = protocol.frozen_inputs(world, manifest)
+    original = evaluate_policy(world, policy, snapshots, test_ids)
+    _uncached(monkeypatch)
+    drawn = count_query_draws(monkeypatch)
+    for version in ("repair", "corrupt"):
+        replay = protocol.run_steps(world, policy, snapshots, original.example_ids, version, tuple(edited), frozen=original)
+        assert replay.routed.any()
+    assert drawn == []
+    assert protocol.run_steps(world, policy, snapshots, original.example_ids, "repair", tuple(edited)).routed.any()
+    assert drawn  # the same run without `frozen` ranks its rows
 
 
 def test_counterfactual_releases_drifted_tables(monkeypatch):
