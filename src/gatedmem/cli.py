@@ -37,15 +37,14 @@ from .protocol import (
     write_outcome_table,
 )
 from .retrieval import load_edits
-from .util import parse_kv_file, parse_value, write_kv_file
+from .util import parse_kv_file, parse_value, write_json, write_kv_file
 from .worldsim import WorldSpec, generate_world
 
 GRID_SEP = "|"  # alternatives within one grid value; commas stay inside values
 
 
 def _load_spec(args) -> WorldSpec:
-    spec = WorldSpec.from_flat(parse_kv_file(args.config))
-    return spec if args.seed is None else replace(spec, seed=args.seed)
+    return WorldSpec.from_flat(parse_kv_file(args.config))
 
 
 def _load_world(args):
@@ -97,7 +96,7 @@ def cmd_gen_world(args) -> int:
 
 def cmd_fit(args) -> int:
     world = _load_world(args)
-    fit_ids, test_ids = split_indices(world.spec.n_examples, args.fit_fraction, args.split_seed)
+    fit_ids, test_ids = split_indices(world.spec.n_examples)
     combos = _expand_grid(parse_kv_file(args.grid)) if args.grid else [{}]
     candidates = _resolve_candidates(world, fit_ids, combos)
     manifest, policy, snapshots = run_fit_stage(
@@ -146,14 +145,12 @@ def cmd_counterfactual(args) -> int:
 
 def _write_audit(out: str, audit: dict) -> None:
     os.makedirs(out, exist_ok=True)
-    with open(os.path.join(out, "audit.json"), "w", encoding="utf-8") as fh:
-        json.dump(audit, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(out, "audit.json"), audit)
 
 
 def cmd_governance(args) -> int:
     world = _load_world(args)
-    fit_ids, _ = split_indices(world.spec.n_examples, args.fit_fraction, args.split_seed)
+    fit_ids, _ = split_indices(world.spec.n_examples)
     policy = (
         PolicyConfig.from_flat(parse_kv_file(args.policy)) if args.policy else PolicyConfig()
     )
@@ -174,9 +171,7 @@ def cmd_governance(args) -> int:
             for r in report.rounds
         ],
     }
-    with open(os.path.join(args.out, "governance.json"), "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(os.path.join(args.out, "governance.json"), payload)
     for r in report.rounds:
         gap = "absent" if r.gap_close is None else f"{r.gap_close:.4f}"
         print(f"round {r.index}: fit_acc={r.fit_accuracy:.4f} gap_close={gap} retired={len(r.retired_ids)}")
@@ -217,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, manifest=False, edits=False):
         p.add_argument("--config", required=True, help="world spec, flat key=value file")
-        p.add_argument("--seed", type=int, default=None, help="override the spec's seed")
         p.add_argument("--out", default="out", help="output directory")
         if manifest:
             p.add_argument("--manifest", required=True, help="freeze manifest path")
@@ -231,8 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit-stage selection and freeze")
     common(p)
     p.add_argument("--grid", default=None, help="policy grid, flat key=value with | alternatives")
-    p.add_argument("--fit-fraction", type=float, default=0.5)
-    p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--governance-rounds", type=int, default=0)
     p.set_defaults(func=cmd_fit)
 
@@ -251,8 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("governance", help="evidence/retirement rounds on the fit split")
     common(p)
     p.add_argument("--rounds", type=int, default=5)
-    p.add_argument("--fit-fraction", type=float, default=0.5)
-    p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--policy", default=None, help="policy config, flat key=value file")
     p.set_defaults(func=cmd_governance)
 

@@ -139,15 +139,14 @@ def compose_bank_policy(policy: PolicyConfig) -> list[tuple[tuple[str, ...], boo
 class StepTable:
     """A batched run: one row per step, in episode then step order.
 
-    Attempt a of a routed step is entry a of its bank plan. columns/filled
-    give what each attempt injects and pairs the pair-latent bytes it
-    decodes them with (see World.injected), padded with unfilled slots to
-    the widest attempt; a step tries attempt a + 1 only if attempt a was
-    rejected.
+    Attempt a of a routed step is entry a of its bank plan (compose_bank_policy;
+    a fixed replay has one attempt). columns/filled give what each attempt
+    injects and pairs the pair-latent bytes it decodes them with (see
+    World.injected), padded with unfilled slots to the widest attempt; a
+    step tries attempt a + 1 only if attempt a was rejected.
     """
 
     world: object
-    plan: tuple  # ((banks, bypass_margin), ...)
     episode_ids: np.ndarray
     example_ids: np.ndarray
     step_index: np.ndarray
@@ -289,7 +288,6 @@ def run_steps(
             full[routed, a, :values.shape[1]] = values
     return StepTable(
         world=world,
-        plan=plan,
         episode_ids=episode,
         example_ids=ex,
         step_index=position,

@@ -38,7 +38,7 @@ from .controller import (
 )
 from .errors import AuditFailure, FreezeMismatch, ProtocolViolation
 from .stats import bootstrap_ci, confidence_bins, mcnemar_exact, randomization_interaction_test
-from .util import indices_digest
+from .util import indices_digest, read_text, write_json
 from .worldsim import ORACLE_CONTEXTS, World, WorldSpec
 
 COMPARATORS = ("retry", "always_retrieve", "fixed_budget")
@@ -68,9 +68,6 @@ class FreezeManifest:
     world_hash: str
     selection_record: dict
 
-    def to_json(self) -> str:
-        return json.dumps(vars(self), sort_keys=True, indent=2)
-
     @staticmethod
     def from_json(text: str) -> "FreezeManifest":
         try:
@@ -98,13 +95,11 @@ class FreezeManifest:
         return FreezeManifest(**raw)
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_json() + "\n")
+        write_json(path, vars(self))
 
     @staticmethod
     def load(path: str) -> "FreezeManifest":
-        with open(path, "r", encoding="utf-8") as fh:
-            return FreezeManifest.from_json(fh.read())
+        return FreezeManifest.from_json(read_text(path))
 
     def validate(self, world: World, policy: PolicyConfig, snapshots: dict) -> None:
         """Hard failure if any test-stage input hashes differently."""

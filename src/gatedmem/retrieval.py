@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bank import BankSnapshot
-from .util import derive_seed
+from .util import derive_seed, read_text
 
 EDIT_KINDS = ("repair", "corrupt")
 
@@ -165,28 +165,27 @@ def load_edits(path: str) -> list[str]:
     """
     names = ["entry_id", "new_payload", "edit_kind"]
     seen: dict = {}  # entry_id -> the line that edits it
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                rec = json.loads(line)
-                if not isinstance(rec, dict):
-                    raise ValueError(f"expected a JSON object with fields {names}, got {line.strip()!r}")
-                missing = [k for k in names if k not in rec]
-                if missing:
-                    raise ValueError(f"missing field {', '.join(missing)}")
-                not_text = [k for k in names if not isinstance(rec[k], str)]
-                if not_text:
-                    raise ValueError(f"field {', '.join(not_text)} must be a string")
-                if rec["edit_kind"] not in EDIT_KINDS:
-                    raise ValueError(f"edit_kind must be one of {EDIT_KINDS}, got {rec['edit_kind']!r}")
-                entry_id = rec["entry_id"]
-                if entry_id in seen:
-                    raise ValueError(f"entry_id {entry_id!r} is already edited on line {seen[entry_id]}")
-                seen[entry_id] = lineno
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            if not isinstance(rec, dict):
+                raise ValueError(f"expected a JSON object with fields {names}, got {line.strip()!r}")
+            missing = [k for k in names if k not in rec]
+            if missing:
+                raise ValueError(f"missing field {', '.join(missing)}")
+            not_text = [k for k in names if not isinstance(rec[k], str)]
+            if not_text:
+                raise ValueError(f"field {', '.join(not_text)} must be a string")
+            if rec["edit_kind"] not in EDIT_KINDS:
+                raise ValueError(f"edit_kind must be one of {EDIT_KINDS}, got {rec['edit_kind']!r}")
+            entry_id = rec["entry_id"]
+            if entry_id in seen:
+                raise ValueError(f"entry_id {entry_id!r} is already edited on line {seen[entry_id]}")
+            seen[entry_id] = lineno
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not seen:
         raise ValueError(f"{path}: no edits")
     return list(seen)

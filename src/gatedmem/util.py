@@ -42,24 +42,38 @@ def parse_kv_file(path: str) -> dict[str, str]:
     Keys may be dotted (e.g. applicability_rate.rule) to express flat maps.
     """
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
-            key, value = (t.strip() for t in line.split("=", 1))
-            if key in out:
-                raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
-            out[key] = value
+    for lineno, raw in enumerate(read_text(path).split("\n"), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected 'key = value', got {raw!r}")
+        key, value = (t.strip() for t in line.split("=", 1))
+        if key in out:
+            raise ValueError(f"{path}:{lineno}: repeated key {key!r}")
+        out[key] = value
     return out
+
+
+def read_text(path: str) -> str:
+    """The text of a UTF-8 file; bytes that are not UTF-8 are a ValueError naming the file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text ({exc})") from None
 
 
 def write_kv_file(path: str, items: Mapping[str, Any]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for key in sorted(items):
             fh.write(f"{key} = {items[key]}\n")
+
+
+def write_json(path: str, obj: Any) -> None:
+    """Pretty JSON document: sorted keys, two-space indent, one trailing newline."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
 @functools.cache

@@ -694,7 +694,7 @@ def reference_counterfactual(world, policy, snapshots, test_ids, edited_ids, n_p
 
 
 def reference_manifest_json(manifest) -> str:
-    """FreezeManifest.to_json through a deep copy of every field."""
+    """manifest.json's text without its trailing newline, through a deep copy of every field."""
     return json.dumps(asdict(manifest), sort_keys=True, indent=2)
 
 

@@ -1,5 +1,6 @@
 """CLI subcommands drive the full protocol through files."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 import gatedmem
 from conftest import count_query_draws, save_edits
 from gatedmem import protocol
-from gatedmem.cli import main
+from gatedmem.cli import build_parser, main
 
 
 @pytest.fixture()
@@ -340,6 +341,45 @@ def test_governance_flow(tmp_path, world_config, capsys):
     assert "selected_iteration" in payload
 
 
+def test_governance_on_fits_policy_evaluates_the_manifest_fit_split(tmp_path, world_config, grid_config, capsys):
+    # governance reads no manifest: it draws the world from the config's seed and takes the fit split
+    # that fit records, so round 0 (the unchanged banks) scores fit's policy as fit did
+    fit_out, gov_out = tmp_path / "fit", tmp_path / "gov"
+    assert main(["fit", "--config", world_config, "--grid", grid_config, "--out", str(fit_out)]) == 0
+    policy = str(fit_out / "policy.kv")
+    assert main(["governance", "--config", world_config, "--policy", policy, "--rounds", "1", "--out", str(gov_out)]) == 0
+    record = json.loads((fit_out / "manifest.json").read_text())["selection_record"]
+    report = json.loads((gov_out / "governance.json").read_text())
+    n = len(record["fit_ids"])
+    net_helps = round((report["rounds"][0]["fit_accuracy"] - report["baseline_accuracy"]) * n)
+    assert net_helps == round(record["fit_delta_acc"] * n) != 0
+
+
+def test_each_subcommand_takes_exactly_its_options(capsys):
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    options = {
+        name: sorted(a.option_strings[0] if a.option_strings else a.dest for a in sub._actions if a.dest != "help")
+        for name, sub in subparsers.choices.items()
+    }
+    assert options == {
+        "gen-world": ["--config", "--out"],
+        "fit": ["--config", "--governance-rounds", "--grid", "--out"],
+        "test": ["--config", "--manifest", "--out", "--pool-seeds"],
+        "counterfactual": ["--config", "--edits", "--manifest", "--out"],
+        "governance": ["--config", "--out", "--policy", "--rounds"],
+        "ledger-check": ["row"],
+    }
+    # the config's seed is the only world seed and the fit split is fixed, so no stage takes either
+    required = {"test": ["--manifest", "m.json"], "counterfactual": ["--manifest", "m.json", "--edits", "e.jsonl"]}
+    for argv in (
+        *([stage, "--config", "w.kv", *required.get(stage, []), "--seed", "5"] for stage in options if stage != "ledger-check"),
+        ["fit", "--config", "w.kv", "--fit-fraction", "0.6"],
+        ["governance", "--config", "w.kv", "--split-seed", "1"],
+    ):
+        assert main(argv) == 2, argv
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_ledger_check_consistent(capsys):
     assert main(["ledger-check", "n=540", "dacc=0.0019", "hh=1", "p=1"]) == 0
     assert "h=1 u=0" in capsys.readouterr().out
@@ -378,6 +418,22 @@ def test_ledger_check_rejects_bad_values(capsys, row, named):
 
 def test_unknown_subcommand(capsys):
     assert main(["frobnicate"]) != 0
+
+
+@pytest.mark.parametrize("flag", ["--config", "--grid", "--policy", "--manifest", "--edits"])
+def test_input_file_that_is_not_utf8_names_the_file(request, tmp_path, world_config, capsys, flag):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"seed = 5\n# caf\xff\n")
+    out = tmp_path / "out"
+    stage = {"--config": "gen-world", "--grid": "fit", "--policy": "governance", "--manifest": "test"}
+    if flag == "--edits":
+        argv = ["counterfactual", "--config", world_config, "--manifest", str(request.getfixturevalue("fitted"))]
+    else:
+        argv = [stage[flag]] + (["--config", world_config] if flag != "--config" else [])
+    capsys.readouterr()
+    assert main([*argv, flag, str(bad), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {bad}: not UTF-8 text (")
+    assert not out.exists()
 
 
 def test_malformed_config(tmp_path, capsys):
@@ -483,11 +539,11 @@ def test_bad_policy_value_names_the_key(tmp_path, world_config, capsys, policy_t
 
 def test_fit_refuses_a_split_with_an_empty_side(tmp_path, capsys):
     config = tmp_path / "tiny.kv"
-    config.write_text("n_examples = 3\nseed = 1\n")
+    config.write_text("n_examples = 1\nseed = 1\n")
     out = tmp_path / "fit"
-    assert main(["fit", "--config", str(config), "--fit-fraction", "0.9", "--out", str(out)]) == 1
+    assert main(["fit", "--config", str(config), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert "n=3" in err and "fit_fraction=0.9" in err and "test split empty" in err
+    assert "n=1" in err and "fit_fraction=0.5" in err and "test split empty" in err
     assert not out.exists()
 
 
@@ -597,15 +653,6 @@ def test_unknown_edit_entry_is_a_plain_error(tmp_path, world_config, fitted, cap
     )
     assert code == 1
     assert capsys.readouterr().err == "error: edit references unknown entry 'E999'\n"
-
-
-def test_seed_override(tmp_path, world_config, capsys):
-    out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-    main(["gen-world", "--config", world_config, "--out", out1, "--seed", "77"])
-    main(["gen-world", "--config", world_config, "--out", out2])
-    h1 = Path(out1, "bank_rule.jsonl").read_text()
-    h2 = Path(out2, "bank_rule.jsonl").read_text()
-    assert h1 != h2
 
 
 # sha256 of every file the README quickstart writes on the shipped configs.

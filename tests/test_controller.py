@@ -437,22 +437,22 @@ def _names(world, columns, filled):
     return tuple(world.entry_ids[c] for c in columns[filled].tolist())
 
 
-def _carries_retrieval(steps, version, attempt):
+def _carries_retrieval(steps, version, attempt, fixed):
     """Which steps' attempt carries a retrieval result: none without memory (the `none` version),
-    and in fixed replay every tried attempt, whose frozen injection may be empty."""
+    and in a fixed replay every tried attempt, whose frozen injection may be empty."""
     if version == "none":
         return np.zeros(len(steps.routed), bool)
-    if steps.plan[0][0] == ("frozen",):
+    if fixed:
         return steps.tried[:, attempt]
     return steps.tried[:, attempt] & steps.filled[:, attempt].any(axis=1)
 
 
-def _frozen_identities(steps, version="original"):
+def _frozen_identities(steps, version="original", fixed=False):
     """Example id -> deciding injection of every routed step that carries a retrieval."""
     columns, filled, _ = steps.deciding_injection()
     carries = np.zeros(len(steps.routed), bool)
-    for a in range(len(steps.plan)):
-        carries |= _carries_retrieval(steps, version, a) & (steps.deciding == a)
+    for a in range(steps.tried.shape[1]):
+        carries |= _carries_retrieval(steps, version, a, fixed) & (steps.deciding == a)
     return {
         idx: _names(steps.world, columns[s], filled[s])
         for s, idx in enumerate(steps.example_ids.tolist())
@@ -460,11 +460,12 @@ def _frozen_identities(steps, version="original"):
     }
 
 
-def _table_view(steps, version):
-    """Each step of a StepTable run of a content version as (example, episode, position, baseline
-    correct and confidence, routed, accepted, final correct, attempts); each tried attempt as
-    (index, carries a retrieval, injected ids, decoded, second correct, confidence, accepted)."""
-    retrieved = [_carries_retrieval(steps, version, a) for a in range(len(steps.plan))]
+def _table_view(steps, version, fixed):
+    """Each step of a StepTable run of a content version (a fixed replay if `fixed`) as (example,
+    episode, position, baseline correct and confidence, routed, accepted, final correct, attempts);
+    each tried attempt as (index, carries a retrieval, injected ids, decoded, second correct,
+    confidence, accepted)."""
+    retrieved = [_carries_retrieval(steps, version, a, fixed) for a in range(steps.tried.shape[1])]
     final = steps.final_correct.tolist()
     view = []
     for s, idx in enumerate(steps.example_ids.tolist()):
@@ -539,7 +540,7 @@ def _assert_matches_reference(
     if comparator is not None:
         policy, version = _comparator_variant(policy, version, comparator)
     want = reference_traces(world, policy, snaps, ids, version, edited_ids, frozen_map)
-    assert _table_view(steps, version) == _reference_view(world, want)
+    assert _table_view(steps, version, frozen is not None) == _reference_view(world, want)
     ref_steps = [s for t in want for s in t.steps]
     outcome = {s.example_id: utility(world, s.example_id, s.final_action) for s in ref_steps}
     assert steps.final_correct.tolist() == [bool(outcome[i]) for i in steps.example_ids.tolist()]
@@ -555,7 +556,7 @@ def _assert_matches_reference(
         count, total = totals[r.entry_id]
         totals[r.entry_id] = (count + 1, total + r.utility)
     assert _evidence(batched) == totals
-    assert _frozen_identities(steps, version) == reference_freeze_identities(want)
+    assert _frozen_identities(steps, version, frozen is not None) == reference_freeze_identities(want)
     return steps
 
 
