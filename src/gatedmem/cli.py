@@ -51,9 +51,11 @@ def _load_world(args):
     return generate_world(_load_spec(args))
 
 
-def _expand_grid(flat: dict[str, str]) -> list[dict[str, str]]:
+def _expand_grid(flat: dict[str, str], path: str) -> list[dict[str, str]]:
     # cross product of | alternatives; resolved to PolicyConfig later because
     # tau_percentile needs the world's fit confidences
+    if not flat:
+        raise ValueError(f"{path}: no grid keys")
     keys = sorted(flat)
     combos: list[dict[str, str]] = [{}]
     for key in keys:
@@ -96,12 +98,10 @@ def cmd_gen_world(args) -> int:
 
 def cmd_fit(args) -> int:
     world = _load_world(args)
-    fit_ids, test_ids = split_indices(world.spec.n_examples)
-    combos = _expand_grid(parse_kv_file(args.grid)) if args.grid else [{}]
+    fit_ids, _ = split_indices(world.spec.n_examples)  # the split run_fit_stage draws at its defaults
+    combos = _expand_grid(parse_kv_file(args.grid), args.grid) if args.grid else [{}]
     candidates = _resolve_candidates(world, fit_ids, combos)
-    manifest, policy, snapshots = run_fit_stage(
-        world, candidates, fit_ids, test_ids, governance_rounds=args.governance_rounds
-    )
+    manifest, policy, snapshots = run_fit_stage(world, candidates, governance_rounds=args.governance_rounds)
     os.makedirs(args.out, exist_ok=True)
     manifest.save(os.path.join(args.out, "manifest.json"))
     write_kv_file(os.path.join(args.out, "policy.kv"), policy.to_flat())

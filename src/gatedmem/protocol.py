@@ -4,11 +4,11 @@ The fit stage grid-searches candidate policies on the fit split, optionally
 runs governance rounds (evaluate, attach evidence, retire), and emits a
 freeze manifest hashing the policy, the frozen bank snapshots, the world,
 and the split. The frozen stages, test and counterfactual, take only a
-world and the manifest: frozen_inputs reads the policy, the bank
-membership and the split back from it and cuts the world's banks to that
-membership, and FreezeManifest.validate refuses inputs that hash
-differently. The test stage evaluates the frozen policy against the
-comparator family on the disjoint test split and emits internally
+world and the manifest: frozen_inputs refuses a world that hashes
+differently, reads the policy, the bank membership and the split's
+parameters back, cuts the world's banks to that membership, and refuses a
+policy, bank or split that hashes differently. The test stage evaluates
+the frozen policy against the comparator family on the disjoint test split and emits internally
 consistent ledger rows. The counterfactual runner replays edited entries
 as repair and corrupt in free-rerun and fixed-retrieval modes and audits
 the free = content + drift decomposition row by row at zero tolerance.
@@ -38,7 +38,7 @@ from .controller import (
 )
 from .errors import AuditFailure, FreezeMismatch, ProtocolViolation
 from .stats import bootstrap_ci, confidence_bins, mcnemar_exact, randomization_interaction_test
-from .util import indices_digest, read_text, write_json
+from .util import read_text, stable_digest, write_json
 from .worldsim import ORACLE_CONTEXTS, World, WorldSpec
 
 COMPARATORS = ("retry", "always_retrieve", "fixed_budget")
@@ -50,7 +50,7 @@ FIXED_BUDGET_K = 2  # comparator retrieves up to k=2 per episode, no guards, no 
 ROUTE_AND_ACCEPT_ALL = dict(tau=math.inf, margin_m=-math.inf, guards_enabled=frozenset())
 # selection_record entries that the test stage reads back, with their JSON types
 RECORD_TYPES = {
-    "policy": dict, "fit_ids": list, "test_ids": list, "fit_digest": str, "test_digest": str, "active_ids": dict,
+    "policy": dict, "fit_fraction": float, "split_seed": int, "fit_digest": str, "test_digest": str, "active_ids": dict,
 }
 CONF_BINS = 10  # equal-width baseline-confidence bins of conf_bins.csv
 ROW_BLOCK = 256  # rows (traces: about this many steps) encoded per write; a block's text stays well under 1 MB
@@ -83,7 +83,7 @@ class FreezeManifest:
         bad = sorted(k for k, tp in types.items() if not isinstance(raw[k], tp))
         if not bad:
             record = raw["selection_record"]
-            bad = sorted(f"selection_record.{k}" for k, tp in RECORD_TYPES.items() if not isinstance(record.get(k), tp))
+            bad = sorted(f"selection_record.{k}" for k, tp in RECORD_TYPES.items() if type(record.get(k)) is not tp)
         if not bad:
             bad = sorted(
                 f"selection_record.active_ids.{kind}"
@@ -101,12 +101,10 @@ class FreezeManifest:
     def load(path: str) -> "FreezeManifest":
         return FreezeManifest.from_json(read_text(path))
 
-    def validate(self, world: World, policy: PolicyConfig, snapshots: dict) -> None:
-        """Hard failure if any test-stage input hashes differently."""
+    def validate(self, policy: PolicyConfig, snapshots: dict) -> None:
+        """Hard failure if the frozen policy or a bank snapshot hashes differently."""
         if policy.config_hash() != self.policy_hash:
             raise FreezeMismatch("policy config hash does not match the freeze manifest")
-        if world.spec.world_hash() != self.world_hash:
-            raise FreezeMismatch("world hash does not match the freeze manifest")
         missing = sorted(set(self.bank_hashes) - set(snapshots))
         extra = sorted(set(snapshots) - set(self.bank_hashes))
         if missing or extra:
@@ -328,18 +326,19 @@ def run_governance_loop(world: World, policy: PolicyConfig, rounds: int, fit_ids
 def run_fit_stage(
     world: World,
     candidates: list,
-    fit_ids,
-    test_ids,
+    fit_fraction: float = 0.5,
+    split_seed: int = 0,
     governance_rounds: int = 0,
 ) -> tuple[FreezeManifest, PolicyConfig, dict]:
     """Grid-search candidates on fit data only; freeze the winner.
 
-    Selection is by fit delta-accuracy minus lambda * mean calls, ties broken
-    by lower mean calls then grid order. multibank_best candidates are
-    expanded into their family and the fit-selected member is recorded.
+    The split is split_indices(n, fit_fraction, split_seed), recorded by its
+    parameters and digests. Selection is by fit delta-accuracy minus lambda
+    * mean calls, ties broken by lower mean calls then grid order.
+    multibank_best candidates are expanded into their family and the
+    fit-selected member is recorded.
     """
-    if set(fit_ids) & set(test_ids):
-        raise ProtocolViolation("fit and test splits overlap")
+    fit_ids, test_ids = split_indices(world.spec.n_examples, fit_fraction, split_seed)
     if not candidates:
         raise ValueError("empty candidate grid")
     if governance_rounds < 0:
@@ -378,10 +377,10 @@ def run_fit_stage(
         "fit_delta_acc": fit_dacc,
         "mean_calls": mean_calls,
         "governance_iteration": governance_iteration,
-        "fit_ids": list(fit_ids),
-        "test_ids": list(test_ids),
-        "fit_digest": indices_digest(fit_ids),
-        "test_digest": indices_digest(test_ids),
+        "fit_fraction": fit_fraction,
+        "split_seed": split_seed,
+        "fit_digest": stable_digest(fit_ids),
+        "test_digest": stable_digest(test_ids),
         "active_ids": {k: list(s.entry_ids) for k, s in snapshots.items()},
         "policy": policy.to_flat(),
     }
@@ -468,37 +467,36 @@ def _ledger_rows(counts: dict, seed: int) -> list:
     return [make_ledger_row(f"{name} vs baseline", counts[name], seed=seed) for name in LEDGER_COMPARISONS]
 
 
-def _recover_split(record: dict, n: int) -> list:
-    """The recorded test ids, once both recorded id lists are checked against each other, n and their digests."""
-    for field in ("fit_ids", "test_ids"):
-        ids = record[field]
-        bad = [i for i in ids if type(i) is not int] if isinstance(ids, list) else [ids]
-        if bad:
-            raise FreezeMismatch(f"manifest selection_record.{field} must be a list of JSON integers, got {bad[0]!r}")
-    fit_ids, test_ids = record["fit_ids"], record["test_ids"]
-    if len(set(fit_ids)) != len(fit_ids) or len(set(test_ids)) != len(test_ids):
-        raise FreezeMismatch("manifest split has duplicate example ids")
-    if set(fit_ids) & set(test_ids):
-        raise FreezeMismatch("manifest records overlapping fit/test splits")
-    if min(fit_ids + test_ids, default=0) < 0:
-        raise FreezeMismatch("manifest split has negative example ids")
-    if max(fit_ids + test_ids, default=-1) >= n:
-        raise FreezeMismatch("manifest split indexes past the world size")
-    if indices_digest(fit_ids) != record["fit_digest"] or indices_digest(test_ids) != record["test_digest"]:
-        raise FreezeMismatch("manifest split digests do not match the recorded indices")
-    return test_ids
+def _recorded_test_ids(record: dict, n: int) -> list:
+    """The test side of the split that the recorded fit_fraction and split_seed draw from n
+    examples, once each side's digest is checked against the recorded one."""
+    fraction, seed = record["fit_fraction"], record["split_seed"]
+    if not 0.0 < fraction < 1.0:
+        raise FreezeMismatch(f"manifest selection_record.fit_fraction must be in (0, 1), got {fraction!r}")
+    if seed < 0:
+        raise FreezeMismatch(f"manifest selection_record.split_seed must be >= 0, got {seed}")
+    split = dict(zip(("fit", "test"), split_indices(n, fraction, seed)))
+    for side, ids in split.items():
+        if stable_digest(ids) != record[f"{side}_digest"]:
+            raise FreezeMismatch(f"manifest selection_record.{side}_digest does not match the {side} split "
+                                 f"that fit_fraction {fraction} and split_seed {seed} draw from {n} examples")
+    return split["test"]
 
 
-def frozen_inputs(world: World, manifest: FreezeManifest) -> tuple[PolicyConfig, dict, list]:
+def frozen_inputs(world: World, manifest: FreezeManifest, validate: bool = True) -> tuple[PolicyConfig, dict, list]:
     """(policy, snapshots, test_ids) that the manifest freezes, for this world.
 
     Parses the recorded policy, retires whatever the recorded active id
     lists exclude, moves the banks to the test stage, snapshots them and
-    recovers the test split. Entry ids are deterministic across worlds of
-    the same shape, so a governed manifest's pruned membership transfers to
-    sibling-seed worlds. The recorded bank kinds must be the world's; the
-    hashes are for FreezeManifest.validate to check.
+    draws the recorded test split. Entry ids are deterministic across worlds
+    of the same shape, so a governed manifest's pruned membership transfers
+    to sibling-seed worlds. The recorded bank kinds must be the world's.
+    With validate, the world's hash is checked first, so another world's
+    config is refused as such, and the policy and snapshot hashes once the
+    banks are cut.
     """
+    if validate and world.spec.world_hash() != manifest.world_hash:
+        raise FreezeMismatch("world hash does not match the freeze manifest")
     record = manifest.selection_record
     policy = PolicyConfig.from_flat(record["policy"])
     recorded = record["active_ids"]
@@ -516,7 +514,10 @@ def frozen_inputs(world: World, manifest: FreezeManifest) -> tuple[PolicyConfig,
     for kind, bank in world.banks.items():
         bank.retain(recorded[kind])
         bank.stage = STAGE_TEST
-    return policy, world.snapshots(), _recover_split(record, world.spec.n_examples)
+    snapshots = world.snapshots()
+    if validate:
+        manifest.validate(policy, snapshots)
+    return policy, snapshots, _recorded_test_ids(record, world.spec.n_examples)
 
 
 def run_pooled_test(
@@ -564,9 +565,7 @@ def _test_seed(world: World, manifest: FreezeManifest, base: bool, out_dir: str 
     comparator run is its StepTable, which carries the same read, and is
     reduced to its counts before the next one runs.
     """
-    policy, snapshots, test_ids = frozen_inputs(world, manifest)
-    if base:
-        manifest.validate(world, policy, snapshots)
+    policy, snapshots, test_ids = frozen_inputs(world, manifest, validate=base)
     # the oracle reads every test row from both banks, so it goes first: its
     # one query draw per row ranks every row that a comparator's run reads
     oracle = evaluate_oracle(world, snapshots, test_ids)
@@ -777,7 +776,6 @@ def run_counterfactual(
     banks are cut to the manifest's recorded membership.
     """
     policy, snapshots, test_ids = frozen_inputs(world, manifest)
-    manifest.validate(world, policy, snapshots)
     edited_ids = tuple(sorted(set(edited_ids)))
     for eid in edited_ids:
         kind = world.entry_bank(eid)

@@ -12,7 +12,7 @@ import functools
 import hashlib
 import json
 import typing
-from typing import Any, Iterable, Mapping
+from typing import Any, Mapping
 
 
 def sha256_hex(data: bytes) -> str:
@@ -182,7 +182,3 @@ def _take_fields(cls, flat: dict, prefix: str) -> dict:
 
 def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
-
-
-def indices_digest(indices: Iterable[int]) -> str:
-    return stable_digest(list(indices))

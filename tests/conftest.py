@@ -32,6 +32,7 @@ from gatedmem.protocol import (
     LedgerRow,
     evaluate_oracle,
     evaluate_policy,
+    split_indices,
 )
 from gatedmem.retrieval import Query, RetrievalResult, embed_rows, topic_vector
 from gatedmem.stats import bootstrap_ci, mcnemar_exact, randomization_interaction_test
@@ -774,12 +775,13 @@ def reference_pooled_test(spec, manifest, policy, n_seeds):
 
     The baseline is the world's first pass, which routes nothing; each run is over the test ids in ascending order.
     """
-    test_ids = sorted(manifest.selection_record["test_ids"])
+    record = manifest.selection_record
+    _, test_ids = split_indices(spec.n_examples, record["fit_fraction"], record["split_seed"])
     runs_by_name, per_seed = {}, {}
     for k in range(n_seeds):
         world = World(replace(spec, seed=spec.seed + k))
         for kind, bank in world.banks.items():
-            bank.retain(manifest.selection_record["active_ids"][kind])
+            bank.retain(record["active_ids"][kind])
         snaps = world.snapshots()
         none = np.zeros(len(test_ids), bool)
         runs = {"baseline": reference_run(world.baseline_pass(test_ids)[0], none, none)}

@@ -33,7 +33,6 @@ from gatedmem.protocol import (
     ledger_check,
     run_counterfactual,
     run_fit_stage,
-    split_indices,
 )
 from gatedmem.stats import (
     CalibrationSet,
@@ -95,9 +94,8 @@ def counterfactual_suite(n_worlds=20):
             edit_sensitive_rate=0.4,
         )
         world = generate_world(spec)
-        fit_ids, test_ids = split_indices(400, 0.25, 0)
         grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
-        manifest, _, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
+        manifest, _, snaps = run_fit_stage(world, grid, fit_fraction=0.25)
         edited = [
             e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads)
             if p.endswith("topic 0")
@@ -218,9 +216,8 @@ def test_criterion_05_retry_flat():
     retries = []
     for seed in range(3):
         world = generate_world(arith_shape_spec(seed=4000 + seed, n=400))
-        fit_ids, test_ids = split_indices(400, 0.5, 0)
         grid = [PolicyConfig(tau=0.6, margin_m=0.05, bank_policy="choose", primary_bank="rule")]
-        manifest, _, _ = run_fit_stage(world, grid, fit_ids, test_ids)
+        manifest, _, _ = run_fit_stage(world, grid)
         rows, _ = protocol._test_seed(world, manifest, base=True, out_dir=None)
         retries.append(next(r for r in rows if r.comparison == "retry vs baseline"))
     margin("max |retry dacc|", max(abs(r.delta_acc) for r in retries), "<=", 0.0)
@@ -440,8 +437,7 @@ def test_criterion_09_control_contracts():
 
     # freeze / stage separation: tampering and fit-ops during test hard-fail
     world = generate_world(arith_shape_spec(seed=9999, n=200))
-    fit_ids, test_ids = split_indices(200, 0.5, 0)
-    manifest, _, _ = run_fit_stage(world, [PolicyConfig(tau=0.6)], fit_ids, test_ids)
+    manifest, _, _ = run_fit_stage(world, [PolicyConfig(tau=0.6)])
     with pytest.raises(FreezeMismatch):
         protocol._test_seed(world, tampered_policy(manifest, tau=0.9), base=True, out_dir=None)
     protocol._test_seed(world, manifest, base=True, out_dir=None)
@@ -460,9 +456,8 @@ def test_criterion_10_localization_shape():
     for seed in range(seeds):
         spec = localization_shape_spec(seed=seed)
         world = generate_world(spec)
-        fit_ids, test_ids = split_indices(1000, 0.2, 0)  # 800 test rows, all routed
         grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
-        manifest, _, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
+        manifest, _, snaps = run_fit_stage(world, grid, fit_fraction=0.2)  # 800 test rows, all routed
         edited = [
             e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads)
             if p.endswith("topic 0")

@@ -16,6 +16,8 @@ import gatedmem
 from conftest import count_query_draws, save_edits
 from gatedmem import protocol
 from gatedmem.cli import build_parser, main
+from gatedmem.protocol import split_indices
+from gatedmem.util import parse_kv_file, write_kv_file
 
 
 @pytest.fixture()
@@ -71,7 +73,7 @@ def test_fit_on_the_shipped_grid_draws_each_fit_row_at_most_once(tmp_path, capsy
     configs = Path(__file__).parents[1] / "configs"
     world, grid, out = configs / "world.kv", configs / "grid.kv", tmp_path / "fit"
     assert main(["fit", "--config", str(world), "--grid", str(grid), "--out", str(out)]) == 0
-    fit_ids = json.loads((out / "manifest.json").read_text())["selection_record"]["fit_ids"]
+    fit_ids, _ = split_indices(int(parse_kv_file(str(world))["n_examples"]))
     rows = np.concatenate(drawn)
     assert len(rows) and np.isin(rows, fit_ids).all()
     assert np.bincount(rows).max() == 1
@@ -350,7 +352,7 @@ def test_governance_on_fits_policy_evaluates_the_manifest_fit_split(tmp_path, wo
     assert main(["governance", "--config", world_config, "--policy", policy, "--rounds", "1", "--out", str(gov_out)]) == 0
     record = json.loads((fit_out / "manifest.json").read_text())["selection_record"]
     report = json.loads((gov_out / "governance.json").read_text())
-    n = len(record["fit_ids"])
+    n = len(split_indices(200)[0])  # the fit side of world_config's 200 examples
     net_helps = round((report["rounds"][0]["fit_accuracy"] - report["baseline_accuracy"]) * n)
     assert net_helps == round(record["fit_delta_acc"] * n) != 0
 
@@ -492,6 +494,7 @@ def test_malformed_world_config_names_the_key(tmp_path, world_config, grid_confi
         pytest.param("budgetB = 2\n", "budgetB", id="unknown-key"),
         pytest.param("tau_percentile = abc\n", "tau_percentile", id="bad-tau_percentile"),
         pytest.param("margin_m = 0.0|0.0\n", "margin_m", id="repeated-alternative"),
+        pytest.param("# nothing\n", "grid.kv: no grid keys", id="no-keys"),  # else fit would freeze the default policy
         # tau_percentile would choose every candidate's tau, so the grid's taus would be dropped
         pytest.param(
             "tau = 0.3|0.6\ntau_percentile = 35\nbank_policy = dual\n", "tau and tau_percentile", id="tau-and-tau_percentile"
@@ -569,8 +572,9 @@ def fitted(tmp_path, world_config, grid_config):
         (lambda raw: {"policy_hash": "x"}, "missing ['bank_hashes', 'selection_record', 'world_hash']"),
         (lambda raw: dict(raw, notes="extra"), "extra ['notes']"),
         (lambda raw: dict(raw, bank_hashes=5), "bank_hashes"),
-        (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], fit_ids=5)), "selection_record.fit_ids"),
-        (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], fit_ids=["x"])), "fit_ids"),
+        (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], split_seed="0")), "selection_record.split_seed"),
+        (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], fit_fraction=2.0)), "selection_record.fit_fraction"),
+        (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], test_digest="x")), "selection_record.test_digest"),
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], policy=5)), "selection_record.policy"),
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], active_ids=5)), "selection_record.active_ids"),
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], active_ids={"rule": 5, "exemplar": []})), "selection_record.active_ids.rule"),
@@ -593,7 +597,8 @@ def fitted(tmp_path, world_config, grid_config):
         ),
     ],
     ids=[
-        "not-object", "missing-field", "extra-field", "wrong-type", "split-not-list", "split-not-ids",
+        "not-object", "missing-field", "extra-field", "wrong-type", "split-seed-not-int", "fit-fraction-out-of-range",
+        "split-digest-wrong",
         "policy-not-object", "active-ids-not-object", "active-ids-not-list", "active-ids-not-strings",
         "active-ids-extra-kind", "active-ids-missing-kind", "active-ids-unknown-entry", "active-ids-wrong-kind",
     ],
@@ -605,6 +610,19 @@ def test_malformed_manifest_names_the_field(tmp_path, world_config, fitted, caps
     code = main(["test", "--config", world_config, "--manifest", str(fitted), "--out", str(tmp_path / "t")])
     assert code == 1
     assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [("seed", "6"), ("n_examples", "100"), ("n_rule_entries", "40")])
+def test_another_worlds_config_is_refused_by_its_world_hash(tmp_path, world_config, fitted, capsys, key, value):
+    # the world is checked before the recorded membership and split, which it would fail as symptoms
+    config = str(tmp_path / "other.kv")
+    write_kv_file(config, {**parse_kv_file(world_config), key: value})
+    save_edits(["E000"], str(tmp_path / "edits.jsonl"))
+    capsys.readouterr()
+    for stage, edits in (("test", []), ("counterfactual", ["--edits", str(tmp_path / "edits.jsonl")])):
+        argv = [stage, "--config", config, "--manifest", str(fitted), *edits, "--out", str(tmp_path / stage)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: world hash does not match the freeze manifest\n"
 
 
 @pytest.mark.parametrize(
@@ -662,7 +680,7 @@ QUICKSTART_DIGESTS = {
     "cf/counterfactual_rows.jsonl": "dda32e90ee911dbf4dc63ab510f02427341530e5bf55c5c764e975ac55bb6d43",
     "fit/bank_exemplar.jsonl": "2275c77c4133ba68bd1654c9b6e1e11db36ad1ce6072b1154e628fc4401fb6ed",
     "fit/bank_rule.jsonl": "d58830eb2fd1f5252399a12eb6b0183ae81c4383ba0649872770f40929115744",
-    "fit/manifest.json": "54d028568b8f10cc9240d821231c8d9617a9accf89b1ae1ca893f0aa35dd63fa",
+    "fit/manifest.json": "92288047b287b26dabf6480326935c89bf135c853511d4c0b79e4759417ed0a8",
     "fit/policy.kv": "72d38bc9c7e60d1b55cefc5110078d161558671a86a958d9034fcf068de6649e",
     "gov/governance.json": "e686c48e1c107da01000a36784af76bec5d214c7dbcbc7f5c3f3a608cf542b49",
     "test/conf_bins.csv": "5986e6a5a51f555a5ec89e2595e206608ce24d86813a81ad3e2481a44d4a46c0",

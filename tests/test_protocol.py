@@ -47,18 +47,13 @@ from gatedmem.protocol import (
     write_traces,
 )
 from gatedmem.stats import mcnemar_exact
-from gatedmem.util import indices_digest
 from gatedmem.worldsim import World, WorldSpec, generate_world
 
 
 def fitted_world(seed=0, n=400, grid=None, governance_rounds=0, spec=None):
     world = generate_world(spec or arith_shape_spec(seed=seed, n=n))
-    n = world.spec.n_examples
-    fit_ids, test_ids = split_indices(n, 0.5, 0)
     grid = grid or [PolicyConfig(tau=0.6, margin_m=0.0, bank_policy="choose", primary_bank="rule")]
-    manifest, policy, snaps = run_fit_stage(
-        world, grid, fit_ids, test_ids, governance_rounds=governance_rounds
-    )
+    manifest, policy, snaps = run_fit_stage(world, grid, governance_rounds=governance_rounds)
     return world, manifest, policy, snaps
 
 
@@ -88,12 +83,6 @@ def test_smallest_splits_have_both_sides():
     assert [len(side) for side in split_indices(3, 0.65)] == [2, 1]
 
 
-def test_fit_rejects_overlapping_splits():
-    world = generate_world(WorldSpec(n_examples=50, seed=1))
-    with pytest.raises(ProtocolViolation):
-        run_fit_stage(world, [PolicyConfig()], [0, 1, 2], [2, 3, 4])
-
-
 def test_single_candidate_selected():
     grid = [PolicyConfig(tau=0.5, bank_policy="gate_only")]
     world, manifest, policy, _ = fitted_world(seed=2, grid=grid)
@@ -112,12 +101,11 @@ def test_budget_zero_wins_ties_by_lower_calls():
         hurt_prob_given_inapplicable=0.0,
     )
     world = generate_world(spec)
-    fit_ids, test_ids = split_indices(300, 0.5, 0)
     grid = [
         PolicyConfig(tau=0.8, budget_B=None, margin_m=-10.0, guards_enabled=frozenset()),
         PolicyConfig(tau=0.8, budget_B=0),
     ]
-    _, policy, _ = run_fit_stage(world, grid, fit_ids, test_ids)
+    _, policy, _ = run_fit_stage(world, grid)
     assert policy.budget_B == 0
 
 
@@ -154,14 +142,13 @@ def test_toxic_entry_excluded_by_governed_fit():
     world = generate_world(spec)
     toxic_rules = {e for e in world.toxic_ids if e.startswith("R")}
     assert toxic_rules, "seed must produce at least one toxic rule entry"
-    fit_ids, test_ids = split_indices(400, 0.5, 0)
     grid = [
         PolicyConfig(
             tau=2.0, margin_m=-10.0, guards_enabled=frozenset(),
             bank_policy="choose", primary_bank="rule",
         )
     ]
-    manifest, policy, snaps = run_fit_stage(world, grid, fit_ids, test_ids, governance_rounds=4)
+    manifest, policy, snaps = run_fit_stage(world, grid, governance_rounds=4)
     active = set(snaps["rule"].entry_ids)
     assert toxic_rules & active == set()
     assert set(manifest.selection_record["active_ids"]["rule"]) == active
@@ -318,12 +305,12 @@ def test_conf_bins_bytes_match_per_example_reference(tmp_path):
         n_examples=300, seed=19, steps_per_episode=5, guard_pass_rate=(("format", 0.8),), toxic_entry_rate=0.2
     )
     world = generate_world(spec)
-    fit_ids, test_ids = split_indices(spec.n_examples, 0.5, 0)
+    _, test_ids = split_indices(spec.n_examples)
     grid = [PolicyConfig(
         tau=0.6, margin_m=0.02, bank_policy="cascade_rule_then_exemplar", budget_B=2, cooldown=1,
         confidence_signal="sum_logprob",
     )]
-    manifest, policy, _ = run_fit_stage(world, grid, fit_ids, test_ids)
+    manifest, policy, _ = run_fit_stage(world, grid)
     run_pooled_test(spec, manifest, n_seeds=1, out_dir=str(tmp_path))
     fresh = generate_world(spec)
     text = (tmp_path / "conf_bins.csv").read_text()
@@ -402,41 +389,37 @@ def test_a_test_seed_holds_one_step_table_at_a_time(monkeypatch, tmp_path):
     assert alive_at_conf_bins == [[True]]  # the policy's table is being read
 
 
-def _tampered_split(manifest, test_ids):
-    record = dict(manifest.selection_record, test_ids=test_ids, test_digest=indices_digest(test_ids))
-    return replace(manifest, selection_record=record)
-
-
-def test_split_with_duplicate_ids_rejected():
+@pytest.mark.parametrize(
+    "field, value, named",
+    [
+        ("fit_fraction", 0.0, "selection_record.fit_fraction must be in (0, 1), got 0.0"),
+        ("fit_fraction", 1.5, "selection_record.fit_fraction must be in (0, 1), got 1.5"),
+        ("fit_fraction", float("nan"), "selection_record.fit_fraction must be in (0, 1), got nan"),
+        ("fit_fraction", "0.5", "wrong JSON type: ['selection_record.fit_fraction']"),
+        ("fit_fraction", True, "wrong JSON type: ['selection_record.fit_fraction']"),
+        ("fit_fraction", 0.6, "selection_record.fit_digest does not match the fit split that fit_fraction 0.6 and split_seed 0 draw from 100 examples"),
+        ("split_seed", 0.9, "wrong JSON type: ['selection_record.split_seed']"),
+        ("split_seed", "0", "wrong JSON type: ['selection_record.split_seed']"),
+        ("split_seed", 0.0, "wrong JSON type: ['selection_record.split_seed']"),
+        ("split_seed", False, "wrong JSON type: ['selection_record.split_seed']"),
+        ("split_seed", -1, "selection_record.split_seed must be >= 0, got -1"),
+        ("split_seed", 1, "selection_record.fit_digest does not match the fit split that fit_fraction 0.5 and split_seed 1 draw"),
+        ("fit_digest", "0" * 16, "selection_record.fit_digest does not match the fit split"),
+        ("test_digest", "0" * 16, "selection_record.test_digest does not match the test split"),
+    ],
+    ids=[
+        "fraction-zero", "fraction-above-one", "fraction-nan", "fraction-string", "fraction-bool", "fraction-other",
+        "seed-fraction", "seed-string", "seed-float", "seed-bool", "seed-negative", "seed-other",
+        "fit-digest", "test-digest",
+    ],
+)
+def test_tampered_split_record_names_the_field(field, value, named):
+    # the recorded parameters must draw the recorded split on this world
     world, manifest, _, _ = fitted_world(seed=16, n=100)
-    test_ids = manifest.selection_record["test_ids"]
-    tampered = _tampered_split(manifest, test_ids + test_ids[:20])
-    with pytest.raises(FreezeMismatch, match="duplicate"):
-        base_seed(world, tampered)
-
-
-def test_split_with_negative_id_rejected():
-    world, manifest, _, _ = fitted_world(seed=16, n=100)
-    tampered = _tampered_split(manifest, [-1] + manifest.selection_record["test_ids"][1:])
-    with pytest.raises(FreezeMismatch, match="negative"):
-        base_seed(world, tampered)
-
-
-@pytest.mark.parametrize("field", ["fit_ids", "test_ids"])
-@pytest.mark.parametrize("coerce", [lambda i: i + 0.9, str, float, bool], ids=["fraction", "string", "float", "bool"])
-def test_split_ids_must_be_json_integers(field, coerce):
-    # the first id is 1 (fit) or 0 (test); int() of each bad value gives that id back
-    world = generate_world(arith_shape_spec(seed=16, n=100))
-    odd, even = list(range(1, 100, 2)), list(range(0, 100, 2))
-    manifest, _, _ = run_fit_stage(world, [PolicyConfig(tau=0.6)], odd, even)
     raw = asdict(manifest)
-    ids = raw["selection_record"][field]
-    bad = ids[0] = coerce(ids[0])
-    assert int(bad) == manifest.selection_record[field][0]
-    tampered = FreezeManifest.from_json(json.dumps(raw))
-    named = f"manifest selection_record.{field} must be a list of JSON integers, got {bad!r}"
+    raw["selection_record"][field] = value
     with pytest.raises(FreezeMismatch, match=re.escape(named)):
-        base_seed(world, tampered)
+        base_seed(world, FreezeManifest.from_json(json.dumps(raw)))
 
 
 # ---------------------------------------------------------------------------
@@ -632,12 +615,12 @@ def test_governance_freezes_each_bank_state_once(monkeypatch):
     monkeypatch.setattr(MemoryBank, "freeze", lambda bank: calls.append(bank.bank_kind) or freeze(bank))
     spec = WorldSpec(n_examples=200, seed=18, toxic_entry_rate=0.3, toxic_hurt_prob=0.95, k_max=1)
     world = generate_world(spec)
-    fit_ids, test_ids = split_indices(200, 0.5, 0)
+    fit_ids, _ = split_indices(200, 0.5, 0)
     report = run_governance_loop(world, PolicyConfig(tau=0.95, margin_m=-10.0), 2, fit_ids)
     assert len(calls) == 4
     assert report.rounds[0].bank_hashes == {k: s.content_hash for k, s in world.snapshots().items()}
     calls.clear()
-    run_fit_stage(world, [PolicyConfig(tau=0.95, margin_m=-10.0)], fit_ids, test_ids, governance_rounds=2)
+    run_fit_stage(world, [PolicyConfig(tau=0.95, margin_m=-10.0)], governance_rounds=2)
     assert len(calls) == 6  # also the grid search's snapshots; the frozen result is the selected round's
 
 
@@ -673,11 +656,9 @@ def test_governance_toxic_worlds_improve():
 def make_counterfactual_setup(seed=0):
     spec = localization_shape_spec(seed=seed)
     world = generate_world(spec)
-    n = spec.n_examples
-    fit_ids, test_ids = split_indices(n, 0.2, 0)
     tau_all = 2.0  # route everything; budget-free single-step episodes
     grid = [PolicyConfig(tau=tau_all, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
-    manifest, _, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
+    manifest, _, snaps = run_fit_stage(world, grid, fit_fraction=0.2)
     edited = [e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads) if p.endswith("topic 0")][:4]
     return world, manifest, edited
 
@@ -936,9 +917,9 @@ def _counterfactual_world(kind):
         guard_pass_rate=(("format", 0.7),), edit_sensitive_rate=0.6, k_max=2,
     )
     world = generate_world(spec)
-    fit_ids, test_ids = split_indices(240, 0.5, 0)
+    _, test_ids = split_indices(240, 0.5, 0)
     grid = [PolicyConfig(tau=0.75, margin_m=0.02, bank_policy=kind, budget_B=2, guards_enabled=frozenset({"format"}))]
-    manifest, policy, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
+    manifest, policy, snaps = run_fit_stage(world, grid)
     return world, manifest, policy, snaps, test_ids, ["E001", "E004", "E007", "R002", "R005", "R008"]
 
 
@@ -981,9 +962,9 @@ def _uncached(monkeypatch):
 def _governance_outputs(world):
     """A governed fit and an 8-round governance on one world: each stage's outputs, the
     report and the bank kind -> content hash of the tables kept after each stage."""
-    fit_ids, test_ids = split_indices(world.spec.n_examples, 0.5, 0)
+    fit_ids, _ = split_indices(world.spec.n_examples, 0.5, 0)
     grid = [PolicyConfig(tau=0.95, margin_m=-10.0, bank_policy=b) for b in ("dual", "cascade_rule_then_exemplar")]
-    manifest, policy, _ = run_fit_stage(world, grid, fit_ids, test_ids, governance_rounds=3)
+    manifest, policy, _ = run_fit_stage(world, grid, governance_rounds=3)
     kept = [{k: t[0] for k, t in world._tables.items()}]
     report = run_governance_loop(world, policy, 8, fit_ids)
     kept.append({k: t[0] for k, t in world._tables.items()})

@@ -16,7 +16,7 @@ from gatedmem import retrieval
 from gatedmem.bank import BankSnapshot
 from gatedmem.controller import PolicyConfig
 from gatedmem.errors import ProtocolViolation
-from gatedmem.protocol import evaluate_policy, run_counterfactual, run_fit_stage, split_indices
+from gatedmem.protocol import evaluate_policy, run_counterfactual, run_fit_stage
 from gatedmem.retrieval import (
     Query,
     RetrievalResult,
@@ -203,9 +203,8 @@ def _counterfactual(edited, **spec):
     """run_counterfactual on a 4-topic world whose fitted policy retrieves only from the exemplar bank."""
     shape = {"n_examples": 200, "seed": 4, "topic_count": 4, "n_rule_entries": 8, "n_exemplar_entries": 16}
     world = generate_world(WorldSpec(**shape, **spec))
-    fit_ids, test_ids = split_indices(world.spec.n_examples, 0.5, 0)
     grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
-    manifest, _, _ = run_fit_stage(world, grid, fit_ids, test_ids)
+    manifest, _, _ = run_fit_stage(world, grid)
     return run_counterfactual(world, manifest, edited, n_permutations=200)
 
 
@@ -225,9 +224,8 @@ def test_partition_all_hits():
 def test_partition_paper_scale_sizes():
     # 800 routed rows, about 105 of which retrieve one of 4 edited entries
     world = generate_world(localization_shape_spec(seed=0))
-    fit_ids, test_ids = split_indices(1000, 0.2, 0)
     grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
-    manifest, _, snaps = run_fit_stage(world, grid, fit_ids, test_ids)
+    manifest, _, snaps = run_fit_stage(world, grid, fit_fraction=0.2)
     edited = [e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads) if p.endswith("topic 0")][:4]
     rows, audit = run_counterfactual(world, manifest, edited)
     assert audit["n_rows"] == len(rows.query_id) == 800
