@@ -50,7 +50,7 @@ __all__ = sorted(_EXPORTS)
 
 
 def __getattr__(name):
-    # resolved on every access, not cached here, so a name always reads its module's current attribute
+    # looked up on every access, not cached here, so a name always reads its module's current attribute
     try:
         module = _EXPORTS[name]
     except KeyError:

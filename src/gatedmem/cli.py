@@ -52,7 +52,7 @@ def _load_world(args):
 
 
 def _expand_grid(flat: dict[str, str], path: str) -> list[dict[str, str]]:
-    # cross product of | alternatives; resolved to PolicyConfig later because
+    # cross product of | alternatives; made PolicyConfigs later because
     # tau_percentile needs the world's fit confidences
     if not flat:
         raise ValueError(f"{path}: no grid keys")
@@ -180,14 +180,17 @@ def cmd_governance(args) -> int:
 
 
 def cmd_ledger_check(args) -> int:
+    types = {"n": int, "dacc": float, "hh": int, "p": float}
     params = {}
     for item in args.row:
         if "=" not in item:
             print(f"error: expected key=value, got {item!r}", file=sys.stderr)
             return 2
-        k, v = item.split("=", 1)
-        params[k.strip()] = v.strip()
-    types = {"n": int, "dacc": float, "hh": int, "p": float}
+        k, v = (t.strip() for t in item.split("=", 1))
+        if k not in types or k in params:
+            print(f"error: ledger-check: {'repeated' if k in params else 'unknown'} key {k!r}", file=sys.stderr)
+            return 2
+        params[k] = v
     missing = sorted(types.keys() - params.keys())
     if missing:
         print(f"error: ledger-check needs n=, dacc=, hh=, p= (missing {', '.join(missing)})", file=sys.stderr)

@@ -25,7 +25,7 @@ cost when routed on the same steps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,7 +47,11 @@ CONFIDENCE_SIGNALS = ("mean_logprob", "sum_logprob", "first_token")
 
 @dataclass(frozen=True)
 class PolicyConfig:
-    """Frozen control knobs; every field is covered by the freeze hash."""
+    """Frozen control knobs; every field is covered by the freeze hash.
+
+    bank_policy multibank_best is a grid value only: fit runs each
+    MULTIBANK_FAMILY member in its place and freezes the member it chose.
+    """
 
     tau: float = 0.5
     margin_m: float = 0.0
@@ -56,10 +60,8 @@ class PolicyConfig:
     primary_bank: str = "rule"
     budget_B: int | None = None  # None = unlimited
     cooldown: int = 0
-    lambda_cost: float = field(default=0.0, metadata={"key": "lambda"})
     delta: float = 0.05
     confidence_signal: str = "mean_logprob"
-    multibank_member: str | None = None  # resolved choice when bank_policy=multibank_best
 
     def __post_init__(self):
         if self.bank_policy not in BANK_POLICIES:
@@ -73,15 +75,13 @@ class PolicyConfig:
             raise ValueError(f"guards_enabled names unknown guards {sorted(bad)}")
         if self.budget_B is not None and self.budget_B < 0:
             raise ValueError("budget_B must be None or >= 0")
-        if self.cooldown < 0 or not self.lambda_cost >= 0:
-            raise ValueError(f"cooldown and lambda must be >= 0, got {self.cooldown} and {self.lambda_cost}")
+        if self.cooldown < 0:
+            raise ValueError(f"cooldown must be >= 0, got {self.cooldown}")
         for key, value in (("tau", self.tau), ("margin_m", self.margin_m)):
             if math.isnan(value):
                 raise ValueError(f"{key} must be a number, got nan")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        if self.multibank_member is not None and self.multibank_member not in MULTIBANK_FAMILY:
-            raise ValueError(f"multibank_member must be one of {MULTIBANK_FAMILY}")
 
     def to_flat(self) -> dict[str, str]:
         return to_flat(self)
@@ -92,14 +92,6 @@ class PolicyConfig:
 
     def config_hash(self) -> str:
         return stable_digest(canonical_json(self.to_flat()))
-
-    def resolved(self) -> "PolicyConfig":
-        """Replace multibank_best by its fit-selected member."""
-        if self.bank_policy != "multibank_best":
-            return self
-        if self.multibank_member is None:
-            raise ValueError("multibank_best requires a resolved multibank_member")
-        return replace(self, bank_policy=self.multibank_member)
 
 
 def select_threshold_percentile(fit_confidences, p: float) -> float:
@@ -121,7 +113,7 @@ def compose_bank_policy(policy: PolicyConfig) -> list[tuple[tuple[str, ...], boo
     cascades try the second bank only if the first attempt is rejected; dual
     injects both banks' retrievals in one joint second pass.
     """
-    kind = policy.resolved().bank_policy
+    kind = policy.bank_policy
     if kind == "gate_only":
         return [((policy.primary_bank,), True)]
     if kind == "choose":
@@ -132,7 +124,7 @@ def compose_bank_policy(policy: PolicyConfig) -> list[tuple[tuple[str, ...], boo
         return [(("exemplar",), False), (("rule",), False)]
     if kind == "dual":
         return [(("rule", "exemplar"), False)]
-    raise ValueError(f"unresolved bank policy {kind!r}")
+    raise ValueError(f"bank_policy {kind!r} is a grid value: fit chooses one of {MULTIBANK_FAMILY} in its place")
 
 
 @dataclass
@@ -254,11 +246,10 @@ def run_steps(
         count[e] += go
         cooling[e] = np.where(go, policy.cooldown, np.maximum(cooling[e] - 1, 0))
 
-    if frozen is not None:
-        plan = ((("frozen",), policy.resolved().bank_policy == "gate_only"),)
+    plan = tuple(compose_bank_policy(policy))  # refuses multibank_best in a fixed replay too
+    if frozen is not None:  # one attempt, under the policy's margin rule
+        plan = ((("frozen",), plan[0][1]),)
         injection = frozen.deciding_injection()
-    else:
-        plan = tuple(compose_bank_policy(policy))
     rows = ex[routed]
     keep = routed[wants]  # the routed steps among those that want to route
     no_memory = version == "none"

@@ -125,9 +125,7 @@ def split_indices(n: int, fit_fraction: float = 0.5, split_seed: int = 0):
     if n_fit >= n:
         side = "fit" if n < 1 else "test"
         raise ValueError(f"n={n} examples at fit_fraction={fit_fraction} leave the {side} split empty")
-    fit = sorted(int(i) for i in perm[:n_fit])
-    test = sorted(int(i) for i in perm[n_fit:])
-    return fit, test
+    return np.sort(perm[:n_fit]).tolist(), np.sort(perm[n_fit:]).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -230,10 +228,6 @@ def evaluate_oracle(world: World, snapshots: dict, example_ids) -> tuple[np.ndar
 # fit stage
 # ---------------------------------------------------------------------------
 
-def _fit_score(policy: PolicyConfig, dacc: float, mean_calls: float) -> float:
-    return dacc - policy.lambda_cost * mean_calls
-
-
 def attach_evidence(world: World, banks: dict, steps: StepTable) -> int:
     """Attribute each routed intervention's paired utility to every retrieved entry.
 
@@ -333,10 +327,10 @@ def run_fit_stage(
     """Grid-search candidates on fit data only; freeze the winner.
 
     The split is split_indices(n, fit_fraction, split_seed), recorded by its
-    parameters and digests. Selection is by fit delta-accuracy minus lambda
-    * mean calls, ties broken by lower mean calls then grid order.
-    multibank_best candidates are expanded into their family and the
-    fit-selected member is recorded.
+    parameters and digests. Selection is by fit delta-accuracy, ties broken
+    by lower mean calls then grid order. A multibank_best candidate runs as
+    one candidate per MULTIBANK_FAMILY member, in family order, so the
+    frozen policy names the member chosen.
     """
     fit_ids, test_ids = split_indices(world.spec.n_examples, fit_fraction, split_seed)
     if not candidates:
@@ -346,11 +340,8 @@ def run_fit_stage(
 
     expanded: list[tuple[int, PolicyConfig]] = []
     for gi, cand in enumerate(candidates):
-        if cand.bank_policy == "multibank_best" and cand.multibank_member is None:
-            for member in MULTIBANK_FAMILY:
-                expanded.append((gi, replace(cand, multibank_member=member)))
-        else:
-            expanded.append((gi, cand))
+        members = MULTIBANK_FAMILY if cand.bank_policy == "multibank_best" else (cand.bank_policy,)
+        expanded.extend((gi, replace(cand, bank_policy=m)) for m in members)
 
     snapshots = world.snapshots()
     scored = []
@@ -358,10 +349,7 @@ def run_fit_stage(
         counts = _run_counts(evaluate_policy(world, cand, snapshots, fit_ids))
         scored.append((gi, order, cand, counts.delta_acc, counts.mean_calls))
 
-    best = min(
-        scored,
-        key=lambda t: (-_fit_score(t[2], t[3], t[4]), t[4], t[1]),
-    )
+    best = min(scored, key=lambda t: (-t[3], t[4], t[1]))
     grid_index, _, policy, fit_dacc, mean_calls = best
 
     governance_iteration = None

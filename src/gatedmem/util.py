@@ -78,7 +78,7 @@ def write_json(path: str, obj: Any) -> None:
 
 @functools.cache
 def _fields(cls) -> tuple:
-    """(attribute, config key, type, shape) per field of a config dataclass.
+    """(name, type, shape) per field of a config dataclass; the name is its config key.
 
     Shape "nested" is a dataclass and "pairs" a tuple[tuple[str, V], ...],
     with type V; both are written as dotted keys `field.sub`.
@@ -91,7 +91,7 @@ def _fields(cls) -> tuple:
             shape = "nested"
         elif typing.get_origin(tp) is tuple:
             tp, shape = typing.get_args(typing.get_args(tp)[0])[1], "pairs"
-        out.append((f.name, f.metadata.get("key", f.name), tp, shape))
+        out.append((f.name, tp, shape))
     return tuple(out)
 
 
@@ -134,18 +134,18 @@ def parse_value(key: str, tp, text: str):
 def to_flat(obj) -> dict[str, str]:
     """Flat `key = value` form of a config dataclass.
 
-    The key is the field name, or `metadata["key"]` when set. Floats are
-    written with repr, None as `none`, frozensets as a sorted comma list.
+    The key is the field name. Floats are written with repr, None as
+    `none`, frozensets as a sorted comma list.
     """
     flat: dict[str, str] = {}
-    for name, key, tp, shape in _fields(type(obj)):
+    for name, tp, shape in _fields(type(obj)):
         value = getattr(obj, name)
         if shape == "nested":
-            flat.update((f"{key}.{k}", v) for k, v in to_flat(value).items())
+            flat.update((f"{name}.{k}", v) for k, v in to_flat(value).items())
         elif shape == "pairs":
-            flat.update((f"{key}.{n}", _encode(tp, v)) for n, v in value)
+            flat.update((f"{name}.{n}", _encode(tp, v)) for n, v in value)
         else:
-            flat[key] = _encode(tp, value)
+            flat[name] = _encode(tp, value)
     return flat
 
 
@@ -165,8 +165,8 @@ def from_flat(cls, flat: Mapping[str, str]):
 def _take_fields(cls, flat: dict, prefix: str) -> dict:
     # pops every key it decodes, so the keys left in `flat` are unknown
     kwargs = {}
-    for name, key, tp, shape in _fields(cls):
-        key = prefix + key
+    for name, tp, shape in _fields(cls):
+        key = prefix + name
         if shape == "nested":
             sub = _take_fields(tp, flat, key + ".")
             if sub:

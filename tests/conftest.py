@@ -302,7 +302,7 @@ def reference_step(
     decisive = None
     no_memory = version == "none"
     if frozen_map is not None:
-        plan = [(("frozen",), policy.resolved().bank_policy == "gate_only")]
+        plan = [(("frozen",), policy.bank_policy == "gate_only")]
     else:
         plan = compose_bank_policy(policy)
     for banks, bypass_margin in plan:

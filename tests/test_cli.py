@@ -409,6 +409,9 @@ def test_ledger_check_malformed(capsys):
         (["n=600", "dacc=0.07", "hh=42", "p=1.5"], "p must be in [0, 1]"),
         (["n=600", "dacc=0.07", "hh=42", "p=-0.1"], "p must be in [0, 1]"),
         (["n=600", "dacc=0.07", "hh=42", "p=nan"], "p must be in [0, 1]"),
+        # a row of a consistent ledger, with a key that would be dropped or a value that would be overridden
+        (["n=600", "dacc=0.0700", "hh=42", "p=9.67e-7", "extra=5"], "unknown key 'extra'"),
+        (["n=600", "dacc=0.0700", "hh=42", "p=9.67e-7", "n=700"], "repeated key 'n'"),
     ],
 )
 def test_ledger_check_rejects_bad_values(capsys, row, named):
@@ -492,6 +495,7 @@ def test_malformed_world_config_names_the_key(tmp_path, world_config, grid_confi
     "grid_text, named",
     [
         pytest.param("budgetB = 2\n", "budgetB", id="unknown-key"),
+        pytest.param("lambda = 0.0|0.1\n", "lambda", id="deleted-key-lambda"),  # fit selects by fit delta-acc alone
         pytest.param("tau_percentile = abc\n", "tau_percentile", id="bad-tau_percentile"),
         pytest.param("margin_m = 0.0|0.0\n", "margin_m", id="repeated-alternative"),
         pytest.param("# nothing\n", "grid.kv: no grid keys", id="no-keys"),  # else fit would freeze the default policy
@@ -514,16 +518,21 @@ def test_unknown_grid_key_names_the_key(tmp_path, world_config, capsys, grid_tex
     "policy_text, named",
     [
         ("tau = high\n", "tau"),  # float
-        ("lambda = 0.1.2\n", "lambda"),  # float under its metadata key
+        # keys that no policy holds, whatever their value: fit selects by fit delta-acc alone,
+        # and a frozen policy names the multibank_best member it runs in its bank_policy
+        ("lambda = 0.0\n", "lambda"),
+        ("lambda = 0.1.2\n", "lambda"),
+        ("lambda = nan\n", "lambda"),
+        ("multibank_member = none\n", "multibank_member"),
+        ("multibank_member = triple\n", "multibank_member"),
+        ("lambda_cost = 0.1\n", "lambda_cost"),
+        ("bank_policy = multibank_best\n", "bank_policy 'multibank_best' is a grid value"),  # a grid value, which no run reads
         ("cooldown = 1.5\n", "cooldown"),  # int
         ("budget_B = unlimited\n", "budget_B"),  # optional int
         ("guards_enabled = format,fromat\n", "guards_enabled"),  # guard CSV
-        ("multibank_member = triple\n", "multibank_member"),  # optional str
-        ("lambda_cost = 0.1\n", "lambda_cost"),  # the attribute name is not a key
         # values that parse but are out of range
         ("tau = nan\n", "tau"),  # routes nothing
         ("margin_m = nan\n", "margin_m"),
-        ("lambda = nan\n", "lambda"),
         ("delta = 0\n", "delta"),
         ("delta = 1\n", "delta"),
         ("delta = 2\n", "delta"),
@@ -680,8 +689,8 @@ QUICKSTART_DIGESTS = {
     "cf/counterfactual_rows.jsonl": "dda32e90ee911dbf4dc63ab510f02427341530e5bf55c5c764e975ac55bb6d43",
     "fit/bank_exemplar.jsonl": "2275c77c4133ba68bd1654c9b6e1e11db36ad1ce6072b1154e628fc4401fb6ed",
     "fit/bank_rule.jsonl": "d58830eb2fd1f5252399a12eb6b0183ae81c4383ba0649872770f40929115744",
-    "fit/manifest.json": "92288047b287b26dabf6480326935c89bf135c853511d4c0b79e4759417ed0a8",
-    "fit/policy.kv": "72d38bc9c7e60d1b55cefc5110078d161558671a86a958d9034fcf068de6649e",
+    "fit/manifest.json": "f323924f56f3b7f147c2de95828550950c2e5cb72bcfab3f00528146f90b0a24",
+    "fit/policy.kv": "38a3a6a8ff590ffc58ae88ea01e4e4908cbface7025910b570793921a168c757",
     "gov/governance.json": "e686c48e1c107da01000a36784af76bec5d214c7dbcbc7f5c3f3a608cf542b49",
     "test/conf_bins.csv": "5986e6a5a51f555a5ec89e2595e206608ce24d86813a81ad3e2481a44d4a46c0",
     "test/ledger.csv": "7b43fa686738efd18d831130cc68ea07694fb0e11383984992d243f3ac0abb88",

@@ -4,7 +4,7 @@ import itertools
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -180,11 +180,15 @@ def test_compose_shapes():
 
 
 def test_multibank_requires_resolution():
+    # a grid value only: fit freezes a family member in its place, and no run, a fixed replay included, reads it
     policy = PolicyConfig(bank_policy="multibank_best")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="fit chooses one of"):
         compose_bank_policy(policy)
-    resolved = PolicyConfig(bank_policy="multibank_best", multibank_member="dual")
-    assert compose_bank_policy(resolved) == [(("rule", "exemplar"), False)]
+    world = generate_world(WorldSpec(n_examples=40, seed=3))
+    snaps, ids = world.snapshots(), list(range(40))
+    original = run_steps(world, PolicyConfig(bank_policy="dual"), snaps, ids)
+    with pytest.raises(ValueError, match="fit chooses one of"):
+        run_steps(world, policy, snaps, ids, frozen=original)
 
 
 def test_gate_only_acceptance_superset_of_choose():
@@ -348,7 +352,6 @@ def test_policy_flat_roundtrip():
         primary_bank="exemplar",
         budget_B=3,
         cooldown=2,
-        lambda_cost=0.01,
         delta=0.1,
         confidence_signal="sum_logprob",
     )
@@ -360,35 +363,31 @@ def test_policy_flat_roundtrip():
 def test_policy_flat_form_and_hash_pinned():
     # The freeze manifest locks on this hash of the flat form, so any change
     # to a key, a default or a value format shows up here.
-    assert PolicyConfig().config_hash() == "357d52bb7aead827c91e5c87fc62bedc0a34ead383adc95bd03162646bc4761d"
+    assert PolicyConfig().config_hash() == "41a30b40c0024e2385d1cb77509fc3af40e283323f4bebdc1dcac140a19149d5"
     assert PolicyConfig().to_flat()["budget_B"] == "none"
     policy = PolicyConfig(
         tau=0.25,
         margin_m=0.05,
         guards_enabled=frozenset({"progress", "contract"}),
-        bank_policy="multibank_best",
+        bank_policy="dual",
         primary_bank="exemplar",
         budget_B=3,
         cooldown=2,
-        lambda_cost=0.01,
         delta=0.1,
         confidence_signal="first_token",
-        multibank_member="dual",
     )
     assert policy.to_flat() == {
         "tau": "0.25",
         "margin_m": "0.05",
         "guards_enabled": "contract,progress",
-        "bank_policy": "multibank_best",
+        "bank_policy": "dual",
         "primary_bank": "exemplar",
         "budget_B": "3",
         "cooldown": "2",
-        "lambda": "0.01",
         "delta": "0.1",
         "confidence_signal": "first_token",
-        "multibank_member": "dual",
     }
-    assert policy.config_hash() == "59bf43b1ff44058c7b0bc47684183639edccd1cd67fc818debe0cf6abaf99baf"
+    assert policy.config_hash() == "9f708d4343e1db8ce8fcd335751fe3bc089307c49401e7549f9cf1dd8719a3ba"
 
 
 def test_policy_hash_covers_every_field():
@@ -401,11 +400,10 @@ def test_policy_hash_covers_every_field():
         PolicyConfig(primary_bank="exemplar"),
         PolicyConfig(budget_B=1),
         PolicyConfig(cooldown=1),
-        PolicyConfig(lambda_cost=0.5),
         PolicyConfig(delta=0.2),
         PolicyConfig(confidence_signal="first_token"),
-        PolicyConfig(bank_policy="multibank_best", multibank_member="dual"),
     ]
+    assert len(variants) == len(fields(PolicyConfig))  # one variant per field
     hashes = {base.config_hash()} | {v.config_hash() for v in variants}
     assert len(hashes) == len(variants) + 1
 
@@ -578,9 +576,9 @@ def _random_case(rng, trial):
         toxic_entry_rate=float(rng.uniform(0.0, 0.3)),
         k_max=int(rng.integers(1, 4)),
     )
-    # every bank policy, and multibank_best resolved to each member, in turn
-    kinds = [(k, None) for k in BANK_POLICIES if k != "multibank_best"]
-    kind, member = (kinds + [("multibank_best", m) for m in MULTIBANK_FAMILY])[trial % (len(kinds) + 3)]
+    # every bank policy that runs, and each multibank_best member once more, in turn
+    kinds = [k for k in BANK_POLICIES if k != "multibank_best"] + list(MULTIBANK_FAMILY)
+    kind = kinds[trial % len(kinds)]
     policy = PolicyConfig(
         tau=float(rng.uniform(0.2, 0.9)),
         # margin 0 puts the retry comparator's second pass (the baseline again) on the accept boundary
@@ -591,7 +589,6 @@ def _random_case(rng, trial):
         budget_B=[None, 0, 1, 2, 5][int(rng.integers(5))],
         cooldown=int(rng.integers(0, 4)),
         confidence_signal=CONFIDENCE_SIGNALS[int(rng.integers(3))],
-        multibank_member=member,
     )
     return spec, policy
 
