@@ -77,7 +77,7 @@ def _resolve_candidates(world, fit_ids, combos) -> list[PolicyConfig]:
         policy = PolicyConfig.from_flat(combo)
         if pct is not None:
             pct = parse_value("tau_percentile", float, pct)
-            tau = select_threshold_percentile(world.baseline_pass(fit_ids, policy.confidence_signal)[1], pct)
+            tau = select_threshold_percentile(world.baseline_pass(fit_ids)[1], pct)
             policy = replace(policy, tau=tau)
         out.append(policy)
     return out

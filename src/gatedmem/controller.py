@@ -42,12 +42,14 @@ BANK_POLICIES = (
     "multibank_best",
 )
 MULTIBANK_FAMILY = ("cascade_rule_then_exemplar", "cascade_exemplar_then_rule", "dual")
-CONFIDENCE_SIGNALS = ("mean_logprob", "sum_logprob", "first_token")
 
 
 @dataclass(frozen=True)
 class PolicyConfig:
     """Frozen control knobs; every field is covered by the freeze hash.
+
+    tau and margin_m are thresholds on the world's one confidence signal
+    (World.baseline_pass, World.second_pass).
 
     bank_policy multibank_best is a grid value only: fit runs each
     MULTIBANK_FAMILY member in its place and freezes the member it chose.
@@ -61,15 +63,12 @@ class PolicyConfig:
     budget_B: int | None = None  # None = unlimited
     cooldown: int = 0
     delta: float = 0.05
-    confidence_signal: str = "mean_logprob"
 
     def __post_init__(self):
         if self.bank_policy not in BANK_POLICIES:
             raise ValueError(f"unknown bank_policy {self.bank_policy!r}")
         if self.primary_bank not in ("rule", "exemplar"):
             raise ValueError(f"unknown primary_bank {self.primary_bank!r}")
-        if self.confidence_signal not in CONFIDENCE_SIGNALS:
-            raise ValueError(f"unknown confidence_signal {self.confidence_signal!r}")
         bad = set(self.guards_enabled) - set(GUARD_NAMES)
         if bad:
             raise ValueError(f"guards_enabled names unknown guards {sorted(bad)}")
@@ -231,7 +230,7 @@ def run_steps(
     first = np.diff(episode, prepend=-1) != 0
     slot = np.cumsum(first) - 1  # the episode's number among those present
     position = np.arange(len(ex)) - np.flatnonzero(first)[slot]
-    base, conf = world.baseline_pass(ex, policy.confidence_signal)
+    base, conf = world.baseline_pass(ex)
 
     wants = conf < policy.tau
     routed = np.zeros(len(ex), bool)
@@ -264,7 +263,7 @@ def run_steps(
             cols, fill, bits = (x[routed] for x in injection)
         else:
             cols, fill, bits = (x[keep] for x in world.injected(ex[wants], snapshots, () if no_memory else banks))
-        second, conf2 = world.second_pass(rows, cols, fill, bits, version, edited_ids, policy.confidence_signal)
+        second, conf2 = world.second_pass(rows, cols, fill, bits, version, edited_ids)
         ran = pending & (fill.any(axis=1) | no_memory)
         margin = -math.inf if bypass_margin else policy.margin_m
         ok = ran & ~(conf2 < conf[routed] + margin) & guards

@@ -51,6 +51,7 @@ ROUTE_AND_ACCEPT_ALL = dict(tau=math.inf, margin_m=-math.inf, guards_enabled=fro
 # selection_record entries that the test stage reads back, with their JSON types
 RECORD_TYPES = {
     "policy": dict, "fit_fraction": float, "split_seed": int, "fit_digest": str, "test_digest": str, "active_ids": dict,
+    "draw_digest": str,
 }
 CONF_BINS = 10  # equal-width baseline-confidence bins of conf_bins.csv
 ROW_BLOCK = 256  # rows (traces: about this many steps) encoded per write; a block's text stays well under 1 MB
@@ -135,7 +136,8 @@ def split_indices(n: int, fit_fraction: float = 0.5, split_seed: int = 0):
 @dataclass(frozen=True)
 class PairedCounts:
     """A run against the baseline on the same examples, as much as a ledger row reads:
-    helps (run right, baseline wrong), hurts (the reverse), the run's rates and the baseline's mean calls."""
+    helps (run right, baseline wrong), hurts (the reverse) and the run's rates. The baseline makes
+    one call per example, so its mean calls are 1.0."""
 
     n: int
     helps: int
@@ -143,7 +145,6 @@ class PairedCounts:
     routed_frac: float
     accepted_frac: float
     mean_calls: float
-    base_mean_calls: float
 
     @property
     def delta_acc(self) -> float:
@@ -160,14 +161,14 @@ class PairedCounts:
         base, correct, routed, accepted = masks
         n, n_routed = len(base), int(routed.sum())
         helps, hurts = int(np.sum(~base & correct)), int(np.sum(base & ~correct))
-        return PairedCounts(n, helps, hurts, n_routed / n, int(accepted.sum()) / n, (n + n_routed) / n, 1.0)
+        return PairedCounts(n, helps, hurts, n_routed / n, int(accepted.sum()) / n, (n + n_routed) / n)
 
     @staticmethod
     def pool(parts: list) -> "PairedCounts":
         """The counts over all parts' examples. A rate pools as sum((n_k / N) * x_k) in order,
         which can differ from sum(n_k * x_k) / N in the last bit, and so in a ledger's sixth decimal."""
         total = sum(p.n for p in parts)
-        rates = ("routed_frac", "accepted_frac", "mean_calls", "base_mean_calls")
+        rates = ("routed_frac", "accepted_frac", "mean_calls")
         return PairedCounts(
             total,
             sum(p.helps for p in parts),
@@ -328,9 +329,11 @@ def run_fit_stage(
 
     The split is split_indices(n, fit_fraction, split_seed), recorded by its
     parameters and digests. Selection is by fit delta-accuracy, ties broken
-    by lower mean calls then grid order. A multibank_best candidate runs as
-    one candidate per MULTIBANK_FAMILY member, in family order, so the
-    frozen policy names the member chosen.
+    by lower mean calls then grid order. A multibank_best candidate stands
+    for one candidate per MULTIBANK_FAMILY member, in family order, so the
+    frozen policy names the member chosen. Each distinct policy runs once,
+    at its first grid index: a repeat would give the same counts later in
+    grid order, so it could never win.
     """
     fit_ids, test_ids = split_indices(world.spec.n_examples, fit_fraction, split_seed)
     if not candidates:
@@ -338,19 +341,14 @@ def run_fit_stage(
     if governance_rounds < 0:
         raise ValueError(f"governance_rounds must be >= 0, got {governance_rounds}")
 
-    expanded: list[tuple[int, PolicyConfig]] = []
+    first: dict[PolicyConfig, int] = {}  # distinct policy -> its first grid index, in grid order
     for gi, cand in enumerate(candidates):
-        members = MULTIBANK_FAMILY if cand.bank_policy == "multibank_best" else (cand.bank_policy,)
-        expanded.extend((gi, replace(cand, bank_policy=m)) for m in members)
+        for m in MULTIBANK_FAMILY if cand.bank_policy == "multibank_best" else (cand.bank_policy,):
+            first.setdefault(replace(cand, bank_policy=m), gi)
 
     snapshots = world.snapshots()
-    scored = []
-    for order, (gi, cand) in enumerate(expanded):
-        counts = _run_counts(evaluate_policy(world, cand, snapshots, fit_ids))
-        scored.append((gi, order, cand, counts.delta_acc, counts.mean_calls))
-
-    best = min(scored, key=lambda t: (-t[3], t[4], t[1]))
-    grid_index, _, policy, fit_dacc, mean_calls = best
+    scored = [(_run_counts(evaluate_policy(world, cand, snapshots, fit_ids)), cand, gi) for cand, gi in first.items()]
+    counts, policy, grid_index = min(scored, key=lambda t: (-t[0].delta_acc, t[0].mean_calls))
 
     governance_iteration = None
     if governance_rounds >= 1:
@@ -362,8 +360,8 @@ def run_fit_stage(
 
     record = {
         "grid_index": grid_index,
-        "fit_delta_acc": fit_dacc,
-        "mean_calls": mean_calls,
+        "fit_delta_acc": counts.delta_acc,
+        "mean_calls": counts.mean_calls,
         "governance_iteration": governance_iteration,
         "fit_fraction": fit_fraction,
         "split_seed": split_seed,
@@ -371,6 +369,7 @@ def run_fit_stage(
         "test_digest": stable_digest(test_ids),
         "active_ids": {k: list(s.entry_ids) for k, s in snapshots.items()},
         "policy": policy.to_flat(),
+        "draw_digest": world.draw_digest(),
     }
     manifest = FreezeManifest(
         policy_hash=policy.config_hash(),
@@ -443,7 +442,7 @@ def make_ledger_row(name: str, counts: PairedCounts, seed: int = 0) -> LedgerRow
         ci_hi=hi,
         mcnemar_p=mcnemar_exact(helps, hurts),
         help_hurt=helps - hurts,
-        delta_calls=counts.mean_calls - counts.base_mean_calls,
+        delta_calls=counts.mean_calls - 1.0,
         routed_frac=counts.routed_frac,
         accepted_frac=counts.accepted_frac,
     )
@@ -480,12 +479,18 @@ def frozen_inputs(world: World, manifest: FreezeManifest, validate: bool = True)
     of the same shape, so a governed manifest's pruned membership transfers
     to sibling-seed worlds. The recorded bank kinds must be the world's.
     With validate, the world's hash is checked first, so another world's
-    config is refused as such, and the policy and snapshot hashes once the
-    banks are cut.
+    config is refused as such, then its draw digest, so a numpy whose random
+    streams differ from fit's is refused, and the policy and snapshot hashes
+    once the banks are cut.
     """
+    record = manifest.selection_record
     if validate and world.spec.world_hash() != manifest.world_hash:
         raise FreezeMismatch("world hash does not match the freeze manifest")
-    record = manifest.selection_record
+    if validate and world.draw_digest() != record["draw_digest"]:
+        raise FreezeMismatch(
+            "selection_record.draw_digest does not match: the world's draws differ from fit's "
+            "(a numpy whose random streams differ from the one fit ran on?)"
+        )
     policy = PolicyConfig.from_flat(record["policy"])
     recorded = record["active_ids"]
     if sorted(recorded) != sorted(world.banks):
@@ -710,7 +715,7 @@ def write_outcome_table(baseline_correct: np.ndarray, passes: dict, path: str) -
 
 def write_conf_bins(steps: StepTable, path: str) -> None:
     """Plot-ready binned accuracy of the policy's run: baseline vs gated policy, by the baseline
-    confidence of the policy's signal in CONF_BINS equal-width bins."""
+    confidence (World.baseline_pass) in CONF_BINS equal-width bins."""
     bins = confidence_bins(steps.baseline_confidence, CONF_BINS)
     final = steps.final_correct
     with open(path, "w", encoding="utf-8") as fh:

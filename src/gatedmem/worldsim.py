@@ -13,13 +13,12 @@ deterministic function of (spec, seed), which makes free-rerun versus fixed-retr
 contrasts exactly decomposable and lets the oracle and outcome_table.json read off
 ground-truth outcomes for every candidate context (decode_contexts).
 
-Each purpose (pair latents, guards, confidence latents and noise, topics,
-baseline correctness, query and entry embeddings) draws from its own keyed
-Philox stream, so a draw can be made when it is first read and still be the
-value an eager draw gives. Guards, baseline correctness, topics, entry
-embeddings and the confidence latents are drawn when the world is built, as
-dense arrays, and so is every topic's unit vector (topic_vector). A noisy
-confidence signal is drawn whole on its first read.
+Each purpose (pair latents, guards, confidences, topics, baseline
+correctness, query and entry embeddings) draws from its own keyed Philox
+stream, so a draw can be made when it is first read and still be the value
+an eager draw gives. Guards, baseline correctness, topics, entry embeddings
+and the confidences are drawn when the world is built, as dense arrays, and
+so is every topic's unit vector (topic_vector).
 Query embeddings are kept as no array: each read of query rows opens the
 query stream at its start and draws it through the last row it asks for,
 keeping only those rows (_query_rows).
@@ -36,13 +35,14 @@ it.
 Confidences come from a two-Beta model: correct decodes draw from
 Beta(mu_hi*kappa, ...), incorrect from the mirrored low component, with the
 separation solved exactly (a series for P(hi > lo), then bisection) to hit
-a target AUC. The three confidence signals are monotone transforms of the
-same latent value with increasing noise (mean < sum < first_token).
+a target AUC. That draw is the decode's confidence (its mean token
+log-probability, in LLM terms); there is no other confidence signal.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 from dataclasses import dataclass, field
 
@@ -65,9 +65,6 @@ ORACLE_CONTEXTS = ("rule", "exemplar", "dual")
 # bank-policy context -> the banks it retrieves from, in injection order;
 # dual, the widest decode, first, so decode_contexts holds no other context's outputs while it runs
 CONTEXT_BANKS = {"dual": ("rule", "exemplar"), "rule": ("rule",), "exemplar": ("exemplar",), "none": ()}
-
-# signal -> latent weight (rest is seeded uniform noise)
-SIGNAL_LATENT_WEIGHT = {"mean_logprob": 1.0, "sum_logprob": 0.85, "first_token": 0.4}
 
 
 @dataclass(frozen=True)
@@ -383,8 +380,7 @@ class World:
         self._pair_hurt = np.where(toxic, spec.toxic_hurt_prob, spec.hurt_prob_given_inapplicable)
         rates = np.array([spec.guard_rate(g) for g in GUARD_NAMES])
         self._guards = self._rng("guard").random((n, len(GUARD_NAMES))) < rates
-        self._latent = self._draw_latent(self._baseline)
-        self._conf: dict[str, np.ndarray] = {}  # noisy signal -> its confidences, drawn on first read
+        self._confidence = self._draw_latent(self._baseline)
         # bank kind -> (content_hash, counts, columns, pairs, ranked) of the last snapshot read; see _table
         self._tables: dict = {}
 
@@ -418,7 +414,7 @@ class World:
         return out
 
     def _draw_latent(self, baseline: np.ndarray) -> np.ndarray:
-        """(n_examples, 5) Beta confidence latents, the mean_logprob signal.
+        """(n_examples, 5) Beta confidences, the world's one confidence signal.
 
         Column 0 is the baseline decode; column 1 + 2 * bank + correct the
         second pass decided by that bank (BANK_KINDS order) with that outcome.
@@ -437,22 +433,16 @@ class World:
             latent[:, 1 + 2 * k:3 + 2 * k] = self._rng(f"confidence-{kind}").beta(a, b, size=(n, 2))
         return latent
 
-    def _confidence(self, signal: str) -> np.ndarray:
-        """(n_examples, 5) confidences of a signal, columns as in _draw_latent.
-
-        Every signal shares the Beta latent; a noisier one mixes in its own
-        noise-<signal> uniforms, drawn whole on the signal's first read.
-        """
-        w = SIGNAL_LATENT_WEIGHT[signal]
-        if w >= 1.0:
-            return self._latent
-        conf = self._conf.get(signal)
-        if conf is None:
-            conf = self._rng(f"noise-{signal}").random(self._latent.shape)
-            conf *= 1.0 - w
-            conf += w * self._latent
-            conf = self._conf[signal] = np.clip(conf, 0.0, 1.0, out=conf)
-        return conf
+    def draw_digest(self) -> str:
+        """sha256 of the draws no spec or bank hash covers: topics, baseline, guards, the
+        confidences and the query stream's first block. It moves when numpy's streams do."""
+        dim = self.spec.embedding_dim
+        rows = min(self.spec.n_examples, max(1, TABLE_BLOCK_CELLS // dim))
+        query = self._rng("query-embedding").standard_normal((rows, dim))
+        digest = hashlib.sha256()
+        for drawn in (self._query_topics, self._baseline, self._guards, self._confidence, query):
+            digest.update(drawn.tobytes())
+        return digest.hexdigest()
 
     # -- structure ----------------------------------------------------------
 
@@ -602,13 +592,13 @@ class World:
 
     # -- decoding -------------------------------------------------------------
 
-    def baseline_pass(self, rows, signal: str = "mean_logprob") -> tuple[np.ndarray, np.ndarray]:
+    def baseline_pass(self, rows) -> tuple[np.ndarray, np.ndarray]:
         """(correct, confidence) of the baseline decode, per example of rows."""
         rows = np.asarray(rows, np.intp)
-        return self._baseline[rows], self._confidence(signal)[rows, 0]
+        return self._baseline[rows], self._confidence[rows, 0]
 
     def second_pass(
-        self, rows, columns, filled, pairs, version: str = "original", edited_ids=(), signal: str = "mean_logprob"
+        self, rows, columns, filled, pairs, version: str = "original", edited_ids=()
     ) -> tuple[np.ndarray, np.ndarray]:
         """(correct, confidence) of a second pass per example of rows, row r injecting columns[r][filled[r]]
         with pair-latent bytes pairs[r][filled[r]].
@@ -618,12 +608,12 @@ class World:
         injected entry decides: correct if the baseline is and that entry
         does not hurt. Under the repair or corrupt version the first injected
         entry among edited_ids overrides this if it is edit-sensitive. The
-        confidence is column 1 + 2 * bank + correct of _confidence(signal), the
-        bank that of the deciding entry. A row injecting nothing repeats the
-        baseline decode.
+        confidence is column 1 + 2 * bank + correct of the world's confidences
+        (_draw_latent), the bank that of the deciding entry. A row injecting
+        nothing repeats the baseline decode.
         """
         rows = np.asarray(rows, np.intp)
-        base, conf = self.baseline_pass(rows, signal)
+        base, conf = self.baseline_pass(rows)
         if columns.shape[1] == 0:
             return base, conf
         # an unfilled slot never decides, so its byte is never read
@@ -646,14 +636,14 @@ class World:
         bank = np.take_along_axis(columns, slot, axis=1)[:, 0] >= self.spec.n_rule_entries
         column = 1 + 2 * bank + correct
         has = filled.any(axis=1)
-        return np.where(has, correct, base), np.where(has, self._confidence(signal)[rows, column], conf)
+        return np.where(has, correct, base), np.where(has, self._confidence[rows, column], conf)
 
     # -- oracle ground truth ---------------------------------------------------
 
     def decode_contexts(self, rows, snapshots: dict) -> dict:
         """context -> (injects, correct, confidence) of the original-content second pass that
         retrieves from the context's banks (CONTEXT_BANKS), per example of rows: whether it
-        injects anything, and its correctness and mean_logprob confidence. Each context is
+        injects anything, and its correctness and confidence. Each context is
         retrieved and decoded once; the `none` context injects nothing and repeats the baseline."""
         rows = np.asarray(rows, np.intp)
         out = {}

@@ -257,15 +257,15 @@ def accept_decision(c_t, c2_t, margin_m, guard_results, guards_enabled) -> bool:
     return all(guard_results.get(guard, True) for guard in guards_enabled)
 
 
-def reference_baseline(world, idx, signal="mean_logprob"):
+def reference_baseline(world, idx):
     """(action, confidence) of one baseline decode, read off the world's draws."""
-    return world.answer(idx, bool(world._baseline[idx]), second=False), world._confidence(signal).item(idx, 0)
+    return world.answer(idx, bool(world._baseline[idx]), second=False), world._confidence.item(idx, 0)
 
 
-def reference_second(world, idx, injected, version="original", edited_ids=(), signal="mean_logprob"):
+def reference_second(world, idx, injected, version="original", edited_ids=()):
     """(action, confidence) of one second pass, decoded entry by entry from the pair bits."""
     if not injected:
-        return reference_baseline(world, idx, signal)
+        return reference_baseline(world, idx)
     bits = world._pair_bytes(idx, world.columns(injected)).tolist()
     base = bool(world._baseline[idx])
     applicable = [k for k, b in enumerate(bits) if b & PAIR_APPLICABLE]
@@ -283,7 +283,7 @@ def reference_second(world, idx, injected, version="original", edited_ids=(), si
     deciding = injected[applicable[0] if applicable else 0]
     column = 1 + 2 * BANK_KINDS.index(world.entry_bank(deciding)) + correct
     action = world.true_action(idx) if correct else f"alt{idx}.m"
-    return action, world._confidence(signal).item(idx, column)
+    return action, world._confidence.item(idx, column)
 
 
 def reference_step(
@@ -291,7 +291,7 @@ def reference_step(
 ):
     """One pass of the decision loop for one step under a content version (`none`: no memory);
     a frozen_map (example id -> ids) replays fixed retrieval."""
-    action, conf = reference_baseline(world, example_id, policy.confidence_signal)
+    action, conf = reference_baseline(world, example_id)
     routed = route_decision(conf, policy.tau) and budget_state.can_route()
     budget_state.step_end(routed)
     if not routed:
@@ -317,7 +317,7 @@ def reference_step(
             decisive = AttemptRecord(banks, result, None, None, False)
             attempts.append(decisive)
             continue
-        a2, c2 = reference_second(world, example_id, ids, version, edited_ids, policy.confidence_signal)
+        a2, c2 = reference_second(world, example_id, ids, version, edited_ids)
         margin = float("-inf") if bypass_margin else policy.margin_m
         ok = accept_decision(conf, c2, margin, guard_results, policy.guards_enabled)
         decisive = AttemptRecord(banks, result, a2, c2, ok)
@@ -409,16 +409,16 @@ class OracleStep:
     candidates: tuple  # of (action, utility)
 
 
-def reference_oracle_steps(world, example_ids, snapshots, contexts=ORACLE_CONTEXTS, signal="mean_logprob"):
+def reference_oracle_steps(world, example_ids, snapshots, contexts=ORACLE_CONTEXTS):
     """The oracle's candidates, decoded one example and context at a time."""
     steps = []
     for idx in example_ids:
-        base_action, base_conf = reference_baseline(world, idx, signal)
+        base_action, base_conf = reference_baseline(world, idx)
         candidates = []
         for context in contexts:
             injected = reference_injection(world, idx, CONTEXT_BANKS[context], snapshots)
             if injected:
-                a2, _ = reference_second(world, idx, injected, signal=signal)
+                a2, _ = reference_second(world, idx, injected)
                 candidates.append((a2, utility(world, idx, a2)))
         steps.append(OracleStep(idx, base_action, utility(world, idx, base_action), base_conf, tuple(candidates)))
     return steps

@@ -14,7 +14,7 @@ import pytest
 
 import gatedmem
 from conftest import count_query_draws, save_edits
-from gatedmem import protocol
+from gatedmem import protocol, worldsim
 from gatedmem.cli import build_parser, main
 from gatedmem.protocol import split_indices
 from gatedmem.util import parse_kv_file, write_kv_file
@@ -496,6 +496,8 @@ def test_malformed_world_config_names_the_key(tmp_path, world_config, grid_confi
     [
         pytest.param("budgetB = 2\n", "budgetB", id="unknown-key"),
         pytest.param("lambda = 0.0|0.1\n", "lambda", id="deleted-key-lambda"),  # fit selects by fit delta-acc alone
+        # the confidence is the world's one signal
+        pytest.param("confidence_signal = mean_logprob\n", "confidence_signal", id="deleted-key-confidence_signal"),
         pytest.param("tau_percentile = abc\n", "tau_percentile", id="bad-tau_percentile"),
         pytest.param("margin_m = 0.0|0.0\n", "margin_m", id="repeated-alternative"),
         pytest.param("# nothing\n", "grid.kv: no grid keys", id="no-keys"),  # else fit would freeze the default policy
@@ -526,6 +528,7 @@ def test_unknown_grid_key_names_the_key(tmp_path, world_config, capsys, grid_tex
         ("multibank_member = none\n", "multibank_member"),
         ("multibank_member = triple\n", "multibank_member"),
         ("lambda_cost = 0.1\n", "lambda_cost"),
+        ("confidence_signal = mean_logprob\n", "confidence_signal"),  # the confidence is the world's one signal
         ("bank_policy = multibank_best\n", "bank_policy 'multibank_best' is a grid value"),  # a grid value, which no run reads
         ("cooldown = 1.5\n", "cooldown"),  # int
         ("budget_B = unlimited\n", "budget_B"),  # optional int
@@ -584,6 +587,8 @@ def fitted(tmp_path, world_config, grid_config):
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], split_seed="0")), "selection_record.split_seed"),
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], fit_fraction=2.0)), "selection_record.fit_fraction"),
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], test_digest="x")), "selection_record.test_digest"),
+        # a manifest from before fit recorded its draws
+        (lambda raw: dict(raw, selection_record={k: v for k, v in raw["selection_record"].items() if k != "draw_digest"}), "selection_record.draw_digest"),
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], policy=5)), "selection_record.policy"),
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], active_ids=5)), "selection_record.active_ids"),
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], active_ids={"rule": 5, "exemplar": []})), "selection_record.active_ids.rule"),
@@ -607,7 +612,7 @@ def fitted(tmp_path, world_config, grid_config):
     ],
     ids=[
         "not-object", "missing-field", "extra-field", "wrong-type", "split-seed-not-int", "fit-fraction-out-of-range",
-        "split-digest-wrong",
+        "split-digest-wrong", "draw-digest-missing",
         "policy-not-object", "active-ids-not-object", "active-ids-not-list", "active-ids-not-strings",
         "active-ids-extra-kind", "active-ids-missing-kind", "active-ids-unknown-entry", "active-ids-wrong-kind",
     ],
@@ -632,6 +637,25 @@ def test_another_worlds_config_is_refused_by_its_world_hash(tmp_path, world_conf
         argv = [stage, "--config", config, "--manifest", str(fitted), *edits, "--out", str(tmp_path / stage)]
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: world hash does not match the freeze manifest\n"
+
+
+def test_a_world_whose_draws_differ_from_fits_is_refused(tmp_path, world_config, fitted, capsys, monkeypatch):
+    # fit's spec, so fit's world hash, but one confidence draw that is not fit's, as a numpy whose beta
+    # stream changed would give; the patch acts in the test-stage process only
+    draw = worldsim.World._draw_latent
+
+    def perturbed(self, baseline):
+        confidence = draw(self, baseline)
+        confidence[7, 0] = np.nextafter(confidence[7, 0], 1.0)
+        return confidence
+
+    monkeypatch.setattr(worldsim.World, "_draw_latent", perturbed)
+    save_edits(["E000"], str(tmp_path / "edits.jsonl"))
+    capsys.readouterr()
+    for stage, edits in (("test", []), ("counterfactual", ["--edits", str(tmp_path / "edits.jsonl")])):
+        argv = [stage, "--config", world_config, "--manifest", str(fitted), *edits, "--out", str(tmp_path / stage)]
+        assert main(argv) == 1
+        assert "the world's draws differ from fit's" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -689,8 +713,8 @@ QUICKSTART_DIGESTS = {
     "cf/counterfactual_rows.jsonl": "dda32e90ee911dbf4dc63ab510f02427341530e5bf55c5c764e975ac55bb6d43",
     "fit/bank_exemplar.jsonl": "2275c77c4133ba68bd1654c9b6e1e11db36ad1ce6072b1154e628fc4401fb6ed",
     "fit/bank_rule.jsonl": "d58830eb2fd1f5252399a12eb6b0183ae81c4383ba0649872770f40929115744",
-    "fit/manifest.json": "f323924f56f3b7f147c2de95828550950c2e5cb72bcfab3f00528146f90b0a24",
-    "fit/policy.kv": "38a3a6a8ff590ffc58ae88ea01e4e4908cbface7025910b570793921a168c757",
+    "fit/manifest.json": "5c95e831c058d5708c7b16ec57c96992e2608676f2b63c12c809589f57404bad",
+    "fit/policy.kv": "c0d5bf0123331868e41a5db4d2515adf584945e4d3f6154dcc9c10bb27ac4b83",
     "gov/governance.json": "e686c48e1c107da01000a36784af76bec5d214c7dbcbc7f5c3f3a608cf542b49",
     "test/conf_bins.csv": "5986e6a5a51f555a5ec89e2595e206608ce24d86813a81ad3e2481a44d4a46c0",
     "test/ledger.csv": "7b43fa686738efd18d831130cc68ea07694fb0e11383984992d243f3ac0abb88",

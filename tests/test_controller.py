@@ -25,7 +25,6 @@ from conftest import (
 )
 from gatedmem.controller import (
     BANK_POLICIES,
-    CONFIDENCE_SIGNALS,
     GUARD_NAMES,
     MULTIBANK_FAMILY,
     PolicyConfig,
@@ -263,7 +262,7 @@ def test_budget_zero_bitwise_baseline():
     assert np.array_equal(zero.final_correct, base)
     assert not zero.routed.any()
     assert (counts.helps, counts.hurts) == (0, 0)
-    assert counts.mean_calls == counts.base_mean_calls == 1
+    assert counts.mean_calls == 1
 
 
 def test_empty_retrieval_rolls_back():
@@ -353,7 +352,6 @@ def test_policy_flat_roundtrip():
         budget_B=3,
         cooldown=2,
         delta=0.1,
-        confidence_signal="sum_logprob",
     )
     again = PolicyConfig.from_flat(policy.to_flat())
     assert again == policy
@@ -363,7 +361,7 @@ def test_policy_flat_roundtrip():
 def test_policy_flat_form_and_hash_pinned():
     # The freeze manifest locks on this hash of the flat form, so any change
     # to a key, a default or a value format shows up here.
-    assert PolicyConfig().config_hash() == "41a30b40c0024e2385d1cb77509fc3af40e283323f4bebdc1dcac140a19149d5"
+    assert PolicyConfig().config_hash() == "8422f8251e8ef1e7610d1c0f2488d127b4d8c06541b4b5d356489c0bda33fa9b"
     assert PolicyConfig().to_flat()["budget_B"] == "none"
     policy = PolicyConfig(
         tau=0.25,
@@ -374,7 +372,6 @@ def test_policy_flat_form_and_hash_pinned():
         budget_B=3,
         cooldown=2,
         delta=0.1,
-        confidence_signal="first_token",
     )
     assert policy.to_flat() == {
         "tau": "0.25",
@@ -385,9 +382,8 @@ def test_policy_flat_form_and_hash_pinned():
         "budget_B": "3",
         "cooldown": "2",
         "delta": "0.1",
-        "confidence_signal": "first_token",
     }
-    assert policy.config_hash() == "9f708d4343e1db8ce8fcd335751fe3bc089307c49401e7549f9cf1dd8719a3ba"
+    assert policy.config_hash() == "48aaa061eee8436dadc9b30c9b449a6ad05b7fe01b363f4db69b6ddc8b0897de"
 
 
 def test_policy_hash_covers_every_field():
@@ -401,7 +397,6 @@ def test_policy_hash_covers_every_field():
         PolicyConfig(budget_B=1),
         PolicyConfig(cooldown=1),
         PolicyConfig(delta=0.2),
-        PolicyConfig(confidence_signal="first_token"),
     ]
     assert len(variants) == len(fields(PolicyConfig))  # one variant per field
     hashes = {base.config_hash()} | {v.config_hash() for v in variants}
@@ -415,8 +410,8 @@ def test_policy_validation():
         PolicyConfig(guards_enabled=frozenset({"bogus"}))
     with pytest.raises(ValueError):
         PolicyConfig(budget_B=-1)
-    with pytest.raises(ValueError):
-        PolicyConfig(confidence_signal="last_token")
+    with pytest.raises(TypeError, match="confidence_signal"):  # the confidence is the world's one signal
+        PolicyConfig(confidence_signal="mean_logprob")
 
 
 # ---------------------------------------------------------------------------
@@ -588,7 +583,6 @@ def _random_case(rng, trial):
         primary_bank=("rule", "exemplar")[int(rng.integers(2))],
         budget_B=[None, 0, 1, 2, 5][int(rng.integers(5))],
         cooldown=int(rng.integers(0, 4)),
-        confidence_signal=CONFIDENCE_SIGNALS[int(rng.integers(3))],
     )
     return spec, policy
 
@@ -645,12 +639,11 @@ def test_array_decode_matches_entry_by_entry_reference():
         injected = tuple(rng.choice(world.entry_ids, size=int(rng.integers(0, 5)), replace=False).tolist())
         edited = tuple(rng.choice(world.entry_ids, size=int(rng.integers(0, 40)), replace=False).tolist())
         version = ("original", "repair", "corrupt")[int(rng.integers(3))]
-        signal = CONFIDENCE_SIGNALS[int(rng.integers(3))]
         cols = world.columns(injected)[None, :]
         pairs = world._pair_bytes(idx, cols)
-        correct, conf = world.second_pass([idx], cols, np.ones(cols.shape, bool), pairs, version, edited, signal)
+        correct, conf = world.second_pass([idx], cols, np.ones(cols.shape, bool), pairs, version, edited)
         got = world.answer(idx, bool(correct[0]), second=bool(injected)), float(conf[0])
-        assert got == reference_second(world, idx, injected, version, edited, signal)
+        assert got == reference_second(world, idx, injected, version, edited)
 
 
 def test_oracle_matches_per_example_reference():

@@ -26,7 +26,7 @@ from conftest import (
     reference_traces_text,
     tampered_policy,
 )
-from gatedmem import protocol
+from gatedmem import cli, protocol
 from gatedmem.bank import MemoryBank
 from gatedmem.controller import BANK_POLICIES, GUARD_NAMES, MULTIBANK_FAMILY, PolicyConfig, compose_bank_policy
 from gatedmem.errors import FreezeMismatch, ProtocolViolation
@@ -47,6 +47,7 @@ from gatedmem.protocol import (
     write_traces,
 )
 from gatedmem.stats import mcnemar_exact
+from gatedmem.util import parse_kv_file
 from gatedmem.worldsim import World, WorldSpec, generate_world
 
 
@@ -131,6 +132,51 @@ def test_multibank_best_resolved_at_fit():
     assert alone_policy == policy
     assert alone.policy_hash == manifest.policy_hash
     assert alone.selection_record["fit_delta_acc"] == manifest.selection_record["fit_delta_acc"]
+
+
+@pytest.mark.parametrize(
+    "grid, runs",
+    [
+        (parse_kv_file(os.path.join(os.path.dirname(__file__), "..", "configs", "grid.kv")), 20),
+        (
+            {
+                "budget_B": "2|none",
+                "cooldown": "0|1",
+                "bank_policy": "cascade_rule_then_exemplar|dual|multibank_best",
+                "tau_percentile": "35|50",
+                "margin_m": "0.0|0.05",
+            },
+            48,
+        ),
+    ],
+    ids=["shipped-grid", "multi-step-governed-grid"],
+)
+def test_fit_runs_each_distinct_policy_once(monkeypatch, grid, runs):
+    # a multibank_best combo's cascade_rule_then_exemplar and dual members repeat the grid's own combos
+    # (24 and 80 candidate runs in all), and fit runs each policy once, yet freezes what running all would
+    world = generate_world(WorldSpec(n_examples=300, seed=1, steps_per_episode=4, toxic_entry_rate=0.2))
+    fit_ids, _ = split_indices(world.spec.n_examples)
+    candidates = cli._resolve_candidates(world, fit_ids, cli._expand_grid(grid, "grid.kv"))
+    expanded = [
+        (gi, replace(cand, bank_policy=m))
+        for gi, cand in enumerate(candidates)
+        for m in (MULTIBANK_FAMILY if cand.bank_policy == "multibank_best" else (cand.bank_policy,))
+    ]
+    scored = []
+    for order, (gi, cand) in enumerate(expanded):
+        counts = protocol._run_counts(evaluate_policy(world, cand, world.snapshots(), fit_ids))
+        scored.append((-counts.delta_acc, counts.mean_calls, order, gi, cand))
+    _, _, _, grid_index, best = min(scored)
+    ran = []
+
+    def counted(world, policy, *args):
+        ran.append(policy)
+        return evaluate_policy(world, policy, *args)
+
+    monkeypatch.setattr(protocol, "evaluate_policy", counted)
+    manifest, policy, _ = run_fit_stage(world, candidates)
+    assert len(expanded) > len(ran) == len(set(ran)) == runs
+    assert (policy, manifest.selection_record["grid_index"]) == (best, grid_index)
 
 
 def test_toxic_entry_excluded_by_governed_fit():
@@ -313,16 +359,13 @@ def test_output_files_written(tmp_path):
 
 
 def test_conf_bins_bytes_match_per_example_reference(tmp_path):
-    # multi-step episodes whose budget and cooldown hold steps back, binned by the noisier sum_logprob signal
+    # multi-step episodes whose budget and cooldown hold steps back
     spec = WorldSpec(
         n_examples=300, seed=19, steps_per_episode=5, guard_pass_rate=(("format", 0.8),), toxic_entry_rate=0.2
     )
     world = generate_world(spec)
     _, test_ids = split_indices(spec.n_examples)
-    grid = [PolicyConfig(
-        tau=0.6, margin_m=0.02, bank_policy="cascade_rule_then_exemplar", budget_B=2, cooldown=1,
-        confidence_signal="sum_logprob",
-    )]
+    grid = [PolicyConfig(tau=0.6, margin_m=0.02, bank_policy="cascade_rule_then_exemplar", budget_B=2, cooldown=1)]
     manifest, policy, _ = run_fit_stage(world, grid)
     run_pooled_test(spec, manifest, n_seeds=1, out_dir=str(tmp_path))
     fresh = generate_world(spec)
@@ -493,7 +536,7 @@ def test_retry_keeps_baseline_outcomes_at_the_gated_policy_cost():
     gated_counts, retry_counts = protocol._run_counts(gated), protocol._run_counts(retry)
     assert np.array_equal(retry.final_correct, base)
     assert np.array_equal(retry.routed, gated.routed)
-    assert retry_counts.mean_calls == gated_counts.mean_calls > retry_counts.base_mean_calls
+    assert retry_counts.mean_calls == gated_counts.mean_calls > 1.0
     assert retry.columns.shape[2] == 0 and not retry.deciding_injection()[1].any()
     assert not np.array_equal(gated.final_correct, base)
 
@@ -568,14 +611,13 @@ def test_pooled_rates_are_size_weighted_sums_in_seed_order():
     # three seeds of 128 examples routing 0, 1 and 20: sum(n_k / N * x_k) and
     # sum(x_k * n_k) / N differ in the last bit and in a ledger's sixth decimal
     parts = [
-        PairedCounts(128, h, u, r / 128, r / 256, 1 + r / 128, 1.0) for h, u, r in ((3, 0, 0), (0, 2, 1), (5, 5, 20))
+        PairedCounts(128, h, u, r / 128, r / 256, 1 + r / 128) for h, u, r in ((3, 0, 0), (0, 2, 1), (5, 5, 20))
     ]
     pooled = PairedCounts.pool(parts)
     assert (pooled.n, pooled.helps, pooled.hurts) == (384, 8, 7)
     assert pooled.routed_frac == 0.05468749999999999 != 21 / 384
     assert f"{pooled.routed_frac:.6f}" == "0.054687" and f"{21 / 384:.6f}" == "0.054688"
     assert pooled.mean_calls == sum(128 / 384 * (1 + r / 128) for r in (0, 1, 20))
-    assert pooled.base_mean_calls == 1.0
     assert PairedCounts.pool(parts[:1]) == parts[0]
 
 

@@ -19,7 +19,7 @@ from conftest import (
     utility,
 )
 from gatedmem import retrieval, worldsim
-from gatedmem.controller import CONFIDENCE_SIGNALS, GUARD_NAMES, PolicyConfig
+from gatedmem.controller import GUARD_NAMES, PolicyConfig
 from gatedmem.protocol import evaluate_oracle, evaluate_policy
 from gatedmem.retrieval import Query, retrieval_table
 from gatedmem.stats import roc_auc
@@ -30,7 +30,6 @@ from gatedmem.worldsim import (
     PAIR_HELP,
     PAIR_HURT,
     PAIR_REPAIR_BETTER,
-    SIGNAL_LATENT_WEIGHT,
     ConfidenceModel,
     WorldSpec,
     _auc,
@@ -45,11 +44,11 @@ from gatedmem.worldsim import (
 # determinism
 # ---------------------------------------------------------------------------
 
-def _second_pass(world, rows, injected, version="original", edited_ids=(), signal="mean_logprob"):
+def _second_pass(world, rows, injected, version="original", edited_ids=()):
     """second_pass with every row injecting the same entry ids."""
     cols = np.tile(world.columns(injected), (len(rows), 1))
     pairs = world._pair_bytes(np.asarray(rows, np.intp)[:, None], cols)
-    return world.second_pass(rows, cols, np.ones(cols.shape, bool), pairs, version, edited_ids, signal)
+    return world.second_pass(rows, cols, np.ones(cols.shape, bool), pairs, version, edited_ids)
 
 
 def _redrawn(world, rows):
@@ -178,9 +177,8 @@ def test_episode_chunking():
 def test_retry_returns_identical_pair():
     # deterministic decode: an empty injection repeats the baseline exactly
     world = generate_world(WorldSpec(n_examples=50, seed=7))
-    for signal in CONFIDENCE_SIGNALS:
-        again = _second_pass(world, range(50), (), signal=signal)
-        assert all(np.array_equal(a, b) for a, b in zip(again, world.baseline_pass(range(50), signal)))
+    again = _second_pass(world, range(50), ())
+    assert all(np.array_equal(a, b) for a, b in zip(again, world.baseline_pass(range(50))))
 
 
 def test_applicable_help_event_is_correct():
@@ -339,21 +337,6 @@ def test_realized_help_hurt_auc_in_band():
     assert flipped.sum() >= 500
     auc = roc_auc(conf[flipped].tolist(), correct[flipped].tolist())
     assert 0.75 <= auc <= 0.85
-
-
-def test_signal_noise_ordering():
-    # heavier-noise signals track the latent confidence less faithfully
-    # The mean-sum AUC gap is about 0.011 with a paired spread of 0.0015 at
-    # this size, so the first assertion holds by about 7 spreads; at 800
-    # examples the spread was 0.006 and it failed on 3 of seeds 0-59.
-    n = 20000
-    world = generate_world(WorldSpec(n_examples=n, seed=13))
-    aucs = {}
-    for signal in ("mean_logprob", "sum_logprob", "first_token"):
-        correct, confs = world.baseline_pass(range(n), signal)
-        aucs[signal] = roc_auc(confs, correct)
-    assert aucs["mean_logprob"] >= aucs["sum_logprob"] >= aucs["first_token"]
-    assert aucs["first_token"] < aucs["mean_logprob"] - 0.05
 
 
 # ---------------------------------------------------------------------------
@@ -601,43 +584,6 @@ def test_runs_differing_in_budget_or_cooldown_share_one_read(monkeypatch):
         assert getattr(b, name).tobytes() == getattr(want, name).tobytes(), name
 
 
-def _eager_confidences(world):
-    """signal -> (n_examples, 5) confidences, every noisy signal drawn at once from its noise-<signal> stream."""
-    out = {}
-    for signal, w in SIGNAL_LATENT_WEIGHT.items():
-        if w >= 1.0:
-            out[signal] = world._latent
-            continue
-        key = derive_seed(world.seed, f"noise-{signal}")
-        conf = np.random.Generator(np.random.Philox(key=key)).random((world.spec.n_examples, 5))
-        conf *= 1.0 - w
-        conf += w * world._latent
-        out[signal] = np.clip(conf, 0.0, 1.0, out=conf)
-    return out
-
-
-@pytest.mark.parametrize(
-    "order",
-    [("sum_logprob", "first_token"), ("mean_logprob", "first_token", "sum_logprob"), ("mean_logprob",), ()],
-    ids=["noisy-first", "noisy-last", "noisy-never", "nothing"],
-)
-def test_noisy_signals_equal_eager_draw_in_any_read_order(order):
-    spec = WorldSpec(n_examples=150, seed=30)
-    world = generate_world(spec)
-    assert not world._conf  # building the world draws no noisy signal
-    want = _eager_confidences(generate_world(spec))
-    rows = np.random.default_rng(30).permutation(spec.n_examples)[:40]
-    for signal in order:
-        conf = world.baseline_pass(rows, signal)[1]
-        assert conf.tobytes() == want[signal][rows, 0].tobytes()
-        for bank, entry_id in enumerate(("R001", "E002")):  # one entry injected decides the pass
-            correct, conf = _second_pass(world, rows, (entry_id,), signal=signal)
-            assert conf.tobytes() == want[signal][rows, 1 + 2 * bank + correct].tobytes()
-    assert set(world._conf) == {s for s in order if SIGNAL_LATENT_WEIGHT[s] < 1.0}
-    for signal in CONFIDENCE_SIGNALS:
-        assert world._confidence(signal).tobytes() == want[signal].tobytes()
-
-
 # ---------------------------------------------------------------------------
 # dense draws: invariance and realized rates
 # ---------------------------------------------------------------------------
@@ -653,12 +599,8 @@ def _all_draws(world, order):
         idx: (
             world._pair_bytes(idx, columns).tolist(),
             [world.guards_pass([idx], {g}).item() for g in GUARD_NAMES],
-            [tuple(x.item() for x in world.baseline_pass([idx], s)) for s in CONFIDENCE_SIGNALS],
-            [
-                tuple(x.item() for x in _second_pass(world, [idx], ids, signal=s))
-                for ids in (("R000",), ("E001", "R002"))
-                for s in CONFIDENCE_SIGNALS
-            ],
+            tuple(x.item() for x in world.baseline_pass([idx])),
+            [tuple(x.item() for x in _second_pass(world, [idx], ids)) for ids in (("R000",), ("E001", "R002"))],
         )
         for idx in order
     }
@@ -792,7 +734,7 @@ def test_world_keeps_no_examples_by_entries_array():
     cells = spec.n_examples * len(world.entry_ids)
     arrays = list(_arrays(world))
     sizes = {a.size for a in arrays}
-    assert any(a is world._latent for a in arrays)  # the walk reaches the (n_examples, 5) latents
+    assert any(a is world._confidence for a in arrays)  # the walk reaches the (n_examples, 5) confidences
     assert not any(a.shape == (spec.n_examples, spec.embedding_dim) for a in arrays)
     assert spec.n_examples * spec.embedding_dim not in sizes
     assert max(sizes) < cells
