@@ -114,7 +114,6 @@ def cmd_fit(args) -> int:
 def cmd_test(args) -> int:
     spec = _load_spec(args)
     manifest = FreezeManifest.load(args.manifest)
-    os.makedirs(args.out, exist_ok=True)
     rows, _ = run_pooled_test(spec, manifest, n_seeds=args.pool_seeds, out_dir=args.out)
     if spec.steps_per_episode <= FIXED_BUDGET_K:
         print(f"note: steps_per_episode = {spec.steps_per_episode} is at most fixed_budget's cap of {FIXED_BUDGET_K} routed "

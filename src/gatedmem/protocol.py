@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from json.encoder import encode_basestring_ascii
 from typing import get_type_hints
 
@@ -135,46 +135,50 @@ def split_indices(n: int, fit_fraction: float = 0.5, split_seed: int = 0):
 
 @dataclass(frozen=True)
 class PairedCounts:
-    """A run against the baseline on the same examples, as much as a ledger row reads:
-    helps (run right, baseline wrong), hurts (the reverse) and the run's rates. The baseline makes
-    one call per example, so its mean calls are 1.0."""
+    """A run against the baseline on the same examples, as much as a ledger row reads: n,
+    helps (run right, baseline wrong), hurts (the reverse), and how many examples the run routed
+    and accepted. Every rate is one division of these integers. A routed example costs one extra
+    call, and the baseline makes one call per example."""
 
     n: int
     helps: int
     hurts: int
-    routed_frac: float
-    accepted_frac: float
-    mean_calls: float
+    routed: int
+    accepted: int
 
     @property
     def delta_acc(self) -> float:
         return (self.helps - self.hurts) / self.n
 
+    @property
+    def routed_frac(self) -> float:
+        return self.routed / self.n
+
+    @property
+    def accepted_frac(self) -> float:
+        return self.accepted / self.n
+
+    @property
+    def mean_calls(self) -> float:
+        return (self.n + self.routed) / self.n
+
     @staticmethod
     def of(base, correct, routed, accepted) -> "PairedCounts":
         """The counts of a run from index-aligned masks: baseline correctness, the run's
-        correctness, and which examples it routed and accepted. A routed example costs one
-        extra call, and the baseline makes one call per example."""
+        correctness, and which examples it routed and accepted."""
         masks = [np.asarray(x, bool) for x in (base, correct, routed, accepted)]
         if masks[0].ndim != 1 or any(m.shape != masks[0].shape for m in masks):
             raise ValueError("outcome vectors must be 1-d and equal length")
         base, correct, routed, accepted = masks
-        n, n_routed = len(base), int(routed.sum())
-        helps, hurts = int(np.sum(~base & correct)), int(np.sum(base & ~correct))
-        return PairedCounts(n, helps, hurts, n_routed / n, int(accepted.sum()) / n, (n + n_routed) / n)
+        return PairedCounts(
+            len(base), int(np.sum(~base & correct)), int(np.sum(base & ~correct)), int(routed.sum()), int(accepted.sum())
+        )
 
     @staticmethod
     def pool(parts: list) -> "PairedCounts":
-        """The counts over all parts' examples. A rate pools as sum((n_k / N) * x_k) in order,
-        which can differ from sum(n_k * x_k) / N in the last bit, and so in a ledger's sixth decimal."""
-        total = sum(p.n for p in parts)
-        rates = ("routed_frac", "accepted_frac", "mean_calls")
-        return PairedCounts(
-            total,
-            sum(p.helps for p in parts),
-            sum(p.hurts for p in parts),
-            *(sum(p.n / total * getattr(p, rate) for p in parts) for rate in rates),
-        )
+        """The counts over all parts' examples: each field summed, so a pooled rate is the rate
+        of one run over every part's examples."""
+        return PairedCounts(*(sum(getattr(p, f.name) for p in parts) for f in fields(PairedCounts)))
 
 
 def _run_counts(steps: StepTable) -> PairedCounts:
@@ -329,11 +333,12 @@ def run_fit_stage(
 
     The split is split_indices(n, fit_fraction, split_seed), recorded by its
     parameters and digests. Selection is by fit delta-accuracy, ties broken
-    by lower mean calls then grid order. A multibank_best candidate stands
-    for one candidate per MULTIBANK_FAMILY member, in family order, so the
-    frozen policy names the member chosen. Each distinct policy runs once,
-    at its first grid index: a repeat would give the same counts later in
-    grid order, so it could never win.
+    by lower mean calls then grid order; every candidate runs on the same
+    fit ids, so these compare as the counts hurts - helps and routed. A
+    multibank_best candidate stands for one candidate per MULTIBANK_FAMILY
+    member, in family order, so the frozen policy names the member chosen.
+    Each distinct policy runs once, at its first grid index: a repeat would
+    give the same counts later in grid order, so it could never win.
     """
     fit_ids, test_ids = split_indices(world.spec.n_examples, fit_fraction, split_seed)
     if not candidates:
@@ -348,7 +353,7 @@ def run_fit_stage(
 
     snapshots = world.snapshots()
     scored = [(_run_counts(evaluate_policy(world, cand, snapshots, fit_ids)), cand, gi) for cand, gi in first.items()]
-    counts, policy, grid_index = min(scored, key=lambda t: (-t[0].delta_acc, t[0].mean_calls))
+    counts, policy, grid_index = min(scored, key=lambda t: (t[0].hurts - t[0].helps, t[0].routed))
 
     governance_iteration = None
     if governance_rounds >= 1:
@@ -442,7 +447,7 @@ def make_ledger_row(name: str, counts: PairedCounts, seed: int = 0) -> LedgerRow
         ci_hi=hi,
         mcnemar_p=mcnemar_exact(helps, hurts),
         help_hurt=helps - hurts,
-        delta_calls=counts.mean_calls - 1.0,
+        delta_calls=counts.routed_frac,  # one extra call per routed example
         routed_frac=counts.routed_frac,
         accepted_frac=counts.accepted_frac,
     )
@@ -526,7 +531,8 @@ def run_pooled_test(
     the base world (k = 0); siblings reuse the frozen policy and membership,
     and no selection, evidence or retirement sweep runs on them. Each seed
     reduces every comparison to its PairedCounts against the baseline, and
-    the pooled rows are computed from those counts added up in seed order.
+    the pooled rows are computed from those counts added up, so a pooled
+    row is the row of one run over every seed's examples.
     One world is alive at a time, and no seed keeps a per-example array: the
     base world's traces and confidence bins are written before any sibling
     is built.
@@ -553,7 +559,8 @@ def _test_seed(world: World, manifest: FreezeManifest, base: bool, out_dir: str 
     """One seed's ledger rows and each comparison's PairedCounts against the baseline, by name.
 
     The base world is checked against the manifest and, given out_dir,
-    writes traces.jsonl and conf_bins.csv from the policy's run. The
+    creates it and writes traces.jsonl and conf_bins.csv from the policy's
+    run, so a refused manifest leaves no directory behind. The
     baseline is the world's first pass, read once for the oracle; each
     comparator run is its StepTable, which carries the same read, and is
     reduced to its counts before the next one runs.
@@ -567,6 +574,7 @@ def _test_seed(world: World, manifest: FreezeManifest, base: bool, out_dir: str 
         steps = evaluate_policy(world, policy, snapshots, test_ids, comparator=None if name == "policy" else name)
         counts[name] = _run_counts(steps)
         if name == "policy" and base and out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
             write_traces(steps, os.path.join(out_dir, "traces.jsonl"))
             write_conf_bins(steps, os.path.join(out_dir, "conf_bins.csv"))
         del steps  # its step table goes before the next comparison's is built

@@ -274,14 +274,6 @@ def _beta_params(target_auc: float, kappa: float, correct: bool) -> tuple[float,
 # the world
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PairDraws:
-    applicable: bool
-    help: bool
-    hurt: bool
-    sensitivity: str  # none | repair_better | corrupt_better
-
-
 # bits of a pair-latent byte; sensitivity takes two: repair_better, corrupt_better, or neither
 PAIR_APPLICABLE, PAIR_HELP, PAIR_HURT, PAIR_REPAIR_BETTER, PAIR_CORRUPT_BETTER = 1, 2, 4, 8, 16
 
@@ -570,20 +562,9 @@ class World:
 
     # -- drawn randomness -----------------------------------------------------
 
-    def pair_draws(self, idx: int, entry_id: str) -> PairDraws:
-        bits = self._pair_bytes(idx, self._column[entry_id]).item()
-        if bits & PAIR_REPAIR_BETTER:
-            sensitivity = "repair_better"
-        elif bits & PAIR_CORRUPT_BETTER:
-            sensitivity = "corrupt_better"
-        else:
-            sensitivity = "none"
-        return PairDraws(
-            applicable=bool(bits & PAIR_APPLICABLE),
-            help=bool(bits & PAIR_HELP),
-            hurt=bool(bits & PAIR_HURT),
-            sensitivity=sensitivity,
-        )
+    def pair_draws(self, idx: int, entry_id: str) -> int:
+        """The packed pair-latent byte (PAIR_* bits) of an example and an entry."""
+        return self._pair_bytes(idx, self._column[entry_id]).item()
 
     def guards_pass(self, rows, guards) -> np.ndarray:
         """Whether every named guard passes, per example of rows."""

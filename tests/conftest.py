@@ -13,8 +13,8 @@ package encodes the same bytes from columns. reference_counterfactual is the
 counterfactual runner over per-step records, with the frozen identities as a
 dict keyed by example id. reference_ledger_check tries every hurts count in
 turn, where ledger_check bisects. reference_pooled_test keeps every seed's
-outcome vectors, concatenates them and computes each ledger row from the
-paired vectors, where the test stage keeps each comparison's paired counts.
+per-example masks, concatenates them and computes each ledger row from the
+paired masks, where the test stage keeps each comparison's paired counts.
 """
 
 import functools
@@ -725,48 +725,43 @@ def reference_ledger_check(n, delta_acc, help_hurt, p, rel_tol=0.05):
 
 @dataclass
 class ReferenceRun:
-    """A run as per-example outcomes (0.0 or 1.0, index-aligned with the baseline's) and its rates."""
+    """A run as per-example masks, index-aligned with the baseline's: which examples it got right,
+    routed and accepted."""
 
-    outcomes: np.ndarray
-    routed_frac: float
-    accepted_frac: float
-    mean_calls: float
+    correct: np.ndarray
+    routed: np.ndarray
+    accepted: np.ndarray
 
 
 def reference_run(correct, routed, accepted) -> ReferenceRun:
-    """A run from its masks; a routed example costs a second call."""
-    n, n_routed = len(correct), int(routed.sum())
-    return ReferenceRun(correct.astype(np.float64), n_routed / n, int(accepted.sum()) / n, (n + n_routed) / n)
+    return ReferenceRun(*(np.asarray(x, bool) for x in (correct, routed, accepted)))
 
 
 def reference_pooled_run(runs) -> ReferenceRun:
-    """One run over all the runs' examples in order: outcome vectors concatenated, rates weighted by size."""
-    total = sum(len(r.outcomes) for r in runs)
-    weights = [len(r.outcomes) / total for r in runs]
-    return ReferenceRun(
-        outcomes=np.concatenate([r.outcomes for r in runs]),
-        routed_frac=sum(w * r.routed_frac for w, r in zip(weights, runs)),
-        accepted_frac=sum(w * r.accepted_frac for w, r in zip(weights, runs)),
-        mean_calls=sum(w * r.mean_calls for w, r in zip(weights, runs)),
-    )
+    """One run over all the runs' examples in order: each mask concatenated."""
+    return ReferenceRun(*(np.concatenate([getattr(r, f) for r in runs]) for f in ("correct", "routed", "accepted")))
 
 
 def reference_ledger_row(name, base, run, seed=0) -> LedgerRow:
-    """A ledger row from two runs' index-aligned outcome vectors, bootstrapping their paired differences."""
-    a, b = base.outcomes.astype(bool), run.outcomes.astype(bool)
+    """A ledger row from two runs' index-aligned masks, bootstrapping their paired differences.
+
+    Every example costs one call and a routed one a second, so delta_calls is the difference of
+    the two runs' call totals over n: the run's routed fraction, as the baseline routes nothing.
+    """
+    a, b, n = base.correct, run.correct, len(base.correct)
     helps, hurts = int(np.sum(~a & b)), int(np.sum(a & ~b))
     lo, hi = bootstrap_ci(b.astype(np.float64) - a.astype(np.float64), seed=seed)
     return LedgerRow(
         comparison=name,
-        n=len(a),
-        delta_acc=(helps - hurts) / len(a),
+        n=n,
+        delta_acc=(helps - hurts) / n,
         ci_lo=lo,
         ci_hi=hi,
         mcnemar_p=mcnemar_exact(helps, hurts),
         help_hurt=helps - hurts,
-        delta_calls=run.mean_calls - base.mean_calls,
-        routed_frac=run.routed_frac,
-        accepted_frac=run.accepted_frac,
+        delta_calls=int(run.routed.sum() - base.routed.sum()) / n,
+        routed_frac=int(run.routed.sum()) / n,
+        accepted_frac=int(run.accepted.sum()) / n,
     )
 
 

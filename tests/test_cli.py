@@ -570,6 +570,25 @@ def test_negative_governance_rounds_rejected(tmp_path, world_config, grid_config
     assert not out.exists()
 
 
+@pytest.mark.parametrize("seed", [32, 50])
+def test_ledger_delta_calls_prints_the_routed_fraction(tmp_path, capsys, seed):
+    # a routed example costs one extra call, so delta_calls is routed_frac; a pooled row is one run over
+    # every seed's examples, where weighting each seed's fraction by its share printed them 1e-6 apart
+    configs = Path(__file__).parents[1] / "configs"
+    world = str(tmp_path / "world.kv")
+    write_kv_file(world, {**parse_kv_file(str(configs / "world.kv")), "n_examples": "256", "seed": str(seed)})
+    fit, test = tmp_path / "fit", tmp_path / "test"
+    assert main(["fit", "--config", world, "--grid", str(configs / "grid.kv"), "--out", str(fit)]) == 0
+    assert main(["test", "--config", world, "--manifest", str(fit / "manifest.json"), "--out", str(test)]) == 0
+    ledgers = sorted(test.glob("ledger*.csv"))
+    assert [p.name for p in ledgers] == ["ledger.csv"] + [f"ledger_seed{seed + k}.csv" for k in range(3)]
+    for path in ledgers:
+        header, *rows = path.read_text().splitlines()
+        columns = header.split(",")
+        for row in map(dict, (zip(columns, line.split(",")) for line in rows)):
+            assert row["delta_calls"] == "+" + row["routed_frac"], (path.name, row)
+
+
 @pytest.fixture()
 def fitted(tmp_path, world_config, grid_config):
     fit_out = tmp_path / "fit"
@@ -624,6 +643,7 @@ def test_malformed_manifest_names_the_field(tmp_path, world_config, fitted, caps
     code = main(["test", "--config", world_config, "--manifest", str(fitted), "--out", str(tmp_path / "t")])
     assert code == 1
     assert named in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
 
 
 @pytest.mark.parametrize("key, value", [("seed", "6"), ("n_examples", "100"), ("n_rule_entries", "40")])
@@ -637,6 +657,7 @@ def test_another_worlds_config_is_refused_by_its_world_hash(tmp_path, world_conf
         argv = [stage, "--config", config, "--manifest", str(fitted), *edits, "--out", str(tmp_path / stage)]
         assert main(argv) == 1
         assert capsys.readouterr().err == "error: world hash does not match the freeze manifest\n"
+        assert not (tmp_path / stage).exists()
 
 
 def test_a_world_whose_draws_differ_from_fits_is_refused(tmp_path, world_config, fitted, capsys, monkeypatch):
@@ -656,6 +677,7 @@ def test_a_world_whose_draws_differ_from_fits_is_refused(tmp_path, world_config,
         argv = [stage, "--config", world_config, "--manifest", str(fitted), *edits, "--out", str(tmp_path / stage)]
         assert main(argv) == 1
         assert "the world's draws differ from fit's" in capsys.readouterr().err
+        assert not (tmp_path / stage).exists()
 
 
 @pytest.mark.parametrize(

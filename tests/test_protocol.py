@@ -600,25 +600,27 @@ def test_pooled_rows_from_counts_equal_rows_from_outcome_vectors(n_seeds):
     }
     # not vacuous: rows whose paired differences lack -1 or +1, which the
     # bootstrap's np.unique drops, next to rows that have all three values
-    base = runs["baseline"].outcomes
-    helps_hurts = {name: (int((r.outcomes > base).sum()), int((r.outcomes < base).sum())) for name, r in runs.items()}
+    base = runs["baseline"].correct
+    helps_hurts = {name: (int((r.correct & ~base).sum()), int((base & ~r.correct).sum())) for name, r in runs.items()}
     assert helps_hurts["retry"] == (0, 0)
     assert helps_hurts["oracle"][0] > 0 and helps_hurts["oracle"][1] == 0
     assert min(helps_hurts["policy"]) > 0
 
 
-def test_pooled_rates_are_size_weighted_sums_in_seed_order():
-    # three seeds of 128 examples routing 0, 1 and 20: sum(n_k / N * x_k) and
-    # sum(x_k * n_k) / N differ in the last bit and in a ledger's sixth decimal
-    parts = [
-        PairedCounts(128, h, u, r / 128, r / 256, 1 + r / 128) for h, u, r in ((3, 0, 0), (0, 2, 1), (5, 5, 20))
-    ]
+def test_pooled_counts_are_one_run_over_every_seeds_examples():
+    # three seeds of 128 examples routing 0, 1 and 20: the pooled rate is 21 / 384, where weighting
+    # each seed's fraction by its share, sum(n_k / N * x_k), gives 0.054687 in a ledger's sixth decimal
+    parts = [PairedCounts(128, h, u, r, r // 2) for h, u, r in ((3, 0, 0), (0, 2, 1), (5, 5, 20))]
     pooled = PairedCounts.pool(parts)
-    assert (pooled.n, pooled.helps, pooled.hurts) == (384, 8, 7)
-    assert pooled.routed_frac == 0.05468749999999999 != 21 / 384
-    assert f"{pooled.routed_frac:.6f}" == "0.054687" and f"{21 / 384:.6f}" == "0.054688"
-    assert pooled.mean_calls == sum(128 / 384 * (1 + r / 128) for r in (0, 1, 20))
+    assert pooled == PairedCounts(384, 8, 7, 21, 10)
+    assert pooled.routed_frac == 21 / 384 != sum(128 / 384 * (r / 128) for r in (0, 1, 20))
+    assert f"{pooled.routed_frac:.6f}" == "0.054688"
     assert PairedCounts.pool(parts[:1]) == parts[0]
+    # pooling the parts' counts is counting their concatenated masks
+    rng = np.random.default_rng(35)
+    for _ in range(50):
+        masks = [rng.random((4, int(rng.integers(1, 60)))) < rng.random((4, 1)) for _ in range(int(rng.integers(1, 6)))]
+        assert PairedCounts.pool([PairedCounts.of(*m) for m in masks]) == PairedCounts.of(*np.concatenate(masks, axis=1))
 
 
 def test_a_test_seed_hands_back_only_numbers(tmp_path):
