@@ -53,13 +53,17 @@ class PolicyConfig:
 
     bank_policy multibank_best is a grid value only: fit runs each
     MULTIBANK_FAMILY member in its place and freezes the member it chose.
+
+    Each behaviour is stored in one form, so it has one hash: gate_only is
+    choose with margin_m = -inf, and primary_bank, read only by choose, is
+    None for every other bank policy.
     """
 
     tau: float = 0.5
     margin_m: float = 0.0
     guards_enabled: frozenset[str] = frozenset({"format", "valid"})
     bank_policy: str = "choose"
-    primary_bank: str = "rule"
+    primary_bank: str | None = "rule"
     budget_B: int | None = None  # None = unlimited
     cooldown: int = 0
     delta: float = 0.05
@@ -67,7 +71,7 @@ class PolicyConfig:
     def __post_init__(self):
         if self.bank_policy not in BANK_POLICIES:
             raise ValueError(f"unknown bank_policy {self.bank_policy!r}")
-        if self.primary_bank not in ("rule", "exemplar"):
+        if self.primary_bank not in ("rule", "exemplar", None):
             raise ValueError(f"unknown primary_bank {self.primary_bank!r}")
         bad = set(self.guards_enabled) - set(GUARD_NAMES)
         if bad:
@@ -81,6 +85,13 @@ class PolicyConfig:
                 raise ValueError(f"{key} must be a number, got nan")
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        if self.bank_policy == "gate_only":
+            object.__setattr__(self, "bank_policy", "choose")
+            object.__setattr__(self, "margin_m", -math.inf)
+        if self.bank_policy != "choose":
+            object.__setattr__(self, "primary_bank", None)
+        elif self.primary_bank is None:
+            raise ValueError("primary_bank must be rule or exemplar when bank_policy is choose, got none")
 
     def to_flat(self) -> dict[str, str]:
         return to_flat(self)
@@ -105,24 +116,21 @@ def select_threshold_percentile(fit_confidences, p: float) -> float:
     return float(ordered[max(rank, 1) - 1])
 
 
-def compose_bank_policy(policy: PolicyConfig) -> list[tuple[tuple[str, ...], bool]]:
-    """Ordered (banks, bypass_margin) attempts for the policy's bank family.
+def compose_bank_policy(policy: PolicyConfig) -> list[tuple[str, ...]]:
+    """Ordered bank tuples, one per attempt, for the policy's bank family.
 
-    gate_only keeps the structural guards but treats the margin as -inf;
-    cascades try the second bank only if the first attempt is rejected; dual
+    Cascades try the second bank only if the first attempt is rejected; dual
     injects both banks' retrievals in one joint second pass.
     """
     kind = policy.bank_policy
-    if kind == "gate_only":
-        return [((policy.primary_bank,), True)]
     if kind == "choose":
-        return [((policy.primary_bank,), False)]
+        return [(policy.primary_bank,)]
     if kind == "cascade_rule_then_exemplar":
-        return [(("rule",), False), (("exemplar",), False)]
+        return [("rule",), ("exemplar",)]
     if kind == "cascade_exemplar_then_rule":
-        return [(("exemplar",), False), (("rule",), False)]
+        return [("exemplar",), ("rule",)]
     if kind == "dual":
-        return [(("rule", "exemplar"), False)]
+        return [("rule", "exemplar")]
     raise ValueError(f"bank_policy {kind!r} is a grid value: fit chooses one of {MULTIBANK_FAMILY} in its place")
 
 
@@ -207,9 +215,9 @@ def run_steps(
     routed step starts one of `cooldown` steps). A routed step tries its
     plan's attempts in order: each retrieves and decodes a second pass, and
     is accepted iff it injected something, its confidence is at least the
-    baseline's plus the margin (-inf for gate_only) and every enabled guard
-    passes. The first accepted attempt's answer is final; if none is, the
-    step rolls back to the baseline. The second pass decodes edited_ids at
+    baseline's plus the margin and every enabled guard passes. The first
+    accepted attempt's answer is final; if none is, the step rolls back to
+    the baseline. The second pass decodes edited_ids at
     content `version`; the `none` version injects nothing and decodes the
     baseline again. A fixed replay of `frozen`, a run on the same examples,
     injects each step's frozen deciding injection in one attempt. Retrieval
@@ -245,9 +253,9 @@ def run_steps(
         count[e] += go
         cooling[e] = np.where(go, policy.cooldown, np.maximum(cooling[e] - 1, 0))
 
-    plan = tuple(compose_bank_policy(policy))  # refuses multibank_best in a fixed replay too
-    if frozen is not None:  # one attempt, under the policy's margin rule
-        plan = ((("frozen",), plan[0][1]),)
+    plan = compose_bank_policy(policy)  # refuses multibank_best in a fixed replay too
+    if frozen is not None:  # one attempt
+        plan = [("frozen",)]
         injection = frozen.deciding_injection()
     rows = ex[routed]
     keep = routed[wants]  # the routed steps among those that want to route
@@ -258,15 +266,14 @@ def run_steps(
     confidence = np.full(shape, np.nan)
     injections = []  # per attempt, (columns, filled, pairs) of the routed rows
     pending = np.ones(len(rows), bool)
-    for a, (banks, bypass_margin) in enumerate(plan):
+    for a, banks in enumerate(plan):
         if frozen is not None and not no_memory:
             cols, fill, bits = (x[routed] for x in injection)
         else:
             cols, fill, bits = (x[keep] for x in world.injected(ex[wants], snapshots, () if no_memory else banks))
         second, conf2 = world.second_pass(rows, cols, fill, bits, version, edited_ids)
         ran = pending & (fill.any(axis=1) | no_memory)
-        margin = -math.inf if bypass_margin else policy.margin_m
-        ok = ran & ~(conf2 < conf[routed] + margin) & guards
+        ok = ran & ~(conf2 < conf[routed] + policy.margin_m) & guards
         injections.append((cols, fill, bits))
         tried[routed, a], decoded[routed, a], accepted[routed, a] = pending, ran, ok
         correct[routed, a], confidence[routed, a] = second, np.where(ran, conf2, np.nan)

@@ -670,23 +670,24 @@ def write_traces(steps: StepTable, path: str) -> None:
     bounds = np.flatnonzero(np.diff(steps.episode_ids, prepend=-1, append=-1))
     starts, lengths = bounds[:-1], np.diff(bounds)
     routed_count = np.add.reduceat(steps.routed.astype(np.intp), starts)
-    accepted_count = np.add.reduceat(accepted.astype(np.intp), starts).tolist()
-    utility = (np.add.reduceat(steps.final_correct.astype(np.intp), starts) / lengths).tolist()
-    calls = (lengths + routed_count).tolist()
-    episode_ids, routed_count, bounds = steps.episode_ids[starts].tolist(), routed_count.tolist(), bounds.tolist()
+    accepted_count = np.add.reduceat(accepted.astype(np.intp), starts)
+    utility = np.add.reduceat(steps.final_correct.astype(np.intp), starts) / lengths
+    calls = lengths + routed_count
+    episode_ids = steps.episode_ids[starts]
     per_block = max(1, ROW_BLOCK // world.spec.steps_per_episode)
     with open(path, "w", encoding="utf-8") as fh:
         for e0 in range(0, len(episode_ids), per_block):
             e1 = min(e0 + per_block, len(episode_ids))
-            lo = bounds[e0]
-            lines = step_json(lo, bounds[e1])
-            fh.write("".join(
-                _EPISODE_JSON % (
-                    accepted_count[e], episode_ids[e], float.__repr__(utility[e]), routed_count[e],
-                    ", ".join(lines[bounds[e] - lo:bounds[e + 1] - lo]), calls[e],
-                )
-                for e in range(e0, e1)
-            ))
+            ends = (bounds[e0:e1 + 1] - bounds[e0]).tolist()  # the block's episode bounds within its lines
+            lines = step_json(bounds[e0], bounds[e1])
+            fh.write("".join(map(_EPISODE_JSON.__mod__, zip(
+                accepted_count[e0:e1].tolist(),
+                episode_ids[e0:e1].tolist(),
+                map(float.__repr__, utility[e0:e1].tolist()),
+                routed_count[e0:e1].tolist(),
+                [", ".join(lines[lo:hi]) for lo, hi in zip(ends[:-1], ends[1:])],
+                calls[e0:e1].tolist(),
+            ))))
 
 
 def write_outcome_table(baseline_correct: np.ndarray, passes: dict, path: str) -> None:

@@ -65,6 +65,7 @@ ORACLE_CONTEXTS = ("rule", "exemplar", "dual")
 # bank-policy context -> the banks it retrieves from, in injection order;
 # dual, the widest decode, first, so decode_contexts holds no other context's outputs while it runs
 CONTEXT_BANKS = {"dual": ("rule", "exemplar"), "rule": ("rule",), "exemplar": ("exemplar",), "none": ()}
+DIGEST_QUERY_CELLS = 1 << 13  # query-stream doubles that draw_digest hashes; fixed, since manifests record the digest
 
 
 @dataclass(frozen=True)
@@ -427,13 +428,13 @@ class World:
 
     def draw_digest(self) -> str:
         """sha256 of the draws no spec or bank hash covers: topics, baseline, guards, the
-        confidences and the query stream's first block. It moves when numpy's streams do."""
+        confidences and the query stream's first DIGEST_QUERY_CELLS doubles. It moves when numpy's streams do."""
         dim = self.spec.embedding_dim
-        rows = min(self.spec.n_examples, max(1, TABLE_BLOCK_CELLS // dim))
+        rows = min(self.spec.n_examples, max(1, DIGEST_QUERY_CELLS // dim))
         query = self._rng("query-embedding").standard_normal((rows, dim))
         digest = hashlib.sha256()
         for drawn in (self._query_topics, self._baseline, self._guards, self._confidence, query):
-            digest.update(drawn.tobytes())
+            digest.update(drawn)  # C-contiguous arrays, hashed in place
         return digest.hexdigest()
 
     # -- structure ----------------------------------------------------------

@@ -301,11 +301,8 @@ def reference_step(
     attempts = []
     decisive = None
     no_memory = version == "none"
-    if frozen_map is not None:
-        plan = [(("frozen",), policy.bank_policy == "gate_only")]
-    else:
-        plan = compose_bank_policy(policy)
-    for banks, bypass_margin in plan:
+    plan = [("frozen",)] if frozen_map is not None else compose_bank_policy(policy)
+    for banks in plan:
         if no_memory:
             ids, result = (), None
         elif frozen_map is not None:  # an empty frozen injection still carries a result
@@ -318,8 +315,7 @@ def reference_step(
             attempts.append(decisive)
             continue
         a2, c2 = reference_second(world, example_id, ids, version, edited_ids)
-        margin = float("-inf") if bypass_margin else policy.margin_m
-        ok = accept_decision(conf, c2, margin, guard_results, policy.guards_enabled)
+        ok = accept_decision(conf, c2, policy.margin_m, guard_results, policy.guards_enabled)
         decisive = AttemptRecord(banks, result, a2, c2, ok)
         attempts.append(decisive)
         if ok:

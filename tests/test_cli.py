@@ -533,6 +533,7 @@ def test_unknown_grid_key_names_the_key(tmp_path, world_config, capsys, grid_tex
         ("cooldown = 1.5\n", "cooldown"),  # int
         ("budget_B = unlimited\n", "budget_B"),  # optional int
         ("guards_enabled = format,fromat\n", "guards_enabled"),  # guard CSV
+        ("bank_policy = choose\nprimary_bank = none\n", "primary_bank"),  # choose reads its one bank
         # values that parse but are out of range
         ("tau = nan\n", "tau"),  # routes nothing
         ("margin_m = nan\n", "margin_m"),
@@ -735,8 +736,8 @@ QUICKSTART_DIGESTS = {
     "cf/counterfactual_rows.jsonl": "dda32e90ee911dbf4dc63ab510f02427341530e5bf55c5c764e975ac55bb6d43",
     "fit/bank_exemplar.jsonl": "2275c77c4133ba68bd1654c9b6e1e11db36ad1ce6072b1154e628fc4401fb6ed",
     "fit/bank_rule.jsonl": "d58830eb2fd1f5252399a12eb6b0183ae81c4383ba0649872770f40929115744",
-    "fit/manifest.json": "5c95e831c058d5708c7b16ec57c96992e2608676f2b63c12c809589f57404bad",
-    "fit/policy.kv": "c0d5bf0123331868e41a5db4d2515adf584945e4d3f6154dcc9c10bb27ac4b83",
+    "fit/manifest.json": "998a38a6fbae49c862e7198173898baf9e5df39cca5f8fd098b03d109dc30148",
+    "fit/policy.kv": "c9e964975dedd9ddcb8b1305923b04fd2a288372f653a044b1b6d978ce0ad98c",
     "gov/governance.json": "e686c48e1c107da01000a36784af76bec5d214c7dbcbc7f5c3f3a608cf542b49",
     "test/conf_bins.csv": "5986e6a5a51f555a5ec89e2595e206608ce24d86813a81ad3e2481a44d4a46c0",
     "test/ledger.csv": "7b43fa686738efd18d831130cc68ea07694fb0e11383984992d243f3ac0abb88",

@@ -165,17 +165,11 @@ def test_cooldown_blocks_then_releases():
 # ---------------------------------------------------------------------------
 
 def test_compose_shapes():
-    assert compose_bank_policy(PolicyConfig(bank_policy="gate_only", primary_bank="rule")) == [
-        (("rule",), True)
-    ]
-    assert compose_bank_policy(PolicyConfig(bank_policy="choose", primary_bank="exemplar")) == [
-        (("exemplar",), False)
-    ]
-    assert compose_bank_policy(PolicyConfig(bank_policy="cascade_rule_then_exemplar")) == [
-        (("rule",), False),
-        (("exemplar",), False),
-    ]
-    assert compose_bank_policy(PolicyConfig(bank_policy="dual")) == [(("rule", "exemplar"), False)]
+    assert compose_bank_policy(PolicyConfig(bank_policy="gate_only", primary_bank="rule")) == [("rule",)]
+    assert compose_bank_policy(PolicyConfig(bank_policy="choose", primary_bank="exemplar")) == [("exemplar",)]
+    assert compose_bank_policy(PolicyConfig(bank_policy="cascade_rule_then_exemplar")) == [("rule",), ("exemplar",)]
+    assert compose_bank_policy(PolicyConfig(bank_policy="cascade_exemplar_then_rule")) == [("exemplar",), ("rule",)]
+    assert compose_bank_policy(PolicyConfig(bank_policy="dual")) == [("rule", "exemplar")]
 
 
 def test_multibank_requires_resolution():
@@ -378,12 +372,41 @@ def test_policy_flat_form_and_hash_pinned():
         "margin_m": "0.05",
         "guards_enabled": "contract,progress",
         "bank_policy": "dual",
-        "primary_bank": "exemplar",
+        "primary_bank": "none",
         "budget_B": "3",
         "cooldown": "2",
         "delta": "0.1",
     }
-    assert policy.config_hash() == "48aaa061eee8436dadc9b30c9b449a6ad05b7fe01b363f4db69b6ddc8b0897de"
+    assert policy.config_hash() == "e2991fc496c3062b17f765861e4fed137e47fcb7bb0caa236f17ad91e1f8f30d"
+
+
+@pytest.mark.parametrize("bank", ["rule", "exemplar"])
+@pytest.mark.parametrize("margin", [0.0, 0.05, -math.inf])
+def test_gate_only_is_choose_at_minus_inf_margin(bank, margin):
+    gate = PolicyConfig(tau=0.6, margin_m=margin, bank_policy="gate_only", primary_bank=bank)
+    choose = PolicyConfig(tau=0.6, margin_m=-math.inf, bank_policy="choose", primary_bank=bank)
+    assert gate == choose
+    assert gate.config_hash() == choose.config_hash()
+    assert PolicyConfig.from_flat(dict(gate.to_flat(), margin_m=repr(margin), bank_policy="gate_only")) == choose
+
+
+@pytest.mark.parametrize("kind", ["dual", "cascade_rule_then_exemplar", "cascade_exemplar_then_rule", "multibank_best"])
+def test_primary_bank_dropped_where_unread(kind):
+    policies = [PolicyConfig(tau=0.6, bank_policy=kind, primary_bank=b) for b in ("rule", "exemplar", None)]
+    assert policies[0] == policies[1] == policies[2]
+    assert {p.config_hash() for p in policies} == {policies[0].config_hash()}
+    assert policies[0].primary_bank is None
+    assert policies[0].to_flat()["primary_bank"] == "none"
+    assert replace(PolicyConfig(tau=0.6, primary_bank="exemplar"), bank_policy=kind) == policies[0]
+
+
+def test_choose_needs_a_primary_bank():
+    with pytest.raises(ValueError, match="primary_bank"):
+        PolicyConfig(bank_policy="choose", primary_bank=None)
+    with pytest.raises(ValueError, match="primary_bank"):
+        PolicyConfig.from_flat({"bank_policy": "gate_only", "primary_bank": "none"})
+    with pytest.raises(ValueError, match="primary_bank"):
+        PolicyConfig(bank_policy="dual", primary_bank="both")
 
 
 def test_policy_hash_covers_every_field():

@@ -47,8 +47,11 @@ from gatedmem.protocol import (
     write_traces,
 )
 from gatedmem.stats import mcnemar_exact
-from gatedmem.util import parse_kv_file
+from gatedmem.util import canonical_json, parse_kv_file, stable_digest
 from gatedmem.worldsim import World, WorldSpec, generate_world
+
+
+CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 
 
 def fitted_world(seed=0, n=400, grid=None, governance_rounds=0, spec=None):
@@ -137,7 +140,7 @@ def test_multibank_best_resolved_at_fit():
 @pytest.mark.parametrize(
     "grid, runs",
     [
-        (parse_kv_file(os.path.join(os.path.dirname(__file__), "..", "configs", "grid.kv")), 20),
+        (parse_kv_file(os.path.join(CONFIGS, "grid.kv")), 12),
         (
             {
                 "budget_B": "2|none",
@@ -177,6 +180,25 @@ def test_fit_runs_each_distinct_policy_once(monkeypatch, grid, runs):
     manifest, policy, _ = run_fit_stage(world, candidates)
     assert len(expanded) > len(ran) == len(set(ran)) == runs
     assert (policy, manifest.selection_record["grid_index"]) == (best, grid_index)
+
+
+def test_shipped_grid_policies_behave_distinctly():
+    # one stored form per behaviour: on the shipped world, no two of the shipped grid's
+    # distinct policies decide every fit step alike
+    world = generate_world(WorldSpec.from_flat(parse_kv_file(os.path.join(CONFIGS, "world.kv"))))
+    fit_ids, _ = split_indices(world.spec.n_examples)
+    combos = cli._expand_grid(parse_kv_file(os.path.join(CONFIGS, "grid.kv")), "grid.kv")
+    candidates = cli._resolve_candidates(world, fit_ids, combos)
+    policies = {
+        replace(cand, bank_policy=m): None
+        for cand in candidates
+        for m in (MULTIBANK_FAMILY if cand.bank_policy == "multibank_best" else (cand.bank_policy,))
+    }
+    outcomes = set()
+    for policy in policies:
+        steps = evaluate_policy(world, policy, world.snapshots(), fit_ids)
+        outcomes.add(tuple(np.packbits(x).tobytes() for x in (steps.final_correct, steps.routed, steps.accepted)))
+    assert len(policies) == len(outcomes) == 12
 
 
 def test_toxic_entry_excluded_by_governed_fit():
@@ -234,6 +256,23 @@ def test_tampered_tau_hash_mismatch():
     world, manifest, policy, _ = fitted_world(seed=7)
     with pytest.raises(FreezeMismatch, match="policy config hash"):
         base_seed(world, tampered_policy(manifest, tau=policy.tau + 0.05))
+
+
+@pytest.mark.parametrize(
+    "stored", [{"bank_policy": "dual", "primary_bank": "rule"}, {"bank_policy": "gate_only", "margin_m": "0.0"}]
+)
+def test_policy_stored_in_a_non_canonical_form_is_refused(stored):
+    # a policy file that stored a setting no run reads hashes as written, the policy it reads back does not
+    grid = [PolicyConfig(tau=0.6, bank_policy=stored["bank_policy"])]
+    world, manifest, _, _ = fitted_world(seed=7, grid=grid)
+    flat = dict(manifest.selection_record["policy"], **stored)
+    old = replace(
+        manifest,
+        policy_hash=stable_digest(canonical_json(flat)),
+        selection_record=dict(manifest.selection_record, policy=flat),
+    )
+    with pytest.raises(FreezeMismatch, match="policy config hash"):
+        base_seed(world, old)
 
 
 def test_tampered_bank_hash_mismatch():

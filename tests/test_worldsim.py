@@ -1,5 +1,6 @@
 """World generator: determinism, outcome structure, confidence model."""
 
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -778,3 +779,30 @@ def test_realized_rates_within_binomial_bands():
             assert all(passed)
         else:
             within_band(passed, spec.guard_rate(guard))
+
+
+def _reference_draw_digest(world) -> str:
+    """sha256 over copies of the draws: topics, baseline, guards, confidences, then the query stream's first
+    8192 doubles (whole rows, at most n_examples of them)."""
+    spec = world.spec
+    stream = np.random.Generator(np.random.Philox(key=derive_seed(spec.seed, "query-embedding")))
+    rows = min(spec.n_examples, max(1, 8192 // spec.embedding_dim))
+    query = stream.standard_normal((rows, spec.embedding_dim))
+    digest = hashlib.sha256()
+    for drawn in (world._query_topics, world._baseline, world._guards, world._confidence, query):
+        digest.update(drawn.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "spec", [_multi_step_spec(7), WorldSpec(n_examples=90, seed=9, embedding_dim=48)], ids=["multi-step-7", "dim-48"]
+)
+def test_draw_digest_hashes_the_draws_and_not_the_block_size(monkeypatch, spec):
+    # the digest is recorded in every manifest, so a tuning of the table block size must not move it
+    world = generate_world(spec)
+    want = _reference_draw_digest(world)
+    assert world.draw_digest() == want
+    for cells in (64, 1 << 16):
+        monkeypatch.setattr(worldsim, "TABLE_BLOCK_CELLS", cells)
+        assert world.draw_digest() == want
+        assert generate_world(spec).draw_digest() == want
