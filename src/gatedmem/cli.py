@@ -98,9 +98,9 @@ def cmd_gen_world(args) -> int:
 
 def cmd_fit(args) -> int:
     world = _load_world(args)
-    fit_ids, _ = split_indices(world.spec.n_examples)  # the split run_fit_stage draws at its defaults
     combos = _expand_grid(parse_kv_file(args.grid), args.grid) if args.grid else [{}]
-    candidates = _resolve_candidates(world, fit_ids, combos)
+    # the fit side of the split run_fit_stage draws at its defaults, freed before that draw
+    candidates = _resolve_candidates(world, split_indices(world.spec.n_examples)[0], combos)
     manifest, policy, snapshots = run_fit_stage(world, candidates, governance_rounds=args.governance_rounds)
     os.makedirs(args.out, exist_ok=True)
     manifest.save(os.path.join(args.out, "manifest.json"))

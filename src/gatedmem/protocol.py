@@ -389,42 +389,43 @@ def run_fit_stage(
 # test stage
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class LedgerRow:
+    """A comparison's paired counts against the baseline and the statistics drawn from them:
+    every other printed column is a function of the counts."""
+
     comparison: str
-    n: int
-    delta_acc: float
+    counts: PairedCounts
     ci_lo: float
     ci_hi: float
     mcnemar_p: float
-    help_hurt: int
-    delta_calls: float
-    routed_frac: float
-    accepted_frac: float
 
-    def check_consistency(self) -> None:
-        # On integer outcome vectors delta_acc * n is exactly helps - hurts.
-        if abs(self.delta_acc * self.n - self.help_hurt) > 1e-9:
-            raise ProtocolViolation(
-                f"ledger row {self.comparison!r}: delta_acc*n != help-hurt "
-                f"({self.delta_acc * self.n} vs {self.help_hurt})"
-            )
-        if not (self.ci_lo <= self.ci_hi):
-            raise ProtocolViolation(f"ledger row {self.comparison!r}: CI bounds out of order")
+    @property
+    def n(self) -> int:
+        return self.counts.n
+
+    @property
+    def delta_acc(self) -> float:
+        return self.counts.delta_acc
+
+    @property
+    def help_hurt(self) -> int:
+        return self.counts.helps - self.counts.hurts
 
     def as_csv(self) -> str:
+        c = self.counts
         return ",".join(
             [
                 self.comparison,
-                str(self.n),
-                f"{self.delta_acc:+.6f}",
+                str(c.n),
+                f"{c.delta_acc:+.6f}",
                 f"{self.ci_lo:+.6f}",
                 f"{self.ci_hi:+.6f}",
                 f"{self.mcnemar_p:.6g}",
                 f"{self.help_hurt:+d}",
-                f"{self.delta_calls:+.6f}",
-                f"{self.routed_frac:.6f}",
-                f"{self.accepted_frac:.6f}",
+                f"{c.routed_frac:+.6f}",  # delta_calls: one extra call per routed example
+                f"{c.routed_frac:.6f}",
+                f"{c.accepted_frac:.6f}",
             ]
         )
 
@@ -439,20 +440,9 @@ def make_ledger_row(name: str, counts: PairedCounts, seed: int = 0) -> LedgerRow
     # the paired differences run - baseline; the bootstrap reads only how many there are of each value
     diffs = np.repeat([-1.0, 0.0, 1.0], [hurts, counts.n - helps - hurts, helps])
     lo, hi = bootstrap_ci(diffs, seed=seed)
-    row = LedgerRow(
-        comparison=name,
-        n=counts.n,
-        delta_acc=counts.delta_acc,
-        ci_lo=lo,
-        ci_hi=hi,
-        mcnemar_p=mcnemar_exact(helps, hurts),
-        help_hurt=helps - hurts,
-        delta_calls=counts.routed_frac,  # one extra call per routed example
-        routed_frac=counts.routed_frac,
-        accepted_frac=counts.accepted_frac,
-    )
-    row.check_consistency()
-    return row
+    if not lo <= hi:
+        raise ProtocolViolation(f"ledger row {name!r}: CI bounds out of order")
+    return LedgerRow(name, counts, lo, hi, mcnemar_exact(helps, hurts))
 
 
 def _ledger_rows(counts: dict, seed: int) -> list:

@@ -13,8 +13,9 @@ package encodes the same bytes from columns. reference_counterfactual is the
 counterfactual runner over per-step records, with the frozen identities as a
 dict keyed by example id. reference_ledger_check tries every hurts count in
 turn, where ledger_check bisects. reference_pooled_test keeps every seed's
-per-example masks, concatenates them and computes each ledger row from the
-paired masks, where the test stage keeps each comparison's paired counts.
+per-example masks, concatenates them and prints each ledger row's columns
+from the paired masks, where the test stage keeps each comparison's paired
+counts and prints the row from them.
 """
 
 import functools
@@ -29,7 +30,6 @@ from gatedmem.protocol import (
     COMPARATORS,
     CONTENT_VERSIONS,
     LEDGER_COMPARISONS,
-    LedgerRow,
     evaluate_oracle,
     evaluate_policy,
     split_indices,
@@ -738,8 +738,8 @@ def reference_pooled_run(runs) -> ReferenceRun:
     return ReferenceRun(*(np.concatenate([getattr(r, f) for r in runs]) for f in ("correct", "routed", "accepted")))
 
 
-def reference_ledger_row(name, base, run, seed=0) -> LedgerRow:
-    """A ledger row from two runs' index-aligned masks, bootstrapping their paired differences.
+def reference_ledger_row(name, base, run, seed=0) -> str:
+    """A ledger row's CSV text from two runs' index-aligned masks, bootstrapping their paired differences.
 
     Every example costs one call and a routed one a second, so delta_calls is the difference of
     the two runs' call totals over n: the run's routed fraction, as the baseline routes nothing.
@@ -747,22 +747,25 @@ def reference_ledger_row(name, base, run, seed=0) -> LedgerRow:
     a, b, n = base.correct, run.correct, len(base.correct)
     helps, hurts = int(np.sum(~a & b)), int(np.sum(a & ~b))
     lo, hi = bootstrap_ci(b.astype(np.float64) - a.astype(np.float64), seed=seed)
-    return LedgerRow(
-        comparison=name,
-        n=n,
-        delta_acc=(helps - hurts) / n,
-        ci_lo=lo,
-        ci_hi=hi,
-        mcnemar_p=mcnemar_exact(helps, hurts),
-        help_hurt=helps - hurts,
-        delta_calls=int(run.routed.sum() - base.routed.sum()) / n,
-        routed_frac=int(run.routed.sum()) / n,
-        accepted_frac=int(run.accepted.sum()) / n,
+    return ",".join(
+        [
+            name,
+            str(n),
+            f"{(helps - hurts) / n:+.6f}",
+            f"{lo:+.6f}",
+            f"{hi:+.6f}",
+            f"{mcnemar_exact(helps, hurts):.6g}",
+            f"{helps - hurts:+d}",
+            f"{int(run.routed.sum() - base.routed.sum()) / n:+.6f}",
+            f"{int(run.routed.sum()) / n:.6f}",
+            f"{int(run.accepted.sum()) / n:.6f}",
+        ]
     )
 
 
 def reference_pooled_test(spec, manifest, policy, n_seeds):
-    """(pooled rows, rows by seed, pooled runs by name) of protocol.run_pooled_test, every seed's runs kept whole.
+    """(pooled rows, rows by seed, pooled runs by name) of protocol.run_pooled_test, each row as its CSV text
+    and every seed's runs kept whole.
 
     The baseline is the world's first pass, which routes nothing; each run is over the test ids in ascending order.
     """

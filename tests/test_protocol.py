@@ -33,10 +33,10 @@ from gatedmem.errors import FreezeMismatch, ProtocolViolation
 from gatedmem.protocol import (
     LEDGER_COMPARISONS,
     FreezeManifest,
-    LedgerRow,
     PairedCounts,
     evaluate_policy,
     ledger_check,
+    make_ledger_row,
     run_counterfactual,
     run_fit_stage,
     run_governance_loop,
@@ -359,19 +359,20 @@ def test_retry_row_flat_in_deterministic_world():
 def test_ledger_rows_internally_consistent():
     world, manifest, _, _ = fitted_world(seed=13)
     rows, counts = base_seed(world, manifest)
-    for row in rows:
-        row.check_consistency()
+    assert [(r.comparison, r.counts) for r in rows] == [(f"{name} vs baseline", counts[name]) for name in LEDGER_COMPARISONS]
+    assert all(r.ci_lo <= r.ci_hi for r in rows)
     # compute matching: retry call count equals the gated policy's
     assert counts["retry"].mean_calls == counts["policy"].mean_calls
 
 
-def test_inconsistent_ledger_row_is_a_protocol_violation():
-    row = LedgerRow("policy vs baseline", 100, 0.05, -0.01, 0.11, 0.2, 4, 1.0, 0.3, 0.2)
-    with pytest.raises(ProtocolViolation, match="ledger row 'policy vs baseline': delta_acc\\*n != help-hurt"):
-        row.check_consistency()
-    row = LedgerRow("retry vs baseline", 100, 0.0, 0.01, -0.01, 1.0, 0, 1.0, 0.3, 0.2)
-    with pytest.raises(ProtocolViolation, match="ledger row 'retry vs baseline': CI bounds out of order"):
-        row.check_consistency()
+def test_inconsistent_ledger_row_is_a_protocol_violation(monkeypatch):
+    # a row's n, delta_acc and help_hurt are read from its counts, so only the CI can disagree with itself
+    counts = PairedCounts(100, 9, 2, 30, 20)
+    row = make_ledger_row("policy vs baseline", counts)
+    assert row.ci_lo < row.ci_hi
+    monkeypatch.setattr(protocol, "bootstrap_ci", lambda diffs, seed: (row.ci_hi, row.ci_lo))
+    with pytest.raises(ProtocolViolation, match="ledger row 'policy vs baseline': CI bounds out of order"):
+        make_ledger_row("policy vs baseline", counts)
 
 
 def test_fit_test_byte_identical_ledgers(tmp_path):
@@ -423,7 +424,6 @@ def test_pooled_test_concatenates_seeds(tmp_path):
     assert len(per_seed) == 3
     single = {r.comparison: r for r in single_rows}
     for row in pooled_rows:
-        row.check_consistency()
         assert row.n == 3 * single[row.comparison].n
     retry = next(r for r in pooled_rows if r.comparison == "retry vs baseline")
     assert retry.delta_acc == 0.0 and retry.mcnemar_p == 1.0
@@ -633,10 +633,8 @@ def test_pooled_rows_from_counts_equal_rows_from_outcome_vectors(n_seeds):
     world, manifest, policy, _ = fitted_world(seed=45, governance_rounds=1)
     rows, per_seed = run_pooled_test(world.spec, manifest, n_seeds=n_seeds)
     want, want_per_seed, runs = reference_pooled_test(world.spec, manifest, policy, n_seeds)
-    assert [r.as_csv() for r in rows] == [r.as_csv() for r in want]
-    assert {s: [r.as_csv() for r in rs] for s, rs in per_seed.items()} == {
-        s: [r.as_csv() for r in rs] for s, rs in want_per_seed.items()
-    }
+    assert [r.as_csv() for r in rows] == want
+    assert {s: [r.as_csv() for r in rs] for s, rs in per_seed.items()} == want_per_seed
     # not vacuous: rows whose paired differences lack -1 or +1, which the
     # bootstrap's np.unique drops, next to rows that have all three values
     base = runs["baseline"].correct
@@ -669,7 +667,31 @@ def test_a_test_seed_hands_back_only_numbers(tmp_path):
     assert sorted(counts) == sorted(LEDGER_COMPARISONS)
     for record in rows + list(counts.values()):
         for f in fields(record):
-            assert type(getattr(record, f.name)) in (int, float, str), (record, f.name)
+            value = getattr(record, f.name)
+            if isinstance(value, PairedCounts):
+                assert value == counts[record.comparison.removesuffix(" vs baseline")]
+                assert all(type(getattr(value, g.name)) is int for g in fields(value)), (record, f.name)
+            else:
+                assert type(value) in (int, float, str), (record, f.name)
+
+
+def test_ledger_rows_recompute_from_their_counts():
+    world, manifest, _, _ = fitted_world(seed=47)
+    spec = world.spec
+    pooled_rows, per_seed = run_pooled_test(spec, manifest, n_seeds=3)
+    assert sorted(per_seed) == [spec.seed, spec.seed + 1, spec.seed + 2]
+    for seed, rows in per_seed.items():
+        assert [r.as_csv() for r in rows] == [make_ledger_row(r.comparison, r.counts, seed).as_csv() for r in rows]
+    assert [r.as_csv() for r in pooled_rows] == [
+        make_ledger_row(r.comparison, r.counts, spec.seed).as_csv() for r in pooled_rows
+    ]
+    for i, row in enumerate(pooled_rows):
+        parts = [rows[i] for rows in per_seed.values()]
+        assert {r.comparison for r in parts} == {row.comparison}
+        assert row.counts == PairedCounts.pool([r.counts for r in parts])
+    # not vacuous: the seeds' counts differ, so the pooled counts are not one seed's times three
+    policy = [rows[0].counts for rows in per_seed.values()]
+    assert len(set(policy)) == 3
 
 
 # ---------------------------------------------------------------------------
