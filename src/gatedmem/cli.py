@@ -149,7 +149,7 @@ def _write_audit(out: str, audit: dict) -> None:
 
 def cmd_governance(args) -> int:
     world = _load_world(args)
-    fit_ids, _ = split_indices(world.spec.n_examples)
+    fit_ids = split_indices(world.spec.n_examples)[0]
     policy = (
         PolicyConfig.from_flat(parse_kv_file(args.policy)) if args.policy else PolicyConfig()
     )

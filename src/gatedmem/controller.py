@@ -66,7 +66,6 @@ class PolicyConfig:
     primary_bank: str | None = "rule"
     budget_B: int | None = None  # None = unlimited
     cooldown: int = 0
-    delta: float = 0.05
 
     def __post_init__(self):
         if self.bank_policy not in BANK_POLICIES:
@@ -83,8 +82,6 @@ class PolicyConfig:
         for key, value in (("tau", self.tau), ("margin_m", self.margin_m)):
             if math.isnan(value):
                 raise ValueError(f"{key} must be a number, got nan")
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"delta must be in (0, 1), got {self.delta}")
         if self.bank_policy == "gate_only":
             object.__setattr__(self, "bank_policy", "choose")
             object.__setattr__(self, "margin_m", -math.inf)

@@ -49,10 +49,7 @@ FIXED_BUDGET_K = 2  # comparator retrieves up to k=2 per episode, no guards, no 
 # no guards accepts every second pass whose retrieval is non-empty.
 ROUTE_AND_ACCEPT_ALL = dict(tau=math.inf, margin_m=-math.inf, guards_enabled=frozenset())
 # selection_record entries that the test stage reads back, with their JSON types
-RECORD_TYPES = {
-    "policy": dict, "fit_fraction": float, "split_seed": int, "fit_digest": str, "test_digest": str, "active_ids": dict,
-    "draw_digest": str,
-}
+RECORD_TYPES = {"policy": dict, "fit_fraction": float, "fit_digest": str, "active_ids": dict, "draw_digest": str}
 CONF_BINS = 10  # equal-width baseline-confidence bins of conf_bins.csv
 ROW_BLOCK = 256  # rows (traces: about this many steps) encoded per write; a block's text stays well under 1 MB
 _JSON_BOOL = ("false", "true")
@@ -117,11 +114,11 @@ class FreezeManifest:
                 raise FreezeMismatch(f"{kind} bank content hash does not match the freeze manifest")
 
 
-def split_indices(n: int, fit_fraction: float = 0.5, split_seed: int = 0):
-    """Disjoint, exhaustive, non-empty fit/test index lists from a seeded permutation."""
+def split_indices(n: int, fit_fraction: float = 0.5):
+    """Disjoint, exhaustive, non-empty fit/test index lists from a permutation drawn at seed 0."""
     if not (0.0 < fit_fraction < 1.0):
         raise ValueError("fit_fraction must be in (0, 1)")
-    perm = np.random.default_rng(split_seed).permutation(n)
+    perm = np.random.default_rng(0).permutation(n)
     n_fit = max(1, int(round(n * fit_fraction)))
     if n_fit >= n:
         side = "fit" if n < 1 else "test"
@@ -278,8 +275,8 @@ def run_governance_loop(world: World, policy: PolicyConfig, rounds: int, fit_ids
     Round i's accuracy is measured with the bank state entering that round;
     the sweep after round i shapes round i+1. Gap-close is the fraction of
     the baseline-to-oracle gap recovered, absent when oracle equals baseline.
-    Retirement uses policy.delta. Works on bank copies; the caller applies
-    the selected round's membership.
+    Retirement is retirement_sweep at its default delta. Works on bank
+    copies; the caller applies the selected round's membership.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -301,7 +298,7 @@ def run_governance_loop(world: World, policy: PolicyConfig, rounds: int, fit_ids
         attach_evidence(world, working, steps)
         retired = []
         for bank in working.values():
-            retired.extend(bank.retirement_sweep(policy.delta))
+            retired.extend(bank.retirement_sweep())
         report_rounds.append(
             GovernanceRound(
                 index=it,
@@ -326,13 +323,13 @@ def run_fit_stage(
     world: World,
     candidates: list,
     fit_fraction: float = 0.5,
-    split_seed: int = 0,
     governance_rounds: int = 0,
 ) -> tuple[FreezeManifest, PolicyConfig, dict]:
     """Grid-search candidates on fit data only; freeze the winner.
 
-    The split is split_indices(n, fit_fraction, split_seed), recorded by its
-    parameters and digests. Selection is by fit delta-accuracy, ties broken
+    The split is split_indices(n, fit_fraction), recorded by fit_fraction
+    and the fit side's digest: given n, the test side is the rest.
+    Selection is by fit delta-accuracy, ties broken
     by lower mean calls then grid order; every candidate runs on the same
     fit ids, so these compare as the counts hurts - helps and routed. A
     multibank_best candidate stands for one candidate per MULTIBANK_FAMILY
@@ -340,7 +337,7 @@ def run_fit_stage(
     Each distinct policy runs once, at its first grid index: a repeat would
     give the same counts later in grid order, so it could never win.
     """
-    fit_ids, test_ids = split_indices(world.spec.n_examples, fit_fraction, split_seed)
+    fit_ids = split_indices(world.spec.n_examples, fit_fraction)[0]
     if not candidates:
         raise ValueError("empty candidate grid")
     if governance_rounds < 0:
@@ -369,9 +366,7 @@ def run_fit_stage(
         "mean_calls": counts.mean_calls,
         "governance_iteration": governance_iteration,
         "fit_fraction": fit_fraction,
-        "split_seed": split_seed,
         "fit_digest": stable_digest(fit_ids),
-        "test_digest": stable_digest(test_ids),
         "active_ids": {k: list(s.entry_ids) for k, s in snapshots.items()},
         "policy": policy.to_flat(),
         "draw_digest": world.draw_digest(),
@@ -450,19 +445,17 @@ def _ledger_rows(counts: dict, seed: int) -> list:
 
 
 def _recorded_test_ids(record: dict, n: int) -> list:
-    """The test side of the split that the recorded fit_fraction and split_seed draw from n
-    examples, once each side's digest is checked against the recorded one."""
-    fraction, seed = record["fit_fraction"], record["split_seed"]
+    """The test side of the split that the recorded fit_fraction draws from n examples, once the
+    fit side's digest is checked against the recorded one. The two sides partition range(n), so
+    the fit side fixes the test side."""
+    fraction = record["fit_fraction"]
     if not 0.0 < fraction < 1.0:
         raise FreezeMismatch(f"manifest selection_record.fit_fraction must be in (0, 1), got {fraction!r}")
-    if seed < 0:
-        raise FreezeMismatch(f"manifest selection_record.split_seed must be >= 0, got {seed}")
-    split = dict(zip(("fit", "test"), split_indices(n, fraction, seed)))
-    for side, ids in split.items():
-        if stable_digest(ids) != record[f"{side}_digest"]:
-            raise FreezeMismatch(f"manifest selection_record.{side}_digest does not match the {side} split "
-                                 f"that fit_fraction {fraction} and split_seed {seed} draw from {n} examples")
-    return split["test"]
+    fit_ids, test_ids = split_indices(n, fraction)
+    if stable_digest(fit_ids) != record["fit_digest"]:
+        raise FreezeMismatch(f"manifest selection_record.fit_digest does not match the fit split "
+                             f"that fit_fraction {fraction} draws from {n} examples")
+    return test_ids
 
 
 def frozen_inputs(world: World, manifest: FreezeManifest, validate: bool = True) -> tuple[PolicyConfig, dict, list]:

@@ -18,6 +18,8 @@ from .errors import SignalUndefined
 from .util import derive_seed
 
 NLL_CLAMP = 1e-12
+PLATT_MAX_ITER = 100  # Newton steps platt_fit takes before it gives up
+PLATT_GRAD_TOL = 1e-8  # gradient norm at which platt_fit stops
 # resample rows x distinct values drawn at once: about 16 MB of counts and
 # products, which bounds memory when the values are all distinct
 RESAMPLE_CHUNK_CELLS = 1_000_000
@@ -175,9 +177,7 @@ def _sigmoid(z: np.ndarray) -> np.ndarray:
     return out
 
 
-def platt_fit(
-    calset: CalibrationSet, max_iter: int = 100, grad_tol: float = 1e-8
-) -> tuple[float, float]:
+def platt_fit(calset: CalibrationSet) -> tuple[float, float]:
     """Logistic MLE of correctness on confidence, by damped Newton.
 
     Returns (slope, intercept) of p = sigmoid(slope * confidence + intercept).
@@ -193,11 +193,11 @@ def platt_fit(
         p = np.clip(_sigmoid(a * x + b), NLL_CLAMP, 1 - NLL_CLAMP)
         return -np.mean(y * np.log(p) + (1 - y) * np.log(1 - p))
 
-    for _ in range(max_iter):
+    for _ in range(PLATT_MAX_ITER):
         p = _sigmoid(slope * x + intercept)
         residual = p - y
         grad = np.array([np.dot(residual, x) / n, residual.mean()])
-        if np.linalg.norm(grad) < grad_tol:
+        if np.linalg.norm(grad) < PLATT_GRAD_TOL:
             return float(slope), float(intercept)
         w = p * (1.0 - p)
         h11 = np.dot(w, x * x) / n
@@ -215,7 +215,7 @@ def platt_fit(
             scale *= 0.5
         slope -= scale * step_a
         intercept -= scale * step_b
-    raise RuntimeError(f"Platt fit did not converge in {max_iter} iterations")
+    raise RuntimeError(f"Platt fit did not converge in {PLATT_MAX_ITER} iterations")
 
 
 def platt_apply(confidences, slope: float, intercept: float) -> np.ndarray:

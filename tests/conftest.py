@@ -770,7 +770,7 @@ def reference_pooled_test(spec, manifest, policy, n_seeds):
     The baseline is the world's first pass, which routes nothing; each run is over the test ids in ascending order.
     """
     record = manifest.selection_record
-    _, test_ids = split_indices(spec.n_examples, record["fit_fraction"], record["split_seed"])
+    _, test_ids = split_indices(spec.n_examples, record["fit_fraction"])
     runs_by_name, per_seed = {}, {}
     for k in range(n_seeds):
         world = World(replace(spec, seed=spec.seed + k))

@@ -498,6 +498,8 @@ def test_malformed_world_config_names_the_key(tmp_path, world_config, grid_confi
         pytest.param("lambda = 0.0|0.1\n", "lambda", id="deleted-key-lambda"),  # fit selects by fit delta-acc alone
         # the confidence is the world's one signal
         pytest.param("confidence_signal = mean_logprob\n", "confidence_signal", id="deleted-key-confidence_signal"),
+        # governance retires at retirement_sweep's one delta
+        pytest.param("delta = 0.05|0.1\n", "delta", id="deleted-key-delta"),
         pytest.param("tau_percentile = abc\n", "tau_percentile", id="bad-tau_percentile"),
         pytest.param("margin_m = 0.0|0.0\n", "margin_m", id="repeated-alternative"),
         pytest.param("# nothing\n", "grid.kv: no grid keys", id="no-keys"),  # else fit would freeze the default policy
@@ -529,6 +531,12 @@ def test_unknown_grid_key_names_the_key(tmp_path, world_config, capsys, grid_tex
         ("multibank_member = triple\n", "multibank_member"),
         ("lambda_cost = 0.1\n", "lambda_cost"),
         ("confidence_signal = mean_logprob\n", "confidence_signal"),  # the confidence is the world's one signal
+        # governance retires at retirement_sweep's one delta; every policy.kv written with a delta holds 0.05
+        ("delta = 0.05\n", "delta"),
+        ("delta = 0\n", "delta"),
+        ("delta = 1\n", "delta"),
+        ("delta = 2\n", "delta"),
+        ("delta = nan\n", "delta"),
         ("bank_policy = multibank_best\n", "bank_policy 'multibank_best' is a grid value"),  # a grid value, which no run reads
         ("cooldown = 1.5\n", "cooldown"),  # int
         ("budget_B = unlimited\n", "budget_B"),  # optional int
@@ -537,10 +545,6 @@ def test_unknown_grid_key_names_the_key(tmp_path, world_config, capsys, grid_tex
         # values that parse but are out of range
         ("tau = nan\n", "tau"),  # routes nothing
         ("margin_m = nan\n", "margin_m"),
-        ("delta = 0\n", "delta"),
-        ("delta = 1\n", "delta"),
-        ("delta = 2\n", "delta"),
-        ("delta = nan\n", "delta"),
     ],
 )
 def test_bad_policy_value_names_the_key(tmp_path, world_config, capsys, policy_text, named):
@@ -604,12 +608,13 @@ def fitted(tmp_path, world_config, grid_config):
         (lambda raw: {"policy_hash": "x"}, "missing ['bank_hashes', 'selection_record', 'world_hash']"),
         (lambda raw: dict(raw, notes="extra"), "extra ['notes']"),
         (lambda raw: dict(raw, bank_hashes=5), "bank_hashes"),
-        (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], split_seed="0")), "selection_record.split_seed"),
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], fit_fraction=2.0)), "selection_record.fit_fraction"),
-        (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], test_digest="x")), "selection_record.test_digest"),
+        (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], fit_digest="x")), "selection_record.fit_digest"),
         # a manifest from before fit recorded its draws
         (lambda raw: dict(raw, selection_record={k: v for k, v in raw["selection_record"].items() if k != "draw_digest"}), "selection_record.draw_digest"),
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], policy=5)), "selection_record.policy"),
+        # a manifest from before governance retired at one delta
+        (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], policy=dict(raw["selection_record"]["policy"], delta="0.05"))), "delta"),
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], active_ids=5)), "selection_record.active_ids"),
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], active_ids={"rule": 5, "exemplar": []})), "selection_record.active_ids.rule"),
         (lambda raw: dict(raw, selection_record=dict(raw["selection_record"], active_ids={"rule": [], "exemplar": [7]})), "selection_record.active_ids.exemplar"),
@@ -631,9 +636,9 @@ def fitted(tmp_path, world_config, grid_config):
         ),
     ],
     ids=[
-        "not-object", "missing-field", "extra-field", "wrong-type", "split-seed-not-int", "fit-fraction-out-of-range",
+        "not-object", "missing-field", "extra-field", "wrong-type", "fit-fraction-out-of-range",
         "split-digest-wrong", "draw-digest-missing",
-        "policy-not-object", "active-ids-not-object", "active-ids-not-list", "active-ids-not-strings",
+        "policy-not-object", "policy-deleted-key-delta", "active-ids-not-object", "active-ids-not-list", "active-ids-not-strings",
         "active-ids-extra-kind", "active-ids-missing-kind", "active-ids-unknown-entry", "active-ids-wrong-kind",
     ],
 )
@@ -736,8 +741,8 @@ QUICKSTART_DIGESTS = {
     "cf/counterfactual_rows.jsonl": "dda32e90ee911dbf4dc63ab510f02427341530e5bf55c5c764e975ac55bb6d43",
     "fit/bank_exemplar.jsonl": "2275c77c4133ba68bd1654c9b6e1e11db36ad1ce6072b1154e628fc4401fb6ed",
     "fit/bank_rule.jsonl": "d58830eb2fd1f5252399a12eb6b0183ae81c4383ba0649872770f40929115744",
-    "fit/manifest.json": "998a38a6fbae49c862e7198173898baf9e5df39cca5f8fd098b03d109dc30148",
-    "fit/policy.kv": "c9e964975dedd9ddcb8b1305923b04fd2a288372f653a044b1b6d978ce0ad98c",
+    "fit/manifest.json": "226ab5520e2cfc784b860dfe14e779ad4cbd8537d8f84abbde2a576788eab365",
+    "fit/policy.kv": "b91a8ae9621ba42b972b484b8a34631d38e083d9f2808118c51c9176d4fb50ee",
     "gov/governance.json": "e686c48e1c107da01000a36784af76bec5d214c7dbcbc7f5c3f3a608cf542b49",
     "test/conf_bins.csv": "5986e6a5a51f555a5ec89e2595e206608ce24d86813a81ad3e2481a44d4a46c0",
     "test/ledger.csv": "7b43fa686738efd18d831130cc68ea07694fb0e11383984992d243f3ac0abb88",

@@ -345,7 +345,6 @@ def test_policy_flat_roundtrip():
         primary_bank="exemplar",
         budget_B=3,
         cooldown=2,
-        delta=0.1,
     )
     again = PolicyConfig.from_flat(policy.to_flat())
     assert again == policy
@@ -355,7 +354,7 @@ def test_policy_flat_roundtrip():
 def test_policy_flat_form_and_hash_pinned():
     # The freeze manifest locks on this hash of the flat form, so any change
     # to a key, a default or a value format shows up here.
-    assert PolicyConfig().config_hash() == "8422f8251e8ef1e7610d1c0f2488d127b4d8c06541b4b5d356489c0bda33fa9b"
+    assert PolicyConfig().config_hash() == "210100ff44179f4b3ff3cdcd00c27eb610ce980964b0469ffb4e5c8209d8d4ad"
     assert PolicyConfig().to_flat()["budget_B"] == "none"
     policy = PolicyConfig(
         tau=0.25,
@@ -365,7 +364,6 @@ def test_policy_flat_form_and_hash_pinned():
         primary_bank="exemplar",
         budget_B=3,
         cooldown=2,
-        delta=0.1,
     )
     assert policy.to_flat() == {
         "tau": "0.25",
@@ -375,9 +373,8 @@ def test_policy_flat_form_and_hash_pinned():
         "primary_bank": "none",
         "budget_B": "3",
         "cooldown": "2",
-        "delta": "0.1",
     }
-    assert policy.config_hash() == "e2991fc496c3062b17f765861e4fed137e47fcb7bb0caa236f17ad91e1f8f30d"
+    assert policy.config_hash() == "029b1a719d92d909fadab3f520127d40df5fe6967a29190305184a85ac76f0d0"
 
 
 @pytest.mark.parametrize("bank", ["rule", "exemplar"])
@@ -419,7 +416,6 @@ def test_policy_hash_covers_every_field():
         PolicyConfig(primary_bank="exemplar"),
         PolicyConfig(budget_B=1),
         PolicyConfig(cooldown=1),
-        PolicyConfig(delta=0.2),
     ]
     assert len(variants) == len(fields(PolicyConfig))  # one variant per field
     hashes = {base.config_hash()} | {v.config_hash() for v in variants}

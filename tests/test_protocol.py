@@ -71,21 +71,20 @@ def base_seed(world, manifest):
 # ---------------------------------------------------------------------------
 
 def test_split_disjoint_exhaustive():
-    fit, test = split_indices(101, 0.5, 3)
+    fit, test = split_indices(101)
     assert set(fit) & set(test) == set()
     assert sorted(fit + test) == list(range(101))
 
 
 @pytest.mark.parametrize("n", [2, 3, 101, 20000])
 def test_split_matches_sorted_permutation_reference(n):
+    perm = np.random.default_rng(0).permutation(n)
     for fit_fraction in (0.5, 0.25):
-        for seed in (0, 9):
-            perm = np.random.default_rng(seed).permutation(n)
-            n_fit = max(1, int(round(n * fit_fraction)))
-            reference = (sorted(int(i) for i in perm[:n_fit]), sorted(int(i) for i in perm[n_fit:]))
-            got = split_indices(n, fit_fraction, seed)
-            assert got == reference
-            assert all(type(i) is int for side in got for i in side)  # plain ints: the digests json-encode them
+        n_fit = max(1, int(round(n * fit_fraction)))
+        reference = (sorted(int(i) for i in perm[:n_fit]), sorted(int(i) for i in perm[n_fit:]))
+        got = split_indices(n, fit_fraction)
+        assert got == reference
+        assert all(type(i) is int for side in got for i in side)  # plain ints: the digests json-encode them
 
 
 @pytest.mark.parametrize("n, fit_fraction", [(3, 0.9), (1, 0.5), (2, 0.75), (0, 0.5)])
@@ -492,20 +491,12 @@ def test_a_test_seed_holds_one_step_table_at_a_time(monkeypatch, tmp_path):
         ("fit_fraction", float("nan"), "selection_record.fit_fraction must be in (0, 1), got nan"),
         ("fit_fraction", "0.5", "wrong JSON type: ['selection_record.fit_fraction']"),
         ("fit_fraction", True, "wrong JSON type: ['selection_record.fit_fraction']"),
-        ("fit_fraction", 0.6, "selection_record.fit_digest does not match the fit split that fit_fraction 0.6 and split_seed 0 draw from 100 examples"),
-        ("split_seed", 0.9, "wrong JSON type: ['selection_record.split_seed']"),
-        ("split_seed", "0", "wrong JSON type: ['selection_record.split_seed']"),
-        ("split_seed", 0.0, "wrong JSON type: ['selection_record.split_seed']"),
-        ("split_seed", False, "wrong JSON type: ['selection_record.split_seed']"),
-        ("split_seed", -1, "selection_record.split_seed must be >= 0, got -1"),
-        ("split_seed", 1, "selection_record.fit_digest does not match the fit split that fit_fraction 0.5 and split_seed 1 draw"),
+        ("fit_fraction", 0.6, "selection_record.fit_digest does not match the fit split that fit_fraction 0.6 draws from 100 examples"),
         ("fit_digest", "0" * 16, "selection_record.fit_digest does not match the fit split"),
-        ("test_digest", "0" * 16, "selection_record.test_digest does not match the test split"),
     ],
     ids=[
         "fraction-zero", "fraction-above-one", "fraction-nan", "fraction-string", "fraction-bool", "fraction-other",
-        "seed-fraction", "seed-string", "seed-float", "seed-bool", "seed-negative", "seed-other",
-        "fit-digest", "test-digest",
+        "fit-digest",
     ],
 )
 def test_tampered_split_record_names_the_field(field, value, named):
@@ -534,7 +525,7 @@ def comparator_setup():
         guard_pass_rate=(("format", 0.6),),
     )
     world = generate_world(spec)
-    _, test_ids = split_indices(240, 0.5, 0)
+    _, test_ids = split_indices(240)
     policy = PolicyConfig(
         tau=0.6, margin_m=0.05, bank_policy="cascade_rule_then_exemplar", budget_B=2, cooldown=1
     )
@@ -607,7 +598,7 @@ def test_traces_jsonl_matches_reference_on_multi_step_episodes(tmp_path, seed, p
     )
     world = generate_world(spec)
     snaps = world.snapshots()
-    _, ids = split_indices(spec.n_examples, 0.5, seed)
+    _, ids = split_indices(spec.n_examples)
     steps = evaluate_policy(world, policy, snaps, ids)
     path = tmp_path / "traces.jsonl"
     write_traces(steps, str(path))
@@ -703,7 +694,7 @@ def test_governance_no_harmful_entries_stable():
         n_examples=300, seed=16, hurt_prob_given_inapplicable=0.0, base_accuracy=0.7
     )
     world = generate_world(spec)
-    fit_ids, _ = split_indices(300, 0.5, 0)
+    fit_ids, _ = split_indices(300)
     report = run_governance_loop(world, PolicyConfig(tau=0.9), 3, fit_ids)
     assert all(not r.retired_ids for r in report.rounds)
     accs = [r.fit_accuracy for r in report.rounds]
@@ -719,7 +710,7 @@ def test_governance_gap_close_absent_when_oracle_equals_baseline():
         hurt_prob_given_inapplicable=0.0,
     )
     world = generate_world(spec)
-    fit_ids, _ = split_indices(200, 0.5, 0)
+    fit_ids, _ = split_indices(200)
     report = run_governance_loop(world, PolicyConfig(tau=0.9), 2, fit_ids)
     assert report.oracle_accuracy == report.baseline_accuracy
     assert all(r.gap_close is None for r in report.rounds)
@@ -733,7 +724,7 @@ def test_governance_freezes_each_bank_state_once(monkeypatch):
     monkeypatch.setattr(MemoryBank, "freeze", lambda bank: calls.append(bank.bank_kind) or freeze(bank))
     spec = WorldSpec(n_examples=200, seed=18, toxic_entry_rate=0.3, toxic_hurt_prob=0.95, k_max=1)
     world = generate_world(spec)
-    fit_ids, _ = split_indices(200, 0.5, 0)
+    fit_ids, _ = split_indices(200)
     report = run_governance_loop(world, PolicyConfig(tau=0.95, margin_m=-10.0), 2, fit_ids)
     assert len(calls) == 4
     assert report.rounds[0].bank_hashes == {k: s.content_hash for k, s in world.snapshots().items()}
@@ -759,7 +750,7 @@ def test_governance_toxic_worlds_improve():
             k_max=1,
         )
         world = generate_world(spec)
-        fit_ids, _ = split_indices(240, 0.5, 0)
+        fit_ids, _ = split_indices(240)
         policy = PolicyConfig(tau=0.95, margin_m=-10.0, guards_enabled=frozenset())
         report = run_governance_loop(world, policy, 5, fit_ids)
         if report.rounds[-1].fit_accuracy < report.rounds[0].fit_accuracy:
@@ -1035,7 +1026,7 @@ def _counterfactual_world(kind):
         guard_pass_rate=(("format", 0.7),), edit_sensitive_rate=0.6, k_max=2,
     )
     world = generate_world(spec)
-    _, test_ids = split_indices(240, 0.5, 0)
+    _, test_ids = split_indices(240)
     grid = [PolicyConfig(tau=0.75, margin_m=0.02, bank_policy=kind, budget_B=2, guards_enabled=frozenset({"format"}))]
     manifest, policy, snaps = run_fit_stage(world, grid)
     return world, manifest, policy, snaps, test_ids, ["E001", "E004", "E007", "R002", "R005", "R008"]
@@ -1080,7 +1071,7 @@ def _uncached(monkeypatch):
 def _governance_outputs(world):
     """A governed fit and an 8-round governance on one world: each stage's outputs, the
     report and the bank kind -> content hash of the tables kept after each stage."""
-    fit_ids, _ = split_indices(world.spec.n_examples, 0.5, 0)
+    fit_ids, _ = split_indices(world.spec.n_examples)
     grid = [PolicyConfig(tau=0.95, margin_m=-10.0, bank_policy=b) for b in ("dual", "cascade_rule_then_exemplar")]
     manifest, policy, _ = run_fit_stage(world, grid, governance_rounds=3)
     kept = [{k: t[0] for k, t in world._tables.items()}]
