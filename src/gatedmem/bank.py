@@ -13,6 +13,9 @@ entry's chance of retirement within delta (see hoeffding_ucb; ROADMAP
 item 1 has the fix). Retirement is permanent: active -> retired, never back, and never during
 the test stage.
 
+A bank is frozen one way: freeze is BankSnapshot.build over the active
+columns, so a snapshot's hash is always that of the columns as they are now.
+
 On-disk format (bank file): one json object per line, {id, bank_kind,
 payload, embedding (fixed-width decimals), status}.
 """
@@ -63,16 +66,6 @@ def _embedding_texts(embeddings: np.ndarray):
     return (row % tuple(values.tolist()) for values in embeddings)
 
 
-def _hash_lines(entry_ids, payloads, embeddings) -> list[str]:
-    """Each row's line of a content hash: id, payload and embedding text."""
-    texts = _embedding_texts(embeddings)
-    return [f"{json.dumps(e)}\t{json.dumps(p)}\t{text}" for e, p, text in zip(entry_ids, payloads, texts)]
-
-
-def _content_hash(lines) -> str:
-    return sha256_hex("\n".join(lines).encode("utf-8"))
-
-
 def _columns(entry_ids, payloads, embeddings) -> tuple[tuple, tuple, np.ndarray]:
     """(ids, payloads, read-only float64 embeddings), rows sorted by id.
 
@@ -114,11 +107,13 @@ class BankSnapshot:
     def build(bank_kind: str, entry_ids, payloads, embeddings) -> "BankSnapshot":
         """Snapshot of the given rows, in id order.
 
-        The hash covers ids, payloads and embeddings only; evidence is
-        excluded on purpose, so appending it never changes a frozen hash.
+        The hash is over one line per row: id, payload and embedding text.
+        It covers nothing else; evidence is excluded on purpose, so
+        appending it never changes a frozen hash.
         """
         ids, payloads, emb = _columns(entry_ids, payloads, embeddings)
-        return BankSnapshot(bank_kind, ids, payloads, emb, _content_hash(_hash_lines(ids, payloads, emb)))
+        lines = (f"{json.dumps(e)}\t{json.dumps(p)}\t{text}" for e, p, text in zip(ids, payloads, _embedding_texts(emb)))
+        return BankSnapshot(bank_kind, ids, payloads, emb, sha256_hex("\n".join(lines).encode("utf-8")))
 
 
 class MemoryBank:
@@ -135,7 +130,6 @@ class MemoryBank:
         self.evidence_count = np.zeros(len(self.entry_ids), np.int64)
         self.evidence_sum = np.zeros(len(self.entry_ids))  # of paired utilities vs baseline, each in [-1, 1]
         self._rows = {e: i for i, e in enumerate(self.entry_ids)}
-        self._lines = (None, None, [])  # (payloads, embeddings, hash line per row); see _row_lines
 
     def __len__(self) -> int:
         return len(self.entry_ids)
@@ -219,29 +213,9 @@ class MemoryBank:
         rows = np.flatnonzero(self.active).tolist()
         return tuple(self.entry_ids[i] for i in rows), tuple(self.payloads[i] for i in rows), self.embeddings[rows]
 
-    def _row_lines(self) -> list[str]:
-        """Every row's content-hash line, built on first use.
-
-        The lines are kept while payloads and embeddings are the objects they
-        were built from: the tuple and the read-only matrix cannot change in
-        place, so a new payload or embedding means a new object.
-        """
-        payloads, embeddings, lines = self._lines
-        if payloads is not self.payloads or embeddings is not self.embeddings:
-            lines = _hash_lines(self.entry_ids, self.payloads, self.embeddings)
-            self._lines = (self.payloads, self.embeddings, lines)
-        return lines
-
     def freeze(self) -> BankSnapshot:
-        """Snapshot of the active entries, hashed from the columns as they are now.
-
-        The hash equals that of BankSnapshot.build on the same rows.
-        """
-        ids, payloads, emb = _columns(*self.active_columns())
-        lines = self._row_lines()
-        if len(ids) < len(lines):
-            lines = [lines[i] for i in np.flatnonzero(self.active).tolist()]
-        return BankSnapshot(self.bank_kind, ids, payloads, emb, _content_hash(lines))
+        """Snapshot of the active entries, hashed from the columns as they are now."""
+        return BankSnapshot.build(self.bank_kind, *self.active_columns())
 
     # -- persistence --------------------------------------------------------
 

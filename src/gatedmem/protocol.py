@@ -252,18 +252,18 @@ def attach_evidence(world: World, banks: dict, steps: StepTable) -> int:
 class GovernanceRound:
     index: int
     fit_accuracy: float
-    gap_close: float | None
     retired_ids: list
-    bank_hashes: dict
     snapshots: dict
+
+    @property
+    def bank_hashes(self) -> dict:
+        return {k: s.content_hash for k, s in self.snapshots.items()}
 
 
 @dataclass
 class GovernanceReport:
     rounds: list
     selected_iteration: int
-    baseline_accuracy: float
-    oracle_accuracy: float
 
     def selected_snapshots(self) -> dict:
         return self.rounds[self.selected_iteration].snapshots
@@ -272,11 +272,13 @@ class GovernanceReport:
 def run_governance_loop(world: World, policy: PolicyConfig, rounds: int, fit_ids) -> GovernanceReport:
     """Evaluate / attach evidence / retire, for a fixed number of rounds.
 
-    Round i's accuracy is measured with the bank state entering that round;
-    the sweep after round i shapes round i+1. Gap-close is the fraction of
-    the baseline-to-oracle gap recovered, absent when oracle equals baseline.
-    Retirement is retirement_sweep at its default delta. Works on bank
-    copies; the caller applies the selected round's membership.
+    Each round freezes the working banks, evaluates the policy on them,
+    attaches the paired utilities as evidence and retires by
+    retirement_sweep at its default delta, so the sweep after round i
+    shapes round i+1. The selected round has the highest fit accuracy, the
+    earliest on a tie. Works on bank copies; the caller applies the
+    selected round's membership. The loop reads no baseline or oracle
+    accuracy: cmd_governance, which reports gap-close, computes them.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -284,39 +286,18 @@ def run_governance_loop(world: World, policy: PolicyConfig, rounds: int, fit_ids
         if bank.stage != STAGE_FIT:
             raise ProtocolViolation("governance is a fit-stage operation")
     working = {kind: bank.copy() for kind, bank in world.banks.items()}
-    snaps = {k: b.freeze() for k, b in working.items()}  # the entering state of round 0, too
-    acc_oracle = float(evaluate_oracle(world, snaps, fit_ids)[0].mean())  # checks fit_ids before the baseline read
-    acc_base = float(world.baseline_pass(fit_ids)[0].mean())
-
     report_rounds = []
     for it in range(rounds):
-        if it:
-            snaps = {k: b.freeze() for k, b in working.items()}
+        snaps = {k: b.freeze() for k, b in working.items()}
         steps = evaluate_policy(world, policy, snaps, fit_ids)
-        acc = float(steps.final_correct.mean())
-        gap = None if acc_oracle == acc_base else (acc - acc_base) / (acc_oracle - acc_base)
         attach_evidence(world, working, steps)
         retired = []
         for bank in working.values():
             retired.extend(bank.retirement_sweep())
-        report_rounds.append(
-            GovernanceRound(
-                index=it,
-                fit_accuracy=acc,
-                gap_close=gap,
-                retired_ids=sorted(retired),
-                bank_hashes={k: s.content_hash for k, s in snaps.items()},
-                snapshots=snaps,
-            )
-        )
+        report_rounds.append(GovernanceRound(it, float(steps.final_correct.mean()), sorted(retired), snaps))
 
     best = max(range(len(report_rounds)), key=lambda i: (report_rounds[i].fit_accuracy, -i))
-    return GovernanceReport(
-        rounds=report_rounds,
-        selected_iteration=best,
-        baseline_accuracy=acc_base,
-        oracle_accuracy=acc_oracle,
-    )
+    return GovernanceReport(rounds=report_rounds, selected_iteration=best)
 
 
 def run_fit_stage(

@@ -20,8 +20,11 @@ def sha256_hex(data: bytes) -> str:
 
 
 def stable_digest(*parts: Any) -> str:
-    """Hex digest of a tuple of json-serializable parts, order-sensitive."""
-    blob = json.dumps(parts, sort_keys=True, separators=(",", ":"), default=str)
+    """Hex digest of a tuple of json-serializable parts, order-sensitive.
+
+    Any other part, a numpy array or scalar say, is a TypeError, never its str().
+    """
+    blob = json.dumps(parts, sort_keys=True, separators=(",", ":"))
     return sha256_hex(blob.encode("utf-8"))
 
 

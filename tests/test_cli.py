@@ -16,6 +16,7 @@ import gatedmem
 from conftest import count_query_draws, save_edits
 from gatedmem import protocol, worldsim
 from gatedmem.cli import build_parser, main
+from gatedmem.controller import PolicyConfig
 from gatedmem.protocol import split_indices
 from gatedmem.util import parse_kv_file, write_kv_file
 
@@ -357,6 +358,26 @@ def test_governance_on_fits_policy_evaluates_the_manifest_fit_split(tmp_path, wo
     assert net_helps == round(record["fit_delta_acc"] * n) != 0
 
 
+def test_governance_gap_close_absent_when_oracle_equals_baseline(tmp_path, capsys):
+    # no applicable memory and no hurts: oracle == baseline
+    spec = worldsim.WorldSpec(
+        n_examples=200,
+        seed=17,
+        applicability_rate=(("rule", 0.0), ("exemplar", 0.0)),
+        hurt_prob_given_inapplicable=0.0,
+    )
+    config, policy, out = tmp_path / "world.kv", tmp_path / "policy.kv", tmp_path / "gov"
+    write_kv_file(str(config), spec.to_flat())
+    write_kv_file(str(policy), PolicyConfig(tau=0.9).to_flat())
+    argv = ["governance", "--config", str(config), "--policy", str(policy), "--rounds", "2", "--out", str(out)]
+    assert main(argv) == 0
+    report = json.loads((out / "governance.json").read_text())
+    assert report["oracle_accuracy"] == report["baseline_accuracy"]
+    assert [r["gap_close"] for r in report["rounds"]] == [None, None]
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("round ")]
+    assert len(lines) == 2 and all("gap_close=absent" in line for line in lines)
+
+
 def test_each_subcommand_takes_exactly_its_options(capsys):
     subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
     options = {
@@ -567,11 +588,16 @@ def test_fit_refuses_a_split_with_an_empty_side(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_negative_governance_rounds_rejected(tmp_path, world_config, grid_config, capsys):
-    out = tmp_path / "fit"
-    code = main(["fit", "--config", world_config, "--grid", grid_config, "--governance-rounds", "-2", "--out", str(out)])
-    assert code == 1
-    assert "governance_rounds" in capsys.readouterr().err
+@pytest.mark.parametrize("command", ["fit", "governance"])
+def test_negative_governance_rounds_rejected(tmp_path, world_config, grid_config, capsys, command):
+    # governance's loop refuses zero rounds after the oracle read, and still nothing is written
+    out = tmp_path / "out"
+    rounds, named = {
+        "fit": (["--grid", grid_config, "--governance-rounds", "-2"], "governance_rounds"),
+        "governance": (["--rounds", "0"], "rounds"),
+    }[command]
+    assert main([command, "--config", world_config, *rounds, "--out", str(out)]) == 1
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 

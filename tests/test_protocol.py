@@ -701,24 +701,8 @@ def test_governance_no_harmful_entries_stable():
     assert max(accs) - min(accs) == 0.0  # nothing changes without retirements
 
 
-def test_governance_gap_close_absent_when_oracle_equals_baseline():
-    # no applicable memory and no hurts: oracle == baseline
-    spec = WorldSpec(
-        n_examples=200,
-        seed=17,
-        applicability_rate=(("rule", 0.0), ("exemplar", 0.0)),
-        hurt_prob_given_inapplicable=0.0,
-    )
-    world = generate_world(spec)
-    fit_ids, _ = split_indices(200)
-    report = run_governance_loop(world, PolicyConfig(tau=0.9), 2, fit_ids)
-    assert report.oracle_accuracy == report.baseline_accuracy
-    assert all(r.gap_close is None for r in report.rounds)
-
-
 def test_governance_freezes_each_bank_state_once(monkeypatch):
-    # round 0 is evaluated on the state the baseline and oracle see, so the
-    # banks are frozen once before the loop and once per later round
+    # each round freezes the working banks once, as it starts
     freeze = MemoryBank.freeze
     calls = []
     monkeypatch.setattr(MemoryBank, "freeze", lambda bank: calls.append(bank.bank_kind) or freeze(bank))
@@ -731,6 +715,17 @@ def test_governance_freezes_each_bank_state_once(monkeypatch):
     calls.clear()
     run_fit_stage(world, [PolicyConfig(tau=0.95, margin_m=-10.0)], governance_rounds=2)
     assert len(calls) == 6  # also the grid search's snapshots; the frozen result is the selected round's
+
+
+def test_governed_fit_decodes_no_oracle_contexts(monkeypatch):
+    # fit reads only the selected round's snapshots, so its governance decodes no oracle contexts
+    decoded = []
+    decode = World.decode_contexts
+    monkeypatch.setattr(World, "decode_contexts", lambda *a: decoded.append(a) or decode(*a))
+    world = generate_world(WorldSpec(n_examples=200, seed=18, toxic_entry_rate=0.3, toxic_hurt_prob=0.95, k_max=1))
+    manifest, _, _ = run_fit_stage(world, [PolicyConfig(tau=0.95, margin_m=-10.0)], governance_rounds=2)
+    assert manifest.selection_record["governance_iteration"] is not None
+    assert decoded == []
 
 
 def test_governance_toxic_worlds_improve():
@@ -1077,8 +1072,8 @@ def _governance_outputs(world):
     kept = [{k: t[0] for k, t in world._tables.items()}]
     report = run_governance_loop(world, policy, 8, fit_ids)
     kept.append({k: t[0] for k, t in world._tables.items()})
-    outputs = (asdict(manifest), [(r.fit_accuracy, r.gap_close, r.retired_ids, r.bank_hashes) for r in report.rounds],
-               report.selected_iteration, report.baseline_accuracy, report.oracle_accuracy)
+    outputs = (asdict(manifest), [(r.fit_accuracy, r.retired_ids, r.bank_hashes) for r in report.rounds],
+               report.selected_iteration)
     return outputs, report, kept
 
 

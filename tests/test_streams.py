@@ -11,6 +11,8 @@ import hashlib
 import numpy as np
 import pytest
 
+from gatedmem.util import derive_seed, stable_digest
+
 KEY = 0x9E3779B97F4A7C15  # a 64-bit key or seed, as util.derive_seed gives
 
 
@@ -52,3 +54,11 @@ PINNED = {
 @pytest.mark.parametrize("name", sorted(DRAWS))
 def test_stream_is_pinned(name):
     assert hashlib.sha256(np.asarray(DRAWS[name](), "<f8").tobytes()).hexdigest() == PINNED[name]
+
+
+@pytest.mark.parametrize("digest", [stable_digest, derive_seed])
+@pytest.mark.parametrize("value", [np.arange(3), np.int64(3)], ids=["ndarray", "int64"])
+def test_digest_refuses_a_value_json_cannot_encode(digest, value):
+    # hashing str(value) would key np.arange(3) the same as the string "[0 1 2]"
+    with pytest.raises(TypeError):
+        digest("key", value)
