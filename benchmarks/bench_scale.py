@@ -1,4 +1,4 @@
-"""Wall time and peak RSS of every CLI stage at fixed world sizes.
+"""Wall time, peak RSS and traced heap peak of every CLI stage at fixed world sizes.
 
     python benchmarks/bench_scale.py [--sizes 600,10000,50000,200000] [--repeats 3] [--out PATH]
     python benchmarks/bench_scale.py --against TREE [--sizes ...] [--repeats ...] [--out PATH]
@@ -26,8 +26,13 @@ without them every stage recompiles the package. Beside each tree's
 ``git describe`` the record keeps the sha256 of each of its
 src/gatedmem/*.py files, so it says which code ran even when a tree is
 dirty or not a git checkout, and each file's line count, so a change's
-line delta comes from the same record as its timings. A process that
-exits non-zero stops the run with exit status 1 and its output on stderr.
+line delta comes from the same record as its timings. After a stage's
+timed runs, one more untimed run of it per tree runs under tracemalloc,
+started before the package is imported, and the record keeps its traced
+peak in MiB as ``heap_peak_mib`` (``this``), beside ``peak_rss_mb``: what
+the stage's Python code allocated, which RSS steps of about 1 MB of
+allocator layout do not move. A process that exits non-zero stops the run
+with exit status 1 and its output on stderr.
 
 --against TREE compares this checkout with another source checkout in one
 run, so drift of the host over time does not read as a change. Each
@@ -40,7 +45,8 @@ sign test p over the pairs that moved and a verdict: ``lower`` or
 ``higher`` when p < 0.05, else ``not decided``. Five pairs can never
 reach it (p >= 2 * 2**-5), so a decided verdict needs at least six. Per
 stage the record also keeps whether every output file was byte-identical
-between the trees on every repeat.
+between the trees on every repeat, and ``heap_peak_mib`` also holds
+TREE's traced peak (``against``) and this tree's minus it (``change``).
 """
 
 from __future__ import annotations
@@ -70,10 +76,19 @@ STARTUP = (
 SIGN_TEST_ALPHA = 0.05
 # (record key, decimal places) of each metric, in the order run_child returns them
 METRICS = (("wall_s", 4), ("cpu_s", 4), ("peak_rss_mb", 1))
+# runs a stage's CLI arguments with tracemalloc started before the package is imported; prints the traced peak last
+HEAP_PEAK = (
+    "import sys, tracemalloc\n"
+    "tracemalloc.start()\n"
+    "from gatedmem.cli import main\n"
+    "status = main(sys.argv[1:])\n"
+    "print(tracemalloc.get_traced_memory()[1])\n"
+    "sys.exit(status)\n"
+)
 
 
 def stage_commands(work: Path) -> dict[str, tuple[list[str], Path]]:
-    """Stage name -> (argv, the directory the stage writes), in the order the stages must run."""
+    """Stage name -> (CLI arguments, the directory the stage writes), in the order the stages must run."""
     cfg = ["--config", str(work / "world.kv")]
     grid = ["--grid", str(ROOT / "configs" / "grid.kv")]
     manifest = ["--manifest", str(work / "fit" / "manifest.json")]
@@ -85,10 +100,7 @@ def stage_commands(work: Path) -> dict[str, tuple[list[str], Path]]:
         "counterfactual": ("cf", ["counterfactual", *cfg, *manifest, "--edits", str(work / "edits.jsonl")]),
         "governance": ("gov", ["governance", *cfg]),
     }
-    return {
-        name: ([sys.executable, "-m", "gatedmem.cli", *args, "--out", str(work / out)], work / out)
-        for name, (out, args) in stages.items()
-    }
+    return {name: ([*args, "--out", str(work / out)], work / out) for name, (out, args) in stages.items()}
 
 
 def child_env(root: Path) -> dict:
@@ -205,6 +217,10 @@ def describe(label: str, result: dict, repeats: int) -> str:
         else:
             part += f" {unit}"
         parts.append(part)
+    if "heap_peak_mib" in result:
+        heap = result["heap_peak_mib"]
+        change = f" vs {heap['against']:.2f} MiB ({heap['change']:+.2f})" if "against" in heap else " MiB"
+        parts.append(f"heap {heap['this']:.2f}{change}")
     if "outputs_identical" in result:
         parts.append(f"outputs {'identical' if result['outputs_identical'] else 'DIFFER'}")
     return f"{label}: {', '.join(parts)}"
@@ -259,19 +275,40 @@ def make_work(work: Path, n: int) -> Path:
 
 
 def every_command(record: dict, trees: dict, sizes: list[int], work_root: Path):
-    """(record section, key, label, commands) of each measurement in run order: the start-up processes,
-    then each stage at each size. commands maps a tree name to (argv, the directory it writes or None).
+    """(record section, key, label, commands, stage arguments) of each measurement in run order: the
+    start-up processes, then each stage at each size. commands maps a tree name to (argv, the directory
+    it writes or None); stage arguments map it to the stage's CLI arguments, None for a start-up process.
     Each size's work directories are removed once its stages have run."""
     for code in STARTUP:
-        yield record["startup"], code, code, {name: ([sys.executable, "-c", code], None) for name in trees}
+        yield record["startup"], code, code, {name: ([sys.executable, "-c", code], None) for name in trees}, None
     for n in sizes:
         works = {name: make_work(work_root / name / f"n{n}", n) for name in trees}
         stages = {name: stage_commands(work) for name, work in works.items()}
         section = record["sizes"][str(n)] = {}
         for stage in stages["this"]:
-            yield section, stage, f"n={n} {stage}", {name: commands[stage] for name, commands in stages.items()}
+            args = {name: stages[name][stage][0] for name in trees}
+            commands = {
+                name: ([sys.executable, "-m", "gatedmem.cli", *args[name]], stages[name][stage][1]) for name in trees
+            }
+            yield section, stage, f"n={n} {stage}", commands, args
         for work in works.values():
             shutil.rmtree(work, ignore_errors=True)
+
+
+def heap_peaks(args: dict, trees: dict) -> dict:
+    """Each tree's traced heap peak in MiB of one untimed run of the CLI with its stage arguments, and with
+    two trees this one's minus the other's; exits 1 if a run fails."""
+    peaks = {}
+    for name, root in trees.items():
+        argv = [sys.executable, "-c", HEAP_PEAK, *args[name]]
+        proc = subprocess.run(argv, cwd=root, env=child_env(root), capture_output=True, text=True)
+        if proc.returncode != 0:
+            sys.stderr.write(proc.stdout + proc.stderr)
+            sys.exit(f"error: {' '.join(args[name])} under tracemalloc in {root} exited {proc.returncode}")
+        peaks[name] = round(int(proc.stdout.splitlines()[-1]) / 2**20, 2)
+    if "against" in peaks:
+        peaks["change"] = round(peaks["this"] - peaks["against"], 2)
+    return peaks
 
 
 def main(argv=None) -> int:
@@ -302,8 +339,10 @@ def main(argv=None) -> int:
         record["against_source_lines"] = source_lines(trees["against"])
     work_root = Path(tempfile.mkdtemp(prefix="bench-scale-"))
     try:
-        for i, (section, key, label, commands) in enumerate(every_command(record, trees, sizes, work_root)):
+        for i, (section, key, label, commands, stage_args) in enumerate(every_command(record, trees, sizes, work_root)):
             section[key] = measure(commands, trees, args.repeats, i * args.repeats)
+            if stage_args is not None:
+                section[key]["heap_peak_mib"] = heap_peaks(stage_args, trees)
             print(describe(label, section[key], args.repeats), flush=True)
     finally:
         shutil.rmtree(work_root, ignore_errors=True)

@@ -69,6 +69,10 @@ def _expand_grid(flat: dict[str, str], path: str) -> list[dict[str, str]]:
 
 
 def _resolve_candidates(world, fit_ids, combos) -> list[PolicyConfig]:
+    # every combo has the grid's keys, so the fit confidences are read once or not at all,
+    # and each distinct tau_percentile is resolved once
+    confidences = world.baseline_pass(fit_ids)[1] if any("tau_percentile" in c for c in combos) else None
+    taus: dict[float, float] = {}
     out = []
     for combo in combos:
         combo = dict(combo)
@@ -78,8 +82,9 @@ def _resolve_candidates(world, fit_ids, combos) -> list[PolicyConfig]:
         policy = PolicyConfig.from_flat(combo)
         if pct is not None:
             pct = parse_value("tau_percentile", float, pct)
-            tau = select_threshold_percentile(world.baseline_pass(fit_ids)[1], pct)
-            policy = replace(policy, tau=tau)
+            if pct not in taus:
+                taus[pct] = select_threshold_percentile(confidences, pct)
+            policy = replace(policy, tau=taus[pct])
         out.append(policy)
     return out
 
@@ -98,6 +103,8 @@ def cmd_gen_world(args) -> int:
 
 
 def cmd_fit(args) -> int:
+    if args.governance_rounds < 0:  # refused before the world is built
+        raise ValueError(f"governance_rounds must be >= 0, got {args.governance_rounds}")
     world = _load_world(args)
     combos = _expand_grid(parse_kv_file(args.grid), args.grid) if args.grid else [{}]
     # the fit side of the split run_fit_stage draws at its defaults, freed before that draw
@@ -149,6 +156,8 @@ def _write_audit(out: str, audit: dict) -> None:
 
 
 def cmd_governance(args) -> int:
+    if args.rounds < 1:  # refused before the world is built
+        raise ValueError("rounds must be >= 1")
     world = _load_world(args)
     fit_ids = split_indices(world.spec.n_examples)[0]
     policy = (

@@ -114,16 +114,16 @@ class FreezeManifest:
                 raise FreezeMismatch(f"{kind} bank content hash does not match the freeze manifest")
 
 
-def split_indices(n: int, fit_fraction: float = 0.5):
-    """Disjoint, exhaustive, non-empty fit/test index lists from a permutation drawn at seed 0."""
+def split_indices(n: int, fit_fraction: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+    """Disjoint, exhaustive, non-empty fit/test sides as sorted np.intp arrays, from a permutation drawn at seed 0."""
     if not (0.0 < fit_fraction < 1.0):
         raise ValueError("fit_fraction must be in (0, 1)")
-    perm = np.random.default_rng(0).permutation(n)
+    perm = np.random.default_rng(0).permutation(n).astype(np.intp, copy=False)
     n_fit = max(1, int(round(n * fit_fraction)))
     if n_fit >= n:
         side = "fit" if n < 1 else "test"
         raise ValueError(f"n={n} examples at fit_fraction={fit_fraction} leave the {side} split empty")
-    return np.sort(perm[:n_fit]).tolist(), np.sort(perm[n_fit:]).tolist()
+    return np.sort(perm[:n_fit]), np.sort(perm[n_fit:])
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +347,7 @@ def run_fit_stage(
         "mean_calls": counts.mean_calls,
         "governance_iteration": governance_iteration,
         "fit_fraction": fit_fraction,
-        "fit_digest": stable_digest(fit_ids),
+        "fit_digest": stable_digest(fit_ids.tolist()),
         "active_ids": {k: list(s.entry_ids) for k, s in snapshots.items()},
         "policy": policy.to_flat(),
         "draw_digest": world.draw_digest(),
@@ -425,7 +425,7 @@ def _ledger_rows(counts: dict, seed: int) -> list:
     return [make_ledger_row(f"{name} vs baseline", counts[name], seed=seed) for name in LEDGER_COMPARISONS]
 
 
-def _recorded_test_ids(record: dict, n: int) -> list:
+def _recorded_test_ids(record: dict, n: int) -> np.ndarray:
     """The test side of the split that the recorded fit_fraction draws from n examples, once the
     fit side's digest is checked against the recorded one. The two sides partition range(n), so
     the fit side fixes the test side."""
@@ -433,53 +433,56 @@ def _recorded_test_ids(record: dict, n: int) -> list:
     if not 0.0 < fraction < 1.0:
         raise FreezeMismatch(f"manifest selection_record.fit_fraction must be in (0, 1), got {fraction!r}")
     fit_ids, test_ids = split_indices(n, fraction)
-    if stable_digest(fit_ids) != record["fit_digest"]:
+    if stable_digest(fit_ids.tolist()) != record["fit_digest"]:
         raise FreezeMismatch(f"manifest selection_record.fit_digest does not match the fit split "
                              f"that fit_fraction {fraction} draws from {n} examples")
     return test_ids
 
 
-def frozen_inputs(world: World, manifest: FreezeManifest, validate: bool = True) -> tuple[PolicyConfig, dict, list]:
+def frozen_inputs(world: World, manifest: FreezeManifest) -> tuple[PolicyConfig, dict, np.ndarray]:
     """(policy, snapshots, test_ids) that the manifest freezes, for this world.
 
-    Parses the recorded policy, retires whatever the recorded active id
-    lists exclude, moves the banks to the test stage, snapshots them and
-    draws the recorded test split. Entry ids are deterministic across worlds
-    of the same shape, so a governed manifest's pruned membership transfers
-    to sibling-seed worlds. The recorded bank kinds must be the world's.
-    With validate, the world's hash is checked first, so another world's
-    config is refused as such, then its draw digest, so a numpy whose random
-    streams differ from fit's is refused, and the policy and snapshot hashes
-    once the banks are cut.
+    The world's hash is checked first, so another world's config is refused
+    as such, then its draw digest, so a numpy whose random streams differ
+    from fit's is refused. Then the recorded policy is parsed, the banks are
+    cut to the recorded membership (_frozen_snapshots), the policy and
+    snapshot hashes are checked, and the recorded test split is drawn once
+    its fit side's digest is checked.
     """
     record = manifest.selection_record
-    if validate and world.spec.world_hash() != manifest.world_hash:
+    if world.spec.world_hash() != manifest.world_hash:
         raise FreezeMismatch("world hash does not match the freeze manifest")
-    if validate and world.draw_digest() != record["draw_digest"]:
+    if world.draw_digest() != record["draw_digest"]:
         raise FreezeMismatch(
             "selection_record.draw_digest does not match: the world's draws differ from fit's "
             "(a numpy whose random streams differ from the one fit ran on?)"
         )
     policy = PolicyConfig.from_flat(record["policy"])
-    recorded = record["active_ids"]
-    if sorted(recorded) != sorted(world.banks):
+    snapshots = _frozen_snapshots(world, record["active_ids"])
+    manifest.validate(policy, snapshots)
+    return policy, snapshots, _recorded_test_ids(record, world.spec.n_examples)
+
+
+def _frozen_snapshots(world: World, active_ids: dict) -> dict:
+    """The world's bank snapshots once each bank keeps only its recorded active ids and moves to
+    the test stage. Entry ids are deterministic across worlds of the same shape, so a governed
+    manifest's pruned membership transfers to sibling-seed worlds. The recorded bank kinds must
+    be the world's, and every recorded id an entry of its bank."""
+    if sorted(active_ids) != sorted(world.banks):
         raise FreezeMismatch(
-            f"manifest selection_record.active_ids names bank kinds {sorted(recorded)}, "
+            f"manifest selection_record.active_ids names bank kinds {sorted(active_ids)}, "
             f"the world has {sorted(world.banks)}"
         )
     for kind, bank in world.banks.items():
-        unknown = sorted({e for e in recorded[kind] if e not in bank})
+        unknown = sorted({e for e in active_ids[kind] if e not in bank})
         if unknown:
             raise FreezeMismatch(
                 f"manifest selection_record.active_ids[{kind!r}] names entries that bank lacks: {unknown}"
             )
     for kind, bank in world.banks.items():
-        bank.retain(recorded[kind])
+        bank.retain(active_ids[kind])
         bank.stage = STAGE_TEST
-    snapshots = world.snapshots()
-    if validate:
-        manifest.validate(policy, snapshots)
-    return policy, snapshots, _recorded_test_ids(record, world.spec.n_examples)
+    return world.snapshots()
 
 
 def run_pooled_test(
@@ -491,12 +494,13 @@ def run_pooled_test(
     """Frozen test evaluation pooled over sibling-seed worlds.
 
     Seed k's world is built from the spec at seed spec.seed + k and keeps the
-    manifest's recorded bank membership. The manifest is validated against
-    the base world (k = 0); siblings reuse the frozen policy and membership,
-    and no selection, evidence or retirement sweep runs on them. Each seed
-    reduces every comparison to its PairedCounts against the baseline, and
-    the pooled rows are computed from those counts added up, so a pooled
-    row is the row of one run over every seed's examples.
+    manifest's recorded bank membership. frozen_inputs checks the manifest
+    against the base world (k = 0) and draws the test split, once; siblings
+    take only the recorded membership (_frozen_snapshots), and no selection,
+    evidence or retirement sweep runs on them. Each seed reduces every
+    comparison to its PairedCounts against the baseline, and the pooled rows
+    are computed from those counts added up, so a pooled row is the row of
+    one run over every seed's examples.
     One world is alive at a time, and no seed keeps a per-example array: the
     base world's traces and confidence bins are written before any sibling
     is built.
@@ -506,7 +510,13 @@ def run_pooled_test(
     per_seed_rows = {}
     counts_by_name: dict[str, list] = {}
     for k in range(n_seeds):
-        rows, counts = _test_seed(World(replace(spec, seed=spec.seed + k)), manifest, base=k == 0, out_dir=out_dir)
+        world = World(replace(spec, seed=spec.seed + k))
+        if k == 0:
+            policy, snapshots, test_ids = frozen_inputs(world, manifest)
+        else:
+            snapshots = _frozen_snapshots(world, manifest.selection_record["active_ids"])
+        rows, counts = _test_seed(world, policy, snapshots, test_ids, out_dir if k == 0 else None)
+        del world, snapshots  # one world is alive at a time
         per_seed_rows[spec.seed + k] = rows
         for name, c in counts.items():
             counts_by_name.setdefault(name, []).append(c)
@@ -519,17 +529,19 @@ def run_pooled_test(
     return pooled_rows, per_seed_rows
 
 
-def _test_seed(world: World, manifest: FreezeManifest, base: bool, out_dir: str | None) -> tuple[list, dict]:
+def _test_seed(
+    world: World, policy: PolicyConfig, snapshots: dict, test_ids: np.ndarray, out_dir: str | None
+) -> tuple[list, dict]:
     """One seed's ledger rows and each comparison's PairedCounts against the baseline, by name.
 
-    The base world is checked against the manifest and, given out_dir,
-    creates it and writes traces.jsonl and conf_bins.csv from the policy's
-    run, so a refused manifest leaves no directory behind. The
-    baseline is the world's first pass, read once for the oracle; each
-    comparator run is its StepTable, which carries the same read, and is
-    reduced to its counts before the next one runs.
+    Takes the frozen inputs as frozen_inputs returns them, so the manifest
+    is checked before out_dir (the base seed's) is created and a refused
+    manifest leaves no directory behind. Given out_dir, it writes
+    traces.jsonl and conf_bins.csv from the policy's run. The baseline is
+    the world's first pass, read once for the oracle; each comparator run is
+    its StepTable, which carries the same read, and is reduced to its counts
+    before the next one runs.
     """
-    policy, snapshots, test_ids = frozen_inputs(world, manifest, validate=base)
     # the oracle reads every test row from both banks, so it goes first: its
     # one query draw per row ranks every row that a comparator's run reads
     oracle = evaluate_oracle(world, snapshots, test_ids)
@@ -537,7 +549,7 @@ def _test_seed(world: World, manifest: FreezeManifest, base: bool, out_dir: str 
     for name in ("policy",) + COMPARATORS:
         steps = evaluate_policy(world, policy, snapshots, test_ids, comparator=None if name == "policy" else name)
         counts[name] = _run_counts(steps)
-        if name == "policy" and base and out_dir is not None:
+        if name == "policy" and out_dir is not None:
             os.makedirs(out_dir, exist_ok=True)
             write_traces(steps, os.path.join(out_dir, "traces.jsonl"))
             write_conf_bins(steps, os.path.join(out_dir, "conf_bins.csv"))

@@ -218,7 +218,7 @@ def test_criterion_05_retry_flat():
         world = generate_world(arith_shape_spec(seed=4000 + seed, n=400))
         grid = [PolicyConfig(tau=0.6, margin_m=0.05, bank_policy="choose", primary_bank="rule")]
         manifest, _, _ = run_fit_stage(world, grid)
-        rows, _ = protocol._test_seed(world, manifest, base=True, out_dir=None)
+        rows, _ = protocol._test_seed(world, *protocol.frozen_inputs(world, manifest), out_dir=None)
         retries.append(next(r for r in rows if r.comparison == "retry vs baseline"))
     margin("max |retry dacc|", max(abs(r.delta_acc) for r in retries), "<=", 0.0)
     margin("min retry p", min(r.mcnemar_p for r in retries), ">=", 1.0)
@@ -439,8 +439,8 @@ def test_criterion_09_control_contracts():
     world = generate_world(arith_shape_spec(seed=9999, n=200))
     manifest, _, _ = run_fit_stage(world, [PolicyConfig(tau=0.6)])
     with pytest.raises(FreezeMismatch):
-        protocol._test_seed(world, tampered_policy(manifest, tau=0.9), base=True, out_dir=None)
-    protocol._test_seed(world, manifest, base=True, out_dir=None)
+        protocol._test_seed(world, *protocol.frozen_inputs(world, tampered_policy(manifest, tau=0.9)), out_dir=None)
+    protocol._test_seed(world, *protocol.frozen_inputs(world, manifest), out_dir=None)
     with pytest.raises(ProtocolViolation):
         world.banks["rule"].append_evidence("R000", [1.0])
     with pytest.raises(ProtocolViolation):

@@ -589,8 +589,10 @@ def test_fit_refuses_a_split_with_an_empty_side(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command", ["fit", "governance"])
-def test_negative_governance_rounds_rejected(tmp_path, world_config, grid_config, capsys, command):
-    # governance's loop refuses zero rounds after the oracle read, and still nothing is written
+def test_negative_governance_rounds_rejected(tmp_path, world_config, grid_config, capsys, monkeypatch, command):
+    # a bad round count is refused before the world is built, and nothing is written
+    built = []
+    monkeypatch.setattr(worldsim.World, "__init__", lambda self, spec: built.append(spec))
     out = tmp_path / "out"
     rounds, named = {
         "fit": (["--grid", grid_config, "--governance-rounds", "-2"], "governance_rounds"),
@@ -598,7 +600,7 @@ def test_negative_governance_rounds_rejected(tmp_path, world_config, grid_config
     }[command]
     assert main([command, "--config", world_config, *rounds, "--out", str(out)]) == 1
     assert named in capsys.readouterr().err
-    assert not out.exists()
+    assert not out.exists() and built == []
 
 
 @pytest.mark.parametrize("seed", [32, 50])

@@ -28,7 +28,14 @@ from conftest import (
 )
 from gatedmem import cli, protocol
 from gatedmem.bank import MemoryBank
-from gatedmem.controller import BANK_POLICIES, GUARD_NAMES, MULTIBANK_FAMILY, PolicyConfig, compose_bank_policy
+from gatedmem.controller import (
+    BANK_POLICIES,
+    GUARD_NAMES,
+    MULTIBANK_FAMILY,
+    PolicyConfig,
+    compose_bank_policy,
+    select_threshold_percentile,
+)
 from gatedmem.errors import FreezeMismatch, ProtocolViolation
 from gatedmem.protocol import (
     LEDGER_COMPARISONS,
@@ -63,7 +70,7 @@ def fitted_world(seed=0, n=400, grid=None, governance_rounds=0, spec=None):
 
 def base_seed(world, manifest):
     """The test stage's base-seed pass on this world: (ledger rows, PairedCounts by name)."""
-    return protocol._test_seed(world, manifest, base=True, out_dir=None)
+    return protocol._test_seed(world, *protocol.frozen_inputs(world, manifest), out_dir=None)
 
 
 # ---------------------------------------------------------------------------
@@ -72,8 +79,8 @@ def base_seed(world, manifest):
 
 def test_split_disjoint_exhaustive():
     fit, test = split_indices(101)
-    assert set(fit) & set(test) == set()
-    assert sorted(fit + test) == list(range(101))
+    assert set(fit.tolist()) & set(test.tolist()) == set()
+    assert sorted(fit.tolist() + test.tolist()) == list(range(101))
 
 
 @pytest.mark.parametrize("n", [2, 3, 101, 20000])
@@ -83,8 +90,28 @@ def test_split_matches_sorted_permutation_reference(n):
         n_fit = max(1, int(round(n * fit_fraction)))
         reference = (sorted(int(i) for i in perm[:n_fit]), sorted(int(i) for i in perm[n_fit:]))
         got = split_indices(n, fit_fraction)
-        assert got == reference
-        assert all(type(i) is int for side in got for i in side)  # plain ints: the digests json-encode them
+        assert [side.tolist() for side in got] == list(reference)
+        # two sorted index arrays that partition range(n)
+        assert all(type(side) is np.ndarray and side.dtype == np.intp for side in got)
+        assert all((np.diff(side) > 0).all() for side in got)
+        assert np.array_equal(np.sort(np.concatenate(got)), np.arange(n))
+
+
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (600, "e69771bc5d1ae45967ba29f53e1801cf491a730324cb5e8131af960b4430d445"),
+        (4000, "00927f9e79ba1e8d33bf23223cdbc3b153c32f8fd863c30f0e6a545d98fc4925"),
+        (2000, "60f4be5e3a16e4027ddc3262eefb301ba92acad6b41a80a6702532b959ff482d"),
+    ],
+)
+def test_fit_digest_is_pinned(n, digest):
+    # the digest of the fit side as a JSON integer list, whatever type split_indices returns it as:
+    # the shipped world's size and both perfbench workloads' sizes
+    assert stable_digest(split_indices(n)[0].tolist()) == digest
+    world = generate_world(WorldSpec(n_examples=n, seed=n))
+    manifest, _, _ = run_fit_stage(world, [PolicyConfig(tau=0.5)])
+    assert manifest.selection_record["fit_digest"] == digest
 
 
 @pytest.mark.parametrize("n, fit_fraction", [(3, 0.9), (1, 0.5), (2, 0.75), (0, 0.5)])
@@ -94,7 +121,7 @@ def test_split_with_an_empty_side_rejected(n, fit_fraction):
 
 
 def test_smallest_splits_have_both_sides():
-    assert sorted(sum(split_indices(2, 0.5), [])) == [0, 1]
+    assert sorted(np.concatenate(split_indices(2, 0.5)).tolist()) == [0, 1]
     assert [len(side) for side in split_indices(3, 0.65)] == [2, 1]
 
 
@@ -179,6 +206,24 @@ def test_fit_runs_each_distinct_policy_once(monkeypatch, grid, runs):
     manifest, policy, _ = run_fit_stage(world, candidates)
     assert len(expanded) > len(ran) == len(set(ran)) == runs
     assert (policy, manifest.selection_record["grid_index"]) == (best, grid_index)
+
+
+@pytest.mark.parametrize("percentiles", ["35", "20|35"])
+def test_fit_reads_its_confidences_once_per_grid(monkeypatch, percentiles):
+    # the shipped grid's 16 combos share one tau_percentile: one read of the fit confidences,
+    # and every combo's tau is that percentile's, as one read per combo gave it
+    world = generate_world(WorldSpec.from_flat(parse_kv_file(os.path.join(CONFIGS, "world.kv"))))
+    fit_ids, _ = split_indices(world.spec.n_examples)
+    grid = {**parse_kv_file(os.path.join(CONFIGS, "grid.kv")), "tau_percentile": percentiles}
+    combos = cli._expand_grid(grid, "grid.kv")
+    reads = []
+    baseline_pass = World.baseline_pass
+    monkeypatch.setattr(World, "baseline_pass", lambda self, rows: reads.append(rows) or baseline_pass(self, rows))
+    candidates = cli._resolve_candidates(world, fit_ids, combos)
+    assert len(reads) == 1 and len(candidates) == len(combos) == 16 * len(percentiles.split("|"))
+    confidences = baseline_pass(world, fit_ids)[1]
+    for combo, cand in zip(combos, candidates):
+        assert cand.tau == select_threshold_percentile(confidences, float(combo["tau_percentile"]))
 
 
 def test_shipped_grid_policies_behave_distinctly():
@@ -432,6 +477,18 @@ def test_pooled_test_concatenates_seeds(tmp_path):
     assert os.path.exists(os.path.join(str(tmp_path), "traces.jsonl"))
 
 
+def test_pooled_test_checks_its_manifest_and_draws_its_split_once(monkeypatch, tmp_path):
+    # the base world takes every frozen input; siblings take only the recorded membership
+    world, manifest, _, _ = fitted_world(seed=43, governance_rounds=1)
+    spec = world.spec
+    expected = run_pooled_test(spec, manifest, n_seeds=3)
+    calls = []
+    for name in ("split_indices", "frozen_inputs"):
+        monkeypatch.setattr(protocol, name, lambda *a, _f=getattr(protocol, name), _n=name: calls.append(_n) or _f(*a))
+    assert run_pooled_test(spec, manifest, n_seeds=3, out_dir=str(tmp_path)) == expected
+    assert sorted(calls) == ["frozen_inputs", "split_indices"]
+
+
 def test_pooled_test_holds_one_world_at_a_time(monkeypatch, tmp_path):
     world, manifest, _, _ = fitted_world(seed=42, governance_rounds=1)
     spec = world.spec
@@ -653,7 +710,7 @@ def test_pooled_counts_are_one_run_over_every_seeds_examples():
 
 def test_a_test_seed_hands_back_only_numbers(tmp_path):
     world, manifest, _, _ = fitted_world(seed=46)
-    rows, counts = protocol._test_seed(world, manifest, base=True, out_dir=str(tmp_path))
+    rows, counts = protocol._test_seed(world, *protocol.frozen_inputs(world, manifest), out_dir=str(tmp_path))
     assert [r.comparison for r in rows] == [f"{name} vs baseline" for name in LEDGER_COMPARISONS]
     assert sorted(counts) == sorted(LEDGER_COMPARISONS)
     for record in rows + list(counts.values()):
