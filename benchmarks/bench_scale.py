@@ -163,7 +163,7 @@ def output_files(out: Path) -> dict:
 
     Files are hashed 1 MB at a time: on Linux a child's ru_maxrss is at
     least the peak RSS of the process that started it, so reading a whole
-    200k outcome_table.json (about 95 MB) here would raise every later
+    200k outcome_table.json (59.8 MB) here would raise every later
     child's peak RSS to this script's.
     """
     digests = {}

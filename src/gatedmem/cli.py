@@ -97,7 +97,7 @@ def cmd_gen_world(args) -> int:
         bank.save(os.path.join(args.out, f"bank_{kind}.jsonl"))
     rows = np.arange(world.spec.n_examples)
     passes = world.decode_contexts(rows, world.snapshots())
-    write_outcome_table(world.baseline_pass(rows)[0], passes, os.path.join(args.out, "outcome_table.json"))
+    write_outcome_table(world.baseline_pass(rows), passes, os.path.join(args.out, "outcome_table.json"))
     print(f"world {world.spec.world_hash()[:12]} written to {args.out}")
     return 0
 
@@ -120,6 +120,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_test(args) -> int:
+    if args.pool_seeds < 1:  # refused before the spec and manifest are read
+        raise ValueError(f"--pool-seeds must be >= 1, got {args.pool_seeds}")
     spec = _load_spec(args)
     manifest = FreezeManifest.load(args.manifest)
     rows, _ = run_pooled_test(spec, manifest, n_seeds=args.pool_seeds, out_dir=args.out)

@@ -39,11 +39,10 @@ from .controller import (
 from .errors import AuditFailure, FreezeMismatch, ProtocolViolation
 from .stats import bootstrap_ci, confidence_bins, mcnemar_exact, randomization_interaction_test
 from .util import read_text, stable_digest, write_json
-from .worldsim import ORACLE_CONTEXTS, World, WorldSpec
+from .worldsim import World, WorldSpec
 
 COMPARATORS = ("retry", "always_retrieve", "fixed_budget")
 LEDGER_COMPARISONS = ("policy",) + COMPARATORS + ("oracle",)  # each ledger row pairs one against baseline
-CONTENT_VERSIONS = ("original", "repair", "corrupt")  # the versions outcome_table.json lists per context
 FIXED_BUDGET_K = 2  # comparator retrieves up to k=2 per episode, no guards, no rollback
 # Confidences lie in [0, 1], so tau = inf routes every step; margin -inf with
 # no guards accepts every second pass whose retrieval is non-empty.
@@ -216,10 +215,8 @@ def evaluate_oracle(world: World, snapshots: dict, example_ids) -> tuple[np.ndar
     rows = np.asarray(example_ids, np.intp)
     _check_example_ids(rows, world.spec.n_examples)
     base, _ = world.baseline_pass(rows)
-    passes = world.decode_contexts(rows, snapshots)
     routed, wins = np.zeros(len(rows), bool), np.zeros(len(rows), bool)
-    for context in ORACLE_CONTEXTS:
-        injects, correct, _ = passes[context]
+    for injects, correct, _ in world.decode_contexts(rows, snapshots).values():
         routed |= injects
         wins |= injects & correct
     accepted = ~base & wins
@@ -666,34 +663,33 @@ def write_traces(steps: StepTable, path: str) -> None:
             ))))
 
 
-def write_outcome_table(baseline_correct: np.ndarray, passes: dict, path: str) -> None:
+def write_outcome_table(baseline: tuple, passes: dict, path: str) -> None:
     """outcome_table.json: the bytes of json.dump(rows, fh, sort_keys=True), one row per example.
 
-    passes maps context -> (injects, correct, confidence) per example, as
-    World.decode_contexts returns them. A row holds example_id,
-    baseline_correct, second_correct_by_context ("context/version" -> bool,
-    for every CONTENT_VERSIONS entry: unedited content decodes alike under
-    each) and confidences (context -> second-pass confidence rounded to 10
-    places). Rows are encoded from these columns a block at a time.
+    baseline is (correct, confidence) per example, as World.baseline_pass
+    returns them, and passes maps context -> (injects, correct, confidence),
+    as World.decode_contexts returns them. A row holds example_id,
+    baseline_correct, baseline_confidence, and three maps keyed by context:
+    injects, second_correct and confidences. Confidences are rounded to 10
+    places. Rows are encoded from these columns a block at a time.
     """
-    correct = sorted((f"{ctx}/{ver}", p[1]) for ctx, p in passes.items() for ver in CONTENT_VERSIONS)
-    confs = sorted((ctx, p[2]) for ctx, p in passes.items())
+    contexts = sorted(passes)
+    by_context = ", ".join(encode_basestring_ascii(c) + ": %s" for c in contexts)
     row = (
-        '{"baseline_correct": %s, "confidences": {'
-        + ", ".join(encode_basestring_ascii(k) + ": %s" for k, _ in confs)
-        + '}, "example_id": %d, "second_correct_by_context": {'
-        + ", ".join(encode_basestring_ascii(k) + ": %s" for k, _ in correct)
-        + "}}"
+        '{"baseline_confidence": %s, "baseline_correct": %s, "confidences": {' + by_context
+        + '}, "example_id": %d, "injects": {' + by_context
+        + '}, "second_correct": {' + by_context + "}}"
     )
-    n = len(baseline_correct)
+    correct, confidence = baseline
+    n = len(correct)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("[")
         for lo in range(0, n, ROW_BLOCK):
             hi = min(lo + ROW_BLOCK, n)
-            columns = [_json_bools(baseline_correct[lo:hi])]
-            columns += [_json_rounded(v[lo:hi]) for _, v in confs]
+            columns = [_json_rounded(confidence[lo:hi]), _json_bools(correct[lo:hi])]
+            columns += [_json_rounded(passes[c][2][lo:hi]) for c in contexts]
             columns.append(range(lo, hi))
-            columns += [_json_bools(v[lo:hi]) for _, v in correct]
+            columns += [_json_bools(passes[c][k][lo:hi]) for k in (0, 1) for c in contexts]
             fh.write((", " if lo else "") + ", ".join(map(row.__mod__, zip(*columns))))
         fh.write("]\n")
 

@@ -11,7 +11,8 @@ combines the pair latents of whatever entries were injected. A decode is a
 correctness flag and a confidence; answer names the action it stands for. Everything is a
 deterministic function of (spec, seed), which makes free-rerun versus fixed-retrieval
 contrasts exactly decomposable and lets the oracle and outcome_table.json read off
-ground-truth outcomes for every candidate context (decode_contexts).
+ground-truth outcomes for every candidate context (decode_contexts, over ORACLE_CONTEXTS):
+whether it injects anything, and its unedited second pass's correctness and confidence.
 
 Each purpose (pair latents, guards, confidences, topics, baseline
 correctness, query and entry embeddings) draws from its own keyed Philox
@@ -61,10 +62,10 @@ from .retrieval import retrieve  # unused; perfbench/test_tracer.py asserts ever
 from .util import canonical_json, derive_seed, from_flat, stable_digest, to_flat
 
 GUARD_NAMES = ("format", "valid", "progress", "contract")
-ORACLE_CONTEXTS = ("rule", "exemplar", "dual")
-# bank-policy context -> the banks it retrieves from, in injection order;
-# dual, the widest decode, first, so decode_contexts holds no other context's outputs while it runs
-CONTEXT_BANKS = {"dual": ("rule", "exemplar"), "rule": ("rule",), "exemplar": ("exemplar",), "none": ()}
+# oracle candidate context -> the banks it retrieves from, in injection order; gen-world's outcome table
+# and evaluate_oracle both read decode_contexts, which decodes these. dual, the widest decode, comes first,
+# so decode_contexts holds no other context's outputs while it runs
+ORACLE_CONTEXTS = {"dual": ("rule", "exemplar"), "rule": ("rule",), "exemplar": ("exemplar",)}
 DIGEST_QUERY_CELLS = 1 << 13  # query-stream doubles that draw_digest hashes; fixed, since manifests record the digest
 
 
@@ -623,13 +624,12 @@ class World:
     # -- oracle ground truth ---------------------------------------------------
 
     def decode_contexts(self, rows, snapshots: dict) -> dict:
-        """context -> (injects, correct, confidence) of the original-content second pass that
-        retrieves from the context's banks (CONTEXT_BANKS), per example of rows: whether it
-        injects anything, and its correctness and confidence. Each context is
-        retrieved and decoded once; the `none` context injects nothing and repeats the baseline."""
+        """context -> (injects, correct, confidence) of the unedited second pass that retrieves
+        from the context's banks (ORACLE_CONTEXTS), per example of rows: whether it injects
+        anything, and its correctness and confidence. Each context is retrieved and decoded once."""
         rows = np.asarray(rows, np.intp)
         out = {}
-        for context, banks in CONTEXT_BANKS.items():
+        for context, banks in ORACLE_CONTEXTS.items():
             cols, filled, pairs = self.injected(rows, snapshots, banks)
             out[context] = (filled.any(axis=1), *self.second_pass(rows, cols, filled, pairs))
         return out

@@ -28,7 +28,6 @@ from gatedmem.bank import BANK_KINDS
 from gatedmem.controller import GUARD_NAMES, PolicyConfig, compose_bank_policy
 from gatedmem.protocol import (
     COMPARATORS,
-    CONTENT_VERSIONS,
     LEDGER_COMPARISONS,
     evaluate_oracle,
     evaluate_policy,
@@ -374,19 +373,17 @@ def reference_traces(world, policy, snapshots, example_ids, version="original", 
 
 
 def reference_outcome_table(world, idx, snapshots):
-    """(second correct by (context, version), confidence by context) of one example, as gen-world wrote it."""
-    by_context, confs = {}, {}
-    for context in ("none",) + ORACLE_CONTEXTS:
+    """context -> (injects, second correct, confidence) of one example's unedited second pass, as gen-world writes it."""
+    out = {}
+    for context in ORACLE_CONTEXTS:
         injected = reference_injection(world, idx, CONTEXT_BANKS[context], snapshots)
-        for version in CONTENT_VERSIONS:
-            action, _ = reference_second(world, idx, injected, version)
-            by_context[(context, version)] = action == world.true_action(idx)
-        confs[context] = reference_second(world, idx, injected)[1]
-    return by_context, confs
+        action, conf = reference_second(world, idx, injected)
+        out[context] = (bool(injected), action == world.true_action(idx), conf)
+    return out
 
 
 # bank-policy context -> the banks it retrieves from, in injection order
-CONTEXT_BANKS = {"none": (), "rule": ("rule",), "exemplar": ("exemplar",), "dual": ("rule", "exemplar")}
+CONTEXT_BANKS = {"rule": ("rule",), "exemplar": ("exemplar",), "dual": ("rule", "exemplar")}
 
 
 def reference_injection(world, idx, banks, snapshots):
@@ -536,22 +533,23 @@ def reference_trace_lines(traces) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def reference_outcome_table_text(baseline_correct, passes) -> str:
+def reference_outcome_table_text(baseline, passes) -> str:
     """outcome_table.json: json.dump of a row dict per example, sort_keys=True.
 
-    passes maps context -> (injects, correct, confidence), as decode_contexts returns them; a
-    context's correctness is listed under every content version.
+    baseline is (correct, confidence), as baseline_pass returns them, and passes maps
+    context -> (injects, correct, confidence), as decode_contexts returns them.
     """
-    correct = {f"{ctx}/{ver}": p[1].tolist() for ctx, p in passes.items() for ver in CONTENT_VERSIONS}
-    confs = {ctx: p[2].tolist() for ctx, p in passes.items()}
+    lists = {ctx: [v.tolist() for v in p] for ctx, p in passes.items()}
     rows = [
         {
             "example_id": i,
             "baseline_correct": base,
-            "second_correct_by_context": {k: v[i] for k, v in correct.items()},
-            "confidences": {k: round(v[i], 10) for k, v in confs.items()},
+            "baseline_confidence": round(conf, 10),
+            "injects": {k: v[0][i] for k, v in lists.items()},
+            "second_correct": {k: v[1][i] for k, v in lists.items()},
+            "confidences": {k: round(v[2][i], 10) for k, v in lists.items()},
         }
-        for i, base in enumerate(baseline_correct.tolist())
+        for i, (base, conf) in enumerate(zip(*(v.tolist() for v in baseline)))
     ]
     return json.dumps(rows, sort_keys=True) + "\n"
 

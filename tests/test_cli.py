@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from dataclasses import replace
@@ -45,14 +46,41 @@ def grid_config(tmp_path):
     return str(path)
 
 
+OUTCOME_ROW_KEYS = {"example_id", "baseline_correct", "baseline_confidence", "injects", "second_correct", "confidences"}
+
+
 def test_gen_world_writes_dump(tmp_path, world_config, capsys):
     out = str(tmp_path / "w")
     assert main(["gen-world", "--config", world_config, "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "bank_rule.jsonl"))
     assert os.path.exists(os.path.join(out, "bank_exemplar.jsonl"))
     table = json.loads(Path(out, "outcome_table.json").read_text())
-    assert len(table) == 200
-    assert "second_correct_by_context" in table[0]
+    assert [row["example_id"] for row in table] == list(range(200))
+    # a row is its documented keys, each map keyed by the oracle contexts; injects is whether
+    # retrieving from the context's banks fills any slot
+    for row in table:
+        assert set(row) == OUTCOME_ROW_KEYS
+        assert all(list(row[k]) == sorted(worldsim.ORACLE_CONTEXTS) for k in ("injects", "second_correct", "confidences"))
+    world = gatedmem.generate_world(gatedmem.WorldSpec.from_flat(parse_kv_file(world_config)))
+    rows, snaps = np.arange(200), world.snapshots()
+    for context, banks in worldsim.ORACLE_CONTEXTS.items():
+        injects = world.injected(rows, snaps, banks)[1].any(axis=1)
+        assert [row["injects"][context] for row in table] == injects.tolist()
+
+
+def test_gen_world_and_the_oracle_read_one_context_constant(tmp_path, world_config, capsys, monkeypatch):
+    # narrowing ORACLE_CONTEXTS narrows both the outcome table's maps and the oracle's candidates
+    monkeypatch.setattr(worldsim, "ORACLE_CONTEXTS", {"exemplar": ("exemplar",)})
+    out = tmp_path / "w"
+    assert main(["gen-world", "--config", world_config, "--out", str(out)]) == 0
+    table = json.loads((out / "outcome_table.json").read_text())
+    assert all(list(row[k]) == ["exemplar"] for row in table for k in ("injects", "second_correct", "confidences"))
+    world = gatedmem.generate_world(gatedmem.WorldSpec.from_flat(parse_kv_file(world_config)))
+    rows = np.arange(world.spec.n_examples)
+    _, routed, accepted = protocol.evaluate_oracle(world, world.snapshots(), rows)
+    assert routed.tolist() == [row["injects"]["exemplar"] for row in table]
+    wins = [row["injects"]["exemplar"] and row["second_correct"]["exemplar"] and not row["baseline_correct"] for row in table]
+    assert accepted.tolist() == wins
 
 
 def test_fit_then_test_flow(tmp_path, world_config, grid_config, capsys):
@@ -603,6 +631,27 @@ def test_negative_governance_rounds_rejected(tmp_path, world_config, grid_config
     assert not out.exists() and built == []
 
 
+@pytest.mark.parametrize("seeds", ["0", "-1"])
+def test_pool_seeds_below_one_rejected_first(tmp_path, capsys, seeds):
+    # refused by its flag before the spec or the manifest is read: neither file exists, and nothing is written
+    out = tmp_path / "out"
+    argv = ["test", "--config", str(tmp_path / "no.kv"), "--manifest", str(tmp_path / "no.json")]
+    assert main([*argv, "--pool-seeds", seeds, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: --pool-seeds must be >= 1, got {seeds}\n"
+    assert not out.exists()
+
+
+def test_readme_commands_parse():
+    # every `gatedmem ...` line of README, a backslash continuation joined, is a valid command line
+    lines = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8").replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("gatedmem ")]
+    assert {argv[0] for argv in commands} == {"gen-world", "fit", "test", "counterfactual", "governance", "ledger-check"}
+    parser = build_parser()
+    for argv in commands:
+        args = parser.parse_args(argv)
+        assert args.func.__name__ == "cmd_" + argv[0].replace("-", "_"), argv
+
+
 @pytest.mark.parametrize("seed", [32, 50])
 def test_ledger_delta_calls_prints_the_routed_fraction(tmp_path, capsys, seed):
     # a routed example costs one extra call, so delta_calls is routed_frac; a pooled row is one run over
@@ -780,7 +829,7 @@ QUICKSTART_DIGESTS = {
     "test/traces.jsonl": "6d280d56908e0c012a5c3010d58d0b268af96c0bde5db65261a20ec19b49a7d8",
     "world/bank_exemplar.jsonl": "2275c77c4133ba68bd1654c9b6e1e11db36ad1ce6072b1154e628fc4401fb6ed",
     "world/bank_rule.jsonl": "d58830eb2fd1f5252399a12eb6b0183ae81c4383ba0649872770f40929115744",
-    "world/outcome_table.json": "42ceec91d1d6ddabca5dd01e586eb4f635a2e3cf5e510c883146f0435f64b22f",
+    "world/outcome_table.json": "548b713676990dffcba9e437cdf2bc6712fd0c1031c6434021992f89bb3d8af0",
     "world/world.kv": "276c9935b226bdad76147864f33848fcbfc888da227e92cc5be6daa542d0c53a",
 }
 

@@ -971,7 +971,7 @@ def test_outcome_table_bytes_match_reference(tmp_path, monkeypatch, n, block):
         monkeypatch.setattr(protocol, "ROW_BLOCK", block)
     n = n or protocol.ROW_BLOCK + 3
     world, rows = generate_world(WorldSpec(n_examples=n, seed=n)), np.arange(n)
-    baseline, passes = world.baseline_pass(rows)[0], world.decode_contexts(rows, world.snapshots())
+    baseline, passes = world.baseline_pass(rows), world.decode_contexts(rows, world.snapshots())
     path = tmp_path / "outcome_table.json"
     write_outcome_table(baseline, passes, str(path))
     assert path.read_text() == reference_outcome_table_text(baseline, passes)
@@ -981,10 +981,10 @@ def test_outcome_table_confidences_at_rounding_edges(tmp_path, monkeypatch):
     monkeypatch.setattr(protocol, "ROW_BLOCK", 4)
     conf = np.array(EDGE_CONFIDENCES)
     rng = np.random.default_rng(0)
-    baseline = rng.random(len(conf)) < 0.5
+    baseline = rng.random(len(conf)) < 0.5, np.roll(conf, 3)
     passes = {
         ctx: (rng.random(len(conf)) < 0.5, rng.random(len(conf)) < 0.5, c)
-        for ctx, c in (("none", conf), ("dual", conf[::-1].copy()))
+        for ctx, c in (("rule", conf), ("dual", conf[::-1].copy()))
     }
     path = tmp_path / "outcome_table.json"
     write_outcome_table(baseline, passes, str(path))

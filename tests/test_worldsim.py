@@ -225,13 +225,15 @@ def test_outcome_table_deterministic_and_bounded():
     snaps, rows = world.snapshots(), np.arange(40)
     t1 = world.decode_contexts(rows, snaps)
     t2 = world.decode_contexts(rows, snaps)
-    assert list(t1) == list(t2) == ["dual", "rule", "exemplar", "none"]
+    assert list(t1) == list(t2) == ["dual", "rule", "exemplar"]
+    base = world.baseline_pass(rows)
     for context, (injects, correct, conf) in t1.items():
         assert injects.dtype == correct.dtype == bool and correct.shape == conf.shape == (40,)
         assert ((conf >= 0.0) & (conf <= 1.0)).all()
         for x, y in zip(t1[context], t2[context]):
             assert np.array_equal(x, y)
-    assert np.array_equal(t1["none"][1], world.baseline_pass(rows)[0])
+        for got, want in zip((correct, conf), base):  # a row that injects nothing repeats the baseline decode
+            assert np.array_equal(got[~injects], want[~injects])
 
 
 def test_outcome_table_matches_per_example_reference():
@@ -240,9 +242,8 @@ def test_outcome_table_matches_per_example_reference():
         snaps = world.snapshots()
         passes = world.decode_contexts(np.arange(spec.n_examples), snaps)
         for i in range(spec.n_examples):
-            correct, confs = reference_outcome_table(world, i, snaps)
-            assert {(c, v): bool(passes[c][1][i]) for c, v in correct} == correct
-            assert {c: float(p[2][i]) for c, p in passes.items()} == confs
+            got = {c: (bool(p[0][i]), bool(p[1][i]), float(p[2][i])) for c, p in passes.items()}
+            assert got == reference_outcome_table(world, i, snaps)
             assert bool(world.baseline_pass([i])[0][0]) == (reference_baseline(world, i)[0] == world.true_action(i))
 
 
