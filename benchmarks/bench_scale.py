@@ -37,11 +37,15 @@ with exit status 1 and its output on stderr.
 --against TREE compares this checkout with another source checkout in one
 run, so drift of the host over time does not read as a change. Each
 command runs once per repeat in each tree, on the same inputs, each tree
-in its own work directory; which tree goes first alternates from one pair
-to the next. Each metric then also holds TREE's median and samples
-(``against``, ``against_samples``), the median of the paired differences
-(this tree minus TREE), how many pairs moved each way, an exact two-sided
-sign test p over the pairs that moved and a verdict: ``lower`` or
+in its own work directory. The work directories are named 0 and 1, so the
+two trees' command lines have equal length, and their processes differ
+only by the checkout paths, which enter as the working directory and
+PYTHONPATH; checkouts at paths of equal length make those equal in length
+too. Which tree goes first alternates from one pair to the next. Each
+metric then also holds TREE's median and samples (``against``,
+``against_samples``), the median of the paired differences (this tree
+minus TREE), how many pairs moved each way, an exact two-sided sign test
+p over the pairs that moved and a verdict: ``lower`` or
 ``higher`` when p < 0.05, else ``not decided``. Five pairs can never
 reach it (p >= 2 * 2**-5), so a decided verdict needs at least six. Per
 stage the record also keeps whether every output file was byte-identical
@@ -282,7 +286,8 @@ def every_command(record: dict, trees: dict, sizes: list[int], work_root: Path):
     for code in STARTUP:
         yield record["startup"], code, code, {name: ([sys.executable, "-c", code], None) for name in trees}, None
     for n in sizes:
-        works = {name: make_work(work_root / name / f"n{n}", n) for name in trees}
+        # numbered, not named, so both trees' argv have the same length
+        works = {name: make_work(work_root / str(i) / f"n{n}", n) for i, name in enumerate(trees)}
         stages = {name: stage_commands(work) for name, work in works.items()}
         section = record["sizes"][str(n)] = {}
         for stage in stages["this"]:

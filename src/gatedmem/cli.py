@@ -18,22 +18,19 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
-from .controller import PolicyConfig, select_threshold_percentile
+from .controller import PolicyConfig
 from .errors import AuditFailure, ProtocolViolation
 from .protocol import (
     FIXED_BUDGET_K,
     FreezeManifest,
-    evaluate_oracle,
     ledger_check,
     run_counterfactual,
     run_fit_stage,
-    run_governance_loop,
+    run_governance_stage,
     run_pooled_test,
-    split_indices,
     write_counterfactual_rows,
     write_outcome_table,
 )
@@ -53,8 +50,8 @@ def _load_world(args):
 
 
 def _expand_grid(flat: dict[str, str], path: str) -> list[dict[str, str]]:
-    # cross product of | alternatives; made PolicyConfigs later because
-    # tau_percentile needs the world's fit confidences
+    # cross product of | alternatives; run_fit_stage makes them policies on the
+    # fit split it draws, since tau_percentile reads that split's confidences
     if not flat:
         raise ValueError(f"{path}: no grid keys")
     keys = sorted(flat)
@@ -66,27 +63,6 @@ def _expand_grid(flat: dict[str, str], path: str) -> list[dict[str, str]]:
             raise ValueError(f"{key}: repeated grid alternatives {repeated}")
         combos = [dict(c, **{key: opt}) for c in combos for opt in options]
     return combos
-
-
-def _resolve_candidates(world, fit_ids, combos) -> list[PolicyConfig]:
-    # every combo has the grid's keys, so the fit confidences are read once or not at all,
-    # and each distinct tau_percentile is resolved once
-    confidences = world.baseline_pass(fit_ids)[1] if any("tau_percentile" in c for c in combos) else None
-    taus: dict[float, float] = {}
-    out = []
-    for combo in combos:
-        combo = dict(combo)
-        pct = combo.pop("tau_percentile", None)
-        if pct is not None and "tau" in combo:
-            raise ValueError("grid sets both tau and tau_percentile; tau_percentile chooses tau, so set one of them")
-        policy = PolicyConfig.from_flat(combo)
-        if pct is not None:
-            pct = parse_value("tau_percentile", float, pct)
-            if pct not in taus:
-                taus[pct] = select_threshold_percentile(confidences, pct)
-            policy = replace(policy, tau=taus[pct])
-        out.append(policy)
-    return out
 
 
 def cmd_gen_world(args) -> int:
@@ -104,12 +80,10 @@ def cmd_gen_world(args) -> int:
 
 def cmd_fit(args) -> int:
     if args.governance_rounds < 0:  # refused before the world is built
-        raise ValueError(f"governance_rounds must be >= 0, got {args.governance_rounds}")
+        raise ValueError(f"--governance-rounds must be >= 0, got {args.governance_rounds}")
     world = _load_world(args)
-    combos = _expand_grid(parse_kv_file(args.grid), args.grid) if args.grid else [{}]
-    # the fit side of the split run_fit_stage draws at its defaults, freed before that draw
-    candidates = _resolve_candidates(world, split_indices(world.spec.n_examples)[0], combos)
-    manifest, policy, snapshots = run_fit_stage(world, candidates, governance_rounds=args.governance_rounds)
+    grid = _expand_grid(parse_kv_file(args.grid), args.grid) if args.grid else [{}]
+    manifest, policy, snapshots = run_fit_stage(world, grid, governance_rounds=args.governance_rounds)
     os.makedirs(args.out, exist_ok=True)
     manifest.save(os.path.join(args.out, "manifest.json"))
     write_kv_file(os.path.join(args.out, "policy.kv"), policy.to_flat())
@@ -159,42 +133,16 @@ def _write_audit(out: str, audit: dict) -> None:
 
 def cmd_governance(args) -> int:
     if args.rounds < 1:  # refused before the world is built
-        raise ValueError("rounds must be >= 1")
+        raise ValueError(f"--rounds must be >= 1, got {args.rounds}")
     world = _load_world(args)
-    fit_ids = split_indices(world.spec.n_examples)[0]
-    policy = (
-        PolicyConfig.from_flat(parse_kv_file(args.policy)) if args.policy else PolicyConfig()
-    )
-    # the unchanged banks hash as round 0's freeze, so that round reuses the oracle's retrieval tables
-    acc_oracle = float(evaluate_oracle(world, world.snapshots(), fit_ids)[0].mean())
-    acc_base = float(world.baseline_pass(fit_ids)[0].mean())
-    report = run_governance_loop(world, policy, args.rounds, fit_ids)
-    # gap-close: the fraction of the baseline-to-oracle gap recovered, absent when oracle equals baseline
-    gaps = [
-        None if acc_oracle == acc_base else (r.fit_accuracy - acc_base) / (acc_oracle - acc_base)
-        for r in report.rounds
-    ]
+    policy = PolicyConfig.from_flat(parse_kv_file(args.policy)) if args.policy else PolicyConfig()
+    payload = run_governance_stage(world, policy, args.rounds)
     os.makedirs(args.out, exist_ok=True)
-    payload = {
-        "selected_iteration": report.selected_iteration,
-        "baseline_accuracy": acc_base,
-        "oracle_accuracy": acc_oracle,
-        "rounds": [
-            {
-                "index": r.index,
-                "fit_accuracy": r.fit_accuracy,
-                "gap_close": gap,
-                "retired_ids": r.retired_ids,
-                "bank_hashes": r.bank_hashes,
-            }
-            for r, gap in zip(report.rounds, gaps)
-        ],
-    }
     write_json(os.path.join(args.out, "governance.json"), payload)
-    for r, gap in zip(report.rounds, gaps):
-        gap = "absent" if gap is None else f"{gap:.4f}"
-        print(f"round {r.index}: fit_acc={r.fit_accuracy:.4f} gap_close={gap} retired={len(r.retired_ids)}")
-    print(f"selected iteration: {report.selected_iteration}")
+    for r in payload["rounds"]:
+        gap = "absent" if r["gap_close"] is None else f"{r['gap_close']:.4f}"
+        print(f"round {r['index']}: fit_acc={r['fit_accuracy']:.4f} gap_close={gap} retired={len(r['retired_ids'])}")
+    print(f"selected iteration: {payload['selected_iteration']}")
     return 0
 
 

@@ -35,10 +35,11 @@ from .controller import (
     StepTable,
     _check_example_ids,
     run_steps,
+    select_threshold_percentile,
 )
 from .errors import AuditFailure, FreezeMismatch, ProtocolViolation
 from .stats import bootstrap_ci, confidence_bins, mcnemar_exact, randomization_interaction_test
-from .util import read_text, stable_digest, write_json
+from .util import parse_value, read_text, stable_digest, write_json
 from .worldsim import World, WorldSpec
 
 COMPARATORS = ("retry", "always_retrieve", "fixed_budget")
@@ -275,7 +276,7 @@ def run_governance_loop(world: World, policy: PolicyConfig, rounds: int, fit_ids
     shapes round i+1. The selected round has the highest fit accuracy, the
     earliest on a tie. Works on bank copies; the caller applies the
     selected round's membership. The loop reads no baseline or oracle
-    accuracy: cmd_governance, which reports gap-close, computes them.
+    accuracy: run_governance_stage, which reports gap-close, computes them.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -297,34 +298,54 @@ def run_governance_loop(world: World, policy: PolicyConfig, rounds: int, fit_ids
     return GovernanceReport(rounds=report_rounds, selected_iteration=best)
 
 
-def run_fit_stage(
-    world: World,
-    candidates: list,
-    fit_fraction: float = 0.5,
-    governance_rounds: int = 0,
-) -> tuple[FreezeManifest, PolicyConfig, dict]:
-    """Grid-search candidates on fit data only; freeze the winner.
+def _fit_policies(world: World, fit_ids: np.ndarray, grid: list) -> dict:
+    """Each distinct policy the grid's flat combos yield -> its first grid index, in grid order.
 
-    The split is split_indices(n, fit_fraction), recorded by fit_fraction
-    and the fit side's digest: given n, the test side is the rest.
-    Selection is by fit delta-accuracy, ties broken
-    by lower mean calls then grid order; every candidate runs on the same
-    fit ids, so these compare as the counts hurts - helps and routed. A
-    multibank_best candidate stands for one candidate per MULTIBANK_FAMILY
-    member, in family order, so the frozen policy names the member chosen.
-    Each distinct policy runs once, at its first grid index: a repeat would
+    A tau_percentile combo takes as tau that nearest-rank percentile of the
+    fit confidences: the grid reads them once, and resolves each distinct
+    percentile once. A multibank_best combo yields one policy per
+    MULTIBANK_FAMILY member, in family order.
+    """
+    confidences = world.baseline_pass(fit_ids)[1] if any("tau_percentile" in c for c in grid) else None
+    taus: dict[float, float] = {}
+    first: dict[PolicyConfig, int] = {}
+    for gi, combo in enumerate(grid):
+        combo = dict(combo)
+        pct = combo.pop("tau_percentile", None)
+        if pct is not None and "tau" in combo:
+            raise ValueError("grid sets both tau and tau_percentile; tau_percentile chooses tau, so set one of them")
+        policy = PolicyConfig.from_flat(combo)
+        if pct is not None:
+            pct = parse_value("tau_percentile", float, pct)
+            if pct not in taus:
+                taus[pct] = select_threshold_percentile(confidences, pct)
+            policy = replace(policy, tau=taus[pct])
+        for m in MULTIBANK_FAMILY if policy.bank_policy == "multibank_best" else (policy.bank_policy,):
+            first.setdefault(replace(policy, bank_policy=m), gi)
+    return first
+
+
+def run_fit_stage(
+    world: World, grid: list, fit_fraction: float = 0.5, governance_rounds: int = 0
+) -> tuple[FreezeManifest, PolicyConfig, dict]:
+    """Grid-search the grid's policies on fit data only; freeze the winner.
+
+    The grid is a list of flat PolicyConfig combos, each of which may set
+    tau_percentile in place of tau; _fit_policies turns them into policies
+    on the fit side drawn here. The split is split_indices(n, fit_fraction),
+    recorded by fit_fraction and the fit side's digest: given n, the test
+    side is the rest. Selection is by fit delta-accuracy, ties broken by
+    lower mean calls then grid order; every policy runs on the same fit
+    ids, so these compare as the counts hurts - helps and routed. Each
+    distinct policy runs once, at its first grid index: a repeat would
     give the same counts later in grid order, so it could never win.
     """
     fit_ids = split_indices(world.spec.n_examples, fit_fraction)[0]
-    if not candidates:
+    if not grid:
         raise ValueError("empty candidate grid")
     if governance_rounds < 0:
         raise ValueError(f"governance_rounds must be >= 0, got {governance_rounds}")
-
-    first: dict[PolicyConfig, int] = {}  # distinct policy -> its first grid index, in grid order
-    for gi, cand in enumerate(candidates):
-        for m in MULTIBANK_FAMILY if cand.bank_policy == "multibank_best" else (cand.bank_policy,):
-            first.setdefault(replace(cand, bank_policy=m), gi)
+    first = _fit_policies(world, fit_ids, grid)
 
     snapshots = world.snapshots()
     scored = [(_run_counts(evaluate_policy(world, cand, snapshots, fit_ids)), cand, gi) for cand, gi in first.items()]
@@ -356,6 +377,31 @@ def run_fit_stage(
         selection_record=record,
     )
     return manifest, policy, snapshots
+
+
+def run_governance_stage(world: World, policy: PolicyConfig, rounds: int) -> dict:
+    """governance.json's payload: the loop on the fit split, its baseline and oracle accuracy, and each
+    round's gap_close, the fraction of the baseline-to-oracle gap it recovers (None when oracle equals baseline)."""
+    fit_ids = split_indices(world.spec.n_examples)[0]
+    # the unchanged banks hash as round 0's freeze, so that round reuses the oracle's retrieval tables
+    acc_oracle = float(evaluate_oracle(world, world.snapshots(), fit_ids)[0].mean())
+    acc_base = float(world.baseline_pass(fit_ids)[0].mean())
+    report = run_governance_loop(world, policy, rounds, fit_ids)
+    return {
+        "selected_iteration": report.selected_iteration,
+        "baseline_accuracy": acc_base,
+        "oracle_accuracy": acc_oracle,
+        "rounds": [
+            {
+                "index": r.index,
+                "fit_accuracy": r.fit_accuracy,
+                "gap_close": None if acc_oracle == acc_base else (r.fit_accuracy - acc_base) / (acc_oracle - acc_base),
+                "retired_ids": r.retired_ids,
+                "bank_hashes": r.bank_hashes,
+            }
+            for r in report.rounds
+        ],
+    }
 
 
 # ---------------------------------------------------------------------------

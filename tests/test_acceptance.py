@@ -94,7 +94,7 @@ def counterfactual_suite(n_worlds=20):
             edit_sensitive_rate=0.4,
         )
         world = generate_world(spec)
-        grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
+        grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar").to_flat()]
         manifest, _, snaps = run_fit_stage(world, grid, fit_fraction=0.25)
         edited = [
             e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads)
@@ -216,7 +216,7 @@ def test_criterion_05_retry_flat():
     retries = []
     for seed in range(3):
         world = generate_world(arith_shape_spec(seed=4000 + seed, n=400))
-        grid = [PolicyConfig(tau=0.6, margin_m=0.05, bank_policy="choose", primary_bank="rule")]
+        grid = [PolicyConfig(tau=0.6, margin_m=0.05, bank_policy="choose", primary_bank="rule").to_flat()]
         manifest, _, _ = run_fit_stage(world, grid)
         rows, _ = protocol._test_seed(world, *protocol.frozen_inputs(world, manifest), out_dir=None)
         retries.append(next(r for r in rows if r.comparison == "retry vs baseline"))
@@ -437,7 +437,7 @@ def test_criterion_09_control_contracts():
 
     # freeze / stage separation: tampering and fit-ops during test hard-fail
     world = generate_world(arith_shape_spec(seed=9999, n=200))
-    manifest, _, _ = run_fit_stage(world, [PolicyConfig(tau=0.6)])
+    manifest, _, _ = run_fit_stage(world, [PolicyConfig(tau=0.6).to_flat()])
     with pytest.raises(FreezeMismatch):
         protocol._test_seed(world, *protocol.frozen_inputs(world, tampered_policy(manifest, tau=0.9)), out_dir=None)
     protocol._test_seed(world, *protocol.frozen_inputs(world, manifest), out_dir=None)
@@ -456,7 +456,7 @@ def test_criterion_10_localization_shape():
     for seed in range(seeds):
         spec = localization_shape_spec(seed=seed)
         world = generate_world(spec)
-        grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
+        grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar").to_flat()]
         manifest, _, snaps = run_fit_stage(world, grid, fit_fraction=0.2)  # 800 test rows, all routed
         edited = [
             e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads)

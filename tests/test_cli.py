@@ -4,6 +4,7 @@ import argparse
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
@@ -622,12 +623,12 @@ def test_negative_governance_rounds_rejected(tmp_path, world_config, grid_config
     built = []
     monkeypatch.setattr(worldsim.World, "__init__", lambda self, spec: built.append(spec))
     out = tmp_path / "out"
-    rounds, named = {
-        "fit": (["--grid", grid_config, "--governance-rounds", "-2"], "governance_rounds"),
-        "governance": (["--rounds", "0"], "rounds"),
+    rounds, message = {
+        "fit": (["--grid", grid_config, "--governance-rounds", "-2"], "--governance-rounds must be >= 0, got -2"),
+        "governance": (["--rounds", "0"], "--rounds must be >= 1, got 0"),
     }[command]
     assert main([command, "--config", world_config, *rounds, "--out", str(out)]) == 1
-    assert named in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists() and built == []
 
 
@@ -650,6 +651,18 @@ def test_readme_commands_parse():
     for argv in commands:
         args = parser.parse_args(argv)
         assert args.func.__name__ == "cmd_" + argv[0].replace("-", "_"), argv
+
+
+def test_readme_record_citations_resolve():
+    # a measurement README quotes names its record: every BENCH_*.json it names is a file at the
+    # repository root, and every startup["..."] row it cites is a key of BENCH_scale.json's startup
+    root = Path(__file__).parents[1]
+    text = (root / "README.md").read_text(encoding="utf-8")
+    records = set(re.findall(r"BENCH_\w+\.json", text))
+    assert records and all((root / name).is_file() for name in records), records
+    rows = set(re.findall(r'startup\["([^"]+)"\]', text))
+    startup = json.loads((root / "BENCH_scale.json").read_text(encoding="utf-8"))["startup"]
+    assert rows and rows <= startup.keys(), rows - startup.keys()
 
 
 @pytest.mark.parametrize("seed", [32, 50])

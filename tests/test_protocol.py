@@ -64,7 +64,7 @@ CONFIGS = os.path.join(os.path.dirname(__file__), "..", "configs")
 def fitted_world(seed=0, n=400, grid=None, governance_rounds=0, spec=None):
     world = generate_world(spec or arith_shape_spec(seed=seed, n=n))
     grid = grid or [PolicyConfig(tau=0.6, margin_m=0.0, bank_policy="choose", primary_bank="rule")]
-    manifest, policy, snaps = run_fit_stage(world, grid, governance_rounds=governance_rounds)
+    manifest, policy, snaps = run_fit_stage(world, [p.to_flat() for p in grid], governance_rounds=governance_rounds)
     return world, manifest, policy, snaps
 
 
@@ -110,7 +110,7 @@ def test_fit_digest_is_pinned(n, digest):
     # the shipped world's size and both perfbench workloads' sizes
     assert stable_digest(split_indices(n)[0].tolist()) == digest
     world = generate_world(WorldSpec(n_examples=n, seed=n))
-    manifest, _, _ = run_fit_stage(world, [PolicyConfig(tau=0.5)])
+    manifest, _, _ = run_fit_stage(world, [PolicyConfig(tau=0.5).to_flat()])
     assert manifest.selection_record["fit_digest"] == digest
 
 
@@ -144,8 +144,8 @@ def test_budget_zero_wins_ties_by_lower_calls():
     )
     world = generate_world(spec)
     grid = [
-        PolicyConfig(tau=0.8, budget_B=None, margin_m=-10.0, guards_enabled=frozenset()),
-        PolicyConfig(tau=0.8, budget_B=0),
+        PolicyConfig(tau=0.8, budget_B=None, margin_m=-10.0, guards_enabled=frozenset()).to_flat(),
+        PolicyConfig(tau=0.8, budget_B=0).to_flat(),
     ]
     _, policy, _ = run_fit_stage(world, grid)
     assert policy.budget_B == 0
@@ -185,10 +185,18 @@ def test_fit_runs_each_distinct_policy_once(monkeypatch, grid, runs):
     # (24 and 80 candidate runs in all), and fit runs each policy once, yet freezes what running all would
     world = generate_world(WorldSpec(n_examples=300, seed=1, steps_per_episode=4, toxic_entry_rate=0.2))
     fit_ids, _ = split_indices(world.spec.n_examples)
-    candidates = cli._resolve_candidates(world, fit_ids, cli._expand_grid(grid, "grid.kv"))
+    combos = cli._expand_grid(grid, "grid.kv")
+    confidences = world.baseline_pass(fit_ids)[1]
+
+    def candidate(combo):  # a combo's policy, its tau_percentile read on the fit confidences
+        combo = dict(combo)
+        pct = combo.pop("tau_percentile", None)
+        policy = PolicyConfig.from_flat(combo)
+        return policy if pct is None else replace(policy, tau=select_threshold_percentile(confidences, float(pct)))
+
     expanded = [
         (gi, replace(cand, bank_policy=m))
-        for gi, cand in enumerate(candidates)
+        for gi, cand in enumerate(map(candidate, combos))
         for m in (MULTIBANK_FAMILY if cand.bank_policy == "multibank_best" else (cand.bank_policy,))
     ]
     scored = []
@@ -203,27 +211,48 @@ def test_fit_runs_each_distinct_policy_once(monkeypatch, grid, runs):
         return evaluate_policy(world, policy, *args)
 
     monkeypatch.setattr(protocol, "evaluate_policy", counted)
-    manifest, policy, _ = run_fit_stage(world, candidates)
+    manifest, policy, _ = run_fit_stage(world, combos)
     assert len(expanded) > len(ran) == len(set(ran)) == runs
     assert (policy, manifest.selection_record["grid_index"]) == (best, grid_index)
 
 
 @pytest.mark.parametrize("percentiles", ["35", "20|35"])
 def test_fit_reads_its_confidences_once_per_grid(monkeypatch, percentiles):
-    # the shipped grid's 16 combos share one tau_percentile: one read of the fit confidences,
-    # and every combo's tau is that percentile's, as one read per combo gave it
+    # the shipped grid's 16 combos share one tau_percentile: one read of the fit confidences and one
+    # percentile per distinct tau_percentile, and every policy's tau is its combo's percentile
     world = generate_world(WorldSpec.from_flat(parse_kv_file(os.path.join(CONFIGS, "world.kv"))))
     fit_ids, _ = split_indices(world.spec.n_examples)
     grid = {**parse_kv_file(os.path.join(CONFIGS, "grid.kv")), "tau_percentile": percentiles}
     combos = cli._expand_grid(grid, "grid.kv")
+    reads, resolved = [], []
+    baseline_pass = World.baseline_pass
+    monkeypatch.setattr(World, "baseline_pass", lambda self, rows: reads.append(rows) or baseline_pass(self, rows))
+    monkeypatch.setattr(
+        protocol, "select_threshold_percentile", lambda c, p: resolved.append(p) or select_threshold_percentile(c, p)
+    )
+    policies = protocol._fit_policies(world, fit_ids, combos)
+    pcts = [float(p) for p in percentiles.split("|")]
+    assert len(reads) == 1 and sorted(resolved) == pcts
+    assert len(combos) == 16 * len(pcts) and len(policies) == 12 * len(pcts)
+    confidences = baseline_pass(world, fit_ids)[1]
+    for policy, gi in policies.items():
+        assert policy.tau == select_threshold_percentile(confidences, float(combos[gi]["tau_percentile"]))
+
+
+def test_fit_resolves_tau_percentile_on_its_own_fit_rows(monkeypatch):
+    # at fit_fraction 0.2 the baseline is read at that run's fit rows only, the confidences first, and the
+    # frozen tau is their nearest-rank percentile, which differs from the percentile of the default split's
+    world = generate_world(WorldSpec.from_flat(parse_kv_file(os.path.join(CONFIGS, "world.kv"))))
+    fit_ids, _ = split_indices(world.spec.n_examples, 0.2)
     reads = []
     baseline_pass = World.baseline_pass
     monkeypatch.setattr(World, "baseline_pass", lambda self, rows: reads.append(rows) or baseline_pass(self, rows))
-    candidates = cli._resolve_candidates(world, fit_ids, combos)
-    assert len(reads) == 1 and len(candidates) == len(combos) == 16 * len(percentiles.split("|"))
-    confidences = baseline_pass(world, fit_ids)[1]
-    for combo, cand in zip(combos, candidates):
-        assert cand.tau == select_threshold_percentile(confidences, float(combo["tau_percentile"]))
+    manifest, policy, _ = run_fit_stage(world, [{"tau_percentile": "35"}], fit_fraction=0.2)
+    assert np.array_equal(reads[0], fit_ids) and all(np.isin(rows, fit_ids).all() for rows in reads)
+    assert manifest.selection_record["fit_digest"] == stable_digest(fit_ids.tolist())
+    assert policy.tau == select_threshold_percentile(baseline_pass(world, fit_ids)[1], 35.0)
+    default_fit_ids, _ = split_indices(world.spec.n_examples)
+    assert policy.tau != select_threshold_percentile(baseline_pass(world, default_fit_ids)[1], 35.0)
 
 
 def test_shipped_grid_policies_behave_distinctly():
@@ -232,12 +261,7 @@ def test_shipped_grid_policies_behave_distinctly():
     world = generate_world(WorldSpec.from_flat(parse_kv_file(os.path.join(CONFIGS, "world.kv"))))
     fit_ids, _ = split_indices(world.spec.n_examples)
     combos = cli._expand_grid(parse_kv_file(os.path.join(CONFIGS, "grid.kv")), "grid.kv")
-    candidates = cli._resolve_candidates(world, fit_ids, combos)
-    policies = {
-        replace(cand, bank_policy=m): None
-        for cand in candidates
-        for m in (MULTIBANK_FAMILY if cand.bank_policy == "multibank_best" else (cand.bank_policy,))
-    }
+    policies = protocol._fit_policies(world, fit_ids, combos)
     outcomes = set()
     for policy in policies:
         steps = evaluate_policy(world, policy, world.snapshots(), fit_ids)
@@ -271,7 +295,7 @@ def test_toxic_entry_excluded_by_governed_fit():
         PolicyConfig(
             tau=2.0, margin_m=-10.0, guards_enabled=frozenset(),
             bank_policy="choose", primary_bank="rule",
-        )
+        ).to_flat()
     ]
     manifest, policy, snaps = run_fit_stage(world, grid, governance_rounds=4)
     active = set(snaps["rule"].entry_ids)
@@ -449,8 +473,8 @@ def test_conf_bins_bytes_match_per_example_reference(tmp_path):
     )
     world = generate_world(spec)
     _, test_ids = split_indices(spec.n_examples)
-    grid = [PolicyConfig(tau=0.6, margin_m=0.02, bank_policy="cascade_rule_then_exemplar", budget_B=2, cooldown=1)]
-    manifest, policy, _ = run_fit_stage(world, grid)
+    candidate = PolicyConfig(tau=0.6, margin_m=0.02, bank_policy="cascade_rule_then_exemplar", budget_B=2, cooldown=1)
+    manifest, policy, _ = run_fit_stage(world, [candidate.to_flat()])
     run_pooled_test(spec, manifest, n_seeds=1, out_dir=str(tmp_path))
     fresh = generate_world(spec)
     text = (tmp_path / "conf_bins.csv").read_text()
@@ -770,7 +794,7 @@ def test_governance_freezes_each_bank_state_once(monkeypatch):
     assert len(calls) == 4
     assert report.rounds[0].bank_hashes == {k: s.content_hash for k, s in world.snapshots().items()}
     calls.clear()
-    run_fit_stage(world, [PolicyConfig(tau=0.95, margin_m=-10.0)], governance_rounds=2)
+    run_fit_stage(world, [PolicyConfig(tau=0.95, margin_m=-10.0).to_flat()], governance_rounds=2)
     assert len(calls) == 6  # also the grid search's snapshots; the frozen result is the selected round's
 
 
@@ -780,7 +804,7 @@ def test_governed_fit_decodes_no_oracle_contexts(monkeypatch):
     decode = World.decode_contexts
     monkeypatch.setattr(World, "decode_contexts", lambda *a: decoded.append(a) or decode(*a))
     world = generate_world(WorldSpec(n_examples=200, seed=18, toxic_entry_rate=0.3, toxic_hurt_prob=0.95, k_max=1))
-    manifest, _, _ = run_fit_stage(world, [PolicyConfig(tau=0.95, margin_m=-10.0)], governance_rounds=2)
+    manifest, _, _ = run_fit_stage(world, [PolicyConfig(tau=0.95, margin_m=-10.0).to_flat()], governance_rounds=2)
     assert manifest.selection_record["governance_iteration"] is not None
     assert decoded == []
 
@@ -818,7 +842,7 @@ def make_counterfactual_setup(seed=0):
     spec = localization_shape_spec(seed=seed)
     world = generate_world(spec)
     tau_all = 2.0  # route everything; budget-free single-step episodes
-    grid = [PolicyConfig(tau=tau_all, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
+    grid = [PolicyConfig(tau=tau_all, margin_m=0.0, bank_policy="choose", primary_bank="exemplar").to_flat()]
     manifest, _, snaps = run_fit_stage(world, grid, fit_fraction=0.2)
     edited = [e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads) if p.endswith("topic 0")][:4]
     return world, manifest, edited
@@ -1079,8 +1103,8 @@ def _counterfactual_world(kind):
     )
     world = generate_world(spec)
     _, test_ids = split_indices(240)
-    grid = [PolicyConfig(tau=0.75, margin_m=0.02, bank_policy=kind, budget_B=2, guards_enabled=frozenset({"format"}))]
-    manifest, policy, snaps = run_fit_stage(world, grid)
+    candidate = PolicyConfig(tau=0.75, margin_m=0.02, bank_policy=kind, budget_B=2, guards_enabled=frozenset({"format"}))
+    manifest, policy, snaps = run_fit_stage(world, [candidate.to_flat()])
     return world, manifest, policy, snaps, test_ids, ["E001", "E004", "E007", "R002", "R005", "R008"]
 
 
@@ -1125,7 +1149,7 @@ def _governance_outputs(world):
     report and the bank kind -> content hash of the tables kept after each stage."""
     fit_ids, _ = split_indices(world.spec.n_examples)
     grid = [PolicyConfig(tau=0.95, margin_m=-10.0, bank_policy=b) for b in ("dual", "cascade_rule_then_exemplar")]
-    manifest, policy, _ = run_fit_stage(world, grid, governance_rounds=3)
+    manifest, policy, _ = run_fit_stage(world, [p.to_flat() for p in grid], governance_rounds=3)
     kept = [{k: t[0] for k, t in world._tables.items()}]
     report = run_governance_loop(world, policy, 8, fit_ids)
     kept.append({k: t[0] for k, t in world._tables.items()})

@@ -203,7 +203,7 @@ def _counterfactual(edited, **spec):
     """run_counterfactual on a 4-topic world whose fitted policy retrieves only from the exemplar bank."""
     shape = {"n_examples": 200, "seed": 4, "topic_count": 4, "n_rule_entries": 8, "n_exemplar_entries": 16}
     world = generate_world(WorldSpec(**shape, **spec))
-    grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
+    grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar").to_flat()]
     manifest, _, _ = run_fit_stage(world, grid)
     return run_counterfactual(world, manifest, edited, n_permutations=200)
 
@@ -224,7 +224,7 @@ def test_partition_all_hits():
 def test_partition_paper_scale_sizes():
     # 800 routed rows, about 105 of which retrieve one of 4 edited entries
     world = generate_world(localization_shape_spec(seed=0))
-    grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar")]
+    grid = [PolicyConfig(tau=2.0, margin_m=0.0, bank_policy="choose", primary_bank="exemplar").to_flat()]
     manifest, _, snaps = run_fit_stage(world, grid, fit_fraction=0.2)
     edited = [e for e, p in zip(snaps["exemplar"].entry_ids, snaps["exemplar"].payloads) if p.endswith("topic 0")][:4]
     rows, audit = run_counterfactual(world, manifest, edited)
