@@ -228,11 +228,11 @@ def evaluate_oracle(world: World, snapshots: dict, example_ids) -> tuple[np.ndar
 # fit stage
 # ---------------------------------------------------------------------------
 
-def attach_evidence(world: World, banks: dict, steps: StepTable) -> int:
+def attach_evidence(world: World, banks: dict, steps: StepTable) -> None:
     """Attribute each routed intervention's paired utility to every retrieved entry.
 
     Each entry's utilities go to its bank in one append, entries in
-    pair-table column order; returns how many utilities were attributed.
+    pair-table column order.
     """
     utility = steps.second_correct.astype(np.float64) - steps.baseline_correct[:, None]
     cells = steps.tried[:, :, None] & steps.filled
@@ -243,40 +243,26 @@ def attach_evidence(world: World, banks: dict, steps: StepTable) -> int:
     for column, part in zip(columns[starts].tolist(), np.split(gains, starts[1:])):
         entry_id = world.entry_ids[column]
         banks[world.entry_bank(entry_id)].append_evidence(entry_id, part)
-    return len(columns)
 
 
 @dataclass
 class GovernanceRound:
-    index: int
     fit_accuracy: float
     retired_ids: list
     snapshots: dict
 
-    @property
-    def bank_hashes(self) -> dict:
-        return {k: s.content_hash for k, s in self.snapshots.items()}
 
-
-@dataclass
-class GovernanceReport:
-    rounds: list
-    selected_iteration: int
-
-    def selected_snapshots(self) -> dict:
-        return self.rounds[self.selected_iteration].snapshots
-
-
-def run_governance_loop(world: World, policy: PolicyConfig, rounds: int, fit_ids) -> GovernanceReport:
+def run_governance_loop(world: World, policy: PolicyConfig, rounds: int, fit_ids) -> tuple[list, int]:
     """Evaluate / attach evidence / retire, for a fixed number of rounds.
 
     Each round freezes the working banks, evaluates the policy on them,
     attaches the paired utilities as evidence and retires by
     retirement_sweep at its default delta, so the sweep after round i
-    shapes round i+1. The selected round has the highest fit accuracy, the
-    earliest on a tie. Works on bank copies; the caller applies the
-    selected round's membership. The loop reads no baseline or oracle
-    accuracy: run_governance_stage, which reports gap-close, computes them.
+    shapes round i+1. Returns the GovernanceRounds in order and the
+    selected round's index: the highest fit accuracy, the earliest on a
+    tie. Works on bank copies; the caller applies the selected round's
+    membership. The loop reads no baseline or oracle accuracy:
+    run_governance_stage, which reports gap-close, computes them.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -284,18 +270,15 @@ def run_governance_loop(world: World, policy: PolicyConfig, rounds: int, fit_ids
         if bank.stage != STAGE_FIT:
             raise ProtocolViolation("governance is a fit-stage operation")
     working = {kind: bank.copy() for kind, bank in world.banks.items()}
-    report_rounds = []
-    for it in range(rounds):
+    history = []
+    for _ in range(rounds):
         snaps = {k: b.freeze() for k, b in working.items()}
         steps = evaluate_policy(world, policy, snaps, fit_ids)
         attach_evidence(world, working, steps)
-        retired = []
-        for bank in working.values():
-            retired.extend(bank.retirement_sweep())
-        report_rounds.append(GovernanceRound(it, float(steps.final_correct.mean()), sorted(retired), snaps))
-
-    best = max(range(len(report_rounds)), key=lambda i: (report_rounds[i].fit_accuracy, -i))
-    return GovernanceReport(rounds=report_rounds, selected_iteration=best)
+        retired = [i for bank in working.values() for i in bank.retirement_sweep()]
+        history.append(GovernanceRound(float(steps.final_correct.mean()), sorted(retired), snaps))
+    selected = max(range(rounds), key=lambda i: (history[i].fit_accuracy, -i))
+    return history, selected
 
 
 def _fit_policies(world: World, fit_ids: np.ndarray, grid: list) -> dict:
@@ -353,11 +336,10 @@ def run_fit_stage(
 
     governance_iteration = None
     if governance_rounds >= 1:
-        report = run_governance_loop(world, policy, governance_rounds, fit_ids)
-        for kind, snap in report.selected_snapshots().items():
+        history, governance_iteration = run_governance_loop(world, policy, governance_rounds, fit_ids)
+        snapshots = history[governance_iteration].snapshots
+        for kind, snap in snapshots.items():
             world.banks[kind].retain(snap.entry_ids)
-        governance_iteration = report.selected_iteration
-        snapshots = report.selected_snapshots()
 
     record = {
         "grid_index": grid_index,
@@ -386,20 +368,20 @@ def run_governance_stage(world: World, policy: PolicyConfig, rounds: int) -> dic
     # the unchanged banks hash as round 0's freeze, so that round reuses the oracle's retrieval tables
     acc_oracle = float(evaluate_oracle(world, world.snapshots(), fit_ids)[0].mean())
     acc_base = float(world.baseline_pass(fit_ids)[0].mean())
-    report = run_governance_loop(world, policy, rounds, fit_ids)
+    history, selected = run_governance_loop(world, policy, rounds, fit_ids)
     return {
-        "selected_iteration": report.selected_iteration,
+        "selected_iteration": selected,
         "baseline_accuracy": acc_base,
         "oracle_accuracy": acc_oracle,
         "rounds": [
             {
-                "index": r.index,
+                "index": i,
                 "fit_accuracy": r.fit_accuracy,
                 "gap_close": None if acc_oracle == acc_base else (r.fit_accuracy - acc_base) / (acc_oracle - acc_base),
                 "retired_ids": r.retired_ids,
-                "bank_hashes": r.bank_hashes,
+                "bank_hashes": {k: s.content_hash for k, s in r.snapshots.items()},
             }
-            for r in report.rounds
+            for i, r in enumerate(history)
         ],
     }
 

@@ -67,6 +67,9 @@ GUARD_NAMES = ("format", "valid", "progress", "contract")
 # so decode_contexts holds no other context's outputs while it runs
 ORACLE_CONTEXTS = {"dual": ("rule", "exemplar"), "rule": ("rule",), "exemplar": ("exemplar",)}
 DIGEST_QUERY_CELLS = 1 << 13  # query-stream doubles that draw_digest hashes; fixed, since manifests record the digest
+# largest confidence_model.kappa: the AUC solver sums O(kappa) series terms per bisection step,
+# so its cost grows with kappa (about 4 ms a solve at 1000, 0.4 s at 1e4)
+KAPPA_MAX = 1000.0
 
 
 @dataclass(frozen=True)
@@ -145,8 +148,8 @@ class WorldSpec:
         ]:
             if v < least:
                 raise ValueError(f"{name} must be >= {least}, got {v}")
-        if not 0 < cm.kappa < math.inf:
-            raise ValueError(f"confidence_model.kappa must be finite and > 0, got {cm.kappa}")
+        if not 0 < cm.kappa <= KAPPA_MAX:
+            raise ValueError(f"confidence_model.kappa must be > 0 and <= {KAPPA_MAX:g}, got {cm.kappa}")
         if math.isnan(self.retrieval_threshold):
             raise ValueError("retrieval_threshold must be a number, got nan")
 

@@ -523,6 +523,8 @@ def test_malformed_config(tmp_path, capsys):
         ("confidence_model.kappa = -1\n", "confidence_model.kappa"),
         ("confidence_model.kappa = 0\n", "confidence_model.kappa"),
         ("confidence_model.kappa = inf\n", "confidence_model.kappa"),  # NaN confidences
+        ("confidence_model.kappa = 1e308\n", "confidence_model.kappa"),  # the AUC solver's series overflows
+        ("confidence_model.kappa = 1001\n", "confidence_model.kappa"),  # the AUC solver's cost grows with kappa
         ("confidence_model.baseline_auc = 2\n", "confidence_model.baseline_auc"),
         ("confidence_model.second_auc_rule = -0.5\n", "confidence_model.second_auc_rule"),
         ("confidence_model.second_auc_exemplar = nan\n", "confidence_model.second_auc_exemplar"),
@@ -655,14 +657,32 @@ def test_readme_commands_parse():
 
 def test_readme_record_citations_resolve():
     # a measurement README quotes names its record: every BENCH_*.json it names is a file at the
-    # repository root, and every startup["..."] row it cites is a key of BENCH_scale.json's startup
+    # repository root, every startup["..."] or sizes["..."]["..."] row it cites is a row of
+    # BENCH_scale.json, and every "<row> reads W s wall and R MB peak RSS" it quotes gives that
+    # row's medians at the precision printed
     root = Path(__file__).parents[1]
     text = (root / "README.md").read_text(encoding="utf-8")
     records = set(re.findall(r"BENCH_\w+\.json", text))
     assert records and all((root / name).is_file() for name in records), records
-    rows = set(re.findall(r'startup\["([^"]+)"\]', text))
-    startup = json.loads((root / "BENCH_scale.json").read_text(encoding="utf-8"))["startup"]
-    assert rows and rows <= startup.keys(), rows - startup.keys()
+    record = json.loads((root / "BENCH_scale.json").read_text(encoding="utf-8"))
+    row = r'((?:startup|sizes)(?:\["[^"]+"\])+)'
+
+    def resolve(cited):
+        node = record
+        for key in [cited.split("[", 1)[0], *re.findall(r'\["([^"]+)"\]', cited)]:
+            assert isinstance(node, dict) and key in node, cited
+            node = node[key]
+        assert "wall_s" in node and "peak_rss_mb" in node, cited
+        return node
+
+    cited = set(re.findall(row, text))
+    assert any(c.startswith("startup") for c in cited) and any(c.startswith("sizes") for c in cited), cited
+    quotes = re.findall(rf"`{row}` reads (\d+\.\d+) s wall and (\d+\.\d+) MB peak RSS", text)
+    assert {c for c, _, _ in quotes} == cited, cited - {c for c, _, _ in quotes}  # each cited row is quoted
+    for c, wall, rss in quotes:
+        for figure, metric in ((wall, "wall_s"), (rss, "peak_rss_mb")):
+            median = resolve(c)[metric]["this"]
+            assert f"{median:.{len(figure.split('.')[1])}f}" == figure, (c, metric, median, figure)
 
 
 @pytest.mark.parametrize("seed", [32, 50])

@@ -269,10 +269,9 @@ def test_shipped_grid_policies_behave_distinctly():
     assert len(policies) == len(outcomes) == 12
 
 
-def test_toxic_entry_excluded_by_governed_fit():
-    # one rule entry per topic, so every fit query of a toxic entry's topic
-    # retrieves it: the entry collects n >= 8 records at mean ~ -0.8 and the
-    # frozen manifest bank must exclude it
+def _toxic_rule_world():
+    """One rule entry per topic, so every fit query of a toxic entry's topic
+    retrieves it; and a policy that routes every step to the rule bank."""
     spec = WorldSpec(
         n_examples=400,
         seed=5,
@@ -288,19 +287,33 @@ def test_toxic_entry_excluded_by_governed_fit():
         hurt_prob_given_inapplicable=0.15,
         k_max=1,
     )
-    world = generate_world(spec)
+    policy = PolicyConfig(
+        tau=2.0, margin_m=-10.0, guards_enabled=frozenset(), bank_policy="choose", primary_bank="rule"
+    )
+    return generate_world(spec), policy
+
+
+def test_toxic_entry_excluded_by_governed_fit():
+    # a toxic entry collects n >= 8 records at mean ~ -0.8 and the frozen
+    # manifest bank must exclude it
+    world, policy = _toxic_rule_world()
     toxic_rules = {e for e in world.toxic_ids if e.startswith("R")}
     assert toxic_rules, "seed must produce at least one toxic rule entry"
-    grid = [
-        PolicyConfig(
-            tau=2.0, margin_m=-10.0, guards_enabled=frozenset(),
-            bank_policy="choose", primary_bank="rule",
-        ).to_flat()
-    ]
+    grid = [policy.to_flat()]
     manifest, policy, snaps = run_fit_stage(world, grid, governance_rounds=4)
     active = set(snaps["rule"].entry_ids)
     assert toxic_rules & active == set()
     assert set(manifest.selection_record["active_ids"]["rule"]) == active
+
+
+def test_governance_selects_the_first_best_round():
+    # round 0 retires the toxic rule entries, so round 1 is strictly better and
+    # rounds 1-3 tie: the earliest of the best rounds is selected
+    world, policy = _toxic_rule_world()
+    rounds, selected = run_governance_loop(world, policy, 4, split_indices(400)[0])
+    accs = [r.fit_accuracy for r in rounds]
+    assert rounds[0].retired_ids and accs[0] < accs[1] == accs[2] == accs[3]
+    assert selected == 1
 
 
 # ---------------------------------------------------------------------------
@@ -770,16 +783,21 @@ def test_ledger_rows_recompute_from_their_counts():
 # governance loop
 # ---------------------------------------------------------------------------
 
+def _hashes(snapshots):
+    return {k: s.content_hash for k, s in snapshots.items()}
+
+
 def test_governance_no_harmful_entries_stable():
     spec = WorldSpec(
         n_examples=300, seed=16, hurt_prob_given_inapplicable=0.0, base_accuracy=0.7
     )
     world = generate_world(spec)
     fit_ids, _ = split_indices(300)
-    report = run_governance_loop(world, PolicyConfig(tau=0.9), 3, fit_ids)
-    assert all(not r.retired_ids for r in report.rounds)
-    accs = [r.fit_accuracy for r in report.rounds]
+    rounds, selected = run_governance_loop(world, PolicyConfig(tau=0.9), 3, fit_ids)
+    assert all(not r.retired_ids for r in rounds)
+    accs = [r.fit_accuracy for r in rounds]
     assert max(accs) - min(accs) == 0.0  # nothing changes without retirements
+    assert selected == 0  # every round ties, so the earliest is selected
 
 
 def test_governance_freezes_each_bank_state_once(monkeypatch):
@@ -790,9 +808,9 @@ def test_governance_freezes_each_bank_state_once(monkeypatch):
     spec = WorldSpec(n_examples=200, seed=18, toxic_entry_rate=0.3, toxic_hurt_prob=0.95, k_max=1)
     world = generate_world(spec)
     fit_ids, _ = split_indices(200)
-    report = run_governance_loop(world, PolicyConfig(tau=0.95, margin_m=-10.0), 2, fit_ids)
+    rounds, _ = run_governance_loop(world, PolicyConfig(tau=0.95, margin_m=-10.0), 2, fit_ids)
     assert len(calls) == 4
-    assert report.rounds[0].bank_hashes == {k: s.content_hash for k, s in world.snapshots().items()}
+    assert _hashes(rounds[0].snapshots) == _hashes(world.snapshots())
     calls.clear()
     run_fit_stage(world, [PolicyConfig(tau=0.95, margin_m=-10.0).to_flat()], governance_rounds=2)
     assert len(calls) == 6  # also the grid search's snapshots; the frozen result is the selected round's
@@ -828,8 +846,8 @@ def test_governance_toxic_worlds_improve():
         world = generate_world(spec)
         fit_ids, _ = split_indices(240)
         policy = PolicyConfig(tau=0.95, margin_m=-10.0, guards_enabled=frozenset())
-        report = run_governance_loop(world, policy, 5, fit_ids)
-        if report.rounds[-1].fit_accuracy < report.rounds[0].fit_accuracy:
+        rounds, _ = run_governance_loop(world, policy, 5, fit_ids)
+        if rounds[-1].fit_accuracy < rounds[0].fit_accuracy:
             violations += 1
     assert violations / trials <= 0.05
 
@@ -1151,20 +1169,19 @@ def _governance_outputs(world):
     grid = [PolicyConfig(tau=0.95, margin_m=-10.0, bank_policy=b) for b in ("dual", "cascade_rule_then_exemplar")]
     manifest, policy, _ = run_fit_stage(world, [p.to_flat() for p in grid], governance_rounds=3)
     kept = [{k: t[0] for k, t in world._tables.items()}]
-    report = run_governance_loop(world, policy, 8, fit_ids)
+    rounds, selected = run_governance_loop(world, policy, 8, fit_ids)
     kept.append({k: t[0] for k, t in world._tables.items()})
-    outputs = (asdict(manifest), [(r.fit_accuracy, r.retired_ids, r.bank_hashes) for r in report.rounds],
-               report.selected_iteration)
-    return outputs, report, kept
+    outputs = (asdict(manifest), [(r.fit_accuracy, r.retired_ids, _hashes(r.snapshots)) for r in rounds], selected)
+    return outputs, rounds, kept
 
 
 def test_governance_releases_tables_no_later_round_reads(monkeypatch):
     spec = WorldSpec(n_examples=200, seed=18, toxic_entry_rate=0.3, toxic_hurt_prob=0.95, k_max=1)
-    outputs, report, kept = _governance_outputs(generate_world(spec))
-    assert any(r.retired_ids for r in report.rounds[:-1])  # a bank changed between rounds
+    outputs, rounds, kept = _governance_outputs(generate_world(spec))
+    assert any(r.retired_ids for r in rounds[:-1])  # a bank changed between rounds
     for after_stage in kept:
         assert set(after_stage) <= {"rule", "exemplar"}  # one table per kind: an earlier round's is released
-    assert kept[-1].items() <= report.rounds[-1].bank_hashes.items()  # only the last round's tables stay
+    assert kept[-1].items() <= _hashes(rounds[-1].snapshots).items()  # only the last round's tables stay
     _uncached(monkeypatch)
     assert _governance_outputs(generate_world(spec))[0] == outputs
 

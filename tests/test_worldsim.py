@@ -163,6 +163,12 @@ def test_invalid_probability_rejected():
         WorldSpec(applicability_rate=(("rule", -0.1), ("exemplar", 0.5)))
 
 
+def test_largest_kappa_builds():
+    # the bound is inclusive; larger values are refused by name (test_cli's malformed-config cases)
+    world = generate_world(WorldSpec(n_examples=50, confidence_model=ConfidenceModel(kappa=1000.0)))
+    assert world.spec.confidence_model.kappa == worldsim.KAPPA_MAX
+
+
 def test_episode_chunking():
     world = generate_world(WorldSpec(n_examples=10, seed=6, steps_per_episode=4))
     steps = evaluate_policy(world, PolicyConfig(), world.snapshots(), [9, 0, 5, 1, 2, 3, 4, 6, 7, 8])
@@ -260,7 +266,7 @@ def test_beta_separation_solver_monotone():
 
 # every tolerance below was fixed before the first run
 SOLVE_TARGETS = [round(0.02 + 0.02 * k, 2) for k in range(49)]  # 0.02 .. 0.98
-SOLVE_KAPPAS = (0.5, 1.0, 2.0, 5.0, 10.0, 50.0)
+SOLVE_KAPPAS = (0.5, 1.0, 2.0, 5.0, 10.0, 50.0, 1000.0)  # 1000: WorldSpec's largest kappa
 
 
 @pytest.mark.parametrize("kappa", SOLVE_KAPPAS)
