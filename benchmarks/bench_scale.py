@@ -31,8 +31,12 @@ timed runs, one more untimed run of it per tree runs under tracemalloc,
 started before the package is imported, and the record keeps its traced
 peak in MiB as ``heap_peak_mib`` (``this``), beside ``peak_rss_mb``: what
 the stage's Python code allocated, which RSS steps of about 1 MB of
-allocator layout do not move. A process that exits non-zero stops the run
-with exit status 1 and its output on stderr.
+allocator layout do not move. The same run wraps ``World._query_rows``
+from outside the package and keeps, as ``query_rows`` (``this``), how
+many query-stream rows the stage's reads asked for (``asked``) and how
+many the stream drew to reach them (``drawn``): each read draws the
+stream from its start through the last row it asks for. A process that
+exits non-zero stops the run with exit status 1 and its output on stderr.
 
 --against TREE compares this checkout with another source checkout in one
 run, so drift of the host over time does not read as a change. Each
@@ -50,7 +54,8 @@ p over the pairs that moved and a verdict: ``lower`` or
 reach it (p >= 2 * 2**-5), so a decided verdict needs at least six. Per
 stage the record also keeps whether every output file was byte-identical
 between the trees on every repeat, and ``heap_peak_mib`` also holds
-TREE's traced peak (``against``) and this tree's minus it (``change``).
+TREE's traced peak (``against``) and this tree's minus it (``change``),
+and ``query_rows`` TREE's counts (``against``).
 """
 
 from __future__ import annotations
@@ -80,13 +85,22 @@ STARTUP = (
 SIGN_TEST_ALPHA = 0.05
 # (record key, decimal places) of each metric, in the order run_child returns them
 METRICS = (("wall_s", 4), ("cpu_s", 4), ("peak_rss_mb", 1))
-# runs a stage's CLI arguments with tracemalloc started before the package is imported; prints the traced peak last
-HEAP_PEAK = (
-    "import sys, tracemalloc\n"
+# runs a stage's CLI arguments with tracemalloc started before the package is imported, counting the
+# query-stream rows each World._query_rows read asks for and draws (the stream draws through the last
+# row asked for); prints the traced peak and the counts last, as JSON
+UNTIMED_RUN = (
+    "import json, sys, tracemalloc\n"
     "tracemalloc.start()\n"
     "from gatedmem.cli import main\n"
+    "from gatedmem.worldsim import World\n"
+    "rows, read = {'asked': 0, 'drawn': 0}, World._query_rows\n"
+    "def counted(self, asked):\n"
+    "    rows['asked'] += len(asked)\n"
+    "    rows['drawn'] += int(asked[-1]) + 1 if len(asked) else 0\n"
+    "    return read(self, asked)\n"
+    "World._query_rows = counted\n"
     "status = main(sys.argv[1:])\n"
-    "print(tracemalloc.get_traced_memory()[1])\n"
+    "print(json.dumps([tracemalloc.get_traced_memory()[1], rows]))\n"
     "sys.exit(status)\n"
 )
 
@@ -225,6 +239,9 @@ def describe(label: str, result: dict, repeats: int) -> str:
         heap = result["heap_peak_mib"]
         change = f" vs {heap['against']:.2f} MiB ({heap['change']:+.2f})" if "against" in heap else " MiB"
         parts.append(f"heap {heap['this']:.2f}{change}")
+    if "query_rows" in result:
+        rows = result["query_rows"]["this"]
+        parts.append(f"query rows asked {rows['asked']} drawn {rows['drawn']}")
     if "outputs_identical" in result:
         parts.append(f"outputs {'identical' if result['outputs_identical'] else 'DIFFER'}")
     return f"{label}: {', '.join(parts)}"
@@ -300,20 +317,22 @@ def every_command(record: dict, trees: dict, sizes: list[int], work_root: Path):
             shutil.rmtree(work, ignore_errors=True)
 
 
-def heap_peaks(args: dict, trees: dict) -> dict:
-    """Each tree's traced heap peak in MiB of one untimed run of the CLI with its stage arguments, and with
-    two trees this one's minus the other's; exits 1 if a run fails."""
-    peaks = {}
+def untimed_run(args: dict, trees: dict) -> tuple[dict, dict]:
+    """Each tree's traced heap peak in MiB, and with two trees this one's minus the other's, and each tree's
+    query-stream rows asked for and drawn, from one untimed run of the CLI with its stage arguments per
+    tree; exits 1 if a run fails."""
+    peaks, rows = {}, {}
     for name, root in trees.items():
-        argv = [sys.executable, "-c", HEAP_PEAK, *args[name]]
+        argv = [sys.executable, "-c", UNTIMED_RUN, *args[name]]
         proc = subprocess.run(argv, cwd=root, env=child_env(root), capture_output=True, text=True)
         if proc.returncode != 0:
             sys.stderr.write(proc.stdout + proc.stderr)
             sys.exit(f"error: {' '.join(args[name])} under tracemalloc in {root} exited {proc.returncode}")
-        peaks[name] = round(int(proc.stdout.splitlines()[-1]) / 2**20, 2)
+        peak, rows[name] = json.loads(proc.stdout.splitlines()[-1])
+        peaks[name] = round(peak / 2**20, 2)
     if "against" in peaks:
         peaks["change"] = round(peaks["this"] - peaks["against"], 2)
-    return peaks
+    return peaks, rows
 
 
 def main(argv=None) -> int:
@@ -347,7 +366,7 @@ def main(argv=None) -> int:
         for i, (section, key, label, commands, stage_args) in enumerate(every_command(record, trees, sizes, work_root)):
             section[key] = measure(commands, trees, args.repeats, i * args.repeats)
             if stage_args is not None:
-                section[key]["heap_peak_mib"] = heap_peaks(stage_args, trees)
+                section[key]["heap_peak_mib"], section[key]["query_rows"] = untimed_run(stage_args, trees)
             print(describe(label, section[key], args.repeats), flush=True)
     finally:
         shutil.rmtree(work_root, ignore_errors=True)

@@ -202,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, manifest=True)
     p.add_argument(
         "--pool-seeds", type=int, default=3,
-        help="pool paired statistics over this many sibling-seed worlds (default 3)",
+        help="pool paired statistics over this many sibling-seed worlds (default %(default)s)",
     )
     p.set_defaults(func=cmd_test)
 

@@ -38,7 +38,7 @@ from .controller import (
     select_threshold_percentile,
 )
 from .errors import AuditFailure, FreezeMismatch, ProtocolViolation
-from .stats import bootstrap_ci, confidence_bins, mcnemar_exact, randomization_interaction_test
+from .stats import CONF_BINS, N_PERMUTATIONS, bootstrap_ci, confidence_bins, mcnemar_exact, randomization_interaction_test
 from .util import parse_value, read_text, stable_digest, write_json
 from .worldsim import World, WorldSpec
 
@@ -50,7 +50,8 @@ FIXED_BUDGET_K = 2  # comparator retrieves up to k=2 per episode, no guards, no 
 ROUTE_AND_ACCEPT_ALL = dict(tau=math.inf, margin_m=-math.inf, guards_enabled=frozenset())
 # selection_record entries that the test stage reads back, with their JSON types
 RECORD_TYPES = {"policy": dict, "fit_fraction": float, "fit_digest": str, "active_ids": dict, "draw_digest": str}
-CONF_BINS = 10  # equal-width baseline-confidence bins of conf_bins.csv
+FIT_FRACTION = 0.5  # share of the examples on the fit side of the split
+LEDGER_P_REL_TOL = 0.05  # ledger_check takes an exact p within this relative distance of the reported p
 ROW_BLOCK = 256  # rows (traces: about this many steps) encoded per write; a block's text stays well under 1 MB
 _JSON_BOOL = ("false", "true")
 
@@ -114,7 +115,7 @@ class FreezeManifest:
                 raise FreezeMismatch(f"{kind} bank content hash does not match the freeze manifest")
 
 
-def split_indices(n: int, fit_fraction: float = 0.5) -> tuple[np.ndarray, np.ndarray]:
+def split_indices(n: int, fit_fraction: float = FIT_FRACTION) -> tuple[np.ndarray, np.ndarray]:
     """Disjoint, exhaustive, non-empty fit/test sides as sorted np.intp arrays, from a permutation drawn at seed 0."""
     if not (0.0 < fit_fraction < 1.0):
         raise ValueError("fit_fraction must be in (0, 1)")
@@ -309,7 +310,7 @@ def _fit_policies(world: World, fit_ids: np.ndarray, grid: list) -> dict:
 
 
 def run_fit_stage(
-    world: World, grid: list, fit_fraction: float = 0.5, governance_rounds: int = 0
+    world: World, grid: list, fit_fraction: float = FIT_FRACTION, governance_rounds: int = 0
 ) -> tuple[FreezeManifest, PolicyConfig, dict]:
     """Grid-search the grid's policies on fit data only; freeze the winner.
 
@@ -510,12 +511,7 @@ def _frozen_snapshots(world: World, active_ids: dict) -> dict:
     return world.snapshots()
 
 
-def run_pooled_test(
-    spec: WorldSpec,
-    manifest: FreezeManifest,
-    n_seeds: int = 3,
-    out_dir: str | None = None,
-) -> tuple[list, dict]:
+def run_pooled_test(spec: WorldSpec, manifest: FreezeManifest, n_seeds: int, out_dir: str | None = None) -> tuple[list, dict]:
     """Frozen test evaluation pooled over sibling-seed worlds.
 
     Seed k's world is built from the spec at seed spec.seed + k and keeps the
@@ -766,7 +762,7 @@ def run_counterfactual(
     world: World,
     manifest: FreezeManifest,
     edited_ids,
-    n_permutations: int = 10000,
+    n_permutations: int = N_PERMUTATIONS,
     seed: int = 0,
 ) -> tuple[CounterfactualRows, dict]:
     """Free-rerun and fixed-retrieval replays of edited entries on the test split, with audit.
@@ -939,13 +935,11 @@ def write_counterfactual_rows(rows: CounterfactualRows, path: str) -> None:
 # paper-style ledger consistency solver
 # ---------------------------------------------------------------------------
 
-def ledger_check(
-    n: int, delta_acc: float, help_hurt: int, p: float, rel_tol: float = 0.05
-) -> tuple[int, int, float] | None:
+def ledger_check(n: int, delta_acc: float, help_hurt: int, p: float) -> tuple[int, int, float] | None:
     """Search integer (helps, hurts) consistent with a reported ledger row.
 
     Requires helps - hurts = help_hurt, |delta_acc * n - (helps - hurts)| < 0.5,
-    and exact McNemar p within rel_tol relative of the reported p. Returns the
+    and exact McNemar p within LEDGER_P_REL_TOL relative of the reported p. Returns the
     smallest-hurts solution, or None if the row is inconsistent. A row that
     cannot be a ledger row (n < 1, a non-finite delta_acc, p outside [0, 1])
     is a ValueError.
@@ -953,7 +947,7 @@ def ledger_check(
     At fixed help_hurt >= 1 the exact p never falls as hurts u grow: with
     S ~ Bin(2u + help_hurt, 1/2), one more hurt adds (P(S = u + 1) -
     P(S = u)) / 4 >= 0 to the tail (help_hurt = 0 gives p = 1; < 0 mirrors).
-    So the first u at most rel_tol below p, found by bisection, is the only
+    So the first u at most LEDGER_P_REL_TOL below p, found by bisection, is the only
     candidate; at p = 0 only the smallest u can have p_exact = 0.
     """
     if n < 1:
@@ -970,10 +964,10 @@ def ledger_check(
     if p > 0:
         while lo < hi:
             mid = (lo + hi) // 2
-            if (p - mcnemar_exact(mid + help_hurt, mid)) / p <= rel_tol:
+            if (p - mcnemar_exact(mid + help_hurt, mid)) / p <= LEDGER_P_REL_TOL:
                 hi = mid
             else:
                 lo = mid + 1
     p_exact = mcnemar_exact(lo + help_hurt, lo)
-    consistent = p_exact == 0 if p <= 0 else abs(p_exact - p) / p <= rel_tol
+    consistent = p_exact == 0 if p <= 0 else abs(p_exact - p) / p <= LEDGER_P_REL_TOL
     return (lo + help_hurt, lo, p_exact) if consistent else None

@@ -18,6 +18,10 @@ from .errors import SignalUndefined
 from .util import derive_seed
 
 NLL_CLAMP = 1e-12
+CI_ALPHA = 0.05  # bootstrap_ci's interval holds the central 95% of the resampled means
+N_RESAMPLES = 10000  # bootstrap resamples per interval
+N_PERMUTATIONS = 10000  # label permutations per randomization test
+CONF_BINS = 10  # equal-width confidence bins of calibration_metrics and conf_bins.csv
 PLATT_MAX_ITER = 100  # Newton steps platt_fit takes before it gives up
 PLATT_GRAD_TOL = 1e-8  # gradient norm at which platt_fit stops
 # resample rows x distinct values drawn at once: about 16 MB of counts and
@@ -87,20 +91,16 @@ def _resample_means(values: np.ndarray, n_resamples: int, seed: int) -> np.ndarr
     return means
 
 
-def bootstrap_ci(
-    diffs, n_resamples: int = 10000, alpha: float = 0.05, seed: int = 0
-) -> tuple[float, float]:
-    """Seeded percentile bootstrap interval for the mean of diffs."""
+def bootstrap_ci(diffs, n_resamples: int = N_RESAMPLES, seed: int = 0) -> tuple[float, float]:
+    """Seeded percentile bootstrap interval for the mean of diffs, at level 1 - CI_ALPHA."""
     values = np.asarray(diffs, np.float64)
     if values.size == 0:
         raise ValueError("empty diffs")
     if n_resamples < 1000:
         raise ValueError(f"n_resamples must be >= 1000, got {n_resamples}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     means = _resample_means(values, n_resamples, seed)
     means.sort()
-    return _percentile(means, alpha / 2.0), _percentile(means, 1.0 - alpha / 2.0)
+    return _percentile(means, CI_ALPHA / 2.0), _percentile(means, 1.0 - CI_ALPHA / 2.0)
 
 
 def _percentile(ordered: np.ndarray, q: float) -> float:
@@ -141,7 +141,7 @@ def confidence_bins(conf: np.ndarray, n_bins: int) -> np.ndarray:
     return np.minimum((conf * n_bins).astype(np.int64), n_bins - 1)
 
 
-def calibration_metrics(calset: CalibrationSet, n_bins: int = 10) -> tuple[float, float, float]:
+def calibration_metrics(calset: CalibrationSet, n_bins: int = CONF_BINS) -> tuple[float, float, float]:
     """(ECE, Brier, NLL) over equal-width confidence bins.
 
     ECE = sum over bins of (|bin|/n) * |bin accuracy - bin mean confidence|;
@@ -223,7 +223,7 @@ def platt_apply(confidences, slope: float, intercept: float) -> np.ndarray:
 
 
 def randomization_interaction_test(
-    hit_diffs, non_hit_diffs, n_permutations: int = 10000, seed: int = 0
+    hit_diffs, non_hit_diffs, n_permutations: int = N_PERMUTATIONS, seed: int = 0
 ) -> float:
     """One-sided label-randomization p for mean(hit) - mean(non_hit).
 

@@ -693,8 +693,9 @@ def reference_manifest_json(manifest) -> str:
     return json.dumps(asdict(manifest), sort_keys=True, indent=2)
 
 
-def reference_ledger_check(n, delta_acc, help_hurt, p, rel_tol=0.05):
-    """protocol.ledger_check on a consistent row, by a linear scan over hurts from the smallest."""
+def reference_ledger_check(n, delta_acc, help_hurt, p):
+    """protocol.ledger_check on a consistent row, by a linear scan over hurts from the smallest,
+    at the paper's 5% relative tolerance on p."""
     if abs(delta_acc * n - help_hurt) >= 0.5:
         return None
     for u in range(max(0, -help_hurt), n + 1):
@@ -706,7 +707,7 @@ def reference_ledger_check(n, delta_acc, help_hurt, p, rel_tol=0.05):
             if p_exact == 0:
                 return h, u, p_exact
             continue
-        if abs(p_exact - p) / p <= rel_tol:
+        if abs(p_exact - p) / p <= 0.05:
             return h, u, p_exact
     return None
 

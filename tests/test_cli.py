@@ -887,3 +887,64 @@ def test_quickstart_output_bytes_pinned(tmp_path, capsys):
         if p.is_file() and p != edits
     }
     assert digests == QUICKSTART_DIGESTS
+
+
+def _stage_outputs(tmp_path, world, grid, fit_args, test_args, edits, governance_args) -> dict:
+    """Relative path -> bytes of every file gen-world, fit, test, counterfactual and governance write."""
+    tmp_path.mkdir()
+    save_edits(edits, str(tmp_path / "edits.jsonl"))
+    cfg, manifest = ["--config", str(world)], ["--manifest", str(tmp_path / "fit" / "manifest.json")]
+    stages = {
+        "world": ["gen-world", *cfg],
+        "fit": ["fit", *cfg, "--grid", str(grid), *fit_args],
+        "test": ["test", *cfg, *manifest, *test_args],
+        "cf": ["counterfactual", *cfg, *manifest, "--edits", str(tmp_path / "edits.jsonl")],
+        "gov": ["governance", *cfg, *governance_args],
+    }
+    for out, argv in stages.items():
+        assert main([*argv, "--out", str(tmp_path / out)]) == 0, argv
+    return {str(p.relative_to(tmp_path)): p.read_bytes() for out in stages for p in sorted((tmp_path / out).rglob("*"))}
+
+
+@pytest.mark.parametrize("setup", ["shipped", "multi-step-governed"])
+def test_no_output_reads_an_unfilled_retrieval_slot(tmp_path, monkeypatch, setup):
+    # every slot of a kept retrieval table past its row's count gets a random entry column and
+    # random pair bytes at every read, before a stage reads the table: no output byte may move
+    configs = Path(__file__).parents[1] / "configs"
+    if setup == "shipped":
+        world, grid = configs / "world.kv", configs / "grid.kv"
+        args = ([], [], ["E000", "R001"], ["--rounds", "5"])
+    else:  # perfbench's multi-step-governed world, grid and stage arguments, a third of the entries edited
+        world, grid = tmp_path / "world.kv", tmp_path / "grid.kv"
+        write_kv_file(str(world), {
+            **parse_kv_file(str(configs / "world.kv")), "n_examples": "2000", "steps_per_episode": "8",
+            "guard_pass_rate.format": "0.8", "guard_pass_rate.progress": "0.9", "toxic_entry_rate": "0.2",
+        })
+        write_kv_file(str(grid), {
+            "budget_B": "2|none", "cooldown": "0|1", "bank_policy": "cascade_rule_then_exemplar|dual|multibank_best",
+            "tau_percentile": "35|50", "margin_m": "0.0|0.05",
+        })
+        edits = [f"R{i:03d}" for i in range(0, 50, 3)] + [f"E{i:03d}" for i in range(0, 100, 3)]
+        args = (["--governance-rounds", "5"], ["--pool-seeds", "1"], edits, ["--rounds", "8"])
+    want = _stage_outputs(tmp_path / "plain", world, grid, *args)
+
+    read = worldsim.World._table
+    rng = np.random.default_rng(0)
+    scrambled = []
+
+    def scramble(self, snapshots, rows, every_pair=False):
+        tables = read(self, snapshots, rows)
+        for columns, counts, pairs in tables:
+            unfilled = np.arange(columns.shape[1]) >= counts[:, None]
+            columns[unfilled] = rng.integers(len(self.entry_ids), size=int(unfilled.sum()))
+            cells = np.ones_like(unfilled) if every_pair else unfilled
+            pairs[cells] = rng.integers(256, size=int(cells.sum()), dtype=np.uint8)
+            scrambled.append(int(unfilled.sum()))
+        return tables
+
+    monkeypatch.setattr(worldsim.World, "_table", scramble)
+    assert _stage_outputs(tmp_path / "unfilled", world, grid, *args) == want
+    assert sum(scrambled) > 0  # not vacuous: the stages read tables with unfilled slots
+    # the same scramble of the filled slots' pair bytes too moves the outputs
+    monkeypatch.setattr(worldsim.World, "_table", lambda self, s, r: scramble(self, s, r, every_pair=True))
+    assert _stage_outputs(tmp_path / "filled", world, grid, *args) != want

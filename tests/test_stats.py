@@ -120,6 +120,7 @@ def test_bootstrap_deterministic_and_validated():
 
 @pytest.mark.parametrize("n_resamples", [1000, 1001, 10000])
 def test_bootstrap_bounds_equal_np_quantile_bit_for_bit(n_resamples):
+    # the interval's bounds, and _percentile at the tails of a grid of levels, against np.quantile
     rng = np.random.default_rng(n_resamples)
     cases = (
         rng.integers(-1, 2, 500).astype(float),
@@ -127,18 +128,16 @@ def test_bootstrap_bounds_equal_np_quantile_bit_for_bit(n_resamples):
         np.array([1.0] * 58 + [-1.0] * 16 + [0.0] * 526),
         np.full(20, 0.3),
     )
+    qs = [q for a in (0.05, 0.1, 0.01, 0.3173, 0.5, 1e-3, 0.999, 2.0 / n_resamples) for q in (a / 2.0, 1.0 - a / 2.0)]
     for seed, values in enumerate(cases):
         means = stats._resample_means(values, n_resamples, seed)
-        for alpha in (0.05, 0.1, 0.01, 0.3173, 0.5, 1e-3, 0.999, 2.0 / n_resamples):
-            expected = np.quantile(means, [alpha / 2.0, 1.0 - alpha / 2.0])
-            got = np.array(bootstrap_ci(values, n_resamples, alpha, seed))
-            assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (seed, alpha, got, expected)
-
-
-@pytest.mark.parametrize("alpha", [1.5, 3, 0.0, 1.0, -0.05, float("nan"), float("inf")])
-def test_bootstrap_rejects_alpha_outside_unit_interval(alpha):
-    with pytest.raises(ValueError, match="alpha must be in"):
-        bootstrap_ci(np.zeros(10), alpha=alpha)
+        expected = np.quantile(means, [stats.CI_ALPHA / 2.0, 1.0 - stats.CI_ALPHA / 2.0])
+        got = np.array(bootstrap_ci(values, n_resamples, seed))
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (seed, got, expected)
+        means.sort()
+        expected = np.quantile(means, qs)
+        got = np.array([stats._percentile(means, q) for q in qs])
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64)), (seed, got, expected)
 
 
 def bootstrap_mean_distribution(values):
