@@ -56,6 +56,14 @@ stage the record also keeps whether every output file was byte-identical
 between the trees on every repeat, and ``heap_peak_mib`` also holds
 TREE's traced peak (``against``) and this tree's minus it (``change``),
 and ``query_rows`` TREE's counts (``against``).
+
+Two caveats are open. ``cpu_s`` has read about 0.12 s above ``wall_s`` on
+every stage row of some full 600-200k runs, and at or below it in others on
+the same code, for a cause not yet known (ROADMAP item 10), so a ``cpu_s``
+change between two one-tree records can be that excess rather than the
+code. Peak RSS moves in allocator-layout steps of about 1 MB that shift
+with the size of the source, so an RSS verdict below about 1.5 MB says
+nothing about the code unless a ``heap_peak_mib`` change sits beside it.
 """
 
 from __future__ import annotations

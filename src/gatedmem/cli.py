@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit-stage selection and freeze")
     common(p)
     p.add_argument("--grid", default=None, help="policy grid, flat key=value with | alternatives")
-    p.add_argument("--governance-rounds", type=int, default=0)
+    p.add_argument("--governance-rounds", type=int, default=0, help="governance rounds before the freeze (default %(default)s)")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("test", help="frozen test-stage evaluation, pooled over seeds")
@@ -212,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("governance", help="evidence/retirement rounds on the fit split")
     common(p)
-    p.add_argument("--rounds", type=int, default=5)
+    p.add_argument("--rounds", type=int, default=5, help="evaluate/evidence/retire rounds to run (default %(default)s)")
     p.add_argument("--policy", default=None, help="policy config, flat key=value file")
     p.set_defaults(func=cmd_governance)
 

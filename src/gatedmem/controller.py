@@ -56,7 +56,7 @@ class PolicyConfig:
 
     Each behaviour is stored in one form, so it has one hash: gate_only is
     choose with margin_m = -inf, and primary_bank, read only by choose, is
-    None for every other bank policy.
+    None for every other bank policy and must name a bank under choose.
     """
 
     tau: float = 0.5

@@ -7,14 +7,19 @@ and the split. The frozen stages, test and counterfactual, take only a
 world and the manifest: frozen_inputs refuses a world that hashes
 differently, reads the policy, the bank membership and the split's
 parameters back, cuts the world's banks to that membership, and refuses a
-policy, bank or split that hashes differently. The test stage evaluates
-the frozen policy against the comparator family on the disjoint test split and emits internally
-consistent ledger rows. The counterfactual runner replays edited entries
+policy, bank or split that hashes differently; a refused stage writes
+nothing. The test stage evaluates the frozen policy against the comparator
+family on the disjoint test split and emits internally consistent ledger
+rows. The counterfactual runner replays edited entries
 as repair and corrupt in free-rerun and fixed-retrieval modes and audits
 the free = content + drift decomposition row by row at zero tolerance.
 With outcomes in {0, 1} that identity holds exactly in floating point
 whatever the runs return, so it cannot catch a wrong replay; the
 fixed-replay identity audit and the non-hit bitwise audit do.
+
+Per-example state is an array throughout: no stage keeps a Python list or
+object per example, and the per-row writers below encode their files from
+a run's columns.
 """
 
 from __future__ import annotations
@@ -491,9 +496,10 @@ def frozen_inputs(world: World, manifest: FreezeManifest) -> tuple[PolicyConfig,
 
 def _frozen_snapshots(world: World, active_ids: dict) -> dict:
     """The world's bank snapshots once each bank keeps only its recorded active ids and moves to
-    the test stage. Entry ids are deterministic across worlds of the same shape, so a governed
-    manifest's pruned membership transfers to sibling-seed worlds. The recorded bank kinds must
-    be the world's, and every recorded id an entry of its bank."""
+    the test stage. The recorded bank kinds must be the world's, and every recorded id an entry of
+    its bank. Only the base world's cut is checked against the manifest's bank hashes: a
+    sibling-seed world has the same entry ids, but it redraws entry embeddings and toxicity, so
+    there the ids name other entries and its cut is a bank that was never frozen (ROADMAP item 20)."""
     if sorted(active_ids) != sorted(world.banks):
         raise FreezeMismatch(
             f"manifest selection_record.active_ids names bank kinds {sorted(active_ids)}, "
@@ -517,11 +523,13 @@ def run_pooled_test(spec: WorldSpec, manifest: FreezeManifest, n_seeds: int, out
     Seed k's world is built from the spec at seed spec.seed + k and keeps the
     manifest's recorded bank membership. frozen_inputs checks the manifest
     against the base world (k = 0) and draws the test split, once; siblings
-    take only the recorded membership (_frozen_snapshots), and no selection,
-    evidence or retirement sweep runs on them. Each seed reduces every
-    comparison to its PairedCounts against the baseline, and the pooled rows
-    are computed from those counts added up, so a pooled row is the row of
-    one run over every seed's examples.
+    take only the recorded membership by entry id (_frozen_snapshots), and no
+    selection, evidence or retirement sweep runs on them. A sibling redraws
+    its entries, so those ids name banks that were never frozen, and 2 of 3
+    pooled seeds evaluate such banks by default (ROADMAP item 20). Each seed
+    reduces every comparison to its PairedCounts against the baseline, and
+    the pooled rows are computed from those counts added up, so a pooled row
+    is the row of one run over every seed's examples.
     One world is alive at a time, and no seed keeps a per-example array: the
     base world's traces and confidence bins are written before any sibling
     is built.
@@ -585,6 +593,11 @@ def write_ledger(rows, path: str) -> None:
             fh.write(row.as_csv() + "\n")
 
 
+# The per-row files (outcome_table.json, traces.jsonl, counterfactual_rows.jsonl) fill one %
+# template per row, its keys in sorted order, from a run's columns, ROW_BLOCK rows at a time: no
+# dict and no JSON encoder call per row. Strings go through encode_basestring_ascii and a rounded
+# confidence is float.__repr__(round(x, 10)), so the bytes are exactly json.dumps(row,
+# sort_keys=True); tests compare them byte for byte with tests/conftest.py's dict-per-row writers.
 # a traces.jsonl line and its steps: json.dumps(..., sort_keys=True) of the README's fields
 _STEP_JSON = (
     '{"accepted": %s, "baseline_action": %s, "baseline_confidence": %s, "calls_used": %d, "example_id": %d, '
@@ -948,7 +961,8 @@ def ledger_check(n: int, delta_acc: float, help_hurt: int, p: float) -> tuple[in
     S ~ Bin(2u + help_hurt, 1/2), one more hurt adds (P(S = u + 1) -
     P(S = u)) / 4 >= 0 to the tail (help_hurt = 0 gives p = 1; < 0 mirrors).
     So the first u at most LEDGER_P_REL_TOL below p, found by bisection, is the only
-    candidate; at p = 0 only the smallest u can have p_exact = 0.
+    candidate; at p = 0 only the smallest u can have p_exact = 0. Each exact p is an
+    integer tail sum of about n bits a term, so rows with large n are slow (ROADMAP item 3).
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")

@@ -5,6 +5,13 @@ the exact two-sided binomial test on discordant pairs, confidence intervals
 are seeded percentile bootstrap, and the interaction test is a seeded label
 randomization. Everything is a pure function of its inputs plus an explicit
 seed.
+
+The protocol fixes its statistics, so each is a module constant that no
+option sets: CI_ALPHA, N_RESAMPLES, N_PERMUTATIONS and CONF_BINS. Both
+resampling tests draw counts of each distinct value, not index matrices,
+so memory is O(resamples x distinct values). roc_auc, calibration_metrics
+and platt_fit/platt_apply are library functions only: no stage output
+reads them yet (ROADMAP items 4 and 15).
 """
 
 from __future__ import annotations

@@ -31,7 +31,9 @@ draws the pair latents of each row it ranks at that row's ranked entries,
 the only pairs a second pass reads. Pair (i, j) is one Philox4x64-10 block
 at a fixed counter, computed directly by philox_uniforms, so its value is
 the one a dense draw of the whole table would give, whichever table draws
-it.
+it. Each pair's latents pack into one byte, and the world keeps no
+(examples x entries) array: a table that a drifted or governed snapshot
+replaces draws its cells again.
 
 Confidences come from a two-Beta model: correct decodes draw from
 Beta(mu_hi*kappa, ...), incorrect from the mirrored low component, with the
@@ -457,7 +459,10 @@ class World:
         opens the stream at its start and draws it through the last row
         asked for, keeping the rows asked for. Each standard_normal call and
         each yielded block holds at most TABLE_BLOCK_CELLS doubles, and only
-        the yielded rows are blended.
+        the yielded rows are blended. The stream's normals are drawn by
+        rejection, so a row cannot be reached without the rows before it:
+        the cost falls on sparse reads, and a read of a few late rows draws
+        the stream nearly whole.
         """
         dim, weight = self.spec.embedding_dim, self.spec.topic_weight
         step = max(1, TABLE_BLOCK_CELLS // dim)

@@ -2,10 +2,13 @@
 
 import argparse
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from dataclasses import replace
@@ -683,6 +686,69 @@ def test_readme_record_citations_resolve():
         for figure, metric in ((wall, "wall_s"), (rss, "peak_rss_mb")):
             median = resolve(c)[metric]["this"]
             assert f"{median:.{len(figure.split('.')[1])}f}" == figure, (c, metric, median, figure)
+
+
+def test_every_cli_argument_has_help():
+    # README sends flag detail to --help, so every option and positional of every subcommand says what it is
+    parser = build_parser()
+    (subcommands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(subcommands.choices) == {"gen-world", "fit", "test", "counterfactual", "governance", "ledger-check"}
+    for name, sub in subcommands.choices.items():
+        for action in sub._actions:
+            assert action.help and action.help != argparse.SUPPRESS, (name, action.dest)
+
+
+def test_readme_quickstart_runs_as_written(tmp_path, monkeypatch, capsys):
+    # the first code block under README's Quickstart, run line by line in a directory holding the shipped
+    # configs: its echo line writes the edits file, every gatedmem line exits 0, and ledger-check agrees
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## Quickstart\n", 1)[1].split("```\n", 2)[1]
+    lines = block.replace("\\\n", " ").splitlines()
+    shutil.copytree(Path(__file__).parents[1] / "configs", tmp_path / "configs")
+    monkeypatch.chdir(tmp_path)
+    ran = []
+    for line in lines:
+        echo = re.fullmatch(r"echo '([^']*)' > (\S+)", line)
+        if echo:
+            Path(echo[2]).write_text(echo[1] + "\n", encoding="utf-8")
+            continue
+        argv = shlex.split(line)
+        assert argv[0] == "gatedmem", line  # the block holds nothing else a reader would have to run
+        capsys.readouterr()
+        assert main(argv[1:]) == 0, line
+        ran.append(argv[1])
+        if argv[1] == "ledger-check":
+            assert capsys.readouterr().out.rstrip().endswith(" consistent"), line
+    assert ran == ["gen-world", "fit", "test", "counterfactual", "governance", "ledger-check"]
+
+
+def test_readme_code_names_resolve():
+    # every backticked dotted name that starts at a package module (`protocol.FIT_FRACTION`) or a
+    # capitalised name (`World.baseline_pass`, which must be a class of the package) resolves by getattr;
+    # file names (`bank.py`, `BENCH_scale.json`) and config keys (`confidence_model.kappa`) are skipped
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    modules = {m.name: importlib.import_module(f"gatedmem.{m.name}") for m in pkgutil.iter_modules(gatedmem.__path__)}
+    classes = {
+        name: obj for module in modules.values() for name, obj in vars(module).items()
+        if isinstance(obj, type) and obj.__module__ == module.__name__
+    }
+    checked = []
+    for name in sorted(set(re.findall(r"`([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)`", text))):
+        head, *rest = name.split(".")
+        if rest[-1] in ("py", "json", "jsonl", "csv", "kv"):
+            continue
+        if head in modules or head == "gatedmem":
+            node = modules.get(head, gatedmem)
+        elif head[0].isupper():
+            assert head in classes, f"`{name}`: no class {head} in the package"
+            node = classes[head]
+        else:
+            continue
+        for part in rest:
+            assert hasattr(node, part), f"`{name}` does not resolve at {part}"
+            node = getattr(node, part)
+        checked.append(name)
+    assert checked, "README names no code"
 
 
 @pytest.mark.parametrize("seed", [32, 50])
