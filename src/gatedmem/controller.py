@@ -1,11 +1,11 @@
 """The control loop: route, second pass, guarded acceptance, rollback.
 
-One step runs as: decode the baseline action and its confidence; route to
+One step runs as: decode the baseline answer and its confidence; route to
 memory only if confidence is strictly below tau and the episode budget and
 cooldown allow it; retrieve and decode a memory-conditioned second pass per
 the bank policy; accept the second answer only if it clears the confidence
 margin and every enabled structural guard, otherwise roll back to the
-baseline action.
+baseline answer.
 
 run_steps runs every episode of a run at once: only routing depends on
 earlier steps, so it loops over step position, and every other decision is
@@ -17,9 +17,10 @@ world's first pass (World.baseline_pass), and protocol.evaluate_oracle
 reads the oracle off the world's ground truth (World.decode_contexts).
 
 Call accounting is compute-matched: a routed step costs exactly one extra
-call (k_t = 2) regardless of bank-policy internals, so total_calls is always
-n_steps + routed_count and the retry comparator matches the gated policy's
-cost when routed on the same steps.
+call (k_t = 2) regardless of bank-policy internals, so a run's mean calls
+per step is 1 plus its routed fraction (PairedCounts.mean_calls), and the
+retry comparator matches the gated policy's cost when routed on the same
+steps.
 """
 
 from __future__ import annotations
@@ -133,7 +134,8 @@ def compose_bank_policy(policy: PolicyConfig) -> list[tuple[str, ...]]:
 
 @dataclass
 class StepTable:
-    """A batched run: one row per step, in episode then step order.
+    """A batched run: one row per step, in episode then step order; a step's
+    episode is example_id // steps_per_episode.
 
     Attempt a of a routed step is entry a of its bank plan (compose_bank_policy;
     a fixed replay has one attempt). columns/filled give what each attempt
@@ -143,7 +145,6 @@ class StepTable:
     """
 
     world: object
-    episode_ids: np.ndarray
     example_ids: np.ndarray
     step_index: np.ndarray
     baseline_correct: np.ndarray
@@ -231,8 +232,7 @@ def run_steps(
         raise ValueError("fixed replay must run on the examples of the run it replays")
     if frozen is not None and frozen.world.spec != world.spec:  # it decodes with that run's pair bytes
         raise ValueError("fixed replay must run on a world of the spec of the run it replays")
-    episode = ex // world.spec.steps_per_episode
-    first = np.diff(episode, prepend=-1) != 0
+    first = np.diff(ex // world.spec.steps_per_episode, prepend=-1) != 0
     slot = np.cumsum(first) - 1  # the episode's number among those present
     position = np.arange(len(ex)) - np.flatnonzero(first)[slot]
     base, conf = world.baseline_pass(ex)
@@ -282,7 +282,6 @@ def run_steps(
             full[routed, a, :values.shape[1]] = values
     return StepTable(
         world=world,
-        episode_ids=episode,
         example_ids=ex,
         step_index=position,
         baseline_correct=base,

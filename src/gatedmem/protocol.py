@@ -57,7 +57,7 @@ ROUTE_AND_ACCEPT_ALL = dict(tau=math.inf, margin_m=-math.inf, guards_enabled=fro
 RECORD_TYPES = {"policy": dict, "fit_fraction": float, "fit_digest": str, "active_ids": dict, "draw_digest": str}
 FIT_FRACTION = 0.5  # share of the examples on the fit side of the split
 LEDGER_P_REL_TOL = 0.05  # ledger_check takes an exact p within this relative distance of the reported p
-ROW_BLOCK = 256  # rows (traces: about this many steps) encoded per write; a block's text stays well under 1 MB
+ROW_BLOCK = 256  # rows encoded per write by each per-row file writer; a block's text stays well under 1 MB
 _JSON_BOOL = ("false", "true")
 
 
@@ -593,20 +593,16 @@ def write_ledger(rows, path: str) -> None:
             fh.write(row.as_csv() + "\n")
 
 
-# The per-row files (outcome_table.json, traces.jsonl, counterfactual_rows.jsonl) fill one %
-# template per row, its keys in sorted order, from a run's columns, ROW_BLOCK rows at a time: no
-# dict and no JSON encoder call per row. Strings go through encode_basestring_ascii and a rounded
-# confidence is float.__repr__(round(x, 10)), so the bytes are exactly json.dumps(row,
-# sort_keys=True); tests compare them byte for byte with tests/conftest.py's dict-per-row writers.
-# a traces.jsonl line and its steps: json.dumps(..., sort_keys=True) of the README's fields
+# The per-row files (outcome_table.json, a row per example; traces.jsonl, a line per step;
+# counterfactual_rows.jsonl, a line per routed row) fill one % template per row, its keys in
+# sorted order, from a run's columns, ROW_BLOCK rows at a time: no dict and no JSON encoder call
+# per row. Strings go through encode_basestring_ascii and a rounded confidence is
+# float.__repr__(round(x, 10)), so the bytes are exactly json.dumps(row, sort_keys=True); tests
+# compare them byte for byte with tests/conftest.py's dict-per-row writers.
+# a traces.jsonl line: one step's README fields
 _STEP_JSON = (
-    '{"accepted": %s, "baseline_action": %s, "baseline_confidence": %s, "calls_used": %d, "example_id": %d, '
-    '"final_action": %s, "retrieved_ids": [%s], "routed": %s, "second_action": %s, "second_confidence": %s, '
-    '"step_index": %d}'
-)
-_EPISODE_JSON = (
-    '{"accepted_count": %d, "episode_id": %d, "outcome_utility": %s, "routed_count": %d, "steps": [%s], '
-    '"total_calls": %d}\n'
+    '{"accepted": %s, "baseline_confidence": %s, "baseline_correct": %s, "example_id": %d, "retrieved_ids": [%s], '
+    '"routed": %s, "second_confidence": %s, "second_correct": %s, "step_index": %d}\n'
 )
 
 
@@ -640,63 +636,30 @@ def _json_rounded(values: np.ndarray) -> list:
 
 
 def write_traces(steps: StepTable, path: str) -> None:
-    """One JSON line per episode of the policy run, its steps in order (format in README).
+    """One JSON line per step of the policy run, in example order (format in README).
 
     A routed step shows its deciding attempt: the ids it injected, and its
-    second answer and confidence if a second pass ran. Lines are encoded
-    from the table's columns a block of episodes at a time.
+    second pass's correctness and confidence, null where no second pass ran.
+    Lines are encoded from the table's columns ROW_BLOCK steps at a time.
     """
-    world = steps.world
-    quoted_ids = [encode_basestring_ascii(e) for e in world.entry_ids]
+    quoted_ids = [encode_basestring_ascii(e) for e in steps.world.entry_ids]
     injected, filled, _ = steps.deciding_injection()
     ran, correct, confidence = steps.deciding_pass()
     accepted = steps.accepted
-
-    def step_json(lo: int, hi: int) -> list:
-        ids = steps.example_ids[lo:hi].tolist()
-        routed, ran_ = steps.routed[lo:hi], ran[lo:hi].tolist()
-        base = [
-            encode_basestring_ascii(world.answer(i, c, second=False))
-            for i, c in zip(ids, steps.baseline_correct[lo:hi].tolist())
-        ]
-        second = [
-            encode_basestring_ascii(world.answer(i, c, second=True)) if r else "null"
-            for i, c, r in zip(ids, correct[lo:hi].tolist(), ran_)
-        ]
-        return list(map(_STEP_JSON.__mod__, zip(
-            _json_bools(accepted[lo:hi]),
-            base,
-            _json_rounded(steps.baseline_confidence[lo:hi]),
-            (routed + 1).tolist(),
-            ids,
-            [s if a else b for s, b, a in zip(second, base, accepted[lo:hi].tolist())],
-            _joined_ids(quoted_ids, injected[lo:hi], filled[lo:hi]),
-            _json_bools(routed),
-            second,
-            [c if r else "null" for c, r in zip(_json_rounded(confidence[lo:hi]), ran_)],
-            steps.step_index[lo:hi].tolist(),
-        )))
-
-    bounds = np.flatnonzero(np.diff(steps.episode_ids, prepend=-1, append=-1))
-    starts, lengths = bounds[:-1], np.diff(bounds)
-    routed_count = np.add.reduceat(steps.routed.astype(np.intp), starts)
-    accepted_count = np.add.reduceat(accepted.astype(np.intp), starts)
-    utility = np.add.reduceat(steps.final_correct.astype(np.intp), starts) / lengths
-    calls = lengths + routed_count
-    episode_ids = steps.episode_ids[starts]
-    per_block = max(1, ROW_BLOCK // world.spec.steps_per_episode)
     with open(path, "w", encoding="utf-8") as fh:
-        for e0 in range(0, len(episode_ids), per_block):
-            e1 = min(e0 + per_block, len(episode_ids))
-            ends = (bounds[e0:e1 + 1] - bounds[e0]).tolist()  # the block's episode bounds within its lines
-            lines = step_json(bounds[e0], bounds[e1])
-            fh.write("".join(map(_EPISODE_JSON.__mod__, zip(
-                accepted_count[e0:e1].tolist(),
-                episode_ids[e0:e1].tolist(),
-                map(float.__repr__, utility[e0:e1].tolist()),
-                routed_count[e0:e1].tolist(),
-                [", ".join(lines[lo:hi]) for lo, hi in zip(ends[:-1], ends[1:])],
-                calls[e0:e1].tolist(),
+        for lo in range(0, len(ran), ROW_BLOCK):
+            hi = lo + ROW_BLOCK
+            ran_ = ran[lo:hi].tolist()
+            fh.write("".join(map(_STEP_JSON.__mod__, zip(
+                _json_bools(accepted[lo:hi]),
+                _json_rounded(steps.baseline_confidence[lo:hi]),
+                _json_bools(steps.baseline_correct[lo:hi]),
+                steps.example_ids[lo:hi].tolist(),
+                _joined_ids(quoted_ids, injected[lo:hi], filled[lo:hi]),
+                _json_bools(steps.routed[lo:hi]),
+                [c if r else "null" for c, r in zip(_json_rounded(confidence[lo:hi]), ran_)],
+                [c if r else "null" for c, r in zip(_json_bools(correct[lo:hi]), ran_)],
+                steps.step_index[lo:hi].tolist(),
             ))))
 
 
@@ -922,7 +885,7 @@ _REPLAY_FIELDS = ("routed", "final_correct", "decoded", "second_correct", "confi
 
 _COUNTERFACTUAL_JSON = (
     '{"frozen_identity": [%s], "outcome_corrupt_fixed": %s, "outcome_corrupt_free": %s, "outcome_original": %s, '
-    '"outcome_repair_fixed": %s, "outcome_repair_free": %s, "query_id": %d, "routed": true, "target_hit": %s}\n'
+    '"outcome_repair_fixed": %s, "outcome_repair_free": %s, "query_id": %d, "target_hit": %s}\n'
 )
 
 

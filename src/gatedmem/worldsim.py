@@ -8,8 +8,8 @@ baseline_pass reads a seeded Bernoulli of base_accuracy, guards_pass the
 drawn guard outcomes, injected lists (as pair-table columns, with their
 pair latents) what each example retrieves from a snapshot, and second_pass
 combines the pair latents of whatever entries were injected. A decode is a
-correctness flag and a confidence; answer names the action it stands for. Everything is a
-deterministic function of (spec, seed), which makes free-rerun versus fixed-retrieval
+correctness flag and a confidence. Everything is a deterministic function
+of (spec, seed), which makes free-rerun versus fixed-retrieval
 contrasts exactly decomposable and lets the oracle and outcome_table.json read off
 ground-truth outcomes for every candidate context (decode_contexts, over ORACLE_CONTEXTS):
 whether it injects anything, and its unedited second pass's correctness and confidence.
@@ -34,6 +34,13 @@ the one a dense draw of the whole table would give, whichever table draws
 it. Each pair's latents pack into one byte, and the world keeps no
 (examples x entries) array: a table that a drifted or governed snapshot
 replaces draws its cells again.
+
+A world of n examples is the first n examples of any larger world of the
+same spec otherwise (the prefix property). Every per-example draw must keep
+it: topics, baseline correctness, guards and confidences draw one example's
+values after the one before, the query stream draws row by row, pair (i, j)
+sits at a counter set by i, j and the entry count, and entries do not
+depend on n. draw_digest differs, since it hashes whole arrays.
 
 Confidences come from a two-Beta model: correct decodes draw from
 Beta(mu_hi*kappa, ...), incorrect from the mirrored low component, with the
@@ -562,13 +569,6 @@ class World:
             filled[:, part] = np.arange(cols.shape[1]) < counts[rows, None]
             at = part.stop
         return columns, filled, pairs
-
-    def true_action(self, idx: int) -> str:
-        return f"ans{idx}"
-
-    def answer(self, idx: int, correct: bool, second: bool) -> str:
-        """The action a decode emits: the true action, or a wrong one marked by its pass."""
-        return self.true_action(idx) if correct else f"alt{idx}.{'m' if second else 'b'}"
 
     # -- drawn randomness -----------------------------------------------------
 

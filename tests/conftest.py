@@ -2,9 +2,10 @@
 
 reference_retrieve is retrieve() one query at a time; reference_traces is
 the control loop one step at a time, with the second pass decoded entry by
-entry, as step records; oracle_policy is the paired oracle one step at a
-time. The package computes all three in batches, and keeps a run as the
-arrays of a StepTable. reference_pair_table draws every pair latent of a
+entry, as step records whose decodes are action strings (answer);
+oracle_policy is the paired oracle one step at a time. The package
+computes all three in batches, keeps a run as the arrays of a StepTable,
+and records a decode as a correctness flag. reference_pair_table draws every pair latent of a
 world at once, where the world draws only the cells its retrieval tables
 rank, and reference_query_embeddings every query row at once, where the
 world keeps none and draws a row again whenever a table ranks it. The
@@ -141,8 +142,19 @@ def tampered_policy(manifest, **changes):
     return replace(manifest, selection_record=dict(manifest.selection_record, policy=policy.to_flat()))
 
 
-def utility(world, idx, action) -> float:
-    return 1.0 if action == world.true_action(idx) else 0.0
+# The reference loop's decodes emit action strings: example idx's true action, or a wrong one
+# marked by its pass (b: baseline, m: memory-conditioned). The package keeps only correctness flags.
+def true_action(idx) -> str:
+    return f"ans{idx}"
+
+
+def answer(idx, correct, second) -> str:
+    """The action a decode emits: the true action, or a wrong one marked by its pass."""
+    return true_action(idx) if correct else f"alt{idx}.{'m' if second else 'b'}"
+
+
+def utility(idx, action) -> float:
+    return 1.0 if action == true_action(idx) else 0.0
 
 
 def arith_shape_spec(seed: int = 0, n: int = 600) -> WorldSpec:
@@ -258,7 +270,7 @@ def accept_decision(c_t, c2_t, margin_m, guard_results, guards_enabled) -> bool:
 
 def reference_baseline(world, idx):
     """(action, confidence) of one baseline decode, read off the world's draws."""
-    return world.answer(idx, bool(world._baseline[idx]), second=False), world._confidence.item(idx, 0)
+    return answer(idx, bool(world._baseline[idx]), second=False), world._confidence.item(idx, 0)
 
 
 def reference_second(world, idx, injected, version="original", edited_ids=()):
@@ -281,8 +293,7 @@ def reference_second(world, idx, injected, version="original", edited_ids=()):
             correct = version == "corrupt"
     deciding = injected[applicable[0] if applicable else 0]
     column = 1 + 2 * BANK_KINDS.index(world.entry_bank(deciding)) + correct
-    action = world.true_action(idx) if correct else f"alt{idx}.m"
-    return action, world._confidence.item(idx, column)
+    return answer(idx, correct, second=True), world._confidence.item(idx, column)
 
 
 def reference_step(
@@ -363,7 +374,7 @@ def reference_traces(world, policy, snapshots, example_ids, version="original", 
             EpisodeTrace(
                 eid,
                 steps,
-                sum(utility(world, s.example_id, s.final_action) for s in steps) / len(steps),
+                sum(utility(s.example_id, s.final_action) for s in steps) / len(steps),
                 sum(1 for s in steps if s.routed),
                 sum(1 for s in steps if s.accepted),
                 sum(s.calls_used for s in steps),
@@ -378,7 +389,7 @@ def reference_outcome_table(world, idx, snapshots):
     for context in ORACLE_CONTEXTS:
         injected = reference_injection(world, idx, CONTEXT_BANKS[context], snapshots)
         action, conf = reference_second(world, idx, injected)
-        out[context] = (bool(injected), action == world.true_action(idx), conf)
+        out[context] = (bool(injected), action == true_action(idx), conf)
     return out
 
 
@@ -412,8 +423,8 @@ def reference_oracle_steps(world, example_ids, snapshots, contexts=ORACLE_CONTEX
             injected = reference_injection(world, idx, CONTEXT_BANKS[context], snapshots)
             if injected:
                 a2, _ = reference_second(world, idx, injected)
-                candidates.append((a2, utility(world, idx, a2)))
-        steps.append(OracleStep(idx, base_action, utility(world, idx, base_action), base_conf, tuple(candidates)))
+                candidates.append((a2, utility(idx, a2)))
+        steps.append(OracleStep(idx, base_action, utility(idx, base_action), base_conf, tuple(candidates)))
     return steps
 
 
@@ -468,18 +479,18 @@ class ReferenceEvidence:
     utility: float
 
 
-def reference_attach_evidence(world, traces):
+def reference_attach_evidence(traces):
     """protocol.attach_evidence's observations, one record per retrieved entry, read off step records."""
     records = []
     for trace in traces:
         for step in trace.steps:
             if not step.routed:
                 continue
-            base_u = utility(world, step.example_id, step.baseline_action)
+            base_u = utility(step.example_id, step.baseline_action)
             for attempt in step.attempts:
                 if not attempt.retrieved:
                     continue
-                gain = utility(world, step.example_id, attempt.second_action) - base_u
+                gain = utility(step.example_id, attempt.second_action) - base_u
                 records += [ReferenceEvidence(entry_id, gain) for entry_id in attempt.retrieved]
     return records
 
@@ -495,35 +506,27 @@ def reference_freeze_identities(traces):
 
 
 def reference_trace_lines(traces) -> list[str]:
-    """traces.jsonl as README documents it, one line per episode of step records."""
-    def step_json(step):
-        return {
-            "step_index": step.step_index,
-            "example_id": step.example_id,
-            "baseline_action": step.baseline_action,
-            "baseline_confidence": round(step.baseline_confidence, 10),
-            "routed": step.routed,
-            "retrieved_ids": list(step.retrieved or ()),
-            "second_action": step.second_action,
-            "second_confidence": None if step.second_confidence is None else round(step.second_confidence, 10),
-            "accepted": step.accepted,
-            "final_action": step.final_action,
-            "calls_used": step.calls_used,
-        }
+    """traces.jsonl as README documents it: json.dumps of one dict per step record, sort_keys=True."""
+    def correct(step, action):
+        return None if action is None else action == true_action(step.example_id)
 
     return [
         json.dumps(
             {
-                "episode_id": t.episode_id,
-                "outcome_utility": t.outcome_utility,
-                "routed_count": t.routed_count,
-                "accepted_count": t.accepted_count,
-                "total_calls": t.total_calls,
-                "steps": [step_json(s) for s in t.steps],
+                "step_index": s.step_index,
+                "example_id": s.example_id,
+                "baseline_correct": correct(s, s.baseline_action),
+                "baseline_confidence": round(s.baseline_confidence, 10),
+                "routed": s.routed,
+                "retrieved_ids": list(s.retrieved or ()),
+                "second_correct": correct(s, s.second_action),
+                "second_confidence": None if s.second_confidence is None else round(s.second_confidence, 10),
+                "accepted": s.accepted,
             },
             sort_keys=True,
         )
         for t in traces
+        for s in t.steps
     ]
 
 
@@ -555,45 +558,24 @@ def reference_outcome_table_text(baseline, passes) -> str:
 
 
 def reference_traces_text(steps) -> str:
-    """traces.jsonl from a StepTable: a dict per step and per episode, json.dumps per episode."""
+    """traces.jsonl from a StepTable: a dict per step, json.dumps(step, sort_keys=True) per line."""
     world = steps.world
     columns, filled, _ = steps.deciding_injection()
     ran, correct, confidence = (x.tolist() for x in steps.deciding_pass())
-    routed, accepted = steps.routed.tolist(), steps.accepted.tolist()
-    base_conf = steps.baseline_confidence.tolist()
-    final = steps.final_correct.tolist()
-    records = []
-    for s, idx in enumerate(steps.example_ids.tolist()):
-        base = world.answer(idx, bool(steps.baseline_correct[s]), second=False)
-        second = world.answer(idx, correct[s], second=True) if ran[s] else None
-        records.append(
-            {
-                "step_index": int(steps.step_index[s]),
-                "example_id": idx,
-                "baseline_action": base,
-                "baseline_confidence": round(base_conf[s], 10),
-                "routed": routed[s],
-                "retrieved_ids": [world.entry_ids[c] for c in columns[s][filled[s]].tolist()],
-                "second_action": second,
-                "second_confidence": round(confidence[s], 10) if ran[s] else None,
-                "accepted": accepted[s],
-                "final_action": second if accepted[s] else base,
-                "calls_used": 2 if routed[s] else 1,
-            }
-        )
-    bounds = np.flatnonzero(np.diff(steps.episode_ids, prepend=-1, append=-1)).tolist()
     lines = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        n_routed = sum(routed[lo:hi])
-        episode = {
-            "episode_id": int(steps.episode_ids[lo]),
-            "outcome_utility": sum(final[lo:hi]) / (hi - lo),
-            "routed_count": n_routed,
-            "accepted_count": sum(accepted[lo:hi]),
-            "total_calls": hi - lo + n_routed,
-            "steps": records[lo:hi],
+    for s, idx in enumerate(steps.example_ids.tolist()):
+        step = {
+            "step_index": int(steps.step_index[s]),
+            "example_id": idx,
+            "baseline_correct": bool(steps.baseline_correct[s]),
+            "baseline_confidence": round(float(steps.baseline_confidence[s]), 10),
+            "routed": bool(steps.routed[s]),
+            "retrieved_ids": [world.entry_ids[c] for c in columns[s][filled[s]].tolist()],
+            "second_correct": correct[s] if ran[s] else None,
+            "second_confidence": round(confidence[s], 10) if ran[s] else None,
+            "accepted": bool(steps.accepted[s]),
         }
-        lines.append(json.dumps(episode, sort_keys=True) + "\n")
+        lines.append(json.dumps(step, sort_keys=True) + "\n")
     return "".join(lines)
 
 
@@ -604,7 +586,7 @@ def reference_conf_bins_text(world, policy, snapshots, test_ids, n_bins=10) -> s
     for trace in reference_traces(world, policy, snapshots, test_ids):
         for s in trace.steps:
             b = min(int(s.baseline_confidence * n_bins), n_bins - 1)
-            bins[b].append((utility(world, s.example_id, s.baseline_action), utility(world, s.example_id, s.final_action)))
+            bins[b].append((utility(s.example_id, s.baseline_action), utility(s.example_id, s.final_action)))
     lines = ["bin_lo,bin_hi,count,baseline_acc,policy_acc\n"]
     for b, members in enumerate(bins):
         bounds = f"{b / n_bins:.2f},{(b + 1) / n_bins:.2f}"
@@ -622,7 +604,6 @@ def reference_counterfactual_rows_text(rows) -> str:
     for r, qid in enumerate(rows.query_id.tolist()):
         row = {
             "query_id": qid,
-            "routed": True,
             "frozen_identity": [rows.entry_ids[c] for c in rows.columns[r][rows.filled[r]].tolist()],
             "target_hit": bool(rows.target_hit[r]),
         }
@@ -648,13 +629,13 @@ def reference_counterfactual(world, policy, snapshots, test_ids, edited_ids, n_p
     traces = reference_traces(world, policy, snapshots, test_ids)
     original = [s for t in traces for s in t.steps]
     frozen = reference_freeze_identities(traces)
-    outcomes = {"outcome_original": {s.example_id: utility(world, s.example_id, s.final_action) for s in original}}
+    outcomes = {"outcome_original": {s.example_id: utility(s.example_id, s.final_action) for s in original}}
     for version in ("repair", "corrupt"):
         drifted = {kind: world.drifted_snapshot(kind, version, edited) for kind in snapshots}
         for mode, snaps, frozen_map in (("free", drifted, None), ("fixed", snapshots, frozen)):
             traces = reference_traces(world, policy, snaps, test_ids, version, edited, frozen_map)
             outcomes[f"outcome_{version}_{mode}"] = {
-                s.example_id: utility(world, s.example_id, s.final_action) for t in traces for s in t.steps
+                s.example_id: utility(s.example_id, s.final_action) for t in traces for s in t.steps
             }
     rows, hit_diffs, non_hit_diffs = [], [], []
     for step in sorted((s for s in original if s.routed), key=lambda s: s.example_id):
@@ -662,7 +643,7 @@ def reference_counterfactual(world, policy, snapshots, test_ids, edited_ids, n_p
         identity = frozen.get(qid, ())
         row = {field: outcomes[field][qid] for field in COUNTERFACTUAL_OUTCOMES}
         hit = bool(set(identity) & set(edited))
-        row.update(query_id=qid, routed=True, frozen_identity=list(identity), target_hit=hit)
+        row.update(query_id=qid, frozen_identity=list(identity), target_hit=hit)
         for version in ("repair", "corrupt"):
             free, fixed, base = row[f"outcome_{version}_free"], row[f"outcome_{version}_fixed"], row["outcome_original"]
             assert (free - base) - ((fixed - base) + (free - fixed)) == 0.0

@@ -199,7 +199,7 @@ def test_criterion_04_oracle_dominance():
         world = generate_world(WorldSpec(n_examples=10, seed=3600 + seed))
         osteps = reference_oracle_steps(world, list(range(10)), world.snapshots(), contexts=("rule",))
         trace = oracle_policy(0, osteps)
-        oracle_acc = np.mean([utility(world, s.example_id, s.final_action) for s in trace.steps])
+        oracle_acc = np.mean([utility(s.example_id, s.final_action) for s in trace.steps])
         pairs = [
             (s.baseline_utility, s.candidates[0][1] if s.candidates else s.baseline_utility)
             for s in osteps
@@ -419,7 +419,8 @@ def test_criterion_09_control_contracts():
             total_steps += len(steps.routed)
             assert counts.mean_calls == pytest.approx(1 + counts.routed_frac, abs=1e-12)  # one extra call per routed step
             if policy.budget_B is not None:
-                assert np.bincount(steps.episode_ids[steps.routed], minlength=1).max() <= policy.budget_B
+                per_episode = np.bincount(steps.example_ids[steps.routed] // spec.steps_per_episode, minlength=1)
+                assert per_episode.max() <= policy.budget_B
             # an unrouted step tries nothing; a step accepts at most one attempt, and only a routed one
             assert not steps.tried[~steps.routed].any()
             assert steps.accepted_attempt.sum(axis=1).max() <= 1

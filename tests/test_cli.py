@@ -914,7 +914,7 @@ def test_unknown_edit_entry_is_a_plain_error(tmp_path, world_config, fitted, cap
 # A change to a random stream or an output format must update these on purpose.
 QUICKSTART_DIGESTS = {
     "cf/audit.json": "f141d0fee225f9c6dd102540d95647fa59cc8171c96e15ca09db2ef2afe21d8d",
-    "cf/counterfactual_rows.jsonl": "dda32e90ee911dbf4dc63ab510f02427341530e5bf55c5c764e975ac55bb6d43",
+    "cf/counterfactual_rows.jsonl": "216ef3a4f2dedfb0e49893946232544255477c703e5cfa1f5ce61d4a8dc1f9a1",
     "fit/bank_exemplar.jsonl": "2275c77c4133ba68bd1654c9b6e1e11db36ad1ce6072b1154e628fc4401fb6ed",
     "fit/bank_rule.jsonl": "d58830eb2fd1f5252399a12eb6b0183ae81c4383ba0649872770f40929115744",
     "fit/manifest.json": "226ab5520e2cfc784b860dfe14e779ad4cbd8537d8f84abbde2a576788eab365",
@@ -925,7 +925,7 @@ QUICKSTART_DIGESTS = {
     "test/ledger_seed0.csv": "d90a95b741dee03e676df888b5931ded89b073472cf220d1827e7bdbb9aa3d7f",
     "test/ledger_seed1.csv": "6cfe44d166fa19298cdca4bb7533d5ede1ee75e97a43694ee9b90f4532d07c09",
     "test/ledger_seed2.csv": "0837c346b075dbf08ac85e7ba56d95828e302254773df7f29d7d5cd374856db3",
-    "test/traces.jsonl": "6d280d56908e0c012a5c3010d58d0b268af96c0bde5db65261a20ec19b49a7d8",
+    "test/traces.jsonl": "1e4c4a29e7facf1552c28fa0553e89d37dca4eb253e232efeda3ed33050eaddb",
     "world/bank_exemplar.jsonl": "2275c77c4133ba68bd1654c9b6e1e11db36ad1ce6072b1154e628fc4401fb6ed",
     "world/bank_rule.jsonl": "d58830eb2fd1f5252399a12eb6b0183ae81c4383ba0649872770f40929115744",
     "world/outcome_table.json": "548b713676990dffcba9e437cdf2bc6712fd0c1031c6434021992f89bb3d8af0",
@@ -953,6 +953,35 @@ def test_quickstart_output_bytes_pinned(tmp_path, capsys):
         if p.is_file() and p != edits
     }
     assert digests == QUICKSTART_DIGESTS
+
+
+@pytest.mark.parametrize("setup", ["shipped", "multi-step"])
+def test_policy_ledger_row_recomputed_from_traces(tmp_path, setup):
+    configs = Path(__file__).parents[1] / "configs"
+    world, grid = configs / "world.kv", configs / "grid.kv"
+    if setup == "multi-step":  # budgets, a cooldown, rejecting guards and toxic entries
+        world, grid = tmp_path / "world.kv", tmp_path / "grid.kv"
+        write_kv_file(str(world), {
+            **parse_kv_file(str(configs / "world.kv")), "steps_per_episode": "8",
+            "guard_pass_rate.format": "0.8", "guard_pass_rate.progress": "0.9", "toxic_entry_rate": "0.2",
+        })
+        write_kv_file(str(grid), {
+            "budget_B": "2", "cooldown": "1", "bank_policy": "cascade_rule_then_exemplar", "tau_percentile": "50",
+        })
+    fit, out = tmp_path / "fit", tmp_path / "test"
+    assert main(["fit", "--config", str(world), "--grid", str(grid), "--out", str(fit)]) == 0
+    assert main(["test", "--config", str(world), "--manifest", str(fit / "manifest.json"), "--out", str(out)]) == 0
+    steps = [json.loads(line) for line in (out / "traces.jsonl").read_text().splitlines()]
+    base = [s["baseline_correct"] for s in steps]
+    final = [s["second_correct"] if s["accepted"] else s["baseline_correct"] for s in steps]
+    n, help_hurt = len(steps), sum(final) - sum(base)
+    header, *rows = (out / f"ledger_seed{parse_kv_file(str(world))['seed']}.csv").read_text().splitlines()
+    row = dict(zip(header.split(","), next(r for r in rows if r.startswith("policy vs baseline,")).split(",")))
+    assert (row["n"], row["help_hurt"], row["delta_acc"]) == (str(n), f"{help_hurt:+d}", f"{help_hurt / n:+.6f}")
+    assert row["routed_frac"] == f"{sum(s['routed'] for s in steps) / n:.6f}"
+    assert row["accepted_frac"] == f"{sum(s['accepted'] for s in steps) / n:.6f}"
+    # not vacuous: the policy helps, and some routed steps roll back
+    assert help_hurt > 0 and any(s["routed"] and not s["accepted"] for s in steps)
 
 
 def _stage_outputs(tmp_path, world, grid, fit_args, test_args, edits, governance_args) -> dict:

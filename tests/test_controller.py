@@ -14,6 +14,7 @@ from conftest import (
     BudgetState,
     OracleStep,
     accept_decision,
+    answer,
     oracle_policy,
     reference_attach_evidence,
     reference_freeze_identities,
@@ -21,6 +22,7 @@ from conftest import (
     reference_second,
     reference_traces,
     route_decision,
+    true_action,
     utility,
 )
 from gatedmem.controller import (
@@ -243,7 +245,7 @@ def test_budget_one_blocks_second_route():
     steps = evaluate_policy(
         world, PolicyConfig(tau=1.0, budget_B=1), world.snapshots(), list(range(60))
     )
-    per_episode = np.bincount(steps.episode_ids[steps.routed])
+    per_episode = np.bincount(steps.example_ids[steps.routed] // 6)
     assert per_episode.max() == 1
 
 
@@ -274,19 +276,16 @@ def test_trace_counters_match_recomputation(tmp_path):
         world, PolicyConfig(tau=0.7, budget_B=2), world.snapshots(), list(range(90))
     )
     write_traces(run, tmp_path / "traces.jsonl")
-    traces = [json.loads(line) for line in (tmp_path / "traces.jsonl").read_text().splitlines()]
-    assert len(traces) == 30
-    for trace in traces:
-        steps = trace["steps"]
-        assert trace["routed_count"] == sum(s["routed"] for s in steps)
-        assert trace["accepted_count"] == sum(s["accepted"] for s in steps)
-        assert trace["total_calls"] == sum(s["calls_used"] for s in steps)
-        assert trace["total_calls"] == len(steps) + trace["routed_count"]
-        assert trace["outcome_utility"] == sum(utility(world, s["example_id"], s["final_action"]) for s in steps) / len(steps)
-    steps = [s for t in traces for s in t["steps"]]
-    assert [s["example_id"] for s in steps] == run.example_ids.tolist()
-    assert [s["routed"] for s in steps] == run.routed.tolist()
-    assert [s["accepted"] for s in steps] == run.accepted.tolist()
+    steps = [json.loads(line) for line in (tmp_path / "traces.jsonl").read_text().splitlines()]
+    assert [s["example_id"] for s in steps] == list(range(90))
+    assert [s["step_index"] for s in steps] == [i % 3 for i in range(90)]  # episode example_id // 3
+    # the run's counts, recomputed from the lines: the final answer is the second pass's if accepted
+    final = [s["second_correct"] if s["accepted"] else s["baseline_correct"] for s in steps]
+    base = [s["baseline_correct"] for s in steps]
+    routed, accepted = ([s[k] for s in steps] for k in ("routed", "accepted"))
+    assert _run_counts(run) == PairedCounts.of(base, final, routed, accepted)
+    assert all(s["second_correct"] is None for s in steps if not s["routed"])
+    assert max(sum(routed[e:e + 3]) for e in range(0, 90, 3)) == 2  # the budget binds
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +317,7 @@ def test_oracle_equals_bruteforce_enumeration():
         ids = list(range(10))
         osteps = reference_oracle_steps(world, ids, snaps, contexts=("exemplar",))
         trace = oracle_policy(0, osteps)
-        oracle_acc = np.mean([utility(world, s.example_id, s.final_action) for s in trace.steps])
+        oracle_acc = np.mean([utility(s.example_id, s.final_action) for s in trace.steps])
 
         candidates = []
         for ostep in osteps:
@@ -495,7 +494,7 @@ def _table_view(steps, version, fixed):
             ))
         view.append((
             idx,
-            int(steps.episode_ids[s]),
+            idx // steps.world.spec.steps_per_episode,
             int(steps.step_index[s]),
             bool(steps.baseline_correct[s]),
             float(steps.baseline_confidence[s]),
@@ -507,10 +506,10 @@ def _table_view(steps, version, fixed):
     return view
 
 
-def _reference_view(world, traces):
+def _reference_view(traces):
     """_table_view's fields, read off the reference's step records."""
     def correct(step, action):
-        return action == world.true_action(step.example_id)
+        return action == true_action(step.example_id)
 
     return [
         (
@@ -552,16 +551,16 @@ def _assert_matches_reference(
     if comparator is not None:
         policy, version = _comparator_variant(policy, version, comparator)
     want = reference_traces(world, policy, snaps, ids, version, edited_ids, frozen_map)
-    assert _table_view(steps, version, frozen is not None) == _reference_view(world, want)
+    assert _table_view(steps, version, frozen is not None) == _reference_view(want)
     ref_steps = [s for t in want for s in t.steps]
-    outcome = {s.example_id: utility(world, s.example_id, s.final_action) for s in ref_steps}
+    outcome = {s.example_id: utility(s.example_id, s.final_action) for s in ref_steps}
     assert steps.final_correct.tolist() == [bool(outcome[i]) for i in steps.example_ids.tolist()]
     counts = _run_counts(steps)
     assert counts.routed_frac == sum(t.routed_count for t in want) / len(ref_steps)
     assert counts.accepted_frac == sum(t.accepted_count for t in want) / len(ref_steps)
     assert counts.mean_calls == sum(t.total_calls for t in want) / len(ref_steps)
     batched = {k: b.copy() for k, b in world.banks.items()}
-    records = reference_attach_evidence(world, want)
+    records = reference_attach_evidence(want)
     attach_evidence(world, batched, steps)
     added = sum(int(b.evidence_count.sum()) for b in batched.values()) - sum(
         int(b.evidence_count.sum()) for b in world.banks.values()
@@ -665,7 +664,7 @@ def test_array_decode_matches_entry_by_entry_reference():
         cols = world.columns(injected)[None, :]
         pairs = world._pair_bytes(idx, cols)
         correct, conf = world.second_pass([idx], cols, np.ones(cols.shape, bool), pairs, version, edited)
-        got = world.answer(idx, bool(correct[0]), second=bool(injected)), float(conf[0])
+        got = answer(idx, bool(correct[0]), second=bool(injected)), float(conf[0])
         assert got == reference_second(world, idx, injected, version, edited)
 
 
@@ -678,13 +677,13 @@ def test_oracle_matches_per_example_reference():
         for contexts in (ORACLE_CONTEXTS, ("exemplar",)):
             present, correct = (np.stack([passes[c][k] for c in contexts], axis=1) for k in (0, 1))
             assert [
-                tuple((world.answer(i, ok, second=True), float(ok)) for p, ok in zip(ps, oks) if p)
+                tuple((answer(i, ok, second=True), float(ok)) for p, ok in zip(ps, oks) if p)
                 for i, ps, oks in zip(ids, present.tolist(), correct.tolist())
             ] == [s.candidates for s in reference_oracle_steps(world, ids, snaps, contexts)]
         trace = oracle_policy(0, reference_oracle_steps(world, ids, snaps))
         correct, routed, accepted = evaluate_oracle(world, snaps, ids)
         counts = PairedCounts.of(world.baseline_pass(ids)[0], correct, routed, accepted)
-        assert correct.tolist() == [bool(utility(world, s.example_id, s.final_action)) for s in trace.steps]
+        assert correct.tolist() == [bool(utility(s.example_id, s.final_action)) for s in trace.steps]
         assert counts.routed_frac == trace.routed_count / 100
         assert counts.accepted_frac == trace.accepted_count / 100
         assert counts.mean_calls == trace.total_calls / 100

@@ -646,7 +646,7 @@ def test_always_retrieve_routes_every_step_and_accepts_nonempty_retrievals():
 def test_fixed_budget_routes_two_steps_per_episode():
     world, policy, snaps, ids = comparator_setup()
     steps = evaluate_policy(world, policy, snaps, ids, comparator="fixed_budget")
-    lengths = np.bincount(steps.episode_ids)
+    lengths = np.bincount(steps.example_ids // world.spec.steps_per_episode)
     lengths = lengths[lengths > 0]
     assert 1 in lengths and lengths.max() > 2
     assert np.array_equal(steps.routed, steps.step_index < 2)
@@ -1053,7 +1053,7 @@ def test_json_rounded_equals_repr_of_round():
 @pytest.mark.parametrize("steps_per_episode", range(1, 9))
 @pytest.mark.parametrize("comparator", [None, "retry"])
 def test_traces_bytes_match_reference(tmp_path, monkeypatch, steps_per_episode, comparator):
-    monkeypatch.setattr(protocol, "ROW_BLOCK", 20)  # several blocks of episodes
+    monkeypatch.setattr(protocol, "ROW_BLOCK", 20)  # several blocks of steps
     spec = WorldSpec(
         n_examples=203,
         seed=70 + steps_per_episode,
@@ -1088,7 +1088,7 @@ def test_traces_bytes_match_reference(tmp_path, monkeypatch, steps_per_episode, 
     assert (~steps.routed).any() and (steps.routed & ~steps.accepted & ran).any()
     if comparator is None:
         assert (steps.routed & ~ran).any() and steps.accepted.any()
-    lengths = np.unique(np.unique(steps.episode_ids, return_counts=True)[1])
+    lengths = np.unique(np.unique(steps.example_ids // steps_per_episode, return_counts=True)[1])
     assert lengths.max() == steps_per_episode and (steps_per_episode == 1 or lengths.min() < steps_per_episode)
 
 

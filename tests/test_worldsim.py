@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import math
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from conftest import (
     reference_pair_table,
     reference_query_embeddings,
     reference_retrieve,
-    utility,
+    true_action,
 )
 from gatedmem import retrieval, worldsim
 from gatedmem.controller import GUARD_NAMES, PolicyConfig
@@ -26,6 +27,7 @@ from gatedmem.retrieval import Query, retrieval_table
 from gatedmem.stats import roc_auc
 from gatedmem.util import derive_seed, parse_kv_file
 from gatedmem.worldsim import (
+    ORACLE_CONTEXTS,
     PAIR_APPLICABLE,
     PAIR_CORRUPT_BETTER,
     PAIR_HELP,
@@ -111,6 +113,28 @@ def test_world_hash_pinned():
     assert spec.world_hash() == "30e04daa1b7a29b903a463b998579edaf43d4ab081ce290a78c0d5f04d432a37"
 
 
+@pytest.mark.parametrize("n", [203, 600])
+@pytest.mark.parametrize("shape", ["shipped", "multi-step-governed"])
+def test_a_world_is_the_first_rows_of_a_larger_world(shape, n):
+    # the prefix property (worldsim's docstring): every per-row draw, the banks and what each
+    # oracle context injects; draw_digest hashes whole arrays, so it is left out
+    spec = WorldSpec.from_flat(parse_kv_file(str(Path(__file__).parents[1] / "configs" / "world.kv")))
+    if shape == "multi-step-governed":
+        spec = replace(
+            spec, steps_per_episode=8, toxic_entry_rate=0.2, guard_pass_rate=(("format", 0.8), ("progress", 0.9))
+        )
+    small, large = (generate_world(replace(spec, n_examples=size)) for size in (n, 1500))
+    for name in ("_baseline", "_confidence", "_guards", "_query_topics"):
+        assert np.array_equal(getattr(small, name), getattr(large, name)[:n]), name
+    snaps = small.snapshots(), large.snapshots()
+    hashes = [{k: s.content_hash for k, s in side.items()} for side in snaps]
+    assert hashes[0] == hashes[1]
+    for banks in ORACLE_CONTEXTS.values():
+        got, want = (world.injected(np.arange(n), side, banks) for world, side in zip((small, large), snaps))
+        assert all(np.array_equal(x, y) for x, y in zip(got, want)), banks
+        assert got[1].any()  # not vacuous: rows inject something
+
+
 # ---------------------------------------------------------------------------
 # generation structure
 # ---------------------------------------------------------------------------
@@ -128,8 +152,6 @@ def test_base_accuracy_one_all_correct():
     world = generate_world(WorldSpec(n_examples=100, base_accuracy=1.0, seed=4))
     correct, _ = world.baseline_pass(range(100))
     assert correct.all()
-    for i, c in enumerate(correct.tolist()):
-        assert utility(world, i, world.answer(i, c, second=False)) == 1.0
 
 
 def test_degenerate_world_every_intervention_hurts():
@@ -172,7 +194,6 @@ def test_largest_kappa_builds():
 def test_episode_chunking():
     world = generate_world(WorldSpec(n_examples=10, seed=6, steps_per_episode=4))
     steps = evaluate_policy(world, PolicyConfig(), world.snapshots(), [9, 0, 5, 1, 2, 3, 4, 6, 7, 8])
-    assert steps.episode_ids.tolist() == [0, 0, 0, 0, 1, 1, 1, 1, 2, 2]
     assert steps.example_ids.tolist() == list(range(10))
     assert steps.step_index.tolist() == [0, 1, 2, 3, 0, 1, 2, 3, 0, 1]
 
@@ -250,7 +271,7 @@ def test_outcome_table_matches_per_example_reference():
         for i in range(spec.n_examples):
             got = {c: (bool(p[0][i]), bool(p[1][i]), float(p[2][i])) for c, p in passes.items()}
             assert got == reference_outcome_table(world, i, snaps)
-            assert bool(world.baseline_pass([i])[0][0]) == (reference_baseline(world, i)[0] == world.true_action(i))
+            assert bool(world.baseline_pass([i])[0][0]) == (reference_baseline(world, i)[0] == true_action(i))
 
 
 # ---------------------------------------------------------------------------
